@@ -10,6 +10,7 @@
 package circuits
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/eda-go/moheco/internal/mos"
@@ -42,12 +43,27 @@ func clampMin(v, lo float64) float64 {
 	return v
 }
 
-// device builds the perturbed transistor for a variation slot. The returned
-// device owns a private copy of the model card.
-func device(space *variation.Space, xi []float64, slot int, nominal *mos.Params, w, l, m float64) *mos.Device {
-	card := nominal.Apply(space.Perturb(xi, slot, w*l*m*1e12))
-	return &mos.Device{Params: &card, W: w, L: l, M: m}
+// perturbCard rewrites dst in place as the perturbed model card of
+// variation slot under xi: the deck card of the slot's polarity with the
+// sample's inter-die part (inter, from space.Inter(xi), computed once per
+// sample) and the slot's own intra-die terms for gate area areaUm2 folded
+// in. dst keeps its Name, so callers label their cards once. A nil xi
+// writes the nominal card.
+//
+// Evaluators keep the card and device arrays in their own frame and store
+// &cards[i] there, so neither leaves the stack: storing the pointer through
+// a helper struct instead moves the whole array to the heap.
+func perturbCard(dst *mos.Params, space *variation.Space, inter *variation.Inter, xi []float64, slot int, areaUm2 float64) {
+	d := space.Device(inter, xi, slot, areaUm2)
+	name := dst.Name
+	space.Tech.Model(space.Devices[slot].PMOS).ApplyTo(dst, &d)
+	dst.Name = name
 }
+
+// slotCardName labels the private perturbed card of a variation slot in a
+// simulator-in-the-loop netlist. The label is fixed per slot, so contexts
+// set it once when they are built.
+func slotCardName(slot int) string { return fmt.Sprintf("m%d", slot) }
 
 // satCaps returns the device capacitances at a representative saturation
 // operating point carrying current id.

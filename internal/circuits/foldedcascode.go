@@ -156,7 +156,6 @@ func (p *FoldedCascode) Evaluate(x, xi []float64) ([]float64, error) {
 		return nil, err
 	}
 	vdd := p.tech.VDD
-	nom := func(pmos bool) *mos.Params { return p.tech.Model(pmos) }
 
 	it := clampMin(x[0], 1e-6)
 	ic := clampMin(x[1], 1e-6)
@@ -175,33 +174,37 @@ func (p *FoldedCascode) Evaluate(x, xi []float64) ([]float64, error) {
 	w0 := w9 * ratio
 	k := mirrorRatio
 
-	// Perturbed devices for all 15 slots.
-	dev := func(slot int, pmos bool, w, l float64) *mos.Device {
-		return device(p.space, xi, slot, nom(pmos), w, l, 1)
+	// Perturbed devices for all 15 slots, W and L per slot. Cards and
+	// devices stay in this frame; xi's inter-die part is computed once.
+	geom := [fcNumDevices][2]float64{
+		fcTail: {w0, lcs}, fcInL: {w1, l1}, fcInR: {w1, l1},
+		fcNSinkL: {w3, lcs}, fcNSinkR: {w3, lcs},
+		fcNCasL: {w5, lcas}, fcNCasR: {w5, lcas},
+		fcPCasL: {w7, lcas}, fcPCasR: {w7, lcas},
+		fcPSrcL: {w9, lcs}, fcPSrcR: {w9, lcs},
+		fcBiasP: {w9 / k, lcs}, fcBiasN: {w3 / k, lcs},
+		fcBiasNC: {w5 / k, lcas}, fcBiasPC: {w7 / k, lcas},
 	}
-	tail := dev(fcTail, true, w0, lcs)
-	inL := dev(fcInL, true, w1, l1)
-	inR := dev(fcInR, true, w1, l1)
-	nskL := dev(fcNSinkL, false, w3, lcs)
-	nskR := dev(fcNSinkR, false, w3, lcs)
-	ncsL := dev(fcNCasL, false, w5, lcas)
-	ncsR := dev(fcNCasR, false, w5, lcas)
-	pcsL := dev(fcPCasL, true, w7, lcas)
-	pcsR := dev(fcPCasR, true, w7, lcas)
-	psrL := dev(fcPSrcL, true, w9, lcs)
-	psrR := dev(fcPSrcR, true, w9, lcs)
-	biasP := dev(fcBiasP, true, w9/k, lcs)
-	biasN := dev(fcBiasN, false, w3/k, lcs)
-	biasNC := dev(fcBiasNC, false, w5/k, lcas)
-	biasPC := dev(fcBiasPC, true, w7/k, lcas)
+	var cards [fcNumDevices]mos.Params
+	var devs [fcNumDevices]mos.Device
+	inter := p.space.Inter(xi)
+	for i, g := range geom {
+		perturbCard(&cards[i], p.space, &inter, xi, i, g[0]*g[1]*1e12)
+		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
+	}
+	tail := &devs[fcTail]
+	inL, inR := &devs[fcInL], &devs[fcInR]
+	nskL, nskR := &devs[fcNSinkL], &devs[fcNSinkR]
+	ncsL, ncsR := &devs[fcNCasL], &devs[fcNCasR]
+	pcsL, pcsR := &devs[fcPCasL], &devs[fcPCasR]
+	psrL, psrR := &devs[fcPSrcL], &devs[fcPSrcR]
+	biasP, biasN := &devs[fcBiasP], &devs[fcBiasN]
+	biasNC, biasPC := &devs[fcBiasNC], &devs[fcBiasPC]
 
-	// Nominal devices for the bias-chain set points (xi-independent).
-	nomDev := func(pmos bool, w, l float64) *mos.Device {
-		card := *nom(pmos)
-		return &mos.Device{Params: &card, W: w, L: l, M: 1}
-	}
-	nskNom := nomDev(false, w3, lcs)
-	psrNom := nomDev(true, w9, lcs)
+	// Nominal devices for the bias-chain set points (xi-independent), on
+	// the shared deck cards.
+	nskNom := mos.Device{Params: p.tech.Model(false), W: w3, L: lcs, M: 1}
+	psrNom := mos.Device{Params: p.tech.Model(true), W: w9, L: lcs, M: 1}
 
 	// --- Bias chain and currents ---
 	// PMOS gate line: diode B1 at IC/k sets Vsg for sources and tail.

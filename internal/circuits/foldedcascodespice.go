@@ -85,7 +85,6 @@ func (p *FoldedCascodeSpice) ReferenceDesign() []float64 { return p.inner.Refere
 type fcSlotCard struct {
 	card *mos.Params
 	slot int
-	pmos bool
 	w, l float64
 }
 
@@ -122,13 +121,13 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 		p:     p,
 		freqs: spice.LogSpace(1e3, 1e9, 8),
 		cards: []fcSlotCard{
-			{card: &mos.Params{}, slot: fcInL, pmos: true, w: w1, l: l1},
-			{card: &mos.Params{}, slot: fcNSinkL, pmos: false, w: w3, l: lcs},
-			{card: &mos.Params{}, slot: fcNCasL, pmos: false, w: w5, l: lcas},
-			{card: &mos.Params{}, slot: fcPCasL, pmos: true, w: w7, l: lcas},
-			{card: &mos.Params{}, slot: fcPSrcL, pmos: true, w: w9, l: lcs},
-			{card: &mos.Params{}, slot: fcBiasN, pmos: false, w: w3 / k, l: lcs},
-			{card: &mos.Params{}, slot: fcBiasP, pmos: true, w: w9 / k, l: lcs},
+			{card: &mos.Params{Name: slotCardName(fcInL)}, slot: fcInL, w: w1, l: l1},
+			{card: &mos.Params{Name: slotCardName(fcNSinkL)}, slot: fcNSinkL, w: w3, l: lcs},
+			{card: &mos.Params{Name: slotCardName(fcNCasL)}, slot: fcNCasL, w: w5, l: lcas},
+			{card: &mos.Params{Name: slotCardName(fcPCasL)}, slot: fcPCasL, w: w7, l: lcas},
+			{card: &mos.Params{Name: slotCardName(fcPSrcL)}, slot: fcPSrcL, w: w9, l: lcs},
+			{card: &mos.Params{Name: slotCardName(fcBiasN)}, slot: fcBiasN, w: w3 / k, l: lcs},
+			{card: &mos.Params{Name: slotCardName(fcBiasP)}, slot: fcBiasP, w: w9 / k, l: lcs},
 		},
 	}
 	ctx.setCards(nil)
@@ -164,10 +163,10 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 // variation vector (nil = nominal).
 func (ctx *fcSpiceContext) setCards(xi []float64) {
 	inner := ctx.p.inner
+	inter := inner.space.Inter(xi)
 	for i := range ctx.cards {
 		sc := &ctx.cards[i]
-		*sc.card = inner.tech.Model(sc.pmos).Apply(inner.space.Perturb(xi, sc.slot, sc.w*sc.l*1e12))
-		sc.card.Name = fmt.Sprintf("m%d", sc.slot)
+		perturbCard(sc.card, inner.space, &inter, xi, sc.slot, sc.w*sc.l*1e12)
 	}
 }
 

@@ -32,9 +32,9 @@ func (p *CommonSource) CommonSourceNetlist(x []float64) (*netlist.Circuit, error
 	c.AddM("M2", "out", "bp", "vdd", "vdd", pch, w2, p.loadLen, 1)
 	// Driver with its gate at the bias voltage that conducts the mirrored
 	// current (the behavioural model's input servo); AC input rides on it.
-	drv := device(p.space, nil, csDriver, nch, w1, l1, 1)
-	bias := device(p.space, nil, csBias, pch, w2/k, p.loadLen, 1)
-	load := device(p.space, nil, csLoad, pch, w2, p.loadLen, 1)
+	drv := &mos.Device{Params: nch, W: w1, L: l1, M: 1}
+	bias := &mos.Device{Params: pch, W: w2 / k, L: p.loadLen, M: 1}
+	load := &mos.Device{Params: pch, W: w2, L: p.loadLen, M: 1}
 	id := mirror(bias, load, ib/k, vdd/2)
 	vg := drv.VgsForID(id, 0)
 	c.AddV("VIN", "in", "0", vg, 1)
@@ -106,8 +106,8 @@ func (p *FoldedCascode) buildFoldedCascodeTB(x []float64, cards fcCards) (*netli
 	c.AddM("M3", "fold", "ncm", "0", "0", cards.nsink, w3, lcs, 1)
 
 	// NMOS cascode with a fixed gate bias computed as in the evaluator.
-	ncasDev := device(p.space, nil, fcNCasL, nch, w5, lcas, 1)
-	nsinkNom := device(p.space, nil, fcNSinkL, nch, w3, lcs, 1)
+	ncasDev := &mos.Device{Params: nch, W: w5, L: lcas, M: 1}
+	nsinkNom := &mos.Device{Params: nch, W: w3, L: lcs, M: 1}
 	vbnc := nsinkNom.VDsatForID(is) + p.msBias + ncasDev.VgsForID(ic, 0)
 	c.AddV("VBNC", "bnc", "0", vbnc, 0)
 	c.AddM("M5", "out", "bnc", "fold", "0", cards.ncas, w5, lcas, 1)
@@ -116,8 +116,8 @@ func (p *FoldedCascode) buildFoldedCascodeTB(x []float64, cards fcCards) (*netli
 	c.AddI("IBP", "bp", "0", ic/mirrorRatio, 0)
 	c.AddM("MBP", "bp", "bp", "vdd", "vdd", cards.biasP, w9/mirrorRatio, lcs, 1)
 	c.AddM("M9", "x", "bp", "vdd", "vdd", cards.psrc, w9, lcs, 1)
-	psrcNom := device(p.space, nil, fcPSrcL, pch, w9, lcs, 1)
-	pcasDev := device(p.space, nil, fcPCasL, pch, w7, lcas, 1)
+	psrcNom := &mos.Device{Params: pch, W: w9, L: lcs, M: 1}
+	pcasDev := &mos.Device{Params: pch, W: w7, L: lcas, M: 1}
 	vbpc := vdd - psrcNom.VDsatForID(ic) - p.msBias - pcasDev.VgsForID(ic, 0)
 	c.AddV("VBPC", "bpc", "0", vbpc, 0)
 	c.AddM("M7", "out", "bpc", "x", "vdd", cards.pcas, w7, lcas, 1)
@@ -126,9 +126,9 @@ func (p *FoldedCascode) buildFoldedCascodeTB(x []float64, cards fcCards) (*netli
 
 	// Expected operating region from the behavioural model, used as a
 	// .nodeset to help Newton through the CMFB loop.
-	inDev := device(p.space, nil, fcInL, pch, w1, l1, 1)
-	biasNDev := device(p.space, nil, fcBiasN, nch, w3/mirrorRatio, lcs, 1)
-	biasPDev := device(p.space, nil, fcBiasP, pch, w9/mirrorRatio, lcs, 1)
+	inDev := &mos.Device{Params: pch, W: w1, L: l1, M: 1}
+	biasNDev := &mos.Device{Params: nch, W: w3 / mirrorRatio, L: lcs, M: 1}
+	biasPDev := &mos.Device{Params: pch, W: w9 / mirrorRatio, L: lcs, M: 1}
 	vfold := nsinkNom.VDsatForID(is) + p.msBias
 	vx := vdd - psrcNom.VDsatForID(ic) - p.msBias
 	vbn := biasNDev.VgsForID(is/mirrorRatio, 0)

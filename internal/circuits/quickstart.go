@@ -108,9 +108,19 @@ func (p *CommonSource) Evaluate(x, xi []float64) ([]float64, error) {
 	w1, l1, w2 := x[1], x[2], x[3]
 	k := mirrorRatio
 
-	drv := device(p.space, xi, csDriver, p.tech.Model(false), w1, l1, 1)
-	load := device(p.space, xi, csLoad, p.tech.Model(true), w2, p.loadLen, 1)
-	bias := device(p.space, xi, csBias, p.tech.Model(true), w2/k, p.loadLen, 1)
+	// Cards and devices stay in this frame; xi's inter-die part is
+	// computed once.
+	geom := [csNumDevices][2]float64{
+		csDriver: {w1, l1}, csLoad: {w2, p.loadLen}, csBias: {w2 / k, p.loadLen},
+	}
+	var cards [csNumDevices]mos.Params
+	var devs [csNumDevices]mos.Device
+	inter := p.space.Inter(xi)
+	for i, g := range geom {
+		perturbCard(&cards[i], p.space, &inter, xi, i, g[0]*g[1]*1e12)
+		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
+	}
+	drv, load, bias := &devs[csDriver], &devs[csLoad], &devs[csBias]
 
 	// The load mirrors the bias diode; the input bias servo sets the driver
 	// gate so it conducts the load current with the output at VDD/2.
@@ -137,7 +147,3 @@ func (p *CommonSource) Evaluate(x, xi []float64) ([]float64, error) {
 }
 
 var _ problem.Problem = (*CommonSource)(nil)
-
-// mosQuickRef silences the unused import when building documentation
-// examples that only reference the package.
-var _ = mos.Saturation

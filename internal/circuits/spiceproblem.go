@@ -142,9 +142,9 @@ func (p *CommonSourceSpice) compile(x []float64) (*spiceContext, error) {
 		p:  p,
 		ib: clampMin(x[0], 1e-7),
 		w1: x[1], l1: x[2], w2: x[3],
-		drvCard:  &mos.Params{},
-		loadCard: &mos.Params{},
-		biasCard: &mos.Params{},
+		drvCard:  &mos.Params{Name: slotCardName(csDriver)},
+		loadCard: &mos.Params{Name: slotCardName(csLoad)},
+		biasCard: &mos.Params{Name: slotCardName(csBias)},
 		freqs:    spice.LogSpace(1e3, 5e9, 8),
 	}
 	k := mirrorRatio
@@ -194,14 +194,11 @@ func (ctx *spiceContext) setSample(xi []float64) {
 // setCards rewrites the three perturbed model cards in place for the given
 // variation vector (nil = nominal).
 func (ctx *spiceContext) setCards(xi []float64) {
-	p, space := ctx.p, ctx.p.inner.space
-	card := func(dst *mos.Params, slot int, pmos bool, w, l float64) {
-		*dst = p.tech.Model(pmos).Apply(space.Perturb(xi, slot, w*l*1e12))
-		dst.Name = fmt.Sprintf("m%d", slot)
-	}
-	card(ctx.drvCard, csDriver, false, ctx.w1, ctx.l1)
-	card(ctx.loadCard, csLoad, true, ctx.w2, p.inner.loadLen)
-	card(ctx.biasCard, csBias, true, ctx.w2/mirrorRatio, p.inner.loadLen)
+	inner := ctx.p.inner
+	inter := inner.space.Inter(xi)
+	perturbCard(ctx.drvCard, inner.space, &inter, xi, csDriver, ctx.w1*ctx.l1*1e12)
+	perturbCard(ctx.loadCard, inner.space, &inter, xi, csLoad, ctx.w2*inner.loadLen*1e12)
+	perturbCard(ctx.biasCard, inner.space, &inter, xi, csBias, ctx.w2/mirrorRatio*inner.loadLen*1e12)
 }
 
 // eval runs one sample through the compiled context: rewrite the cards,

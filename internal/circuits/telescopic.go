@@ -165,7 +165,6 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 		return nil, err
 	}
 	vdd := p.tech.VDD
-	nom := func(pmos bool) *mos.Params { return p.tech.Model(pmos) }
 
 	it := clampMin(x[0], 1e-6)
 	i2 := clampMin(x[1], 1e-6)
@@ -187,40 +186,41 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 	w0 := w11 * ratio // tail shares the B1 gate line with the sinks
 	wCmfb := clampMin(w11/4, 1e-6)
 
-	dev := func(slot int, pmos bool, w, l float64) *mos.Device {
-		return device(p.space, xi, slot, nom(pmos), w, l, 1)
+	// Perturbed devices for all 19 slots, W and L per slot. Cards and
+	// devices stay in this frame; xi's inter-die part is computed once.
+	geom := [tsNumDevices][2]float64{
+		tsTail: {w0, lout}, tsInL: {w1, l1}, tsInR: {w1, l1},
+		tsNCasL: {w3, l1s}, tsNCasR: {w3, l1s},
+		tsPCasL: {w5, l1s}, tsPCasR: {w5, l1s},
+		tsPLoadL: {w7, l1s}, tsPLoadR: {w7, l1s},
+		tsDrvL: {w9, lout}, tsDrvR: {w9, lout},
+		tsSnkL: {w11, lout}, tsSnkR: {w11, lout},
+		tsCmfbL: {wCmfb, lout}, tsCmfbR: {wCmfb, lout},
+		tsBiasN: {w11 / k, lout}, tsBiasPL: {w7 / k, l1s},
+		tsBiasPC: {w5 / k, l1s}, tsBiasNC: {w3 / k, l1s},
 	}
-	tail := dev(tsTail, false, w0, lout)
-	inL := dev(tsInL, false, w1, l1)
-	inR := dev(tsInR, false, w1, l1)
-	ncsL := dev(tsNCasL, false, w3, l1s)
-	ncsR := dev(tsNCasR, false, w3, l1s)
-	pcsL := dev(tsPCasL, true, w5, l1s)
-	pcsR := dev(tsPCasR, true, w5, l1s)
-	pldL := dev(tsPLoadL, true, w7, l1s)
-	pldR := dev(tsPLoadR, true, w7, l1s)
-	drvL := dev(tsDrvL, true, w9, lout)
-	drvR := dev(tsDrvR, true, w9, lout)
-	snkL := dev(tsSnkL, false, w11, lout)
-	snkR := dev(tsSnkR, false, w11, lout)
-	cmfbL := dev(tsCmfbL, false, wCmfb, lout)
-	cmfbR := dev(tsCmfbR, false, wCmfb, lout)
-	biasN := dev(tsBiasN, false, w11/k, lout)
-	biasPL := dev(tsBiasPL, true, w7/k, l1s)
-	biasPC := dev(tsBiasPC, true, w5/k, l1s)
-	biasNC := dev(tsBiasNC, false, w3/k, l1s)
-	_ = cmfbL
-	_ = cmfbR
-	_ = inR
+	var cards [tsNumDevices]mos.Params
+	var devs [tsNumDevices]mos.Device
+	inter := p.space.Inter(xi)
+	for i, g := range geom {
+		perturbCard(&cards[i], p.space, &inter, xi, i, g[0]*g[1]*1e12)
+		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
+	}
+	tail, inL := &devs[tsTail], &devs[tsInL]
+	ncsL, ncsR := &devs[tsNCasL], &devs[tsNCasR]
+	pcsL, pcsR := &devs[tsPCasL], &devs[tsPCasR]
+	pldL, pldR := &devs[tsPLoadL], &devs[tsPLoadR]
+	drvL, drvR := &devs[tsDrvL], &devs[tsDrvR]
+	snkL, snkR := &devs[tsSnkL], &devs[tsSnkR]
+	biasN, biasPL := &devs[tsBiasN], &devs[tsBiasPL]
+	biasPC, biasNC := &devs[tsBiasPC], &devs[tsBiasNC]
 
-	nomDev := func(pmos bool, w, l float64) *mos.Device {
-		card := *nom(pmos)
-		return &mos.Device{Params: &card, W: w, L: l, M: 1}
-	}
-	tailNom := nomDev(false, w0, lout)
-	inNom := nomDev(false, w1, l1)
-	pldNom := nomDev(true, w7, l1s)
-	drvNom := nomDev(true, w9, lout)
+	// Nominal devices for the bias set points, on the shared deck cards.
+	nch, pch := p.tech.Model(false), p.tech.Model(true)
+	tailNom := mos.Device{Params: nch, W: w0, L: lout, M: 1}
+	inNom := mos.Device{Params: nch, W: w1, L: l1, M: 1}
+	pldNom := mos.Device{Params: pch, W: w7, L: l1s, M: 1}
+	drvNom := mos.Device{Params: pch, W: w9, L: lout, M: 1}
 
 	// --- Currents ---
 	// NMOS gate line from B1 at I2/k: sinks mirror I2, tail mirrors IT.
@@ -288,19 +288,20 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 	vo1 := vdd - drvL.VgsForID(i2L, 0)
 	vo1Nom := vdd - drvNom.VgsForID(i2, 0)
 
-	margins := []float64{
-		vtail - tail.VDsatForID(itAct),     // tail
-		vA - vtail - inL.VDsatForID(ihL),   // input pair
-		vo1 - vA - ncsL.VDsatForID(ihL),    // NMOS cascode
-		vB - vo1 - pcsL.VDsatForID(ihL),    // PMOS cascode
-		vdd - vB - pldL.VDsatForID(ihL),    // PMOS load
-		vdd/2 - drvL.VDsatForID(i2L),       // stage-2 driver (Vout=VDD/2)
-		vdd/2 - snkL.VDsatForID(i2L),       // stage-2 sink
-		vA - 0.02,                          // cascode node above ground
-		vdd - 0.02 - vB,                    // load node below supply
-		p.cmfbRange - cmfbNeed,             // CMFB range
-		p.cmfbRange - math.Abs(vo1-vo1Nom), // stage-2 bias point drift
-	}
+	margins := make([]float64, 0, 15)
+	margins = append(margins,
+		vtail-tail.VDsatForID(itAct),     // tail
+		vA-vtail-inL.VDsatForID(ihL),     // input pair
+		vo1-vA-ncsL.VDsatForID(ihL),      // NMOS cascode
+		vB-vo1-pcsL.VDsatForID(ihL),      // PMOS cascode
+		vdd-vB-pldL.VDsatForID(ihL),      // PMOS load
+		vdd/2-drvL.VDsatForID(i2L),       // stage-2 driver (Vout=VDD/2)
+		vdd/2-snkL.VDsatForID(i2L),       // stage-2 sink
+		vA-0.02,                          // cascode node above ground
+		vdd-0.02-vB,                      // load node below supply
+		p.cmfbRange-cmfbNeed,             // CMFB range
+		p.cmfbRange-math.Abs(vo1-vo1Nom), // stage-2 bias point drift
+	)
 	// Right side margins (mirror devices differ through mismatch).
 	margins = append(margins,
 		vo1-vA-ncsR.VDsatForID(ihR),

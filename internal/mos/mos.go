@@ -91,7 +91,7 @@ func (p *Params) KP() float64 { return p.U0 * p.Cox() }
 
 // Perturb captures one device instance's deviation from the nominal model
 // card. It is produced by internal/variation from a process-variation vector
-// and consumed by Params.Apply.
+// and consumed by Params.ApplyTo.
 type Perturb struct {
 	DVth        float64 // additive threshold shift (V, in magnitude frame)
 	U0Scale     float64 // multiplicative mobility factor (1 = nominal)
@@ -114,29 +114,32 @@ func Nominal() Perturb {
 	}
 }
 
-// Apply returns a copy of p with the perturbation folded in.
-func (p *Params) Apply(d Perturb) Params {
-	q := *p
-	q.VTH0 += d.DVth
-	q.U0 *= d.U0Scale
-	q.TOX *= d.TOXScale
-	q.LD += d.DLD
-	q.WD += d.DWD
-	q.CJ *= d.CJScale
-	q.CJSW *= d.CJSWScale
-	q.RDiff *= d.RDiffScale
-	q.Gamma *= d.GammaScale
+// ApplyTo writes p with the perturbation d folded in to dst. Evaluators
+// keep their perturbed cards in preallocated storage and rewrite them in
+// place per sample, so nothing is copied by value or allocated. dst may be
+// p itself.
+func (p *Params) ApplyTo(dst *Params, d *Perturb) {
+	tox := p.TOX
+	*dst = *p
+	dst.VTH0 += d.DVth
+	dst.U0 *= d.U0Scale
+	dst.TOX *= d.TOXScale
+	dst.LD += d.DLD
+	dst.WD += d.DWD
+	dst.CJ *= d.CJScale
+	dst.CJSW *= d.CJSWScale
+	dst.RDiff *= d.RDiffScale
+	dst.Gamma *= d.GammaScale
 	if d.CGOScale != 0 {
-		q.CGSO *= d.CGOScale
-		q.CGDO *= d.CGOScale
+		dst.CGSO *= d.CGOScale
+		dst.CGDO *= d.CGOScale
 	}
 	if d.LambdaScale != 0 {
-		q.Lambda0 *= d.LambdaScale
+		dst.Lambda0 *= d.LambdaScale
 	}
-	if q.TOX < 0.2*p.TOX {
-		q.TOX = 0.2 * p.TOX // guard against absurd tails
+	if dst.TOX < 0.2*tox {
+		dst.TOX = 0.2 * tox // guard against absurd tails
 	}
-	return q
 }
 
 // Device is one transistor instance: a model card plus geometry.

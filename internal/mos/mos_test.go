@@ -171,7 +171,8 @@ func TestApplyPerturb(t *testing.T) {
 	d.DVth = 0.05
 	d.U0Scale = 0.9
 	d.TOXScale = 1.1
-	q := p.Apply(d)
+	var q Params
+	p.ApplyTo(&q, &d)
 	if math.Abs(q.VTH0-0.60) > 1e-12 {
 		t.Errorf("VTH0 = %v", q.VTH0)
 	}
@@ -186,7 +187,9 @@ func TestApplyPerturb(t *testing.T) {
 		t.Error("KP should decrease")
 	}
 	// Nominal perturbation is the identity.
-	id := p.Apply(Nominal())
+	var id Params
+	nom := Nominal()
+	p.ApplyTo(&id, &nom)
 	if id.VTH0 != p.VTH0 || id.U0 != p.U0 || id.TOX != p.TOX {
 		t.Error("Nominal() should not change the card")
 	}
@@ -196,9 +199,16 @@ func TestApplyGuardsTOX(t *testing.T) {
 	p := testParams()
 	d := Nominal()
 	d.TOXScale = 0.01
-	q := p.Apply(d)
+	var q Params
+	p.ApplyTo(&q, &d)
 	if q.TOX < 0.2*p.TOX {
 		t.Errorf("TOX guard failed: %v", q.TOX)
+	}
+	// In place: the guard still bounds against the unperturbed card.
+	r := *p
+	r.ApplyTo(&r, &d)
+	if r != q {
+		t.Errorf("in-place ApplyTo = %+v, want %+v", r, q)
 	}
 }
 

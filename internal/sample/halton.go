@@ -19,11 +19,7 @@ func (Halton) Name() string { return "Halton" }
 
 // Draw implements Sampler.
 func (Halton) Draw(rng *randx.Stream, n, dim int) [][]float64 {
-	out := make([][]float64, n)
-	flat := make([]float64, n*dim)
-	for i := range out {
-		out[i] = flat[i*dim : (i+1)*dim]
-	}
+	out := NewPlan(n, dim)
 	if n == 0 || dim == 0 {
 		return out
 	}

@@ -34,14 +34,30 @@ func (PMC) Draw(rng *randx.Stream, n, dim int) [][]float64 {
 	if n < 0 || dim < 0 {
 		panic(fmt.Sprintf("sample: invalid plan %dx%d", n, dim))
 	}
-	out := make([][]float64, n)
-	flat := make([]float64, n*dim)
-	for i := range out {
-		row := flat[i*dim : (i+1)*dim]
+	out := NewPlan(n, dim)
+	PMC{}.Fill(rng, out)
+	return out
+}
+
+// Fill overwrites every row of pts with fresh draws, row by row. PMC rows
+// are independent and drawn in order, so filling one buffer block after
+// block yields exactly the rows of a single Draw over all the blocks — the
+// way a caller streams a large plan through a small buffer.
+func (PMC) Fill(rng *randx.Stream, pts [][]float64) {
+	for _, row := range pts {
 		for j := range row {
 			row[j] = rng.NormFloat64()
 		}
-		out[i] = row
+	}
+}
+
+// NewPlan returns an all-zero n×dim plan whose rows share one backing
+// array.
+func NewPlan(n, dim int) [][]float64 {
+	out := make([][]float64, n)
+	flat := make([]float64, n*dim)
+	for i := range out {
+		out[i] = flat[i*dim : (i+1)*dim]
 	}
 	return out
 }
@@ -60,16 +76,20 @@ func (LHS) Draw(rng *randx.Stream, n, dim int) [][]float64 {
 	if n < 0 || dim < 0 {
 		panic(fmt.Sprintf("sample: invalid plan %dx%d", n, dim))
 	}
-	out := make([][]float64, n)
-	flat := make([]float64, n*dim)
-	for i := range out {
-		out[i] = flat[i*dim : (i+1)*dim]
-	}
+	out := NewPlan(n, dim)
 	if n == 0 {
 		return out
 	}
+	// One permutation buffer serves every coordinate: it is refilled with
+	// rand.Perm's exact swap sequence, so the stream and the points are
+	// those of a fresh rng.Perm(n) per coordinate.
+	perm := make([]int, n)
 	for j := 0; j < dim; j++ {
-		perm := rng.Perm(n)
+		for i := range perm {
+			k := rng.Intn(i + 1)
+			perm[i] = perm[k]
+			perm[k] = i
+		}
 		for i := 0; i < n; i++ {
 			// Stratum perm[i] of [0,1), jittered, through Φ⁻¹.
 			u := (float64(perm[i]) + rng.Float64()) / float64(n)

@@ -231,11 +231,19 @@ func TestChaosReplicatedResultSurvivesCoordinatorDeath(t *testing.T) {
 // that was never reported is re-dispatched and counted exactly once when a
 // live node reports it — and the merge is bit-identical, because
 // re-dispatch changes who computes a chunk, never what it computes.
+//
+// The live workers join only once the coordinator has handed out its
+// second lease. Until then the severed worker is the fleet, so both leases
+// are its own, and it reports both: the second report is the first one the
+// rule drops, so the partition happens on every run rather than only when
+// the severed worker wins a second shard from the live ones.
 func TestChaosPartitionExactAccounting(t *testing.T) {
 	const n, seed = 16384, 13 // 8 shards of 2048
 	want := localYield(t, "svc-test", n, seed)
 
 	in := chaos.New(99, chaos.Rule{Name: "sever-complete", Path: "/complete", After: 1, Act: chaos.Drop})
+	secondLease := make(chan struct{})
+	gate := chaos.At(2, func() { close(secondLease) })
 	coord := startFleetNode(t, service.Config{
 		Jobs: 2,
 		Fleet: service.FleetConfig{
@@ -246,16 +254,33 @@ func TestChaosPartitionExactAccounting(t *testing.T) {
 			Lease:        400 * time.Millisecond,
 			ShardSamples: 2048,
 		},
+		Hooks: service.Hooks{ShardLeased: func(string, service.Shard) { gate.Hit() }},
 	}, nil)
 	bad := startFleetNode(t, fleetWorkerCfg(coord.url, "p-bad"), in.Transport(nil))
-	startFleetNode(t, fleetWorkerCfg(coord.url, "a-live"), nil)
-	startFleetNode(t, fleetWorkerCfg(coord.url, "b-live"), nil)
-	startFleetNode(t, fleetWorkerCfg(coord.url, "c-live"), nil)
-	awaitPeers(t, coord, 4)
+	awaitPeers(t, coord, 1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	st, err := service.NewClient(coord.url).Yield(ctx, service.YieldRequest{Scenario: "svc-test", N: n, Seed: service.Seed(seed)})
+	type result struct {
+		st  *service.Status
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		st, err := service.NewClient(coord.url).Yield(ctx, service.YieldRequest{Scenario: "svc-test", N: n, Seed: service.Seed(seed)})
+		done <- result{st, err}
+	}()
+	select {
+	case <-secondLease:
+	case r := <-done:
+		t.Fatalf("job ended before the severed worker's second lease: %+v, %v", r.st, r.err)
+	}
+	startFleetNode(t, fleetWorkerCfg(coord.url, "a-live"), nil)
+	startFleetNode(t, fleetWorkerCfg(coord.url, "b-live"), nil)
+	startFleetNode(t, fleetWorkerCfg(coord.url, "c-live"), nil)
+
+	r := <-done
+	st, err := r.st, r.err
 	if err != nil {
 		t.Fatal(err)
 	}

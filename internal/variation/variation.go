@@ -69,31 +69,51 @@ func (s *Space) CheckVector(xi []float64) error {
 	return nil
 }
 
-// Perturb computes the model perturbation of device dev (index into Devices)
-// with gate area areaUm2 (drawn W·L·M in µm²) under variation vector xi.
-// A nil xi returns the nominal (identity) perturbation.
-func (s *Space) Perturb(xi []float64, dev int, areaUm2 float64) mos.Perturb {
-	p := mos.Nominal()
+// Inter is the inter-die part of one variation vector's perturbation:
+// the shift every NMOS (index 0) and every PMOS (index 1) device of the
+// circuit shares. It depends only on the polarity, so a circuit evaluator
+// computes it once per sample and adds each device's own intra-die terms
+// with Device.
+type Inter [2]mos.Perturb
+
+// Inter computes the inter-die perturbation of xi for both polarities. When
+// a correlation structure is installed, the raw draws pass through its
+// Cholesky factor first (once, for the whole sample). A nil xi returns the
+// nominal (identity) pair.
+func (s *Space) Inter(xi []float64) Inter {
+	in := Inter{mos.Nominal(), mos.Nominal()}
 	if xi == nil {
-		return p
+		return in
 	}
 	if len(xi) != s.Dim() {
 		panic(fmt.Sprintf("variation: vector has %d entries, space needs %d", len(xi), s.Dim()))
 	}
+	draws := xi[:len(s.Tech.Inter)]
+	if s.chol != nil {
+		draws = linalg.LowerMulVec(s.chol, draws)
+	}
+	for i, v := range s.Tech.Inter {
+		applyInter(&in[0], v, draws[i], false)
+		applyInter(&in[1], v, draws[i], true)
+	}
+	return in
+}
+
+// Device returns the full perturbation of device dev (index into Devices)
+// with gate area areaUm2 (drawn W·L·M in µm²): its polarity's entry of
+// inter, computed from the same xi, plus the device's own intra-die
+// (Pelgrom) terms. A nil xi returns the inter-die entry unchanged.
+func (s *Space) Device(inter *Inter, xi []float64, dev int, areaUm2 float64) mos.Perturb {
 	if dev < 0 || dev >= len(s.Devices) {
 		panic(fmt.Sprintf("variation: device index %d out of range", dev))
 	}
-	pmos := s.Devices[dev].PMOS
-
-	// Inter-die: shared across devices of the matching polarity. When a
-	// correlation structure is installed, the raw draws pass through its
-	// Cholesky factor first.
-	inter := xi[:len(s.Tech.Inter)]
-	if s.chol != nil {
-		inter = linalg.LowerMulVec(s.chol, inter)
+	pol := 0
+	if s.Devices[dev].PMOS {
+		pol = 1
 	}
-	for i, v := range s.Tech.Inter {
-		applyInter(&p, v, inter[i], pmos)
+	p := inter[pol]
+	if xi == nil {
+		return p
 	}
 
 	// Intra-die: Pelgrom scaling by the device's own area.
@@ -109,6 +129,19 @@ func (s *Space) Perturb(xi []float64, dev int, areaUm2 float64) mos.Perturb {
 	p.DLD += mm.ALD * inv * 1e-6 * xi[base+2]
 	p.DWD += mm.AWD * inv * 1e-6 * xi[base+3]
 	return p
+}
+
+// Perturb computes the model perturbation of device dev with gate area
+// areaUm2 under variation vector xi: Inter followed by Device. Evaluators
+// that perturb several devices under one xi call those two directly so the
+// inter-die part is computed once. A nil xi returns the nominal (identity)
+// perturbation.
+func (s *Space) Perturb(xi []float64, dev int, areaUm2 float64) mos.Perturb {
+	if xi == nil {
+		return mos.Nominal()
+	}
+	inter := s.Inter(xi)
+	return s.Device(&inter, xi, dev, areaUm2)
 }
 
 // applyInter folds one inter-die variable draw into the perturbation.

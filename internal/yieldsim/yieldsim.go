@@ -419,11 +419,7 @@ func ChunkPass(ctx context.Context, p problem.Problem, x []float64, n int, seed 
 		cr := Chunk(n, first+i)
 		t0 := time.Now()
 		rng := randx.New(randx.DeriveSeed(seed, uint64(cr.Index)))
-		pts := sampler.Draw(rng, cr.Hi-cr.Lo, p.VarDim())
-		// One batch evaluation per chunk: a BatchEvaluator problem keeps
-		// its compiled per-design state (and Newton warm starts) alive
-		// across the whole chunk; per-sample errors are failed chips.
-		ok, _, err := problem.PassFailBatch(p, x, pts)
+		pass, err := chunkPass(p, x, sampler, rng, cr.Hi-cr.Lo)
 		if err != nil {
 			// A structurally failed chunk's results are untrustworthy, so its
 			// samples are not counted as simulations.
@@ -434,12 +430,6 @@ func ChunkPass(ctx context.Context, p problem.Problem, x []float64, n int, seed 
 		}
 		mSims.Add(int64(cr.Hi - cr.Lo))
 		mChunkSeconds.Observe(time.Since(t0).Seconds())
-		pass := 0
-		for _, v := range ok {
-			if v {
-				pass++
-			}
-		}
 		if o.Progress != nil {
 			progressMu.Lock()
 			doneCum += int64(cr.Hi - cr.Lo)
@@ -449,6 +439,53 @@ func ChunkPass(ctx context.Context, p problem.Problem, x []float64, n int, seed 
 		}
 		return pass, nil
 	})
+}
+
+// streamRows is the row-block size chunkPass streams a point-wise PMC
+// chunk through.
+const streamRows = 64
+
+// chunkPass draws one chunk's n-sample plan from rng and returns how many
+// of its samples pass. A BatchEvaluator problem gets the whole plan as one
+// batch evaluation, so it keeps its compiled per-design state (and Newton
+// warm starts) alive across the chunk; so do stratified plans (LHS,
+// Halton), whose rows depend on the whole chunk. A point-wise problem
+// under PMC evaluates every sample on its own anyway, so its plan streams
+// through one streamRows-row buffer, drawn and evaluated block by block:
+// PMC draws rows in order, so the samples are the whole plan's. Streaming
+// keeps a ChunkSize×VarDim plan per worker off the heap, which would
+// otherwise set the GC's heap target for everything else in the process.
+// Per-sample errors are failed chips.
+func chunkPass(p problem.Problem, x []float64, sampler sample.Sampler, rng *randx.Stream, n int) (int, error) {
+	_, batch := p.(problem.BatchEvaluator)
+	pmc, isPMC := sampler.(sample.PMC)
+	if batch || !isPMC {
+		ok, _, err := problem.PassFailBatch(p, x, sampler.Draw(rng, n, p.VarDim()))
+		return countPass(ok), err
+	}
+	pass := 0
+	blk := sample.NewPlan(min(n, streamRows), p.VarDim())
+	for lo := 0; lo < n; lo += len(blk) {
+		blk = blk[:min(len(blk), n-lo)]
+		pmc.Fill(rng, blk)
+		ok, _, err := problem.PassFailBatch(p, x, blk)
+		if err != nil {
+			return 0, err
+		}
+		pass += countPass(ok)
+	}
+	return pass, nil
+}
+
+// countPass counts the passing samples of a batch.
+func countPass(ok []bool) int {
+	pass := 0
+	for _, v := range ok {
+		if v {
+			pass++
+		}
+	}
+	return pass
 }
 
 // MergePass folds per-chunk passing-sample counts (chunk-index order) of a
