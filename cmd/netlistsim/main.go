@@ -204,12 +204,13 @@ func main() {
 	if *acNode == "" {
 		return
 	}
-	freqs := spice.LogSpace(*fStart, *fStop, *ppd)
-	ac, err := eng.AC(op, freqs)
-	if err != nil {
-		fatal(err)
+	node, ok := ckt.FindNode(*acNode)
+	if !ok {
+		fatal(fmt.Errorf("spice: unknown node %q", *acNode))
 	}
-	h, err := ac.VNode(ckt, *acNode)
+	freqs := spice.LogSpace(*fStart, *fStop, *ppd)
+	// The whole table is printed, so the probe sweeps the full range.
+	h, err := eng.ACProbe(op, freqs, spice.Probe{Node: node})
 	if err != nil {
 		fatal(err)
 	}

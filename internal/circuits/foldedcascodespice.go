@@ -98,6 +98,7 @@ type fcSpiceContext struct {
 	ckt   *netlist.Circuit
 	eng   *spice.Engine
 	freqs []float64
+	probe spice.Probe // the output node, swept up to its unity crossing
 	cards []fcSlotCard
 	// warm0 is the nominal operating point, solved once at compile and used
 	// to warm-start every sample — fixed so sample solves are independent of
@@ -145,6 +146,9 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 		return nil, err
 	}
 	ctx.ckt = ckt
+	if ctx.probe, err = outputProbe(ckt); err != nil {
+		return nil, err
+	}
 	eng, err := spice.New(ckt, spice.Options{Nodeset: nodeset, Solver: p.solver, Lanes: p.lanes})
 	if err != nil {
 		return nil, err
@@ -183,24 +187,20 @@ func (ctx *fcSpiceContext) eval(xi []float64) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("folded-cascode-spice: %w", err)
 	}
-	ac, err := ctx.eng.AC(op, ctx.freqs)
+	h, err := ctx.eng.ACProbe(op, ctx.freqs, ctx.probe)
 	if err != nil {
 		return nil, fmt.Errorf("folded-cascode-spice: %w", err)
 	}
-	return ctx.measures(op, ac)
+	return ctx.measures(op, h)
 }
 
 // measures extracts the performance vector from one sample's solved
-// operating point and AC sweep — shared by the point-wise and lockstep
-// paths.
-func (ctx *fcSpiceContext) measures(op *spice.OPResult, ac *spice.ACResult) ([]float64, error) {
+// operating point and probed AC sweep h (the output node up to its unity
+// crossing) — shared by the point-wise and lockstep paths.
+func (ctx *fcSpiceContext) measures(op *spice.OPResult, h []complex128) ([]float64, error) {
 	inner := ctx.p.inner
 	vdd := inner.tech.VDD
-	h, err := ac.VNode(ctx.ckt, "out")
-	if err != nil {
-		return nil, err
-	}
-	bode := measure.NewBode(ctx.freqs, h)
+	bode := measure.NewBode(ctx.freqs[:len(h)], h)
 	a0dB := bode.DCGainDB()
 	gbw, err := bode.GainBandwidth()
 	if err != nil {
@@ -315,7 +315,7 @@ func (p *FoldedCascodeSpice) EvaluateBatch(x []float64, xis [][]float64) ([][]fl
 			active[l] = true
 		}
 		ops, dcErrs := ctx.eng.DCOperatingPointBatchFrom(ctx.warm0, active, set)
-		acs, acErrs := ctx.eng.ACBatch(ops, ctx.freqs, set)
+		hs, acErrs := ctx.eng.ACBatchProbe(ops, ctx.freqs, ctx.probe, set)
 		for l := 0; l < m; l++ {
 			if !active[l] {
 				continue
@@ -326,7 +326,7 @@ func (p *FoldedCascodeSpice) EvaluateBatch(x []float64, xis [][]float64) ([][]fl
 			case acErrs[l] != nil:
 				errs[g+l] = fmt.Errorf("folded-cascode-spice: %w", acErrs[l])
 			default:
-				perfs[g+l], errs[g+l] = ctx.measures(ops[l], acs[l])
+				perfs[g+l], errs[g+l] = ctx.measures(ops[l], hs[l])
 			}
 		}
 	}

@@ -104,6 +104,7 @@ type spiceContext struct {
 	eng   *spice.Engine
 	vin   *netlist.VSource
 	freqs []float64
+	probe spice.Probe // the output node, swept up to its unity crossing
 
 	// Perturbed model cards, one private card per device slot, rewritten
 	// in place per sample (the Mosfet instances and the servo devices hold
@@ -165,6 +166,11 @@ func (p *CommonSourceSpice) compile(x []float64) (*spiceContext, error) {
 	c.AddM("M1", "out", "in", "0", "0", ctx.drvCard, ctx.w1, ctx.l1, 1)
 	c.AddC("CL", "out", "0", p.inner.CL)
 	ctx.ckt = c
+	probe, err := outputProbe(c)
+	if err != nil {
+		return nil, err
+	}
+	ctx.probe = probe
 
 	eng, err := spice.New(c, spice.Options{Solver: p.solver, Lanes: p.lanes})
 	if err != nil {
@@ -215,24 +221,31 @@ func (ctx *spiceContext) eval(xi []float64) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("common-source-spice: %w", err)
 	}
-	ac, err := ctx.eng.AC(op, ctx.freqs)
+	h, err := ctx.eng.ACProbe(op, ctx.freqs, ctx.probe)
 	if err != nil {
 		return nil, fmt.Errorf("common-source-spice: %w", err)
 	}
-	return ctx.measures(op, ac)
+	return ctx.measures(op, h)
+}
+
+// outputProbe is the AC probe of every spice testbench: the "out" node,
+// swept up to its unity crossing — all the DC-gain, GBW and phase-margin
+// measures read.
+func outputProbe(c *netlist.Circuit) (spice.Probe, error) {
+	out, ok := c.FindNode("out")
+	if !ok {
+		return spice.Probe{}, fmt.Errorf("circuits: testbench %q has no \"out\" node", c.Title)
+	}
+	return spice.Probe{Node: out, StopAtUnity: true}, nil
 }
 
 // measures extracts the performance vector from one sample's solved
-// operating point and AC sweep — shared by the point-wise and lockstep
-// paths.
-func (ctx *spiceContext) measures(op *spice.OPResult, ac *spice.ACResult) ([]float64, error) {
+// operating point and probed AC sweep h (the output node up to its unity
+// crossing) — shared by the point-wise and lockstep paths.
+func (ctx *spiceContext) measures(op *spice.OPResult, h []complex128) ([]float64, error) {
 	p := ctx.p
 	vdd := p.tech.VDD
-	h, err := ac.VNode(ctx.ckt, "out")
-	if err != nil {
-		return nil, err
-	}
-	bode := measure.NewBode(ctx.freqs, h)
+	bode := measure.NewBode(ctx.freqs[:len(h)], h)
 	a0dB := bode.DCGainDB()
 	gbw, err := bode.GainBandwidth()
 	if err != nil {
@@ -326,7 +339,7 @@ func (p *CommonSourceSpice) EvaluateBatch(x []float64, xis [][]float64) ([][]flo
 			active[l] = true
 		}
 		ops, dcErrs := ctx.eng.DCOperatingPointBatchFrom(ctx.warm0, active, set)
-		acs, acErrs := ctx.eng.ACBatch(ops, ctx.freqs, set)
+		hs, acErrs := ctx.eng.ACBatchProbe(ops, ctx.freqs, ctx.probe, set)
 		for l := 0; l < m; l++ {
 			if !active[l] {
 				continue
@@ -337,7 +350,7 @@ func (p *CommonSourceSpice) EvaluateBatch(x []float64, xis [][]float64) ([][]flo
 			case acErrs[l] != nil:
 				errs[g+l] = fmt.Errorf("common-source-spice: %w", acErrs[l])
 			default:
-				perfs[g+l], errs[g+l] = ctx.measures(ops[l], acs[l])
+				perfs[g+l], errs[g+l] = ctx.measures(ops[l], hs[l])
 			}
 		}
 	}

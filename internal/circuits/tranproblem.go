@@ -178,16 +178,12 @@ func (p *CommonSourceTran) setSample(ctx *spiceContext, xi []float64) {
 	ctx.vin.Pulse.V2 = vg + csTranAmp
 }
 
-// tranMeasures reduces one sample's solved operating point and AC sweep to
-// the performance vector, running the transient integration on the way. It
-// must be called with the sample's engine state installed — the integrator
-// re-stamps the devices every step.
-func (p *CommonSourceTran) tranMeasures(ctx *spiceContext, op *spice.OPResult, ac *spice.ACResult) ([]float64, error) {
-	h, err := ac.VNode(ctx.ckt, "out")
-	if err != nil {
-		return nil, err
-	}
-	bode := measure.NewBode(ctx.freqs, h)
+// tranMeasures reduces one sample's solved operating point and probed AC
+// sweep to the performance vector, running the transient integration on the
+// way. It must be called with the sample's engine state installed — the
+// integrator re-stamps the devices every step.
+func (p *CommonSourceTran) tranMeasures(ctx *spiceContext, op *spice.OPResult, h []complex128) ([]float64, error) {
+	bode := measure.NewBode(ctx.freqs[:len(h)], h)
 	a0dB := bode.DCGainDB()
 	gbw, err := bode.GainBandwidth()
 	if err != nil {
@@ -217,11 +213,11 @@ func (p *CommonSourceTran) evalTran(ctx *spiceContext, xi []float64) ([]float64,
 	if err != nil {
 		return nil, fmt.Errorf("common-source-tran: %w", err)
 	}
-	ac, err := ctx.eng.AC(op, ctx.freqs)
+	h, err := ctx.eng.ACProbe(op, ctx.freqs, ctx.probe)
 	if err != nil {
 		return nil, fmt.Errorf("common-source-tran: %w", err)
 	}
-	return p.tranMeasures(ctx, op, ac)
+	return p.tranMeasures(ctx, op, h)
 }
 
 // compile builds the per-design context: the AC testbench of the spice
@@ -304,7 +300,7 @@ func (p *CommonSourceTran) EvaluateBatch(x []float64, xis [][]float64) ([][]floa
 			active[l] = true
 		}
 		ops, dcErrs := ctx.eng.DCOperatingPointBatch(active, set)
-		acs, acErrs := ctx.eng.ACBatch(ops, ctx.freqs, set)
+		hs, acErrs := ctx.eng.ACBatchProbe(ops, ctx.freqs, ctx.probe, set)
 		for l := 0; l < m; l++ {
 			if !active[l] {
 				continue
@@ -316,7 +312,7 @@ func (p *CommonSourceTran) EvaluateBatch(x []float64, xis [][]float64) ([][]floa
 				errs[g+l] = fmt.Errorf("common-source-tran: %w", acErrs[l])
 			default:
 				set(l)
-				perfs[g+l], errs[g+l] = p.tranMeasures(ctx, ops[l], acs[l])
+				perfs[g+l], errs[g+l] = p.tranMeasures(ctx, ops[l], hs[l])
 			}
 		}
 	}
@@ -418,16 +414,12 @@ func (p *FoldedCascodeTran) compile(x []float64) (*fcSpiceContext, *netlist.VSou
 	return ctx, vin, nil
 }
 
-// tranMeasures reduces one sample's solved operating point and AC sweep to
-// the performance vector, running the transient integration on the way. It
-// must be called with the sample's cards installed — the integrator
-// re-stamps the devices every step.
-func (p *FoldedCascodeTran) tranMeasures(ctx *fcSpiceContext, op *spice.OPResult, ac *spice.ACResult) ([]float64, error) {
-	h, err := ac.VNode(ctx.ckt, "out")
-	if err != nil {
-		return nil, err
-	}
-	bode := measure.NewBode(ctx.freqs, h)
+// tranMeasures reduces one sample's solved operating point and probed AC
+// sweep to the performance vector, running the transient integration on the
+// way. It must be called with the sample's cards installed — the
+// integrator re-stamps the devices every step.
+func (p *FoldedCascodeTran) tranMeasures(ctx *fcSpiceContext, op *spice.OPResult, h []complex128) ([]float64, error) {
+	bode := measure.NewBode(ctx.freqs[:len(h)], h)
 	a0dB := bode.DCGainDB()
 	gbw, err := bode.GainBandwidth()
 	if err != nil {
@@ -462,11 +454,11 @@ func (p *FoldedCascodeTran) evalTran(ctx *fcSpiceContext, xi []float64) ([]float
 	if err != nil {
 		return nil, fmt.Errorf("folded-cascode-tran: %w", err)
 	}
-	ac, err := ctx.eng.AC(op, ctx.freqs)
+	h, err := ctx.eng.ACProbe(op, ctx.freqs, ctx.probe)
 	if err != nil {
 		return nil, fmt.Errorf("folded-cascode-tran: %w", err)
 	}
-	return p.tranMeasures(ctx, op, ac)
+	return p.tranMeasures(ctx, op, h)
 }
 
 // Evaluate implements problem.Problem — bit-identical to any batch path by
@@ -532,7 +524,7 @@ func (p *FoldedCascodeTran) EvaluateBatch(x []float64, xis [][]float64) ([][]flo
 			active[l] = true
 		}
 		ops, dcErrs := ctx.eng.DCOperatingPointBatch(active, set)
-		acs, acErrs := ctx.eng.ACBatch(ops, ctx.freqs, set)
+		hs, acErrs := ctx.eng.ACBatchProbe(ops, ctx.freqs, ctx.probe, set)
 		for l := 0; l < m; l++ {
 			if !active[l] {
 				continue
@@ -544,7 +536,7 @@ func (p *FoldedCascodeTran) EvaluateBatch(x []float64, xis [][]float64) ([][]flo
 				errs[g+l] = fmt.Errorf("folded-cascode-tran: %w", acErrs[l])
 			default:
 				set(l)
-				perfs[g+l], errs[g+l] = p.tranMeasures(ctx, ops[l], acs[l])
+				perfs[g+l], errs[g+l] = p.tranMeasures(ctx, ops[l], hs[l])
 			}
 		}
 	}

@@ -6,11 +6,11 @@ import (
 
 // BatchMatrix holds K independent value lanes over one shared Symbolic
 // pattern in structure-of-arrays layout: the K lane values of pattern entry t
-// sit contiguously at vals[t*K : (t+1)*K]. One traversal of the index arrays
-// (the part of Factorize that is branches, loads of cols/rowPtr/diag and
-// cache misses on the pattern) then drives K numeric eliminations at once —
-// the lockstep refactorization that amortizes the per-sample cost of
-// Monte-Carlo sweeps sharing one topology.
+// sit contiguously at vals[t*K : (t+1)*K]. One traversal of the elimination
+// schedule (the part of Factorize that is branches, index loads and cache
+// misses on the pattern) then drives K numeric eliminations at once, in
+// place, one K-lane block per update — the lockstep refactorization that
+// amortizes the per-sample cost of Monte-Carlo sweeps sharing one topology.
 //
 // Lane determinism contract: lane l of a BatchMatrix performs exactly the
 // floating-point operations, in exactly the order, of a scalar Matrix
@@ -20,14 +20,14 @@ import (
 // (see the zero-multiplier guard in Factorize). A lane of a lockstep batch
 // is therefore bit-identical to a scalar solve of that sample.
 type BatchMatrix[T Scalar] struct {
-	sym  *Symbolic
-	k    int
-	vals []T // (NNZ()+1)*k; entry t's lanes at [t*k : (t+1)*k]
-	w    []T // dense scatter rows, n*k
-	inv  []T // pivot reciprocals, n*k
-	pb   []T // permuted right-hand sides, n*k
-	errs []error
-	ok   bool
+	sym    *Symbolic
+	k      int
+	vals   []T // (NNZ()+1)*k; entry t's lanes at [t*k : (t+1)*k]
+	inv    []T // pivot reciprocals, n*k
+	pb     []T // permuted right-hand sides, n*k
+	pivots pivotStep[T]
+	errs   []error
+	ok     bool
 
 	// zpe caches the per-row zero-pivot error values. Inside the lockstep
 	// drivers a retired lane (converged, failed, or a partial group's tail)
@@ -43,25 +43,34 @@ func NewBatchMatrix[T Scalar](s *Symbolic, k int) *BatchMatrix[T] {
 		panic(fmt.Sprintf("sparse: invalid lane count %d", k))
 	}
 	return &BatchMatrix[T]{
-		sym:  s,
-		k:    k,
-		vals: make([]T, (s.NNZ()+1)*k),
-		w:    make([]T, s.n*k),
-		inv:  make([]T, s.n*k),
-		pb:   make([]T, s.n*k),
-		errs: make([]error, k),
+		sym:    s,
+		k:      k,
+		vals:   make([]T, (s.NNZ()+1)*k),
+		inv:    make([]T, s.n*k),
+		pb:     make([]T, s.n*k),
+		pivots: pivotStepFor[T](),
+		errs:   make([]error, k),
 	}
 }
 
-// zeroPivotErr returns the cached zero-pivot error of permuted row i.
-func (m *BatchMatrix[T]) zeroPivotErr(i int) error {
-	if m.zpe == nil {
-		m.zpe = make([]error, m.sym.n)
+// pivotErrs replaces the pivot step's verdicts in the lane errors with the
+// row-numbered errors of permuted row i; zero-pivot errors come from the
+// per-row cache.
+func (m *BatchMatrix[T]) pivotErrs(i int) {
+	for l, err := range m.errs {
+		switch err {
+		case errZeroPivot:
+			if m.zpe == nil {
+				m.zpe = make([]error, m.sym.n)
+			}
+			if m.zpe[i] == nil {
+				m.zpe[i] = pivotErr(err, i)
+			}
+			m.errs[l] = m.zpe[i]
+		case errSubnormalPivot:
+			m.errs[l] = pivotErr(err, i)
+		}
 	}
-	if m.zpe[i] == nil {
-		m.zpe[i] = fmt.Errorf("%w: zero pivot at permuted row %d", ErrSingular, i)
-	}
-	return m.zpe[i]
 }
 
 // Symbolic returns the shared pattern.
@@ -83,8 +92,9 @@ func (m *BatchMatrix[T]) Zero() {
 	m.ok = false
 }
 
-// Factorize runs the numeric elimination of all K lanes in lockstep inside
-// the precomputed fill pattern and returns the per-lane outcome: errs[l] is
+// Factorize runs the numeric elimination of all K lanes in lockstep, in
+// place over the precomputed elimination schedule (Symbolic.upd), and
+// returns the per-lane outcome: errs[l] is
 // nil when lane l factored, or wraps ErrSingular when its pivot sequence
 // broke down. A failed lane never poisons the others — each lane's
 // arithmetic is fully independent — and its factors are simply unusable
@@ -98,78 +108,55 @@ func (m *BatchMatrix[T]) Factorize() []error {
 		return m.errs
 	}
 	s, k := m.sym, m.k
-	vals, w, inv, cols := m.vals, m.w, m.inv, s.cols
+	vals, inv, cols, upd := m.vals, m.inv, s.cols, s.upd
 	for l := 0; l < k; l++ {
 		m.errs[l] = nil
 	}
+	p := 0
 	for i := 0; i < s.n; i++ {
-		start, end, dp := s.rowPtr[i], s.rowPtr[i+1], s.diag[i]
-		for t := start; t < end; t++ {
-			copy(w[cols[t]*k:cols[t]*k+k], vals[t*k:t*k+k])
-		}
-		for t := start; t < dp; t++ {
+		dp := s.diag[i]
+		for t := s.rowPtr[i]; t < dp; t++ {
 			c := cols[t]
-			wk := w[c*k : c*k+k : c*k+k]
-			ik := inv[c*k : c*k+k : c*k+k]
+			lo := s.diag[c] + 1
+			dst := upd[p : p+s.rowPtr[c+1]-lo]
+			p += len(dst)
+			lt := vals[t*k : t*k+k : t*k+k]
+			ic := inv[c*k : c*k+k : c*k+k]
 			// Per-lane multiplier; the scalar kernel skips the update row
 			// when the multiplier is exactly zero, and so must every lane
-			// here (bit-identity: w -= 0*v can still flip the sign of a
+			// here (bit-identity: v -= 0*u can still flip the sign of a
 			// negative zero). When no lane needs the skip — the common case
 			// once the ladder leaves degenerate stampings behind — the
 			// unguarded block below keeps the inner loop branch-free.
 			allNZ := true
 			for l := 0; l < k; l++ {
-				wk[l] *= ik[l]
-				if wk[l] == 0 {
+				lt[l] *= ic[l]
+				if lt[l] == 0 {
 					allNZ = false
 				}
 			}
 			if allNZ {
-				for u := s.diag[c] + 1; u < s.rowPtr[c+1]; u++ {
-					cu := cols[u]
-					wc := w[cu*k : cu*k+k : cu*k+k]
-					vu := vals[u*k : u*k+k : u*k+k]
+				for j, d := range dst {
+					vd := vals[d*k : d*k+k : d*k+k]
+					vu := vals[(lo+j)*k : (lo+j)*k+k : (lo+j)*k+k]
 					for l := 0; l < k; l++ {
-						wc[l] -= wk[l] * vu[l]
+						vd[l] -= lt[l] * vu[l]
 					}
 				}
-			} else {
-				for u := s.diag[c] + 1; u < s.rowPtr[c+1]; u++ {
-					cu := cols[u]
-					wc := w[cu*k : cu*k+k : cu*k+k]
-					vu := vals[u*k : u*k+k : u*k+k]
-					for l := 0; l < k; l++ {
-						if wk[l] != 0 {
-							wc[l] -= wk[l] * vu[l]
-						}
+				continue
+			}
+			for j, d := range dst {
+				vd := vals[d*k : d*k+k : d*k+k]
+				vu := vals[(lo+j)*k : (lo+j)*k+k : (lo+j)*k+k]
+				for l := 0; l < k; l++ {
+					if lt[l] != 0 {
+						vd[l] -= lt[l] * vu[l]
 					}
 				}
 			}
 		}
-		for t := start; t < end; t++ {
-			copy(vals[t*k:t*k+k], w[cols[t]*k:cols[t]*k+k])
-		}
-		for l := 0; l < k; l++ {
-			if m.errs[l] != nil {
-				// Lane already broke down at an earlier row; keep its
-				// reciprocals zero so its multipliers vanish from the
-				// remaining elimination.
-				inv[i*k+l] = 0
-				continue
-			}
-			d := vals[dp*k+l]
-			if badPivot(d) {
-				m.errs[l] = m.zeroPivotErr(i)
-				inv[i*k+l] = 0
-				continue
-			}
-			r := T(1) / d
-			if infValue(r) {
-				m.errs[l] = fmt.Errorf("%w: subnormal pivot at permuted row %d", ErrSingular, i)
-				inv[i*k+l] = 0
-				continue
-			}
-			inv[i*k+l] = r
+		if m.pivots(vals[dp*k:dp*k+k], inv[i*k:i*k+k], m.errs) {
+			m.pivotErrs(i)
 		}
 	}
 	m.ok = true

@@ -1,86 +1,65 @@
 package sparse
 
-import "fmt"
-
 // Constant-width specialization of the lockstep kernel at the auto-resolved
 // lane count. The generic Factorize/Solve bodies index every lane group with
 // the runtime lane count k, which costs the compiler a bounds check per lane
-// access and a memmove call per scatter/gather row. With the width fixed at
-// compile time the same loops run over *[8]T array views: bounds checks
-// vanish, the lane loops unroll, and the row copies become inline block
-// moves. The per-lane floating-point sequence is untouched — these are the
-// exact generic loops with k constant — so the lane determinism contract
-// (lane l performs exactly the scalar kernel's operation sequence) holds bit
-// for bit.
+// access. With the width fixed at compile time the same loops run over
+// *[8]T array views: bounds checks vanish and the lane loops unroll. The
+// per-lane floating-point sequence is untouched — these are the exact
+// generic loops with k constant, over the same elimination schedule and
+// pivot step — so the lane determinism contract (lane l performs exactly
+// the scalar kernel's operation sequence) holds bit for bit.
 
 const kernelWidth = 8
 
 func (m *BatchMatrix[T]) factorize8() {
 	const k = kernelWidth
 	s := m.sym
-	vals, w, inv, cols := m.vals, m.w, m.inv, s.cols
+	vals, inv, cols, upd := m.vals, m.inv, s.cols, s.upd
 	for l := 0; l < k; l++ {
 		m.errs[l] = nil
 	}
+	p := 0
 	for i := 0; i < s.n; i++ {
-		start, end, dp := s.rowPtr[i], s.rowPtr[i+1], s.diag[i]
-		for t := start; t < end; t++ {
-			*(*[k]T)(w[cols[t]*k:]) = *(*[k]T)(vals[t*k:])
-		}
-		for t := start; t < dp; t++ {
+		dp := s.diag[i]
+		for t := s.rowPtr[i]; t < dp; t++ {
 			c := cols[t]
-			wk := (*[k]T)(w[c*k:])
-			ik := (*[k]T)(inv[c*k:])
+			lo := s.diag[c] + 1
+			dst := upd[p : p+s.rowPtr[c+1]-lo]
+			p += len(dst)
+			lt := (*[k]T)(vals[t*k:])
+			ic := (*[k]T)(inv[c*k:])
 			// Per-lane multiplier with the generic kernel's zero-skip guard
-			// (w -= 0*v can flip the sign of a negative zero).
+			// (v -= 0*u can flip the sign of a negative zero).
 			allNZ := true
 			for l := 0; l < k; l++ {
-				wk[l] *= ik[l]
-				if wk[l] == 0 {
+				lt[l] *= ic[l]
+				if lt[l] == 0 {
 					allNZ = false
 				}
 			}
 			if allNZ {
-				for u := s.diag[c] + 1; u < s.rowPtr[c+1]; u++ {
-					wc := (*[k]T)(w[cols[u]*k:])
-					vu := (*[k]T)(vals[u*k:])
+				for j, d := range dst {
+					vd := (*[k]T)(vals[d*k:])
+					vu := (*[k]T)(vals[(lo+j)*k:])
 					for l := 0; l < k; l++ {
-						wc[l] -= wk[l] * vu[l]
+						vd[l] -= lt[l] * vu[l]
 					}
 				}
-			} else {
-				for u := s.diag[c] + 1; u < s.rowPtr[c+1]; u++ {
-					wc := (*[k]T)(w[cols[u]*k:])
-					vu := (*[k]T)(vals[u*k:])
-					for l := 0; l < k; l++ {
-						if wk[l] != 0 {
-							wc[l] -= wk[l] * vu[l]
-						}
+				continue
+			}
+			for j, d := range dst {
+				vd := (*[k]T)(vals[d*k:])
+				vu := (*[k]T)(vals[(lo+j)*k:])
+				for l := 0; l < k; l++ {
+					if lt[l] != 0 {
+						vd[l] -= lt[l] * vu[l]
 					}
 				}
 			}
 		}
-		for t := start; t < end; t++ {
-			*(*[k]T)(vals[t*k:]) = *(*[k]T)(w[cols[t]*k:])
-		}
-		for l := 0; l < k; l++ {
-			if m.errs[l] != nil {
-				inv[i*k+l] = 0
-				continue
-			}
-			d := vals[dp*k+l]
-			if badPivot(d) {
-				m.errs[l] = m.zeroPivotErr(i)
-				inv[i*k+l] = 0
-				continue
-			}
-			r := T(1) / d
-			if infValue(r) {
-				m.errs[l] = fmt.Errorf("%w: subnormal pivot at permuted row %d", ErrSingular, i)
-				inv[i*k+l] = 0
-				continue
-			}
-			inv[i*k+l] = r
+		if m.pivots(vals[dp*k:dp*k+k], inv[i*k:i*k+k], m.errs) {
+			m.pivotErrs(i)
 		}
 	}
 	m.ok = true

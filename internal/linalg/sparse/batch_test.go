@@ -271,15 +271,16 @@ func TestLockstepComplexMatchesScalar(t *testing.T) {
 // FuzzBuilderAnalyzeLockstep drives Builder → Analyze with arbitrary entry
 // streams (duplicates, empty rows, dense rows, any shape the bytes spell out)
 // and, whenever the pattern is structurally sound, checks the lockstep kernel
-// against the scalar one lane by lane. The seed corpus covers the pathologies
+// against the scalar one lane by lane, and the scalar and lockstep kernels,
+// real and complex, against the scatter/gather oracle on adversarial lanes. The seed corpus covers the pathologies
 // the MNA engine is known to produce.
 func FuzzBuilderAnalyzeLockstep(f *testing.F) {
-	f.Add([]byte{4, 0, 0, 1, 1, 2, 2, 3, 3, 0, 3, 3, 0})      // near-diagonal + corners
-	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2})            // duplicate entries
-	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0})            // cyclic, zero diagonal
-	f.Add([]byte{2, 0, 0})                                    // empty row 1
-	f.Add([]byte{6, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5})      // dense row 0 only
-	f.Add([]byte{1, 0, 0})                                    // 1×1
+	f.Add([]byte{4, 0, 0, 1, 1, 2, 2, 3, 3, 0, 3, 3, 0}) // near-diagonal + corners
+	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2})       // duplicate entries
+	f.Add([]byte{5, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0})       // cyclic, zero diagonal
+	f.Add([]byte{2, 0, 0})                               // empty row 1
+	f.Add([]byte{6, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5}) // dense row 0 only
+	f.Add([]byte{1, 0, 0})                               // 1×1
 	f.Add([]byte{8, 7, 7, 7, 0, 0, 7, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -308,6 +309,8 @@ func FuzzBuilderAnalyzeLockstep(f *testing.F) {
 		k := 1 + rng.Intn(8)
 		bm, ms := fillLanes(rng, sym, k)
 		checkLockstepEquivalence(t, sym, bm, ms, rng)
+		checkAgainstOracle[float64](t, rng, sym, k)
+		checkAgainstOracle[complex128](t, rng, sym, k)
 	})
 }
 

@@ -11,8 +11,8 @@
 //     heuristic orders the elimination to limit fill-in, and the fill
 //     pattern of L+U under that fixed order is precomputed; and
 //   - a numeric refactorization (Matrix.Factorize) that runs row-wise
-//     Doolittle elimination inside the precomputed pattern with no pivot
-//     search and no allocation, followed by Solve.
+//     Doolittle elimination in place over a precomputed elimination schedule
+//     with no pivot search and no allocation, followed by Solve.
 //
 // Devices stamp through direct indices into the value array (Symbolic.Index,
 // resolved once per engine), so assembling a new matrix is a handful of
@@ -87,6 +87,14 @@ type Symbolic struct {
 	rowPtr []int
 	cols   []int
 	diag   []int
+
+	// upd is the elimination schedule: the value positions the numeric
+	// factorization updates, in order. Walking the rows in order, every
+	// below-diagonal entry t of row i (pivot row k = cols[t]) owns the next
+	// rowPtr[k+1]-diag[k]-1 slots, one per upper entry u of row k: slot j
+	// holds the position in row i of column cols[diag[k]+1+j]. The update is
+	// vals[upd[p]] -= vals[t]·vals[u] — no dense work row, no column lookup.
+	upd []int
 
 	stamped int // entries in the original pattern (pre-fill), for stats
 }
@@ -270,7 +278,7 @@ func minDegreeOrder(n int, rows [][]int, colOfRow []int) []int {
 // symbolicFill computes the row-wise L+U pattern under the fixed order by
 // simulating the elimination: row i's pattern is its stamped entries plus,
 // for every below-diagonal column k it holds, the above-diagonal pattern of
-// (already final) row k.
+// (already final) row k. It then records the elimination schedule upd.
 func (s *Symbolic) symbolicFill(rows [][]int) {
 	n := s.n
 	luCols := make([][]int, n)
@@ -322,6 +330,18 @@ func (s *Symbolic) symbolicFill(rows [][]int) {
 		copy(s.cols[s.rowPtr[i]:], lst)
 		s.diag[i] = s.rowPtr[i] + diagAt[i]
 	}
+	at := make([]int, n) // position of column c in the current row
+	for i := 0; i < n; i++ {
+		for t := s.rowPtr[i]; t < s.rowPtr[i+1]; t++ {
+			at[s.cols[t]] = t
+		}
+		for t := s.rowPtr[i]; t < s.diag[i]; t++ {
+			k := s.cols[t]
+			for u := s.diag[k] + 1; u < s.rowPtr[k+1]; u++ {
+				s.upd = append(s.upd, at[s.cols[u]])
+			}
+		}
+	}
 }
 
 // N returns the system size.
@@ -368,22 +388,23 @@ type Scalar interface {
 // place over the value array (values are re-stamped before every solve in
 // the MNA use), so a Matrix is not safe for concurrent use.
 type Matrix[T Scalar] struct {
-	sym  *Symbolic
-	vals []T // len NNZ()+1; the last element is the write-off slot
-	w    []T // dense scatter row
-	inv  []T // per-row pivot reciprocals
-	pb   []T // permuted right-hand side
-	ok   bool
+	sym    *Symbolic
+	vals   []T // len NNZ()+1; the last element is the write-off slot
+	inv    []T // per-row pivot reciprocals
+	pb     []T // permuted right-hand side
+	pivots pivotStep[T]
+	err    [1]error // the pivot step's lane outcome
+	ok     bool
 }
 
 // NewMatrix returns a zero matrix over the analyzed pattern.
 func NewMatrix[T Scalar](s *Symbolic) *Matrix[T] {
 	return &Matrix[T]{
-		sym:  s,
-		vals: make([]T, s.NNZ()+1),
-		w:    make([]T, s.n),
-		inv:  make([]T, s.n),
-		pb:   make([]T, s.n),
+		sym:    s,
+		vals:   make([]T, s.NNZ()+1),
+		inv:    make([]T, s.n),
+		pb:     make([]T, s.n),
+		pivots: pivotStepFor[T](),
 	}
 }
 
@@ -403,44 +424,37 @@ func (m *Matrix[T]) Zero() {
 	m.ok = false
 }
 
-// Factorize runs the numeric LU elimination in place inside the precomputed
-// fill pattern: no pivot search, no allocation — the refactorization path
-// that amortizes the symbolic analysis over every Newton iteration and AC
-// frequency point. The stamped values are overwritten by the factors.
+// Factorize runs the numeric LU elimination in place over the precomputed
+// elimination schedule: no pivot search, no allocation — the
+// refactorization path that amortizes the symbolic analysis over every
+// Newton iteration and AC frequency point. The stamped values are
+// overwritten by the factors.
 func (m *Matrix[T]) Factorize() error {
 	s := m.sym
-	vals, w, inv, cols := m.vals, m.w, m.inv, s.cols
+	vals, inv, cols, upd := m.vals, m.inv, s.cols, s.upd
 	m.ok = false
+	m.err[0] = nil
+	p := 0
 	for i := 0; i < s.n; i++ {
-		start, end, dp := s.rowPtr[i], s.rowPtr[i+1], s.diag[i]
-		for t := start; t < end; t++ {
-			w[cols[t]] = vals[t]
-		}
-		for t := start; t < dp; t++ {
+		dp := s.diag[i]
+		for t := s.rowPtr[i]; t < dp; t++ {
 			k := cols[t]
-			lik := w[k] * inv[k]
-			w[k] = lik
+			lo := s.diag[k] + 1
+			dst := upd[p : p+s.rowPtr[k+1]-lo]
+			p += len(dst)
+			lik := vals[t] * inv[k]
+			vals[t] = lik
 			if lik == 0 {
 				continue
 			}
-			for u := s.diag[k] + 1; u < s.rowPtr[k+1]; u++ {
-				w[cols[u]] -= lik * vals[u]
+			src := vals[lo : lo+len(dst)]
+			for j, d := range dst {
+				vals[d] -= lik * src[j]
 			}
 		}
-		for t := start; t < end; t++ {
-			vals[t] = w[cols[t]]
+		if m.pivots(vals[dp:dp+1], inv[i:i+1], m.err[:]) {
+			return pivotErr(m.err[0], i)
 		}
-		d := vals[dp]
-		if badPivot(d) {
-			return fmt.Errorf("%w: zero pivot at permuted row %d", ErrSingular, i)
-		}
-		r := T(1) / d
-		if infValue(r) {
-			// A subnormal pivot whose reciprocal overflows: numerically
-			// indistinguishable from singular at working precision.
-			return fmt.Errorf("%w: subnormal pivot at permuted row %d", ErrSingular, i)
-		}
-		inv[i] = r
 	}
 	m.ok = true
 	return nil
@@ -491,38 +505,103 @@ func (m *Matrix[T]) FactorSolve(b []T) error {
 	return m.Solve(b)
 }
 
-// badPivot and infValue run once per pivot per factorization — on a small
-// MNA pattern that is a meaningful slice of the whole solve, so they avoid
-// the `any` boxing of a type switch on the type parameter and the
-// math/cmplx calls. The comparisons are semantically identical to the
-// originals (v == 0 || IsNaN for badPivot, IsInf for infValue): x != x is
-// the branch-free NaN test, and cmplx.IsNaN's "no NaN verdict when a part
-// is Inf" rule is preserved by checking Inf first.
-func badPivot[T Scalar](d T) bool {
-	switch v := any(d).(type) {
-	case float64:
-		return v == 0 || v != v
-	case complex128:
-		re, im := real(v), imag(v)
-		if v == 0 {
-			return true
-		}
-		if re > math.MaxFloat64 || re < -math.MaxFloat64 || im > math.MaxFloat64 || im < -math.MaxFloat64 {
-			// A part is ±Inf: cmplx.IsNaN reports false for such values.
-			return false
-		}
-		return re != re || im != im
+// errZeroPivot and errSubnormalPivot are the pivot step's lane verdicts;
+// the kernels turn them into row-numbered ErrSingular errors (pivotErr).
+var (
+	errZeroPivot      = errors.New("zero pivot")
+	errSubnormalPivot = errors.New("subnormal pivot")
+)
+
+// pivotErr returns the error reported for a pivot-step verdict at permuted
+// row i.
+func pivotErr(verdict error, i int) error {
+	if verdict == errSubnormalPivot {
+		// A subnormal pivot whose reciprocal overflows: numerically
+		// indistinguishable from singular at working precision.
+		return fmt.Errorf("%w: subnormal pivot at permuted row %d", ErrSingular, i)
 	}
-	return false
+	return fmt.Errorf("%w: zero pivot at permuted row %d", ErrSingular, i)
 }
 
-func infValue[T Scalar](r T) bool {
-	switch v := any(r).(type) {
-	case float64:
-		return v > math.MaxFloat64 || v < -math.MaxFloat64
-	case complex128:
-		re, im := real(v), imag(v)
-		return re > math.MaxFloat64 || re < -math.MaxFloat64 || im > math.MaxFloat64 || im < -math.MaxFloat64
+// pivotStep inverts the lane pivots d of one row into inv. A lane with
+// errs[l] != nil broke down at an earlier row: its reciprocal is set to
+// zero so its multipliers vanish from the remaining elimination. A lane
+// whose pivot is zero or NaN gets errZeroPivot, one whose reciprocal
+// overflows errSubnormalPivot (both with a zero reciprocal); the step then
+// returns true.
+//
+// The step runs once per row for all lanes, and the element type is
+// resolved once per matrix (pivotStepFor), not per lane: on a small MNA
+// pattern the pivot step is a meaningful slice of the whole factorization.
+type pivotStep[T Scalar] func(d, inv []T, errs []error) bool
+
+func pivotStepFor[T Scalar]() pivotStep[T] {
+	var z T
+	if _, ok := any(z).(float64); ok {
+		return any(pivotStep[float64](realPivots)).(pivotStep[T])
 	}
-	return false
+	return any(pivotStep[complex128](complexPivots)).(pivotStep[T])
+}
+
+func realPivots(d, inv []float64, errs []error) bool {
+	failed := false
+	for l, v := range d {
+		r := 0.0
+		switch {
+		case errs[l] != nil:
+		case v == 0 || v != v:
+			errs[l], failed = errZeroPivot, true
+		default:
+			r = 1 / v
+			if r > math.MaxFloat64 || r < -math.MaxFloat64 {
+				errs[l], failed, r = errSubnormalPivot, true, 0
+			}
+		}
+		inv[l] = r
+	}
+	return failed
+}
+
+// complexPivots follows cmplx.IsNaN's rules for a bad pivot: zero, or a NaN
+// part while no part is infinite.
+func complexPivots(d, inv []complex128, errs []error) bool {
+	failed := false
+	for l, v := range d {
+		var r complex128
+		re, im := real(v), imag(v)
+		switch {
+		case errs[l] != nil:
+		case v == 0:
+			errs[l], failed = errZeroPivot, true
+		case math.Abs(re) <= math.MaxFloat64 && math.Abs(im) <= math.MaxFloat64:
+			r = recipFinite(re, im)
+		case math.IsInf(re, 0) || math.IsInf(im, 0):
+			r = 1 / v
+		default:
+			errs[l], failed = errZeroPivot, true
+		}
+		if rr, ri := real(r), imag(r); rr > math.MaxFloat64 || rr < -math.MaxFloat64 ||
+			ri > math.MaxFloat64 || ri < -math.MaxFloat64 {
+			errs[l], failed, r = errSubnormalPivot, true, 0
+		}
+		inv[l] = r
+	}
+	return failed
+}
+
+// recipFinite returns 1/complex(re, im) for finite parts, not both zero,
+// exactly as runtime.complex128div evaluates it for the numerator 1+0i
+// (Smith's algorithm) — minus the call. The literal 0 and 1 terms stay on
+// purpose: 0−x and x+0 differ from −x and x on signed zeros. With finite,
+// nonzero input the quotients are never both NaN, so the runtime's C99
+// infinity/zero correction cannot trigger and is left out.
+func recipFinite(re, im float64) complex128 {
+	if math.Abs(re) >= math.Abs(im) {
+		ratio := im / re
+		denom := re + ratio*im
+		return complex((1+0*ratio)/denom, (0-1*ratio)/denom)
+	}
+	ratio := re / im
+	denom := im + ratio*re
+	return complex((1*ratio+0)/denom, (0*ratio-1)/denom)
 }

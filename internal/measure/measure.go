@@ -57,6 +57,18 @@ func NewBode(freqs []float64, h []complex128) *Bode {
 	return b
 }
 
+// FallsThroughUnity reports whether a response falls through unity gain
+// between consecutive sweep points: |prev| ≥ 1 and |cur| < 1. It is
+// UnityCrossing's MagDB ≥ 0 → < 0 rule without the logarithms — NewBode's
+// magnitudes are 20·log10|h| (with |h| = 0 clamped to a tiny positive
+// value), which is ≥ 0 exactly when |h| ≥ 1 and < 0 exactly when |h| < 1,
+// NaN failing both. A sweep that ends at the first such point therefore
+// holds every point DCGainDB, UnityCrossing, GainBandwidth and PhaseMargin
+// read; GainMargin and Bandwidth3dB may read beyond it.
+func FallsThroughUnity(prev, cur complex128) bool {
+	return cmplx.Abs(prev) >= 1 && cmplx.Abs(cur) < 1
+}
+
 // DCGainDB returns the gain at the lowest swept frequency.
 func (b *Bode) DCGainDB() float64 {
 	if len(b.MagDB) == 0 {

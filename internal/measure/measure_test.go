@@ -3,6 +3,7 @@ package measure
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 )
 
@@ -208,5 +209,99 @@ func TestGainMargin(t *testing.T) {
 	b2 := NewBode(freqs2, h2)
 	if _, err := b2.GainMargin(); err == nil {
 		t.Error("two-pole system should have no -180° crossing")
+	}
+}
+
+// magDB is the magnitude NewBode reports for one phasor.
+func magDB(v complex128) float64 {
+	return NewBode([]float64{1}, []complex128{v}).MagDB[0]
+}
+
+// The sweep stop rule tests |v| ≥ 1 and |v| < 1 where UnityCrossing tests
+// MagDB ≥ 0 and MagDB < 0; the two agree on every value — at 1 and within
+// a few ulps of it on either side, on rotated phasors whose modulus rounds
+// near 1, and on 0, NaN, ±Inf, subnormals and huge values.
+func TestFallsThroughUnityMatchesMagDB(t *testing.T) {
+	var vals []complex128
+	below, above := 1.0, 1.0
+	for k := 0; k <= 8; k++ {
+		for _, m := range []float64{below, above} {
+			vals = append(vals, complex(m, 0), complex(-m, 0), complex(0, m), complex(0, -m))
+		}
+		below, above = math.Nextafter(below, 0), math.Nextafter(above, 2)
+	}
+	for k := 0; k < 2000; k++ {
+		// Moduli within a few ulps of 1 at arbitrary angles: the hypot
+		// rounding decides which side of 1 they land on.
+		th := 2 * math.Pi * float64(k) / 2000
+		r := 1 + float64(k%9-4)*0x1p-52
+		vals = append(vals, complex(r*math.Cos(th), r*math.Sin(th)))
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	vals = append(vals, 0, complex(math.Copysign(0, -1), 0), complex(0.6, 0.8), complex(0.8, -0.6),
+		complex(nan, 0), complex(0, nan), complex(inf, 0), complex(-inf, nan), complex(nan, -inf),
+		complex(5e-324, 0), complex(1e308, 1e308), complex(math.MaxFloat64, 0))
+	for _, v := range vals {
+		a, db := cmplx.Abs(v), magDB(v)
+		if (a >= 1) != (db >= 0) || (a < 1) != (db < 0) {
+			t.Fatalf("v=%v: |v|=%v (≥1 %v, <1 %v) but MagDB=%v (≥0 %v, <0 %v)",
+				v, a, a >= 1, a < 1, db, db >= 0, db < 0)
+		}
+	}
+	for i := 1; i < len(vals); i++ {
+		prev, cur := vals[i-1], vals[i]
+		want := magDB(prev) >= 0 && magDB(cur) < 0
+		if got := FallsThroughUnity(prev, cur); got != want {
+			t.Fatalf("FallsThroughUnity(%v, %v) = %v, MagDB rule %v", prev, cur, got, want)
+		}
+	}
+}
+
+// The measures a probed sweep feeds (DC gain, unity crossing, phase
+// margin) read nothing past the first point where |H| falls through 1:
+// on random multi-pole responses they come out bit-identical on the prefix
+// ending there and on the full sweep.
+func TestUnityPrefixMeasuresMatchFullSweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	stopped := 0
+	for trial := 0; trial < 2000; trial++ {
+		a := math.Pow(10, rng.Float64()*5-1) // 0.1 … 1e4: some never cross
+		if rng.Intn(2) == 0 {
+			a = -a // inverting
+		}
+		freqs, h := twoPole(a, math.Pow(10, 2+4*rng.Float64()), math.Pow(10, 5+4*rng.Float64()),
+			1e3, 1e9, 20+rng.Intn(60))
+		if rng.Intn(3) == 0 {
+			for i, f := range freqs {
+				h[i] /= 1 + complex(0, f/math.Pow(10, 6+3*rng.Float64()))
+			}
+		}
+		m := len(h)
+		for i := 1; i < len(h); i++ {
+			if FallsThroughUnity(h[i-1], h[i]) {
+				m = i + 1
+				break
+			}
+		}
+		if m < len(h) {
+			stopped++
+		}
+		full, pre := NewBode(freqs, h), NewBode(freqs[:m], h[:m])
+		if g0, g1 := full.DCGainDB(), pre.DCGainDB(); math.Float64bits(g0) != math.Float64bits(g1) {
+			t.Fatalf("trial %d: DC gain %v vs prefix %v", trial, g0, g1)
+		}
+		f0, e0 := full.UnityCrossing()
+		f1, e1 := pre.UnityCrossing()
+		if math.Float64bits(f0) != math.Float64bits(f1) || e0 != e1 {
+			t.Fatalf("trial %d: unity crossing (%v, %v) vs prefix (%v, %v)", trial, f0, e0, f1, e1)
+		}
+		p0, e0 := full.PhaseMargin()
+		p1, e1 := pre.PhaseMargin()
+		if math.Float64bits(p0) != math.Float64bits(p1) || e0 != e1 {
+			t.Fatalf("trial %d: phase margin (%v, %v) vs prefix (%v, %v)", trial, p0, e0, p1, e1)
+		}
+	}
+	if stopped == 0 || stopped == 2000 {
+		t.Fatalf("%d of 2000 responses stopped early: the trials miss a case", stopped)
 	}
 }

@@ -47,8 +47,11 @@ func ParseValue(s string) (float64, error) {
 }
 
 // FormatValue renders v with an engineering suffix, the inverse of ParseValue.
+// The suffix is chosen from v rounded to the ten significant digits that
+// are written, so a value just below a decade boundary (999.99999999999)
+// renders as "1k", not "1000" — the same text its parsed value renders as.
 func FormatValue(v float64) string {
-	a := math.Abs(v)
+	a, _ := strconv.ParseFloat(trim(math.Abs(v)), 64)
 	switch {
 	case v == 0:
 		return "0"

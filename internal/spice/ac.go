@@ -6,6 +6,7 @@ import (
 
 	"github.com/eda-go/moheco/internal/linalg"
 	"github.com/eda-go/moheco/internal/linalg/sparse"
+	"github.com/eda-go/moheco/internal/measure"
 	"github.com/eda-go/moheco/internal/netlist"
 )
 
@@ -43,9 +44,73 @@ func LogSpace(fStart, fStop float64, perDecade int) []float64 {
 	return out
 }
 
-// AC performs a small-signal sweep at the operating point op. MOSFETs are
-// linearized with gm, gds, gmb and their capacitances; capacitors become
-// jωC; AC sources drive the system.
+// Probe selects what a probed AC sweep records: the phasors of one node
+// and, with StopAtUnity, only the prefix of the sweep that ends at the first
+// point where the node's magnitude has fallen from ≥ 1 to < 1
+// (measure.FallsThroughUnity). That prefix is everything the DC-gain,
+// unity-crossing and phase-margin measures read; the gain-margin and -3 dB
+// bandwidth measures may read beyond it and need the full range.
+type Probe struct {
+	Node        int // netlist node id (ground = 0)
+	StopAtUnity bool
+}
+
+// AC performs a small-signal sweep at the operating point op, recording
+// every node over the full range. MOSFETs are linearized with gm, gds, gmb
+// and their capacitances; capacitors become jωC; AC sources drive the
+// system.
+func (e *Engine) AC(op *OPResult, freqs []float64) (*ACResult, error) {
+	nodes := e.ckt.NumNodes()
+	flat, err := e.sweep(op, freqs, 0, nodes, false)
+	if err != nil {
+		return nil, err
+	}
+	return newACResult(freqs, flat, nodes), nil
+}
+
+// ACProbe sweeps like AC but records only the probed node's phasors, one
+// per solved point; with p.StopAtUnity the returned slice is the prefix of
+// the sweep up to the first unity crossing (the whole range when the node
+// never crosses), so the measures run on (freqs[:len(h)], h).
+func (e *Engine) ACProbe(op *OPResult, freqs []float64, p Probe) ([]complex128, error) {
+	e.checkProbe(p)
+	return e.sweep(op, freqs, p.Node, p.Node+1, p.StopAtUnity)
+}
+
+// checkProbe panics on a probe node outside the circuit: node ids come from
+// the circuit itself (FindNode), so only a bug produces one, and recording
+// it unchecked would silently read a branch current or run off the
+// solution vector.
+func (e *Engine) checkProbe(p Probe) {
+	if p.Node < 0 || p.Node >= e.ckt.NumNodes() {
+		panic(fmt.Sprintf("spice: probe node %d outside the circuit's %d nodes", p.Node, e.ckt.NumNodes()))
+	}
+}
+
+// newACResult wraps a flat all-node sweep (point k at [k*nodes, (k+1)*nodes))
+// as an ACResult.
+func newACResult(freqs []float64, flat []complex128, nodes int) *ACResult {
+	res := &ACResult{Freqs: freqs, V: make([][]complex128, len(freqs))}
+	for k := range res.V {
+		res.V[k] = flat[k*nodes : (k+1)*nodes]
+	}
+	return res
+}
+
+// record copies the phasors of nodes [lo, lo+len(dst)) from the solution
+// x (K lanes in SoA layout, lane l) into dst; ground stays zero.
+func record(dst, x []complex128, lo, k, l int) {
+	for j := range dst {
+		if nd := lo + j; nd > 0 {
+			dst[j] = x[row(nd)*k+l]
+		}
+	}
+}
+
+// sweep is the scalar AC sweep loop. It records the phasors of nodes
+// [lo, hi) into one flat slice, point k at [k*(hi-lo), (k+1)*(hi-lo)), and
+// with stop (one node) ends after the first point at which that node falls
+// through unity gain, returning the recorded prefix.
 //
 // The linearized MNA system is affine in frequency — Y(ω) = G + jω·C with a
 // frequency-independent right-hand side — so the devices are evaluated and
@@ -55,9 +120,8 @@ func LogSpace(fStart, fStop float64, perDecade int) []float64 {
 // walks the nonzeros instead of n² entries, and every point's factorization
 // reuses the symbolic analysis done in New; DC and AC share one pattern
 // because the plan enumerates their union.
-func (e *Engine) AC(op *OPResult, freqs []float64) (*ACResult, error) {
+func (e *Engine) sweep(op *OPResult, freqs []float64, lo, hi int, stop bool) ([]complex128, error) {
 	n := e.size
-	res := &ACResult{Freqs: freqs, V: make([][]complex128, len(freqs))}
 	var gv, cv []float64 // stamped value arrays with trailing write-off slot
 	if e.sym != nil {
 		if e.spG == nil {
@@ -94,10 +158,8 @@ func (e *Engine) AC(op *OPResult, freqs []float64) (*ACResult, error) {
 	}
 	e.plan.stampAC(gv, cv, rhs0, 1, 0, op, e.opts.GminFinal)
 
-	// One flat backing array for the whole sweep instead of one slice per
-	// frequency point.
-	nodes := e.ckt.NumNodes()
-	backing := make([]complex128, len(freqs)*nodes)
+	w := hi - lo
+	out := make([]complex128, len(freqs)*w)
 	x := e.acX
 	for k, f := range freqs {
 		omega := 2 * math.Pi * f
@@ -118,15 +180,14 @@ func (e *Engine) AC(op *OPResult, freqs []float64) (*ACResult, error) {
 			}
 			err = linalg.CSolveInPlace(Y, x)
 		}
+		mFactorizations.Inc() // one complex factorization per attempted point
 		if err != nil {
 			return nil, fmt.Errorf("spice: AC solve at %g Hz: %w", f, err)
 		}
-		mFactorizations.Inc() // one complex factorization per frequency point
-		vk := backing[k*nodes : (k+1)*nodes]
-		for i := 1; i < nodes; i++ {
-			vk[i] = x[row(i)]
+		record(out[k*w:(k+1)*w], x, lo, 1, 0)
+		if stop && k > 0 && measure.FallsThroughUnity(out[k-1], out[k]) {
+			return out[:k+1], nil
 		}
-		res.V[k] = vk
 	}
-	return res, nil
+	return out, nil
 }

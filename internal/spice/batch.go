@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/eda-go/moheco/internal/linalg/sparse"
+	"github.com/eda-go/moheco/internal/measure"
 )
 
 // This file implements the lockstep batch solve paths: K Monte-Carlo samples
@@ -385,16 +386,43 @@ func (e *Engine) DCOperatingPointBatchFrom(prev *OPResult, active []bool, set La
 	return res, errs
 }
 
-// ACBatch runs the small-signal sweep of up to len(ops) samples in lockstep:
-// per lane the G/C split and drive are stamped once (under the lane's
-// LaneSetter state, linearized at its own operating point), and every
-// frequency point assembles and factors all lanes through one traversal.
-// ops[l] == nil skips lane l (a sample whose DC solve failed); a lane whose
-// complex system is singular at some frequency reports the scalar AC error
-// for that lane without disturbing the others.
+// ACBatch runs the small-signal sweep of up to len(ops) samples in lockstep,
+// recording every node over the full range: per lane the G/C split and
+// drive are stamped once (under the lane's LaneSetter state, linearized at
+// its own operating point), and every frequency point assembles and factors
+// all lanes through one traversal. ops[l] == nil skips lane l (a sample
+// whose DC solve failed); a lane whose complex system is singular at some
+// frequency reports the scalar AC error for that lane without disturbing
+// the others.
 func (e *Engine) ACBatch(ops []*OPResult, freqs []float64, set LaneSetter) ([]*ACResult, []error) {
+	nodes := e.ckt.NumNodes()
+	flats, errs := e.sweepBatch(ops, freqs, 0, nodes, false, set)
+	res := make([]*ACResult, len(ops))
+	for l, flat := range flats {
+		if flat != nil {
+			res[l] = newACResult(freqs, flat, nodes)
+		}
+	}
+	return res, errs
+}
+
+// ACBatchProbe is the lockstep twin of ACProbe: h[l] holds lane l's probed
+// phasors, bit-identical to ACProbe on that sample. With p.StopAtUnity a
+// lane retires at its own unity crossing and the group stops once every
+// lane has retired or failed.
+func (e *Engine) ACBatchProbe(ops []*OPResult, freqs []float64, p Probe, set LaneSetter) ([][]complex128, []error) {
+	e.checkProbe(p)
+	return e.sweepBatch(ops, freqs, p.Node, p.Node+1, p.StopAtUnity, set)
+}
+
+// sweepBatch is the lockstep AC sweep loop: the K-lane form of sweep, with
+// one flat record per lane. A lane stops sweeping when it fails (its record
+// is nil and its error set) or, with stop, after its own unity crossing;
+// the factorization counter counts only lanes still sweeping, the scalar
+// equivalent of the work done.
+func (e *Engine) sweepBatch(ops []*OPResult, freqs []float64, lo, hi int, stop bool, set LaneSetter) ([][]complex128, []error) {
 	k := len(ops)
-	res := make([]*ACResult, k)
+	out := make([][]complex128, k)
 	errs := make([]error, k)
 	if e.sym == nil || k == 1 {
 		for l := 0; l < k; l++ {
@@ -402,9 +430,9 @@ func (e *Engine) ACBatch(ops []*OPResult, freqs []float64, set LaneSetter) ([]*A
 				continue
 			}
 			set(l)
-			res[l], errs[l] = e.AC(ops[l], freqs)
+			out[l], errs[l] = e.sweep(ops[l], freqs, lo, hi, stop)
 		}
-		return res, errs
+		return out, errs
 	}
 	bs := e.batchScratchFor(k)
 	bs.acInit(e)
@@ -418,25 +446,23 @@ func (e *Engine) ACBatch(ops []*OPResult, freqs []float64, set LaneSetter) ([]*A
 	live := make([]bool, k)
 	nLive := 0
 	for l := 0; l < k; l++ {
-		if ops[l] == nil {
+		live[l] = ops[l] != nil
+		if !live[l] {
 			continue
 		}
-		live[l] = true
 		nLive++
 		set(l)
 		e.plan.stampAC(bs.gv, bs.cv, bs.rhs, k, l, ops[l], e.opts.GminFinal)
 	}
 	if nLive == 0 {
-		return res, errs
+		return out, errs
 	}
 
-	nodes := e.ckt.NumNodes()
 	n := e.size
-	backing := make([][]complex128, k)
+	w := hi - lo
 	for l := 0; l < k; l++ {
 		if live[l] {
-			backing[l] = make([]complex128, len(freqs)*nodes)
-			res[l] = &ACResult{Freqs: freqs, V: make([][]complex128, len(freqs))}
+			out[l] = make([]complex128, len(freqs)*w)
 		}
 	}
 	// Copy+patch assembly: Y(ω) = G + jωC differs from the ω-independent
@@ -474,27 +500,29 @@ func (e *Engine) ACBatch(ops []*OPResult, freqs []float64, set LaneSetter) ([]*A
 		}
 		copy(bs.xc, bs.rhs[:n*k])
 		serrs := bs.Y.FactorSolve(bs.xc)
-		mFactorizations.Add(int64(nLive)) // scalar-equivalent: one per live lane per point
+		mFactorizations.Add(int64(nLive)) // scalar-equivalent: one per sweeping lane per point
 		for l := 0; l < k; l++ {
 			if !live[l] {
 				continue
 			}
 			if serrs[l] != nil {
 				errs[l] = fmt.Errorf("spice: AC solve at %g Hz: %w", f, serrs[l])
-				res[l] = nil
+				out[l] = nil
 				live[l] = false
 				nLive--
 				continue
 			}
-			vk := backing[l][fi*nodes : (fi+1)*nodes]
-			for i := 1; i < nodes; i++ {
-				vk[i] = bs.xc[row(i)*k+l]
+			h := out[l]
+			record(h[fi*w:(fi+1)*w], bs.xc, lo, k, l)
+			if stop && fi > 0 && measure.FallsThroughUnity(h[fi-1], h[fi]) {
+				out[l] = h[:fi+1]
+				live[l] = false
+				nLive--
 			}
-			res[l].V[fi] = vk
 		}
 		if nLive == 0 {
 			break
 		}
 	}
-	return res, errs
+	return out, errs
 }
