@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/eda-go/moheco/internal/constraint"
-	"github.com/eda-go/moheco/internal/measure"
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/netlist"
 	"github.com/eda-go/moheco/internal/problem"
@@ -88,23 +87,14 @@ type fcSlotCard struct {
 	w, l float64
 }
 
-// fcSpiceContext is the compiled evaluation state of one design: netlist
-// topology, MNA engine (symbolic factorization included) and the perturbed
-// model cards are constructed once per candidate; each sample rewrites the
-// seven cards in place and re-solves, warm-starting Newton from the
-// design's nominal operating point.
+// fcSpiceContext is the compiled testbench of one design; each sample
+// rewrites the seven perturbed model cards in place and re-solves,
+// warm-starting Newton from the design's nominal operating point.
 type fcSpiceContext struct {
+	testbench
 	p     *FoldedCascodeSpice
 	ckt   *netlist.Circuit
-	eng   *spice.Engine
-	freqs []float64
-	probe spice.Probe // the output node, swept up to its unity crossing
-	cards []fcSlotCard
-	// warm0 is the nominal operating point, solved once at compile and used
-	// to warm-start every sample — fixed so sample solves are independent of
-	// batch order and lane grouping (nil when the nominal does not converge;
-	// samples then solve cold).
-	warm0 *spice.OPResult
+	slots []fcSlotCard
 }
 
 // compile builds the per-design evaluation context.
@@ -119,9 +109,8 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 	k := mirrorRatio
 
 	ctx := &fcSpiceContext{
-		p:     p,
-		freqs: spice.LogSpace(1e3, 1e9, 8),
-		cards: []fcSlotCard{
+		p: p,
+		slots: []fcSlotCard{
 			{card: &mos.Params{Name: slotCardName(fcInL)}, slot: fcInL, w: w1, l: l1},
 			{card: &mos.Params{Name: slotCardName(fcNSinkL)}, slot: fcNSinkL, w: w3, l: lcs},
 			{card: &mos.Params{Name: slotCardName(fcNCasL)}, slot: fcNCasL, w: w5, l: lcas},
@@ -132,31 +121,40 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 		},
 	}
 	ctx.setCards(nil)
-	cards := fcCards{
-		in:    ctx.cards[0].card,
-		nsink: ctx.cards[1].card,
-		ncas:  ctx.cards[2].card,
-		pcas:  ctx.cards[3].card,
-		psrc:  ctx.cards[4].card,
-		biasN: ctx.cards[5].card,
-		biasP: ctx.cards[6].card,
+	cards := make([]*mos.Params, len(ctx.slots))
+	for i := range ctx.slots {
+		cards[i] = ctx.slots[i].card
 	}
-	ckt, nodeset, err := inner.buildFoldedCascodeTB(x, cards)
+	ckt, nodeset, err := inner.buildFoldedCascodeTB(x, fcCards{
+		in: cards[0], nsink: cards[1], ncas: cards[2], pcas: cards[3],
+		psrc: cards[4], biasN: cards[5], biasP: cards[6],
+	})
 	if err != nil {
 		return nil, err
 	}
 	ctx.ckt = ckt
-	if ctx.probe, err = outputProbe(ckt); err != nil {
+	probe, err := outputProbe(ckt)
+	if err != nil {
 		return nil, err
 	}
 	eng, err := spice.New(ckt, spice.Options{Nodeset: nodeset, Solver: p.solver, Lanes: p.lanes})
 	if err != nil {
 		return nil, err
 	}
-	ctx.eng = eng
+	ctx.testbench = testbench{
+		name:      "folded-cascode-spice",
+		space:     inner.space,
+		eng:       eng,
+		freqs:     spice.LogSpace(1e3, 1e9, 8),
+		probe:     probe,
+		cards:     cards,
+		setSample: ctx.setCards,
+		measures:  ctx.acMeasures,
+	}
 
 	// Solve the nominal operating point once; every sample warm-starts from
-	// it (cards are already nominal from setCards(nil) above).
+	// it (cards are already nominal from setCards(nil) above). A
+	// non-converging nominal leaves warm0 nil and samples solve cold.
 	if op, err := eng.DCOperatingPoint(); err == nil {
 		ctx.warm0 = op
 	}
@@ -168,52 +166,18 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 func (ctx *fcSpiceContext) setCards(xi []float64) {
 	inner := ctx.p.inner
 	inter := inner.space.Inter(xi)
-	for i := range ctx.cards {
-		sc := &ctx.cards[i]
+	for i := range ctx.slots {
+		sc := &ctx.slots[i]
 		perturbCard(sc.card, inner.space, &inter, xi, sc.slot, sc.w*sc.l*1e12)
 	}
 }
 
-// eval runs one sample through the compiled context: rewrite the cards,
-// solve DC (warm-started from the nominal operating point) and sweep AC.
-// Non-convergence returns an error, which the yield machinery counts as a
-// failed sample — the failure-injection path a crashing HSPICE run takes.
-func (ctx *fcSpiceContext) eval(xi []float64) ([]float64, error) {
-	if err := ctx.p.inner.space.CheckVector(xi); err != nil {
-		return nil, err
-	}
-	ctx.setCards(xi)
-	op, err := ctx.eng.DCOperatingPointFrom(ctx.warm0)
-	if err != nil {
-		return nil, fmt.Errorf("folded-cascode-spice: %w", err)
-	}
-	h, err := ctx.eng.ACProbe(op, ctx.freqs, ctx.probe)
-	if err != nil {
-		return nil, fmt.Errorf("folded-cascode-spice: %w", err)
-	}
-	return ctx.measures(op, h)
-}
-
-// measures extracts the performance vector from one sample's solved
-// operating point and probed AC sweep h (the output node up to its unity
-// crossing) — shared by the point-wise and lockstep paths.
-func (ctx *fcSpiceContext) measures(op *spice.OPResult, h []complex128) ([]float64, error) {
+// acMeasures extracts the performance vector from one sample's solved
+// operating point and probed AC sweep h.
+func (ctx *fcSpiceContext) acMeasures(op *spice.OPResult, h []complex128) ([]float64, error) {
 	inner := ctx.p.inner
 	vdd := inner.tech.VDD
-	bode := measure.NewBode(ctx.freqs[:len(h)], h)
-	a0dB := bode.DCGainDB()
-	gbw, err := bode.GainBandwidth()
-	if err != nil {
-		// No unity crossing: gain below 1 everywhere. Zero GBW and PM make
-		// the specs register the failure smoothly.
-		gbw = 0
-	}
-	pm := 0.0
-	if gbw > 0 {
-		if m, err := bode.PhaseMargin(); err == nil {
-			pm = m
-		}
-	}
+	a0dB, gbw, pm := bodeMeasures(ctx.freqs, h)
 
 	// Power from the VDD branch current (branch 0: VDD is the first V
 	// element of the testbench); the ideal tail/bias pull-ups route
@@ -250,87 +214,20 @@ func (ctx *fcSpiceContext) measures(op *spice.OPResult, h []complex128) ([]float
 	return []float64{a0dB, gbw, pm, os, power, satMargin}, nil
 }
 
-// Evaluate implements problem.Problem by compiling a one-shot context and
-// warm-starting from its nominal operating point — the point-wise path,
-// bit-for-bit every batch path's result for the same sample.
+// Evaluate implements problem.Problem as a one-sample batch — bit-for-bit
+// every batch path's result for the same sample.
 func (p *FoldedCascodeSpice) Evaluate(x, xi []float64) ([]float64, error) {
-	ctx, err := p.compile(x)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.eval(xi)
+	return first(p.EvaluateBatch(x, [][]float64{xi}))
 }
 
-// EvaluateBatch implements problem.BatchEvaluator: one compiled context per
-// design, with samples grouped into K lockstep lanes (K = the engine's
-// resolved lane count) so each group's DC Newton iterations and AC
-// frequency points factor and solve in one SoA traversal. Lane grouping is
-// a pure function of the chunk — samples [0,K), [K,2K), … in order, the
-// last group partially active — and every solve warm-starts from the same
-// fixed nominal point, so the results are bit-identical to the point-wise
-// path for any lane width and any worker count.
+// EvaluateBatch implements problem.BatchEvaluator: one compiled testbench
+// per design, the samples run through it in lockstep lane groups.
 func (p *FoldedCascodeSpice) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
-	perfs := make([][]float64, len(xis))
-	errs := make([]error, len(xis))
 	ctx, err := p.compile(x)
 	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return perfs, errs
+		return failAll(len(xis), err)
 	}
-	k := ctx.eng.Lanes()
-	if k <= 1 {
-		for i, xi := range xis {
-			perfs[i], errs[i] = ctx.eval(xi)
-		}
-		return perfs, errs
-	}
-	nc := len(ctx.cards)
-	lanes := make([][]mos.Params, k)
-	for l := range lanes {
-		lanes[l] = make([]mos.Params, nc)
-	}
-	active := make([]bool, k)
-	set := func(l int) {
-		for i := 0; i < nc; i++ {
-			*ctx.cards[i].card = lanes[l][i]
-		}
-	}
-	for g := 0; g < len(xis); g += k {
-		m := min(k, len(xis)-g)
-		for l := 0; l < k; l++ {
-			active[l] = false
-		}
-		for l := 0; l < m; l++ {
-			xi := xis[g+l]
-			if err := p.inner.space.CheckVector(xi); err != nil {
-				errs[g+l] = err
-				continue
-			}
-			ctx.setCards(xi)
-			for i := 0; i < nc; i++ {
-				lanes[l][i] = *ctx.cards[i].card
-			}
-			active[l] = true
-		}
-		ops, dcErrs := ctx.eng.DCOperatingPointBatchFrom(ctx.warm0, active, set)
-		hs, acErrs := ctx.eng.ACBatchProbe(ops, ctx.freqs, ctx.probe, set)
-		for l := 0; l < m; l++ {
-			if !active[l] {
-				continue
-			}
-			switch {
-			case dcErrs[l] != nil:
-				errs[g+l] = fmt.Errorf("folded-cascode-spice: %w", dcErrs[l])
-			case acErrs[l] != nil:
-				errs[g+l] = fmt.Errorf("folded-cascode-spice: %w", acErrs[l])
-			default:
-				perfs[g+l], errs[g+l] = ctx.measures(ops[l], hs[l])
-			}
-		}
-	}
-	return perfs, errs
+	return ctx.run(xis)
 }
 
 // Space exposes the variation space (used by the experiment harness).

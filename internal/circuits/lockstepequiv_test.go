@@ -80,6 +80,29 @@ func TestLockstepBitIdenticalPerProblem(t *testing.T) {
 					}
 				}
 			}
+			// A batch shorter than the lane width runs one narrower group
+			// (width min(lanes, n)), and a one-sample batch takes the scalar
+			// path point-wise Evaluate takes: both land on the same bits.
+			wide := c.mk(8)
+			same := func(what string, i int, perf []float64, err error) {
+				t.Helper()
+				if (err == nil) != (refErrs[i] == nil) {
+					t.Fatalf("%s sample %d: scalar err %v, got err %v", what, i, refErrs[i], err)
+				}
+				for j := range perf {
+					if math.Float64bits(perf[j]) != math.Float64bits(refPerfs[i][j]) {
+						t.Errorf("%s sample %d perf %d: scalar %v, got %v", what, i, j, refPerfs[i][j], perf[j])
+					}
+				}
+			}
+			perfs, errs := wide.(problem.BatchEvaluator).EvaluateBatch(x, xis[:3])
+			for i := range perfs {
+				same("n=3 at lanes=8", i, perfs[i], errs[i])
+			}
+			perfs, errs = wide.(problem.BatchEvaluator).EvaluateBatch(x, xis[4:5])
+			same("one-sample batch", 4, perfs[0], errs[0])
+			perf, err := wide.Evaluate(x, xis[4])
+			same("point-wise at lanes=8", 4, perf, err)
 		})
 	}
 }

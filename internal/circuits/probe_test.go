@@ -85,7 +85,7 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			cst.setSample(ctx, xi)
+			ctx.setSample(xi)
 			op, err := ctx.eng.DCOperatingPoint()
 			if err != nil {
 				return nil, nil, false, err
@@ -94,12 +94,12 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			got, err1 := cst.tranMeasures(ctx, op, h)
-			want, err2 := cst.tranMeasures(ctx, op, col)
+			got, err1 := ctx.measures(op, h)
+			want, err2 := ctx.measures(op, col)
 			return got, want, len(h) < len(col), firstErr(err1, err2)
 		}},
 		{"folded-cascode-tran", fct, 4, func(x, xi []float64) ([]float64, []float64, bool, error) {
-			ctx, _, err := fct.compile(x)
+			ctx, err := fct.compile(x)
 			if err != nil {
 				return nil, nil, false, err
 			}
@@ -112,8 +112,8 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			got, err1 := fct.tranMeasures(ctx, op, h)
-			want, err2 := fct.tranMeasures(ctx, op, col)
+			got, err1 := ctx.measures(op, h)
+			want, err2 := ctx.measures(op, col)
 			return got, want, len(h) < len(col), firstErr(err1, err2)
 		}},
 	}

@@ -2,6 +2,7 @@ package circuits
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/eda-go/moheco/internal/constraint"
@@ -50,49 +51,95 @@ func TestSpiceBatchMatchesPointwise(t *testing.T) {
 	}
 }
 
-// A failing sample inside a batch must not poison the samples after it: the
-// warm chain skips the failure and later samples still classify exactly as
-// point-wise evaluation does.
-func TestSpiceBatchFailedSampleIsolated(t *testing.T) {
-	p := NewCommonSourceSpice()
-	x := p.ReferenceDesign()
-	rng := randx.New(11)
-	xis := sample.LHS{}.Draw(rng, 8, p.VarDim())
-	// Sample 3 is structurally broken (wrong variation dimension): its
-	// evaluation errors, the batch keeps going.
-	xis[3] = xis[3][:p.VarDim()-1]
-
-	perfs, errs := p.EvaluateBatch(x, xis)
-	if errs[3] == nil {
-		t.Fatal("broken sample did not error")
+// spiceScenarios are the four simulator-in-the-loop problems the shared
+// testbench runner serves, with the sample count each edge-case test draws
+// (kept small for the transient ones).
+var spiceScenarios = []struct {
+	name string
+	n    int
+	p    interface {
+		problem.BatchEvaluator
+		ReferenceDesign() []float64
 	}
-	for i, xi := range xis {
-		if i == 3 {
-			continue
-		}
-		perf, err := p.Evaluate(x, xi)
-		if err != nil || errs[i] != nil {
-			t.Fatalf("sample %d errored: point-wise %v, batch %v", i, err, errs[i])
-		}
-		pw := constraint.AllSatisfied(p.Specs(), perf)
-		bt := constraint.AllSatisfied(p.Specs(), perfs[i])
-		if pw != bt {
-			t.Errorf("sample %d after failure: point-wise pass=%v, batch pass=%v", i, pw, bt)
-		}
+}{
+	{"common-source-spice", 8, NewCommonSourceSpice()},
+	{"folded-cascode-spice", 8, NewFoldedCascodeSpice()},
+	{"common-source-tran", 6, NewCommonSourceTran()},
+	{"folded-cascode-tran", 5, NewFoldedCascodeTran()},
+}
+
+// A failing sample inside a batch errors alone: every other sample of its
+// lane group and of the groups after it is bit-identical to point-wise
+// evaluation, and the failing sample reports the point-wise error.
+func TestSpiceBatchFailedSampleIsolated(t *testing.T) {
+	for _, c := range spiceScenarios {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.p
+			x := p.ReferenceDesign()
+			xis := sample.LHS{}.Draw(randx.New(11), c.n, p.VarDim())
+			// Sample 1 drives the simulator into a failure (NaN cards: the
+			// DC solve does not converge), reported under the scenario's
+			// name. Sample 3 is structurally broken (wrong variation
+			// dimension) and never reaches the engine.
+			for i := range xis[1] {
+				xis[1][i] = math.NaN()
+			}
+			xis[3] = xis[3][:p.VarDim()-1]
+
+			perfs, errs := p.EvaluateBatch(x, xis)
+			if len(perfs) != len(xis) || len(errs) != len(xis) {
+				t.Fatalf("batch shape: %d perfs, %d errs for %d samples", len(perfs), len(errs), len(xis))
+			}
+			for i, xi := range xis {
+				perf, err := p.Evaluate(x, xi)
+				if i == 1 || i == 3 {
+					if errs[i] == nil || err == nil || errs[i].Error() != err.Error() {
+						t.Fatalf("failing sample %d: batch err %v, point-wise err %v", i, errs[i], err)
+					}
+					if i == 1 && !strings.HasPrefix(err.Error(), c.name+": ") {
+						t.Fatalf("simulator failure %q lacks the %q prefix", err, c.name)
+					}
+					continue
+				}
+				if err != nil || errs[i] != nil {
+					t.Fatalf("sample %d errored: point-wise %v, batch %v", i, err, errs[i])
+				}
+				for j := range perf {
+					if math.Float64bits(perf[j]) != math.Float64bits(perfs[i][j]) {
+						t.Errorf("sample %d perf %d: point-wise %v, batch %v", i, j, perf[j], perfs[i][j])
+					}
+				}
+			}
+		})
 	}
 }
 
-// A batch over a broken design reports the compile error on every sample.
+// A batch over a broken design reports the compile error on every sample,
+// as point-wise evaluation does, and an empty batch returns empty results.
 func TestSpiceBatchBrokenDesign(t *testing.T) {
-	p := NewCommonSourceSpice()
-	perfs, errs := p.EvaluateBatch([]float64{1}, [][]float64{nil, nil})
-	if len(perfs) != 2 || len(errs) != 2 {
-		t.Fatalf("batch shape: %d/%d", len(perfs), len(errs))
-	}
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("sample %d: broken design did not error", i)
-		}
+	for _, c := range spiceScenarios {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.p
+			perfs, errs := p.EvaluateBatch([]float64{1}, [][]float64{nil, nil})
+			if len(perfs) != 2 || len(errs) != 2 {
+				t.Fatalf("batch shape: %d/%d", len(perfs), len(errs))
+			}
+			_, want := p.Evaluate([]float64{1}, nil)
+			if want == nil {
+				t.Fatal("point-wise evaluation of a broken design did not error")
+			}
+			for i, err := range errs {
+				if err == nil || err.Error() != want.Error() || perfs[i] != nil {
+					t.Fatalf("sample %d: got (%v, %v), want the compile error %v", i, perfs[i], err, want)
+				}
+			}
+			for _, xis := range [][][]float64{nil, {}} {
+				perfs, errs := p.EvaluateBatch(p.ReferenceDesign(), xis)
+				if len(perfs) != 0 || len(errs) != 0 {
+					t.Fatalf("empty batch: %d perfs, %d errs", len(perfs), len(errs))
+				}
+			}
+		})
 	}
 }
 

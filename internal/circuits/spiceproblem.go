@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/eda-go/moheco/internal/constraint"
-	"github.com/eda-go/moheco/internal/measure"
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/netlist"
 	"github.com/eda-go/moheco/internal/pdk"
@@ -91,44 +90,20 @@ func (p *CommonSourceSpice) VarDim() int { return p.inner.VarDim() }
 // ReferenceDesign returns the behavioural problem's reference sizing.
 func (p *CommonSourceSpice) ReferenceDesign() []float64 { return p.inner.ReferenceDesign() }
 
-// spiceContext is the compiled evaluation state of one design: the netlist
-// topology, the MNA engine and the device model cards are constructed once
-// per candidate; each sample only overwrites the three perturbed cards (and
-// the input-servo bias) in place and re-solves, warm-starting Newton from
-// the design's nominal operating point.
+// spiceContext is the compiled testbench of one design. Each sample
+// rewrites the three perturbed model cards and the input-servo bias in
+// place (the Mosfet instances and the servo devices hold pointers to the
+// cards) and re-solves, warm-starting Newton from the design's nominal
+// operating point.
 type spiceContext struct {
+	testbench
 	p              *CommonSourceSpice
 	ib, w1, l1, w2 float64
 
-	ckt   *netlist.Circuit
-	eng   *spice.Engine
-	vin   *netlist.VSource
-	freqs []float64
-	probe spice.Probe // the output node, swept up to its unity crossing
-
-	// Perturbed model cards, one private card per device slot, rewritten
-	// in place per sample (the Mosfet instances and the servo devices hold
-	// pointers to them).
+	ckt                         *netlist.Circuit
+	vin                         *netlist.VSource
 	drvCard, loadCard, biasCard *mos.Params
 	drv, load, bias             *mos.Device
-
-	// warm0 is the nominal operating point, solved once at compile and
-	// used to warm-start every sample's Newton solve. It is fixed for the
-	// context's lifetime: a per-sample rolling warm state would make each
-	// solve depend on which samples ran before it in which order, which
-	// the lockstep lane grouping (and Workers=1-vs-N bit-identity) forbids.
-	// nil when the nominal point does not converge — samples then solve
-	// cold, exactly as DCOperatingPointFrom(nil) specifies.
-	warm0 *spice.OPResult
-}
-
-// csLaneState is the complete per-sample engine state of one lockstep lane:
-// the three perturbed model cards plus the input-servo bias. The LaneSetter
-// copies it over the context's live cards, so switching lanes is three
-// struct copies and a float store — no Perturb/Apply recompute.
-type csLaneState struct {
-	drv, load, bias mos.Params
-	vinDC           float64
 }
 
 // compile builds the per-design evaluation context. The netlist is
@@ -146,13 +121,11 @@ func (p *CommonSourceSpice) compile(x []float64) (*spiceContext, error) {
 		drvCard:  &mos.Params{Name: slotCardName(csDriver)},
 		loadCard: &mos.Params{Name: slotCardName(csLoad)},
 		biasCard: &mos.Params{Name: slotCardName(csBias)},
-		freqs:    spice.LogSpace(1e3, 5e9, 8),
 	}
 	k := mirrorRatio
 	ctx.drv = &mos.Device{Params: ctx.drvCard, W: ctx.w1, L: ctx.l1, M: 1}
 	ctx.load = &mos.Device{Params: ctx.loadCard, W: ctx.w2, L: p.inner.loadLen, M: 1}
 	ctx.bias = &mos.Device{Params: ctx.biasCard, W: ctx.w2 / k, L: p.inner.loadLen, M: 1}
-	ctx.setCards(nil)
 
 	c := netlist.New("common-source sample")
 	c.AddV("VDD", "vdd", "0", vdd, 0)
@@ -170,89 +143,51 @@ func (p *CommonSourceSpice) compile(x []float64) (*spiceContext, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx.probe = probe
-
 	eng, err := spice.New(c, spice.Options{Solver: p.solver, Lanes: p.lanes})
 	if err != nil {
 		return nil, err
 	}
-	ctx.eng = eng
+	ctx.testbench = testbench{
+		name:      "common-source-spice",
+		space:     p.inner.space,
+		eng:       eng,
+		freqs:     spice.LogSpace(1e3, 5e9, 8),
+		probe:     probe,
+		cards:     []*mos.Params{ctx.drvCard, ctx.loadCard, ctx.biasCard},
+		vals:      []*float64{&ctx.vin.DC},
+		setSample: ctx.setServo,
+		measures:  ctx.acMeasures,
+	}
 
 	// Solve the nominal operating point once; every sample warm-starts from
 	// it. A non-converging nominal leaves warm0 nil and samples solve cold.
-	ctx.setSample(nil)
+	ctx.setServo(nil)
 	if op, err := eng.DCOperatingPoint(); err == nil {
 		ctx.warm0 = op
 	}
 	return ctx, nil
 }
 
-// setSample writes one sample's engine state: the three perturbed model
+// setServo writes one sample's engine state: the three perturbed model
 // cards and the input-servo bias tracking the perturbed mirror (nil =
 // nominal).
-func (ctx *spiceContext) setSample(xi []float64) {
+func (ctx *spiceContext) setServo(xi []float64) {
+	inner := ctx.p.inner
 	vdd, k := ctx.p.tech.VDD, mirrorRatio
-	ctx.setCards(xi)
+	inter := inner.space.Inter(xi)
+	perturbCard(ctx.drvCard, inner.space, &inter, xi, csDriver, ctx.w1*ctx.l1*1e12)
+	perturbCard(ctx.loadCard, inner.space, &inter, xi, csLoad, ctx.w2*inner.loadLen*1e12)
+	perturbCard(ctx.biasCard, inner.space, &inter, xi, csBias, ctx.w2/k*inner.loadLen*1e12)
 	id := clampMin(mirror(ctx.bias, ctx.load, ctx.ib/k, vdd/2), 1e-8)
 	ctx.vin.DC = ctx.drv.VgsForID(id, 0)
 }
 
-// setCards rewrites the three perturbed model cards in place for the given
-// variation vector (nil = nominal).
-func (ctx *spiceContext) setCards(xi []float64) {
-	inner := ctx.p.inner
-	inter := inner.space.Inter(xi)
-	perturbCard(ctx.drvCard, inner.space, &inter, xi, csDriver, ctx.w1*ctx.l1*1e12)
-	perturbCard(ctx.loadCard, inner.space, &inter, xi, csLoad, ctx.w2*inner.loadLen*1e12)
-	perturbCard(ctx.biasCard, inner.space, &inter, xi, csBias, ctx.w2/mirrorRatio*inner.loadLen*1e12)
-}
-
-// eval runs one sample through the compiled context: rewrite the cards,
-// re-bias the input servo, solve DC (warm-started from the nominal
-// operating point) and sweep AC. Non-convergence returns an error, which
-// the yield machinery counts as a failed sample — the same
-// failure-injection path a crashing HSPICE run takes in the paper's flow.
-func (ctx *spiceContext) eval(xi []float64) ([]float64, error) {
-	if err := ctx.p.inner.space.CheckVector(xi); err != nil {
-		return nil, err
-	}
-	ctx.setSample(xi)
-	op, err := ctx.eng.DCOperatingPointFrom(ctx.warm0)
-	if err != nil {
-		return nil, fmt.Errorf("common-source-spice: %w", err)
-	}
-	h, err := ctx.eng.ACProbe(op, ctx.freqs, ctx.probe)
-	if err != nil {
-		return nil, fmt.Errorf("common-source-spice: %w", err)
-	}
-	return ctx.measures(op, h)
-}
-
-// outputProbe is the AC probe of every spice testbench: the "out" node,
-// swept up to its unity crossing — all the DC-gain, GBW and phase-margin
-// measures read.
-func outputProbe(c *netlist.Circuit) (spice.Probe, error) {
-	out, ok := c.FindNode("out")
-	if !ok {
-		return spice.Probe{}, fmt.Errorf("circuits: testbench %q has no \"out\" node", c.Title)
-	}
-	return spice.Probe{Node: out, StopAtUnity: true}, nil
-}
-
-// measures extracts the performance vector from one sample's solved
-// operating point and probed AC sweep h (the output node up to its unity
-// crossing) — shared by the point-wise and lockstep paths.
-func (ctx *spiceContext) measures(op *spice.OPResult, h []complex128) ([]float64, error) {
+// acMeasures extracts the performance vector from one sample's solved
+// operating point and probed AC sweep h.
+func (ctx *spiceContext) acMeasures(op *spice.OPResult, h []complex128) ([]float64, error) {
 	p := ctx.p
 	vdd := p.tech.VDD
-	bode := measure.NewBode(ctx.freqs[:len(h)], h)
-	a0dB := bode.DCGainDB()
-	gbw, err := bode.GainBandwidth()
-	if err != nil {
-		// No unity crossing: gain below 1 everywhere. Report DC gain and a
-		// zero GBW so the specs register the failure smoothly.
-		gbw = 0
-	}
+	a0dB, gbw, _ := bodeMeasures(ctx.freqs, h)
 
 	// Power from the VDD branch current (the source supplies the mirror
 	// and the load branch).
@@ -275,86 +210,20 @@ func (ctx *spiceContext) measures(op *spice.OPResult, h []complex128) ([]float64
 	return []float64{a0dB, gbw, power, margin}, nil
 }
 
-// Evaluate implements problem.Problem by compiling a one-shot context and
-// warm-starting from its nominal operating point — the point-wise path,
-// bit-for-bit every batch path's result for the same sample.
+// Evaluate implements problem.Problem as a one-sample batch — bit-for-bit
+// every batch path's result for the same sample.
 func (p *CommonSourceSpice) Evaluate(x, xi []float64) ([]float64, error) {
-	ctx, err := p.compile(x)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.eval(xi)
+	return first(p.EvaluateBatch(x, [][]float64{xi}))
 }
 
-// EvaluateBatch implements problem.BatchEvaluator: one compiled context per
-// design, with samples grouped into K lockstep lanes (K = the engine's
-// resolved lane count) so each group's DC Newton iterations and AC
-// frequency points factor and solve in one SoA traversal. Lane grouping is
-// a pure function of the chunk — samples [0,K), [K,2K), … in order, the
-// last group partially active — never of worker schedule, and every solve
-// warm-starts from the same fixed nominal point, so the results are
-// bit-identical to the point-wise path for any lane width and any worker
-// count.
+// EvaluateBatch implements problem.BatchEvaluator: one compiled testbench
+// per design, the samples run through it in lockstep lane groups.
 func (p *CommonSourceSpice) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
-	perfs := make([][]float64, len(xis))
-	errs := make([]error, len(xis))
 	ctx, err := p.compile(x)
 	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return perfs, errs
+		return failAll(len(xis), err)
 	}
-	k := ctx.eng.Lanes()
-	if k <= 1 {
-		for i, xi := range xis {
-			perfs[i], errs[i] = ctx.eval(xi)
-		}
-		return perfs, errs
-	}
-	lanes := make([]csLaneState, k)
-	active := make([]bool, k)
-	set := func(l int) {
-		*ctx.drvCard = lanes[l].drv
-		*ctx.loadCard = lanes[l].load
-		*ctx.biasCard = lanes[l].bias
-		ctx.vin.DC = lanes[l].vinDC
-	}
-	for g := 0; g < len(xis); g += k {
-		m := min(k, len(xis)-g)
-		for l := 0; l < k; l++ {
-			active[l] = false
-		}
-		for l := 0; l < m; l++ {
-			xi := xis[g+l]
-			if err := p.inner.space.CheckVector(xi); err != nil {
-				errs[g+l] = err
-				continue
-			}
-			ctx.setSample(xi)
-			lanes[l] = csLaneState{
-				drv: *ctx.drvCard, load: *ctx.loadCard, bias: *ctx.biasCard,
-				vinDC: ctx.vin.DC,
-			}
-			active[l] = true
-		}
-		ops, dcErrs := ctx.eng.DCOperatingPointBatchFrom(ctx.warm0, active, set)
-		hs, acErrs := ctx.eng.ACBatchProbe(ops, ctx.freqs, ctx.probe, set)
-		for l := 0; l < m; l++ {
-			if !active[l] {
-				continue
-			}
-			switch {
-			case dcErrs[l] != nil:
-				errs[g+l] = fmt.Errorf("common-source-spice: %w", dcErrs[l])
-			case acErrs[l] != nil:
-				errs[g+l] = fmt.Errorf("common-source-spice: %w", acErrs[l])
-			default:
-				perfs[g+l], errs[g+l] = ctx.measures(ops[l], hs[l])
-			}
-		}
-	}
-	return perfs, errs
+	return ctx.run(xis)
 }
 
 var (

@@ -5,7 +5,6 @@ import (
 
 	"github.com/eda-go/moheco/internal/constraint"
 	"github.com/eda-go/moheco/internal/measure"
-	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/netlist"
 	"github.com/eda-go/moheco/internal/problem"
 	"github.com/eda-go/moheco/internal/spice"
@@ -20,7 +19,8 @@ import (
 // # Determinism contract
 //
 // Unlike the AC-only spice problems, the transient problems never
-// warm-start the DC solve from a previous sample. The adaptive integrator's
+// warm-start the DC solve, not even from the fixed nominal operating point:
+// their testbench's warm0 is nil. The adaptive integrator's
 // accept/reject decisions are discrete: a low-bit difference in the DC
 // operating point (warm vs cold Newton both converge, to different last
 // bits) could flip one LTE comparison, fork the step grid and move a
@@ -71,15 +71,21 @@ func (c *TranConfig) tranOptions() spice.TranOptions {
 	return spice.TranOptions{TStop: c.tstop, Step: c.step, Adaptive: !c.fixed}
 }
 
-// stepMeasures reduces a transient result to [slew V/s, 1% settling s,
-// overshoot]. Failure shapes degrade smoothly instead of erroring: a
-// waveform that never settles inside the window reports the window length
-// itself (violating any tighter bound), and a collapsed swing reports zero
-// slew — both the transient analogue of the zero-GBW convention the AC
-// problems use, so the yield oracle counts a broken chip rather than a
-// broken simulator.
-func (c *TranConfig) stepMeasures(ckt *netlist.Circuit, tr *spice.TranResult, node string, t0 float64) (slew, tSettle, overshoot float64, err error) {
-	wave, err := tr.VNode(ckt, node)
+// stepResponse integrates one sample's step response from its operating
+// point — with the sample's state installed, since the integrator re-stamps
+// the devices every step — and reduces the "out" waveform to [slew V/s, 1%
+// settling s, overshoot]. Failure shapes degrade smoothly instead of
+// erroring: a waveform that never settles inside the window reports the
+// window length itself (violating any tighter bound), and a collapsed swing
+// reports zero slew — both the transient analogue of the zero-GBW
+// convention the AC problems use, so the yield oracle counts a broken chip
+// rather than a broken simulator.
+func (c *TranConfig) stepResponse(eng *spice.Engine, ckt *netlist.Circuit, op *spice.OPResult, t0 float64) (slew, tSettle, overshoot float64, err error) {
+	tr, err := eng.TransientOpts(op, c.tranOptions())
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	wave, err := tr.VNode(ckt, "out")
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -166,157 +172,53 @@ func (p *CommonSourceTran) VarDim() int { return p.spice.VarDim() }
 // ReferenceDesign returns the behavioural problem's reference sizing.
 func (p *CommonSourceTran) ReferenceDesign() []float64 { return p.spice.ReferenceDesign() }
 
-// setSample writes one sample's engine state: the perturbed cards, the
-// input-servo bias and the step drive riding on it.
-func (p *CommonSourceTran) setSample(ctx *spiceContext, xi []float64) {
-	inner := ctx.p.inner
-	ctx.setCards(xi)
-	id := clampMin(mirror(ctx.bias, ctx.load, ctx.ib/mirrorRatio, inner.tech.VDD/2), 1e-8)
-	vg := ctx.drv.VgsForID(id, 0)
-	ctx.vin.DC = vg
-	ctx.vin.Pulse.V1 = vg
-	ctx.vin.Pulse.V2 = vg + csTranAmp
-}
-
-// tranMeasures reduces one sample's solved operating point and probed AC
-// sweep to the performance vector, running the transient integration on the
-// way. It must be called with the sample's engine state installed — the
-// integrator re-stamps the devices every step.
-func (p *CommonSourceTran) tranMeasures(ctx *spiceContext, op *spice.OPResult, h []complex128) ([]float64, error) {
-	bode := measure.NewBode(ctx.freqs[:len(h)], h)
-	a0dB := bode.DCGainDB()
-	gbw, err := bode.GainBandwidth()
-	if err != nil {
-		gbw = 0
-	}
-
-	tr, err := ctx.eng.TransientOpts(op, p.tranOptions())
-	if err != nil {
-		return nil, fmt.Errorf("common-source-tran: %w", err)
-	}
-	slew, ts, os, err := p.stepMeasures(ctx.ckt, tr, "out", csTranDelay)
-	if err != nil {
-		return nil, fmt.Errorf("common-source-tran: %w", err)
-	}
-	return []float64{a0dB, gbw, slew, ts, os}, nil
-}
-
-// evalTran runs one sample through a compiled context: rewrite the cards,
-// re-bias the input servo and its step drive, cold-solve DC (see the
-// determinism contract above), sweep AC and integrate the step response.
-func (p *CommonSourceTran) evalTran(ctx *spiceContext, xi []float64) ([]float64, error) {
-	if err := ctx.p.inner.space.CheckVector(xi); err != nil {
-		return nil, err
-	}
-	p.setSample(ctx, xi)
-	op, err := ctx.eng.DCOperatingPoint()
-	if err != nil {
-		return nil, fmt.Errorf("common-source-tran: %w", err)
-	}
-	h, err := ctx.eng.ACProbe(op, ctx.freqs, ctx.probe)
-	if err != nil {
-		return nil, fmt.Errorf("common-source-tran: %w", err)
-	}
-	return p.tranMeasures(ctx, op, h)
-}
-
-// compile builds the per-design context: the AC testbench of the spice
-// problem plus the step drive on the input servo.
+// compile builds the per-design testbench: the spice problem's AC
+// testbench with the step drive riding on the input servo, every sample
+// solved cold (the determinism contract above; the nominal operating point
+// the AC compile solves goes unused), and the step response measured
+// after the sweep.
 func (p *CommonSourceTran) compile(x []float64) (*spiceContext, error) {
 	ctx, err := p.spice.compile(x)
 	if err != nil {
 		return nil, err
 	}
-	ctx.vin.Pulse = &netlist.Pulse{Delay: csTranDelay, Rise: csTranRise, Width: 1}
+	vin := ctx.vin
+	vin.Pulse = &netlist.Pulse{Delay: csTranDelay, Rise: csTranRise, Width: 1}
+	ctx.name = "common-source-tran"
+	ctx.warm0 = nil
+	ctx.vals = append(ctx.vals, &vin.Pulse.V1, &vin.Pulse.V2)
+	ctx.setSample = func(xi []float64) {
+		ctx.setServo(xi)
+		vin.Pulse.V1 = vin.DC
+		vin.Pulse.V2 = vin.DC + csTranAmp
+	}
+	ctx.measures = func(op *spice.OPResult, h []complex128) ([]float64, error) {
+		a0dB, gbw, _ := bodeMeasures(ctx.freqs, h)
+		slew, ts, os, err := p.stepResponse(ctx.eng, ctx.ckt, op, csTranDelay)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{a0dB, gbw, slew, ts, os}, nil
+	}
 	return ctx, nil
 }
 
-// Evaluate implements problem.Problem — bit-identical to any batch path by
-// the cold-start contract.
+// Evaluate implements problem.Problem as a one-sample batch — bit-identical
+// to any batch path by the cold-start contract.
 func (p *CommonSourceTran) Evaluate(x, xi []float64) ([]float64, error) {
-	ctx, err := p.compile(x)
-	if err != nil {
-		return nil, err
-	}
-	return p.evalTran(ctx, xi)
+	return first(p.EvaluateBatch(x, [][]float64{xi}))
 }
 
-// csTranLaneState is the complete per-sample engine state of one lockstep
-// lane of the step-response testbench: the three perturbed cards plus the
-// servo bias and the step levels riding on it.
-type csTranLaneState struct {
-	drv, load, bias mos.Params
-	vinDC, v1, v2   float64
-}
-
-// EvaluateBatch implements problem.BatchEvaluator: one compiled context
-// (netlist, engine, stamp plan) per design, every sample cold-started. The
-// cold DC solves and AC sweeps of K samples run through the lockstep kernel
-// (bit-identical to the scalar solves by the lane contract); the adaptive
-// transient integration runs scalar per lane under that lane's state.
+// EvaluateBatch implements problem.BatchEvaluator: one compiled testbench
+// per design. The cold DC solves and AC sweeps of each lane group run
+// through the lockstep kernel; the adaptive transient integration runs
+// scalar per lane under that lane's state.
 func (p *CommonSourceTran) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
-	perfs := make([][]float64, len(xis))
-	errs := make([]error, len(xis))
 	ctx, err := p.compile(x)
 	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return perfs, errs
+		return failAll(len(xis), err)
 	}
-	k := ctx.eng.Lanes()
-	if k <= 1 {
-		for i, xi := range xis {
-			perfs[i], errs[i] = p.evalTran(ctx, xi)
-		}
-		return perfs, errs
-	}
-	lanes := make([]csTranLaneState, k)
-	active := make([]bool, k)
-	set := func(l int) {
-		*ctx.drvCard = lanes[l].drv
-		*ctx.loadCard = lanes[l].load
-		*ctx.biasCard = lanes[l].bias
-		ctx.vin.DC = lanes[l].vinDC
-		ctx.vin.Pulse.V1 = lanes[l].v1
-		ctx.vin.Pulse.V2 = lanes[l].v2
-	}
-	for g := 0; g < len(xis); g += k {
-		m := min(k, len(xis)-g)
-		for l := 0; l < k; l++ {
-			active[l] = false
-		}
-		for l := 0; l < m; l++ {
-			xi := xis[g+l]
-			if err := ctx.p.inner.space.CheckVector(xi); err != nil {
-				errs[g+l] = err
-				continue
-			}
-			p.setSample(ctx, xi)
-			lanes[l] = csTranLaneState{
-				drv: *ctx.drvCard, load: *ctx.loadCard, bias: *ctx.biasCard,
-				vinDC: ctx.vin.DC, v1: ctx.vin.Pulse.V1, v2: ctx.vin.Pulse.V2,
-			}
-			active[l] = true
-		}
-		ops, dcErrs := ctx.eng.DCOperatingPointBatch(active, set)
-		hs, acErrs := ctx.eng.ACBatchProbe(ops, ctx.freqs, ctx.probe, set)
-		for l := 0; l < m; l++ {
-			if !active[l] {
-				continue
-			}
-			switch {
-			case dcErrs[l] != nil:
-				errs[g+l] = fmt.Errorf("common-source-tran: %w", dcErrs[l])
-			case acErrs[l] != nil:
-				errs[g+l] = fmt.Errorf("common-source-tran: %w", acErrs[l])
-			default:
-				set(l)
-				perfs[g+l], errs[g+l] = p.tranMeasures(ctx, ops[l], hs[l])
-			}
-		}
-	}
-	return perfs, errs
+	return ctx.run(xis)
 }
 
 // --- Folded-cascode step response --------------------------------------
@@ -390,157 +292,48 @@ func (p *FoldedCascodeTran) VarDim() int { return p.spice.VarDim() }
 // ReferenceDesign returns the behavioural problem's reference sizing.
 func (p *FoldedCascodeTran) ReferenceDesign() []float64 { return p.spice.ReferenceDesign() }
 
-// compile builds the per-design context and locates the input servo the
-// step drive rides on.
-func (p *FoldedCascodeTran) compile(x []float64) (*fcSpiceContext, *netlist.VSource, error) {
+// compile builds the per-design testbench: the spice problem's AC
+// testbench with the step drive armed on the input source, every sample
+// solved cold (the determinism contract above), and the step response
+// measured after the sweep. The drive rides on the fixed nominal bias, so
+// the cards are the whole per-sample state.
+func (p *FoldedCascodeTran) compile(x []float64) (*fcSpiceContext, error) {
 	ctx, err := p.spice.compile(x)
 	if err != nil {
-		return nil, nil, err
-	}
-	var vin *netlist.VSource
-	for _, d := range ctx.ckt.Devices {
-		if v, ok := d.(*netlist.VSource); ok && v.Name == "VIN" {
-			vin = v
-			break
-		}
-	}
-	if vin == nil {
-		return nil, nil, fmt.Errorf("folded-cascode-tran: testbench has no VIN source")
-	}
-	vin.Pulse = &netlist.Pulse{
-		V1: vin.DC, V2: vin.DC + fcTranAmp,
-		Delay: fcTranDelay, Rise: fcTranRise, Width: 1,
-	}
-	return ctx, vin, nil
-}
-
-// tranMeasures reduces one sample's solved operating point and probed AC
-// sweep to the performance vector, running the transient integration on the
-// way. It must be called with the sample's cards installed — the
-// integrator re-stamps the devices every step.
-func (p *FoldedCascodeTran) tranMeasures(ctx *fcSpiceContext, op *spice.OPResult, h []complex128) ([]float64, error) {
-	bode := measure.NewBode(ctx.freqs[:len(h)], h)
-	a0dB := bode.DCGainDB()
-	gbw, err := bode.GainBandwidth()
-	if err != nil {
-		gbw = 0
-	}
-	pm := 0.0
-	if gbw > 0 {
-		if m, err := bode.PhaseMargin(); err == nil {
-			pm = m
-		}
-	}
-
-	tr, err := ctx.eng.TransientOpts(op, p.tranOptions())
-	if err != nil {
-		return nil, fmt.Errorf("folded-cascode-tran: %w", err)
-	}
-	slew, ts, os, err := p.stepMeasures(ctx.ckt, tr, "out", fcTranDelay)
-	if err != nil {
-		return nil, fmt.Errorf("folded-cascode-tran: %w", err)
-	}
-	return []float64{a0dB, gbw, pm, slew, ts, os}, nil
-}
-
-// evalTran runs one sample: rewrite the cards, cold-solve DC, sweep AC and
-// integrate the step response.
-func (p *FoldedCascodeTran) evalTran(ctx *fcSpiceContext, xi []float64) ([]float64, error) {
-	if err := ctx.p.inner.space.CheckVector(xi); err != nil {
 		return nil, err
 	}
-	ctx.setCards(xi)
-	op, err := ctx.eng.DCOperatingPoint()
-	if err != nil {
-		return nil, fmt.Errorf("folded-cascode-tran: %w", err)
+	if err := attachPulse(ctx.ckt, "VIN", fcTranAmp, fcTranDelay, fcTranRise); err != nil {
+		return nil, err
 	}
-	h, err := ctx.eng.ACProbe(op, ctx.freqs, ctx.probe)
-	if err != nil {
-		return nil, fmt.Errorf("folded-cascode-tran: %w", err)
+	ctx.name = "folded-cascode-tran"
+	ctx.warm0 = nil
+	ctx.measures = func(op *spice.OPResult, h []complex128) ([]float64, error) {
+		a0dB, gbw, pm := bodeMeasures(ctx.freqs, h)
+		slew, ts, os, err := p.stepResponse(ctx.eng, ctx.ckt, op, fcTranDelay)
+		if err != nil {
+			return nil, err
+		}
+		return []float64{a0dB, gbw, pm, slew, ts, os}, nil
 	}
-	return p.tranMeasures(ctx, op, h)
+	return ctx, nil
 }
 
-// Evaluate implements problem.Problem — bit-identical to any batch path by
-// the cold-start contract.
+// Evaluate implements problem.Problem as a one-sample batch — bit-identical
+// to any batch path by the cold-start contract.
 func (p *FoldedCascodeTran) Evaluate(x, xi []float64) ([]float64, error) {
-	ctx, _, err := p.compile(x)
-	if err != nil {
-		return nil, err
-	}
-	return p.evalTran(ctx, xi)
+	return first(p.EvaluateBatch(x, [][]float64{xi}))
 }
 
-// EvaluateBatch implements problem.BatchEvaluator: one compiled context
-// (netlist, engine, symbolic factorization) per design, every sample
-// cold-started. The cold DC solves and AC sweeps of K samples run through
-// the lockstep kernel (bit-identical to the scalar solves by the lane
-// contract); the adaptive transient integration runs scalar per lane under
-// that lane's cards — the step drive is armed once at compile, so the cards
-// are the whole lane state.
+// EvaluateBatch implements problem.BatchEvaluator: one compiled testbench
+// per design. The cold DC solves and AC sweeps of each lane group run
+// through the lockstep kernel; the adaptive transient integration runs
+// scalar per lane under that lane's cards.
 func (p *FoldedCascodeTran) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
-	perfs := make([][]float64, len(xis))
-	errs := make([]error, len(xis))
-	ctx, _, err := p.compile(x)
+	ctx, err := p.compile(x)
 	if err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return perfs, errs
+		return failAll(len(xis), err)
 	}
-	k := ctx.eng.Lanes()
-	if k <= 1 {
-		for i, xi := range xis {
-			perfs[i], errs[i] = p.evalTran(ctx, xi)
-		}
-		return perfs, errs
-	}
-	nc := len(ctx.cards)
-	lanes := make([][]mos.Params, k)
-	for l := range lanes {
-		lanes[l] = make([]mos.Params, nc)
-	}
-	active := make([]bool, k)
-	set := func(l int) {
-		for i := 0; i < nc; i++ {
-			*ctx.cards[i].card = lanes[l][i]
-		}
-	}
-	for g := 0; g < len(xis); g += k {
-		m := min(k, len(xis)-g)
-		for l := 0; l < k; l++ {
-			active[l] = false
-		}
-		for l := 0; l < m; l++ {
-			xi := xis[g+l]
-			if err := ctx.p.inner.space.CheckVector(xi); err != nil {
-				errs[g+l] = err
-				continue
-			}
-			ctx.setCards(xi)
-			for i := 0; i < nc; i++ {
-				lanes[l][i] = *ctx.cards[i].card
-			}
-			active[l] = true
-		}
-		ops, dcErrs := ctx.eng.DCOperatingPointBatch(active, set)
-		hs, acErrs := ctx.eng.ACBatchProbe(ops, ctx.freqs, ctx.probe, set)
-		for l := 0; l < m; l++ {
-			if !active[l] {
-				continue
-			}
-			switch {
-			case dcErrs[l] != nil:
-				errs[g+l] = fmt.Errorf("folded-cascode-tran: %w", dcErrs[l])
-			case acErrs[l] != nil:
-				errs[g+l] = fmt.Errorf("folded-cascode-tran: %w", acErrs[l])
-			default:
-				set(l)
-				perfs[g+l], errs[g+l] = p.tranMeasures(ctx, ops[l], hs[l])
-			}
-		}
-	}
-	return perfs, errs
+	return ctx.run(xis)
 }
 
 // attachPulse locates the named V source and arms it with a step from its

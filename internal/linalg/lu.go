@@ -187,28 +187,3 @@ func SolveInPlace(a *Matrix, b []float64) error {
 	}
 	return nil
 }
-
-// Inverse returns a⁻¹ (for small systems such as LM normal equations).
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := f.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}

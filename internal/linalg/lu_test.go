@@ -85,29 +85,6 @@ func TestIdentitySolve(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	a := FromRows([][]float64{
-		{4, 7},
-		{2, 6},
-	})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatalf("inverse: %v", err)
-	}
-	prod := a.Mul(inv)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if !almostEq(prod.At(i, j), want, 1e-12) {
-				t.Errorf("(a·a⁻¹)[%d][%d] = %v, want %v", i, j, prod.At(i, j), want)
-			}
-		}
-	}
-}
-
 // Property: for random well-conditioned A and x, Solve(A, A·x) recovers x.
 func TestSolveRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -216,35 +193,13 @@ func TestMatrixOps(t *testing.T) {
 	if tr.At(0, 1) != 3 || tr.At(1, 0) != 2 {
 		t.Errorf("transpose wrong: %v", tr)
 	}
-	if a.MaxAbs() != 4 {
-		t.Errorf("MaxAbs = %v, want 4", a.MaxAbs())
-	}
-	s := a.Clone().Scale(2)
-	if s.At(1, 1) != 8 {
-		t.Errorf("scale wrong: %v", s.At(1, 1))
-	}
-	sum := a.Clone().AddMatrix(b)
-	if sum.At(0, 0) != 6 {
-		t.Errorf("add wrong: %v", sum.At(0, 0))
-	}
 }
 
 func TestVectorHelpers(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, -5, 6}
-	if Dot(a, b) != 1*4-2*5+3*6 {
-		t.Errorf("dot = %v", Dot(a, b))
-	}
-	if !almostEq(Norm2([]float64{3, 4}), 5, 1e-15) {
-		t.Errorf("norm2 = %v", Norm2([]float64{3, 4}))
-	}
 	if NormInf(b) != 6 {
 		t.Errorf("norminf = %v", NormInf(b))
-	}
-	y := CloneVec(a)
-	AXPY(2, b, y)
-	if y[0] != 9 || y[1] != -8 || y[2] != 15 {
-		t.Errorf("axpy = %v", y)
 	}
 	d := Sub(a, b)
 	if d[0] != -3 || d[1] != 7 || d[2] != -3 {

@@ -6,7 +6,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -28,10 +27,10 @@ func NewMatrix(rows, cols int) *Matrix {
 // extra trailing scratch elements beyond Rows·Cols. The linear-algebra
 // kernels address only Rows·Cols; the trailing slots let callers map
 // write-off indices (the MNA ground-stamp convention of internal/spice)
-// into the same array without bounds branches. Note the element-wise
-// helpers (Zero, Scale, MaxAbs) walk the full Data slice, while Clone
-// returns a plain Rows·Cols matrix (the trailing scratch is not copied) —
-// trailing matrices are scratch buffers, not values to pass around.
+// into the same array without bounds branches. Note Zero walks the full
+// Data slice, while Clone returns a plain Rows·Cols matrix (the trailing
+// scratch is not copied) — trailing matrices are scratch buffers, not
+// values to pass around.
 func NewMatrixTrailing(rows, cols, extra int) *Matrix {
 	if rows < 0 || cols < 0 || extra < 0 {
 		panic(fmt.Sprintf("linalg: invalid trailing shape %dx%d+%d", rows, cols, extra))
@@ -134,36 +133,6 @@ func (m *Matrix) Transpose() *Matrix {
 		}
 	}
 	return t
-}
-
-// Scale multiplies every element by s in place and returns m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
-// AddMatrix adds b element-wise in place and returns m.
-func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("linalg: add shape mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] += b.Data[i]
-	}
-	return m
-}
-
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // String renders the matrix for debugging.

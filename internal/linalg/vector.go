@@ -2,27 +2,6 @@ package linalg
 
 import "math"
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("linalg: dot length mismatch")
-	}
-	s := 0.0
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // NormInf returns the maximum absolute element of v.
 func NormInf(v []float64) float64 {
 	m := 0.0
@@ -34,16 +13,6 @@ func NormInf(v []float64) float64 {
 	return m
 }
 
-// AXPY computes y ← a·x + y in place.
-func AXPY(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += a * v
-	}
-}
-
 // Sub returns a - b as a new vector.
 func Sub(a, b []float64) []float64 {
 	if len(a) != len(b) {
@@ -53,12 +22,5 @@ func Sub(a, b []float64) []float64 {
 	for i := range a {
 		out[i] = a[i] - b[i]
 	}
-	return out
-}
-
-// CloneVec returns a copy of v.
-func CloneVec(v []float64) []float64 {
-	out := make([]float64, len(v))
-	copy(out, v)
 	return out
 }

@@ -233,8 +233,8 @@ func (e *Engine) DCOperatingPoint() (*OPResult, error) {
 
 // DCOperatingPointFrom solves the DC equations warm-started from a previous
 // operating point — the fast path of the batch evaluation pipeline, where
-// consecutive Monte-Carlo samples of one design perturb the model cards
-// only slightly and the previous sample's solution sits inside the Newton
+// every Monte-Carlo sample of one design perturbs the model cards only
+// slightly and the design's nominal solution sits inside the Newton
 // basin. A single direct solve (no gmin or source stepping) is attempted
 // from prev; if it does not converge, the engine falls back to the full
 // cold-start procedure, so a sample reports non-convergence only when the
