@@ -54,7 +54,7 @@ func (p *FoldedCascodeSpice) SetSolver(k spice.SolverKind) *FoldedCascodeSpice {
 }
 
 // SetLanes pins the engine's lockstep lane count (0 = auto by pattern size,
-// 1 = scalar path) — the hook the lockstep benchmarks and equivalence tests
+// 1 = one-lane groups) — the hook the lockstep benchmarks and equivalence tests
 // use. It returns p for chaining.
 func (p *FoldedCascodeSpice) SetLanes(k int) *FoldedCascodeSpice {
 	p.lanes = k

@@ -55,7 +55,7 @@ func (p *CommonSourceSpice) SetSolver(k spice.SolverKind) *CommonSourceSpice {
 }
 
 // SetLanes pins the engine's lockstep lane count (0 = auto by pattern size,
-// 1 = scalar path) — the hook the lockstep benchmarks and equivalence tests
+// 1 = one-lane groups) — the hook the lockstep benchmarks and equivalence tests
 // use. It returns p for chaining.
 func (p *CommonSourceSpice) SetLanes(k int) *CommonSourceSpice {
 	p.lanes = k

@@ -14,8 +14,8 @@ import (
 // testbench is the compiled per-design evaluation state every spice
 // scenario shares: netlist, engine (symbolic factorization included) and
 // perturbed model cards are built once per design, and run pushes the
-// Monte-Carlo samples through them — point-wise, scalar and lockstep
-// evaluation are all this one loop. A scenario declares only what differs:
+// Monte-Carlo samples through them — point-wise and lockstep evaluation are
+// both this one loop. A scenario declares only what differs:
 // its testbench, its per-sample engine state and its measures.
 type testbench struct {
 	name  string // error prefix
@@ -52,9 +52,9 @@ type testbench struct {
 // [0,K), [K,2K), … in order, the last group partially active — so each
 // group's DC Newton iterations and AC frequency points factor and solve in
 // one lockstep traversal. Grouping is a pure function of the call, and by
-// the lane determinism contract every sample gets the bits of its scalar
-// solve: a one-sample call (point-wise Evaluate) takes the engine's scalar
-// path and lands on the same result as any batch. A sample that fails —
+// the lane determinism contract every sample gets the bits of its one-lane
+// solve: a one-sample call (point-wise Evaluate) runs a one-lane group and
+// lands on the same result as any batch. A sample that fails —
 // malformed ξ, non-convergence — errors alone; the yield machinery counts
 // it as a failed chip, the path a crashing HSPICE run takes in the paper's
 // flow.

@@ -32,8 +32,8 @@ import (
 // The batch path amortizes what dominates per-design cost: netlist
 // construction, engine assembly and the sparse symbolic factorization; the
 // lockstep kernel additionally batches the cold DC solves and AC sweeps of
-// K samples per traversal (bit-identical to the scalar solves by the lane
-// contract), while the adaptive transient integration stays scalar per
+// K samples per traversal (bit-identical to one-lane solves by the lane
+// contract), while the adaptive transient integration stays one-lane per
 // lane — its step grid is per-sample, so lanes have nothing to share.
 
 // TranConfig is the embeddable transient-window configuration of a
@@ -148,7 +148,7 @@ func NewCommonSourceTran() *CommonSourceTran {
 }
 
 // SetLanes pins the underlying engine's lockstep lane count (0 = auto,
-// 1 = scalar path). It returns p for chaining.
+// 1 = one-lane groups). It returns p for chaining.
 func (p *CommonSourceTran) SetLanes(k int) *CommonSourceTran {
 	p.spice.SetLanes(k)
 	return p
@@ -212,7 +212,7 @@ func (p *CommonSourceTran) Evaluate(x, xi []float64) ([]float64, error) {
 // EvaluateBatch implements problem.BatchEvaluator: one compiled testbench
 // per design. The cold DC solves and AC sweeps of each lane group run
 // through the lockstep kernel; the adaptive transient integration runs
-// scalar per lane under that lane's state.
+// one lane at a time under that lane's state.
 func (p *CommonSourceTran) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
 	ctx, err := p.compile(x)
 	if err != nil {
@@ -268,7 +268,7 @@ func NewFoldedCascodeTran() *FoldedCascodeTran {
 }
 
 // SetLanes pins the underlying engine's lockstep lane count (0 = auto,
-// 1 = scalar path). It returns p for chaining.
+// 1 = one-lane groups). It returns p for chaining.
 func (p *FoldedCascodeTran) SetLanes(k int) *FoldedCascodeTran {
 	p.spice.SetLanes(k)
 	return p
@@ -327,7 +327,7 @@ func (p *FoldedCascodeTran) Evaluate(x, xi []float64) ([]float64, error) {
 // EvaluateBatch implements problem.BatchEvaluator: one compiled testbench
 // per design. The cold DC solves and AC sweeps of each lane group run
 // through the lockstep kernel; the adaptive transient integration runs
-// scalar per lane under that lane's cards.
+// one lane at a time under that lane's cards.
 func (p *FoldedCascodeTran) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
 	ctx, err := p.compile(x)
 	if err != nil {

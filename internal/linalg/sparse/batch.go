@@ -11,14 +11,20 @@ import (
 // misses on the pattern) then drives K numeric eliminations at once, in
 // place, one K-lane block per update — the lockstep refactorization that
 // amortizes the per-sample cost of Monte-Carlo sweeps sharing one topology.
+// K = 1 is the scalar system (NewMatrix): it runs the one-lane kernel, and
+// the auto-resolved width K = 8 a constant-width one; every other K runs the
+// generic lane loop.
 //
-// Lane determinism contract: lane l of a BatchMatrix performs exactly the
-// floating-point operations, in exactly the order, of a scalar Matrix
-// factorization/solve of the same values. Lanes never mix arithmetically —
-// the only cross-lane coupling is control flow, and the kernel is written so
-// the per-lane operation sequence is independent of the other lanes' values
-// (see the zero-multiplier guard in Factorize). A lane of a lockstep batch
-// is therefore bit-identical to a scalar solve of that sample.
+// Lane determinism contract: lane l of a K-lane matrix performs exactly the
+// floating-point operations, in exactly the order, of the one-lane kernel on
+// the same values. Lanes never mix arithmetically — the only cross-lane
+// coupling is control flow, and the kernels are written so the per-lane
+// operation sequence is independent of the other lanes' values (see the
+// zero-multiplier guard in Factorize). A lane of a lockstep batch is
+// therefore bit-identical to a one-lane solve of that sample. The one
+// difference is after a failure: the one-lane kernel stops at its first bad
+// pivot, while a K-lane kernel carries the failed lane to the last row with
+// zero reciprocals; either way the failed lane's factors are unusable.
 type BatchMatrix[T Scalar] struct {
 	sym    *Symbolic
 	k      int
@@ -101,7 +107,12 @@ func (m *BatchMatrix[T]) Zero() {
 // (Solve reports the same per-lane error). The returned slice is reused by
 // the next Factorize call.
 func (m *BatchMatrix[T]) Factorize() []error {
-	if m.k == kernelWidth {
+	m.ok = true
+	switch m.k {
+	case 1:
+		m.factorize1()
+		return m.errs
+	case kernelWidth:
 		// The auto-resolved width takes the constant-width kernel (same
 		// per-lane operation sequence, compile-time lane bound).
 		m.factorize8()
@@ -122,7 +133,7 @@ func (m *BatchMatrix[T]) Factorize() []error {
 			p += len(dst)
 			lt := vals[t*k : t*k+k : t*k+k]
 			ic := inv[c*k : c*k+k : c*k+k]
-			// Per-lane multiplier; the scalar kernel skips the update row
+			// Per-lane multiplier; the one-lane kernel skips the update row
 			// when the multiplier is exactly zero, and so must every lane
 			// here (bit-identity: v -= 0*u can still flip the sign of a
 			// negative zero). When no lane needs the skip — the common case
@@ -159,7 +170,6 @@ func (m *BatchMatrix[T]) Factorize() []error {
 			m.pivotErrs(i)
 		}
 	}
-	m.ok = true
 	return m.errs
 }
 
@@ -168,6 +178,7 @@ func (m *BatchMatrix[T]) Factorize() []error {
 // solutions, in lockstep. The returned per-lane errors mirror the last
 // Factorize: a lane that failed to factor reports its factorization error
 // and its slots in b are unspecified. The slice is shared with Factorize.
+// A one-lane matrix whose factorization failed leaves b untouched.
 func (m *BatchMatrix[T]) Solve(b []T) []error {
 	s, k := m.sym, m.k
 	n := s.n
@@ -180,7 +191,13 @@ func (m *BatchMatrix[T]) Solve(b []T) []error {
 	if len(b) < n*k {
 		panic(fmt.Sprintf("sparse: batch rhs length %d < %d", len(b), n*k))
 	}
-	if k == kernelWidth {
+	switch k {
+	case 1:
+		if m.errs[0] == nil {
+			m.solve1(b)
+		}
+		return m.errs
+	case kernelWidth:
 		m.solve8(b)
 		return m.errs
 	}

@@ -8,7 +8,7 @@ package sparse
 // per-lane floating-point sequence is untouched — these are the exact
 // generic loops with k constant, over the same elimination schedule and
 // pivot step — so the lane determinism contract (lane l performs exactly
-// the scalar kernel's operation sequence) holds bit for bit.
+// the one-lane kernel's operation sequence) holds bit for bit.
 
 const kernelWidth = 8
 
@@ -62,7 +62,6 @@ func (m *BatchMatrix[T]) factorize8() {
 			m.pivotErrs(i)
 		}
 	}
-	m.ok = true
 }
 
 func (m *BatchMatrix[T]) solve8(b []T) {

@@ -29,9 +29,9 @@ func randPattern(rng *rand.Rand, n int, extra int) *Builder {
 
 // fillLanes stamps K independent random value assignments over one pattern:
 // lane l of the batch and scalar matrix l receive bit-identical values.
-func fillLanes(rng *rand.Rand, sym *Symbolic, k int) (*BatchMatrix[float64], []*Matrix[float64]) {
+func fillLanes(rng *rand.Rand, sym *Symbolic, k int) (*BatchMatrix[float64], []*BatchMatrix[float64]) {
 	bm := NewBatchMatrix[float64](sym, k)
-	ms := make([]*Matrix[float64], k)
+	ms := make([]*BatchMatrix[float64], k)
 	bv := bm.Values()
 	for l := range ms {
 		ms[l] = NewMatrix[float64](sym)
@@ -54,7 +54,7 @@ func fillLanes(rng *rand.Rand, sym *Symbolic, k int) (*BatchMatrix[float64], []*
 // checkLockstepEquivalence factors and solves the batch and its K scalar
 // references and requires bit-identical factors, pivots, solutions and error
 // outcomes lane by lane — the lane determinism contract.
-func checkLockstepEquivalence(t *testing.T, sym *Symbolic, bm *BatchMatrix[float64], ms []*Matrix[float64], rng *rand.Rand) {
+func checkLockstepEquivalence(t *testing.T, sym *Symbolic, bm *BatchMatrix[float64], ms []*BatchMatrix[float64], rng *rand.Rand) {
 	t.Helper()
 	k := bm.Lanes()
 	rhs := make([]float64, sym.N()*k)
@@ -69,7 +69,7 @@ func checkLockstepEquivalence(t *testing.T, sym *Symbolic, bm *BatchMatrix[float
 	}
 	berrs := bm.Factorize()
 	for l := 0; l < k; l++ {
-		serr := ms[l].Factorize()
+		serr := ms[l].Factorize()[0]
 		if (serr == nil) != (berrs[l] == nil) {
 			t.Fatalf("lane %d: factorize error mismatch: scalar %v, batch %v", l, serr, berrs[l])
 		}
@@ -98,7 +98,7 @@ func checkLockstepEquivalence(t *testing.T, sym *Symbolic, bm *BatchMatrix[float
 			}
 			continue
 		}
-		if err := ms[l].Solve(scalarRHS[l]); err != nil {
+		if err := ms[l].Solve(scalarRHS[l])[0]; err != nil {
 			t.Fatalf("lane %d: scalar solve: %v", l, err)
 		}
 		for i := 0; i < sym.N(); i++ {
@@ -212,7 +212,7 @@ func TestLockstepZeroLaneIsolated(t *testing.T) {
 		if errs[l] != nil {
 			t.Fatalf("live lane %d poisoned by zero lane: %v", l, errs[l])
 		}
-		if err := ms[l].Factorize(); err != nil {
+		if err := ms[l].Factorize()[0]; err != nil {
 			t.Fatal(err)
 		}
 		for t2 := 0; t2 < sym.NNZ(); t2++ {
@@ -232,7 +232,7 @@ func TestLockstepComplexMatchesScalar(t *testing.T) {
 	}
 	k := 4
 	bm := NewBatchMatrix[complex128](sym, k)
-	ms := make([]*Matrix[complex128], k)
+	ms := make([]*BatchMatrix[complex128], k)
 	for l := range ms {
 		ms[l] = NewMatrix[complex128](sym)
 		for t2 := 0; t2 < sym.NNZ(); t2++ {
@@ -255,7 +255,7 @@ func TestLockstepComplexMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lane %d: %v", l, err)
 		}
-		if err := ms[l].FactorSolve(srhs[l]); err != nil {
+		if err := ms[l].FactorSolve(srhs[l])[0]; err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < sym.N(); i++ {

@@ -10,9 +10,10 @@
 //     branch rows carry a zero diagonal), a minimum-degree/Markowitz
 //     heuristic orders the elimination to limit fill-in, and the fill
 //     pattern of L+U under that fixed order is precomputed; and
-//   - a numeric refactorization (Matrix.Factorize) that runs row-wise
+//   - a numeric refactorization (BatchMatrix.Factorize) that runs row-wise
 //     Doolittle elimination in place over a precomputed elimination schedule
-//     with no pivot search and no allocation, followed by Solve.
+//     with no pivot search and no allocation, followed by Solve — for one
+//     value lane (a scalar system) or K lanes in lockstep.
 //
 // Devices stamp through direct indices into the value array (Symbolic.Index,
 // resolved once per engine), so assembling a new matrix is a handful of
@@ -74,7 +75,8 @@ func (b *Builder) Add(r, c int) {
 // Symbolic is the one-time analysis of a pattern: the row/column
 // permutations chosen by matching and minimum-degree ordering, and the CSR
 // fill pattern of L+U under that order. It is immutable after Analyze; any
-// number of Matrix values (real or complex) can share one Symbolic.
+// number of matrices (real or complex, any lane count) can share one
+// Symbolic.
 type Symbolic struct {
 	n int
 
@@ -383,57 +385,22 @@ type Scalar interface {
 	float64 | complex128
 }
 
-// Matrix holds numeric values over a shared Symbolic pattern plus the
-// scratch needed to refactor and solve without allocation. Factorize runs in
-// place over the value array (values are re-stamped before every solve in
-// the MNA use), so a Matrix is not safe for concurrent use.
-type Matrix[T Scalar] struct {
-	sym    *Symbolic
-	vals   []T // len NNZ()+1; the last element is the write-off slot
-	inv    []T // per-row pivot reciprocals
-	pb     []T // permuted right-hand side
-	pivots pivotStep[T]
-	err    [1]error // the pivot step's lane outcome
-	ok     bool
+// NewMatrix returns a zero one-lane matrix over the analyzed pattern: the
+// scalar system, whose Factorize and Solve run the one-lane kernel below.
+func NewMatrix[T Scalar](s *Symbolic) *BatchMatrix[T] {
+	return NewBatchMatrix[T](s, 1)
 }
 
-// NewMatrix returns a zero matrix over the analyzed pattern.
-func NewMatrix[T Scalar](s *Symbolic) *Matrix[T] {
-	return &Matrix[T]{
-		sym:    s,
-		vals:   make([]T, s.NNZ()+1),
-		inv:    make([]T, s.n),
-		pb:     make([]T, s.n),
-		pivots: pivotStepFor[T](),
-	}
-}
-
-// Symbolic returns the shared pattern.
-func (m *Matrix[T]) Symbolic() *Symbolic { return m.sym }
-
-// Values exposes the value array for direct stamping through indices from
-// Symbolic.Index. Its last element is the write-off slot.
-func (m *Matrix[T]) Values() []T { return m.vals }
-
-// Zero clears all values (including the write-off slot), keeping the
-// allocation and the factorization pattern.
-func (m *Matrix[T]) Zero() {
-	for i := range m.vals {
-		m.vals[i] = 0
-	}
-	m.ok = false
-}
-
-// Factorize runs the numeric LU elimination in place over the precomputed
-// elimination schedule: no pivot search, no allocation — the
-// refactorization path that amortizes the symbolic analysis over every
-// Newton iteration and AC frequency point. The stamped values are
-// overwritten by the factors.
-func (m *Matrix[T]) Factorize() error {
+// factorize1 is the one-lane kernel: the numeric LU elimination in place
+// over the precomputed elimination schedule, with no lane loop, no pivot
+// search and no allocation — the refactorization that amortizes the
+// symbolic analysis over every Newton iteration and AC frequency point of a
+// scalar solve. It stops at the first failing pivot; the remaining rows are
+// left unfactored.
+func (m *BatchMatrix[T]) factorize1() {
 	s := m.sym
 	vals, inv, cols, upd := m.vals, m.inv, s.cols, s.upd
-	m.ok = false
-	m.err[0] = nil
+	m.errs[0] = nil
 	p := 0
 	for i := 0; i < s.n; i++ {
 		dp := s.diag[i]
@@ -452,26 +419,18 @@ func (m *Matrix[T]) Factorize() error {
 				vals[d] -= lik * src[j]
 			}
 		}
-		if m.pivots(vals[dp:dp+1], inv[i:i+1], m.err[:]) {
-			return pivotErr(m.err[0], i)
+		if m.pivots(vals[dp:dp+1], inv[i:i+1], m.errs) {
+			m.pivotErrs(i)
+			return
 		}
 	}
-	m.ok = true
-	return nil
 }
 
-// Solve overwrites b (in original index order) with the solution of A x = b
-// using the current factorization: permute, forward- and back-substitute,
-// permute back. It allocates nothing.
-func (m *Matrix[T]) Solve(b []T) error {
-	if !m.ok {
-		return errNotFactored
-	}
+// solve1 is the one-lane substitution: permute, forward- and
+// back-substitute, permute back.
+func (m *BatchMatrix[T]) solve1(b []T) {
 	s := m.sym
 	n := s.n
-	if len(b) < n {
-		return fmt.Errorf("sparse: rhs length %d < %d", len(b), n)
-	}
 	vals, cols, pb := m.vals, s.cols, m.pb
 	for i := 0; i < n; i++ {
 		pb[i] = b[s.rowInv[i]]
@@ -493,16 +452,6 @@ func (m *Matrix[T]) Solve(b []T) error {
 	for c := 0; c < n; c++ {
 		b[c] = pb[s.colPerm[c]]
 	}
-	return nil
-}
-
-// FactorSolve factors the stamped values and solves one right-hand side —
-// the per-Newton-iteration primitive.
-func (m *Matrix[T]) FactorSolve(b []T) error {
-	if err := m.Factorize(); err != nil {
-		return err
-	}
-	return m.Solve(b)
 }
 
 // errZeroPivot and errSubnormalPivot are the pivot step's lane verdicts;

@@ -46,7 +46,7 @@ func denseSolve(t *testing.T, a [][]float64, b []float64) []float64 {
 }
 
 // buildFrom stamps a dense test matrix into a freshly analyzed sparse one.
-func buildFrom(t *testing.T, a [][]float64) *Matrix[float64] {
+func buildFrom(t *testing.T, a [][]float64) *BatchMatrix[float64] {
 	t.Helper()
 	n := len(a)
 	b := NewBuilder(n)
@@ -84,7 +84,7 @@ func TestSolveMatchesDense(t *testing.T) {
 	want := denseSolve(t, a, b)
 	m := buildFrom(t, a)
 	x := append([]float64{}, b...)
-	if err := m.FactorSolve(x); err != nil {
+	if err := m.FactorSolve(x)[0]; err != nil {
 		t.Fatalf("factor+solve: %v", err)
 	}
 	for i := range want {
@@ -104,7 +104,7 @@ func TestZeroDiagonalBranchRow(t *testing.T) {
 	a := [][]float64{{g, 1}, {1, 0}}
 	m := buildFrom(t, a)
 	x := []float64{0, V}
-	if err := m.FactorSolve(x); err != nil {
+	if err := m.FactorSolve(x)[0]; err != nil {
 		t.Fatalf("factor+solve: %v", err)
 	}
 	if math.Abs(x[0]-V) > 1e-12 || math.Abs(x[1]+g*V) > 1e-15 {
@@ -123,12 +123,12 @@ func TestStructurallySingular(t *testing.T) {
 
 func TestNumericallySingular(t *testing.T) {
 	m := buildFrom(t, [][]float64{{1, 1}, {1, 1}})
-	if err := m.Factorize(); !errors.Is(err, ErrSingular) {
+	if err := m.Factorize()[0]; !errors.Is(err, ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
 	// Solve after a failed factorization must refuse rather than return
 	// stale garbage.
-	if err := m.Solve([]float64{1, 1}); err == nil {
+	if err := m.Solve([]float64{1, 1})[0]; err == nil {
 		t.Fatal("solve after failed factorization did not error")
 	}
 }
@@ -179,7 +179,7 @@ func TestRefactorizationReuse(t *testing.T) {
 		}
 		want := denseSolve(t, dense, rhs)
 		got := append([]float64{}, rhs...)
-		if err := m.FactorSolve(got); err != nil {
+		if err := m.FactorSolve(got)[0]; err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for i := range want {
@@ -221,7 +221,7 @@ func TestComplexSolve(t *testing.T) {
 			rhs[i] += a[i][j] * xTrue[j]
 		}
 	}
-	if err := m.FactorSolve(rhs); err != nil {
+	if err := m.FactorSolve(rhs)[0]; err != nil {
 		t.Fatal(err)
 	}
 	for i := range xTrue {
@@ -243,7 +243,7 @@ func TestTrashSlot(t *testing.T) {
 	}
 	m.Values()[sym.Index(-1, -1)] += 1e9
 	x := []float64{2, 4}
-	if err := m.FactorSolve(x); err != nil {
+	if err := m.FactorSolve(x)[0]; err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(x[0]-1) > 1e-15 || math.Abs(x[1]-1) > 1e-15 {
@@ -315,7 +315,7 @@ func TestResidualRandomAsymmetric(t *testing.T) {
 			rhs[i] = rng.NormFloat64()
 		}
 		x := append([]float64{}, rhs...)
-		if err := m.FactorSolve(x); err != nil {
+		if err := m.FactorSolve(x)[0]; err != nil {
 			t.Fatalf("seed %d n=%d: %v", seed, n, err)
 		}
 		xinf := 0.0

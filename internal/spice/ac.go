@@ -58,23 +58,60 @@ type Probe struct {
 // AC performs a small-signal sweep at the operating point op, recording
 // every node over the full range. MOSFETs are linearized with gm, gds, gmb
 // and their capacitances; capacitors become jωC; AC sources drive the
-// system.
+// system. It is the one-lane ACBatch; a circuit with no MOSFETs reads
+// nothing from op, which may then be nil.
 func (e *Engine) AC(op *OPResult, freqs []float64) (*ACResult, error) {
-	nodes := e.ckt.NumNodes()
-	flat, err := e.sweep(op, freqs, 0, nodes, false)
-	if err != nil {
-		return nil, err
-	}
-	return newACResult(freqs, flat, nodes), nil
+	res, errs := e.ACBatch(oneOP(op), freqs, noLane)
+	return res[0], errs[0]
 }
 
 // ACProbe sweeps like AC but records only the probed node's phasors, one
 // per solved point; with p.StopAtUnity the returned slice is the prefix of
 // the sweep up to the first unity crossing (the whole range when the node
-// never crosses), so the measures run on (freqs[:len(h)], h).
+// never crosses), so the measures run on (freqs[:len(h)], h). It is the
+// one-lane ACBatchProbe.
 func (e *Engine) ACProbe(op *OPResult, freqs []float64, p Probe) ([]complex128, error) {
+	hs, errs := e.ACBatchProbe(oneOP(op), freqs, p, noLane)
+	return hs[0], errs[0]
+}
+
+// oneOP is the one-lane operating-point group of a point-wise sweep. A nil
+// op sweeps an empty operating point rather than skipping the lane: only
+// MOSFET linearization reads the operating point.
+func oneOP(op *OPResult) []*OPResult {
+	if op == nil {
+		op = &OPResult{}
+	}
+	return []*OPResult{op}
+}
+
+// ACBatch runs the small-signal sweep of up to len(ops) samples in lockstep,
+// recording every node over the full range: per lane the G/C split and
+// drive are stamped once (under the lane's LaneSetter state, linearized at
+// its own operating point), and every frequency point assembles and factors
+// all lanes through one traversal. ops[l] == nil skips lane l (a sample
+// whose DC solve failed); a lane whose complex system is singular at some
+// frequency reports its AC error without disturbing the others. Each lane
+// is bit-identical to AC on its sample.
+func (e *Engine) ACBatch(ops []*OPResult, freqs []float64, set LaneSetter) ([]*ACResult, []error) {
+	nodes := e.ckt.NumNodes()
+	flats, errs := e.sweep(ops, freqs, 0, nodes, false, set)
+	res := make([]*ACResult, len(ops))
+	for l, flat := range flats {
+		if flat != nil {
+			res[l] = newACResult(freqs, flat, nodes)
+		}
+	}
+	return res, errs
+}
+
+// ACBatchProbe is the lockstep ACProbe: h[l] holds lane l's probed
+// phasors, bit-identical to ACProbe on that sample. With p.StopAtUnity a
+// lane retires at its own unity crossing and the group stops once every
+// lane has retired or failed.
+func (e *Engine) ACBatchProbe(ops []*OPResult, freqs []float64, p Probe, set LaneSetter) ([][]complex128, []error) {
 	e.checkProbe(p)
-	return e.sweep(op, freqs, p.Node, p.Node+1, p.StopAtUnity)
+	return e.sweep(ops, freqs, p.Node, p.Node+1, p.StopAtUnity, set)
 }
 
 // checkProbe panics on a probe node outside the circuit: node ids come from
@@ -107,10 +144,53 @@ func record(dst, x []complex128, lo, k, l int) {
 	}
 }
 
-// sweep is the scalar AC sweep loop. It records the phasors of nodes
-// [lo, hi) into one flat slice, point k at [k*(hi-lo), (k+1)*(hi-lo)), and
-// with stop (one node) ends after the first point at which that node falls
-// through unity gain, returning the recorded prefix.
+// acScratch is the AC scratch of one group width: the frequency-independent
+// G/C split (value arrays in the Jacobian's layout, with its write-off
+// slots), the drive, the assembled complex system and its solution.
+type acScratch struct {
+	gv, cv []float64
+	rhs    []complex128                    // SoA drive, (size+1)*k
+	xc     []complex128                    // SoA solution, size*k
+	y0     []complex128                    // pristine ω-independent assembly, complex(gv[i], 0)
+	pat    []int32                         // value-array indices whose C lane is not a +0 bit pattern
+	Y      *sparse.BatchMatrix[complex128] // sparse system lanes; nil on the dense backend
+	dY     *linalg.CMatrix                 // dense system (one lane), with a write-off element
+	yv     []complex128                    // the system's value array
+}
+
+// acFor returns the group's AC scratch, allocated on its first sweep
+// and reused for the engine's lifetime.
+func (bs *scratch) acFor(e *Engine) *acScratch {
+	if bs.ac != nil {
+		return bs.ac
+	}
+	n, k, slots := e.size, bs.k, len(bs.vals)
+	ac := &acScratch{
+		gv:  make([]float64, slots),
+		cv:  make([]float64, slots),
+		rhs: make([]complex128, (n+1)*k),
+		xc:  make([]complex128, n*k),
+		y0:  make([]complex128, slots),
+		pat: make([]int32, 0, slots),
+	}
+	if e.sym != nil {
+		ac.Y = sparse.NewBatchMatrix[complex128](e.sym, k)
+		ac.yv = ac.Y.Values()
+	} else {
+		ac.dY = &linalg.CMatrix{Rows: n, Cols: n, Data: make([]complex128, slots)}
+		ac.yv = ac.dY.Data
+	}
+	bs.ac = ac
+	return ac
+}
+
+// sweep is the AC sweep loop, over a group of len(ops) lanes. It records
+// the phasors of nodes [lo, hi) of each lane into one flat slice, point k
+// at [k*(hi-lo), (k+1)*(hi-lo)), and with stop (one node) ends a lane after
+// the first point at which that node falls through unity gain, keeping the
+// recorded prefix. A lane stops sweeping when it fails (its record is nil
+// and its error set); the factorization counter counts only lanes still
+// sweeping, the one-lane equivalent of the work done.
 //
 // The linearized MNA system is affine in frequency — Y(ω) = G + jω·C with a
 // frequency-independent right-hand side — so the devices are evaluated and
@@ -120,74 +200,107 @@ func record(dst, x []complex128, lo, k, l int) {
 // walks the nonzeros instead of n² entries, and every point's factorization
 // reuses the symbolic analysis done in New; DC and AC share one pattern
 // because the plan enumerates their union.
-func (e *Engine) sweep(op *OPResult, freqs []float64, lo, hi int, stop bool) ([]complex128, error) {
-	n := e.size
-	var gv, cv []float64 // stamped value arrays with trailing write-off slot
-	if e.sym != nil {
-		if e.spG == nil {
-			// AC scratch, allocated on the first sweep and reused for the
-			// engine's lifetime (one engine serves a whole sample batch).
-			e.spG = sparse.NewMatrix[float64](e.sym)
-			e.spC = sparse.NewMatrix[float64](e.sym)
-			e.spY = sparse.NewMatrix[complex128](e.sym)
-			e.acRHS = make([]complex128, n+1)
-			e.acX = make([]complex128, n)
-		}
-		e.spG.Zero()
-		e.spC.Zero()
-		gv, cv = e.spG.Values(), e.spC.Values()
-	} else {
-		if e.acGv == nil {
-			// Plain stamped value arrays with the trailing write-off slot;
-			// only the per-point assembled system needs a matrix type.
-			e.acGv = make([]float64, n*n+1)
-			e.acCv = make([]float64, n*n+1)
-			e.acY = linalg.NewCMatrix(n, n)
-			e.acRHS = make([]complex128, n+1)
-			e.acX = make([]complex128, n)
-		}
-		for i := range e.acGv {
-			e.acGv[i] = 0
-			e.acCv[i] = 0
-		}
-		gv, cv = e.acGv, e.acCv
+func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, set LaneSetter) ([][]complex128, []error) {
+	k := len(ops)
+	if e.sym == nil && k > 1 {
+		return lanewise(k, func(l int) ([]complex128, error) {
+			hs, errs := e.sweep(ops[l:l+1], freqs, lo, hi, stop, func(int) { set(l) })
+			return hs[0], errs[0]
+		})
 	}
-	rhs0 := e.acRHS
-	for i := range rhs0 {
-		rhs0[i] = 0
+	out := make([][]complex128, k)
+	errs := make([]error, k)
+	bs := e.scratchFor(k)
+	ac := bs.acFor(e)
+	clear(ac.gv)
+	clear(ac.cv)
+	clear(ac.rhs)
+	st := bs.st
+	nLive := 0
+	for l := range st {
+		st[l].live = ops[l] != nil
+		if !st[l].live {
+			continue
+		}
+		nLive++
+		set(l)
+		e.plan.stampAC(ac.gv, ac.cv, ac.rhs, k, l, ops[l], e.opts.GminFinal)
 	}
-	e.plan.stampAC(gv, cv, rhs0, 1, 0, op, e.opts.GminFinal)
+	if nLive == 0 {
+		return out, errs
+	}
 
+	n := e.size
 	w := hi - lo
-	out := make([]complex128, len(freqs)*w)
-	x := e.acX
-	for k, f := range freqs {
+	for l := range st {
+		if st[l].live {
+			out[l] = make([]complex128, len(freqs)*w)
+		}
+	}
+	// Copy+patch assembly: Y(ω) = G + jωC differs from the ω-independent
+	// pristine image complex(g, 0) only at entries whose C value is not a
+	// positive zero — for every other entry ω·(+0) assembles the pristine
+	// bits exactly (any finite ω ≥ 0). Capacitors touch a small fraction of
+	// the pattern, so the per-frequency assembly collapses to one block copy
+	// plus a short patch loop. Entries holding a negative zero or non-finite
+	// C value go on the patch list, keeping the assembled bits identical to
+	// the full loop.
+	for i, g := range ac.gv {
+		ac.y0[i] = complex(g, 0)
+	}
+	pat := ac.pat[:0]
+	for i, c := range ac.cv {
+		if math.Float64bits(c) != 0 {
+			pat = append(pat, int32(i))
+		}
+	}
+	ac.pat = pat
+	yv := ac.yv
+	for fi, f := range freqs {
 		omega := 2 * math.Pi * f
-		copy(x, rhs0[:n])
-		var err error
-		if e.sym != nil {
-			yv := e.spY.Values()
-			for i := range yv {
-				yv[i] = complex(gv[i], omega*cv[i])
-			}
-			if err = e.spY.Factorize(); err == nil {
-				err = e.spY.Solve(x)
+		if omega >= 0 && omega <= math.MaxFloat64 {
+			copy(yv, ac.y0)
+			for _, i := range pat {
+				yv[i] = complex(ac.gv[i], omega*ac.cv[i])
 			}
 		} else {
-			Y := e.acY
-			for i := range Y.Data {
-				Y.Data[i] = complex(gv[i], omega*cv[i])
+			// A negative or non-finite ω multiplies even +0 entries into
+			// something else (-0, NaN); assemble the long way.
+			for i := range yv {
+				yv[i] = complex(ac.gv[i], omega*ac.cv[i])
 			}
-			err = linalg.CSolveInPlace(Y, x)
 		}
-		mFactorizations.Inc() // one complex factorization per attempted point
-		if err != nil {
-			return nil, fmt.Errorf("spice: AC solve at %g Hz: %w", f, err)
+		copy(ac.xc, ac.rhs[:n*k])
+		var serrs []error
+		if ac.Y != nil {
+			serrs = ac.Y.FactorSolve(ac.xc)
+		} else {
+			bs.ferr[0] = linalg.CSolveInPlace(ac.dY, ac.xc)
+			serrs = bs.ferr[:]
 		}
-		record(out[k*w:(k+1)*w], x, lo, 1, 0)
-		if stop && k > 0 && measure.FallsThroughUnity(out[k-1], out[k]) {
-			return out[:k+1], nil
+		mFactorizations.Add(int64(nLive)) // one per sweeping lane per point
+		for l := range st {
+			if !st[l].live {
+				continue
+			}
+			if serrs[l] != nil {
+				errs[l] = fmt.Errorf("spice: AC solve at %g Hz: %w", f, serrs[l])
+				out[l] = nil
+				st[l].live = false
+				nLive--
+				continue
+			}
+			h := out[l]
+			record(h[fi*w:(fi+1)*w], ac.xc, lo, k, l)
+			if stop && fi > 0 && measure.FallsThroughUnity(h[fi-1], h[fi]) {
+				out[l] = h[:fi+1]
+				st[l].live = false
+				nLive--
+			}
+		}
+		if nLive == 0 {
+			break
 		}
 	}
-	return out, nil
+	return out, errs
 }

@@ -4,29 +4,33 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/eda-go/moheco/internal/linalg"
 	"github.com/eda-go/moheco/internal/linalg/sparse"
-	"github.com/eda-go/moheco/internal/measure"
 )
 
-// This file implements the lockstep batch solve paths: K Monte-Carlo samples
-// of one topology share the engine's symbolic factorization and stamp plan
-// and refactorize/solve in lockstep through sparse.BatchMatrix — one index
-// traversal drives K value lanes.
+// This file implements the engine's solve loops: the Newton loop and the
+// staged DC procedure. Every DC solve — point-wise, warm-started, lockstep
+// and each transient step — runs through them as a group of K lanes: K
+// Monte-Carlo samples of one topology that share the engine's symbolic
+// factorization and stamp plan and refactorize/solve in lockstep through
+// sparse.BatchMatrix, one index traversal driving K value lanes. A scalar
+// solve is the one-lane group. The AC sweep (ac.go) follows the same scheme.
 //
 // # Lane determinism contract
 //
-// Every lane of a batch DC or AC solve is bit-identical to the scalar solve
-// of the same sample: the stamp plan writes lane l through the same cached
-// indices (scaled idx·K+l), the lockstep kernel performs the scalar kernel's
-// exact floating-point sequence per lane, and the Newton driver mirrors the
-// scalar driver stage by stage (direct warm attempt, nodeset attempt, gmin
-// ladder) with per-lane convergence freezing. A lane that leaves this happy
-// path — a singular Jacobian, a non-converging stage the scalar driver would
-// answer with source stepping — is evicted and re-solved through the scalar
-// path from scratch; determinism makes the rerun retrace the shared prefix
-// bit for bit and continue exactly as a scalar solve of that sample would.
-// Results are therefore a pure function of the sample, independent of the
-// lane count and of which samples share a batch.
+// Every lane of a K-lane group is bit-identical to the one-lane group of the
+// same sample: the stamp plan writes lane l through the same cached indices
+// (scaled idx·K+l), the lockstep kernel performs the one-lane kernel's exact
+// floating-point sequence per lane, and the solve loops judge damping,
+// divergence and convergence per lane and run every stage — direct warm
+// attempt, nodeset attempt, gmin ladder, source stepping — with per-lane
+// participation, so a lane's sequence of Newton runs depends only on its own
+// outcomes. Results are therefore a pure function of the sample, independent
+// of the lane count and of which samples share a group.
+//
+// The dense backend is the reference path: a dense LU re-pivots per value
+// assignment, so its lanes cannot share a traversal, and it serves a K-lane
+// group lane by lane (lanewise).
 
 // LaneSetter installs the per-sample model state of one lane — perturbed
 // model cards, bias source values — before the engine stamps, seeds or
@@ -34,138 +38,146 @@ import (
 // lanes; it must be cheap (copy precomputed cards, not recompute them).
 type LaneSetter func(lane int)
 
-// batchScratch is the lockstep scratch of the batch DC/AC paths, sized for
-// a fixed lane count and allocated once per engine.
-type batchScratch struct {
-	k  int
-	A  *sparse.BatchMatrix[float64]
-	F  []float64 // SoA residuals, (size+1)*k
-	dx []float64 // SoA steps, size*k
-	xs [][]float64
+// noLane is the LaneSetter of a one-lane solve, whose sample state the
+// caller has installed already.
+func noLane(int) {}
 
-	// AC lockstep scratch, allocated on the first ACBatch.
-	gv, cv []float64
-	rhs    []complex128
-	Y      *sparse.BatchMatrix[complex128]
-	xc     []complex128
-	y0     []complex128 // pristine ω-independent assembly, complex(gv[i], 0)
-	pat    []int32      // value-array indices whose C lane is not a +0 bit pattern
+// oneLane is the active mask of a one-lane group.
+var oneLane = []bool{true}
+
+// errSingularJacobian reports a Newton iteration whose Jacobian did not
+// factor.
+var errSingularJacobian = fmt.Errorf("%w: singular Jacobian", ErrNoConvergence)
+
+// scratch is the solve scratch of one group width, allocated once per width
+// and engine: one engine runs K-lane groups and one-lane solves (transient
+// steps, point-wise samples) side by side.
+type scratch struct {
+	k    int
+	A    *sparse.BatchMatrix[float64] // sparse Jacobian lanes; nil on the dense backend
+	J    *linalg.Matrix               // dense Jacobian (one lane), with a write-off element
+	vals []float64                    // the Jacobian value array stamps write into
+	F    []float64                    // SoA residuals, (size+1)*k
+	dx   []float64                    // SoA steps, size*k
+	xs   [][]float64                  // per-lane iterates of the DC procedure
+	st   []laneState
+	ferr [1]error // the dense backend's solve outcome
+
+	ac *acScratch // allocated on the first sweep
 }
 
-// batchScratchFor returns the engine's lockstep scratch for k lanes,
-// (re)allocating when the lane count changes (callers normally pass
-// e.Lanes(), so this happens once).
-func (e *Engine) batchScratchFor(k int) *batchScratch {
-	if e.batch != nil && e.batch.k == k {
-		return e.batch
+// laneState tracks one lane through the solve loops.
+type laneState struct {
+	active bool  // in the group and not yet converged
+	done   bool  // converged; the lane's iterate and iters are final
+	iters  int   // Newton iterations over every stage so far
+	err    error // outcome of the lane's last Newton run
+	live   bool  // iterating in the current Newton run (AC: still sweeping)
+}
+
+// scratchFor returns the engine's scratch for k lanes.
+func (e *Engine) scratchFor(k int) *scratch {
+	for _, bs := range e.scratch {
+		if bs.k == k {
+			return bs
+		}
 	}
-	bs := &batchScratch{
+	n := e.size
+	bs := &scratch{
 		k:  k,
-		A:  sparse.NewBatchMatrix[float64](e.sym, k),
-		F:  make([]float64, (e.size+1)*k),
-		dx: make([]float64, e.size*k),
+		F:  make([]float64, (n+1)*k),
+		dx: make([]float64, n*k),
 		xs: make([][]float64, k),
+		st: make([]laneState, k),
 	}
 	for l := range bs.xs {
-		bs.xs[l] = make([]float64, e.size)
+		bs.xs[l] = make([]float64, n)
 	}
-	e.batch = bs
+	if e.sym != nil {
+		bs.A = sparse.NewBatchMatrix[float64](e.sym, k)
+		bs.vals = bs.A.Values()
+	} else {
+		bs.J = linalg.NewMatrixTrailing(n, n, 1)
+		bs.vals = bs.J.Data
+	}
+	e.scratch = append(e.scratch, bs)
 	return bs
 }
 
-func (bs *batchScratch) acInit(e *Engine) {
-	if bs.Y != nil {
-		return
+// lanewise serves a K-lane group on the dense backend one lane at a time:
+// one(l) solves lane l as a one-lane group.
+func lanewise[R any](k int, one func(l int) (R, error)) ([]R, []error) {
+	res := make([]R, k)
+	errs := make([]error, k)
+	for l := range res {
+		res[l], errs[l] = one(l)
 	}
-	n, k := e.size, bs.k
-	bs.gv = make([]float64, (e.sym.NNZ()+1)*k)
-	bs.cv = make([]float64, (e.sym.NNZ()+1)*k)
-	bs.rhs = make([]complex128, (n+1)*k)
-	bs.Y = sparse.NewBatchMatrix[complex128](e.sym, k)
-	bs.xc = make([]complex128, n*k)
-	bs.y0 = make([]complex128, (e.sym.NNZ()+1)*k)
+	return res, errs
 }
 
-// laneState tracks one lane through the staged batch Newton driver.
-type laneState struct {
-	active bool // participating in the current stage
-	done   bool // converged; x and iters are final
-	fall   bool // evicted to the scalar fallback
-	iters  int
-	err    error
-}
-
-// newtonBatch mirrors Engine.newton across the active lanes in lockstep:
-// per iteration every live lane is stamped into its SoA value lane (under
-// its LaneSetter state), the batch Jacobian factors once, and damping,
-// divergence and convergence are judged per lane with the scalar rules. A
-// converged lane freezes — its x stops moving, exactly where the scalar
-// iteration would have returned. The per-lane (iterations, error) outcome
-// matches the scalar newton's return for every lane.
-func (e *Engine) newtonBatch(bs *batchScratch, st []laneState, ctx stampCtx, set LaneSetter) {
-	k := bs.k
-	type run struct {
-		iters int
-		err   error
-		live  bool
-	}
-	rs := make([]run, k)
+// newton is the Newton loop. It iterates every active lane whose last run
+// succeeded (err == nil) toward F(x)=0 under ctx, in lockstep: per iteration
+// each live lane is stamped into its SoA value lane under its LaneSetter
+// state, the Jacobian lanes factor and solve once, and damping, divergence
+// and convergence are judged per lane. A lane leaves the run when it
+// converges (err nil) or fails (err set), its x frozen where it stopped, and
+// adds the run's iterations to its iters. Devices stamp through their cached
+// value-array indices and the step shares the residual scratch, so an
+// iteration allocates nothing.
+func (e *Engine) newton(bs *scratch, xs [][]float64, ctx stampCtx, set LaneSetter) {
+	k, st := bs.k, bs.st
 	nLive := 0
 	for l := range st {
-		if st[l].active {
-			rs[l].live = true
+		st[l].live = st[l].active && st[l].err == nil
+		if st[l].live {
 			nLive++
 		}
 	}
-	if nLive > 0 {
+	if k > 1 && nLive > 0 {
 		mLockstepLanes.Observe(float64(nLive))
 	}
-	defer func() {
-		var iterSum int64
+	var total int64
+	leave := func(s *laneState, iters int, err error) {
+		s.live, s.err = false, err
+		s.iters += iters
+		total += int64(iters)
+		nLive--
+	}
+	for iter := 1; iter <= e.opts.MaxIter && nLive > 0; iter++ {
+		clear(bs.vals)
+		clear(bs.F)
 		for l := range st {
-			if st[l].active {
-				iterSum += int64(rs[l].iters)
+			if st[l].live {
+				set(l)
+				e.plan.stampDC(bs.vals, bs.F, k, l, xs[l], e.scrV, ctx)
 			}
 		}
-		mNewtonIters.Add(iterSum)
-		mFactorizations.Add(iterSum)
-	}()
-	vals := bs.A.Values()
-	for iter := 1; iter <= e.opts.MaxIter; iter++ {
-		if nLive == 0 {
-			break
+		// Solve J·dx = -F in place: the stamped values become the LU
+		// factors, dx starts as the negated residual and ends as the step.
+		for i := range bs.dx {
+			bs.dx[i] = -bs.F[i]
 		}
-		bs.A.Zero()
-		for i := range bs.F {
-			bs.F[i] = 0
+		var ferrs []error
+		if bs.A != nil {
+			ferrs = bs.A.FactorSolve(bs.dx)
+		} else {
+			bs.ferr[0] = linalg.SolveInPlace(bs.J, bs.dx)
+			ferrs = bs.ferr[:]
 		}
-		for l := 0; l < k; l++ {
-			if !rs[l].live {
-				continue
-			}
-			set(l)
-			e.plan.stampDC(vals, bs.F, k, l, bs.xs[l], e.scrV, ctx)
-		}
-		for i := 0; i < e.size; i++ {
-			for l := 0; l < k; l++ {
-				bs.dx[i*k+l] = -bs.F[i*k+l]
-			}
-		}
-		ferrs := bs.A.FactorSolve(bs.dx)
-		for l := 0; l < k; l++ {
-			if !rs[l].live {
+		for l := range st {
+			s := &st[l]
+			if !s.live {
 				continue
 			}
 			if ferrs[l] != nil {
-				rs[l].iters = iter
-				rs[l].err = fmt.Errorf("%w: singular Jacobian", ErrNoConvergence)
-				rs[l].live = false
-				nLive--
+				leave(s, iter, errSingularJacobian)
 				continue
 			}
-			x := bs.xs[l]
-			done := true
-			clamped := false
+			// Damping: clamp each node-voltage update independently so one
+			// runaway node (e.g. a current source into an off transistor)
+			// cannot stall progress everywhere else.
+			x := xs[l]
+			clamped, diverged := false, false
 			for i := range x {
 				step := bs.dx[i*k+l]
 				if i < e.nNodes && math.Abs(step) > e.opts.MaxStep {
@@ -174,355 +186,180 @@ func (e *Engine) newtonBatch(bs *batchScratch, st []laneState, ctx stampCtx, set
 				}
 				x[i] += step
 				if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
-					rs[l].iters = iter
-					rs[l].err = ErrNoConvergence
-					rs[l].live = false
-					nLive--
-					done = false
+					diverged = true
 					break
 				}
 			}
-			if rs[l].err != nil {
+			if diverged {
+				leave(s, iter, ErrNoConvergence)
 				continue
 			}
+			if clamped {
+				continue
+			}
+			done := true
 			for i := 0; i < e.nNodes; i++ {
 				if math.Abs(bs.dx[i*k+l]) > e.opts.AbsTol+e.opts.RelTol*math.Abs(x[i]) {
 					done = false
 					break
 				}
 			}
-			if done && !clamped {
-				rs[l].iters = iter
-				rs[l].live = false
-				nLive--
+			if done {
+				leave(s, iter, nil)
 			}
 		}
 	}
 	for l := range st {
-		if !st[l].active {
-			continue
+		if st[l].live {
+			leave(&st[l], e.opts.MaxIter, ErrNoConvergence) // out of iterations
 		}
-		if rs[l].live {
-			// Ran out of iterations, like the scalar loop falling through.
-			rs[l].iters = e.opts.MaxIter
-			rs[l].err = ErrNoConvergence
-		}
-		st[l].iters += rs[l].iters
-		st[l].err = rs[l].err
 	}
+	// One factorization per iteration, converged or not.
+	mNewtonIters.Add(total)
+	mFactorizations.Add(total)
 }
 
 // DCOperatingPointBatch solves the DC operating points of up to len(active)
-// samples in lockstep from a cold start, mirroring DCOperatingPoint per
-// lane. active[l]==false skips lane l (its result and error stay nil) — the
-// tail of a partial sample group. set installs lane state and is required.
-// The returned slices have one entry per lane; a lane either carries a
-// result or an error.
+// samples in lockstep from a cold start, each lane bit-identical to
+// DCOperatingPoint on its sample. active[l]==false skips lane l (its result
+// and error stay nil) — the tail of a partial sample group. set installs
+// lane state and is required. The returned slices have one entry per lane;
+// a lane either carries a result or an error.
 func (e *Engine) DCOperatingPointBatch(active []bool, set LaneSetter) ([]*OPResult, []error) {
-	k := len(active)
-	res := make([]*OPResult, k)
-	errs := make([]error, k)
-	if e.sym == nil || k == 1 {
-		// Dense backend or scalar lane count: the lockstep path degenerates
-		// to per-lane scalar solves — the same bits by the lane contract.
-		for l := 0; l < k; l++ {
-			if !active[l] {
-				continue
-			}
-			set(l)
-			res[l], errs[l] = e.DCOperatingPoint()
-		}
-		return res, errs
-	}
-	bs := e.batchScratchFor(k)
-	st := make([]laneState, k)
-	for l := 0; l < k; l++ {
-		if !active[l] {
-			continue
-		}
-		st[l].active = true
-		set(l)
-		e.seedDC(bs.xs[l])
-	}
-
-	if len(e.opts.Nodeset) > 0 {
-		// Mirror solveDCCold: with a nodeset, try a direct solve first.
-		e.newtonBatch(bs, st, stampCtx{gmin: e.opts.GminFinal, srcScale: 1, time: -1}, set)
-		for l := range st {
-			if !st[l].active {
-				continue
-			}
-			if st[l].err == nil {
-				st[l].active = false
-				st[l].done = true
-			} else {
-				// Failed direct attempt: reseed and join the gmin ladder,
-				// keeping the iteration count, like the scalar driver.
-				st[l].err = nil
-				set(l)
-				e.seedDC(bs.xs[l])
-			}
-		}
-	}
-
-	// Gmin ladder in lockstep: the schedule is fixed, so all remaining lanes
-	// step down the same levels together. A lane failing any level leaves
-	// the happy path and is evicted to the scalar fallback.
-	anyActive := false
-	for l := range st {
-		anyActive = anyActive || st[l].active
-	}
-	if anyActive {
-		gmin := e.opts.GminStart
-		for {
-			e.newtonBatch(bs, st, stampCtx{gmin: gmin, srcScale: 1, time: -1}, set)
-			anyActive = false
-			for l := range st {
-				if !st[l].active {
-					continue
-				}
-				if st[l].err != nil {
-					st[l].active = false
-					st[l].fall = true
-					continue
-				}
-				anyActive = true
-			}
-			if gmin <= e.opts.GminFinal || !anyActive {
-				break
-			}
-			gmin /= 100
-			if gmin < e.opts.GminFinal {
-				gmin = e.opts.GminFinal
-			}
-		}
-		for l := range st {
-			if st[l].active {
-				st[l].active = false
-				st[l].done = true
-			}
-		}
-	}
-
-	for l := 0; l < k; l++ {
-		switch {
-		case st[l].done:
-			set(l)
-			res[l] = e.opResult(bs.xs[l], st[l].iters)
-		case st[l].fall:
-			// Scalar rerun from scratch: determinism retraces the shared
-			// prefix bit for bit, then continues into source stepping
-			// exactly as the scalar cold solve would. The scalar result —
-			// including its iteration accounting — replaces everything the
-			// batch attempt did for this lane.
-			set(l)
-			res[l], errs[l] = e.DCOperatingPoint()
-		}
-	}
-	return res, errs
+	return e.DCOperatingPointBatchFrom(nil, active, set)
 }
 
-// DCOperatingPointBatchFrom mirrors DCOperatingPointFrom across a lockstep
-// batch: every lane warm-starts from prev (one shared, deterministic
-// operating point — typically the design's nominal op) and attempts a
-// single direct solve; lanes the direct attempt cannot land fall back to
-// the full scalar cold procedure, preserving the scalar path's failure
-// injection and iteration accounting bit for bit. A nil or mismatched prev
-// degenerates to DCOperatingPointBatch.
+// DCOperatingPointBatchFrom is the lockstep DCOperatingPointFrom: every lane
+// warm-starts from prev (one shared, deterministic operating point —
+// typically the design's nominal op) with a single direct solve, and lanes
+// it cannot land continue with the cold procedure, keeping the attempt's
+// iterations. A nil or mismatched prev degenerates to
+// DCOperatingPointBatch. Each lane is bit-identical to DCOperatingPointFrom
+// on its sample.
 func (e *Engine) DCOperatingPointBatchFrom(prev *OPResult, active []bool, set LaneSetter) ([]*OPResult, []error) {
-	if prev == nil || len(prev.V) != e.ckt.NumNodes() || len(prev.BranchI) != len(e.branches) {
-		return e.DCOperatingPointBatch(active, set)
-	}
 	k := len(active)
+	if e.sym == nil && k > 1 {
+		return lanewise(k, func(l int) (*OPResult, error) {
+			res, errs := e.DCOperatingPointBatchFrom(prev, active[l:l+1], func(int) { set(l) })
+			return res[0], errs[0]
+		})
+	}
+	warm := prev != nil && len(prev.V) == e.ckt.NumNodes() && len(prev.BranchI) == len(e.branches)
+	bs := e.scratchFor(k)
+	for l := range bs.st {
+		bs.st[l] = laneState{active: active[l]}
+		if warm && active[l] {
+			x := bs.xs[l]
+			for i := 1; i < e.ckt.NumNodes(); i++ {
+				x[row(i)] = prev.V[i]
+			}
+			copy(x[e.nNodes:], prev.BranchI)
+		}
+	}
+	e.solveDC(bs, warm, set)
 	res := make([]*OPResult, k)
 	errs := make([]error, k)
-	if e.sym == nil || k == 1 {
-		for l := 0; l < k; l++ {
-			if !active[l] {
-				continue
-			}
+	for l, s := range bs.st {
+		switch {
+		case s.done:
 			set(l)
-			res[l], errs[l] = e.DCOperatingPointFrom(prev)
-		}
-		return res, errs
-	}
-	bs := e.batchScratchFor(k)
-	st := make([]laneState, k)
-	for l := 0; l < k; l++ {
-		if !active[l] {
-			continue
-		}
-		st[l].active = true
-		x := bs.xs[l]
-		for i := 1; i < e.ckt.NumNodes(); i++ {
-			x[row(i)] = prev.V[i]
-		}
-		for i := range e.branches {
-			x[e.nNodes+i] = prev.BranchI[i]
-		}
-	}
-	e.newtonBatch(bs, st, stampCtx{gmin: e.opts.GminFinal, srcScale: 1, time: -1}, set)
-	for l := 0; l < k; l++ {
-		if !st[l].active {
-			continue
-		}
-		if st[l].err == nil {
-			set(l)
-			res[l] = e.opResult(bs.xs[l], st[l].iters)
-			continue
-		}
-		// Mirror the scalar warm path's fallback: keep the direct attempt's
-		// iteration count and continue with the cold procedure.
-		set(l)
-		x := make([]float64, e.size)
-		cold, cerr := e.solveDCCold(x)
-		iters := st[l].iters + cold
-		if cerr != nil {
-			errs[l] = cerr
-			continue
-		}
-		res[l] = e.opResult(x, iters)
-	}
-	return res, errs
-}
-
-// ACBatch runs the small-signal sweep of up to len(ops) samples in lockstep,
-// recording every node over the full range: per lane the G/C split and
-// drive are stamped once (under the lane's LaneSetter state, linearized at
-// its own operating point), and every frequency point assembles and factors
-// all lanes through one traversal. ops[l] == nil skips lane l (a sample
-// whose DC solve failed); a lane whose complex system is singular at some
-// frequency reports the scalar AC error for that lane without disturbing
-// the others.
-func (e *Engine) ACBatch(ops []*OPResult, freqs []float64, set LaneSetter) ([]*ACResult, []error) {
-	nodes := e.ckt.NumNodes()
-	flats, errs := e.sweepBatch(ops, freqs, 0, nodes, false, set)
-	res := make([]*ACResult, len(ops))
-	for l, flat := range flats {
-		if flat != nil {
-			res[l] = newACResult(freqs, flat, nodes)
+			res[l] = e.opResult(bs.xs[l], s.iters)
+		case active[l]:
+			errs[l] = s.err
 		}
 	}
 	return res, errs
 }
 
-// ACBatchProbe is the lockstep twin of ACProbe: h[l] holds lane l's probed
-// phasors, bit-identical to ACProbe on that sample. With p.StopAtUnity a
-// lane retires at its own unity crossing and the group stops once every
-// lane has retired or failed.
-func (e *Engine) ACBatchProbe(ops []*OPResult, freqs []float64, p Probe, set LaneSetter) ([][]complex128, []error) {
-	e.checkProbe(p)
-	return e.sweepBatch(ops, freqs, p.Node, p.Node+1, p.StopAtUnity, set)
+// solveDC is the staged DC procedure, run in lockstep over the group's
+// active lanes: a direct attempt from the caller's iterates (warm), then the
+// cold start — seed, a direct attempt from a nodeset, the gmin ladder, and
+// source stepping. A lane leaves at the first stage it converges in; a lane
+// that fails a stage rejoins at the next one, except that failing source
+// stepping is final.
+func (e *Engine) solveDC(bs *scratch, warm bool, set LaneSetter) {
+	direct := stampCtx{gmin: e.opts.GminFinal, srcScale: 1, time: -1}
+	if warm {
+		e.newton(bs, bs.xs, direct, set)
+		if !bs.retire() {
+			return
+		}
+	}
+	e.seedLanes(bs, set)
+	if len(e.opts.Nodeset) > 0 {
+		// With a nodeset the seed should already be near the solution;
+		// gmin stepping would first drag the iterate toward the heavily
+		// damped system's solution and out of the basin. Try a direct
+		// solve first.
+		e.newton(bs, bs.xs, direct, set)
+		if !bs.retire() {
+			return
+		}
+		e.seedLanes(bs, set)
+	}
+	e.ladder(bs, 1, set)
+	if !bs.retire() {
+		return
+	}
+	// Source stepping: ramp sources from 10% to 100%, a full gmin ladder at
+	// each step, from a fresh seed.
+	e.seedLanes(bs, set)
+	for _, s := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
+		e.ladder(bs, s, set)
+	}
+	bs.retire()
 }
 
-// sweepBatch is the lockstep AC sweep loop: the K-lane form of sweep, with
-// one flat record per lane. A lane stops sweeping when it fails (its record
-// is nil and its error set) or, with stop, after its own unity crossing;
-// the factorization counter counts only lanes still sweeping, the scalar
-// equivalent of the work done.
-func (e *Engine) sweepBatch(ops []*OPResult, freqs []float64, lo, hi int, stop bool, set LaneSetter) ([][]complex128, []error) {
-	k := len(ops)
-	out := make([][]complex128, k)
-	errs := make([]error, k)
-	if e.sym == nil || k == 1 {
-		for l := 0; l < k; l++ {
-			if ops[l] == nil {
-				continue
-			}
-			set(l)
-			out[l], errs[l] = e.sweep(ops[l], freqs, lo, hi, stop)
+// ladder steps gmin down its fixed schedule at source scale srcScale, one
+// Newton run per level. The schedule is shared, so all lanes step down the
+// same levels together; a lane that fails a level sits out the rest with
+// its error set.
+func (e *Engine) ladder(bs *scratch, srcScale float64, set LaneSetter) {
+	gmin := e.opts.GminStart
+	for {
+		e.newton(bs, bs.xs, stampCtx{gmin: gmin, srcScale: srcScale, time: -1}, set)
+		if gmin <= e.opts.GminFinal || !bs.running() {
+			return
 		}
-		return out, errs
-	}
-	bs := e.batchScratchFor(k)
-	bs.acInit(e)
-	for i := range bs.gv {
-		bs.gv[i] = 0
-		bs.cv[i] = 0
-	}
-	for i := range bs.rhs {
-		bs.rhs[i] = 0
-	}
-	live := make([]bool, k)
-	nLive := 0
-	for l := 0; l < k; l++ {
-		live[l] = ops[l] != nil
-		if !live[l] {
-			continue
+		gmin /= 100
+		if gmin < e.opts.GminFinal {
+			gmin = e.opts.GminFinal
 		}
-		nLive++
-		set(l)
-		e.plan.stampAC(bs.gv, bs.cv, bs.rhs, k, l, ops[l], e.opts.GminFinal)
 	}
-	if nLive == 0 {
-		return out, errs
-	}
+}
 
-	n := e.size
-	w := hi - lo
-	for l := 0; l < k; l++ {
-		if live[l] {
-			out[l] = make([]complex128, len(freqs)*w)
+// running reports whether an active lane's last Newton run succeeded.
+func (bs *scratch) running() bool {
+	for _, s := range bs.st {
+		if s.active && s.err == nil {
+			return true
 		}
 	}
-	// Copy+patch assembly: Y(ω) = G + jωC differs from the ω-independent
-	// pristine image complex(g, 0) only at entries whose C value is not a
-	// positive zero — for every other entry ω·(+0) assembles the pristine
-	// bits exactly (any finite ω ≥ 0). Capacitors touch a small fraction of
-	// the pattern, so the per-frequency assembly collapses to one block copy
-	// plus a short patch loop. Entries holding a negative zero or non-finite
-	// C value go on the patch list, keeping the assembled bits identical to
-	// the full loop.
-	for i, g := range bs.gv {
-		bs.y0[i] = complex(g, 0)
+	return false
+}
+
+// retire marks the active lanes whose last Newton run converged as done and
+// reports whether any active lane is left.
+func (bs *scratch) retire() bool {
+	left := false
+	for l := range bs.st {
+		s := &bs.st[l]
+		if s.active && s.err == nil {
+			s.active, s.done = false, true
+		}
+		left = left || s.active
 	}
-	pat := bs.pat[:0]
-	for i, c := range bs.cv {
-		if math.Float64bits(c) != 0 {
-			pat = append(pat, int32(i))
-		}
-	}
-	bs.pat = pat
-	yv := bs.Y.Values()
-	for fi, f := range freqs {
-		omega := 2 * math.Pi * f
-		if omega >= 0 && omega <= math.MaxFloat64 {
-			copy(yv, bs.y0)
-			for _, i := range pat {
-				yv[i] = complex(bs.gv[i], omega*bs.cv[i])
-			}
-		} else {
-			// A negative or non-finite ω multiplies even +0 entries into
-			// something else (-0, NaN); assemble the long way.
-			for i := range yv {
-				yv[i] = complex(bs.gv[i], omega*bs.cv[i])
-			}
-		}
-		copy(bs.xc, bs.rhs[:n*k])
-		serrs := bs.Y.FactorSolve(bs.xc)
-		mFactorizations.Add(int64(nLive)) // scalar-equivalent: one per sweeping lane per point
-		for l := 0; l < k; l++ {
-			if !live[l] {
-				continue
-			}
-			if serrs[l] != nil {
-				errs[l] = fmt.Errorf("spice: AC solve at %g Hz: %w", f, serrs[l])
-				out[l] = nil
-				live[l] = false
-				nLive--
-				continue
-			}
-			h := out[l]
-			record(h[fi*w:(fi+1)*w], bs.xc, lo, k, l)
-			if stop && fi > 0 && measure.FallsThroughUnity(h[fi-1], h[fi]) {
-				out[l] = h[:fi+1]
-				live[l] = false
-				nLive--
-			}
-		}
-		if nLive == 0 {
-			break
+	return left
+}
+
+// seedLanes writes the cold-start iterate of every active lane under its
+// state and clears its last error, so it takes part in the next stage.
+func (e *Engine) seedLanes(bs *scratch, set LaneSetter) {
+	for l := range bs.st {
+		if bs.st[l].active {
+			bs.st[l].err = nil
+			set(l)
+			e.seedDC(bs.xs[l])
 		}
 	}
-	return out, errs
 }

@@ -143,6 +143,7 @@ func TestBatchFromMatchesScalarWarm(t *testing.T) {
 // Lane resolution: explicit request > MOHECO_LANES > size-based auto; dense
 // engines always run scalar.
 func TestResolveLanes(t *testing.T) {
+	t.Setenv("MOHECO_LANES", "") // the auto cases assume no override
 	cases := []struct {
 		req, size int
 		sparse    bool
@@ -171,5 +172,74 @@ func TestResolveLanes(t *testing.T) {
 	t.Setenv("MOHECO_LANES", "junk")
 	if got := resolveLanes(0, 19, true); got != 8 {
 		t.Errorf("invalid MOHECO_LANES must fall back to auto: got %d", got)
+	}
+}
+
+// The solver work counters move by the same amount whatever the lane width,
+// on groups whose lanes converge on the gmin ladder, only through source
+// stepping, fail, or fall back from a warm start; and one-lane solves —
+// point-wise DC and AC, transient steps — record no lockstep occupancy.
+func TestSolverCountersIndependentOfLanes(t *testing.T) {
+	b := steppingBench()
+	ladderMax := 6 * b.opts.MaxIter // six gmin levels at the default ladder
+	var want [2]int64
+	for i, k := range []int{1, 3, 8} {
+		o := b.opts
+		o.Solver, o.Lanes = SolverSparse, k
+		eng, err := New(b.ckt, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.set(0)
+		prev, err := eng.DCOperatingPoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		iters, facts := mNewtonIters.Value(), mFactorizations.Value()
+		stepped := false
+		for g := 0; g < b.samples; g += k {
+			active := make([]bool, k)
+			for l := range active {
+				active[l] = g+l < b.samples
+			}
+			set := func(l int) { b.set(g + l) }
+			ops, _ := eng.DCOperatingPointBatch(active, set)
+			for _, op := range ops {
+				stepped = stepped || (op != nil && op.Iterations > ladderMax)
+			}
+			eng.DCOperatingPointBatchFrom(prev, active, set)
+		}
+		if !stepped {
+			t.Fatalf("K=%d: no lane converged through source stepping", k)
+		}
+		got := [2]int64{mNewtonIters.Value() - iters, mFactorizations.Value() - facts}
+		if i == 0 {
+			want = got
+		} else if got != want {
+			t.Errorf("K=%d: (iterations, factorizations) moved by %v, K=1 by %v", k, got, want)
+		}
+	}
+
+	eng, err := New(b.ckt, Options{Solver: SolverSparse, Lanes: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mLockstepLanes.Count()
+	for s := 0; s < b.samples; s++ {
+		b.set(s)
+		op, err := eng.DCOperatingPoint()
+		if err != nil {
+			continue
+		}
+		if _, err := eng.DCOperatingPointFrom(op); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.AC(op, b.freqs); err != nil {
+			t.Fatal(err)
+		}
+		eng.TransientOpts(op, TranOptions{TStop: 20e-9, Adaptive: true})
+	}
+	if n := mLockstepLanes.Count() - before; n != 0 {
+		t.Errorf("one-lane solves recorded %d lockstep-lane observations", n)
 	}
 }

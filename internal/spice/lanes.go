@@ -71,6 +71,6 @@ func envLanes() int {
 
 // Lanes returns the engine's resolved lockstep lane count: how many
 // Monte-Carlo samples the batch DC/AC paths factor and solve per traversal.
-// 1 means the lockstep path degenerates to the scalar one (dense backend, or
-// pinned via Options.Lanes / MOHECO_LANES).
+// 1 means one-lane groups (dense backend, or pinned via Options.Lanes /
+// MOHECO_LANES).
 func (e *Engine) Lanes() int { return e.lanes }

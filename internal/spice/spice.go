@@ -8,23 +8,17 @@ package spice
 import (
 	"errors"
 	"fmt"
-	"math"
-	"os"
 
-	"github.com/eda-go/moheco/internal/linalg"
 	"github.com/eda-go/moheco/internal/linalg/sparse"
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/netlist"
 	"github.com/eda-go/moheco/internal/obs"
 )
 
-// debugSpice enables per-iteration Newton traces via MOHECO_SPICE_DEBUG=1.
-var debugSpice = os.Getenv("MOHECO_SPICE_DEBUG") == "1"
-
-// Solver work counters. Lockstep lanes count scalar-equivalent work (a
-// batched iteration that advances l live lanes counts l), so the totals are
-// comparable across the scalar and batch paths; the lane histogram records
-// live-lane occupancy per batched Newton run — low occupancy means the
+// Solver work counters. Lanes count one-lane-equivalent work (a batched
+// iteration that advances l live lanes counts l), so the totals do not
+// depend on the lane width; the lane histogram records live-lane occupancy
+// per Newton run of a group wider than one lane — low occupancy means the
 // lockstep width is wasted on retired lanes.
 var (
 	mNewtonIters    = obs.Default().Counter("spice_newton_iterations_total")
@@ -106,36 +100,18 @@ type Engine struct {
 	// backends.
 	plan *stampPlan
 
-	// Sparse backend: the symbolic factorization computed once in New and
-	// the Newton Jacobian over it. nil on the dense path.
+	// Sparse backend: the symbolic factorization computed once in New. nil
+	// on the dense path.
 	sym *sparse.Symbolic
-	spA *sparse.Matrix[float64]
 
-	// lanes is the resolved lockstep lane count (1 = scalar only); batch is
-	// the lazily allocated lockstep scratch of the batch DC/AC paths.
-	lanes int
-	batch *batchScratch
+	// lanes is the resolved lockstep lane count; scratch holds the solve
+	// scratch of every group width the engine has run (see scratchFor).
+	lanes   int
+	scratch []*scratch
 
-	// Newton scratch, sized once in New: Jacobian (dense path; its Data
-	// carries one extra write-off element), residual with a trailing
-	// write-off row, step/RHS and the node-voltage view consumed by the
-	// device models.
-	scrJ  *linalg.Matrix
-	scrF  []float64
-	scrDX []float64
-	scrV  []float64
-
-	// AC scratch, allocated lazily on the first AC call: the
-	// frequency-independent G/C split (plain stamped value arrays with the
-	// trailing write-off slot; only the assembled complex system needs a
-	// matrix type), the assembled complex system and its RHS/solution
-	// buffers. Dense and sparse variants mirror each other.
-	acGv, acCv []float64
-	acY        *linalg.CMatrix
-	spG, spC   *sparse.Matrix[float64]
-	spY        *sparse.Matrix[complex128]
-	acRHS      []complex128
-	acX        []complex128
+	// scrV is the node-voltage view consumed by the device models, shared
+	// by every assembly.
+	scrV []float64
 }
 
 // branch is an extra MNA current unknown (V and E elements).
@@ -166,15 +142,14 @@ func New(ckt *netlist.Circuit, opts Options) (*Engine, error) {
 		// netlist passed Validate.
 		if sym, err := e.analyzePattern(); err == nil {
 			e.sym = sym
-			e.spA = sparse.NewMatrix[float64](sym)
 			e.plan = e.buildPlan(sym.Index)
 		}
 	}
 	if e.sym == nil {
+		// Row-major dense values with one trailing element beyond n×n: the
+		// write-off slot ground stamps land in. The LU kernels only address
+		// n×n.
 		n := e.size
-		// One trailing element beyond Rows×Cols: the write-off slot ground
-		// stamps land in. The LU kernels only address Rows×Cols.
-		e.scrJ = linalg.NewMatrixTrailing(n, n, 1)
 		e.plan = e.buildPlan(func(r, c int) int {
 			if r < 0 || c < 0 {
 				return n * n
@@ -182,8 +157,6 @@ func New(ckt *netlist.Circuit, opts Options) (*Engine, error) {
 			return r*n + c
 		})
 	}
-	e.scrF = make([]float64, e.size+1)
-	e.scrDX = make([]float64, e.size)
 	e.scrV = make([]float64, ckt.NumNodes())
 	e.lanes = resolveLanes(e.opts.Lanes, e.size, e.sym != nil)
 	return e, nil
@@ -219,16 +192,12 @@ func (r *OPResult) VNode(c *netlist.Circuit, name string) (float64, error) {
 	return r.V[i], nil
 }
 
-// DCOperatingPoint solves the nonlinear DC equations from a cold start. It
-// first attempts a plain Newton solve with gmin stepping; if that fails, it
-// retries with source stepping.
+// DCOperatingPoint solves the nonlinear DC equations from a cold start: a
+// Newton solve stepped down a gmin ladder and, if that fails, retried with
+// source stepping (a nodeset adds a direct attempt first). It is the
+// one-lane DCOperatingPointBatch.
 func (e *Engine) DCOperatingPoint() (*OPResult, error) {
-	x := make([]float64, e.size)
-	iters, err := e.solveDCCold(x)
-	if err != nil {
-		return nil, err
-	}
-	return e.opResult(x, iters), nil
+	return e.DCOperatingPointFrom(nil)
 }
 
 // DCOperatingPointFrom solves the DC equations warm-started from a previous
@@ -239,90 +208,16 @@ func (e *Engine) DCOperatingPoint() (*OPResult, error) {
 // from prev; if it does not converge, the engine falls back to the full
 // cold-start procedure, so a sample reports non-convergence only when the
 // cold path fails too and failure injection is unchanged. A nil or
-// mismatched prev degenerates to DCOperatingPoint.
+// mismatched prev degenerates to DCOperatingPoint. It is the one-lane
+// DCOperatingPointBatchFrom.
 func (e *Engine) DCOperatingPointFrom(prev *OPResult) (*OPResult, error) {
-	if prev == nil || len(prev.V) != e.ckt.NumNodes() || len(prev.BranchI) != len(e.branches) {
-		return e.DCOperatingPoint()
-	}
-	x := make([]float64, e.size)
-	for i := 1; i < e.ckt.NumNodes(); i++ {
-		x[row(i)] = prev.V[i]
-	}
-	for i := range e.branches {
-		x[e.nNodes+i] = prev.BranchI[i]
-	}
-	iters, err := e.newton(x, stampCtx{gmin: e.opts.GminFinal, srcScale: 1, time: -1})
-	if err != nil {
-		cold, cerr := e.solveDCCold(x)
-		iters += cold
-		if cerr != nil {
-			return nil, cerr
-		}
-	}
-	return e.opResult(x, iters), nil
-}
-
-// solveDCCold runs the full cold-start procedure — zero/source seeding,
-// optional nodeset, gmin stepping, then source stepping — leaving the
-// solution in x and returning the Newton iterations spent.
-func (e *Engine) solveDCCold(x []float64) (int, error) {
-	seed := func() { e.seedDC(x) }
-	seed()
-	iters := 0
-
-	solveAt := func(srcScale float64) error {
-		gmin := e.opts.GminStart
-		for {
-			n, err := e.newton(x, stampCtx{gmin: gmin, srcScale: srcScale, time: -1})
-			iters += n
-			if err != nil {
-				return err
-			}
-			if gmin <= e.opts.GminFinal {
-				return nil
-			}
-			gmin /= 100
-			if gmin < e.opts.GminFinal {
-				gmin = e.opts.GminFinal
-			}
-		}
-	}
-
-	var err error
-	if len(e.opts.Nodeset) > 0 {
-		// With a nodeset the seed should already be near the solution;
-		// gmin stepping would first drag the iterate toward the heavily
-		// damped system's solution and out of the basin. Try a direct
-		// solve first.
-		n, derr := e.newton(x, stampCtx{gmin: e.opts.GminFinal, srcScale: 1, time: -1})
-		iters += n
-		err = derr
-		if err != nil {
-			seed()
-		}
-	} else {
-		err = ErrNoConvergence
-	}
-	if err != nil {
-		err = solveAt(1)
-	}
-	if err != nil {
-		// Source stepping: ramp sources from 10% to 100%.
-		seed()
-		err = nil
-		for _, s := range []float64{0.1, 0.25, 0.5, 0.75, 1.0} {
-			if err = solveAt(s); err != nil {
-				break
-			}
-		}
-	}
-	return iters, err
+	res, errs := e.DCOperatingPointBatchFrom(prev, oneLane, noLane)
+	return res[0], errs[0]
 }
 
 // seedDC writes the cold-start initial iterate: zeros, ground-referenced
 // voltage sources pinning their node trivially (which makes cold starts and
-// nodesets effective), then the nodeset. Shared by the scalar cold solve and
-// the per-lane seeding of the lockstep batch path.
+// nodesets effective), then the nodeset.
 func (e *Engine) seedDC(x []float64) {
 	for i := range x {
 		x[i] = 0
@@ -381,82 +276,6 @@ type stampCtx struct {
 	vPrev    []float64 // previous node voltages by node id (transient only)
 	trap     bool      // trapezoidal companion models instead of backward Euler
 	icPrev   []float64 // per-capacitor currents at the previous point (trap only)
-}
-
-// newton iterates x toward F(x)=0 under the given stamping context. It
-// works entirely in the engine's preallocated scratch: devices stamp
-// through their cached value-array indices, the Jacobian is factored in
-// place (dense LU, or sparse refactorization inside the precomputed fill
-// pattern) and the step vector shares the RHS buffer, so one iteration
-// allocates nothing.
-func (e *Engine) newton(x []float64, ctx stampCtx) (int, error) {
-	iters := 0
-	defer func() {
-		// Each iteration factors and solves once, converged or not.
-		mNewtonIters.Add(int64(iters))
-		mFactorizations.Add(int64(iters))
-	}()
-	F, dx := e.scrF, e.scrDX
-	for iter := 1; iter <= e.opts.MaxIter; iter++ {
-		iters = iter
-		var vals []float64
-		if e.spA != nil {
-			e.spA.Zero()
-			vals = e.spA.Values()
-		} else {
-			e.scrJ.Zero()
-			vals = e.scrJ.Data
-		}
-		for i := range F {
-			F[i] = 0
-		}
-		e.plan.stampDC(vals, F, 1, 0, x, e.scrV, ctx)
-
-		// Solve J·dx = -F (in place: the stamped values become the LU
-		// factors, dx starts as the negated residual and ends as the step).
-		for i := range dx {
-			dx[i] = -F[i]
-		}
-		var err error
-		if e.spA != nil {
-			err = e.spA.FactorSolve(dx)
-		} else {
-			err = linalg.SolveInPlace(e.scrJ, dx)
-		}
-		if err != nil {
-			return iter, fmt.Errorf("%w: singular Jacobian", ErrNoConvergence)
-		}
-		// Damping: clamp each node-voltage update independently so one
-		// runaway node (e.g. a current source into an off transistor)
-		// cannot stall progress everywhere else.
-		if debugSpice {
-			fmt.Printf("spice debug: gmin=%.1e iter=%d maxDV=%.3e |F|=%.3e\n",
-				ctx.gmin, iter, linalg.NormInf(dx[:e.nNodes]), linalg.NormInf(F[:e.size]))
-		}
-		done := true
-		clamped := false
-		for i := range x {
-			step := dx[i]
-			if i < e.nNodes && math.Abs(step) > e.opts.MaxStep {
-				step = math.Copysign(e.opts.MaxStep, step)
-				clamped = true
-			}
-			x[i] += step
-			if math.IsNaN(x[i]) || math.IsInf(x[i], 0) {
-				return iter, ErrNoConvergence
-			}
-		}
-		for i := 0; i < e.nNodes; i++ {
-			if math.Abs(dx[i]) > e.opts.AbsTol+e.opts.RelTol*math.Abs(x[i]) {
-				done = false
-				break
-			}
-		}
-		if done && !clamped {
-			return iter, nil
-		}
-	}
-	return e.opts.MaxIter, ErrNoConvergence
 }
 
 // evalMosfet computes the operating point of m given node voltages V

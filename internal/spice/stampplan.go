@@ -234,11 +234,11 @@ func (e *Engine) buildPlan(index func(r, c int) int) *stampPlan {
 // models (filled here, once per assembly).
 //
 // k and lane address structure-of-arrays lockstep storage: every cached
-// index is scaled as idx·k+lane, so the same stamper fills a scalar value
+// index is scaled as idx·k+lane, so the same stamper fills a one-lane value
 // array (k=1, lane=0) or one lane of a K-wide batch. The floating-point
 // sequence is identical either way — the lane plumbing touches only
-// addressing — which is what makes a lockstep lane bit-identical to a scalar
-// solve.
+// addressing — which is what makes a lockstep lane bit-identical to a
+// one-lane solve.
 func (p *stampPlan) stampDC(vals, F []float64, k, lane int, x, scrV []float64, ctx stampCtx) {
 	v := func(node int) float64 {
 		if node == netlist.Ground {
@@ -375,8 +375,8 @@ func (p *stampPlan) stampDC(vals, F []float64, k, lane int, x, scrV []float64, c
 // through the same cached indices: conductances and source couplings into
 // gv, capacitances into cv (the ω factor is applied at assembly), and the AC
 // drive into rhs. All three carry a trailing write-off slot. As in stampDC,
-// k and lane scale every cached index for SoA lockstep storage; the scalar
-// path passes (1, 0).
+// k and lane scale every cached index for SoA lockstep storage; a one-lane
+// group passes (1, 0).
 func (p *stampPlan) stampAC(gv, cv []float64, rhs []complex128, k, lane int, op *OPResult, gmin float64) {
 	for _, idx := range p.gmin {
 		gv[idx*k+lane] += gmin // keeps floating nodes solvable

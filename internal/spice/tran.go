@@ -169,6 +169,11 @@ type tranState struct {
 	icPrev []float64 // per-capacitor currents at the last accepted point (trap)
 	res    *TranResult
 
+	// bs is the engine's one-lane scratch and xs the one-lane iterate group
+	// (xTry) every step's Newton run solves.
+	bs *scratch
+	xs [1][]float64
+
 	// histN counts accepted points since the last breakpoint (or t=0); LTE
 	// control needs 3 of them besides the candidate, and breakpoints reset
 	// the count because a source-derivative discontinuity invalidates the
@@ -187,6 +192,7 @@ func (tr *tranState) init(op *OPResult) {
 	tr.vPrev = append([]float64(nil), op.V...)
 	// At the DC operating point every capacitor is open: zero current.
 	tr.icPrev = make([]float64, len(e.plan.caps))
+	tr.bs = e.scratchFor(1)
 	// Preallocate the result for the fixed grid's exact point count; the
 	// adaptive grid coarsens from the initial step, so TStop/Step is a
 	// (possibly huge) upper bound — cap the guess and let append take over.
@@ -213,7 +219,7 @@ func (tr *tranState) record(t float64) {
 }
 
 // step attempts one step of size h ending at time t, leaving the trial
-// solution in xTry. It does not commit any state.
+// solution in xTry — a one-lane Newton run. It does not commit any state.
 func (tr *tranState) step(t, h float64) error {
 	copy(tr.xTry, tr.x)
 	ctx := stampCtx{
@@ -225,8 +231,10 @@ func (tr *tranState) step(t, h float64) error {
 		trap:     tr.o.Method == Trap,
 		icPrev:   tr.icPrev,
 	}
-	_, err := tr.e.newton(tr.xTry, ctx)
-	return err
+	tr.bs.st[0] = laneState{active: true}
+	tr.xs[0] = tr.xTry
+	tr.e.newton(tr.bs, tr.xs[:], ctx, noLane)
+	return tr.bs.st[0].err
 }
 
 // accept commits the trial solution of a step of size h ending at time t:
