@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/eda-go/moheco/internal/mos"
@@ -79,6 +80,53 @@ func TestEvaluateAllocsFixed(t *testing.T) {
 		})
 		if got != evaluateAllocs {
 			t.Errorf("%s: Evaluate allocates %v objects per sample, want %d", p.Name(), got, evaluateAllocs)
+		}
+	}
+}
+
+// spiceEvaluateBudget caps what a one-sample Evaluate of a spice scenario
+// allocates: per call it compiles the testbench (netlist, engine, symbolic
+// analysis, nominal operating point) and runs one sample through the DC
+// solve, the probed AC sweep and, for the transient scenario, the adaptive
+// step response. The byte ceilings sit well below what the transient
+// result cost when it was preallocated for 1024 points (85.6 KB for
+// folded-cascode-tran), and the allocation ceilings below one V row
+// allocated per accepted point (452 objects).
+var spiceEvaluateBudget = []struct {
+	p              interface{ ReferenceDesign() []float64 }
+	allocs, kbytes float64
+}{
+	{NewFoldedCascodeTran(), 410, 70},
+	{NewCommonSourceSpice(), 200, 20},
+}
+
+// TestSpiceEvaluateAllocs pins spiceEvaluateBudget.
+func TestSpiceEvaluateAllocs(t *testing.T) {
+	for _, b := range spiceEvaluateBudget {
+		p := b.p.(problem.Problem)
+		x := b.p.ReferenceDesign()
+		xi := sample.PMC{}.Draw(randx.New(8), 1, p.VarDim())[0]
+		eval := func() {
+			if _, err := p.Evaluate(x, xi); err != nil {
+				t.Fatalf("%s: %v", p.Name(), err)
+			}
+		}
+		eval()
+		allocs := testing.AllocsPerRun(20, eval)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			eval()
+		}
+		runtime.ReadMemStats(&after)
+		kbytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+		t.Logf("%s: %v allocations, %.1f KB per Evaluate", p.Name(), allocs, kbytes)
+		if allocs > b.allocs {
+			t.Errorf("%s: Evaluate allocates %v objects, ceiling %v", p.Name(), allocs, b.allocs)
+		}
+		if kbytes > b.kbytes {
+			t.Errorf("%s: Evaluate allocates %.1f KB, ceiling %v KB", p.Name(), kbytes, b.kbytes)
 		}
 	}
 }

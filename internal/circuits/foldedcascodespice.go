@@ -177,7 +177,7 @@ func (ctx *fcSpiceContext) setCards(xi []float64) {
 func (ctx *fcSpiceContext) acMeasures(op *spice.OPResult, h []complex128) ([]float64, error) {
 	inner := ctx.p.inner
 	vdd := inner.tech.VDD
-	a0dB, gbw, pm := bodeMeasures(ctx.freqs, h)
+	a0dB, gbw, pm := bodeMeasures(ctx.freqs, h, true)
 
 	// Power from the VDD branch current (branch 0: VDD is the first V
 	// element of the testbench); the ideal tail/bias pull-ups route

@@ -187,7 +187,7 @@ func (ctx *spiceContext) setServo(xi []float64) {
 func (ctx *spiceContext) acMeasures(op *spice.OPResult, h []complex128) ([]float64, error) {
 	p := ctx.p
 	vdd := p.tech.VDD
-	a0dB, gbw, _ := bodeMeasures(ctx.freqs, h)
+	a0dB, gbw, _ := bodeMeasures(ctx.freqs, h, false)
 
 	// Power from the VDD branch current (the source supplies the mirror
 	// and the load branch).

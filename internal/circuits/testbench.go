@@ -138,20 +138,20 @@ func outputProbe(c *netlist.Circuit) (spice.Probe, error) {
 }
 
 // bodeMeasures reads a probed output sweep h (on freqs[:len(h)]): DC gain
-// in dB, the unity-gain frequency and the phase margin there. A sweep that
-// never crosses unity reports zero GBW and PM, and an unmeasurable margin
-// zero PM, so the specs register the failure smoothly instead of erroring.
-func bodeMeasures(freqs []float64, h []complex128) (a0dB, gbw, pm float64) {
-	bode := measure.NewBode(freqs[:len(h)], h)
-	a0dB = bode.DCGainDB()
-	gbw, err := bode.GainBandwidth()
+// in dB, the unity-gain frequency and, with withPM, the phase margin there
+// (zero without). A sweep that never crosses unity reports zero GBW and PM,
+// and an unmeasurable margin zero PM, so the specs register the failure
+// smoothly instead of erroring. The measures are the lazy ones: bit for bit
+// NewBode's, with logarithms taken only at the points they read and phases
+// unwrapped only for a scenario with a phase-margin spec.
+func bodeMeasures(freqs []float64, h []complex128, withPM bool) (a0dB, gbw, pm float64) {
+	a0dB = measure.DCGainDBOf(h)
+	gbw, err := measure.UnityCrossingOf(freqs, h)
 	if err != nil {
 		gbw = 0
 	}
-	if gbw > 0 {
-		if m, err := bode.PhaseMargin(); err == nil {
-			pm = m
-		}
+	if withPM && gbw > 0 {
+		pm = measure.PhaseMarginOf(freqs, h, gbw)
 	}
 	return a0dB, gbw, pm
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // This file adds the time domain to the scenario suite: step-response
-// problems whose pass/fail oracle combines AC measures (gain, bandwidth,
-// phase margin) with transient measures (slew rate, settling time,
-// overshoot) computed from the adaptive trapezoidal integrator — the
-// spec mix real sizing flows score candidates on.
+// problems whose pass/fail oracle combines AC measures (gain and bandwidth,
+// plus phase margin for the folded cascode) with transient measures (slew
+// rate, settling time, overshoot) computed from the adaptive trapezoidal
+// integrator — the spec mix real sizing flows score candidates on.
 //
 // # Determinism contract
 //
@@ -193,7 +193,7 @@ func (p *CommonSourceTran) compile(x []float64) (*spiceContext, error) {
 		vin.Pulse.V2 = vin.DC + csTranAmp
 	}
 	ctx.measures = func(op *spice.OPResult, h []complex128) ([]float64, error) {
-		a0dB, gbw, _ := bodeMeasures(ctx.freqs, h)
+		a0dB, gbw, _ := bodeMeasures(ctx.freqs, h, false)
 		slew, ts, os, err := p.stepResponse(ctx.eng, ctx.ckt, op, csTranDelay)
 		if err != nil {
 			return nil, err
@@ -308,7 +308,7 @@ func (p *FoldedCascodeTran) compile(x []float64) (*fcSpiceContext, error) {
 	ctx.name = "folded-cascode-tran"
 	ctx.warm0 = nil
 	ctx.measures = func(op *spice.OPResult, h []complex128) ([]float64, error) {
-		a0dB, gbw, pm := bodeMeasures(ctx.freqs, h)
+		a0dB, gbw, pm := bodeMeasures(ctx.freqs, h, true)
 		slew, ts, os, err := p.stepResponse(ctx.eng, ctx.ckt, op, fcTranDelay)
 		if err != nil {
 			return nil, err

@@ -179,7 +179,14 @@ func (m *BatchMatrix[T]) Factorize() []error {
 // Factorize: a lane that failed to factor reports its factorization error
 // and its slots in b are unspecified. The slice is shared with Factorize.
 // A one-lane matrix whose factorization failed leaves b untouched.
-func (m *BatchMatrix[T]) Solve(b []T) []error {
+func (m *BatchMatrix[T]) Solve(b []T) []error { return m.SolveFor(b, m.sym.all) }
+
+// SolveFor is Solve restricted to the reach r (Symbolic.Reach): it computes
+// only the substitution rows the reach's components depend on and writes
+// back only those components, each bit-identical to its value under Solve.
+// The other components of b are left as they were. The per-lane errors are
+// Solve's.
+func (m *BatchMatrix[T]) SolveFor(b []T, r *Reach) []error {
 	s, k := m.sym, m.k
 	n := s.n
 	if !m.ok {
@@ -194,18 +201,18 @@ func (m *BatchMatrix[T]) Solve(b []T) []error {
 	switch k {
 	case 1:
 		if m.errs[0] == nil {
-			m.solve1(b)
+			m.solve1(b, r)
 		}
 		return m.errs
 	case kernelWidth:
-		m.solve8(b)
+		m.solve8(b, r)
 		return m.errs
 	}
 	vals, cols, pb, inv := m.vals, s.cols, m.pb, m.inv
-	for i := 0; i < n; i++ {
+	for _, i := range r.fwd {
 		copy(pb[i*k:i*k+k], b[s.rowInv[i]*k:s.rowInv[i]*k+k])
 	}
-	for i := 1; i < n; i++ {
+	for _, i := range r.fwd {
 		pi := pb[i*k : i*k+k : i*k+k]
 		for t := s.rowPtr[i]; t < s.diag[i]; t++ {
 			c := cols[t]
@@ -216,7 +223,7 @@ func (m *BatchMatrix[T]) Solve(b []T) []error {
 			}
 		}
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := n - 1; i >= r.lo; i-- {
 		pi := pb[i*k : i*k+k : i*k+k]
 		for t := s.diag[i] + 1; t < s.rowPtr[i+1]; t++ {
 			c := cols[t]
@@ -231,7 +238,7 @@ func (m *BatchMatrix[T]) Solve(b []T) []error {
 			pi[l] *= ri[l]
 		}
 	}
-	for c := 0; c < n; c++ {
+	for _, c := range r.out {
 		copy(b[c*k:c*k+k], pb[s.colPerm[c]*k:s.colPerm[c]*k+k])
 	}
 	return m.errs

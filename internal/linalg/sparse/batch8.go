@@ -64,15 +64,14 @@ func (m *BatchMatrix[T]) factorize8() {
 	}
 }
 
-func (m *BatchMatrix[T]) solve8(b []T) {
+func (m *BatchMatrix[T]) solve8(b []T, r *Reach) {
 	const k = kernelWidth
 	s := m.sym
-	n := s.n
 	vals, cols, pb, inv := m.vals, s.cols, m.pb, m.inv
-	for i := 0; i < n; i++ {
+	for _, i := range r.fwd {
 		*(*[k]T)(pb[i*k:]) = *(*[k]T)(b[s.rowInv[i]*k:])
 	}
-	for i := 1; i < n; i++ {
+	for _, i := range r.fwd {
 		pi := (*[k]T)(pb[i*k:])
 		for t := s.rowPtr[i]; t < s.diag[i]; t++ {
 			vt := (*[k]T)(vals[t*k:])
@@ -82,7 +81,7 @@ func (m *BatchMatrix[T]) solve8(b []T) {
 			}
 		}
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := s.n - 1; i >= r.lo; i-- {
 		pi := (*[k]T)(pb[i*k:])
 		for t := s.diag[i] + 1; t < s.rowPtr[i+1]; t++ {
 			vt := (*[k]T)(vals[t*k:])
@@ -96,7 +95,7 @@ func (m *BatchMatrix[T]) solve8(b []T) {
 			pi[l] *= ri[l]
 		}
 	}
-	for c := 0; c < n; c++ {
+	for _, c := range r.out {
 		*(*[k]T)(b[c*k:]) = *(*[k]T)(pb[s.colPerm[c]*k:])
 	}
 }

@@ -271,9 +271,11 @@ func TestLockstepComplexMatchesScalar(t *testing.T) {
 // FuzzBuilderAnalyzeLockstep drives Builder → Analyze with arbitrary entry
 // streams (duplicates, empty rows, dense rows, any shape the bytes spell out)
 // and, whenever the pattern is structurally sound, checks the lockstep kernel
-// against the scalar one lane by lane, and the scalar and lockstep kernels,
-// real and complex, against the scatter/gather oracle on adversarial lanes. The seed corpus covers the pathologies
-// the MNA engine is known to produce.
+// against the scalar one lane by lane, the scalar and lockstep kernels,
+// real and complex, against the scatter/gather oracle on adversarial lanes,
+// and the reach-limited substitution against the full Solve on every
+// component. The seed corpus covers the pathologies the MNA engine is known
+// to produce.
 func FuzzBuilderAnalyzeLockstep(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 1, 1, 2, 2, 3, 3, 0, 3, 3, 0}) // near-diagonal + corners
 	f.Add([]byte{3, 0, 0, 0, 0, 0, 0, 1, 1, 2, 2})       // duplicate entries
@@ -311,6 +313,8 @@ func FuzzBuilderAnalyzeLockstep(f *testing.F) {
 		checkLockstepEquivalence(t, sym, bm, ms, rng)
 		checkAgainstOracle[float64](t, rng, sym, k)
 		checkAgainstOracle[complex128](t, rng, sym, k)
+		checkReachAgainstSolve[float64](t, rng, sym, k)
+		checkReachAgainstSolve[complex128](t, rng, sym, k)
 	})
 }
 

@@ -414,3 +414,137 @@ func TestPivotStepMatchesDivision(t *testing.T) {
 		}
 	}
 }
+
+// checkReachAgainstSolve factors one random adversarial batch of K lanes
+// and solves it in full, then solves it again restricted to the reach of
+// every single component and of a random component subset, with the
+// permuted scratch poisoned before each restricted solve so a row outside
+// the reach cannot be read stale. Every wanted component of every lane
+// that factored must carry Solve's bits, every other component must keep
+// its right-hand side value, and the lane errors must be Solve's. A failed
+// one-lane matrix leaves b untouched on both paths; a failed lane of a
+// wider batch has unspecified slots on both and is only checked for its
+// error.
+func checkReachAgainstSolve[T Scalar](t *testing.T, rng *rand.Rand, s *Symbolic, k int) {
+	t.Helper()
+	m := NewBatchMatrix[T](s, k)
+	for l := 0; l < k; l++ {
+		oracleValues(rng, s, m.vals, k, l, laneKind(rng.Intn(int(numLaneKinds))))
+	}
+	rhs := make([]T, s.n*k)
+	for i := range rhs {
+		rhs[i] = fromParts[T](rng.NormFloat64(), rng.NormFloat64())
+	}
+	ferrs := append([]error(nil), m.Factorize()...)
+	full := append([]T(nil), rhs...)
+	serrs := append([]error(nil), m.Solve(full)...)
+	nan := fromParts[T](math.NaN(), math.NaN())
+	check := func(comps []int) {
+		t.Helper()
+		for i := range m.pb {
+			m.pb[i] = nan
+		}
+		got := append([]T(nil), rhs...)
+		errs := m.SolveFor(got, s.Reach(comps...))
+		want := map[int]bool{}
+		for _, c := range comps {
+			want[c] = true
+		}
+		for l := 0; l < k; l++ {
+			if !sameErr(errs[l], serrs[l]) || !sameErr(errs[l], ferrs[l]) {
+				t.Fatalf("K=%d lane %d reach %v: error %v, Solve %v, Factorize %v", k, l, comps, errs[l], serrs[l], ferrs[l])
+			}
+			if ferrs[l] != nil && k > 1 {
+				continue
+			}
+			for c := 0; c < s.n; c++ {
+				w := rhs[c*k+l]
+				if want[c] && ferrs[l] == nil {
+					w = full[c*k+l]
+				}
+				if !sameBits(got[c*k+l], w) {
+					t.Fatalf("K=%d lane %d reach %v: component %d = %v, want %v (wanted %v)", k, l, comps, c, got[c*k+l], w, want[c])
+				}
+			}
+		}
+	}
+	for c := 0; c < s.n; c++ {
+		check([]int{c})
+	}
+	check(nil)
+	var sub []int
+	for c := 0; c < s.n; c++ {
+		if rng.Intn(3) == 0 {
+			sub = append(sub, c)
+		}
+	}
+	check(sub)
+}
+
+// The reach-limited substitution equals the full Solve bit for bit on
+// every component, at K = 1 (the one-lane kernel), 3 (the generic lane
+// loop) and 8 (the constant-width kernel), real and complex, with lanes
+// that fail to factor among those that do.
+func TestReachMatchesFullSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 80; trial++ {
+		n := 1 + rng.Intn(24)
+		s, err := randPattern(rng, n, 3*n).Analyze()
+		if err != nil {
+			t.Fatalf("analyze n=%d: %v", n, err)
+		}
+		for _, k := range []int{1, 3, kernelWidth} {
+			checkReachAgainstSolve[float64](t, rng, s, k)
+			checkReachAgainstSolve[complex128](t, rng, s, k)
+		}
+	}
+}
+
+// A reach is exactly the dependency closure its substitution needs: its
+// forward rows, ascending, hold every back row lo…n-1, are closed under the
+// L entries of their rows, and hold no row below lo that no reach row
+// names — so SolveFor skips every row it can. The empty reach solves
+// nothing.
+func TestReachIsMinimalClosure(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(24)
+		s, err := randPattern(rng, n, 2*n).Analyze()
+		if err != nil {
+			t.Fatalf("analyze n=%d: %v", n, err)
+		}
+		for c := 0; c < n; c++ {
+			r := s.Reach(c)
+			if r.lo != s.colPerm[c] || len(r.out) != 1 || r.out[0] != c {
+				t.Fatalf("component %d: lo %d out %v, want lo %d out [%d]", c, r.lo, r.out, s.colPerm[c], c)
+			}
+			in := make([]bool, n)
+			for x, i := range r.fwd {
+				if x > 0 && i <= r.fwd[x-1] {
+					t.Fatalf("component %d: forward rows %v not ascending", c, r.fwd)
+				}
+				in[i] = true
+			}
+			named := make([]bool, n)
+			for _, i := range r.fwd {
+				for t2 := s.rowPtr[i]; t2 < s.diag[i]; t2++ {
+					if !in[s.cols[t2]] {
+						t.Fatalf("component %d: forward row %d reads row %d outside the reach", c, i, s.cols[t2])
+					}
+					named[s.cols[t2]] = true
+				}
+			}
+			for i := 0; i < n; i++ {
+				if i >= r.lo && !in[i] {
+					t.Fatalf("component %d: back row %d missing from the forward rows", c, i)
+				}
+				if i < r.lo && in[i] && !named[i] {
+					t.Fatalf("component %d: forward row %d is in the reach but no reach row reads it", c, i)
+				}
+			}
+		}
+		if r := s.Reach(); r.lo != n || len(r.fwd) != 0 || len(r.out) != 0 {
+			t.Fatalf("empty reach: lo %d fwd %v out %v", r.lo, r.fwd, r.out)
+		}
+	}
+}

@@ -99,6 +99,8 @@ type Symbolic struct {
 	upd []int
 
 	stamped int // entries in the original pattern (pre-fill), for stats
+
+	all *Reach // the reach of every component: the full substitution
 }
 
 // Analyze runs the symbolic phase: maximum transversal, minimum-degree
@@ -145,6 +147,11 @@ func (b *Builder) Analyze() (*Symbolic, error) {
 		s.colPerm[c] = pos[c]
 	}
 	s.symbolicFill(rows)
+	every := make([]int, n)
+	for i := range every {
+		every[i] = i
+	}
+	s.all = &Reach{fwd: every, out: every}
 	return s, nil
 }
 
@@ -379,6 +386,61 @@ func (s *Symbolic) Index(r, c int) int {
 	return lo + k
 }
 
+// Reach is the part of a substitution that determines a chosen set of
+// solution components. In permuted coordinates the component of original
+// column c is pb[colPerm[c]], and the back substitution computes row j from
+// rows above j only, so every wanted component needs the back rows from the
+// last one down to the smallest wanted permuted position lo. Those rows read
+// the forward-substitution results of rows lo…n-1, and each forward row
+// reads the earlier rows its L part names; fwd is that dependency closure.
+// Skipping the other rows leaves every computed value with exactly the
+// operation sequence of the full substitution.
+//
+// The full reach (every component) is the plain Solve. A Reach depends only
+// on the pattern and the wanted components, so callers compute it once.
+type Reach struct {
+	fwd []int // permuted rows to permute in and forward-substitute, ascending
+	lo  int   // back-substitute rows n-1 down to lo
+	out []int // original components written back to the right-hand side
+}
+
+// Reach returns the reach of the original solution components comps.
+func (s *Symbolic) Reach(comps ...int) *Reach {
+	n := s.n
+	lo := n
+	for _, c := range comps {
+		if c < 0 || c >= n {
+			panic(fmt.Sprintf("sparse: reach of component %d outside %d unknowns", c, n))
+		}
+		lo = min(lo, s.colPerm[c])
+	}
+	need := make([]bool, n)
+	rows := n - lo
+	for i := lo; i < n; i++ {
+		need[i] = true
+	}
+	// Descending: an L entry of row i names an earlier row, whose own
+	// dependencies are then added when the scan reaches it.
+	for i := n - 1; i >= 0; i-- {
+		if !need[i] {
+			continue
+		}
+		for t := s.rowPtr[i]; t < s.diag[i]; t++ {
+			if c := s.cols[t]; !need[c] {
+				need[c] = true
+				rows++
+			}
+		}
+	}
+	buf := make([]int, 0, rows+len(comps))
+	for i, ok := range need {
+		if ok {
+			buf = append(buf, i)
+		}
+	}
+	return &Reach{fwd: buf, lo: lo, out: append(buf[rows:], comps...)}
+}
+
 // Scalar is the element type of a sparse system: the DC Jacobian is real,
 // the AC admittance matrix complex.
 type Scalar interface {
@@ -395,11 +457,15 @@ func NewMatrix[T Scalar](s *Symbolic) *BatchMatrix[T] {
 // over the precomputed elimination schedule, with no lane loop, no pivot
 // search and no allocation — the refactorization that amortizes the
 // symbolic analysis over every Newton iteration and AC frequency point of a
-// scalar solve. It stops at the first failing pivot; the remaining rows are
-// left unfactored.
+// scalar solve. The pivot step is the scalar realPivot or complexPivot,
+// called directly: the element type is resolved once per call, not through
+// the per-row function value the lane kernels use. It stops at the first
+// failing pivot; the remaining rows are left unfactored.
 func (m *BatchMatrix[T]) factorize1() {
 	s := m.sym
 	vals, inv, cols, upd := m.vals, m.inv, s.cols, s.upd
+	rm, isReal := any(m).(*BatchMatrix[float64])
+	cm, _ := any(m).(*BatchMatrix[complex128])
 	m.errs[0] = nil
 	p := 0
 	for i := 0; i < s.n; i++ {
@@ -419,37 +485,43 @@ func (m *BatchMatrix[T]) factorize1() {
 				vals[d] -= lik * src[j]
 			}
 		}
-		if m.pivots(vals[dp:dp+1], inv[i:i+1], m.errs) {
+		var verdict error
+		if isReal {
+			rm.inv[i], verdict = realPivot(rm.vals[dp])
+		} else {
+			cm.inv[i], verdict = complexPivot(cm.vals[dp])
+		}
+		if verdict != nil {
+			m.errs[0] = verdict
 			m.pivotErrs(i)
 			return
 		}
 	}
 }
 
-// solve1 is the one-lane substitution: permute, forward- and
-// back-substitute, permute back.
-func (m *BatchMatrix[T]) solve1(b []T) {
+// solve1 is the one-lane substitution over the reach r (see SolveFor):
+// permute in, forward- and back-substitute, permute back out.
+func (m *BatchMatrix[T]) solve1(b []T, r *Reach) {
 	s := m.sym
-	n := s.n
 	vals, cols, pb := m.vals, s.cols, m.pb
-	for i := 0; i < n; i++ {
+	for _, i := range r.fwd {
 		pb[i] = b[s.rowInv[i]]
 	}
-	for i := 1; i < n; i++ {
+	for _, i := range r.fwd {
 		sum := pb[i]
 		for t := s.rowPtr[i]; t < s.diag[i]; t++ {
 			sum -= vals[t] * pb[cols[t]]
 		}
 		pb[i] = sum
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := s.n - 1; i >= r.lo; i-- {
 		sum := pb[i]
 		for t := s.diag[i] + 1; t < s.rowPtr[i+1]; t++ {
 			sum -= vals[t] * pb[cols[t]]
 		}
 		pb[i] = sum * m.inv[i]
 	}
-	for c := 0; c < n; c++ {
+	for _, c := range r.out {
 		b[c] = pb[s.colPerm[c]]
 	}
 }
@@ -479,9 +551,11 @@ func pivotErr(verdict error, i int) error {
 // overflows errSubnormalPivot (both with a zero reciprocal); the step then
 // returns true.
 //
-// The step runs once per row for all lanes, and the element type is
-// resolved once per matrix (pivotStepFor), not per lane: on a small MNA
-// pattern the pivot step is a meaningful slice of the whole factorization.
+// The step runs once per row for all lanes of the K > 1 kernels, and the
+// element type is resolved once per matrix (pivotStepFor), not per lane: on
+// a small MNA pattern the pivot step is a meaningful slice of the whole
+// factorization. Each lane goes through the scalar step (realPivot,
+// complexPivot) that the one-lane kernel calls directly.
 type pivotStep[T Scalar] func(d, inv []T, errs []error) bool
 
 func pivotStepFor[T Scalar]() pivotStep[T] {
@@ -496,14 +570,10 @@ func realPivots(d, inv []float64, errs []error) bool {
 	failed := false
 	for l, v := range d {
 		r := 0.0
-		switch {
-		case errs[l] != nil:
-		case v == 0 || v != v:
-			errs[l], failed = errZeroPivot, true
-		default:
-			r = 1 / v
-			if r > math.MaxFloat64 || r < -math.MaxFloat64 {
-				errs[l], failed, r = errSubnormalPivot, true, 0
+		if errs[l] == nil {
+			var verdict error
+			if r, verdict = realPivot(v); verdict != nil {
+				errs[l], failed = verdict, true
 			}
 		}
 		inv[l] = r
@@ -511,31 +581,55 @@ func realPivots(d, inv []float64, errs []error) bool {
 	return failed
 }
 
-// complexPivots follows cmplx.IsNaN's rules for a bad pivot: zero, or a NaN
-// part while no part is infinite.
+// realPivot is the pivot step of one real lane: the reciprocal of a usable
+// pivot, or a zero reciprocal and the lane's verdict.
+func realPivot(v float64) (float64, error) {
+	if v == 0 || v != v {
+		return 0, errZeroPivot
+	}
+	r := 1 / v
+	if r > math.MaxFloat64 || r < -math.MaxFloat64 {
+		return 0, errSubnormalPivot
+	}
+	return r, nil
+}
+
 func complexPivots(d, inv []complex128, errs []error) bool {
 	failed := false
 	for l, v := range d {
 		var r complex128
-		re, im := real(v), imag(v)
-		switch {
-		case errs[l] != nil:
-		case v == 0:
-			errs[l], failed = errZeroPivot, true
-		case math.Abs(re) <= math.MaxFloat64 && math.Abs(im) <= math.MaxFloat64:
-			r = recipFinite(re, im)
-		case math.IsInf(re, 0) || math.IsInf(im, 0):
-			r = 1 / v
-		default:
-			errs[l], failed = errZeroPivot, true
-		}
-		if rr, ri := real(r), imag(r); rr > math.MaxFloat64 || rr < -math.MaxFloat64 ||
-			ri > math.MaxFloat64 || ri < -math.MaxFloat64 {
-			errs[l], failed, r = errSubnormalPivot, true, 0
+		if errs[l] == nil {
+			var verdict error
+			if r, verdict = complexPivot(v); verdict != nil {
+				errs[l], failed = verdict, true
+			}
 		}
 		inv[l] = r
 	}
 	return failed
+}
+
+// complexPivot is the pivot step of one complex lane. It follows
+// cmplx.IsNaN's rules for a bad pivot: zero, or a NaN part while no part is
+// infinite.
+func complexPivot(v complex128) (complex128, error) {
+	var r complex128
+	re, im := real(v), imag(v)
+	switch {
+	case v == 0:
+		return 0, errZeroPivot
+	case math.Abs(re) <= math.MaxFloat64 && math.Abs(im) <= math.MaxFloat64:
+		r = recipFinite(re, im)
+	case math.IsInf(re, 0) || math.IsInf(im, 0):
+		r = 1 / v
+	default:
+		return 0, errZeroPivot
+	}
+	if rr, ri := real(r), imag(r); rr > math.MaxFloat64 || rr < -math.MaxFloat64 ||
+		ri > math.MaxFloat64 || ri < -math.MaxFloat64 {
+		return 0, errSubnormalPivot
+	}
+	return r, nil
 }
 
 // recipFinite returns 1/complex(re, im) for finite parts, not both zero,

@@ -36,37 +36,49 @@ func NewBode(freqs []float64, h []complex128) *Bode {
 	}
 	prev := 0.0
 	for i, v := range h {
-		m := cmplx.Abs(v)
-		if m <= 0 {
-			m = 1e-300
-		}
-		b.MagDB[i] = DB(m)
-		ph := cmplx.Phase(v) * 180 / math.Pi
-		if i > 0 {
-			// Unwrap: keep |phase step| < 180°.
-			for ph-prev > 180 {
-				ph -= 360
-			}
-			for ph-prev < -180 {
-				ph += 360
-			}
-		}
-		b.Phase[i] = ph
-		prev = ph
+		b.MagDB[i] = gainDB(cmplx.Abs(v))
+		prev = unwrap(v, prev, i == 0)
+		b.Phase[i] = prev
 	}
 	return b
 }
 
+// gainDB is a Bode magnitude in dB: |h| = 0 is clamped to a tiny positive
+// value so it stays finite.
+func gainDB(m float64) float64 {
+	if m <= 0 {
+		m = 1e-300
+	}
+	return DB(m)
+}
+
+// unwrap returns the phase of v in degrees, unwrapped against the unwrapped
+// phase prev of the point before it (first: v is the sweep's first point).
+func unwrap(v complex128, prev float64, first bool) float64 {
+	ph := cmplx.Phase(v) * 180 / math.Pi
+	if !first {
+		// Unwrap: keep |phase step| < 180°.
+		for ph-prev > 180 {
+			ph -= 360
+		}
+		for ph-prev < -180 {
+			ph += 360
+		}
+	}
+	return ph
+}
+
 // FallsThroughUnity reports whether a response falls through unity gain
-// between consecutive sweep points: |prev| ≥ 1 and |cur| < 1. It is
-// UnityCrossing's MagDB ≥ 0 → < 0 rule without the logarithms — NewBode's
-// magnitudes are 20·log10|h| (with |h| = 0 clamped to a tiny positive
-// value), which is ≥ 0 exactly when |h| ≥ 1 and < 0 exactly when |h| < 1,
-// NaN failing both. A sweep that ends at the first such point therefore
-// holds every point DCGainDB, UnityCrossing, GainBandwidth and PhaseMargin
-// read; GainMargin and Bandwidth3dB may read beyond it.
-func FallsThroughUnity(prev, cur complex128) bool {
-	return cmplx.Abs(prev) >= 1 && cmplx.Abs(cur) < 1
+// between consecutive sweep points of magnitudes prev and cur: prev ≥ 1 and
+// cur < 1. It is UnityCrossing's MagDB ≥ 0 → < 0 rule without the
+// logarithms — NewBode's magnitudes are 20·log10|h| (with |h| = 0 clamped
+// to a tiny positive value), which is ≥ 0 exactly when |h| ≥ 1 and < 0
+// exactly when |h| < 1, NaN failing both. A sweep that ends at the first
+// such point therefore holds every point DCGainDB, UnityCrossing,
+// GainBandwidth and PhaseMargin read; GainMargin and Bandwidth3dB may read
+// beyond it.
+func FallsThroughUnity(prev, cur float64) bool {
+	return prev >= 1 && cur < 1
 }
 
 // DCGainDB returns the gain at the lowest swept frequency.
@@ -83,13 +95,17 @@ func (b *Bode) UnityCrossing() (float64, error) {
 	for i := 1; i < len(b.MagDB); i++ {
 		m0, m1 := b.MagDB[i-1], b.MagDB[i]
 		if m0 >= 0 && m1 < 0 {
-			// Interpolate in log-frequency.
-			t := m0 / (m0 - m1)
-			lf := math.Log10(b.Freqs[i-1]) + t*(math.Log10(b.Freqs[i])-math.Log10(b.Freqs[i-1]))
-			return math.Pow(10, lf), nil
+			return logInterp(b.Freqs[i-1], b.Freqs[i], m0/(m0-m1)), nil
 		}
 	}
 	return 0, ErrNoCrossing
+}
+
+// logInterp returns the frequency at fraction t from f0 to f1 in
+// log-frequency.
+func logInterp(f0, f1, t float64) float64 {
+	lf := math.Log10(f0) + t*(math.Log10(f1)-math.Log10(f0))
+	return math.Pow(10, lf)
 }
 
 // PhaseAt returns the phase (degrees) at frequency f, interpolated in
@@ -98,17 +114,32 @@ func (b *Bode) PhaseAt(f float64) float64 {
 	if len(b.Freqs) == 0 {
 		return 0
 	}
-	if f <= b.Freqs[0] {
+	switch i, t := segment(b.Freqs, f); i {
+	case 0:
 		return b.Phase[0]
+	case len(b.Freqs):
+		return b.Phase[len(b.Phase)-1]
+	default:
+		return b.Phase[i-1] + t*(b.Phase[i]-b.Phase[i-1])
 	}
-	for i := 1; i < len(b.Freqs); i++ {
-		if f <= b.Freqs[i] {
-			t := (math.Log10(f) - math.Log10(b.Freqs[i-1])) /
-				(math.Log10(b.Freqs[i]) - math.Log10(b.Freqs[i-1]))
-			return b.Phase[i-1] + t*(b.Phase[i]-b.Phase[i-1])
+}
+
+// segment locates f on a non-empty sweep the way PhaseAt reads it: i is
+// the first point with f ≤ freqs[i], or len(freqs) when f lies beyond the
+// last one, and for 0 < i < len(freqs) f sits at log-frequency fraction t
+// from point i-1 to point i.
+func segment(freqs []float64, f float64) (i int, t float64) {
+	if f <= freqs[0] {
+		return 0, 0
+	}
+	for i := 1; i < len(freqs); i++ {
+		if f <= freqs[i] {
+			t := (math.Log10(f) - math.Log10(freqs[i-1])) /
+				(math.Log10(freqs[i]) - math.Log10(freqs[i-1]))
+			return i, t
 		}
 	}
-	return b.Phase[len(b.Phase)-1]
+	return len(freqs), 0
 }
 
 // PhaseMargin returns the phase margin in degrees: 180° plus the phase at
@@ -118,10 +149,13 @@ func (b *Bode) PhaseMargin() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ph := b.PhaseAt(fu)
+	return margin(b.PhaseAt(fu), b.Phase[0]), nil
+}
+
+// margin is the phase margin of the phase ph at the unity crossing.
+func margin(ph, ref float64) float64 {
 	// Reference the phase to the DC phase so inverting amplifiers
 	// (DC phase 180°) and non-inverting ones are treated alike.
-	ref := b.Phase[0]
 	pm := 180 + (ph - ref)
 	for pm > 360 {
 		pm -= 360
@@ -129,7 +163,7 @@ func (b *Bode) PhaseMargin() (float64, error) {
 	for pm < -360 {
 		pm += 360
 	}
-	return pm, nil
+	return pm
 }
 
 // GainBandwidth returns the unity-gain frequency (Hz).
@@ -145,8 +179,7 @@ func (b *Bode) Bandwidth3dB() (float64, error) {
 	for i := 1; i < len(b.MagDB); i++ {
 		if b.MagDB[i-1] >= target && b.MagDB[i] < target {
 			t := (b.MagDB[i-1] - target) / (b.MagDB[i-1] - b.MagDB[i])
-			lf := math.Log10(b.Freqs[i-1]) + t*(math.Log10(b.Freqs[i])-math.Log10(b.Freqs[i-1]))
-			return math.Pow(10, lf), nil
+			return logInterp(b.Freqs[i-1], b.Freqs[i], t), nil
 		}
 	}
 	return 0, ErrNoCrossing
@@ -169,4 +202,59 @@ func (b *Bode) GainMargin() (float64, error) {
 		}
 	}
 	return 0, ErrNoCrossing
+}
+
+// The lazy measures below read a response straight from its phasors h on
+// freqs[:len(h)]: each returns bit for bit what the same-named measure of
+// NewBode(freqs[:len(h)], h) returns, but takes the logarithms only where
+// that measure reads them — the magnitude in dB at h[0] and at the two
+// points of the first unity-gain fall — and the phases only up to the last
+// point the phase margin interpolates at. The per-sample measures of a
+// yield loop read three magnitudes and (for a phase-margin spec) a few
+// phases out of a whole sweep.
+
+// DCGainDBOf is NewBode(freqs, h).DCGainDB().
+func DCGainDBOf(h []complex128) float64 {
+	if len(h) == 0 {
+		return math.Inf(-1)
+	}
+	return gainDB(cmplx.Abs(h[0]))
+}
+
+// UnityCrossingOf is NewBode(freqs[:len(h)], h).UnityCrossing(), found by
+// FallsThroughUnity on the magnitudes, one per point.
+func UnityCrossingOf(freqs []float64, h []complex128) (float64, error) {
+	if len(h) == 0 {
+		return 0, ErrNoCrossing
+	}
+	prev := cmplx.Abs(h[0])
+	for i := 1; i < len(h); i++ {
+		cur := cmplx.Abs(h[i])
+		if FallsThroughUnity(prev, cur) {
+			m0, m1 := gainDB(prev), gainDB(cur)
+			return logInterp(freqs[i-1], freqs[i], m0/(m0-m1)), nil
+		}
+		prev = cur
+	}
+	return 0, ErrNoCrossing
+}
+
+// PhaseMarginOf is NewBode(freqs[:len(h)], h).PhaseMargin() given its unity
+// crossing fu (UnityCrossingOf's result; h non-empty): the phases are
+// unwrapped only up to the last point PhaseAt(fu) reads.
+func PhaseMarginOf(freqs []float64, h []complex128, fu float64) float64 {
+	i, t := segment(freqs[:len(h)], fu)
+	var ref, before, at float64
+	for j := 0; j <= min(i, len(h)-1); j++ {
+		before = at
+		at = unwrap(h[j], at, j == 0)
+		if j == 0 {
+			ref = at
+		}
+	}
+	ph := at
+	if i > 0 && i < len(h) {
+		ph = before + t*(at-before)
+	}
+	return margin(ph, ref)
 }

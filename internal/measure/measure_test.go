@@ -251,7 +251,7 @@ func TestFallsThroughUnityMatchesMagDB(t *testing.T) {
 	for i := 1; i < len(vals); i++ {
 		prev, cur := vals[i-1], vals[i]
 		want := magDB(prev) >= 0 && magDB(cur) < 0
-		if got := FallsThroughUnity(prev, cur); got != want {
+		if got := FallsThroughUnity(cmplx.Abs(prev), cmplx.Abs(cur)); got != want {
 			t.Fatalf("FallsThroughUnity(%v, %v) = %v, MagDB rule %v", prev, cur, got, want)
 		}
 	}
@@ -278,7 +278,7 @@ func TestUnityPrefixMeasuresMatchFullSweep(t *testing.T) {
 		}
 		m := len(h)
 		for i := 1; i < len(h); i++ {
-			if FallsThroughUnity(h[i-1], h[i]) {
+			if FallsThroughUnity(cmplx.Abs(h[i-1]), cmplx.Abs(h[i])) {
 				m = i + 1
 				break
 			}

@@ -208,6 +208,38 @@ func TestStepDegenerateInputs(t *testing.T) {
 	}
 }
 
+// On a coarse grid the settling band entry is interpolated between the last
+// sample outside the band and the first inside it, the overshoot is the
+// peak excursion over the swing, and a waveform that oscillates to the
+// window's end never settles. (These are the checks of the spice package's
+// former absolute-band Settling helper, which Step superseded.)
+func TestStepSettlingOnCoarseGrid(t *testing.T) {
+	times := []float64{0, 1, 2, 3, 4, 5}
+	s, err := NewStep(times, []float64{0, 1.4, 0.8, 1.05, 1.0, 1.0}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := s.SettlingTime(0.1)
+	if err != nil {
+		t.Fatalf("should settle: %v", err)
+	}
+	// |0.8−1| = 0.2 at t=2 and |1.05−1| = 0.05 at t=3: the 0.1 band is
+	// entered two thirds of the way.
+	if want := 2 + 2.0/3; math.Abs(ts-want) > 1e-12 {
+		t.Errorf("settle time = %v, want %v", ts, want)
+	}
+	if over := s.Overshoot(); math.Abs(over-0.4) > 1e-12 {
+		t.Errorf("overshoot = %v, want 0.4", over)
+	}
+	osc, err := NewStep(times, []float64{0, 2, 0, 2, 0, 2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := osc.SettlingTime(0.1); !errors.Is(err, ErrNoSettle) {
+		t.Errorf("oscillating waveform settling err = %v, want ErrNoSettle", err)
+	}
+}
+
 // The Bode measures must reproduce the closed-form figures of the analytic
 // single-pole transfer function H(f) = A0/(1 + j·f/fp): DC gain, -3 dB
 // corner at fp, unity crossing at fp·√(A0²−1) and the matching phase

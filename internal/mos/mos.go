@@ -217,8 +217,25 @@ type OP struct {
 // NMOS-like frame (vgs, vds, vbs with vds ≥ 0 expected; vds < 0 is folded by
 // the caller via source/drain swap in the MNA engine).
 func (d *Device) Evaluate(vgs, vds, vbs float64) OP {
-	p := d.Params
 	var op OP
+	d.EvaluateTo(&op, vgs, vds, vbs)
+	return op
+}
+
+// EvaluateTo is Evaluate writing into op: the DC operating point and the
+// capacitance estimates.
+func (d *Device) EvaluateTo(op *OP, vgs, vds, vbs float64) {
+	d.EvaluateDC(op, vgs, vds, vbs)
+	d.capacitances(op, vbs)
+}
+
+// EvaluateDC writes the DC fields of the operating point into op — Region,
+// ID, VTH, Vov, VDsat, Gm, Gds and Gmb, bit for bit what Evaluate computes —
+// and leaves the capacitances untouched. It is the form of the Newton loop,
+// which stamps currents and conductances every iteration and never reads a
+// capacitance.
+func (d *Device) EvaluateDC(op *OP, vgs, vds, vbs float64) {
+	p := d.Params
 	// Body effect (vbs ≤ 0 is reverse bias in this frame).
 	phi := p.Phi
 	if phi < 0.1 {
@@ -233,6 +250,7 @@ func (d *Device) Evaluate(vgs, vds, vbs float64) OP {
 	beta := d.Beta()
 	lam := d.Lambda()
 
+	op.Gmb = 0
 	switch {
 	case op.Vov <= 0:
 		op.Region = Cutoff
@@ -242,7 +260,6 @@ func (d *Device) Evaluate(vgs, vds, vbs float64) OP {
 		op.ID = 0
 		op.Gm = 0
 		op.Gds = 0
-		op.Gmb = 0
 	case vds < op.Vov:
 		op.Region = Triode
 		op.VDsat = op.Vov
@@ -262,8 +279,6 @@ func (d *Device) Evaluate(vgs, vds, vbs float64) OP {
 		// gmb = gm · γ / (2·sqrt(2φF − vbs))
 		op.Gmb = op.Gm * p.Gamma / (2 * math.Sqrt(sb))
 	}
-	d.capacitances(&op, vbs)
-	return op
 }
 
 // capacitances fills the capacitance estimates of op.

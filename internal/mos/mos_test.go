@@ -2,6 +2,7 @@ package mos
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -249,5 +250,62 @@ func TestMultiplier(t *testing.T) {
 	op4 := d4.Evaluate(1.0, 1.5, 0)
 	if math.Abs(op4.ID/op1.ID-4) > 1e-9 {
 		t.Errorf("M=4 current ratio = %v", op4.ID/op1.ID)
+	}
+}
+
+// sameFloat reports bit identity, any NaN matching any NaN.
+func sameFloat(a, b float64) bool {
+	if a != a || b != b {
+		return a != a && b != b
+	}
+	return math.Float64bits(a) == math.Float64bits(b)
+}
+
+// EvaluateDC writes exactly Evaluate's DC fields, bit for bit, into storage
+// holding a stale operating point, and leaves its capacitances alone;
+// EvaluateTo writes all of Evaluate. Random terminal voltages cover cutoff,
+// triode and saturation (and reverse vds, which the engine folds away but
+// the model must still evaluate deterministically), on NMOS and PMOS cards
+// and on a card without body effect.
+func TestEvaluateDCMatchesEvaluate(t *testing.T) {
+	nch := testParams()
+	pch := testParams()
+	pch.Name, pch.PMOS, pch.VTH0, pch.U0, pch.Gamma = "pch", true, 0.65, 0.015, 0.45
+	flat := testParams()
+	flat.Gamma = 0
+	rng := rand.New(rand.NewSource(11))
+	stale := OP{Region: Region(7), ID: math.NaN(), VTH: 1, Vov: 2, VDsat: 3, Gm: 4, Gds: 5, Gmb: 6,
+		Cgs: 7, Cgd: 8, Cdb: 9, Csb: 10}
+	regions := map[Region]int{}
+	for _, card := range []*Params{nch, pch, flat} {
+		d := &Device{Params: card, W: 1e-6 + rng.Float64()*50e-6, L: 0.35e-6 + rng.Float64()*2e-6, M: 1}
+		for i := 0; i < 20000; i++ {
+			vgs, vds, vbs := 3*rng.Float64()-0.5, 3.5*rng.Float64()-0.2, -2*rng.Float64()+0.1
+			want := d.Evaluate(vgs, vds, vbs)
+			regions[want.Region]++
+			got := stale
+			d.EvaluateDC(&got, vgs, vds, vbs)
+			dc := [][2]float64{{got.ID, want.ID}, {got.VTH, want.VTH}, {got.Vov, want.Vov},
+				{got.VDsat, want.VDsat}, {got.Gm, want.Gm}, {got.Gds, want.Gds}, {got.Gmb, want.Gmb}}
+			for f, p := range dc {
+				if got.Region != want.Region || !sameFloat(p[0], p[1]) {
+					t.Fatalf("%s (%v, %v, %v): DC field %d = %v (%v), Evaluate %v (%v)",
+						card.Name, vgs, vds, vbs, f, p[0], got.Region, p[1], want.Region)
+				}
+			}
+			if got.Cgs != stale.Cgs || got.Cgd != stale.Cgd || got.Cdb != stale.Cdb || got.Csb != stale.Csb {
+				t.Fatalf("%s: EvaluateDC wrote the capacitances: %+v", card.Name, got)
+			}
+			full := stale
+			d.EvaluateTo(&full, vgs, vds, vbs)
+			if full != want {
+				t.Fatalf("%s (%v, %v, %v): EvaluateTo %+v, Evaluate %+v", card.Name, vgs, vds, vbs, full, want)
+			}
+		}
+	}
+	for _, r := range []Region{Cutoff, Triode, Saturation} {
+		if regions[r] == 0 {
+			t.Errorf("no draw landed in %v: %v", r, regions)
+		}
 	}
 }

@@ -307,10 +307,10 @@ func (c *Coordinator) Yield(ctx context.Context, spec YieldSpec, progress func(d
 	}
 
 	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		doneCum  int64
-		passCum  int64
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		doneCum int64
+		passCum int64
 	)
 	counts := make([][]int, len(plans))
 	errs := make([]error, len(plans))

@@ -3,6 +3,7 @@ package spice
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"github.com/eda-go/moheco/internal/linalg"
 	"github.com/eda-go/moheco/internal/linalg/sparse"
@@ -134,6 +135,20 @@ func newACResult(freqs []float64, flat []complex128, nodes int) *ACResult {
 	return res
 }
 
+// reachOf returns the substitution reach of the solution components of
+// nodes [lo, hi), ground excluded. The engine keeps the last one: a
+// testbench sweeps one probe for its whole lifetime.
+func (e *Engine) reachOf(lo, hi int) *sparse.Reach {
+	if e.reach == nil || e.reachNodes != [2]int{lo, hi} {
+		comps := make([]int, 0, hi-lo)
+		for nd := max(lo, 1); nd < hi; nd++ {
+			comps = append(comps, row(nd))
+		}
+		e.reach, e.reachNodes = e.sym.Reach(comps...), [2]int{lo, hi}
+	}
+	return e.reach
+}
+
 // record copies the phasors of nodes [lo, lo+len(dst)) from the solution
 // x (K lanes in SoA layout, lane l) into dst; ground stays zero.
 func record(dst, x []complex128, lo, k, l int) {
@@ -156,6 +171,7 @@ type acScratch struct {
 	Y      *sparse.BatchMatrix[complex128] // sparse system lanes; nil on the dense backend
 	dY     *linalg.CMatrix                 // dense system (one lane), with a write-off element
 	yv     []complex128                    // the system's value array
+	mag    []float64                       // per lane: |h| at the last recorded point (stop sweeps)
 }
 
 // acFor returns the group's AC scratch, allocated on its first sweep
@@ -172,6 +188,7 @@ func (bs *scratch) acFor(e *Engine) *acScratch {
 		xc:  make([]complex128, n*k),
 		y0:  make([]complex128, slots),
 		pat: make([]int32, 0, slots),
+		mag: make([]float64, k),
 	}
 	if e.sym != nil {
 		ac.Y = sparse.NewBatchMatrix[complex128](e.sym, k)
@@ -256,6 +273,12 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 	}
 	ac.pat = pat
 	yv := ac.yv
+	// The record needs only the solution components of nodes [lo, hi): a
+	// probe substitutes only the rows its one node depends on.
+	var reach *sparse.Reach
+	if ac.Y != nil {
+		reach = e.reachOf(lo, hi)
+	}
 	for fi, f := range freqs {
 		omega := 2 * math.Pi * f
 		if omega >= 0 && omega <= math.MaxFloat64 {
@@ -273,7 +296,8 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 		copy(ac.xc, ac.rhs[:n*k])
 		var serrs []error
 		if ac.Y != nil {
-			serrs = ac.Y.FactorSolve(ac.xc)
+			ac.Y.Factorize()
+			serrs = ac.Y.SolveFor(ac.xc, reach)
 		} else {
 			bs.ferr[0] = linalg.CSolveInPlace(ac.dY, ac.xc)
 			serrs = bs.ferr[:]
@@ -292,11 +316,16 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 			}
 			h := out[l]
 			record(h[fi*w:(fi+1)*w], ac.xc, lo, k, l)
-			if stop && fi > 0 && measure.FallsThroughUnity(h[fi-1], h[fi]) {
+			if !stop {
+				continue
+			}
+			mag := cmplx.Abs(h[fi])
+			if fi > 0 && measure.FallsThroughUnity(ac.mag[l], mag) {
 				out[l] = h[:fi+1]
 				st[l].live = false
 				nLive--
 			}
+			ac.mag[l] = mag
 		}
 		if nLive == 0 {
 			break

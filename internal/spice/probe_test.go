@@ -3,6 +3,7 @@ package spice
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"github.com/eda-go/moheco/internal/measure"
@@ -138,7 +139,7 @@ func TestProbedSweepsMatchFullPrefix(t *testing.T) {
 			}
 			m := len(col)
 			for i := 1; stop && i < len(col); i++ {
-				if measure.FallsThroughUnity(col[i-1], col[i]) {
+				if measure.FallsThroughUnity(cmplx.Abs(col[i-1]), cmplx.Abs(col[i])) {
 					m = i + 1
 					break
 				}

@@ -101,8 +101,11 @@ type Engine struct {
 	plan *stampPlan
 
 	// Sparse backend: the symbolic factorization computed once in New. nil
-	// on the dense path.
-	sym *sparse.Symbolic
+	// on the dense path. reach caches the AC substitution reach of the
+	// recorded node range reachNodes (see reachOf).
+	sym        *sparse.Symbolic
+	reach      *sparse.Reach
+	reachNodes [2]int
 
 	// lanes is the resolved lockstep lane count; scratch holds the solve
 	// scratch of every group width the engine has run (see scratchFor).
@@ -255,7 +258,9 @@ func (e *Engine) opResult(x []float64, iters int) *OPResult {
 	}
 	for _, d := range e.ckt.Devices {
 		if m, ok := d.(*netlist.Mosfet); ok {
-			op, _ := evalMosfet(m, res.V)
+			var op mos.OP
+			vgs, vds, vbs, _ := mosBias(m, res.V)
+			m.Dev.EvaluateTo(&op, vgs, vds, vbs)
 			res.MOS[m.Name] = op
 		}
 	}
@@ -278,10 +283,11 @@ type stampCtx struct {
 	icPrev   []float64 // per-capacitor currents at the previous point (trap only)
 }
 
-// evalMosfet computes the operating point of m given node voltages V
-// (indexed by netlist node id), handling polarity and source/drain swap.
-// swapped reports whether drain and source were exchanged.
-func evalMosfet(m *netlist.Mosfet, V []float64) (op mos.OP, swapped bool) {
+// mosBias returns the terminal voltages of m in its model's NMOS-like frame
+// (vgs, vds, vbs with vds ≥ 0) given node voltages V (indexed by netlist
+// node id), handling polarity and source/drain swap. swapped reports
+// whether drain and source were exchanged.
+func mosBias(m *netlist.Mosfet, V []float64) (vgs, vds, vbs float64, swapped bool) {
 	vd, vg, vs, vb := V[m.D], V[m.G], V[m.S], V[m.B]
 	if m.Dev.Params.PMOS {
 		// Magnitude frame: vgs = vSG, vds = vSD, vbs = vSB.
@@ -289,13 +295,11 @@ func evalMosfet(m *netlist.Mosfet, V []float64) (op mos.OP, swapped bool) {
 			vd, vs = vs, vd
 			swapped = true
 		}
-		op = m.Dev.Evaluate(vs-vg, vs-vd, vs-vb)
-	} else {
-		if vd-vs < 0 {
-			vd, vs = vs, vd
-			swapped = true
-		}
-		op = m.Dev.Evaluate(vg-vs, vd-vs, vb-vs)
+		return vs - vg, vs - vd, vs - vb, swapped
 	}
-	return op, swapped
+	if vd-vs < 0 {
+		vd, vs = vs, vd
+		swapped = true
+	}
+	return vg - vs, vd - vs, vb - vs, swapped
 }

@@ -2,6 +2,7 @@ package spice
 
 import (
 	"github.com/eda-go/moheco/internal/linalg/sparse"
+	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/netlist"
 )
 
@@ -335,9 +336,13 @@ func (p *stampPlan) stampDC(vals, F []float64, k, lane int, x, scrV []float64, c
 	for i := 1; i < len(scrV); i++ {
 		scrV[i] = x[i-1]
 	}
+	// The Newton loop reads only the DC fields of the operating point: the
+	// capacitances are left to stampAC.
+	var op mos.OP
 	for i := range p.mos {
 		ms := &p.mos[i]
-		op, swapped := evalMosfet(ms.dev, scrV)
+		vgs, vds, vbs, swapped := mosBias(ms.dev, scrV)
+		ms.dev.Dev.EvaluateDC(&op, vgs, vds, vbs)
 		di, si := tD, tS
 		if swapped {
 			di, si = tS, tD
@@ -434,7 +439,9 @@ func (p *stampPlan) stampAC(gv, cv []float64, rhs []complex128, k, lane int, op 
 		ms := &p.mos[i]
 		// Re-derive the linearization from the stored DC solution,
 		// including the drain/source orientation used there.
-		mop, swapped := evalMosfet(ms.dev, op.V)
+		var mop mos.OP
+		vgs, vds, vbs, swapped := mosBias(ms.dev, op.V)
+		ms.dev.Dev.EvaluateTo(&mop, vgs, vds, vbs)
 		di, si := tD, tS
 		if swapped {
 			di, si = tS, tD

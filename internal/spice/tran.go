@@ -35,9 +35,11 @@ func (m TranMethod) String() string {
 type TranOptions struct {
 	// TStop is the end of the integration window (s). Required.
 	TStop float64
-	// Step is the fixed timestep, or the initial (and post-breakpoint
-	// restart) step of the adaptive controller. Defaults to TStop/1000 in
-	// adaptive mode; required in fixed mode.
+	// Step is the fixed timestep, or the initial step of the adaptive
+	// controller, which also restarts at no more than Step after each
+	// breakpoint. Defaults to TStop/1000 in adaptive mode; required in
+	// fixed mode. An adaptive run's point count is not TStop/Step: the
+	// controller grows the step toward MaxStep across smooth stretches.
 	Step float64
 	// Adaptive enables local-truncation-error step control: each step's LTE
 	// is estimated from divided differences of the accepted solution
@@ -103,7 +105,8 @@ func (o TranOptions) withDefaults() (TranOptions, error) {
 type TranResult struct {
 	Times []float64
 	// V[k][node] is the voltage of the node at Times[k], indexed by
-	// netlist node id.
+	// netlist node id. The rows share backing blocks; each row's capacity
+	// is its length, so appending to one never writes into another.
 	V [][]float64
 	// Rejected counts adaptive steps discarded by the LTE controller or by
 	// a non-converged Newton solve (0 in fixed mode).
@@ -168,6 +171,7 @@ type tranState struct {
 	vPrev  []float64 // node voltages (by node id) at the last accepted point
 	icPrev []float64 // per-capacitor currents at the last accepted point (trap)
 	res    *TranResult
+	rows   []float64 // unused tail of the current block of V rows
 
 	// bs is the engine's one-lane scratch and xs the one-lane iterate group
 	// (xTry) every step's Newton run solves.
@@ -193,12 +197,15 @@ func (tr *tranState) init(op *OPResult) {
 	// At the DC operating point every capacitor is open: zero current.
 	tr.icPrev = make([]float64, len(e.plan.caps))
 	tr.bs = e.scratchFor(1)
-	// Preallocate the result for the fixed grid's exact point count; the
-	// adaptive grid coarsens from the initial step, so TStop/Step is a
-	// (possibly huge) upper bound — cap the guess and let append take over.
+	// Size the result for the fixed grid's exact point count. The adaptive
+	// grid's count is not known ahead — a yield sample's step response
+	// accepts 60–80 points — so it starts at adaptivePoints and lets
+	// append take over.
 	points := int(tr.o.TStop/tr.o.Step+0.5) + 1
-	if tr.o.Adaptive && points > 1024 {
-		points = 1024
+	if tr.o.Adaptive {
+		points = min(points, adaptivePoints)
+	} else {
+		tr.rows = make([]float64, points*e.ckt.NumNodes())
 	}
 	tr.res = &TranResult{
 		Times: make([]float64, 0, points),
@@ -207,10 +214,24 @@ func (tr *tranState) init(op *OPResult) {
 	tr.record(0)
 }
 
-// record appends the accepted solution at time t to the result.
+// adaptivePoints is the initial result capacity of an adaptive run, in
+// accepted points; rowBlock is how many V rows an adaptive run allocates
+// at a time.
+const (
+	adaptivePoints = 128
+	rowBlock       = 32
+)
+
+// record appends the accepted solution at time t to the result. The rows
+// of V are carved out of blocks (the fixed grid's one exact block, or
+// rowBlock rows at a time), so a run allocates per block, not per point.
 func (tr *tranState) record(t float64) {
 	nodes := tr.e.ckt.NumNodes()
-	vk := make([]float64, nodes)
+	if len(tr.rows) < nodes {
+		tr.rows = make([]float64, rowBlock*nodes)
+	}
+	vk := tr.rows[:nodes:nodes]
+	tr.rows = tr.rows[nodes:]
 	for i := 1; i < nodes; i++ {
 		vk[i] = tr.x[row(i)]
 	}
@@ -452,59 +473,4 @@ func (e *Engine) breakpoints(tStop float64) ([]float64, error) {
 		}
 	}
 	return append(out, tStop), nil
-}
-
-// Settling returns the first time after which the waveform stays within
-// ±tol of its final value, and the overshoot relative to the total swing.
-// It returns ok=false when the waveform never settles inside the window.
-// The measure package's Step type supersedes this helper for spec-grade
-// measurements (interpolated crossings, slew, delay); Settling remains for
-// quick absolute-band checks.
-func Settling(times, wave []float64, tol float64) (tSettle, overshoot float64, ok bool) {
-	if len(wave) < 2 {
-		return 0, 0, false
-	}
-	final := wave[len(wave)-1]
-	start := wave[0]
-	swing := final - start
-	// Overshoot: max excursion beyond the final value, in the step
-	// direction, relative to the swing.
-	peak := 0.0
-	for _, v := range wave {
-		var over float64
-		if swing >= 0 {
-			over = v - final
-		} else {
-			over = final - v
-		}
-		if over > peak {
-			peak = over
-		}
-	}
-	if swing != 0 {
-		overshoot = peak / abs(swing)
-	}
-	// Last time the waveform is outside the band.
-	lastOutside := -1
-	for i, v := range wave {
-		if abs(v-final) > tol {
-			lastOutside = i
-		}
-	}
-	if lastOutside < 0 {
-		return times[0], overshoot, true
-	}
-	// Require at least two trailing in-band samples, so a waveform that
-	// merely passes through the band at the last point does not count.
-	if lastOutside >= len(wave)-2 {
-		return 0, overshoot, false
-	}
-	return times[lastOutside+1], overshoot, true
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/eda-go/moheco/internal/measure"
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/netlist"
 )
@@ -96,12 +97,16 @@ func TestTransientCommonSourceStep(t *testing.T) {
 		t.Errorf("step response delta %v, small-signal predicts %v", delta, want)
 	}
 	// Settling within 1 mV of final.
-	tSettle, _, ok := Settling(res.Times, wave, 1e-3)
-	if !ok {
-		t.Fatal("did not settle")
+	st, err := measure.NewStep(res.Times, wave, src.Pulse.Delay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := st.SettlingTime(1e-3 / math.Abs(st.Swing()))
+	if err != nil {
+		t.Fatalf("did not settle: %v", err)
 	}
 	// One-pole estimate: τ ≈ Rout·Ctot ≈ 20k·2.3p ≈ 46ns → settle < 350ns.
-	if tSettle > 350e-9 {
+	if tSettle := src.Pulse.Delay + ts; tSettle > 350e-9 {
 		t.Errorf("settled at %v, expected < 350ns", tSettle)
 	}
 }
@@ -143,25 +148,6 @@ func TestPulseWaveform(t *testing.T) {
 	q := &netlist.Pulse{V1: 0, V2: 5, Width: 1e-9}
 	if q.Value(0.5e-9) != 5 {
 		t.Error("instant rise broken")
-	}
-}
-
-func TestSettlingHelper(t *testing.T) {
-	times := []float64{0, 1, 2, 3, 4, 5}
-	wave := []float64{0, 1.4, 0.8, 1.05, 1.0, 1.0}
-	ts, over, ok := Settling(times, wave, 0.1)
-	if !ok {
-		t.Fatal("should settle")
-	}
-	if ts != 3 {
-		t.Errorf("settle time = %v, want 3", ts)
-	}
-	if math.Abs(over-0.4) > 1e-12 {
-		t.Errorf("overshoot = %v, want 0.4", over)
-	}
-	// Never settles.
-	if _, _, ok := Settling(times, []float64{0, 2, 0, 2, 0, 2}, 0.1); ok {
-		t.Error("oscillating waveform reported as settled")
 	}
 }
 
