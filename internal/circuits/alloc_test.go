@@ -1,6 +1,7 @@
 package circuits
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
@@ -91,13 +92,18 @@ func TestEvaluateAllocsFixed(t *testing.T) {
 // step response. The byte ceilings sit well below what the transient
 // result cost when it was preallocated for 1024 points (85.6 KB for
 // folded-cascode-tran), and the allocation ceilings below one V row
-// allocated per accepted point (452 objects).
+// allocated per accepted point (452 objects). The 8-sample batch runs its
+// transients as one lane group: its ceiling (576 objects measured) leaves
+// no room for lane-held state that allocates per step, which would add
+// about 70 objects per lane.
 var spiceEvaluateBudget = []struct {
 	p              interface{ ReferenceDesign() []float64 }
+	n              int // samples per call: 1 is Evaluate, more EvaluateBatch
 	allocs, kbytes float64
 }{
-	{NewFoldedCascodeTran(), 410, 70},
-	{NewCommonSourceSpice(), 200, 20},
+	{NewFoldedCascodeTran(), 1, 410, 70},
+	{NewFoldedCascodeTran(), 8, 600, 275},
+	{NewCommonSourceSpice(), 1, 200, 20},
 }
 
 // TestSpiceEvaluateAllocs pins spiceEvaluateBudget.
@@ -105,10 +111,21 @@ func TestSpiceEvaluateAllocs(t *testing.T) {
 	for _, b := range spiceEvaluateBudget {
 		p := b.p.(problem.Problem)
 		x := b.p.ReferenceDesign()
-		xi := sample.PMC{}.Draw(randx.New(8), 1, p.VarDim())[0]
+		xis := sample.PMC{}.Draw(randx.New(8), b.n, p.VarDim())
 		eval := func() {
-			if _, err := p.Evaluate(x, xi); err != nil {
+			_, errs, err := problem.EvaluateBatch(p, x, xis)
+			if err == nil {
+				err = errors.Join(errs...)
+			}
+			if err != nil {
 				t.Fatalf("%s: %v", p.Name(), err)
+			}
+		}
+		if b.n == 1 {
+			eval = func() {
+				if _, err := p.Evaluate(x, xis[0]); err != nil {
+					t.Fatalf("%s: %v", p.Name(), err)
+				}
 			}
 		}
 		eval()
@@ -121,12 +138,12 @@ func TestSpiceEvaluateAllocs(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		kbytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-		t.Logf("%s: %v allocations, %.1f KB per Evaluate", p.Name(), allocs, kbytes)
+		t.Logf("%s, %d samples: %v allocations, %.1f KB per call", p.Name(), b.n, allocs, kbytes)
 		if allocs > b.allocs {
-			t.Errorf("%s: Evaluate allocates %v objects, ceiling %v", p.Name(), allocs, b.allocs)
+			t.Errorf("%s, %d samples: a call allocates %v objects, ceiling %v", p.Name(), b.n, allocs, b.allocs)
 		}
 		if kbytes > b.kbytes {
-			t.Errorf("%s: Evaluate allocates %.1f KB, ceiling %v KB", p.Name(), kbytes, b.kbytes)
+			t.Errorf("%s, %d samples: a call allocates %.1f KB, ceiling %v KB", p.Name(), b.n, kbytes, b.kbytes)
 		}
 	}
 }

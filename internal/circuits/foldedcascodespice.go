@@ -174,7 +174,7 @@ func (ctx *fcSpiceContext) setCards(xi []float64) {
 
 // acMeasures extracts the performance vector from one sample's solved
 // operating point and probed AC sweep h.
-func (ctx *fcSpiceContext) acMeasures(op *spice.OPResult, h []complex128) ([]float64, error) {
+func (ctx *fcSpiceContext) acMeasures(op *spice.OPResult, h []complex128, _ *spice.TranResult) ([]float64, error) {
 	inner := ctx.p.inner
 	vdd := inner.tech.VDD
 	a0dB, gbw, pm := bodeMeasures(ctx.freqs, h, true)

@@ -11,9 +11,10 @@ import (
 
 // The lockstep batch path must be bit-identical to the scalar batch path
 // (lanes pinned to 1) and to the point-wise path, for every
-// simulator-in-the-loop problem and every lane width — the lane determinism
-// contract surfaced at problem granularity. The sample count is chosen so
-// the lane widths under test leave a partially-active tail group.
+// simulator-in-the-loop problem and every lane width — 3 (the generic lane
+// loop), 4 and 8 (the constant-width kernel), transients included — the
+// lane determinism contract surfaced at problem granularity. The short
+// batches leave a partially-active tail group at every width under test.
 func TestLockstepBitIdenticalPerProblem(t *testing.T) {
 	type refProblem interface {
 		problem.Problem
@@ -27,7 +28,7 @@ func TestLockstepBitIdenticalPerProblem(t *testing.T) {
 		{"common-source-spice", 22, func(k int) refProblem { return NewCommonSourceSpice().SetLanes(k) }},
 		{"folded-cascode-spice", 11, func(k int) refProblem { return NewFoldedCascodeSpice().SetLanes(k) }},
 		{"common-source-tran", 11, func(k int) refProblem { return NewCommonSourceTran().SetLanes(k) }},
-		{"folded-cascode-tran", 6, func(k int) refProblem { return NewFoldedCascodeTran().SetLanes(k) }},
+		{"folded-cascode-tran", 7, func(k int) refProblem { return NewFoldedCascodeTran().SetLanes(k) }},
 	}
 	for _, c := range cases {
 		c := c
@@ -63,7 +64,7 @@ func TestLockstepBitIdenticalPerProblem(t *testing.T) {
 					}
 				}
 			}
-			for _, lanes := range []int{4, 8} {
+			for _, lanes := range []int{3, 4, 8} {
 				perfs, errs := c.mk(lanes).(problem.BatchEvaluator).EvaluateBatch(x, xis)
 				for i := range xis {
 					if (errs[i] == nil) != (refErrs[i] == nil) {

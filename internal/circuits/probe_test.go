@@ -58,8 +58,8 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			got, err1 := ctx.measures(op, h)
-			want, err2 := ctx.measures(op, col)
+			got, err1 := ctx.measures(op, h, nil)
+			want, err2 := ctx.measures(op, col, nil)
 			return got, want, len(h) < len(col), firstErr(err1, err2)
 		}},
 		{"folded-cascode-spice", fc, 40, func(x, xi []float64) ([]float64, []float64, bool, error) {
@@ -76,8 +76,8 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			got, err1 := ctx.measures(op, h)
-			want, err2 := ctx.measures(op, col)
+			got, err1 := ctx.measures(op, h, nil)
+			want, err2 := ctx.measures(op, col, nil)
 			return got, want, len(h) < len(col), firstErr(err1, err2)
 		}},
 		{"common-source-tran", cst, 8, func(x, xi []float64) ([]float64, []float64, bool, error) {
@@ -94,8 +94,12 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			got, err1 := ctx.measures(op, h)
-			want, err2 := ctx.measures(op, col)
+			tr, err := ctx.eng.TransientOpts(op, *ctx.tran)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			got, err1 := ctx.measures(op, h, tr)
+			want, err2 := ctx.measures(op, col, tr)
 			return got, want, len(h) < len(col), firstErr(err1, err2)
 		}},
 		{"folded-cascode-tran", fct, 4, func(x, xi []float64) ([]float64, []float64, bool, error) {
@@ -112,8 +116,12 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			got, err1 := ctx.measures(op, h)
-			want, err2 := ctx.measures(op, col)
+			tr, err := ctx.eng.TransientOpts(op, *ctx.tran)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			got, err1 := ctx.measures(op, h, tr)
+			want, err2 := ctx.measures(op, col, tr)
 			return got, want, len(h) < len(col), firstErr(err1, err2)
 		}},
 	}

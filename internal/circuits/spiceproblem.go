@@ -184,7 +184,7 @@ func (ctx *spiceContext) setServo(xi []float64) {
 
 // acMeasures extracts the performance vector from one sample's solved
 // operating point and probed AC sweep h.
-func (ctx *spiceContext) acMeasures(op *spice.OPResult, h []complex128) ([]float64, error) {
+func (ctx *spiceContext) acMeasures(op *spice.OPResult, h []complex128, _ *spice.TranResult) ([]float64, error) {
 	p := ctx.p
 	vdd := p.tech.VDD
 	a0dB, gbw, _ := bodeMeasures(ctx.freqs, h, false)

@@ -42,18 +42,22 @@ type testbench struct {
 
 	// setSample writes one sample's engine state (nil = nominal).
 	setSample func(xi []float64)
-	// measures reduces one sample's operating point and probed sweep h (on
-	// freqs[:len(h)]) to its performance vector; run calls it with that
-	// sample's state installed, so it may simulate further (transient).
-	measures func(op *spice.OPResult, h []complex128) ([]float64, error)
+	// tran, when set, is the transient every sample integrates after its
+	// AC sweep (the time-domain scenarios).
+	tran *spice.TranOptions
+	// measures reduces one sample's operating point, probed sweep h (on
+	// freqs[:len(h)]) and, with tran set, transient tr (nil without) to its
+	// performance vector; run calls it with that sample's state installed.
+	measures func(op *spice.OPResult, h []complex128, tr *spice.TranResult) ([]float64, error)
 }
 
 // run evaluates xis in groups of K = min(engine lanes, len(xis)) samples —
 // [0,K), [K,2K), … in order, the last group partially active — so each
-// group's DC Newton iterations and AC frequency points factor and solve in
-// one lockstep traversal. Grouping is a pure function of the call, and by
-// the lane determinism contract every sample gets the bits of its one-lane
-// solve: a one-sample call (point-wise Evaluate) runs a one-lane group and
+// group's DC Newton iterations, AC frequency points and transient steps
+// factor and solve in one lockstep traversal. A group's transients run
+// after its AC sweep, for the lanes whose DC and AC solves succeeded.
+// Grouping is a pure function of the call, and by the lane determinism
+// contract every sample gets the bits of its one-lane solve: a one-sample call (point-wise Evaluate) runs a one-lane group and
 // lands on the same result as any batch. A sample that fails —
 // malformed ξ, non-convergence — errors alone; the yield machinery counts
 // it as a failed chip, the path a crashing HSPICE run takes in the paper's
@@ -66,6 +70,7 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 	cards := make([]mos.Params, k*nc)
 	vals := make([]float64, k*nv)
 	active := make([]bool, k)
+	tops := make([]*spice.OPResult, k)
 	set := func(l int) {
 		for i, c := range tb.cards {
 			*c = cards[l*nc+i]
@@ -95,14 +100,29 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 		}
 		ops, dcErrs := tb.eng.DCOperatingPointBatchFrom(tb.warm0, active, set)
 		hs, acErrs := tb.eng.ACBatchProbe(ops, tb.freqs, tb.probe, set)
+		var trs []*spice.TranResult
+		var trErrs []error
+		if tb.tran != nil {
+			for l := range tops {
+				tops[l] = ops[l]
+				if acErrs[l] != nil {
+					tops[l] = nil
+				}
+			}
+			trs, trErrs = tb.eng.TransientBatch(tops, *tb.tran, set)
+		}
 		for l := 0; l < m; l++ {
 			if !active[l] {
 				continue
 			}
 			err := cmp.Or(dcErrs[l], acErrs[l])
+			var tr *spice.TranResult
+			if err == nil && trs != nil {
+				tr, err = trs[l], trErrs[l]
+			}
 			if err == nil {
 				set(l)
-				perfs[g+l], err = tb.measures(ops[l], hs[l])
+				perfs[g+l], err = tb.measures(ops[l], hs[l], tr)
 			}
 			if err != nil {
 				errs[g+l] = fmt.Errorf("%s: %w", tb.name, err)

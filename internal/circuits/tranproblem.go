@@ -31,10 +31,11 @@ import (
 // point-wise, batched, any worker count, served — lands on the same bits.
 // The batch path amortizes what dominates per-design cost: netlist
 // construction, engine assembly and the sparse symbolic factorization; the
-// lockstep kernel additionally batches the cold DC solves and AC sweeps of
-// K samples per traversal (bit-identical to one-lane solves by the lane
-// contract), while the adaptive transient integration stays one-lane per
-// lane — its step grid is per-sample, so lanes have nothing to share.
+// lockstep kernel additionally batches the cold DC solves, AC sweeps and
+// adaptive transients of K samples per traversal (bit-identical to
+// one-lane solves by the lane contract). Each transient lane keeps its own
+// step grid: a round attempts every unfinished lane's own next step in one
+// lockstep Newton run, so the lanes share the factorizations, not the grid.
 
 // TranConfig is the embeddable transient-window configuration of a
 // time-domain problem: the integration window, the initial (adaptive) or
@@ -67,24 +68,19 @@ func (c *TranConfig) SetTranWindow(tstop, step float64, fixed bool) error {
 }
 
 // tranOptions builds the integrator options for the configured window.
-func (c *TranConfig) tranOptions() spice.TranOptions {
-	return spice.TranOptions{TStop: c.tstop, Step: c.step, Adaptive: !c.fixed}
+func (c *TranConfig) tranOptions() *spice.TranOptions {
+	return &spice.TranOptions{TStop: c.tstop, Step: c.step, Adaptive: !c.fixed}
 }
 
-// stepResponse integrates one sample's step response from its operating
-// point — with the sample's state installed, since the integrator re-stamps
-// the devices every step — and reduces the "out" waveform to [slew V/s, 1%
-// settling s, overshoot]. Failure shapes degrade smoothly instead of
-// erroring: a waveform that never settles inside the window reports the
-// window length itself (violating any tighter bound), and a collapsed swing
-// reports zero slew — both the transient analogue of the zero-GBW
-// convention the AC problems use, so the yield oracle counts a broken chip
-// rather than a broken simulator.
-func (c *TranConfig) stepResponse(eng *spice.Engine, ckt *netlist.Circuit, op *spice.OPResult, t0 float64) (slew, tSettle, overshoot float64, err error) {
-	tr, err := eng.TransientOpts(op, c.tranOptions())
-	if err != nil {
-		return 0, 0, 0, err
-	}
+// stepResponse reduces one sample's step response tr, integrated from its
+// operating point, to [slew V/s, 1% settling s, overshoot] of the "out"
+// waveform. Failure shapes degrade smoothly instead of erroring: a
+// waveform that never settles inside the window reports the window length
+// itself (violating any tighter bound), and a collapsed swing reports zero
+// slew — both the transient analogue of the zero-GBW convention the AC
+// problems use, so the yield oracle counts a broken chip rather than a
+// broken simulator.
+func (c *TranConfig) stepResponse(tr *spice.TranResult, ckt *netlist.Circuit, t0 float64) (slew, tSettle, overshoot float64, err error) {
 	wave, err := tr.VNode(ckt, "out")
 	if err != nil {
 		return 0, 0, 0, err
@@ -175,7 +171,7 @@ func (p *CommonSourceTran) ReferenceDesign() []float64 { return p.spice.Referenc
 // compile builds the per-design testbench: the spice problem's AC
 // testbench with the step drive riding on the input servo, every sample
 // solved cold (the determinism contract above; the nominal operating point
-// the AC compile solves goes unused), and the step response measured
+// the AC compile solves goes unused), and the step response integrated
 // after the sweep.
 func (p *CommonSourceTran) compile(x []float64) (*spiceContext, error) {
 	ctx, err := p.spice.compile(x)
@@ -192,9 +188,10 @@ func (p *CommonSourceTran) compile(x []float64) (*spiceContext, error) {
 		vin.Pulse.V1 = vin.DC
 		vin.Pulse.V2 = vin.DC + csTranAmp
 	}
-	ctx.measures = func(op *spice.OPResult, h []complex128) ([]float64, error) {
+	ctx.tran = p.tranOptions()
+	ctx.measures = func(_ *spice.OPResult, h []complex128, tr *spice.TranResult) ([]float64, error) {
 		a0dB, gbw, _ := bodeMeasures(ctx.freqs, h, false)
-		slew, ts, os, err := p.stepResponse(ctx.eng, ctx.ckt, op, csTranDelay)
+		slew, ts, os, err := p.stepResponse(tr, ctx.ckt, csTranDelay)
 		if err != nil {
 			return nil, err
 		}
@@ -210,9 +207,8 @@ func (p *CommonSourceTran) Evaluate(x, xi []float64) ([]float64, error) {
 }
 
 // EvaluateBatch implements problem.BatchEvaluator: one compiled testbench
-// per design. The cold DC solves and AC sweeps of each lane group run
-// through the lockstep kernel; the adaptive transient integration runs
-// one lane at a time under that lane's state.
+// per design. The cold DC solves, AC sweeps and adaptive transients of each
+// lane group run through the lockstep kernel.
 func (p *CommonSourceTran) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
 	ctx, err := p.compile(x)
 	if err != nil {
@@ -295,7 +291,7 @@ func (p *FoldedCascodeTran) ReferenceDesign() []float64 { return p.spice.Referen
 // compile builds the per-design testbench: the spice problem's AC
 // testbench with the step drive armed on the input source, every sample
 // solved cold (the determinism contract above), and the step response
-// measured after the sweep. The drive rides on the fixed nominal bias, so
+// integrated after the sweep. The drive rides on the fixed nominal bias, so
 // the cards are the whole per-sample state.
 func (p *FoldedCascodeTran) compile(x []float64) (*fcSpiceContext, error) {
 	ctx, err := p.spice.compile(x)
@@ -307,9 +303,10 @@ func (p *FoldedCascodeTran) compile(x []float64) (*fcSpiceContext, error) {
 	}
 	ctx.name = "folded-cascode-tran"
 	ctx.warm0 = nil
-	ctx.measures = func(op *spice.OPResult, h []complex128) ([]float64, error) {
+	ctx.tran = p.tranOptions()
+	ctx.measures = func(_ *spice.OPResult, h []complex128, tr *spice.TranResult) ([]float64, error) {
 		a0dB, gbw, pm := bodeMeasures(ctx.freqs, h, true)
-		slew, ts, os, err := p.stepResponse(ctx.eng, ctx.ckt, op, fcTranDelay)
+		slew, ts, os, err := p.stepResponse(tr, ctx.ckt, fcTranDelay)
 		if err != nil {
 			return nil, err
 		}
@@ -325,9 +322,8 @@ func (p *FoldedCascodeTran) Evaluate(x, xi []float64) ([]float64, error) {
 }
 
 // EvaluateBatch implements problem.BatchEvaluator: one compiled testbench
-// per design. The cold DC solves and AC sweeps of each lane group run
-// through the lockstep kernel; the adaptive transient integration runs
-// one lane at a time under that lane's cards.
+// per design. The cold DC solves, AC sweeps and adaptive transients of each
+// lane group run through the lockstep kernel.
 func (p *FoldedCascodeTran) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
 	ctx, err := p.compile(x)
 	if err != nil {

@@ -114,8 +114,11 @@ func (m *BatchMatrix[T]) Factorize() []error {
 		return m.errs
 	case kernelWidth:
 		// The auto-resolved width takes the constant-width kernel (same
-		// per-lane operation sequence, compile-time lane bound).
-		m.factorize8()
+		// per-lane operation sequence, compile-time lane bound), in AVX2
+		// assembly where the CPU has it.
+		if !m.factorize8SIMD() {
+			m.factorize8()
+		}
 		return m.errs
 	}
 	s, k := m.sym, m.k
@@ -205,7 +208,9 @@ func (m *BatchMatrix[T]) SolveFor(b []T, r *Reach) []error {
 		}
 		return m.errs
 	case kernelWidth:
-		m.solve8(b, r)
+		if !m.solve8SIMD(b, r) {
+			m.solve8(b, r)
+		}
 		return m.errs
 	}
 	vals, cols, pb, inv := m.vals, s.cols, m.pb, m.inv

@@ -274,7 +274,8 @@ func TestLockstepComplexMatchesScalar(t *testing.T) {
 // against the scalar one lane by lane, the scalar and lockstep kernels,
 // real and complex, against the scatter/gather oracle on adversarial lanes,
 // and the reach-limited substitution against the full Solve on every
-// component. The seed corpus covers the pathologies the MNA engine is known
+// component — under each K=8 kernel path, the AVX2 one also against the Go
+// one directly. The seed corpus covers the pathologies the MNA engine is known
 // to produce.
 func FuzzBuilderAnalyzeLockstep(f *testing.F) {
 	f.Add([]byte{4, 0, 0, 1, 1, 2, 2, 3, 3, 0, 3, 3, 0}) // near-diagonal + corners
@@ -307,14 +308,30 @@ func FuzzBuilderAnalyzeLockstep(f *testing.F) {
 		if sym.NNZ() < sym.Stamped() {
 			t.Fatalf("fill pattern smaller than stamped pattern: %d < %d", sym.NNZ(), sym.Stamped())
 		}
-		rng := rand.New(rand.NewSource(seed))
-		k := 1 + rng.Intn(8)
-		bm, ms := fillLanes(rng, sym, k)
-		checkLockstepEquivalence(t, sym, bm, ms, rng)
-		checkAgainstOracle[float64](t, rng, sym, k)
-		checkAgainstOracle[complex128](t, rng, sym, k)
-		checkReachAgainstSolve[float64](t, rng, sym, k)
-		checkReachAgainstSolve[complex128](t, rng, sym, k)
+		for _, simd := range kernelPaths() {
+			withKernel(simd, func() {
+				rng := rand.New(rand.NewSource(seed))
+				k := 1 + rng.Intn(8)
+				bm, ms := fillLanes(rng, sym, k)
+				checkLockstepEquivalence(t, sym, bm, ms, rng)
+				for _, k := range []int{k, kernelWidth} {
+					checkAgainstOracle[float64](t, rng, sym, k)
+					checkAgainstOracle[complex128](t, rng, sym, k)
+					checkReachAgainstSolve[float64](t, rng, sym, k)
+					checkReachAgainstSolve[complex128](t, rng, sym, k)
+				}
+				if simd {
+					rr := make([]float64, sym.N()*kernelWidth)
+					rc := make([]complex128, sym.N()*kernelWidth)
+					for i := range rr {
+						rr[i] = kernelFloat(rng)
+						rc[i] = complex(kernelFloat(rng), kernelFloat(rng))
+					}
+					compareKernels(t, sym, kernelBatch[float64](rng, sym), rr, sym.all)
+					compareKernels(t, sym, kernelBatch[complex128](rng, sym), rc, sym.all)
+				}
+			})
+		}
 	})
 }
 
@@ -340,37 +357,60 @@ func benchPattern(b *testing.B, n int) *Symbolic {
 	return sym
 }
 
+// benchKernels lists the kernel variants a benchmark runs at K lanes: one,
+// except at the constant width K=8, which runs its Go form and, where the
+// CPU has it, its AVX2 form as separate sub-benchmarks.
+func benchKernels(k int) []string {
+	if k != kernelWidth {
+		return []string{""}
+	}
+	if cpuAVX2 {
+		return []string{"/go", "/avx2"}
+	}
+	return []string{"/go"}
+}
+
+// benchLockstep times FactorSolve of one K-lane batch over sym, restoring
+// the values and right-hand sides each round, and reports ns per lane.
+func benchLockstep[T Scalar](b *testing.B, sym *Symbolic, k int, base []T) {
+	bm := NewBatchMatrix[T](sym, k)
+	rhs := make([]T, sym.N()*k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(bm.vals, base)
+		for j := range rhs {
+			rhs[j] = 1
+		}
+		for _, err := range bm.FactorSolve(rhs) {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k), "ns/lane")
+}
+
 // BenchmarkLockstepFactorSolve measures the per-sample cost of the lockstep
 // kernel at the pattern sizes of the registered spice scenarios (19 unknowns:
 // folded-cascode testbench; 64: the post-layout-scale target) and K=1/4/8
-// lanes. Reported time is per factorize+solve of the whole batch; divide by K
-// for the per-sample amortized cost the yield loop sees.
+// lanes, K=8 in its Go and AVX2 forms. Reported time is per factorize+solve
+// of the whole batch; ns/lane is the per-sample amortized cost the yield
+// loop sees.
 func BenchmarkLockstepFactorSolve(b *testing.B) {
 	for _, n := range []int{19, 64} {
 		sym := benchPattern(b, n)
 		for _, k := range []int{1, 4, 8} {
-			b.Run(benchName(n, k), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(3))
-				bm := NewBatchMatrix[float64](sym, k)
-				base := make([]float64, len(bm.vals))
-				for i := range base {
-					base[i] = rng.NormFloat64() + 4
-				}
-				rhs := make([]float64, n*k)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					copy(bm.vals, base)
-					for j := range rhs {
-						rhs[j] = 1
+			for _, variant := range benchKernels(k) {
+				b.Run(benchName(n, k)+variant, func(b *testing.B) {
+					rng := rand.New(rand.NewSource(3))
+					base := make([]float64, (sym.NNZ()+1)*k)
+					for i := range base {
+						base[i] = rng.NormFloat64() + 4
 					}
-					for _, err := range bm.FactorSolve(rhs) {
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
+					withKernel(variant == "/avx2", func() { benchLockstep(b, sym, k, base) })
+				})
+			}
 		}
 	}
 }
@@ -386,28 +426,16 @@ func BenchmarkLockstepFactorSolveComplex(b *testing.B) {
 	for _, n := range []int{19, 64} {
 		sym := benchPattern(b, n)
 		for _, k := range []int{1, 4, 8} {
-			b.Run(benchName(n, k), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(3))
-				bm := NewBatchMatrix[complex128](sym, k)
-				base := make([]complex128, len(bm.vals))
-				for i := range base {
-					base[i] = complex(rng.NormFloat64()+4, rng.NormFloat64())
-				}
-				rhs := make([]complex128, n*k)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					copy(bm.vals, base)
-					for j := range rhs {
-						rhs[j] = 1
+			for _, variant := range benchKernels(k) {
+				b.Run(benchName(n, k)+variant, func(b *testing.B) {
+					rng := rand.New(rand.NewSource(3))
+					base := make([]complex128, (sym.NNZ()+1)*k)
+					for i := range base {
+						base[i] = complex(rng.NormFloat64()+4, rng.NormFloat64())
 					}
-					for _, err := range bm.FactorSolve(rhs) {
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			})
+					withKernel(variant == "/avx2", func() { benchLockstep(b, sym, k, base) })
+				})
+			}
 		}
 	}
 }

@@ -306,42 +306,45 @@ func checkAgainstOracle[T Scalar](t *testing.T, rng *rand.Rand, s *Symbolic, k i
 
 // The in-place scheduled kernels reproduce the scatter/gather elimination
 // bit for bit on random patterns, for the one-lane kernel and for K = 2, 4,
-// 8 (2 is the narrowest generic width, 8 the constant-width kernel), real and complex, with lanes carrying
+// 8 (2 is the narrowest generic width, 8 the constant-width kernel, run
+// in both its Go and AVX2 forms), real and complex, with lanes carrying
 // zero multipliers, negative zeros, Inf/NaN values and singular or
 // subnormal pivots.
 func TestKernelsMatchScatterGatherOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	seen := map[string]int{}
-	tally := func(kind string, errs []error) {
-		for _, err := range errs {
-			switch {
-			case err == nil:
-				seen[kind+" ok"]++
-			case strings.Contains(err.Error(), "subnormal pivot"):
-				seen[kind+" subnormal"]++
-			default:
-				seen[kind+" zero"]++
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		seen := map[string]int{}
+		tally := func(kind string, errs []error) {
+			for _, err := range errs {
+				switch {
+				case err == nil:
+					seen[kind+" ok"]++
+				case strings.Contains(err.Error(), "subnormal pivot"):
+					seen[kind+" subnormal"]++
+				default:
+					seen[kind+" zero"]++
+				}
 			}
 		}
-	}
-	for trial := 0; trial < 120; trial++ {
-		n := 1 + rng.Intn(24)
-		s, err := randPattern(rng, n, 3*n).Analyze()
-		if err != nil {
-			t.Fatalf("analyze n=%d: %v", n, err)
-		}
-		for _, k := range []int{2, 4, kernelWidth} {
-			tally("real", checkAgainstOracle[float64](t, rng, s, k))
-			tally("complex", checkAgainstOracle[complex128](t, rng, s, k))
-		}
-	}
-	for _, kind := range []string{"real", "complex"} {
-		for _, outcome := range []string{"ok", "zero", "subnormal"} {
-			if seen[kind+" "+outcome] == 0 {
-				t.Errorf("no %s lane ended %s: the adversarial lanes miss a case (%v)", kind, outcome, seen)
+		for trial := 0; trial < 120; trial++ {
+			n := 1 + rng.Intn(24)
+			s, err := randPattern(rng, n, 3*n).Analyze()
+			if err != nil {
+				t.Fatalf("analyze n=%d: %v", n, err)
+			}
+			for _, k := range []int{2, 4, kernelWidth} {
+				tally("real", checkAgainstOracle[float64](t, rng, s, k))
+				tally("complex", checkAgainstOracle[complex128](t, rng, s, k))
 			}
 		}
-	}
+		for _, kind := range []string{"real", "complex"} {
+			for _, outcome := range []string{"ok", "zero", "subnormal"} {
+				if seen[kind+" "+outcome] == 0 {
+					t.Errorf("no %s lane ended %s: the adversarial lanes miss a case (%v)", kind, outcome, seen)
+				}
+			}
+		}
+	})
 }
 
 // oracleStep is the per-lane pivot step of the scatter/gather kernels.
@@ -483,21 +486,23 @@ func checkReachAgainstSolve[T Scalar](t *testing.T, rng *rand.Rand, s *Symbolic,
 
 // The reach-limited substitution equals the full Solve bit for bit on
 // every component, at K = 1 (the one-lane kernel), 3 (the generic lane
-// loop) and 8 (the constant-width kernel), real and complex, with lanes
-// that fail to factor among those that do.
+// loop) and 8 (the constant-width kernel, Go and AVX2), real and complex,
+// with lanes that fail to factor among those that do.
 func TestReachMatchesFullSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 80; trial++ {
-		n := 1 + rng.Intn(24)
-		s, err := randPattern(rng, n, 3*n).Analyze()
-		if err != nil {
-			t.Fatalf("analyze n=%d: %v", n, err)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		for trial := 0; trial < 80; trial++ {
+			n := 1 + rng.Intn(24)
+			s, err := randPattern(rng, n, 3*n).Analyze()
+			if err != nil {
+				t.Fatalf("analyze n=%d: %v", n, err)
+			}
+			for _, k := range []int{1, 3, kernelWidth} {
+				checkReachAgainstSolve[float64](t, rng, s, k)
+				checkReachAgainstSolve[complex128](t, rng, s, k)
+			}
 		}
-		for _, k := range []int{1, 3, kernelWidth} {
-			checkReachAgainstSolve[float64](t, rng, s, k)
-			checkReachAgainstSolve[complex128](t, rng, s, k)
-		}
-	}
+	})
 }
 
 // A reach is exactly the dependency closure its substitution needs: its

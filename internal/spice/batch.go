@@ -10,11 +10,11 @@ import (
 
 // This file implements the engine's solve loops: the Newton loop and the
 // staged DC procedure. Every DC solve — point-wise, warm-started, lockstep
-// and each transient step — runs through them as a group of K lanes: K
-// Monte-Carlo samples of one topology that share the engine's symbolic
-// factorization and stamp plan and refactorize/solve in lockstep through
-// sparse.BatchMatrix, one index traversal driving K value lanes. A scalar
-// solve is the one-lane group. The AC sweep (ac.go) follows the same scheme.
+// and each round of transient steps (tran.go) — runs through them as a
+// group of K lanes: K Monte-Carlo samples of one topology that share the
+// engine's symbolic factorization and stamp plan and refactorize/solve in
+// lockstep through sparse.BatchMatrix, one index traversal driving K value
+// lanes. A scalar solve is the one-lane group. The AC sweep (ac.go) follows the same scheme.
 //
 // # Lane determinism contract
 //
@@ -24,7 +24,8 @@ import (
 // floating-point sequence per lane, and the solve loops judge damping,
 // divergence and convergence per lane and run every stage — direct warm
 // attempt, nodeset attempt, gmin ladder, source stepping — with per-lane
-// participation, so a lane's sequence of Newton runs depends only on its own
+// participation, and the transient driver applies each lane's own step
+// control, so a lane's sequence of Newton runs depends only on its own
 // outcomes. Results are therefore a pure function of the sample, independent
 // of the lane count and of which samples share a group.
 //
@@ -50,8 +51,8 @@ var oneLane = []bool{true}
 var errSingularJacobian = fmt.Errorf("%w: singular Jacobian", ErrNoConvergence)
 
 // scratch is the solve scratch of one group width, allocated once per width
-// and engine: one engine runs K-lane groups and one-lane solves (transient
-// steps, point-wise samples) side by side.
+// and engine: one engine runs K-lane groups and one-lane solves
+// (point-wise samples and transients) side by side.
 type scratch struct {
 	k    int
 	A    *sparse.BatchMatrix[float64] // sparse Jacobian lanes; nil on the dense backend
@@ -63,7 +64,8 @@ type scratch struct {
 	st   []laneState
 	ferr [1]error // the dense backend's solve outcome
 
-	ac *acScratch // allocated on the first sweep
+	ac   *acScratch // allocated on the first sweep
+	tran *tranGroup // allocated on the first transient
 }
 
 // laneState tracks one lane through the solve loops.
@@ -118,13 +120,14 @@ func lanewise[R any](k int, one func(l int) (R, error)) ([]R, []error) {
 // newton is the Newton loop. It iterates every active lane whose last run
 // succeeded (err == nil) toward F(x)=0 under ctx, in lockstep: per iteration
 // each live lane is stamped into its SoA value lane under its LaneSetter
-// state, the Jacobian lanes factor and solve once, and damping, divergence
-// and convergence are judged per lane. A lane leaves the run when it
-// converges (err nil) or fails (err set), its x frozen where it stopped, and
-// adds the run's iterations to its iters. Devices stamp through their cached
+// state — and, in a transient group, under its own step context steps[l]
+// (nil for DC) — the Jacobian lanes factor and solve once, and damping,
+// divergence and convergence are judged per lane. A lane leaves the run
+// when it converges (err nil) or fails (err set), its x frozen where it
+// stopped, and adds the run's iterations to its iters. Devices stamp through their cached
 // value-array indices and the step shares the residual scratch, so an
 // iteration allocates nothing.
-func (e *Engine) newton(bs *scratch, xs [][]float64, ctx stampCtx, set LaneSetter) {
+func (e *Engine) newton(bs *scratch, xs [][]float64, ctx stampCtx, steps []laneStep, set LaneSetter) {
 	k, st := bs.k, bs.st
 	nLive := 0
 	for l := range st {
@@ -149,6 +152,9 @@ func (e *Engine) newton(bs *scratch, xs [][]float64, ctx stampCtx, set LaneSette
 		for l := range st {
 			if st[l].live {
 				set(l)
+				if steps != nil {
+					ctx.laneStep = steps[l]
+				}
 				e.plan.stampDC(bs.vals, bs.F, k, l, xs[l], e.scrV, ctx)
 			}
 		}
@@ -278,9 +284,9 @@ func (e *Engine) DCOperatingPointBatchFrom(prev *OPResult, active []bool, set La
 // that fails a stage rejoins at the next one, except that failing source
 // stepping is final.
 func (e *Engine) solveDC(bs *scratch, warm bool, set LaneSetter) {
-	direct := stampCtx{gmin: e.opts.GminFinal, srcScale: 1, time: -1}
+	direct := stampCtx{gmin: e.opts.GminFinal, srcScale: 1, laneStep: dcStep}
 	if warm {
-		e.newton(bs, bs.xs, direct, set)
+		e.newton(bs, bs.xs, direct, nil, set)
 		if !bs.retire() {
 			return
 		}
@@ -291,7 +297,7 @@ func (e *Engine) solveDC(bs *scratch, warm bool, set LaneSetter) {
 		// gmin stepping would first drag the iterate toward the heavily
 		// damped system's solution and out of the basin. Try a direct
 		// solve first.
-		e.newton(bs, bs.xs, direct, set)
+		e.newton(bs, bs.xs, direct, nil, set)
 		if !bs.retire() {
 			return
 		}
@@ -317,7 +323,7 @@ func (e *Engine) solveDC(bs *scratch, warm bool, set LaneSetter) {
 func (e *Engine) ladder(bs *scratch, srcScale float64, set LaneSetter) {
 	gmin := e.opts.GminStart
 	for {
-		e.newton(bs, bs.xs, stampCtx{gmin: gmin, srcScale: srcScale, time: -1}, set)
+		e.newton(bs, bs.xs, stampCtx{gmin: gmin, srcScale: srcScale, laneStep: dcStep}, nil, set)
 		if gmin <= e.opts.GminFinal || !bs.running() {
 			return
 		}

@@ -177,8 +177,9 @@ func TestResolveLanes(t *testing.T) {
 
 // The solver work counters move by the same amount whatever the lane width,
 // on groups whose lanes converge on the gmin ladder, only through source
-// stepping, fail, or fall back from a warm start; and one-lane solves —
-// point-wise DC and AC, transient steps — record no lockstep occupancy.
+// stepping, fail, or fall back from a warm start, and on transient groups
+// whose lanes step their own adaptive or fixed grids; and one-lane solves —
+// point-wise DC and AC, transients — record no lockstep occupancy.
 func TestSolverCountersIndependentOfLanes(t *testing.T) {
 	b := steppingBench()
 	ladderMax := 6 * b.opts.MaxIter // six gmin levels at the default ladder
@@ -208,6 +209,9 @@ func TestSolverCountersIndependentOfLanes(t *testing.T) {
 				stepped = stepped || (op != nil && op.Iterations > ladderMax)
 			}
 			eng.DCOperatingPointBatchFrom(prev, active, set)
+			for _, name := range []string{"tran-adaptive", "tran-be"} {
+				eng.TransientBatch(ops, b.tranOpts[name], set)
+			}
 		}
 		if !stepped {
 			t.Fatalf("K=%d: no lane converged through source stepping", k)

@@ -267,6 +267,24 @@ func (r engineRun) run(t *testing.T, out goldenOutcomes) map[string]engineGolden
 		return h.entry(key(s, analysis), 0, err)
 	}
 
+	tranEntry := func(s int, name string, tr *TranResult, err error) engineGolden {
+		h := newGoldenHash()
+		rejected := 0
+		if tr != nil {
+			h.floats(tr.Times)
+			for _, v := range tr.V {
+				h.floats(v)
+			}
+			rejected = tr.Rejected
+		}
+		return h.entry(key(s, name), rejected, err)
+	}
+	names := make([]string, 0, len(b.tranOpts))
+	for name := range b.tranOpts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
 	ops := make([]*OPResult, b.samples)
 	var prev *OPResult
 	stop := Probe{Node: probeNode, StopAtUnity: true}
@@ -337,16 +355,24 @@ func (r engineRun) run(t *testing.T, out goldenOutcomes) map[string]engineGolden
 				put(phasorEntry(g+l, "probe-stop", hs[l], hErrs[l]))
 				put(phasorEntry(g+l, "probe-full", fs[l], fErrs[l]))
 			}
+			// The group's transients, every lane on its own step grid.
+			for _, name := range names {
+				trs, trErrs := eng.TransientBatch(gops, b.tranOpts[name], set)
+				for l := range active {
+					if gops[l] == nil {
+						if trs[l] != nil || trErrs[l] != nil {
+							t.Fatalf("%s: nil lane %d produced a transient", r.prefix(), l)
+						}
+						continue
+					}
+					put(tranEntry(g+l, name, trs[l], trErrs[l]))
+				}
+			}
 		}
 	}
 
-	// One-lane analyses on the same engine: transients and, on the MOS-free
-	// bench, AC with no operating point.
-	names := make([]string, 0, len(b.tranOpts))
-	for name := range b.tranOpts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	// One-lane analyses on the same engine: on the MOS-free bench, AC with
+	// no operating point, and at width 1 the point-wise transients.
 	for s := 0; s < b.samples; s++ {
 		b.set(s)
 		if b.mosFree {
@@ -356,21 +382,12 @@ func (r engineRun) run(t *testing.T, out goldenOutcomes) map[string]engineGolden
 			}
 			put(acEntry(s, "ac-nil", ac, err))
 		}
-		if ops[s] == nil {
+		if r.k > 1 || ops[s] == nil {
 			continue
 		}
 		for _, name := range names {
 			tr, err := eng.TransientOpts(ops[s], b.tranOpts[name])
-			h := newGoldenHash()
-			rejected := 0
-			if tr != nil {
-				h.floats(tr.Times)
-				for _, v := range tr.V {
-					h.floats(v)
-				}
-				rejected = tr.Rejected
-			}
-			put(h.entry(key(s, name), rejected, err))
+			put(tranEntry(s, name, tr, err))
 		}
 	}
 	if out != nil {
@@ -437,8 +454,8 @@ func engineRuns() []engineRun {
 // TestEngineGoldens pins the engine's output bits — operating points,
 // iteration counts, AC phasors, probe prefixes, transient grids, waveforms
 // and rejections, and error texts — against the committed goldens, at every
-// lockstep width: a K-lane group must reproduce the one-lane results of the
-// same samples. Regenerate deliberately with
+// lockstep width: a K-lane group, transients included, must reproduce the
+// one-lane results of the same samples. Regenerate deliberately with
 // `go test ./internal/spice -run EngineGoldens -update`.
 func TestEngineGoldens(t *testing.T) {
 	outcomes := goldenOutcomes{}

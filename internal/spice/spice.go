@@ -268,20 +268,28 @@ func (e *Engine) opResult(x []float64, iters int) *OPResult {
 }
 
 // stampCtx carries the analysis context: gmin damping, source scaling
-// (for source stepping) and, for transient steps, the time point, timestep
-// and previous node voltages feeding the capacitor companion models
-// (backward Euler by default, trapezoidal when trap is set — icPrev then
-// holds each capacitor's current at the previous accepted point, in
-// stampPlan.caps order).
+// (for source stepping), the companion model of a transient step (backward
+// Euler by default, trapezoidal when trap is set) and the step itself.
 type stampCtx struct {
 	gmin     float64
 	srcScale float64
-	time     float64   // < 0 for DC
-	h        float64   // 0 for DC
-	vPrev    []float64 // previous node voltages by node id (transient only)
-	trap     bool      // trapezoidal companion models instead of backward Euler
-	icPrev   []float64 // per-capacitor currents at the previous point (trap only)
+	trap     bool // trapezoidal companion models instead of backward Euler
+	laneStep
 }
+
+// laneStep is the transient step context of one lane: the time point, the
+// timestep and the previous accepted point feeding the capacitor companion
+// models — icPrev holds each capacitor's current there (trap only), in
+// stampPlan.caps order. The zero value with time -1 (dcStep) is DC.
+type laneStep struct {
+	time   float64   // < 0 for DC
+	h      float64   // 0 for DC
+	vPrev  []float64 // previous node voltages by node id (transient only)
+	icPrev []float64 // per-capacitor currents at the previous point (trap only)
+}
+
+// dcStep is the step context of a DC solve.
+var dcStep = laneStep{time: -1}
 
 // mosBias returns the terminal voltages of m in its model's NMOS-like frame
 // (vgs, vds, vbs with vds ≥ 0) given node voltages V (indexed by netlist

@@ -139,33 +139,103 @@ func (e *Engine) Transient(op *OPResult, tStop, h float64) (*TranResult, error) 
 // follow their waveform (their corner times become breakpoints the adaptive
 // grid lands on exactly); others hold their DC value. Every Newton solve
 // runs through the engine's cached stamp plan and preallocated scratch, so
-// the dense and sparse backends share one integrator implementation.
+// the dense and sparse backends share one integrator implementation. It is
+// the one-lane TransientBatch.
 func (e *Engine) TransientOpts(op *OPResult, opts TranOptions) (*TranResult, error) {
-	o, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	tr := &tranState{e: e, o: o}
-	tr.init(op)
-	if o.Adaptive {
-		err = tr.runAdaptive()
-	} else {
-		err = tr.runFixed()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return tr.res, nil
+	res, errs := e.TransientBatch([]*OPResult{op}, opts, noLane)
+	return res[0], errs[0]
 }
 
-// tranState is the per-run integration state. It is rebuilt from the
-// operating point on every call, so repeated transients on one engine are
+// TransientBatch integrates the transients of up to len(ops) samples as
+// one lane group, each from its own operating point under its LaneSetter
+// state, and each lane bit-identical to TransientOpts on its sample.
+// ops[l] == nil skips lane l (a sample whose earlier analyses failed). The
+// lanes run in rounds: every unfinished lane attempts its own next step —
+// its own time point, step size and history — in one lockstep Newton run,
+// then applies its own accept, reject and breakpoint decisions. A lane that
+// fails (a step that does not converge at MinStep, or MaxSteps exceeded)
+// reports its error alone and leaves the group; the others run on.
+func (e *Engine) TransientBatch(ops []*OPResult, opts TranOptions, set LaneSetter) ([]*TranResult, []error) {
+	k := len(ops)
+	if e.sym == nil && k > 1 {
+		return lanewise(k, func(l int) (*TranResult, error) {
+			res, errs := e.TransientBatch(ops[l:l+1], opts, func(int) { set(l) })
+			return res[0], errs[0]
+		})
+	}
+	res := make([]*TranResult, k)
+	errs := make([]error, k)
+	o, err := opts.withDefaults()
+	if err != nil {
+		for l, op := range ops {
+			if op != nil {
+				errs[l] = err
+			}
+		}
+		return res, errs
+	}
+	bs := e.scratchFor(k)
+	g := bs.tranGroup(e)
+	g.o = o
+	for l, op := range ops {
+		tl := &g.lanes[l]
+		tl.running, tl.err = false, nil
+		if op == nil {
+			continue
+		}
+		set(l)
+		if errs[l] = g.start(tl, op); errs[l] == nil {
+			res[l] = tl.res
+		}
+	}
+	ctx := stampCtx{gmin: e.opts.GminFinal, srcScale: 1, trap: o.Method == Trap}
+	for {
+		live := false
+		for l := range g.lanes {
+			bs.st[l] = laneState{}
+			tl := &g.lanes[l]
+			if !tl.running || !g.propose(tl) {
+				continue
+			}
+			copy(tl.xTry, tl.x)
+			bs.st[l].active = true
+			g.steps[l] = laneStep{time: tl.tNew, h: tl.hStep, vPrev: tl.vPrev, icPrev: tl.icPrev}
+			live = true
+		}
+		if !live {
+			break
+		}
+		e.newton(bs, g.xs, ctx, g.steps, set)
+		for l := range g.lanes {
+			if bs.st[l].active {
+				g.settle(&g.lanes[l], bs.st[l].err)
+			}
+		}
+	}
+	for l := range g.lanes {
+		if tl := &g.lanes[l]; tl.err != nil {
+			res[l], errs[l] = nil, tl.err
+		}
+	}
+	return res, errs
+}
+
+// tranGroup is the integration state of one transient lane group. It lives
+// in the engine's scratch for its width and is rebuilt from the operating
+// points on every call, so repeated transients on one engine are
 // independent and bit-identical — the determinism contract the batch
 // evaluation pipeline relies on.
-type tranState struct {
-	e *Engine
-	o TranOptions
+type tranGroup struct {
+	e     *Engine
+	o     TranOptions
+	lanes []tranLane
+	xs    [][]float64 // the lanes' trial solutions, the Newton iterates
+	steps []laneStep  // the lanes' step contexts for the Newton run
+}
 
+// tranLane is one lane's integration: its solution history, its result
+// and its step controller.
+type tranLane struct {
 	x      []float64 // MNA solution vector at the last accepted point
 	xTry   []float64 // trial solution of the step being attempted
 	vPrev  []float64 // node voltages (by node id) at the last accepted point
@@ -173,45 +243,85 @@ type tranState struct {
 	res    *TranResult
 	rows   []float64 // unused tail of the current block of V rows
 
-	// bs is the engine's one-lane scratch and xs the one-lane iterate group
-	// (xTry) every step's Newton run solves.
-	bs *scratch
-	xs [1][]float64
-
 	// histN counts accepted points since the last breakpoint (or t=0); LTE
 	// control needs 3 of them besides the candidate, and breakpoints reset
 	// the count because a source-derivative discontinuity invalidates the
 	// divided differences.
 	histN int
+
+	running bool  // still integrating
+	err     error // why the lane stopped early
+	t, h    float64
+	steps   int       // attempted steps (adaptive) or taken steps (fixed)
+	bps     []float64 // breakpoints, tStop last (adaptive)
+	bpIdx   int       // next breakpoint
+
+	// The step being attempted: it ends at tNew, is hStep long and lands
+	// on the next breakpoint when hitBp.
+	tNew, hStep float64
+	hitBp       bool
 }
 
-func (tr *tranState) init(op *OPResult) {
-	e := tr.e
-	tr.x = make([]float64, e.size)
-	tr.xTry = make([]float64, e.size)
-	for i := 1; i < e.ckt.NumNodes(); i++ {
-		tr.x[row(i)] = op.V[i]
+// tranGroup returns the scratch's transient group, allocated on the first
+// transient of this width.
+func (bs *scratch) tranGroup(e *Engine) *tranGroup {
+	if bs.tran != nil {
+		return bs.tran
 	}
-	copy(tr.x[e.nNodes:], op.BranchI)
-	tr.vPrev = append([]float64(nil), op.V...)
+	g := &tranGroup{
+		e:     e,
+		lanes: make([]tranLane, bs.k),
+		xs:    make([][]float64, bs.k),
+		steps: make([]laneStep, bs.k),
+	}
+	for l := range g.lanes {
+		tl := &g.lanes[l]
+		tl.x = make([]float64, e.size)
+		tl.xTry = make([]float64, e.size)
+		tl.vPrev = make([]float64, e.ckt.NumNodes())
+		tl.icPrev = make([]float64, len(e.plan.caps))
+		g.xs[l] = tl.xTry
+	}
+	bs.tran = g
+	return g
+}
+
+// start sets a lane up at its operating point. The lane's state is
+// installed: the breakpoints come from its own sources.
+func (g *tranGroup) start(tl *tranLane, op *OPResult) error {
+	e, o := g.e, g.o
+	*tl = tranLane{x: tl.x, xTry: tl.xTry, vPrev: tl.vPrev, icPrev: tl.icPrev, h: o.Step}
+	if o.Adaptive {
+		bps, err := e.breakpoints(o.TStop)
+		if err != nil {
+			return err
+		}
+		tl.bps = bps
+	}
+	for i := 1; i < e.ckt.NumNodes(); i++ {
+		tl.x[row(i)] = op.V[i]
+	}
+	copy(tl.x[e.nNodes:], op.BranchI)
+	copy(tl.vPrev, op.V)
 	// At the DC operating point every capacitor is open: zero current.
-	tr.icPrev = make([]float64, len(e.plan.caps))
-	tr.bs = e.scratchFor(1)
+	clear(tl.icPrev)
 	// Size the result for the fixed grid's exact point count. The adaptive
 	// grid's count is not known ahead — a yield sample's step response
 	// accepts 60–80 points — so it starts at adaptivePoints and lets
 	// append take over.
-	points := int(tr.o.TStop/tr.o.Step+0.5) + 1
-	if tr.o.Adaptive {
+	points := int(o.TStop/o.Step+0.5) + 1
+	if o.Adaptive {
 		points = min(points, adaptivePoints)
 	} else {
-		tr.rows = make([]float64, points*e.ckt.NumNodes())
+		tl.rows = make([]float64, points*e.ckt.NumNodes())
 	}
-	tr.res = &TranResult{
+	tl.res = &TranResult{
 		Times: make([]float64, 0, points),
 		V:     make([][]float64, 0, points),
 	}
-	tr.record(0)
+	g.record(tl, 0)
+	tl.running = true
+	return nil
 }
 
 // adaptivePoints is the initial result capacity of an adaptive run, in
@@ -222,99 +332,172 @@ const (
 	rowBlock       = 32
 )
 
-// record appends the accepted solution at time t to the result. The rows
-// of V are carved out of blocks (the fixed grid's one exact block, or
+// record appends the lane's accepted solution at time t to its result. The
+// rows of V are carved out of blocks (the fixed grid's one exact block, or
 // rowBlock rows at a time), so a run allocates per block, not per point.
-func (tr *tranState) record(t float64) {
-	nodes := tr.e.ckt.NumNodes()
-	if len(tr.rows) < nodes {
-		tr.rows = make([]float64, rowBlock*nodes)
+func (g *tranGroup) record(tl *tranLane, t float64) {
+	nodes := g.e.ckt.NumNodes()
+	if len(tl.rows) < nodes {
+		tl.rows = make([]float64, rowBlock*nodes)
 	}
-	vk := tr.rows[:nodes:nodes]
-	tr.rows = tr.rows[nodes:]
+	vk := tl.rows[:nodes:nodes]
+	tl.rows = tl.rows[nodes:]
 	for i := 1; i < nodes; i++ {
-		vk[i] = tr.x[row(i)]
+		vk[i] = tl.x[row(i)]
 	}
-	tr.res.Times = append(tr.res.Times, t)
-	tr.res.V = append(tr.res.V, vk)
+	tl.res.Times = append(tl.res.Times, t)
+	tl.res.V = append(tl.res.V, vk)
 }
 
-// step attempts one step of size h ending at time t, leaving the trial
-// solution in xTry — a one-lane Newton run. It does not commit any state.
-func (tr *tranState) step(t, h float64) error {
-	copy(tr.xTry, tr.x)
-	ctx := stampCtx{
-		gmin:     tr.e.opts.GminFinal,
-		srcScale: 1,
-		time:     t,
-		h:        h,
-		vPrev:    tr.vPrev,
-		trap:     tr.o.Method == Trap,
-		icPrev:   tr.icPrev,
-	}
-	tr.bs.st[0] = laneState{active: true}
-	tr.xs[0] = tr.xTry
-	tr.e.newton(tr.bs, tr.xs[:], ctx, noLane)
-	return tr.bs.st[0].err
+// fail stops the lane with err.
+func (tl *tranLane) fail(err error) {
+	tl.running, tl.err = false, err
 }
 
-// accept commits the trial solution of a step of size h ending at time t:
-// the trapezoidal capacitor currents advance (before vPrev is overwritten),
-// the solution becomes the new expansion point and the point is recorded.
-func (tr *tranState) accept(t, h float64) {
+// propose sets up the lane's next step (tNew, hStep, hitBp) and reports
+// whether it attempts one. The fixed grid takes round(TStop/Step) equal
+// steps. The adaptive controller clamps its step to [MinStep, MaxStep] and
+// lands exactly on the next breakpoint; exceeding MaxSteps stops the lane.
+func (g *tranGroup) propose(tl *tranLane) bool {
+	o := g.o
+	if !o.Adaptive {
+		tl.hStep = o.Step
+		tl.tNew = float64(tl.steps+1) * o.Step
+		return true
+	}
+	tl.steps++
+	if tl.steps > o.MaxSteps {
+		tl.fail(fmt.Errorf("spice: transient exceeded %d steps before t=%g (tStop=%g)", o.MaxSteps, tl.t, o.TStop))
+		return false
+	}
+	if tl.h > o.MaxStep {
+		tl.h = o.MaxStep
+	}
+	if tl.h < o.MinStep {
+		tl.h = o.MinStep
+	}
+	// Land exactly on the next breakpoint; settle then pins t to it, so no
+	// float drift accumulates across corners.
+	bp := tl.bps[tl.bpIdx]
+	tl.hitBp = false
+	tl.hStep = tl.h
+	if tl.t+tl.hStep >= bp {
+		tl.hStep = bp - tl.t
+		tl.hitBp = true
+	}
+	tl.tNew = tl.t + tl.hStep
+	if tl.hitBp {
+		tl.tNew = bp
+	}
+	return true
+}
+
+// settle applies the outcome err of the Newton run on the lane's proposed
+// step. The fixed grid accepts every converged step and fails on the
+// first that does not; with Method BackwardEuler it reproduces the seed
+// Transient bit for bit. The adaptive controller is the classic
+// accept/reject loop on the LTE, with the method-order exponent (1/3
+// trapezoidal, 1/2 backward Euler); a breakpoint resets the step size and
+// the divided-difference history.
+func (g *tranGroup) settle(tl *tranLane, err error) {
+	o := g.o
+	if !o.Adaptive {
+		if err != nil {
+			tl.fail(fmt.Errorf("spice: transient step at t=%g: %w", tl.tNew, err))
+			return
+		}
+		g.accept(tl, tl.tNew, tl.hStep)
+		tl.steps++
+		tl.running = tl.steps < int(o.TStop/o.Step+0.5)
+		return
+	}
+	inv := 1.0 / 3
+	if o.Method == BackwardEuler {
+		inv = 1.0 / 2
+	}
+	tNew, hStep := tl.tNew, tl.hStep
+	if err != nil {
+		tl.res.Rejected++
+		if hStep <= o.MinStep {
+			tl.fail(fmt.Errorf("spice: transient step at t=%g (h=%g): %w", tNew, hStep, err))
+			return
+		}
+		tl.h = hStep / 4
+		return
+	}
+	grow := 2.0
+	if tl.histN >= 3 {
+		r := g.lteRatio(tl, tNew, hStep)
+		if r > 1 && hStep > o.MinStep {
+			tl.res.Rejected++
+			tl.h = hStep * math.Max(0.9*math.Pow(r, -inv), 0.1)
+			return
+		}
+		if r > 1e-12 {
+			grow = math.Min(2, 0.9*math.Pow(r, -inv))
+			if grow < 0.5 {
+				grow = 0.5
+			}
+		}
+	}
+	g.accept(tl, tNew, hStep)
+	tl.t = tNew
+	if tl.hitBp {
+		// A source corner: restart small and rebuild the LTE history,
+		// since the waveform derivative is discontinuous here.
+		tl.bpIdx++
+		tl.histN = 0
+		tl.h = math.Min(o.Step, tl.h)
+	} else {
+		tl.h = hStep * grow
+	}
+	tl.running = tl.t < o.TStop
+}
+
+// accept commits the lane's trial solution of a step of size h ending at
+// time t: the trapezoidal capacitor currents advance (before vPrev is
+// overwritten), the solution becomes the new expansion point and the point
+// is recorded.
+func (g *tranGroup) accept(tl *tranLane, t, h float64) {
+	e := g.e
 	nodeV := func(x []float64, n int) float64 {
 		if n == netlist.Ground {
 			return 0
 		}
 		return x[n-1]
 	}
-	if tr.o.Method == Trap {
-		for i := range tr.e.plan.caps {
-			s := &tr.e.plan.caps[i]
-			g := 2 * s.dev.C / h
-			dvNew := nodeV(tr.xTry, s.n1) - nodeV(tr.xTry, s.n2)
-			dvOld := tr.vPrev[s.n1] - tr.vPrev[s.n2]
-			tr.icPrev[i] = g*(dvNew-dvOld) - tr.icPrev[i]
+	if g.o.Method == Trap {
+		for i := range e.plan.caps {
+			s := &e.plan.caps[i]
+			gc := 2 * s.dev.C / h
+			dvNew := nodeV(tl.xTry, s.n1) - nodeV(tl.xTry, s.n2)
+			dvOld := tl.vPrev[s.n1] - tl.vPrev[s.n2]
+			tl.icPrev[i] = gc*(dvNew-dvOld) - tl.icPrev[i]
 		}
 	}
-	tr.x, tr.xTry = tr.xTry, tr.x
-	for i := 1; i < tr.e.ckt.NumNodes(); i++ {
-		tr.vPrev[i] = tr.x[row(i)]
+	copy(tl.x, tl.xTry)
+	for i := 1; i < e.ckt.NumNodes(); i++ {
+		tl.vPrev[i] = tl.x[row(i)]
 	}
-	tr.record(t)
-	tr.histN++
+	g.record(tl, t)
+	tl.histN++
 }
 
-// runFixed is the uniform-grid integration: round(TStop/Step) equal steps,
-// each one Newton solve, no rejection. With Method BackwardEuler it
-// reproduces the seed Transient bit for bit.
-func (tr *tranState) runFixed() error {
-	h := tr.o.Step
-	steps := int(tr.o.TStop/h + 0.5)
-	for s := 1; s <= steps; s++ {
-		t := float64(s) * h
-		if err := tr.step(t, h); err != nil {
-			return fmt.Errorf("spice: transient step at t=%g: %w", t, err)
-		}
-		tr.accept(t, h)
-	}
-	return nil
-}
-
-// lteRatio estimates the local truncation error of the trial step ending at
-// time t with step h, as the worst per-node ratio |LTE|/tol over the node
-// voltages. The third (trapezoidal) or second (backward-Euler) derivative
-// is approximated by divided differences over the last three accepted
-// points and the candidate, so non-uniform step history is handled exactly.
-func (tr *tranState) lteRatio(t, h float64) float64 {
-	res := tr.res
+// lteRatio estimates the local truncation error of the lane's trial step
+// ending at time t with step h, as the worst per-node ratio |LTE|/tol over
+// the node voltages. The third (trapezoidal) or second (backward-Euler)
+// derivative is approximated by divided differences over the last three
+// accepted points and the candidate, so non-uniform step history is
+// handled exactly.
+func (g *tranGroup) lteRatio(tl *tranLane, t, h float64) float64 {
+	res, o := tl.res, g.o
 	n := len(res.Times)
 	t2, t1, t0 := res.Times[n-1], res.Times[n-2], res.Times[n-3]
 	v2, v1, v0 := res.V[n-1], res.V[n-2], res.V[n-3]
-	trap := tr.o.Method == Trap
+	trap := o.Method == Trap
 	worst := 0.0
-	for i := 1; i < tr.e.ckt.NumNodes(); i++ {
-		v3 := tr.xTry[row(i)]
+	for i := 1; i < g.e.ckt.NumNodes(); i++ {
+		v3 := tl.xTry[row(i)]
 		dd32 := (v3 - v2[i]) / (t - t2)
 		dd21 := (v2[i] - v1[i]) / (t2 - t1)
 		dd2a := (dd32 - dd21) / (t - t1)
@@ -329,92 +512,12 @@ func (tr *tranState) lteRatio(t, h float64) float64 {
 			// LTE_BE = h²·v''/2 with v'' ≈ 2·dd2.
 			lte = h * h * math.Abs(dd2a)
 		}
-		tol := tr.o.LTEAbs + tr.o.LTERel*math.Max(math.Abs(v3), math.Abs(v2[i]))
+		tol := o.LTEAbs + o.LTERel*math.Max(math.Abs(v3), math.Abs(v2[i]))
 		if r := lte / tol; r > worst {
 			worst = r
 		}
 	}
 	return worst
-}
-
-// runAdaptive is the LTE-controlled integration loop. Steps land exactly on
-// source breakpoints (pulse corners), which also reset the step size and
-// the divided-difference history; between breakpoints the classic
-// accept/reject controller tracks the tolerance with the method-order
-// exponent (1/3 trapezoidal, 1/2 backward Euler).
-func (tr *tranState) runAdaptive() error {
-	o := tr.o
-	inv := 1.0 / 3
-	if o.Method == BackwardEuler {
-		inv = 1.0 / 2
-	}
-	bps, err := tr.e.breakpoints(o.TStop)
-	if err != nil {
-		return err
-	}
-	bpIdx := 0
-	t := 0.0
-	h := o.Step
-	attempts := 0
-	for t < o.TStop {
-		attempts++
-		if attempts > o.MaxSteps {
-			return fmt.Errorf("spice: transient exceeded %d steps before t=%g (tStop=%g)", o.MaxSteps, t, o.TStop)
-		}
-		if h > o.MaxStep {
-			h = o.MaxStep
-		}
-		if h < o.MinStep {
-			h = o.MinStep
-		}
-		// Land exactly on the next breakpoint; the commit below then pins
-		// t to it, so no float drift accumulates across corners.
-		hitBp := false
-		hStep := h
-		if t+hStep >= bps[bpIdx] {
-			hStep = bps[bpIdx] - t
-			hitBp = true
-		}
-		tNew := t + hStep
-		if hitBp {
-			tNew = bps[bpIdx]
-		}
-		if err := tr.step(tNew, hStep); err != nil {
-			tr.res.Rejected++
-			if hStep <= o.MinStep {
-				return fmt.Errorf("spice: transient step at t=%g (h=%g): %w", tNew, hStep, err)
-			}
-			h = hStep / 4
-			continue
-		}
-		grow := 2.0
-		if tr.histN >= 3 {
-			r := tr.lteRatio(tNew, hStep)
-			if r > 1 && hStep > o.MinStep {
-				tr.res.Rejected++
-				h = hStep * math.Max(0.9*math.Pow(r, -inv), 0.1)
-				continue
-			}
-			if r > 1e-12 {
-				grow = math.Min(2, 0.9*math.Pow(r, -inv))
-				if grow < 0.5 {
-					grow = 0.5
-				}
-			}
-		}
-		tr.accept(tNew, hStep)
-		t = tNew
-		if hitBp {
-			// A source corner: restart small and rebuild the LTE history,
-			// since the waveform derivative is discontinuous here.
-			bpIdx++
-			tr.histN = 0
-			h = math.Min(o.Step, h)
-		} else {
-			h = hStep * grow
-		}
-	}
-	return nil
 }
 
 // maxBreakpoints bounds the pulse-corner count of one transient window. A
