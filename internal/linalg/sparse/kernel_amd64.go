@@ -1,6 +1,10 @@
 package sparse
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"github.com/eda-go/moheco/internal/cpufeat"
+)
 
 // AVX2 form of the constant-width K=8 kernel (batch8.go), for float64 and
 // complex128. The four steps of a factorization and solve — the multiplier
@@ -28,30 +32,7 @@ import "unsafe"
 
 // useAVX2 selects the assembly kernels. It is fixed at start-up from CPUID
 // and switched only by in-package tests, to run both paths.
-var useAVX2 = cpuHasAVX2()
-
-// cpuHasAVX2 reports AVX2 support with YMM state enabled by the OS: CPUID
-// leaf 1 OSXSAVE and AVX, XCR0 bits 1 and 2, and CPUID leaf 7 AVX2.
-func cpuHasAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx1&osxsave == 0 || ecx1&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0
-}
-
-func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
+var useAVX2 = cpufeat.AVX2
 
 // laneMask marks failed lanes for the assembly blends: all ones in every
 // float64 slot of a failed lane (one slot per real lane, two per complex

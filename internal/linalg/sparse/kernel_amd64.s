@@ -9,25 +9,6 @@
 //   AX row i, CX schedule position p, R12 entry t, R13 diagonal position,
 //   R14/R15 the pivot row's upper range (byte offsets), DX update target.
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-
 // BCAST broadcasts the 64-bit pattern BITS into Y through BX.
 #define BCAST(BITS, X, Y) \
 	MOVQ BITS, BX; \

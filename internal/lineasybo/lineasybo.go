@@ -247,13 +247,19 @@ func proposeOnLine(sc *core.SearchContext, archive []*core.Member, best, axis in
 	g, err := fitGP(xs, ys, lengthscale)
 
 	probe := append([]float64(nil), archive[best].X...)
+	var grid [gridPoints][]float64
+	var mu, s2 [gridPoints]float64
+	if err == nil {
+		for i := range grid {
+			grid[i] = []float64{float64(i) / float64(gridPoints-1)}
+		}
+		g.predictBatch(grid[:], mu[:], s2[:])
+	}
 	bestVal, bestIdx := 0.0, -1
 	for i := 0; i < gridPoints; i++ {
-		t := float64(i) / float64(gridPoints-1)
-		acq := t // surrogate-free fallback: sweep the line deterministically
+		acq := float64(i) / float64(gridPoints-1) // surrogate-free fallback: sweep the line deterministically
 		if err == nil {
-			mu, s2 := g.predict([]float64{t})
-			acq = mu + ucbBeta*math.Sqrt(s2)
+			acq = mu[i] + ucbBeta*math.Sqrt(s2[i])
 		}
 		if bestIdx < 0 || acq > bestVal {
 			bestVal, bestIdx = acq, i

@@ -54,15 +54,23 @@ func mix(z uint64) uint64 {
 }
 
 // NormQuantile returns Φ⁻¹(p), the standard-normal quantile, using the exact
-// relation Φ⁻¹(p) = √2·erf⁻¹(2p−1). p must lie in (0, 1).
+// relation Φ⁻¹(p) = √2·erf⁻¹(2p−1). p must lie in (0, 1): outside it, and
+// for NaN, the result is NaN.
 func NormQuantile(p float64) float64 {
 	if p <= 0 || p >= 1 {
-		if p == 0.5 {
-			return 0
-		}
 		return math.NaN()
 	}
 	return math.Sqrt2 * math.Erfinv(2*p-1)
+}
+
+// NormQuantiles overwrites each p[i] with NormQuantile(p[i]), with the same
+// bits. On amd64 with AVX2 an assembly kernel converts four values per step
+// (quantile_amd64.go); the scalar loop converts the rest.
+func NormQuantiles(p []float64) {
+	p = quantilesSIMD(p)
+	for i, v := range p {
+		p[i] = NormQuantile(v)
+	}
 }
 
 // NormCDF returns Φ(x), the standard-normal cumulative distribution.

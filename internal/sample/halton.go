@@ -19,7 +19,7 @@ func (Halton) Name() string { return "Halton" }
 
 // Draw implements Sampler.
 func (Halton) Draw(rng *randx.Stream, n, dim int) [][]float64 {
-	out := NewPlan(n, dim)
+	out, flat := newPlan(n, dim)
 	if n == 0 || dim == 0 {
 		return out
 	}
@@ -41,9 +41,10 @@ func (Halton) Draw(rng *randx.Stream, n, dim int) [][]float64 {
 			if u > 1-1e-12 {
 				u = 1 - 1e-12
 			}
-			out[i][d] = randx.NormQuantile(u)
+			flat[i*dim+d] = u
 		}
 	}
+	quantiles(flat)
 	return out
 }
 

@@ -9,6 +9,7 @@ package sample
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"github.com/eda-go/moheco/internal/randx"
@@ -54,13 +55,24 @@ func (PMC) Fill(rng *randx.Stream, pts [][]float64) {
 // NewPlan returns an all-zero n×dim plan whose rows share one backing
 // array.
 func NewPlan(n, dim int) [][]float64 {
+	out, _ := newPlan(n, dim)
+	return out
+}
+
+// newPlan is NewPlan that also returns the backing array, row after row.
+func newPlan(n, dim int) ([][]float64, []float64) {
 	out := make([][]float64, n)
 	flat := make([]float64, n*dim)
 	for i := range out {
 		out[i] = flat[i*dim : (i+1)*dim]
 	}
-	return out
+	return out, flat
 }
+
+// quantiles maps a plan's backing array from (0,1) to N(0,1) in place. It
+// is a variable only so that tests can swap in the scalar loop and check
+// both randx.NormQuantiles paths against the per-coordinate oracle.
+var quantiles = randx.NormQuantiles
 
 // LHS is Latin hypercube sampling: each of the n strata of every coordinate
 // is hit exactly once, with independent random permutations per coordinate
@@ -73,35 +85,34 @@ func (LHS) Name() string { return "LHS" }
 
 // Draw implements Sampler.
 func (LHS) Draw(rng *randx.Stream, n, dim int) [][]float64 {
-	if n < 0 || dim < 0 {
+	if n < 0 || dim < 0 || n > math.MaxInt32 {
 		panic(fmt.Sprintf("sample: invalid plan %dx%d", n, dim))
 	}
-	out := NewPlan(n, dim)
+	out, flat := newPlan(n, dim)
 	if n == 0 {
 		return out
 	}
 	// One permutation buffer serves every coordinate: it is refilled with
 	// rand.Perm's exact swap sequence, so the stream and the points are
-	// those of a fresh rng.Perm(n) per coordinate.
-	perm := make([]int, n)
+	// those of a fresh rng.Perm(n) per coordinate. The stratified u values
+	// go into the plan first; one quantile pass over the backing array then
+	// maps them all.
+	perm := newPermSteps(n)
 	for j := 0; j < dim; j++ {
-		for i := range perm {
-			k := rng.Intn(i + 1)
-			perm[i] = perm[k]
-			perm[k] = i
-		}
+		perm.shuffle(rng)
 		for i := 0; i < n; i++ {
-			// Stratum perm[i] of [0,1), jittered, through Φ⁻¹.
-			u := (float64(perm[i]) + rng.Float64()) / float64(n)
+			// Stratum perm[i] of [0,1), jittered.
+			u := (float64(perm[i].perm) + rng.Float64()) / float64(n)
 			if u <= 0 {
 				u = 0.5 / float64(n)
 			}
 			if u >= 1 {
 				u = 1 - 0.5/float64(n)
 			}
-			out[i][j] = randx.NormQuantile(u)
+			flat[i*dim+j] = u
 		}
 	}
+	quantiles(flat)
 	return out
 }
 
