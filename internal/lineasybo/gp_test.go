@@ -142,6 +142,9 @@ func TestPredictBatchMatchesOracle(t *testing.T) {
 	}
 }
 
+// proposalSink keeps the benchmarked proposals live.
+var proposalSink []float64
+
 // BenchmarkProposeOnLine times one line-search proposal (GP fit on the
 // full training window plus the grid sweep) at a telescopic-sized design.
 func BenchmarkProposeOnLine(b *testing.B) {
@@ -161,6 +164,6 @@ func BenchmarkProposeOnLine(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proposeOnLine(sc, archive, 0, i%dim)
+		proposalSink = proposeOnLine(sc, archive, 0, i%dim)
 	}
 }

@@ -200,6 +200,9 @@ func TestPMCFillStreamsDraw(t *testing.T) {
 	}
 }
 
+// planSink keeps the benchmarked draws live.
+var planSink [][]float64
+
 // BenchmarkLHSDraw times one plan at the perfbench ladder's shape (15 rows
 // of the folded cascode's 80 variation dimensions) and at a telescopic
 // stage-2 shape (64 × 123), per coordinate.
@@ -208,7 +211,7 @@ func BenchmarkLHSDraw(b *testing.B) {
 		b.Run(fmt.Sprintf("%dx%d", sz.n, sz.dim), func(b *testing.B) {
 			rng := randx.New(1)
 			for i := 0; i < b.N; i++ {
-				LHS{}.Draw(rng, sz.n, sz.dim)
+				planSink = LHS{}.Draw(rng, sz.n, sz.dim)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sz.n*sz.dim), "ns/coord")
 		})
