@@ -49,7 +49,6 @@ func main() {
 		tStop    = flag.Float64("tstop", 1e-6, "transient stop time (s)")
 		tStep    = flag.Float64("tstep", 1e-9, "transient step (s; initial step in adaptive mode)")
 		trMode   = flag.String("tranmode", "adaptive", "transient integrator: adaptive (LTE-controlled trap), fixed (uniform trap) or be (uniform backward Euler)")
-		solver   = flag.String("solver", "auto", "linear solver backend: auto, dense or sparse")
 		lanes    = flag.Int("lanes", 0, "lockstep lane count of the sparse batch solver (0 = auto by pattern size; results are identical)")
 	)
 	flag.Usage = func() {
@@ -114,24 +113,16 @@ func main() {
 		flag.Usage()
 		os.Exit(1)
 	}
-	kind, err := spice.ParseSolver(*solver)
+	eng, err := spice.New(ckt, spice.Options{Nodeset: nodeset})
 	if err != nil {
 		fatal(err)
-	}
-	eng, err := spice.New(ckt, spice.Options{Nodeset: nodeset, Solver: kind})
-	if err != nil {
-		fatal(err)
-	}
-	backend := "dense"
-	if eng.Sparse() {
-		backend = "sparse"
 	}
 	op, err := eng.DCOperatingPoint()
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("* %s\nMNA system: %d unknowns, %s solver\nDC operating point (%d Newton iterations):\n",
-		ckt.Title, eng.Size(), backend, op.Iterations)
+	fmt.Printf("* %s\nMNA system: %d unknowns\nDC operating point (%d Newton iterations):\n",
+		ckt.Title, eng.Size(), op.Iterations)
 	for i := 1; i < ckt.NumNodes(); i++ {
 		fmt.Printf("  V(%s) = %.6g V\n", ckt.NodeName(i), op.V[i])
 	}

@@ -88,14 +88,13 @@ func BenchmarkSpiceYieldPointwise(b *testing.B) {
 	perfsnap.Get("SpiceYieldPointwise").Bench(b)
 }
 
-// --- Sparse vs dense MNA solver benchmarks (largest registered scenario) ---
+// --- Lockstep vs one-lane MNA solver benchmarks (largest registered scenario) ---
 //
 // The folded-cascode half-circuit testbench is a 19-unknown MNA system —
 // the largest registered simulator-in-the-loop scenario — so this pair is
-// the headline number of the sparse solver path: a full yield estimate
-// through the batch pipeline with the solver pinned sparse versus pinned
-// dense (dense is the PR 2 baseline; SolverAuto resolves to sparse at this
-// size). Workers=1, so the ratio is pure per-sample solver cost.
+// the headline number of the lockstep kernel: a full yield estimate through
+// the batch pipeline at the auto lane width versus lanes pinned to 1.
+// Workers=1, so the ratio is pure per-sample solver cost.
 
 // BenchmarkSpiceYieldFoldedCascodeSparse runs the yield estimate on the
 // static-pattern sparse LU path with symbolic factorization reuse; auto
@@ -108,12 +107,6 @@ func BenchmarkSpiceYieldFoldedCascodeSparse(b *testing.B) {
 // the scalar sparse baseline the lockstep kernel is measured against.
 func BenchmarkSpiceYieldFoldedCascodeSparseScalar(b *testing.B) {
 	perfsnap.Get("SpiceYieldFoldedCascodeSparseScalar").Bench(b)
-}
-
-// BenchmarkSpiceYieldFoldedCascodeDense runs the same estimate on the dense
-// LU path — the PR 2 baseline the sparse path is measured against.
-func BenchmarkSpiceYieldFoldedCascodeDense(b *testing.B) {
-	perfsnap.Get("SpiceYieldFoldedCascodeDense").Bench(b)
 }
 
 // BenchmarkSpiceEvalBatch64 measures the amortized per-sample cost of one

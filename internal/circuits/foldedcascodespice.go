@@ -14,10 +14,9 @@ import (
 
 // FoldedCascodeSpice evaluates the folded-cascode half-circuit testbench
 // through the MNA engine per Monte-Carlo sample — the largest registered
-// simulator-in-the-loop workload and the one where the sparse solver path
-// pays off: the testbench assembles a 19-unknown MNA system, so every DC
-// Newton iteration and every AC frequency point runs a factorization that
-// is O(n³) dense but fill-bounded sparse.
+// simulator-in-the-loop workload: the testbench assembles a 19-unknown MNA
+// system, so every DC Newton iteration and every AC frequency point runs a
+// fill-bounded sparse factorization.
 //
 // Like CommonSourceSpice it implements problem.BatchEvaluator: one compiled
 // context (netlist + engine + symbolic factorization) per design, model
@@ -32,9 +31,6 @@ import (
 // tables).
 type FoldedCascodeSpice struct {
 	inner *FoldedCascode
-	// solver pins the engine's linear-solver backend; SolverAuto (the zero
-	// value) resolves to sparse at this circuit's size.
-	solver spice.SolverKind
 	// lanes pins the engine's lockstep lane count (0 = auto).
 	lanes int
 }
@@ -43,14 +39,6 @@ type FoldedCascodeSpice struct {
 // problem.
 func NewFoldedCascodeSpice() *FoldedCascodeSpice {
 	return &FoldedCascodeSpice{inner: NewFoldedCascode()}
-}
-
-// SetSolver pins the MNA engine's linear-solver backend — the hook the
-// sparse-vs-dense benchmarks and equivalence tests use. It returns p for
-// chaining.
-func (p *FoldedCascodeSpice) SetSolver(k spice.SolverKind) *FoldedCascodeSpice {
-	p.solver = k
-	return p
 }
 
 // SetLanes pins the engine's lockstep lane count (0 = auto by pattern size,
@@ -137,7 +125,7 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := spice.New(ckt, spice.Options{Nodeset: nodeset, Solver: p.solver, Lanes: p.lanes})
+	eng, err := spice.New(ckt, spice.Options{Nodeset: nodeset, Lanes: p.lanes})
 	if err != nil {
 		return nil, err
 	}

@@ -38,20 +38,8 @@ type CommonSourceSpice struct {
 	inner *CommonSource
 	tech  *pdk.Tech
 	specs []constraint.Spec
-	// solver pins the engine's linear-solver backend; SolverAuto (the zero
-	// value) resolves to sparse — the 6-unknown testbench sits exactly at
-	// the auto threshold, where sparse already measures ~20% faster.
-	solver spice.SolverKind
 	// lanes pins the engine's lockstep lane count (0 = auto).
 	lanes int
-}
-
-// SetSolver pins the MNA engine's linear-solver backend — the hook the
-// sparse-vs-dense benchmarks and equivalence tests use. It returns p for
-// chaining.
-func (p *CommonSourceSpice) SetSolver(k spice.SolverKind) *CommonSourceSpice {
-	p.solver = k
-	return p
 }
 
 // SetLanes pins the engine's lockstep lane count (0 = auto by pattern size,
@@ -143,7 +131,7 @@ func (p *CommonSourceSpice) compile(x []float64) (*spiceContext, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := spice.New(c, spice.Options{Solver: p.solver, Lanes: p.lanes})
+	eng, err := spice.New(c, spice.Options{Lanes: p.lanes})
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,8 @@ import (
 	"math/cmplx"
 )
 
-// CMatrix is a dense row-major complex matrix, used by the AC analysis of the
-// MNA engine where conductance and susceptance stamps combine as G + jωC.
+// CMatrix is a dense row-major complex matrix, the shape of an MNA AC system
+// where conductance and susceptance stamps combine as G + jωC.
 type CMatrix struct {
 	Rows, Cols int
 	Data       []complex128
@@ -27,13 +27,6 @@ func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
 // Add adds v to element (i, j).
 func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
 
-// Zero resets all elements, keeping the allocation.
-func (m *CMatrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Clone returns a deep copy.
 func (m *CMatrix) Clone() *CMatrix {
 	c := NewCMatrix(m.Rows, m.Cols)
@@ -43,32 +36,23 @@ func (m *CMatrix) Clone() *CMatrix {
 
 // cabs1 is the pivot-selection magnitude |re| + |im| — LAPACK's cabs1, a
 // factor-√2 approximation of the modulus that avoids a hypot (square root)
-// per candidate element on the AC sweep's hot path.
+// per candidate element.
 func cabs1(v complex128) float64 {
 	return math.Abs(real(v)) + math.Abs(imag(v))
 }
 
 // CSolve solves the complex system a x = b by LU with partial pivoting.
-// The input matrix is modified in place (callers pass scratch copies).
+// The input matrix is overwritten with its LU factors (callers pass scratch
+// copies); b is left alone.
 func CSolve(a *CMatrix, b []complex128) ([]complex128, error) {
-	x := append([]complex128(nil), b...)
-	if err := CSolveInPlace(a, x); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// CSolveInPlace solves a x = b destructively: a is overwritten with its LU
-// factors and b with the solution — the allocation-free core of CSolve,
-// used by the AC sweep where one solve runs per frequency point.
-func CSolveInPlace(a *CMatrix, x []complex128) error {
 	if a.Rows != a.Cols {
-		return errors.New("linalg: CSolve of non-square matrix")
+		return nil, errors.New("linalg: CSolve of non-square matrix")
 	}
 	n := a.Rows
-	if len(x) != n {
-		return errors.New("linalg: rhs length mismatch")
+	if len(b) != n {
+		return nil, errors.New("linalg: rhs length mismatch")
 	}
+	x := append([]complex128(nil), b...)
 	d := a.Data
 	for k := 0; k < n; k++ {
 		p, max := k, cabs1(d[k*n+k])
@@ -78,7 +62,7 @@ func CSolveInPlace(a *CMatrix, x []complex128) error {
 			}
 		}
 		if max == 0 || math.IsNaN(max) {
-			return ErrSingular
+			return nil, ErrSingular
 		}
 		rowK := d[k*n : (k+1)*n]
 		if p != k {
@@ -122,9 +106,9 @@ func CSolveInPlace(a *CMatrix, x []complex128) error {
 		}
 		piv := row[i]
 		if piv == 0 {
-			return ErrSingular
+			return nil, ErrSingular
 		}
 		x[i] = s / piv
 	}
-	return nil
+	return x, nil
 }

@@ -116,74 +116,3 @@ func SolveSystem(a *Matrix, b []float64) ([]float64, error) {
 	}
 	return f.Solve(b)
 }
-
-// SolveInPlace solves a x = b destructively: a is overwritten with its LU
-// factors and b with the solution. It performs the identical arithmetic to
-// Factor + Solve — row swaps are applied to b as they happen instead of
-// through a final permutation — so results are bit-identical, without the
-// factorization clone and solution allocation. It is the allocation-free primitive under
-// hot Newton loops (internal/spice) that re-stamp a every iteration anyway.
-func SolveInPlace(a *Matrix, b []float64) error {
-	if a.Rows != a.Cols {
-		return errors.New("linalg: LU of non-square matrix")
-	}
-	n := a.Rows
-	if len(b) != n {
-		return errors.New("linalg: rhs length mismatch")
-	}
-	for k := 0; k < n; k++ {
-		p, max := k, math.Abs(a.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(a.At(i, k)); v > max {
-				p, max = i, v
-			}
-		}
-		if max == 0 || math.IsNaN(max) {
-			return ErrSingular
-		}
-		if p != k {
-			rowP := a.Data[p*n : (p+1)*n]
-			rowK := a.Data[k*n : (k+1)*n]
-			for j := 0; j < n; j++ {
-				rowP[j], rowK[j] = rowK[j], rowP[j]
-			}
-			b[p], b[k] = b[k], b[p]
-		}
-		pivot := a.At(k, k)
-		for i := k + 1; i < n; i++ {
-			m := a.At(i, k) / pivot
-			a.Set(i, k, m)
-			if m == 0 {
-				continue
-			}
-			rowI := a.Data[i*n : (i+1)*n]
-			rowK := a.Data[k*n : (k+1)*n]
-			for j := k + 1; j < n; j++ {
-				rowI[j] -= m * rowK[j]
-			}
-		}
-	}
-	// Forward substitution (L has unit diagonal).
-	for i := 1; i < n; i++ {
-		row := a.Data[i*n : (i+1)*n]
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= row[j] * b[j]
-		}
-		b[i] = s
-	}
-	// Backward substitution.
-	for i := n - 1; i >= 0; i-- {
-		row := a.Data[i*n : (i+1)*n]
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * b[j]
-		}
-		d := row[i]
-		if d == 0 {
-			return ErrSingular
-		}
-		b[i] = s / d
-	}
-	return nil
-}

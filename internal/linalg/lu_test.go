@@ -296,101 +296,19 @@ func TestLowerMulVec(t *testing.T) {
 	}
 }
 
-// SolveInPlace must produce bit-identical solutions to Factor + Solve: the
-// spice Newton loop relies on that to keep scratch reuse observationally
-// invisible.
-func TestSolveInPlaceMatchesSolveSystem(t *testing.T) {
-	rng := uint64(0x9e3779b97f4a7c15)
-	next := func() float64 {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return float64(int64(rng%2000)-1000) / 250
-	}
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + trial%7
-		a := NewMatrix(n, n)
-		b := make([]float64, n)
-		for i := 0; i < n; i++ {
-			b[i] = next()
-			for j := 0; j < n; j++ {
-				a.Set(i, j, next())
-			}
-			a.Set(i, i, a.At(i, i)+float64(n)) // diagonally dominate: nonsingular
-		}
-		want, err := SolveSystem(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := append([]float64(nil), b...)
-		if err := SolveInPlace(a.Clone(), got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d x[%d]: in-place %.17g vs system %.17g", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSolveInPlaceSingular(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 1)
-	a.Set(0, 1, 2)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 4)
-	if err := SolveInPlace(a, []float64{1, 1}); err == nil {
-		t.Fatal("singular system not reported")
-	}
-}
-
-// CSolveInPlace must produce bit-identical solutions to CSolve on the same
-// values: the AC sweep relies on the in-place variant being observationally
-// invisible, exactly as the real SolveInPlace contract above.
-func TestCSolveInPlaceMatchesCSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + trial%7
-		a := NewCMatrix(n, n)
-		b := make([]complex128, n)
-		for i := 0; i < n; i++ {
-			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-			for j := 0; j < n; j++ {
-				a.Set(i, j, complex(rng.NormFloat64(), rng.NormFloat64()))
-			}
-			a.Add(i, i, complex(float64(n), 0))
-		}
-		want, err := CSolve(a.Clone(), b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := append([]complex128(nil), b...)
-		if err := CSolveInPlace(a.Clone(), got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d x[%d]: in-place %v vs csolve %v", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // Shape error paths: mismatched right-hand sides and non-square inputs
 // must be rejected by every entry point, not crash.
 func TestSolveShapeErrors(t *testing.T) {
-	sq := Identity(3)
-	if err := SolveInPlace(sq.Clone(), []float64{1, 2}); err == nil {
-		t.Error("short rhs accepted by SolveInPlace")
+	if _, err := SolveSystem(Identity(3), []float64{1, 2}); err == nil {
+		t.Error("short rhs accepted by SolveSystem")
 	}
 	if _, err := Factor(NewMatrix(2, 3)); err == nil {
 		t.Error("non-square accepted by Factor")
 	}
-	if err := CSolveInPlace(NewCMatrix(2, 3), make([]complex128, 2)); err == nil {
-		t.Error("non-square accepted by CSolveInPlace")
+	if _, err := CSolve(NewCMatrix(2, 3), make([]complex128, 2)); err == nil {
+		t.Error("non-square accepted by CSolve")
 	}
-	if err := CSolveInPlace(NewCMatrix(2, 2), make([]complex128, 3)); err == nil {
-		t.Error("long rhs accepted by CSolveInPlace")
+	if _, err := CSolve(NewCMatrix(2, 2), make([]complex128, 3)); err == nil {
+		t.Error("long rhs accepted by CSolve")
 	}
 }

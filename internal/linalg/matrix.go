@@ -1,7 +1,9 @@
-// Package linalg provides small dense linear-algebra primitives used by the
-// MNA circuit engine (real and complex systems) and the Levenberg–Marquardt
-// neural-network trainer. It is deliberately minimal: row-major dense
-// matrices, LU factorization with partial pivoting, and a few vector helpers.
+// Package linalg provides small dense linear-algebra primitives: row-major
+// dense matrices, LU factorization with partial pivoting (real and complex),
+// Cholesky and a few vector helpers. It is deliberately minimal. The MNA
+// circuit engine solves with the sparse LU of package linalg/sparse; the
+// dense LU here is the matrix-level oracle its tests check that solver
+// against.
 package linalg
 
 import (
@@ -21,21 +23,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: invalid shape %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// NewMatrixTrailing returns a rows×cols matrix whose Data slice carries
-// extra trailing scratch elements beyond Rows·Cols. The linear-algebra
-// kernels address only Rows·Cols; the trailing slots let callers map
-// write-off indices (the MNA ground-stamp convention of internal/spice)
-// into the same array without bounds branches. Note Zero walks the full
-// Data slice, while Clone returns a plain Rows·Cols matrix (the trailing
-// scratch is not copied) — trailing matrices are scratch buffers, not
-// values to pass around.
-func NewMatrixTrailing(rows, cols, extra int) *Matrix {
-	if rows < 0 || cols < 0 || extra < 0 {
-		panic(fmt.Sprintf("linalg: invalid trailing shape %dx%d+%d", rows, cols, extra))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols+extra)}
 }
 
 // FromRows builds a matrix from row slices; all rows must share one length.
@@ -76,13 +63,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
-}
-
-// Zero resets all elements to zero, keeping the allocation.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
 }
 
 // Mul returns m × b.

@@ -34,6 +34,18 @@ import (
 // order can factor it.
 var ErrStructural = errors.New("sparse: structurally singular pattern")
 
+// StructuralError is the ErrStructural of one pattern: Col is the column
+// the maximum transversal could match to no row, in original coordinates,
+// so the caller can name the unknown that has no pivot.
+type StructuralError struct{ Col int }
+
+func (e *StructuralError) Error() string {
+	return fmt.Sprintf("%v: no pivot row available for column %d", ErrStructural, e.Col)
+}
+
+// Is makes errors.Is(err, ErrStructural) hold.
+func (e *StructuralError) Is(target error) bool { return target == ErrStructural }
+
 // ErrSingular reports a zero (or unusably small) pivot during numeric
 // factorization under the precomputed static order.
 var ErrSingular = errors.New("sparse: singular matrix")
@@ -104,8 +116,8 @@ type Symbolic struct {
 }
 
 // Analyze runs the symbolic phase: maximum transversal, minimum-degree
-// ordering and symbolic fill-in. It returns ErrStructural when the pattern
-// admits no structurally nonzero diagonal.
+// ordering and symbolic fill-in. It returns a *StructuralError when the
+// pattern admits no structurally nonzero diagonal.
 func (b *Builder) Analyze() (*Symbolic, error) {
 	n := b.n
 	// Deterministic sorted copies of the row patterns (the builder's sets
@@ -226,7 +238,7 @@ func maximumTransversal(n int, rows [][]int) ([]int, error) {
 			seen[i] = false
 		}
 		if !augment(c) {
-			return nil, fmt.Errorf("%w: no pivot row available for column %d", ErrStructural, c)
+			return nil, &StructuralError{Col: c}
 		}
 	}
 	return colOfRow, nil

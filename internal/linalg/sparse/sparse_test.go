@@ -116,8 +116,13 @@ func TestStructurallySingular(t *testing.T) {
 	b := NewBuilder(2)
 	b.Add(0, 0)
 	b.Add(1, 0) // column 1 is empty: no perfect matching exists
-	if _, err := b.Analyze(); !errors.Is(err, ErrStructural) {
+	_, err := b.Analyze()
+	if !errors.Is(err, ErrStructural) {
 		t.Fatalf("err = %v, want ErrStructural", err)
+	}
+	var se *StructuralError
+	if !errors.As(err, &se) || se.Col != 1 {
+		t.Fatalf("err = %v, want a StructuralError naming column 1", err)
 	}
 }
 

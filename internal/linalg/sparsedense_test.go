@@ -4,8 +4,6 @@ package linalg_test
 // linalg/sparse against the pivoting dense kernels in linalg, on randomized
 // MNA-shaped systems (strong node diagonals, a band of couplings, and
 // voltage-source-style branch rows whose diagonal is structurally zero).
-// The benchmark pairs below document the crossover the spice engine's
-// SolverAuto threshold is calibrated against.
 
 import (
 	"fmt"
@@ -214,7 +212,7 @@ func TestSparseDenseSingularAgreement(t *testing.T) {
 	}
 }
 
-// --- Benchmark pairs at representative MNA sizes ---
+// --- Sparse solve benchmarks at representative MNA sizes ---
 //
 // Per-solve cost including assembly (copy of stamped values), the unit of
 // work one Newton iteration or one AC frequency point pays. Run with
@@ -224,32 +222,6 @@ func TestSparseDenseSingularAgreement(t *testing.T) {
 func benchPattern(n int) *mnaPattern {
 	nodes := n * 3 / 4
 	return newMNAPattern(nodes, n-nodes, 2)
-}
-
-func BenchmarkMNASolveDense(b *testing.B) {
-	for _, n := range []int{8, 16, 32, 64} {
-		b.Run(benchName(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			p := benchPattern(n)
-			tmpl := linalg.NewMatrix(p.n, p.n)
-			p.fill(rng, tmpl, nil, nil)
-			rhs := make([]float64, p.n)
-			for i := range rhs {
-				rhs[i] = rng.NormFloat64()
-			}
-			scratch := linalg.NewMatrix(p.n, p.n)
-			x := make([]float64, p.n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(scratch.Data, tmpl.Data)
-				copy(x, rhs)
-				if err := linalg.SolveInPlace(scratch, x); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkMNASolveSparse(b *testing.B) {
@@ -272,36 +244,6 @@ func BenchmarkMNASolveSparse(b *testing.B) {
 				copy(m.Values(), tmpl)
 				copy(x, rhs)
 				if err := m.FactorSolve(x)[0]; err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkMNASolveDenseComplex(b *testing.B) {
-	for _, n := range []int{8, 16, 32, 64} {
-		b.Run(benchName(n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			p := benchPattern(n)
-			rtmpl := linalg.NewMatrix(p.n, p.n)
-			p.fill(rng, rtmpl, nil, nil)
-			tmpl := linalg.NewCMatrix(p.n, p.n)
-			for i, v := range rtmpl.Data {
-				tmpl.Data[i] = complex(v, v/3)
-			}
-			rhs := make([]complex128, p.n)
-			for i := range rhs {
-				rhs[i] = complex(rng.NormFloat64(), 0)
-			}
-			scratch := linalg.NewCMatrix(p.n, p.n)
-			x := make([]complex128, p.n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(scratch.Data, tmpl.Data)
-				copy(x, rhs)
-				if err := linalg.CSolveInPlace(scratch, x); err != nil {
 					b.Fatal(err)
 				}
 			}

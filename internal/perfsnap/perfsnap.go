@@ -18,7 +18,6 @@ import (
 	"github.com/eda-go/moheco/internal/problem"
 	"github.com/eda-go/moheco/internal/randx"
 	"github.com/eda-go/moheco/internal/sample"
-	"github.com/eda-go/moheco/internal/spice"
 	"github.com/eda-go/moheco/internal/yieldsim"
 )
 
@@ -54,10 +53,9 @@ func yieldBench(mk func() problem.Problem, ref []float64, n int) func(b *testing
 }
 
 // Cases returns the tracked benchmark set: the batched-vs-pointwise pair on
-// the quickstart stage (the batch pipeline's headline), the sparse-vs-dense
-// solver pair on the folded-cascode testbench (the sparse MNA pipeline's
-// headline, dense being the PR 2 baseline), the amortized 64-sample batch
-// pair, and the transient-scenario pair (DC + AC + adaptive-trapezoidal
+// the quickstart stage (the batch pipeline's headline), the lockstep-vs-
+// one-lane pair on the folded-cascode testbench (the lockstep kernel's
+// headline), the amortized 64-sample batch pair, and the transient-scenario pair (DC + AC + adaptive-trapezoidal
 // step response per sample — the time-domain pipeline's unit of work).
 func Cases() []Case {
 	csRef := circuits.NewCommonSourceSpice().ReferenceDesign()
@@ -76,17 +74,14 @@ func Cases() []Case {
 			return struct{ problem.Problem }{circuits.NewCommonSourceSpice()}
 		}, csRef, 256)},
 		{"SpiceYieldFoldedCascodeSparse", yieldBench(func() problem.Problem {
-			// Auto lane resolution: at this 19-unknown pattern the sparse
-			// engine runs the 8-lane lockstep kernel.
-			return circuits.NewFoldedCascodeSpice().SetSolver(spice.SolverSparse)
+			// Auto lane resolution: at this 19-unknown pattern the engine
+			// runs the 8-lane lockstep kernel.
+			return circuits.NewFoldedCascodeSpice()
 		}, fcRef, 128)},
 		{"SpiceYieldFoldedCascodeSparseScalar", yieldBench(func() problem.Problem {
 			// Lanes pinned to 1: the PR 3 scalar sparse path, the baseline
 			// the lockstep kernel is measured against.
-			return circuits.NewFoldedCascodeSpice().SetSolver(spice.SolverSparse).SetLanes(1)
-		}, fcRef, 128)},
-		{"SpiceYieldFoldedCascodeDense", yieldBench(func() problem.Problem {
-			return circuits.NewFoldedCascodeSpice().SetSolver(spice.SolverDense)
+			return circuits.NewFoldedCascodeSpice().SetLanes(1)
 		}, fcRef, 128)},
 		{"SpiceEvalBatch64", func(b *testing.B) {
 			p := circuits.NewCommonSourceSpice()

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"github.com/eda-go/moheco/internal/linalg"
 	"github.com/eda-go/moheco/internal/linalg/sparse"
 	"github.com/eda-go/moheco/internal/measure"
 	"github.com/eda-go/moheco/internal/netlist"
@@ -168,9 +167,8 @@ type acScratch struct {
 	xc     []complex128                    // SoA solution, size*k
 	y0     []complex128                    // pristine ω-independent assembly, complex(gv[i], 0)
 	pat    []int32                         // value-array indices whose C lane is not a +0 bit pattern
-	Y      *sparse.BatchMatrix[complex128] // sparse system lanes; nil on the dense backend
-	dY     *linalg.CMatrix                 // dense system (one lane), with a write-off element
-	yv     []complex128                    // the system's value array
+	Y      *sparse.BatchMatrix[complex128] // system lanes
+	yv     []complex128                    // Y's value array
 	mag    []float64                       // per lane: |h| at the last recorded point (stop sweeps)
 }
 
@@ -189,14 +187,9 @@ func (bs *scratch) acFor(e *Engine) *acScratch {
 		y0:  make([]complex128, slots),
 		pat: make([]int32, 0, slots),
 		mag: make([]float64, k),
+		Y:   sparse.NewBatchMatrix[complex128](e.sym, k),
 	}
-	if e.sym != nil {
-		ac.Y = sparse.NewBatchMatrix[complex128](e.sym, k)
-		ac.yv = ac.Y.Values()
-	} else {
-		ac.dY = &linalg.CMatrix{Rows: n, Cols: n, Data: make([]complex128, slots)}
-		ac.yv = ac.dY.Data
-	}
+	ac.yv = ac.Y.Values()
 	bs.ac = ac
 	return ac
 }
@@ -213,18 +206,11 @@ func (bs *scratch) acFor(e *Engine) *acScratch {
 // frequency-independent right-hand side — so the devices are evaluated and
 // stamped (through the engine's cached stamp indices) into the real G and C
 // parts once per sweep, and each frequency point only assembles the complex
-// values from them and solves. On the sparse backend the per-point assembly
-// walks the nonzeros instead of n² entries, and every point's factorization
-// reuses the symbolic analysis done in New; DC and AC share one pattern
-// because the plan enumerates their union.
+// values from them and solves. The per-point assembly walks the nonzeros,
+// and every point's factorization reuses the symbolic analysis done in New;
+// DC and AC share one pattern because the plan enumerates their union.
 func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, set LaneSetter) ([][]complex128, []error) {
 	k := len(ops)
-	if e.sym == nil && k > 1 {
-		return lanewise(k, func(l int) ([]complex128, error) {
-			hs, errs := e.sweep(ops[l:l+1], freqs, lo, hi, stop, func(int) { set(l) })
-			return hs[0], errs[0]
-		})
-	}
 	out := make([][]complex128, k)
 	errs := make([]error, k)
 	bs := e.scratchFor(k)
@@ -275,10 +261,7 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 	yv := ac.yv
 	// The record needs only the solution components of nodes [lo, hi): a
 	// probe substitutes only the rows its one node depends on.
-	var reach *sparse.Reach
-	if ac.Y != nil {
-		reach = e.reachOf(lo, hi)
-	}
+	reach := e.reachOf(lo, hi)
 	for fi, f := range freqs {
 		omega := 2 * math.Pi * f
 		if omega >= 0 && omega <= math.MaxFloat64 {
@@ -294,14 +277,8 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 			}
 		}
 		copy(ac.xc, ac.rhs[:n*k])
-		var serrs []error
-		if ac.Y != nil {
-			ac.Y.Factorize()
-			serrs = ac.Y.SolveFor(ac.xc, reach)
-		} else {
-			bs.ferr[0] = linalg.CSolveInPlace(ac.dY, ac.xc)
-			serrs = bs.ferr[:]
-		}
+		ac.Y.Factorize()
+		serrs := ac.Y.SolveFor(ac.xc, reach)
 		mFactorizations.Add(int64(nLive)) // one per sweeping lane per point
 		for l := range st {
 			if !st[l].live {

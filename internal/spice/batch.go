@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/eda-go/moheco/internal/linalg"
 	"github.com/eda-go/moheco/internal/linalg/sparse"
 )
 
@@ -14,7 +13,8 @@ import (
 // group of K lanes: K Monte-Carlo samples of one topology that share the
 // engine's symbolic factorization and stamp plan and refactorize/solve in
 // lockstep through sparse.BatchMatrix, one index traversal driving K value
-// lanes. A scalar solve is the one-lane group. The AC sweep (ac.go) follows the same scheme.
+// lanes. A scalar solve is the one-lane group. The AC sweep (ac.go) follows
+// the same scheme.
 //
 // # Lane determinism contract
 //
@@ -28,10 +28,6 @@ import (
 // control, so a lane's sequence of Newton runs depends only on its own
 // outcomes. Results are therefore a pure function of the sample, independent
 // of the lane count and of which samples share a group.
-//
-// The dense backend is the reference path: a dense LU re-pivots per value
-// assignment, so its lanes cannot share a traversal, and it serves a K-lane
-// group lane by lane (lanewise).
 
 // LaneSetter installs the per-sample model state of one lane — perturbed
 // model cards, bias source values — before the engine stamps, seeds or
@@ -55,14 +51,12 @@ var errSingularJacobian = fmt.Errorf("%w: singular Jacobian", ErrNoConvergence)
 // (point-wise samples and transients) side by side.
 type scratch struct {
 	k    int
-	A    *sparse.BatchMatrix[float64] // sparse Jacobian lanes; nil on the dense backend
-	J    *linalg.Matrix               // dense Jacobian (one lane), with a write-off element
-	vals []float64                    // the Jacobian value array stamps write into
+	A    *sparse.BatchMatrix[float64] // Jacobian lanes
+	vals []float64                    // A's value array, the one stamps write into
 	F    []float64                    // SoA residuals, (size+1)*k
 	dx   []float64                    // SoA steps, size*k
 	xs   [][]float64                  // per-lane iterates of the DC procedure
 	st   []laneState
-	ferr [1]error // the dense backend's solve outcome
 
 	ac   *acScratch // allocated on the first sweep
 	tran *tranGroup // allocated on the first transient
@@ -95,26 +89,10 @@ func (e *Engine) scratchFor(k int) *scratch {
 	for l := range bs.xs {
 		bs.xs[l] = make([]float64, n)
 	}
-	if e.sym != nil {
-		bs.A = sparse.NewBatchMatrix[float64](e.sym, k)
-		bs.vals = bs.A.Values()
-	} else {
-		bs.J = linalg.NewMatrixTrailing(n, n, 1)
-		bs.vals = bs.J.Data
-	}
+	bs.A = sparse.NewBatchMatrix[float64](e.sym, k)
+	bs.vals = bs.A.Values()
 	e.scratch = append(e.scratch, bs)
 	return bs
-}
-
-// lanewise serves a K-lane group on the dense backend one lane at a time:
-// one(l) solves lane l as a one-lane group.
-func lanewise[R any](k int, one func(l int) (R, error)) ([]R, []error) {
-	res := make([]R, k)
-	errs := make([]error, k)
-	for l := range res {
-		res[l], errs[l] = one(l)
-	}
-	return res, errs
 }
 
 // newton is the Newton loop. It iterates every active lane whose last run
@@ -163,13 +141,7 @@ func (e *Engine) newton(bs *scratch, xs [][]float64, ctx stampCtx, steps []laneS
 		for i := range bs.dx {
 			bs.dx[i] = -bs.F[i]
 		}
-		var ferrs []error
-		if bs.A != nil {
-			ferrs = bs.A.FactorSolve(bs.dx)
-		} else {
-			bs.ferr[0] = linalg.SolveInPlace(bs.J, bs.dx)
-			ferrs = bs.ferr[:]
-		}
+		ferrs := bs.A.FactorSolve(bs.dx)
 		for l := range st {
 			s := &st[l]
 			if !s.live {
@@ -244,22 +216,12 @@ func (e *Engine) DCOperatingPointBatch(active []bool, set LaneSetter) ([]*OPResu
 // on its sample.
 func (e *Engine) DCOperatingPointBatchFrom(prev *OPResult, active []bool, set LaneSetter) ([]*OPResult, []error) {
 	k := len(active)
-	if e.sym == nil && k > 1 {
-		return lanewise(k, func(l int) (*OPResult, error) {
-			res, errs := e.DCOperatingPointBatchFrom(prev, active[l:l+1], func(int) { set(l) })
-			return res[0], errs[0]
-		})
-	}
 	warm := prev != nil && len(prev.V) == e.ckt.NumNodes() && len(prev.BranchI) == len(e.branches)
 	bs := e.scratchFor(k)
 	for l := range bs.st {
 		bs.st[l] = laneState{active: active[l]}
 		if warm && active[l] {
-			x := bs.xs[l]
-			for i := 1; i < e.ckt.NumNodes(); i++ {
-				x[row(i)] = prev.V[i]
-			}
-			copy(x[e.nNodes:], prev.BranchI)
+			e.loadOP(bs.xs[l], prev)
 		}
 	}
 	e.solveDC(bs, warm, set)

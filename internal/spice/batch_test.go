@@ -54,19 +54,19 @@ func TestBatchLanesMatchScalar(t *testing.T) {
 	}
 	set := func(lane int) { rl.R = laneR[lane] }
 
-	eng, err := New(ckt, Options{Solver: SolverSparse, Lanes: k})
+	eng, err := New(ckt, Options{Lanes: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Sparse() || eng.Lanes() != k {
-		t.Fatalf("want sparse engine with %d lanes, got sparse=%v lanes=%d", k, eng.Sparse(), eng.Lanes())
+	if eng.Lanes() != k {
+		t.Fatalf("want an engine with %d lanes, got %d", k, eng.Lanes())
 	}
 	active := []bool{true, true, true, true}
 	ops, errs := eng.DCOperatingPointBatch(active, set)
 	freqs := LogSpace(1e3, 1e8, 4)
 	acs, acErrs := eng.ACBatch(ops, freqs, set)
 
-	scalarEng, err := New(ckt, Options{Solver: SolverSparse})
+	scalarEng, err := New(ckt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestBatchFromMatchesScalarWarm(t *testing.T) {
 	laneR := []float64{base, base * 1.05, base * 0.95, base * 1.1}
 	set := func(lane int) { rl.R = laneR[lane] }
 
-	eng, err := New(ckt, Options{Solver: SolverSparse, Lanes: k})
+	eng, err := New(ckt, Options{Lanes: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestBatchFromMatchesScalarWarm(t *testing.T) {
 	if ops[2] != nil || errs[2] != nil {
 		t.Fatalf("inactive lane produced output: %v %v", ops[2], errs[2])
 	}
-	scalarEng, err := New(ckt, Options{Solver: SolverSparse})
+	scalarEng, err := New(ckt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,37 +140,33 @@ func TestBatchFromMatchesScalarWarm(t *testing.T) {
 	rl.R = base
 }
 
-// Lane resolution: explicit request > MOHECO_LANES > size-based auto; dense
-// engines always run scalar.
+// Lane resolution: explicit request > MOHECO_LANES > size-based auto.
 func TestResolveLanes(t *testing.T) {
 	t.Setenv("MOHECO_LANES", "") // the auto cases assume no override
 	cases := []struct {
 		req, size int
-		sparse    bool
 		want      int
 	}{
-		{0, 19, true, 8},
-		{0, 64, true, 4},
-		{0, 300, true, 2},
-		{3, 19, true, 3},
-		{100, 19, true, maxLanes},
-		{0, 19, false, 1},
-		{8, 19, false, 1},
+		{0, 19, 8},
+		{0, 64, 4},
+		{0, 300, 2},
+		{3, 19, 3},
+		{100, 19, maxLanes},
 	}
 	for _, c := range cases {
-		if got := resolveLanes(c.req, c.size, c.sparse); got != c.want {
-			t.Errorf("resolveLanes(%d, %d, %v) = %d, want %d", c.req, c.size, c.sparse, got, c.want)
+		if got := resolveLanes(c.req, c.size); got != c.want {
+			t.Errorf("resolveLanes(%d, %d) = %d, want %d", c.req, c.size, got, c.want)
 		}
 	}
 	t.Setenv("MOHECO_LANES", "5")
-	if got := resolveLanes(0, 19, true); got != 5 {
+	if got := resolveLanes(0, 19); got != 5 {
 		t.Errorf("MOHECO_LANES=5: got %d lanes", got)
 	}
-	if got := resolveLanes(2, 19, true); got != 2 {
+	if got := resolveLanes(2, 19); got != 2 {
 		t.Errorf("explicit request must beat MOHECO_LANES: got %d", got)
 	}
 	t.Setenv("MOHECO_LANES", "junk")
-	if got := resolveLanes(0, 19, true); got != 8 {
+	if got := resolveLanes(0, 19); got != 8 {
 		t.Errorf("invalid MOHECO_LANES must fall back to auto: got %d", got)
 	}
 }
@@ -186,7 +182,7 @@ func TestSolverCountersIndependentOfLanes(t *testing.T) {
 	var want [2]int64
 	for i, k := range []int{1, 3, 8} {
 		o := b.opts
-		o.Solver, o.Lanes = SolverSparse, k
+		o.Lanes = k
 		eng, err := New(b.ckt, o)
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +220,7 @@ func TestSolverCountersIndependentOfLanes(t *testing.T) {
 		}
 	}
 
-	eng, err := New(b.ckt, Options{Solver: SolverSparse, Lanes: 8})
+	eng, err := New(b.ckt, Options{Lanes: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

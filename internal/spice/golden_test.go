@@ -18,8 +18,8 @@ import (
 // -update regenerates testdata/engine_goldens.json from the current code.
 // The committed file is the stored, independent reference of the engine's
 // output bits: every DC, AC, probed and transient result of two testbenches,
-// on both solver backends, at several lockstep widths, with and without a
-// nodeset. Regenerate it only when a change is meant to alter results.
+// at several lockstep widths, with and without a nodeset. Regenerate it only
+// when a change is meant to alter results.
 var updateEngineGoldens = flag.Bool("update", false, "rewrite testdata/engine_goldens.json")
 
 const engineGoldenPath = "testdata/engine_goldens.json"
@@ -83,7 +83,7 @@ func (g *goldenHash) entry(key string, iters int, err error) engineGolden {
 type goldenBench struct {
 	name     string
 	ckt      *netlist.Circuit
-	opts     Options // Solver, Lanes and Nodeset are set per case
+	opts     Options // Lanes and Nodeset are set per case
 	nodeset  map[string]float64
 	samples  int
 	set      func(s int) // installs sample s
@@ -193,17 +193,18 @@ var goldenWidths = []int{1, 3, 4, 8}
 // engineRun is one engine configuration of the harness.
 type engineRun struct {
 	bench   *goldenBench
-	solver  SolverKind
 	nodeset bool
 	k       int
 }
 
+// prefix keys the run's goldens. Its "sparse" segment names the one linear
+// solver; it stays so the committed keys stay valid.
 func (r engineRun) prefix() string {
 	ns := "plain"
 	if r.nodeset {
 		ns = "nodeset"
 	}
-	return fmt.Sprintf("%s/%s/%s", r.bench.name, r.solver, ns)
+	return fmt.Sprintf("%s/sparse/%s", r.bench.name, ns)
 }
 
 // goldenOutcomes tallies the cold-DC and warm-start outcomes of the
@@ -217,16 +218,13 @@ func (r engineRun) run(t *testing.T, out goldenOutcomes) map[string]engineGolden
 	t.Helper()
 	b := r.bench
 	o := b.opts
-	o.Solver, o.Lanes = r.solver, r.k
+	o.Lanes = r.k
 	if r.nodeset {
 		o.Nodeset = b.nodeset
 	}
 	eng, err := New(b.ckt, o)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if eng.Sparse() != (r.solver == SolverSparse) {
-		t.Fatalf("%s: backend did not resolve as requested", r.prefix())
 	}
 	probeNode, ok := b.ckt.FindNode(b.probe)
 	if !ok {
@@ -440,11 +438,9 @@ func (r engineRun) classify(eng *Engine, got map[string]engineGolden, out golden
 func engineRuns() []engineRun {
 	var runs []engineRun
 	for _, b := range []*goldenBench{steppingBench(), mosBench()} {
-		for _, solver := range []SolverKind{SolverDense, SolverSparse} {
-			for _, ns := range []bool{false, true} {
-				for _, k := range goldenWidths {
-					runs = append(runs, engineRun{bench: b, solver: solver, nodeset: ns, k: k})
-				}
+		for _, ns := range []bool{false, true} {
+			for _, k := range goldenWidths {
+				runs = append(runs, engineRun{bench: b, nodeset: ns, k: k})
 			}
 		}
 	}

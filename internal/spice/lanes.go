@@ -13,20 +13,12 @@ import (
 const maxLanes = 16
 
 // resolveLanes turns the Options.Lanes request into the engine's lockstep
-// lane count, the same deterministic way the solver knob resolves: an
-// explicit request wins, then the MOHECO_LANES environment override, then an
-// automatic choice by pattern size. The result is a pure function of the
-// request, the environment and the MNA system size — never of worker
-// schedule or batch length — which is what keeps lane grouping, and with it
-// every batch result, bit-stable across worker counts.
-//
-// The dense backend always runs one lane: lockstep batching rides on the
-// static-pattern sparse refactorization (a dense LU re-pivots per value
-// assignment, so its lanes could not share one traversal).
-func resolveLanes(req, size int, sparse bool) int {
-	if !sparse {
-		return 1
-	}
+// lane count: an explicit request wins, then the MOHECO_LANES environment
+// override, then an automatic choice by pattern size. The result is a pure
+// function of the request, the environment and the MNA system size — never
+// of worker schedule or batch length — which is what keeps lane grouping,
+// and with it every batch result, bit-stable across worker counts.
+func resolveLanes(req, size int) int {
 	k := req
 	if k == 0 {
 		k = envLanes()
@@ -53,9 +45,9 @@ func resolveLanes(req, size int, sparse bool) int {
 	return k
 }
 
-// envLanes reads the MOHECO_LANES override. Unlike MOHECO_SOLVER it is read
-// per engine construction, not once at init: the CLIs expose a -lanes flag
-// by setting the variable from main, which runs after package init.
+// envLanes reads the MOHECO_LANES override. It is read per engine
+// construction, not once at init: the CLIs expose a -lanes flag by setting
+// the variable from main, which runs after package init.
 func envLanes() int {
 	s := strings.TrimSpace(os.Getenv("MOHECO_LANES"))
 	if s == "" {
@@ -71,6 +63,5 @@ func envLanes() int {
 
 // Lanes returns the engine's resolved lockstep lane count: how many
 // Monte-Carlo samples the batch DC/AC paths factor and solve per traversal.
-// 1 means one-lane groups (dense backend, or pinned via Options.Lanes /
-// MOHECO_LANES).
+// 1 means one-lane groups (pinned via Options.Lanes or MOHECO_LANES).
 func (e *Engine) Lanes() int { return e.lanes }

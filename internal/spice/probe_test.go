@@ -99,11 +99,11 @@ func TestProbedSweepsMatchFullPrefix(t *testing.T) {
 	b := newProbeBench(3)
 	k := len(probeLanes)
 	set := b.setLanes(probeLanes...)
-	eng, err := New(b.ckt, Options{Solver: SolverSparse, Lanes: k})
+	eng, err := New(b.ckt, Options{Lanes: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := New(b.ckt, Options{Solver: SolverSparse, Lanes: 1})
+	scalar, err := New(b.ckt, Options{Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestACFactorizationCountsMatch(t *testing.T) {
 	b := newProbeBench(2)
 	k := len(probeLanes)
 	set := b.setLanes(probeLanes...)
-	eng, err := New(b.ckt, Options{Solver: SolverSparse, Lanes: k})
+	eng, err := New(b.ckt, Options{Lanes: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := New(b.ckt, Options{Solver: SolverSparse, Lanes: 1})
+	scalar, err := New(b.ckt, Options{Lanes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestACBatchProbeAllocsFixed(t *testing.T) {
 			lanes := probeLanes[:3] // clean lanes: error formatting allocates
 			k := len(lanes)
 			set := b.setLanes(lanes...)
-			eng, err := New(b.ckt, Options{Solver: SolverSparse, Lanes: k})
+			eng, err := New(b.ckt, Options{Lanes: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +257,7 @@ func TestACBatchProbeAllocsFixed(t *testing.T) {
 // solution vector.
 func TestProbeOutsideCircuitPanics(t *testing.T) {
 	b := newProbeBench(1)
-	eng, err := New(b.ckt, Options{Solver: SolverSparse, Lanes: 2})
+	eng, err := New(b.ckt, Options{Lanes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package spice
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"github.com/eda-go/moheco/internal/linalg/sparse"
 	"github.com/eda-go/moheco/internal/netlist"
 )
 
@@ -76,6 +79,38 @@ func TestEngineRejectsInvalidCircuit(t *testing.T) {
 	c.AddR("R1", "a", "b", -1) // negative resistance fails validation
 	if _, err := New(c, Options{}); err == nil {
 		t.Error("invalid circuit accepted")
+	}
+}
+
+// A loop of voltage-defined branches leaves the MNA pattern with no perfect
+// matching, so the Jacobian is singular for every value assignment — even
+// when, as here, the sources in the loop agree. New must reject the
+// netlist, naming the device whose branch row has no pivot.
+func TestStructurallySingularNetlistRejected(t *testing.T) {
+	vloop := netlist.New("parallel voltage sources")
+	vloop.AddV("V1", "a", "0", 1, 0)
+	vloop.AddV("V2", "a", "0", 1, 0)
+	vloop.AddR("R1", "a", "0", 1e3)
+
+	eloop := netlist.New("parallel VCVS")
+	eloop.AddV("VIN", "in", "0", 1, 0)
+	eloop.AddR("RIN", "in", "0", 1e3)
+	eloop.AddE("E1", "out", "0", "in", "0", 2)
+	eloop.AddE("E2", "out", "0", "in", "0", 2)
+	eloop.AddR("RL", "out", "0", 1e3)
+
+	for _, tc := range []struct {
+		ckt *netlist.Circuit
+		dev string
+	}{{vloop, "V2"}, {eloop, "E2"}} {
+		_, err := New(tc.ckt, Options{})
+		if !errors.Is(err, sparse.ErrStructural) {
+			t.Errorf("%s: New error %v, want sparse.ErrStructural", tc.ckt.Title, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "branch of "+tc.dev+" ") {
+			t.Errorf("%s: error %q does not name %s", tc.ckt.Title, err, tc.dev)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package spice
 
 import (
-	"math"
 	"testing"
 
 	"github.com/eda-go/moheco/internal/mos"
@@ -9,9 +8,9 @@ import (
 )
 
 // solverTestbench builds a circuit exercising every stampable device kind
-// (R, C, V with AC drive, I, E, G, NMOS, PMOS) with enough unknowns to cross
-// the sparse auto-threshold: an NMOS mirror driving a resistive load, a PMOS
-// mirror, a VCVS buffer into an RC ladder and a VCCS feedback branch.
+// (R, C, V with AC drive, I, E, G, NMOS, PMOS): an NMOS mirror driving a
+// resistive load, a PMOS mirror, a VCVS buffer into an RC ladder and a VCCS
+// feedback branch.
 func solverTestbench() *netlist.Circuit {
 	nch := &mos.Params{Name: "n", VTH0: 0.5, U0: 0.04, TOX: 7.6e-9, Lambda0: 0.06, Gamma: 0.58, Phi: 0.84, CJ: 9e-4, CGSO: 1.2e-10, CGDO: 1.2e-10}
 	pch := &mos.Params{Name: "p", PMOS: true, VTH0: 0.7, U0: 0.015, TOX: 7.6e-9, Lambda0: 0.08, Gamma: 0.4, Phi: 0.8, CJ: 1.1e-3, CGSO: 1e-10, CGDO: 1e-10}
@@ -44,142 +43,12 @@ func solverTestbench() *netlist.Circuit {
 	return c
 }
 
-// tightOpts pushes Newton far below its default tolerance so both solver
-// backends land on the same root to near machine precision; the residual is
-// exact in both, only the linear step differs in rounding.
-func tightOpts(k SolverKind) Options {
-	return Options{Solver: k, AbsTol: 1e-13, RelTol: 1e-12, MaxIter: 400}
-}
-
-// The sparse backend must reproduce the dense backend's DC operating point,
-// AC sweep and transient response within tight tolerance on a circuit
-// exercising every device stamp.
-func TestSparseMatchesDense(t *testing.T) {
-	ckt := solverTestbench()
-	dense, err := New(ckt, tightOpts(SolverDense))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := New(ckt, tightOpts(SolverSparse))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.Sparse() {
-		t.Fatal("dense engine reports sparse backend")
-	}
-	if !sp.Sparse() {
-		t.Fatal("sparse engine fell back to dense")
-	}
-	if sp.Size() < sparseAutoMin {
-		t.Fatalf("testbench too small to exercise auto threshold: size %d", sp.Size())
-	}
-
-	opD, err := dense.DCOperatingPoint()
-	if err != nil {
-		t.Fatalf("dense dc: %v", err)
-	}
-	opS, err := sp.DCOperatingPoint()
-	if err != nil {
-		t.Fatalf("sparse dc: %v", err)
-	}
-	for i := range opD.V {
-		if d := math.Abs(opD.V[i] - opS.V[i]); d > 1e-9*(1+math.Abs(opD.V[i])) {
-			t.Errorf("DC V(%s): dense %.12g sparse %.12g", ckt.NodeName(i), opD.V[i], opS.V[i])
-		}
-	}
-	for i := range opD.BranchI {
-		if d := math.Abs(opD.BranchI[i] - opS.BranchI[i]); d > 1e-9*(1+math.Abs(opD.BranchI[i])) {
-			t.Errorf("DC branch %d: dense %.12g sparse %.12g", i, opD.BranchI[i], opS.BranchI[i])
-		}
-	}
-
-	freqs := LogSpace(10, 1e9, 6)
-	acD, err := dense.AC(opD, freqs)
-	if err != nil {
-		t.Fatalf("dense ac: %v", err)
-	}
-	acS, err := sp.AC(opS, freqs)
-	if err != nil {
-		t.Fatalf("sparse ac: %v", err)
-	}
-	for k := range freqs {
-		for i := range acD.V[k] {
-			d := acD.V[k][i] - acS.V[k][i]
-			mag := math.Hypot(real(acD.V[k][i]), imag(acD.V[k][i]))
-			if math.Hypot(real(d), imag(d)) > 1e-9*(1+mag) {
-				t.Errorf("AC %g Hz node %s: dense %v sparse %v", freqs[k], ckt.NodeName(i), acD.V[k][i], acS.V[k][i])
-			}
-		}
-	}
-
-	trD, err := dense.Transient(opD, 10e-9, 0.5e-9)
-	if err != nil {
-		t.Fatalf("dense tran: %v", err)
-	}
-	trS, err := sp.Transient(opS, 10e-9, 0.5e-9)
-	if err != nil {
-		t.Fatalf("sparse tran: %v", err)
-	}
-	for k := range trD.Times {
-		for i := range trD.V[k] {
-			if d := math.Abs(trD.V[k][i] - trS.V[k][i]); d > 1e-8*(1+math.Abs(trD.V[k][i])) {
-				t.Errorf("tran t=%g node %s: dense %.12g sparse %.12g", trD.Times[k], ckt.NodeName(i), trD.V[k][i], trS.V[k][i])
-			}
-		}
-	}
-}
-
-// Solver auto-selection: below the threshold stays dense, above switches to
-// sparse, and explicit kinds always win.
-func TestSolverAutoThreshold(t *testing.T) {
-	small := netlist.New("divider")
-	small.AddV("V1", "a", "0", 1, 0)
-	small.AddR("R1", "a", "b", 1e3)
-	small.AddR("R2", "b", "0", 1e3)
-	eSmall, err := New(small, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eSmall.Sparse() {
-		t.Errorf("size-%d system picked sparse under auto", eSmall.Size())
-	}
-	eForced, err := New(small, Options{Solver: SolverSparse})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !eForced.Sparse() {
-		t.Error("explicit SolverSparse ignored")
-	}
-	op, err := eForced.DCOperatingPoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vb, _ := op.VNode(small, "b"); math.Abs(vb-0.5) > 1e-9 {
-		t.Errorf("sparse divider V(b) = %v, want 0.5", vb)
-	}
-
-	big, err := New(solverTestbench(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !big.Sparse() {
-		t.Errorf("size-%d system stayed dense under auto", big.Size())
-	}
-	eDense, err := New(solverTestbench(), Options{Solver: SolverDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eDense.Sparse() {
-		t.Error("explicit SolverDense ignored")
-	}
-}
-
 // Repeated solves on one engine must be bit-identical: the symbolic
 // factorization and stamp plan are immutable, and scratch reuse may not
 // leak state between solves (the determinism guarantee the parallel
 // pipeline builds on).
 func TestSparseRepeatDeterminism(t *testing.T) {
-	eng, err := New(solverTestbench(), Options{Solver: SolverSparse})
+	eng, err := New(solverTestbench(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,32 +78,6 @@ func TestSparseRepeatDeterminism(t *testing.T) {
 			if ac1.V[k][i] != ac2.V[k][i] {
 				t.Fatalf("AC repeat differs at point %d node %d", k, i)
 			}
-		}
-	}
-}
-
-func TestParseSolver(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SolverKind
-		err  bool
-	}{
-		{"", SolverAuto, false},
-		{"auto", SolverAuto, false},
-		{"dense", SolverDense, false},
-		{"SPARSE", SolverSparse, false},
-		{" sparse ", SolverSparse, false},
-		{"cholesky", SolverAuto, true},
-	} {
-		got, err := ParseSolver(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseSolver(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	for _, k := range []SolverKind{SolverAuto, SolverDense, SolverSparse} {
-		rt, err := ParseSolver(k.String())
-		if err != nil || rt != k {
-			t.Errorf("round trip %v: got %v, %v", k, rt, err)
 		}
 	}
 }

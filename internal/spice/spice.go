@@ -39,16 +39,11 @@ type Options struct {
 	GminStart float64 // initial gmin for stepping (default 1e-3 S)
 	GminFinal float64 // final gmin left in the matrix (default 1e-12 S)
 	MaxStep   float64 // Newton step damping limit per node (default 0.5 V)
-	// Solver selects the linear-solver backend (dense LU with partial
-	// pivoting, or static-pattern sparse LU with symbolic factorization
-	// reuse). The zero value SolverAuto sizes the choice automatically and
-	// honours the MOHECO_SOLVER environment override.
-	Solver SolverKind
 	// Lanes selects the lockstep lane count of the batch DC/AC paths: how
 	// many Monte-Carlo samples refactorize and solve per index traversal.
 	// The zero value resolves automatically — MOHECO_LANES override first,
 	// then a choice by pattern size — and 1 disables lockstep batching.
-	// Dense engines always run one lane. See resolveLanes.
+	// See resolveLanes.
 	Lanes int
 	// Nodeset seeds the DC solve with initial node voltages (by node name),
 	// the classic .nodeset escape hatch for circuits with high-gain
@@ -75,9 +70,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxStep == 0 {
 		o.MaxStep = 0.5
 	}
-	if o.Solver == SolverAuto && envSolver != SolverAuto {
-		o.Solver = envSolver
-	}
 	return o
 }
 
@@ -96,13 +88,12 @@ type Engine struct {
 	size     int // nNodes + len(branches)
 
 	// plan caches every device's direct stamp indices (resolved once in
-	// New), shared by the DC, AC and transient assemblies of both solver
-	// backends.
+	// New), shared by the DC, AC and transient assemblies.
 	plan *stampPlan
 
-	// Sparse backend: the symbolic factorization computed once in New. nil
-	// on the dense path. reach caches the AC substitution reach of the
-	// recorded node range reachNodes (see reachOf).
+	// sym is the symbolic factorization computed once in New. reach caches
+	// the AC substitution reach of the recorded node range reachNodes (see
+	// reachOf).
 	sym        *sparse.Symbolic
 	reach      *sparse.Reach
 	reachNodes [2]int
@@ -124,9 +115,16 @@ type branch struct {
 
 // New builds an engine for the circuit. Besides validating the netlist it
 // runs the engine's one-time assembly analysis: the structural pattern of
-// the MNA system is enumerated once, the sparse backend (when selected)
-// computes its symbolic factorization from it, and every device resolves
-// its stamp positions to direct value-array indices.
+// the MNA system is enumerated once, its symbolic factorization is computed
+// from it, and every device resolves its stamp positions to direct
+// value-array indices.
+//
+// A structurally singular pattern — a loop of voltage-defined branches, say
+// two voltage sources across one node pair — is rejected here with an error
+// that wraps sparse.ErrStructural and names the branch device or node left
+// without a pivot. The pattern covers every stamp of every analysis, so
+// such a Jacobian is singular for every value assignment and no solve could
+// succeed.
 func New(ckt *netlist.Circuit, opts Options) (*Engine, error) {
 	if err := ckt.Validate(); err != nil {
 		return nil, err
@@ -139,34 +137,29 @@ func New(ckt *netlist.Circuit, opts Options) (*Engine, error) {
 		}
 	}
 	e.size = e.nNodes + len(e.branches)
-	if e.opts.Solver == SolverSparse || (e.opts.Solver == SolverAuto && e.size >= sparseAutoMin) {
-		// A structurally singular pattern (no diagonal assignment exists)
-		// falls back to dense: partial pivoting may still cope, and the
-		// netlist passed Validate.
-		if sym, err := e.analyzePattern(); err == nil {
-			e.sym = sym
-			e.plan = e.buildPlan(sym.Index)
+	sym, err := e.analyzePattern()
+	if err != nil {
+		var se *sparse.StructuralError
+		if errors.As(err, &se) {
+			err = fmt.Errorf("%s has no pivot: %w", e.unknownName(se.Col), err)
 		}
+		return nil, fmt.Errorf("spice: %w", err)
 	}
-	if e.sym == nil {
-		// Row-major dense values with one trailing element beyond n×n: the
-		// write-off slot ground stamps land in. The LU kernels only address
-		// n×n.
-		n := e.size
-		e.plan = e.buildPlan(func(r, c int) int {
-			if r < 0 || c < 0 {
-				return n * n
-			}
-			return r*n + c
-		})
-	}
+	e.sym = sym
+	e.plan = e.buildPlan(sym.Index)
 	e.scrV = make([]float64, ckt.NumNodes())
-	e.lanes = resolveLanes(e.opts.Lanes, e.size, e.sym != nil)
+	e.lanes = resolveLanes(e.opts.Lanes, e.size)
 	return e, nil
 }
 
-// Sparse reports whether the engine resolved to the sparse backend.
-func (e *Engine) Sparse() bool { return e.sym != nil }
+// unknownName names MNA unknown i: a node voltage, or the branch current of
+// a V or E device.
+func (e *Engine) unknownName(i int) string {
+	if i < e.nNodes {
+		return fmt.Sprintf("node %q", e.ckt.NodeName(i+1))
+	}
+	return "the branch of " + e.branches[i-e.nNodes].dev.DevName()
+}
 
 // Size returns the MNA system size (node unknowns plus branch currents).
 func (e *Engine) Size() int { return e.size }
@@ -265,6 +258,15 @@ func (e *Engine) opResult(x []float64, iters int) *OPResult {
 		}
 	}
 	return res
+}
+
+// loadOP writes the operating point op into the solution vector x, the
+// inverse of opResult.
+func (e *Engine) loadOP(x []float64, op *OPResult) {
+	for i := 1; i < e.ckt.NumNodes(); i++ {
+		x[row(i)] = op.V[i]
+	}
+	copy(x[e.nNodes:], op.BranchI)
 }
 
 // stampCtx carries the analysis context: gmin damping, source scaling

@@ -266,19 +266,15 @@ func TestFiveTransistorOTA(t *testing.T) {
 	}
 }
 
+// Contradictory voltage sources have no operating point. Their branch rows
+// leave the Jacobian structurally singular, so the engine rejects them when
+// it is built, before any DC solve.
 func TestDCNonConvergenceSurfaced(t *testing.T) {
-	// A pathological loop: two VCVS in positive feedback with gain > 1 has
-	// no stable solution path for Newton to find... actually it has an
-	// unstable fixed point at 0; use conflicting voltage sources instead.
 	c := netlist.New("conflict")
 	c.AddV("V1", "a", "0", 1, 0)
 	c.AddV("V2", "a", "0", 2, 0) // contradictory
-	e, err := New(c, Options{MaxIter: 20})
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	if _, err := e.DCOperatingPoint(); err == nil {
-		t.Error("contradictory sources should not converge")
+	if _, err := New(c, Options{MaxIter: 20}); err == nil {
+		t.Error("contradictory sources accepted")
 	}
 }
 

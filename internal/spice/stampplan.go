@@ -8,12 +8,11 @@ import (
 
 // This file implements stamp-pointer caching: the classic SPICE technique of
 // resolving, once per engine, the exact value-array position every device
-// stamp writes to. Per-iteration assembly then degenerates to indexed
-// adds with no row mapping, no bounds branching and no (row, col) → offset
-// arithmetic, and — crucially — the same plan drives the dense matrix (index
-// = r·n + c) and the sparse matrix (index = position in the CSR value
-// array), so the two solver paths share one implementation of the device
-// physics and cannot drift apart.
+// stamp writes to (its position in the sparse CSR value array). Per-iteration
+// assembly then degenerates to indexed adds with no row mapping, no bounds
+// branching and no (row, col) → offset arithmetic, and one plan drives the
+// DC, AC and transient assemblies, so they share one implementation of the
+// device physics.
 //
 // Ground rows and columns are mapped to a write-off ("trash") slot appended
 // to every value array and to the residual vector, keeping the stamping
@@ -146,7 +145,7 @@ func (e *Engine) forEachEntry(add func(r, c int)) {
 	}
 }
 
-// analyzePattern runs the one-time symbolic phase for the sparse path.
+// analyzePattern runs the one-time symbolic phase.
 func (e *Engine) analyzePattern() (*sparse.Symbolic, error) {
 	b := sparse.NewBuilder(e.size)
 	e.forEachEntry(b.Add)

@@ -138,9 +138,8 @@ func (e *Engine) Transient(op *OPResult, tStop, h float64) (*TranResult, error) 
 // or LTE-controlled adaptive timesteps. Sources with an attached Pulse
 // follow their waveform (their corner times become breakpoints the adaptive
 // grid lands on exactly); others hold their DC value. Every Newton solve
-// runs through the engine's cached stamp plan and preallocated scratch, so
-// the dense and sparse backends share one integrator implementation. It is
-// the one-lane TransientBatch.
+// runs through the engine's cached stamp plan and preallocated scratch. It
+// is the one-lane TransientBatch.
 func (e *Engine) TransientOpts(op *OPResult, opts TranOptions) (*TranResult, error) {
 	res, errs := e.TransientBatch([]*OPResult{op}, opts, noLane)
 	return res[0], errs[0]
@@ -157,12 +156,6 @@ func (e *Engine) TransientOpts(op *OPResult, opts TranOptions) (*TranResult, err
 // reports its error alone and leaves the group; the others run on.
 func (e *Engine) TransientBatch(ops []*OPResult, opts TranOptions, set LaneSetter) ([]*TranResult, []error) {
 	k := len(ops)
-	if e.sym == nil && k > 1 {
-		return lanewise(k, func(l int) (*TranResult, error) {
-			res, errs := e.TransientBatch(ops[l:l+1], opts, func(int) { set(l) })
-			return res[0], errs[0]
-		})
-	}
 	res := make([]*TranResult, k)
 	errs := make([]error, k)
 	o, err := opts.withDefaults()

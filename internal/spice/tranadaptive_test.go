@@ -9,8 +9,7 @@ import (
 
 // This file is the analytic accuracy harness that gates the transient
 // pipeline: every integrator path — fixed and adaptive, backward Euler and
-// trapezoidal, dense and sparse — is pinned against closed-form RC and RLC
-// responses before any scenario consumes it. The tolerances are pinned
+// trapezoidal — is pinned against closed-form RC and RLC responses before any scenario consumes it. The tolerances are pinned
 // roughly 3× above the measured errors, so a regression that loses an
 // order of accuracy trips them while benign refactors do not.
 
@@ -25,12 +24,12 @@ func rcChargeCircuit() (*netlist.Circuit, float64) {
 }
 
 // maxErrVsAnalytic integrates with the given options and returns the worst
-// absolute deviation of node "out" from the analytic waveform fn(t), plus
-// the accepted point count.
-func maxErrVsAnalytic(t *testing.T, c *netlist.Circuit, nodeset map[string]float64,
-	kind SolverKind, o TranOptions, fn func(t float64) float64) (float64, int) {
+// absolute deviation of node from the analytic waveform fn(t), plus the
+// accepted point count.
+func maxErrVsAnalytic(t *testing.T, c *netlist.Circuit, node string,
+	o TranOptions, fn func(t float64) float64) (float64, int) {
 	t.Helper()
-	e, err := New(c, Options{Solver: kind, Nodeset: nodeset})
+	e, err := New(c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +41,7 @@ func maxErrVsAnalytic(t *testing.T, c *netlist.Circuit, nodeset map[string]float
 	if err != nil {
 		t.Fatal(err)
 	}
-	wave, err := res.VNode(c, "out")
+	wave, err := res.VNode(c, node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,22 +55,19 @@ func maxErrVsAnalytic(t *testing.T, c *netlist.Circuit, nodeset map[string]float
 }
 
 // The adaptive trapezoidal integrator must track the closed-form RC charge
-// v(t) = 1 − e^{−t/τ} to a tolerance tied to its LTE setting, on both
-// solver backends, using far fewer points than a fixed grid of comparable
-// accuracy would need.
+// v(t) = 1 − e^{−t/τ} to a tolerance tied to its LTE setting, using far
+// fewer points than a fixed grid of comparable accuracy would need.
 func TestAdaptiveTranRCChargeAnalytic(t *testing.T) {
-	for _, kind := range []SolverKind{SolverDense, SolverSparse} {
-		c, tau := rcChargeCircuit()
-		o := TranOptions{TStop: 5 * tau, Adaptive: true, LTERel: 1e-4, LTEAbs: 1e-9}
-		worst, n := maxErrVsAnalytic(t, c, nil, kind, o,
-			func(tt float64) float64 { return 1 - math.Exp(-tt/tau) })
-		t.Logf("%v: max |err| = %.3g over %d points", kind, worst, n)
-		if worst > 3e-4 {
-			t.Errorf("%v: adaptive trap error %.3g vs closed form (tol 3e-4)", kind, worst)
-		}
-		if n > 400 {
-			t.Errorf("%v: adaptive grid used %d points — the controller is not coarsening the tail", kind, n)
-		}
+	c, tau := rcChargeCircuit()
+	o := TranOptions{TStop: 5 * tau, Adaptive: true, LTERel: 1e-4, LTEAbs: 1e-9}
+	worst, n := maxErrVsAnalytic(t, c, "out", o,
+		func(tt float64) float64 { return 1 - math.Exp(-tt/tau) })
+	t.Logf("max |err| = %.3g over %d points", worst, n)
+	if worst > 3e-4 {
+		t.Errorf("adaptive trap error %.3g vs closed form (tol 3e-4)", worst)
+	}
+	if n > 400 {
+		t.Errorf("adaptive grid used %d points — the controller is not coarsening the tail", n)
 	}
 }
 
@@ -84,7 +80,7 @@ func TestAdaptiveTranRCDischargeAnalytic(t *testing.T) {
 	c.AddC("C1", "out", "0", 1e-10)
 	tau := 1e-6
 	o := TranOptions{TStop: 5 * tau, Adaptive: true, LTERel: 1e-4, LTEAbs: 1e-9}
-	worst, n := maxErrVsAnalytic(t, c, nil, SolverDense, o,
+	worst, n := maxErrVsAnalytic(t, c, "out", o,
 		func(tt float64) float64 { return 2 * math.Exp(-tt/tau) })
 	t.Logf("max |err| = %.3g over %d points", worst, n)
 	if worst > 6e-4 {
@@ -113,7 +109,7 @@ func TestFixedTrapConvergenceOrder(t *testing.T) {
 	kv := 1 / tStop
 	fn := func(tt float64) float64 { return kv * (tt - tau + tau*math.Exp(-tt/tau)) }
 	errAt := func(h float64, m TranMethod) float64 {
-		e, _ := maxErrVsAnalytic(t, mk(), nil, SolverDense,
+		e, _ := maxErrVsAnalytic(t, mk(), "out",
 			TranOptions{TStop: tStop, Step: h, Method: m}, fn)
 		return e
 	}
@@ -176,101 +172,22 @@ func rlcCircuit(rise float64) (c *netlist.Circuit, fn func(t float64) float64) {
 
 // The RLC ring-down exercises the oscillatory regime where backward Euler's
 // numerical damping is fatal and the trapezoidal rule shines: both the
-// adaptive and the fixed trapezoidal paths must track the damped sinusoid,
-// dense and sparse alike.
+// adaptive and the fixed trapezoidal paths must track the damped sinusoid.
 func TestTranRLCRingdownAnalytic(t *testing.T) {
 	const rise = 50e-9
 	for _, tc := range []struct {
 		name string
-		kind SolverKind
 		o    TranOptions
 		tol  float64
 	}{
-		{"adaptive/dense", SolverDense, TranOptions{TStop: 5e-6, Adaptive: true, LTERel: 1e-4, LTEAbs: 1e-9}, 1.5e-3},
-		{"adaptive/sparse", SolverSparse, TranOptions{TStop: 5e-6, Adaptive: true, LTERel: 1e-4, LTEAbs: 1e-9}, 1.5e-3},
-		{"fixed-trap/dense", SolverDense, TranOptions{TStop: 5e-6, Step: 5e-9, Method: Trap}, 1.5e-3},
-		{"fixed-trap/sparse", SolverSparse, TranOptions{TStop: 5e-6, Step: 5e-9, Method: Trap}, 1.5e-3},
+		{"adaptive", TranOptions{TStop: 5e-6, Adaptive: true, LTERel: 1e-4, LTEAbs: 1e-9}, 1.5e-3},
+		{"fixed-trap", TranOptions{TStop: 5e-6, Step: 5e-9, Method: Trap}, 1.5e-3},
 	} {
 		c, fn := rlcCircuit(rise)
-		worst, n := maxErrVsAnalyticNode(t, c, "tank", tc.kind, tc.o, fn)
+		worst, n := maxErrVsAnalytic(t, c, "tank", tc.o, fn)
 		t.Logf("%s: max |err| = %.3g over %d points", tc.name, worst, n)
 		if worst > tc.tol {
 			t.Errorf("%s: error %.3g vs closed-form ring-down (tol %g)", tc.name, worst, tc.tol)
-		}
-	}
-}
-
-// maxErrVsAnalyticNode is maxErrVsAnalytic probing an arbitrary node.
-func maxErrVsAnalyticNode(t *testing.T, c *netlist.Circuit, node string,
-	kind SolverKind, o TranOptions, fn func(t float64) float64) (float64, int) {
-	t.Helper()
-	e, err := New(c, Options{Solver: kind})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op, err := e.DCOperatingPoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.TransientOpts(op, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wave, err := res.VNode(c, node)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := 0.0
-	for k, tt := range res.Times {
-		if d := math.Abs(wave[k] - fn(tt)); d > worst {
-			worst = d
-		}
-	}
-	return worst, len(res.Times)
-}
-
-// The dense and sparse backends must produce the same adaptive step
-// sequence and agree on every accepted point to 1e-9 — the transient
-// extension of the solver-equivalence contract. The step sequence is a
-// pure function of the solve results; the two factorizations differ only
-// in rounding, far from any accept/reject threshold on this testbench.
-func TestAdaptiveTranDenseSparseEquivalence(t *testing.T) {
-	run := func(kind SolverKind) (*netlist.Circuit, *TranResult) {
-		ckt := solverTestbench()
-		// Drive the input with a pulse so the transient actually moves.
-		for _, d := range ckt.Devices {
-			if v, ok := d.(*netlist.VSource); ok && v.Name == "VIN" {
-				v.Pulse = &netlist.Pulse{V1: v.DC, V2: v.DC + 0.05, Delay: 2e-9, Rise: 1e-10, Width: 1}
-			}
-		}
-		e, err := New(ckt, tightOpts(kind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		op, err := e.DCOperatingPoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.TransientOpts(op, TranOptions{TStop: 200e-9, Adaptive: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ckt, res
-	}
-	ckt, dense := run(SolverDense)
-	_, sp := run(SolverSparse)
-	if len(dense.Times) != len(sp.Times) {
-		t.Fatalf("step sequences diverged: dense %d points, sparse %d", len(dense.Times), len(sp.Times))
-	}
-	for k := range dense.Times {
-		if d := math.Abs(dense.Times[k] - sp.Times[k]); d > 1e-9*(1e-9+dense.Times[k]) {
-			t.Fatalf("grid diverged at point %d: dense t=%.15g sparse t=%.15g", k, dense.Times[k], sp.Times[k])
-		}
-		for i := range dense.V[k] {
-			if d := math.Abs(dense.V[k][i] - sp.V[k][i]); d > 1e-9*(1+math.Abs(dense.V[k][i])) {
-				t.Errorf("t=%g node %s: dense %.12g sparse %.12g",
-					dense.Times[k], ckt.NodeName(i), dense.V[k][i], sp.V[k][i])
-			}
 		}
 	}
 }

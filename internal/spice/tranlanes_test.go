@@ -38,7 +38,6 @@ func sameTran(a, b *TranResult) bool {
 func TestTransientLaneFailsAlone(t *testing.T) {
 	b := steppingBench()
 	o := b.opts
-	o.Solver = SolverSparse
 	eng, err := New(b.ckt, o)
 	if err != nil {
 		t.Fatal(err)
