@@ -5,20 +5,41 @@ import (
 	"math"
 )
 
-// gp is a tiny fixed-hyperparameter Gaussian process used as the surrogate
-// for the one-dimensional-subspace acquisition search. Inputs are design
-// vectors normalized to the unit cube; the kernel is squared-exponential
-// with an isotropic lengthscale, the signal variance is set from the sample
-// variance of the targets, and the noise floor absorbs the Monte-Carlo
-// estimator's own variance. Everything is closed-form float math over slices
-// in a fixed order, so a fit is bit-deterministic for a given training set.
+// gp is a tiny fixed-hyperparameter Gaussian process on one coordinate,
+// the surrogate of the one-dimensional-subspace acquisition search. Inputs
+// are axis coordinates normalized to [0, 1]; the kernel is squared-
+// exponential, the signal variance is set from the sample variance of the
+// targets, and the noise floor absorbs the Monte-Carlo estimator's own
+// variance. Everything is closed-form float math over slices in a fixed
+// order, so a fit is bit-deterministic for a given training set.
+//
+// A gp is also its own workspace: fit and predictBatch reuse its buffers,
+// so a line search that keeps one gp allocates nothing round after round
+// once the buffers have grown to the training window.
+//
+// Line-search archives repeat coordinates: proposals land on the grid and
+// the other axes' proposals keep the incumbent's coordinate. The kernel
+// sf2·exp(−0.5·(a − b)²/ℓ²) depends on a pair of inputs only through
+// (a − b)², and a − b = −(b − a) exactly in IEEE arithmetic, so fit
+// evaluates exp once per pair of distinct inputs and predictBatch once per
+// (point, distinct input), then scales by sf2: every entry keeps the bits
+// of one kernel evaluation per pair.
 type gp struct {
-	xs    [][]float64
+	xs    []float64 // training inputs
 	alpha []float64 // (K + σn²I)⁻¹ (y − mean)
 	chol  [][]float64
 	mean  float64
 	ls2   float64 // lengthscale²
 	sf2   float64 // signal variance
+
+	uniq  []float64 // the distinct training inputs, in first-seen order
+	idx   []int     // idx[i]: the entry of xs[i] in uniq
+	ex    []float64 // exp terms: per distinct pair (fit), per distinct input and lane (predictBatch)
+	flat  []float64 // backing array of chol, row after row
+	resid []float64
+	v     []float64 // forward-solve scratch of cholSolve
+	kx    [][4]float64
+	vs    [][4]float64
 }
 
 // gpNoise is the observation-noise floor. Stage-1 yield estimates carry
@@ -26,17 +47,20 @@ type gp struct {
 // conditioned without drowning the signal.
 const gpNoise = 5e-3
 
-// fitGP fits the surrogate on normalized inputs xs and targets ys.
-func fitGP(xs [][]float64, ys []float64, lengthscale float64) (*gp, error) {
+// fit fits the surrogate on normalized inputs xs and targets ys. The gp
+// keeps xs until the next fit.
+func (g *gp) fit(xs, ys []float64, lengthscale float64) error {
 	n := len(xs)
 	if n == 0 || n != len(ys) {
-		return nil, fmt.Errorf("lineasybo: GP fit on %d inputs, %d targets", n, len(ys))
+		return fmt.Errorf("lineasybo: GP fit on %d inputs, %d targets", n, len(ys))
 	}
-	g := &gp{xs: xs, ls2: lengthscale * lengthscale}
+	g.xs, g.ls2 = xs, lengthscale*lengthscale
+	g.mean = 0
 	for _, y := range ys {
 		g.mean += y
 	}
 	g.mean /= float64(n)
+	g.sf2 = 0
 	for _, y := range ys {
 		d := y - g.mean
 		g.sf2 += d * d
@@ -45,37 +69,63 @@ func fitGP(xs [][]float64, ys []float64, lengthscale float64) (*gp, error) {
 	if g.sf2 < 1e-6 {
 		g.sf2 = 1e-6
 	}
-	k := make([][]float64, n)
-	for i := range k {
-		k[i] = make([]float64, i+1)
-		for j := 0; j <= i; j++ {
-			v := g.kernel(xs[i], xs[j])
-			k[i][j] = v
-			if i == j {
-				k[i][i] += gpNoise
-			}
+
+	g.idx = resize(g.idx, n)
+	g.uniq = g.uniq[:0]
+	for i, x := range xs {
+		q := 0
+		for q < len(g.uniq) && g.uniq[q] != x {
+			q++
+		}
+		if q == len(g.uniq) {
+			g.uniq = append(g.uniq, x)
+		}
+		g.idx[i] = q
+	}
+	// ex holds the lower triangle of the distinct pairs, row p at p(p+1)/2.
+	m := len(g.uniq)
+	g.ex = resize(g.ex, m*(m+1)/2)
+	for p, e := 0, 0; p < m; p++ {
+		for q := 0; q <= p; q++ {
+			g.ex[e] = g.expTerm(g.uniq[p], g.uniq[q])
+			e++
 		}
 	}
-	chol, err := cholesky(k)
-	if err != nil {
-		return nil, err
+
+	// The kernel matrix goes into the factor's rows, which cholesky then
+	// overwrites with L.
+	g.flat = resize(g.flat, n*(n+1)/2)
+	g.chol = resize(g.chol, n)
+	for i := range g.chol {
+		row := g.flat[i*(i+1)/2 : (i+1)*(i+2)/2]
+		g.chol[i] = row
+		p := g.idx[i]
+		for j := range row {
+			p, q := p, g.idx[j]
+			if p < q {
+				p, q = q, p
+			}
+			row[j] = g.sf2 * g.ex[p*(p+1)/2+q]
+		}
+		row[i] += gpNoise
 	}
-	g.chol = chol
-	resid := make([]float64, n)
+	if err := cholesky(g.chol, g.chol); err != nil {
+		return err
+	}
+	g.resid = resize(g.resid, n)
 	for i, y := range ys {
-		resid[i] = y - g.mean
+		g.resid[i] = y - g.mean
 	}
-	g.alpha = cholSolve(chol, resid)
-	return g, nil
+	g.v = resize(g.v, n)
+	g.alpha = resize(g.alpha, n)
+	cholSolve(g.chol, g.resid, g.v, g.alpha)
+	return nil
 }
 
-func (g *gp) kernel(a, b []float64) float64 {
-	var d2 float64
-	for i := range a {
-		d := a[i] - b[i]
-		d2 += d * d
-	}
-	return g.sf2 * math.Exp(-0.5*d2/g.ls2)
+// expTerm is the exponential factor of the SE kernel, sf2·expTerm(a, b).
+func (g *gp) expTerm(a, b float64) float64 {
+	d := a - b
+	return math.Exp(-0.5 * (d * d) / g.ls2)
 }
 
 // predictBatch writes the posterior mean and variance at each normalized
@@ -83,68 +133,83 @@ func (g *gp) kernel(a, b []float64) float64 {
 // forward solve with four right-hand sides, so each pass over a row of L
 // serves four points; every point keeps the exact operation sequence of a
 // one-point prediction, so the four lanes of a pass are independent.
-func (g *gp) predictBatch(xs [][]float64, mu, sigma2 []float64) {
+func (g *gp) predictBatch(xs []float64, mu, sigma2 []float64) {
 	const w = 4
-	n := len(g.xs)
-	kx := make([][w]float64, n) // kx[i][m]: k(point m, training point i)
-	v := make([][w]float64, n)
+	n, m := len(g.xs), len(g.uniq)
+	g.kx = resize(g.kx, n) // kx[i][l]: k(point l, training point i)
+	g.vs = resize(g.vs, n)
+	g.ex = resize(g.ex, m*w)
+	kx, v, ex := g.kx, g.vs, g.ex
 	for p := 0; p < len(xs); p += w {
 		// A short last group repeats its last point in the spare lanes.
 		pts := xs[p:min(p+w, len(xs))]
-		for i, xi := range g.xs {
-			for m := range kx[i] {
-				if m < len(pts) {
-					kx[i][m] = g.kernel(pts[m], xi)
+		for q, u := range g.uniq {
+			e := ex[q*w : q*w+w]
+			for l := range e {
+				if l < len(pts) {
+					e[l] = g.expTerm(pts[l], u)
 				} else {
-					kx[i][m] = kx[i][m-1]
+					e[l] = e[l-1]
 				}
 			}
 		}
+		for i, q := range g.idx {
+			e := ex[q*w : q*w+w]
+			kx[i] = [w]float64{g.sf2 * e[0], g.sf2 * e[1], g.sf2 * e[2], g.sf2 * e[3]}
+		}
 		// σ² = k(x,x) − kxᵀ (K + σn²I)⁻¹ kx, via the triangular solve
 		// L·v = kx for the four columns at once.
-		for i, li := range g.chol {
-			s0, s1, s2, s3 := kx[i][0], kx[i][1], kx[i][2], kx[i][3]
-			vs := v[:i]
-			lk := li[:len(vs)]
-			for k := range vs {
-				vk, l := &vs[k], lk[k]
-				s0 -= l * vk[0]
-				s1 -= l * vk[1]
-				s2 -= l * vk[2]
-				s3 -= l * vk[3]
-			}
-			d := li[i]
-			v[i] = [w]float64{s0 / d, s1 / d, s2 / d, s3 / d}
-		}
-		for m := range pts {
+		forwardSolve4(g.chol, g.flat, kx, v)
+		for l := range pts {
 			u := g.mean
 			for i, a := range g.alpha {
-				u += kx[i][m] * a
+				u += kx[i][l] * a
 			}
 			s2 := g.sf2 + gpNoise
 			for i := range v {
-				s2 -= v[i][m] * v[i][m]
+				s2 -= v[i][l] * v[i][l]
 			}
 			if s2 < 0 {
 				s2 = 0
 			}
-			mu[p+m], sigma2[p+m] = u, s2
+			mu[p+l], sigma2[p+l] = u, s2
 		}
 	}
 }
 
-// cholesky returns the lower-triangular factor L with A = L·Lᵀ, reading the
-// lower triangle of A. A must be symmetric positive definite (the noise
-// floor guarantees it for sane inputs). Each pass over k computes four
-// off-diagonal entries of a row; every entry keeps the subtraction order
-// A[i][j] − Σ_{k<j} L[i][k]·L[j][k] with k increasing, so L is bit for bit
-// the one-entry-at-a-time factor.
-func cholesky(a [][]float64) ([][]float64, error) {
-	n := len(a)
-	l := make([][]float64, n)
+// forwardSolve4 solves L·v = b for four right-hand sides, lane by lane in
+// forwardSolve's operation order. flat is the backing array of L's rows,
+// row i at i(i+1)/2, which the AVX2 form reads (forward_amd64.go).
+func forwardSolve4(l [][]float64, flat []float64, b, v [][4]float64) {
+	if forwardSolve4SIMD(flat, b, v) {
+		return
+	}
+	for i, li := range l {
+		s0, s1, s2, s3 := b[i][0], b[i][1], b[i][2], b[i][3]
+		vs := v[:i]
+		lk := li[:len(vs)]
+		for k := range vs {
+			vk, l := &vs[k], lk[k]
+			s0 -= l * vk[0]
+			s1 -= l * vk[1]
+			s2 -= l * vk[2]
+			s3 -= l * vk[3]
+		}
+		d := li[i]
+		v[i] = [4]float64{s0 / d, s1 / d, s2 / d, s3 / d}
+	}
+}
+
+// cholesky writes into l the lower-triangular factor L with A = L·Lᵀ,
+// reading the lower triangle of a; l may be a itself. A must be symmetric
+// positive definite (the noise floor guarantees it for sane inputs). Each
+// pass over k computes four off-diagonal entries of a row; every entry
+// keeps the subtraction order A[i][j] − Σ_{k<j} L[i][k]·L[j][k] with k
+// increasing, so L is bit for bit the one-entry-at-a-time factor. An entry
+// of a is read before the entry of l in its place is written.
+func cholesky(l, a [][]float64) error {
 	for i := range l {
-		li := make([]float64, i+1)
-		l[i] = li
+		li := l[i]
 		ai := a[i]
 		j := 0
 		for ; j+4 <= i; j += 4 {
@@ -184,32 +249,29 @@ func cholesky(a [][]float64) ([][]float64, error) {
 			sum -= lik * lik
 		}
 		if sum <= 0 {
-			return nil, fmt.Errorf("lineasybo: kernel matrix not positive definite at row %d", i)
+			return fmt.Errorf("lineasybo: kernel matrix not positive definite at row %d", i)
 		}
 		li[i] = math.Sqrt(sum)
 	}
-	return l, nil
+	return nil
 }
 
-// forwardSolve solves L·v = b for lower-triangular L.
-func forwardSolve(l [][]float64, b []float64) []float64 {
-	n := len(l)
-	v := make([]float64, n)
-	for i := 0; i < n; i++ {
+// forwardSolve solves L·v = b for lower-triangular L into v.
+func forwardSolve(l [][]float64, b, v []float64) {
+	for i := range l {
 		sum := b[i]
 		for k := 0; k < i; k++ {
 			sum -= l[i][k] * v[k]
 		}
 		v[i] = sum / l[i][i]
 	}
-	return v
 }
 
-// cholSolve solves (L·Lᵀ)·x = b.
-func cholSolve(l [][]float64, b []float64) []float64 {
+// cholSolve solves (L·Lᵀ)·x = b into x, with v as the forward-solve
+// scratch.
+func cholSolve(l [][]float64, b, v, x []float64) {
 	n := len(l)
-	v := forwardSolve(l, b)
-	x := make([]float64, n)
+	forwardSolve(l, b, v)
 	for i := n - 1; i >= 0; i-- {
 		sum := v[i]
 		for k := i + 1; k < n; k++ {
@@ -217,5 +279,13 @@ func cholSolve(l [][]float64, b []float64) []float64 {
 		}
 		x[i] = sum / l[i][i]
 	}
-	return x
+}
+
+// resize returns s with length n, reallocated only when its capacity is
+// short. The contents are whatever s held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -105,6 +105,7 @@ func (Backend) Run(sc *core.SearchContext) (*core.Result, error) {
 		return nil, perr
 	}
 
+	var line lineSearch
 	stall := 0
 	reason := "max-generations"
 	gen := 0
@@ -118,7 +119,7 @@ func (Backend) Run(sc *core.SearchContext) (*core.Result, error) {
 			// BO round: one random axis-aligned 1-D subspace through the
 			// incumbent, one guided proposal, one screen.
 			axis := sc.RNG.Intn(dim)
-			m := &core.Member{X: proposeOnLine(sc, archive, best, axis)}
+			m := &core.Member{X: line.proposeOnLine(sc, archive, best, axis)}
 			proposals = []*core.Member{m}
 			if err := sc.Screen(proposals); err != nil {
 				return nil, err
@@ -214,6 +215,22 @@ func (Backend) Run(sc *core.SearchContext) (*core.Result, error) {
 	return sc.Finalize(archive[best], gen, reason)
 }
 
+// lineSearch is the workspace of a run's line proposals: the surrogate and
+// the training and grid buffers, reused round after round.
+type lineSearch struct {
+	g      gp
+	xs, ys []float64
+	mu, s2 [gridPoints]float64
+}
+
+// lineGrid is the sweep grid on a line, in normalized coordinates.
+var lineGrid = func() (grid [gridPoints]float64) {
+	for i := range grid {
+		grid[i] = float64(i) / float64(gridPoints-1)
+	}
+	return grid
+}()
+
 // proposeOnLine fits the surrogate on the archive's coordinates along the
 // chosen axis and returns the upper-confidence-bound maximizer over a dense
 // grid on the axis-aligned line through the incumbent. The GP input is the
@@ -225,8 +242,9 @@ func (Backend) Run(sc *core.SearchContext) (*core.Result, error) {
 // The off-axis coordinates the training points differ in act as observation
 // noise on the 1-D marginal, which the GP's noise term absorbs. Ties break
 // to the lowest grid index, so the proposal is a pure function of the
-// archive and the axis.
-func proposeOnLine(sc *core.SearchContext, archive []*core.Member, best, axis int) []float64 {
+// archive and the axis. The returned design is the one allocation of a
+// round once the workspace has grown to the training window.
+func (w *lineSearch) proposeOnLine(sc *core.SearchContext, archive []*core.Member, best, axis int) []float64 {
 	lo, hi := sc.Lo, sc.Hi
 	start := len(archive) - maxTrain
 	if start < 0 {
@@ -234,32 +252,26 @@ func proposeOnLine(sc *core.SearchContext, archive []*core.Member, best, axis in
 	}
 	train := archive[start:]
 	span := hi[axis] - lo[axis]
-	xs := make([][]float64, len(train))
-	ys := make([]float64, len(train))
+	w.xs, w.ys = resize(w.xs, len(train)), resize(w.ys, len(train))
 	for i, m := range train {
 		t := 0.0
 		if span > 0 {
 			t = (m.X[axis] - lo[axis]) / span
 		}
-		xs[i] = []float64{t}
-		ys[i] = surrogateTarget(m)
+		w.xs[i] = t
+		w.ys[i] = surrogateTarget(m)
 	}
-	g, err := fitGP(xs, ys, lengthscale)
+	err := w.g.fit(w.xs, w.ys, lengthscale)
 
 	probe := append([]float64(nil), archive[best].X...)
-	var grid [gridPoints][]float64
-	var mu, s2 [gridPoints]float64
 	if err == nil {
-		for i := range grid {
-			grid[i] = []float64{float64(i) / float64(gridPoints-1)}
-		}
-		g.predictBatch(grid[:], mu[:], s2[:])
+		w.g.predictBatch(lineGrid[:], w.mu[:], w.s2[:])
 	}
 	bestVal, bestIdx := 0.0, -1
 	for i := 0; i < gridPoints; i++ {
 		acq := float64(i) / float64(gridPoints-1) // surrogate-free fallback: sweep the line deterministically
 		if err == nil {
-			acq = mu[i] + ucbBeta*math.Sqrt(s2[i])
+			acq = w.mu[i] + ucbBeta*math.Sqrt(w.s2[i])
 		}
 		if bestIdx < 0 || acq > bestVal {
 			bestVal, bestIdx = acq, i

@@ -12,15 +12,27 @@ import (
 
 // Stream is a deterministic pseudo-random stream. It wraps math/rand with an
 // explicit source so independent components never share hidden global state.
+// The source is an in-package copy of math/rand's generator (rng.go), so the
+// stream is rand.New(rand.NewSource(seed))'s value for value, and it adds
+// Int63s, a block read of that same stream.
 type Stream struct {
 	*rand.Rand
+	src  source
 	seed uint64
 }
 
 // New returns a stream seeded with seed.
 func New(seed uint64) *Stream {
-	return &Stream{Rand: rand.New(rand.NewSource(int64(seed))), seed: seed}
+	s := &Stream{seed: seed}
+	s.src.Seed(int64(seed))
+	s.Rand = rand.New(&s.src)
+	return s
 }
+
+// Int63s fills dst with the stream's next len(dst) Int63 values, in order:
+// the values, and the state left behind, of len(dst) Int63 calls. Calls of
+// every other method interleave with it freely.
+func (s *Stream) Int63s(dst []int64) { s.src.Int63s(dst) }
 
 // Seed returns the seed the stream was created with.
 func (s *Stream) Seed() uint64 { return s.seed }

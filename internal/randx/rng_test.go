@@ -1,0 +1,103 @@
+package randx
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestSourceMatchesMathRand pins the in-package source to math/rand's for
+// seeds on both sides of the seed % (2³¹−1) reduction and the zero-seed
+// substitution (0 and 2³¹−1 both seed as 89482311), over several turns of
+// the 607-word register.
+func TestSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 1<<31 - 2, 1<<31 - 1, 1 << 31, 1 << 40, ^uint64(0)} {
+		got, want := New(seed), rand.New(rand.NewSource(int64(seed)))
+		for i := 0; i < 3*rngLen; i++ {
+			if i%2 == 0 {
+				if a, b := got.Int63(), want.Int63(); a != b {
+					t.Fatalf("seed %d: Int63 #%d = %d, math/rand %d", seed, i, a, b)
+				}
+			} else if a, b := got.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("seed %d: Uint64 #%d = %d, math/rand %d", seed, i, a, b)
+			}
+		}
+	}
+}
+
+// TestInt63sInterleaves pins Int63s to len(dst) Int63 calls of math/rand's
+// stream while Float64, Intn, NormFloat64 and Perm draws interleave with
+// it: block lengths run from 0 past the 607-word register, so blocks start
+// and end on every side of the tap and feed wraps.
+func TestInt63sInterleaves(t *testing.T) {
+	pick := rand.New(rand.NewSource(5))
+	for _, seed := range []uint64{1, 7, 1 << 40} {
+		got, want := New(seed), rand.New(rand.NewSource(int64(seed)))
+		for step := 0; step < 400; step++ {
+			switch pick.Intn(5) {
+			case 0:
+				n := pick.Intn(3 * rngLen)
+				if step%7 == 0 {
+					n = rngLen + pick.Intn(5) - 2
+				}
+				blk := make([]int64, n)
+				got.Int63s(blk)
+				for i, v := range blk {
+					if w := want.Int63(); v != w {
+						t.Fatalf("seed %d step %d: Int63s(%d)[%d] = %d, math/rand %d", seed, step, n, i, v, w)
+					}
+				}
+			case 1:
+				if a, b := got.Float64(), want.Float64(); a != b {
+					t.Fatalf("seed %d step %d: Float64 %v, math/rand %v", seed, step, a, b)
+				}
+			case 2:
+				n := 1 + pick.Intn(1000)
+				if a, b := got.Intn(n), want.Intn(n); a != b {
+					t.Fatalf("seed %d step %d: Intn(%d) %d, math/rand %d", seed, step, n, a, b)
+				}
+			case 3:
+				if a, b := got.NormFloat64(), want.NormFloat64(); a != b {
+					t.Fatalf("seed %d step %d: NormFloat64 %v, math/rand %v", seed, step, a, b)
+				}
+			case 4:
+				n := pick.Intn(50)
+				a, b := got.Perm(n), want.Perm(n)
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("seed %d step %d: Perm(%d) = %v, math/rand %v", seed, step, n, a, b)
+					}
+				}
+			}
+		}
+		if a, b := got.Uint64(), want.Uint64(); a != b {
+			t.Fatalf("seed %d: stream diverged after the interleaving", seed)
+		}
+	}
+}
+
+// int63sSink keeps the benchmarked blocks live.
+var int63sSink int64
+
+// BenchmarkInt63s compares one 160-value block (the two halves of an LHS
+// coordinate at n = 80) with as many Int63 calls.
+func BenchmarkInt63s(b *testing.B) {
+	blk := make([]int64, 160)
+	b.Run("block", func(b *testing.B) {
+		s := New(1)
+		for i := 0; i < b.N; i++ {
+			s.Int63s(blk)
+		}
+		int63sSink = blk[0]
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blk)), "ns/value")
+	})
+	b.Run("calls", func(b *testing.B) {
+		s := New(1)
+		for i := 0; i < b.N; i++ {
+			for j := range blk {
+				blk[j] = s.Int63()
+			}
+		}
+		int63sSink = blk[0]
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blk)), "ns/value")
+	})
+}

@@ -3,14 +3,23 @@ package sample
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/eda-go/moheco/internal/randx"
 )
 
+// permFloater is the part of math/rand's API the LHS oracle draws with;
+// *randx.Stream and *rand.Rand both have it.
+type permFloater interface {
+	Perm(n int) []int
+	Float64() float64
+}
+
 // lhsPermDraw is LHS.Draw with a fresh rng.Perm(n) per coordinate, the
-// original form of the plan: the oracle for the reused permutation buffer.
-func lhsPermDraw(rng *randx.Stream, n, dim int) [][]float64 {
+// original form of the plan: the oracle for the reused permutation buffer
+// and the block reads.
+func lhsPermDraw(rng permFloater, n, dim int) [][]float64 {
 	out := NewPlan(n, dim)
 	if n == 0 {
 		return out
@@ -156,7 +165,11 @@ func TestPermStepsMatchIntn(t *testing.T) {
 	for _, m := range ms {
 		st := newPermStep(m)
 		for k := 0; k < 4; k++ {
-			if got, want := st.intn(ra, m), rb.Intn(int(m)); int(got) != want {
+			got, ok := st.reduce(ra.Int31(), m)
+			for !ok {
+				got, ok = st.reduce(ra.Int31(), m)
+			}
+			if want := rb.Intn(int(m)); int(got) != want {
 				t.Fatalf("Intn(%d) = %d, oracle %d", m, got, want)
 			}
 		}
@@ -166,16 +179,99 @@ func TestPermStepsMatchIntn(t *testing.T) {
 	}
 }
 
-// TestLHSDrawAllocsIndependentOfDim pins the per-draw allocation budget:
-// the plan's row index, its backing array and one permutation buffer, for
-// any dimension.
-func TestLHSDrawAllocsIndependentOfDim(t *testing.T) {
-	const lhsDrawAllocs = 3
+// scriptedSource is a randx stream with chosen values at chosen positions:
+// value k of the stream (counting from 0) is replaced by set[k]. lhsDraw
+// reads it directly and the oracle through rand.New, so both see the same
+// values in the same order.
+type scriptedSource struct {
+	base *randx.Stream
+	pos  int
+	set  map[int]int64
+}
+
+func (s *scriptedSource) Int63() int64 {
+	v := s.base.Int63()
+	if w, ok := s.set[s.pos]; ok {
+		v = w
+	}
+	s.pos++
+	return v
+}
+
+func (s *scriptedSource) Int63s(dst []int64) {
+	for i := range dst {
+		dst[i] = s.Int63()
+	}
+}
+
+func (s *scriptedSource) Seed(int64) { panic("scriptedSource: Seed") }
+
+// TestLHSBlockReaderPastBlock drives a coordinate's reads past its block
+// of 2n values and checks the plan and the stream against the oracle. A
+// value of 2⁶³−1 makes a shuffle step Intn(m) with m not a power of two
+// reject (Int31 = 2³¹−1 is above its bound) and makes a jitter Float64
+// round to 1 and redraw; either way the coordinate reads one value past its
+// block, from the stream.
+func TestLHSBlockReaderPastBlock(t *testing.T) {
+	const n, dim = 6, 3
+	const hit = 1<<63 - 1
+	cases := []struct {
+		name  string
+		set   map[int]int64
+		extra int // values the draw reads past its blocks
+	}{
+		{"none", nil, 0},
+		// Coordinate 1 starts at 2n; its step i = 2 is Intn(3).
+		{"shuffle rejection", map[int]int64{2*n + 2: hit}, 1},
+		// Coordinate 1's first jitter value, the block's (n+1)-th.
+		{"jitter f == 1", map[int]int64{2*n + n: hit}, 1},
+		// The last value of coordinate 0's block: the retry is the first
+		// read past the block, and the later coordinates shift by one.
+		{"jitter f == 1 at block end", map[int]int64{2*n - 1: hit}, 1},
+		{"both, last coordinate", map[int]int64{4*n + 4: hit, 4*n + n + 1: hit, 4*n + n + 2: hit}, 3},
+	}
+	withQuantilePaths(t, func(t *testing.T) {
+		for _, c := range cases {
+			sa := &scriptedSource{base: randx.New(11), set: c.set}
+			sb := &scriptedSource{base: randx.New(11), set: c.set}
+			got := lhsDraw(sa, n, dim, new(Buffer))
+			want := lhsPermDraw(rand.New(sb), n, dim)
+			samePlans(t, c.name, got, want)
+			if sa.pos != sb.pos || sa.pos != 2*n*dim+c.extra {
+				t.Errorf("%s: read %d values, oracle %d, want %d", c.name, sa.pos, sb.pos, 2*n*dim+c.extra)
+			}
+		}
+	})
+}
+
+// TestDrawIntoMatchesDraw pins plans drawn into one reused Buffer, through
+// growing and shrinking shapes, to fresh Draws of every sampler.
+func TestDrawIntoMatchesDraw(t *testing.T) {
+	shapes := [][2]int{{17, 5}, {64, 80}, {3, 123}, {0, 4}, {128, 9}, {5, 0}, {40, 40}}
+	for _, s := range []Sampler{PMC{}, LHS{}, Halton{}} {
+		ra, rb := randx.New(4), randx.New(4)
+		var buf Buffer
+		for _, sh := range shapes {
+			got := DrawInto(s, ra, sh[0], sh[1], &buf)
+			samePlans(t, fmt.Sprintf("%s %dx%d", s.Name(), sh[0], sh[1]), got, s.Draw(rb, sh[0], sh[1]))
+		}
+		if a, b := ra.Uint64(), rb.Uint64(); a != b {
+			t.Errorf("%s: stream diverged", s.Name())
+		}
+	}
+}
+
+// TestDrawIntoAllocs pins the steady state of a reused Buffer: once it has
+// held the largest plan, a draw of any sampler allocates nothing.
+func TestDrawIntoAllocs(t *testing.T) {
 	rng := randx.New(1)
-	for _, dim := range []int{5, 123} {
-		got := testing.AllocsPerRun(20, func() { LHS{}.Draw(rng, 64, dim) })
-		if got != lhsDrawAllocs {
-			t.Errorf("LHS.Draw(64, %d): %v allocs, want %d", dim, got, lhsDrawAllocs)
+	for _, s := range []Sampler{PMC{}, LHS{}} {
+		var buf Buffer
+		DrawInto(s, rng, 64, 123, &buf)
+		for _, sh := range [][2]int{{64, 123}, {15, 80}, {7, 5}} {
+			if got := testing.AllocsPerRun(20, func() { DrawInto(s, rng, sh[0], sh[1], &buf) }); got != 0 {
+				t.Errorf("%s %dx%d into a warm buffer: %v allocs, want 0", s.Name(), sh[0], sh[1], got)
+			}
 		}
 	}
 }
@@ -205,13 +301,22 @@ var planSink [][]float64
 
 // BenchmarkLHSDraw times one plan at the perfbench ladder's shape (15 rows
 // of the folded cascode's 80 variation dimensions) and at a telescopic
-// stage-2 shape (64 × 123), per coordinate.
+// stage-2 shape (64 × 123), per coordinate: a fresh Draw, and a draw into
+// a warm Buffer, the way AddSamples draws.
 func BenchmarkLHSDraw(b *testing.B) {
 	for _, sz := range []struct{ n, dim int }{{15, 80}, {64, 123}} {
 		b.Run(fmt.Sprintf("%dx%d", sz.n, sz.dim), func(b *testing.B) {
 			rng := randx.New(1)
 			for i := 0; i < b.N; i++ {
 				planSink = LHS{}.Draw(rng, sz.n, sz.dim)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sz.n*sz.dim), "ns/coord")
+		})
+		b.Run(fmt.Sprintf("%dx%d/into", sz.n, sz.dim), func(b *testing.B) {
+			rng := randx.New(1)
+			var buf Buffer
+			for i := 0; i < b.N; i++ {
+				planSink = DrawInto(LHS{}, rng, sz.n, sz.dim, &buf)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sz.n*sz.dim), "ns/coord")
 		})

@@ -18,8 +18,12 @@ type Halton struct{}
 func (Halton) Name() string { return "Halton" }
 
 // Draw implements Sampler.
-func (Halton) Draw(rng *randx.Stream, n, dim int) [][]float64 {
-	out, flat := newPlan(n, dim)
+func (h Halton) Draw(rng *randx.Stream, n, dim int) [][]float64 {
+	return h.drawInto(rng, n, dim, new(Buffer))
+}
+
+func (Halton) drawInto(rng *randx.Stream, n, dim int, buf *Buffer) [][]float64 {
+	out, flat := buf.plan(n, dim)
 	if n == 0 || dim == 0 {
 		return out
 	}

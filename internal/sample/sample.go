@@ -31,11 +31,15 @@ type PMC struct{}
 func (PMC) Name() string { return "PMC" }
 
 // Draw implements Sampler.
-func (PMC) Draw(rng *randx.Stream, n, dim int) [][]float64 {
+func (p PMC) Draw(rng *randx.Stream, n, dim int) [][]float64 {
+	return p.drawInto(rng, n, dim, new(Buffer))
+}
+
+func (PMC) drawInto(rng *randx.Stream, n, dim int, buf *Buffer) [][]float64 {
 	if n < 0 || dim < 0 {
 		panic(fmt.Sprintf("sample: invalid plan %dx%d", n, dim))
 	}
-	out := NewPlan(n, dim)
+	out, _ := buf.plan(n, dim)
 	PMC{}.Fill(rng, out)
 	return out
 }
@@ -55,18 +59,53 @@ func (PMC) Fill(rng *randx.Stream, pts [][]float64) {
 // NewPlan returns an all-zero n×dim plan whose rows share one backing
 // array.
 func NewPlan(n, dim int) [][]float64 {
-	out, _ := newPlan(n, dim)
+	out, _ := new(Buffer).plan(n, dim)
 	return out
 }
 
-// newPlan is NewPlan that also returns the backing array, row after row.
-func newPlan(n, dim int) ([][]float64, []float64) {
-	out := make([][]float64, n)
-	flat := make([]float64, n*dim)
+// Buffer is reusable storage for sample plans: the rows, their backing
+// array and the LHS scratch. A caller that draws plan after plan keeps a
+// Buffer and draws through DrawInto, so its steady state allocates nothing
+// per plan. The zero value is ready to use; a Buffer serves one draw at a
+// time.
+type Buffer struct {
+	rows [][]float64
+	flat []float64
+	perm permSteps // LHS permutation buffer; grows, entry i never changes
+	blk  []int64   // LHS per-coordinate block of stream values
+}
+
+// plan returns an n×dim plan over b's storage and its backing array, row
+// after row. The contents are left over from earlier draws; every sampler
+// overwrites each coordinate.
+func (b *Buffer) plan(n, dim int) ([][]float64, []float64) {
+	if cap(b.flat) < n*dim {
+		b.flat = make([]float64, n*dim)
+	}
+	if cap(b.rows) < n {
+		b.rows = make([][]float64, n)
+	}
+	out, flat := b.rows[:n], b.flat[:n*dim]
 	for i := range out {
 		out[i] = flat[i*dim : (i+1)*dim]
 	}
 	return out, flat
+}
+
+// drawer is a Sampler that can draw into a Buffer.
+type drawer interface {
+	drawInto(rng *randx.Stream, n, dim int, buf *Buffer) [][]float64
+}
+
+// DrawInto returns s.Draw(rng, n, dim), bit for bit and with the same
+// stream consumption, drawn into buf's storage. The plan is valid until
+// the next draw into buf. A Sampler outside this package takes its own
+// Draw.
+func DrawInto(s Sampler, rng *randx.Stream, n, dim int, buf *Buffer) [][]float64 {
+	if d, ok := s.(drawer); ok {
+		return d.drawInto(rng, n, dim, buf)
+	}
+	return s.Draw(rng, n, dim)
 }
 
 // quantiles maps a plan's backing array from (0,1) to N(0,1) in place. It
@@ -84,11 +123,34 @@ type LHS struct{}
 func (LHS) Name() string { return "LHS" }
 
 // Draw implements Sampler.
-func (LHS) Draw(rng *randx.Stream, n, dim int) [][]float64 {
+func (l LHS) Draw(rng *randx.Stream, n, dim int) [][]float64 {
+	return l.drawInto(rng, n, dim, new(Buffer))
+}
+
+func (LHS) drawInto(rng *randx.Stream, n, dim int, buf *Buffer) [][]float64 {
+	return lhsDraw(rng, n, dim, buf)
+}
+
+// int63Source is the stream an LHS plan reads: value by value, and a block
+// at a time. *randx.Stream is the one implementation outside tests, which
+// script the values to reach the block reader's rare paths.
+type int63Source interface {
+	Int63() int64
+	Int63s(dst []int64)
+}
+
+// lhsDraw draws an LHS plan from src into buf. Per coordinate the plan
+// consumes, in order, rand.Perm(n)'s values for the shuffle, then one
+// rand.Float64 per stratum for the jitter: at least 2n values, exactly 2n
+// unless a shuffle step rejects or a jitter value rounds to 1. So each
+// coordinate reads its 2n values as one block, and the rare extra value
+// comes from the stream after the block, which is where the value-by-value
+// plan would have found it too.
+func lhsDraw(src int63Source, n, dim int, buf *Buffer) [][]float64 {
 	if n < 0 || dim < 0 || n > math.MaxInt32 {
 		panic(fmt.Sprintf("sample: invalid plan %dx%d", n, dim))
 	}
-	out, flat := newPlan(n, dim)
+	out, flat := buf.plan(n, dim)
 	if n == 0 {
 		return out
 	}
@@ -97,12 +159,25 @@ func (LHS) Draw(rng *randx.Stream, n, dim int) [][]float64 {
 	// those of a fresh rng.Perm(n) per coordinate. The stratified u values
 	// go into the plan first; one quantile pass over the backing array then
 	// maps them all.
-	perm := newPermSteps(n)
+	perm := buf.permSteps(n)
+	if cap(buf.blk) < 2*n {
+		buf.blk = make([]int64, 2*n)
+	}
+	blk := buf.blk[:2*n]
 	for j := 0; j < dim; j++ {
-		perm.shuffle(rng)
+		src.Int63s(blk)
+		vals := values{blk, src}
+		pos := perm.shuffle(vals)
 		for i := 0; i < n; i++ {
+			// rand.Float64: a value that rounds to 1 is redrawn.
+			f := float64(vals.at(pos)) / (1 << 63)
+			pos++
+			for f == 1 {
+				f = float64(vals.at(pos)) / (1 << 63)
+				pos++
+			}
 			// Stratum perm[i] of [0,1), jittered.
-			u := (float64(perm[i].perm) + rng.Float64()) / float64(n)
+			u := (float64(perm[i].perm) + f) / float64(n)
 			if u <= 0 {
 				u = 0.5 / float64(n)
 			}
@@ -114,6 +189,23 @@ func (LHS) Draw(rng *randx.Stream, n, dim int) [][]float64 {
 	}
 	quantiles(flat)
 	return out
+}
+
+// values is one coordinate's view of the stream: its block, then the
+// stream's own values past the block. The reads go in order, value pos
+// after value pos−1, so past the block the next stream value is value pos.
+// The position lives in the callers' registers, not in the view.
+type values struct {
+	blk []int64
+	src int63Source
+}
+
+// at returns value pos.
+func (v values) at(pos int) int64 {
+	if pos < len(v.blk) {
+		return v.blk[pos]
+	}
+	return v.src.Int63()
 }
 
 // Names returns the canonical sampler names ByName accepts (each also

@@ -262,6 +262,9 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 	// The record needs only the solution components of nodes [lo, hi): a
 	// probe substitutes only the rows its one node depends on.
 	reach := e.reachOf(lo, hi)
+	// The factorization count is summed over the sweep and published once:
+	// one contended atomic add per sweep, not per frequency point.
+	facts := int64(0)
 	for fi, f := range freqs {
 		omega := 2 * math.Pi * f
 		if omega >= 0 && omega <= math.MaxFloat64 {
@@ -279,7 +282,7 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 		copy(ac.xc, ac.rhs[:n*k])
 		ac.Y.Factorize()
 		serrs := ac.Y.SolveFor(ac.xc, reach)
-		mFactorizations.Add(int64(nLive)) // one per sweeping lane per point
+		facts += int64(nLive) // one per sweeping lane per point
 		for l := range st {
 			if !st[l].live {
 				continue
@@ -308,5 +311,6 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 			break
 		}
 	}
+	mFactorizations.Add(facts)
 	return out, errs
 }

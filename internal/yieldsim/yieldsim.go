@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,12 +160,30 @@ func NewCandidate(p problem.Problem, x []float64, cfg Config, counter *Counter, 
 // always covers the same samples.
 const simChunk = 32
 
-// simJob is one deferred simulator call of a batch: the sample point and
-// the stratum its pass indicator belongs to.
-type simJob struct {
-	st *stratum
-	xi []float64
+// planEntry is the plan-phase record of one sample of a batch: its
+// stratum, the simulate/skip decision, and the chunk whose completion
+// commits the sample (for a thinned sample, the chunk of the latest planned
+// job — its accounting rides with the simulations it was thinned against).
+type planEntry struct {
+	interior bool
+	sim      bool // simulated, vs. thinned away
+	thin     bool // drawn in the thinning phase (advances the skip counter)
+	chunk    int
 }
+
+// batchPlan is the storage of one AddSamples batch: the sample plan and
+// the bookkeeping of its three phases. Batches take one from batchPlans
+// and return it after the commit phase, so a run's steady state allocates
+// no plan storage; nothing in it outlives the batch.
+type batchPlan struct {
+	pts       sample.Buffer
+	entries   []planEntry
+	xis       [][]float64 // the simulated points, in job order
+	pass      []bool      // per job
+	chunkDone []bool
+}
+
+var batchPlans = sync.Pool{New: func() any { return new(batchPlan) }}
 
 // AddSamples draws n further Monte-Carlo samples and updates the estimate.
 // The batch proceeds in three phases so that cfg.Workers never changes the
@@ -195,32 +214,25 @@ func (c *Candidate) AddSamples(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	pts := c.cfg.Sampler.Draw(c.rng, n, c.prob.VarDim())
+	bp := batchPlans.Get().(*batchPlan)
+	defer batchPlans.Put(bp)
+	pts := sample.DrawInto(c.cfg.Sampler, c.rng, n, c.prob.VarDim(), &bp.pts)
 	// Plan phase: thinning decisions read the running stratum state, so they
 	// are made on shadow copies that advance exactly as the commit of a
-	// fully successful batch will; the per-sample plan records the stratum,
-	// the simulate/skip decision, and the chunk whose completion commits the
-	// sample (for a thinned sample, the chunk of the latest planned job —
-	// its accounting rides with the simulations it was thinned against).
-	type planEntry struct {
-		st    *stratum
-		sim   bool // simulated, vs. thinned away
-		thin  bool // drawn in the thinning phase (advances the skip counter)
-		chunk int
-	}
+	// fully successful batch will.
 	shInt, shBor := c.interior, c.border
-	plan := make([]planEntry, 0, len(pts))
-	jobs := make([]simJob, 0, len(pts))
+	plan, xis := bp.entries[:0], bp.xis[:0]
 	for _, xi := range pts {
-		st, sh := &c.border, &shBor
-		if c.cfg.AcceptanceSampling && norm2(xi) < c.r0 {
-			st, sh = &c.interior, &shInt
+		interior := c.cfg.AcceptanceSampling && norm2(xi) < c.r0
+		sh := &shBor
+		if interior {
+			sh = &shInt
 		}
 		sh.assigned++
 		// The border stratum is always simulated; the interior stratum is
 		// thinned once it has a minimal simulated base.
 		sim := true
-		thin := c.cfg.AcceptanceSampling && st == &c.interior && sh.simmed >= c.cfg.ASMinStratum
+		thin := interior && sh.simmed >= c.cfg.ASMinStratum
 		if thin {
 			sh.skip++
 			if sh.skip%c.cfg.ASThinning != 0 {
@@ -229,28 +241,23 @@ func (c *Candidate) AddSamples(n int) error {
 		}
 		if sim {
 			sh.simmed++
-			jobs = append(jobs, simJob{st, xi})
+			xis = append(xis, xi)
 		}
 		chunk := 0
-		if len(jobs) > 0 {
-			chunk = (len(jobs) - 1) / simChunk
+		if len(xis) > 0 {
+			chunk = (len(xis) - 1) / simChunk
 		}
-		plan = append(plan, planEntry{st, sim, thin, chunk})
+		plan = append(plan, planEntry{interior, sim, thin, chunk})
 	}
-	pass := make([]bool, len(jobs))
-	chunks := (len(jobs) + simChunk - 1) / simChunk
-	chunkDone := make([]bool, chunks)
+	chunks := (len(xis) + simChunk - 1) / simChunk
+	pass := slices.Grow(bp.pass[:0], len(xis))[:len(xis)]
+	chunkDone := slices.Grow(bp.chunkDone[:0], chunks)[:chunks]
+	clear(chunkDone)
+	bp.entries, bp.xis, bp.pass, bp.chunkDone = plan, xis, pass, chunkDone
 	runErr := engine.ForEachNCtx(c.cfg.Ctx, c.cfg.Workers, chunks, func(ci int) error {
 		lo := ci * simChunk
-		hi := lo + simChunk
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		xis := make([][]float64, hi-lo)
-		for i := range xis {
-			xis[i] = jobs[lo+i].xi
-		}
-		ok, _, err := problem.PassFailBatch(c.prob, c.X, xis)
+		hi := min(lo+simChunk, len(xis))
+		ok, _, err := problem.PassFailBatch(c.prob, c.X, xis[lo:hi:hi])
 		if err != nil {
 			return err
 		}
@@ -267,18 +274,22 @@ func (c *Candidate) AddSamples(n int) error {
 	// shadow state bit for bit; on error only completed chunks count.
 	ji := 0
 	for _, pe := range plan {
+		st := &c.border
+		if pe.interior {
+			st = &c.interior
+		}
 		committed := chunks == 0 || chunkDone[pe.chunk]
 		if committed {
-			pe.st.assigned++
+			st.assigned++
 			if pe.thin {
-				pe.st.skip++
+				st.skip++
 			}
 		}
 		if pe.sim {
 			if committed {
-				pe.st.simmed++
+				st.simmed++
 				if pass[ji] {
-					pe.st.pass++
+					st.pass++
 				}
 			}
 			ji++
