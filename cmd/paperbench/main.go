@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"github.com/eda-go/moheco/internal/exp"
-	"github.com/eda-go/moheco/internal/perfsnap"
 	"github.com/eda-go/moheco/internal/profiling"
 	"github.com/eda-go/moheco/internal/scenario"
 )
@@ -42,7 +41,6 @@ func main() {
 		csvDir  = flag.String("csv", "", "also write per-run CSV files into this directory")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchJS = flag.String("benchjson", "", "run the spice-path benchmark set and write a BENCH_eval.json perf snapshot to this file (CI artifact schema), then exit")
 		raceJS  = flag.String("racejson", "", "run the equal-budget optimizer race and write BENCH_optimizers.json to this file, then exit")
 		raceBgt = flag.Int64("racebudget", 2000, "per-run simulation cap for the optimizer race")
 		raceBk  = flag.String("racebackends", "", "comma-separated backends to race (empty = all registered)")
@@ -65,25 +63,6 @@ func main() {
 		fatal(err)
 	}
 	defer stopProfiles()
-
-	if *benchJS != "" {
-		// Local perf snapshot: the same benchmark cases the CI bench job
-		// runs, written in the same JSON schema, so the bench trajectory is
-		// populated from dev machines too.
-		f, err := os.Create(*benchJS)
-		if err != nil {
-			fatal(err)
-		}
-		if err := perfsnap.Write(io.MultiWriter(f, os.Stdout)); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		stopProfiles()
-		return
-	}
 
 	if *raceJS != "" {
 		// Equal-budget optimizer race: every backend runs the same scenarios

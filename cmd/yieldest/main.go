@@ -7,7 +7,6 @@
 //	yieldest -problem foldedcascode [-n N] [-seed S] [-workers N] [-x "v1,v2,..."]
 //	         [-sampler pmc|lhs|halton] [-tstop T] [-tstep T] [-tranmode adaptive|fixed]
 //	         [-timeout DUR] [-server URL[,URL...]] [-lanes K]
-//	         [-benchjson FILE] [-benchname NAME]
 //
 // Without -x, the problem's built-in reference design is analyzed; without
 // -n, the problem's default reference sample count is used. Problems come
@@ -22,10 +21,7 @@
 // failures with backoff and fails over between endpoints, resubmitting if
 // the endpoint holding the job dies (safe: the daemons' canonical-key
 // caches dedupe identical requests). -timeout cancels the run (local or
-// served) when it expires; the command then exits with code 2. -benchjson
-// appends a samples/sec throughput line for the run to the given file in
-// the CI bench snapshot schema (see internal/perfsnap), named by
-// -benchname.
+// served) when it expires; the command then exits with code 2.
 package main
 
 import (
@@ -40,7 +36,6 @@ import (
 
 	_ "github.com/eda-go/moheco" // link the circuit registry
 	"github.com/eda-go/moheco/internal/constraint"
-	"github.com/eda-go/moheco/internal/perfsnap"
 	"github.com/eda-go/moheco/internal/profiling"
 	"github.com/eda-go/moheco/internal/sample"
 	"github.com/eda-go/moheco/internal/scenario"
@@ -64,9 +59,6 @@ func main() {
 		lanes    = flag.Int("lanes", 0, "lockstep lane count of the sparse batch solver (0 = auto by pattern size; results are identical)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		benchJSON = flag.String("benchjson", "", "append a samples/sec throughput line for this run to the file (perfsnap schema)")
-		benchName = flag.String("benchname", "ServedYield", "benchmark name for the -benchjson line")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: yieldest [flags]\n\n")
@@ -191,15 +183,8 @@ func main() {
 			fatalCtx(ctx, err)
 		}
 	}
-	elapsed := time.Since(start)
 	fmt.Printf("yield: %.3f%% (%d MC samples, plan %s, %s, %s)\n",
-		100*y, *n, plan.Name(), where, elapsed.Round(time.Millisecond))
-	if *benchJSON != "" {
-		cfg := perfsnap.RunConfig{Workers: *workers, Lanes: *lanes, Served: *server != ""}
-		if err := perfsnap.AppendThroughput(*benchJSON, *benchName, int64(*n), elapsed, cfg); err != nil {
-			fatal(err)
-		}
-	}
+		100*y, *n, plan.Name(), where, time.Since(start).Round(time.Millisecond))
 }
 
 func fatal(err error) {

@@ -11,10 +11,11 @@ import (
 
 // The lockstep batch path must be bit-identical to the scalar batch path
 // (lanes pinned to 1) and to the point-wise path, for every
-// simulator-in-the-loop problem and every lane width — 3 (the generic lane
-// loop), 4 and 8 (the constant-width kernel), transients included — the
-// lane determinism contract surfaced at problem granularity. The short
-// batches leave a partially-active tail group at every width under test.
+// simulator-in-the-loop problem and every lane width — 3 and 4 (the
+// generic lane loop) and 8 (the AVX2 kernel where the CPU has it),
+// transients included — the lane determinism contract surfaced at problem
+// granularity. The short batches leave a partially-active tail group at
+// every width under test.
 func TestLockstepBitIdenticalPerProblem(t *testing.T) {
 	type refProblem interface {
 		problem.Problem

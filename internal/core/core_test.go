@@ -146,7 +146,7 @@ func TestMethodAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := yieldsim.Reference(p, res.BestX, 50000, 1234, nil)
+	ref, _, err := yieldsim.ReferenceWorkers(p, res.BestX, 50000, 1234, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

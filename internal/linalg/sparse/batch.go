@@ -11,9 +11,9 @@ import (
 // misses on the pattern) then drives K numeric eliminations at once, in
 // place, one K-lane block per update — the lockstep refactorization that
 // amortizes the per-sample cost of Monte-Carlo sweeps sharing one topology.
-// K = 1 is the scalar system (NewMatrix): it runs the one-lane kernel, and
-// the auto-resolved width K = 8 a constant-width one; every other K runs the
-// generic lane loop.
+// K = 1 is the scalar system (NewMatrix): it runs the one-lane kernel. The
+// auto-resolved width K = 8 runs the AVX2 kernel where the CPU has it; every
+// other K, and K = 8 without AVX2, runs the generic lane loop.
 //
 // Lane determinism contract: lane l of a K-lane matrix performs exactly the
 // floating-point operations, in exactly the order, of the one-lane kernel on
@@ -42,6 +42,10 @@ type BatchMatrix[T Scalar] struct {
 	// cache keeps that bookkeeping allocation- and formatting-free.
 	zpe []error
 }
+
+// kernelWidth is the lane count of the AVX2 kernel (kernel_amd64.go), the
+// width the engine resolves to by default.
+const kernelWidth = 8
 
 // NewBatchMatrix returns a zero K-lane matrix over the analyzed pattern.
 func NewBatchMatrix[T Scalar](s *Symbolic, k int) *BatchMatrix[T] {
@@ -108,17 +112,13 @@ func (m *BatchMatrix[T]) Zero() {
 // the next Factorize call.
 func (m *BatchMatrix[T]) Factorize() []error {
 	m.ok = true
-	switch m.k {
-	case 1:
+	if m.k == 1 {
 		m.factorize1()
 		return m.errs
-	case kernelWidth:
-		// The auto-resolved width takes the constant-width kernel (same
-		// per-lane operation sequence, compile-time lane bound), in AVX2
-		// assembly where the CPU has it.
-		if !m.factorize8SIMD() {
-			m.factorize8()
-		}
+	}
+	// The auto-resolved width runs the AVX2 kernel where the CPU has it;
+	// it keeps the generic loop's per-lane operation sequence.
+	if m.k == kernelWidth && m.factorize8SIMD() {
 		return m.errs
 	}
 	s, k := m.sym, m.k
@@ -201,16 +201,13 @@ func (m *BatchMatrix[T]) SolveFor(b []T, r *Reach) []error {
 	if len(b) < n*k {
 		panic(fmt.Sprintf("sparse: batch rhs length %d < %d", len(b), n*k))
 	}
-	switch k {
-	case 1:
+	if k == 1 {
 		if m.errs[0] == nil {
 			m.solve1(b, r)
 		}
 		return m.errs
-	case kernelWidth:
-		if !m.solve8SIMD(b, r) {
-			m.solve8(b, r)
-		}
+	}
+	if k == kernelWidth && m.solve8SIMD(b, r) {
 		return m.errs
 	}
 	vals, cols, pb, inv := m.vals, s.cols, m.pb, m.inv

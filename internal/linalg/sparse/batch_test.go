@@ -358,8 +358,8 @@ func benchPattern(b *testing.B, n int) *Symbolic {
 }
 
 // benchKernels lists the kernel variants a benchmark runs at K lanes: one,
-// except at the constant width K=8, which runs its Go form and, where the
-// CPU has it, its AVX2 form as separate sub-benchmarks.
+// except at K=8, which runs the generic Go loop and, where the CPU has it,
+// the AVX2 kernel as separate sub-benchmarks.
 func benchKernels(k int) []string {
 	if k != kernelWidth {
 		return []string{""}

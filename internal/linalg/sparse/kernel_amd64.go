@@ -6,13 +6,14 @@ import (
 	"github.com/eda-go/moheco/internal/cpufeat"
 )
 
-// AVX2 form of the constant-width K=8 kernel (batch8.go), for float64 and
-// complex128. The four steps of a factorization and solve — the multiplier
-// with its zero-skip guard, the schedule update, the pivot reciprocal and
-// the forward/back substitution — run in kernel_amd64.s, one call for a
-// run of elimination rows and one for each substitution sweep. Every lane
-// keeps the exact floating-point sequence of the Go kernel, so either path
-// gives the same bits (see DESIGN.md "Lockstep kernel"):
+// AVX2 form of the K=8 lane loop (Factorize and SolveFor in batch.go), for
+// float64 and complex128. The four steps of a factorization and solve —
+// the multiplier with its zero-skip guard, the schedule update, the pivot
+// reciprocal and the forward/back substitution — run in kernel_amd64.s,
+// one call for a run of elimination rows and one for each substitution
+// sweep. Every lane keeps the exact floating-point sequence of the generic
+// lane loop, so either path gives the same bits (see DESIGN.md "Lockstep
+// kernel"):
 //
 //   - gc never fuses a multiply and an add on amd64 (only math.FMA, which
 //     the package does not call), so VMULPD/VADDPD/VSUBPD/VDIVPD round
@@ -64,8 +65,8 @@ func backReal8(vals, pb, inv *float64, cols, rowPtr, diag *int, n, lo int)
 //go:noescape
 func backComplex8(vals, pb, inv *complex128, cols, rowPtr, diag *int, n, lo int)
 
-// factorize8SIMD runs factorize8 through the assembly kernel and reports
-// whether it did; false leaves the factorization to the Go kernel.
+// factorize8SIMD runs the K=8 factorization through the assembly kernel and
+// reports whether it did; false leaves it to the generic lane loop.
 func (m *BatchMatrix[T]) factorize8SIMD() bool {
 	if !useAVX2 {
 		return false
@@ -98,7 +99,7 @@ func (m *BatchMatrix[T]) factorize8SIMD() bool {
 // undecided runs the scalar pivot step on the lanes of row i that the
 // assembly left undecided (mask), marks the lanes that fail in failed
 // (slots mask words per lane: 1 real, 2 complex), and numbers the verdicts
-// like the Go kernel's pivot step.
+// like the generic lane loop's pivot step.
 func (m *BatchMatrix[T]) undecided(i int, mask uint64, failed *laneMask, slots int, pivot func(T) (T, error)) {
 	if mask == 0 {
 		return
@@ -123,8 +124,8 @@ func (m *BatchMatrix[T]) undecided(i int, mask uint64, failed *laneMask, slots i
 	}
 }
 
-// solve8SIMD runs solve8 through the assembly kernel and reports whether it
-// did; false leaves the substitution to the Go kernel.
+// solve8SIMD runs the K=8 substitution through the assembly kernel and
+// reports whether it did; false leaves it to the generic lane loop.
 func (m *BatchMatrix[T]) solve8SIMD(b []T, r *Reach) bool {
 	if !useAVX2 {
 		return false

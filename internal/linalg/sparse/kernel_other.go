@@ -2,8 +2,8 @@
 
 package sparse
 
-// The portable build runs the Go kernels of batch8.go only; the AVX2 form
-// of the K=8 kernel is amd64-only (kernel_amd64.go).
+// The portable build runs the generic lane loop at K=8; the AVX2 kernel is
+// amd64-only (kernel_amd64.go).
 
 // useAVX2 is always false off amd64.
 var useAVX2 = false

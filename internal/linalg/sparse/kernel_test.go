@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// These tests compare the two forms of the K=8 kernel, the Go loops of
-// batch8.go and the AVX2 assembly, bit for bit. The assembly runs only on
+// These tests compare the two K=8 kernel paths, the generic Go lane loop of
+// batch.go and the AVX2 assembly, bit for bit. The assembly runs only on
 // an amd64 CPU with AVX2; elsewhere the comparisons have nothing to
 // compare and skip.
 

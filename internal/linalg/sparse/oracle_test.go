@@ -306,8 +306,8 @@ func checkAgainstOracle[T Scalar](t *testing.T, rng *rand.Rand, s *Symbolic, k i
 
 // The in-place scheduled kernels reproduce the scatter/gather elimination
 // bit for bit on random patterns, for the one-lane kernel and for K = 2, 4,
-// 8 (2 is the narrowest generic width, 8 the constant-width kernel, run
-// in both its Go and AVX2 forms), real and complex, with lanes carrying
+// 8 (2 is the narrowest generic width, 8 the auto-resolved width, run
+// through both the generic loop and the AVX2 kernel), real and complex, with lanes carrying
 // zero multipliers, negative zeros, Inf/NaN values and singular or
 // subnormal pivots.
 func TestKernelsMatchScatterGatherOracle(t *testing.T) {
@@ -486,7 +486,7 @@ func checkReachAgainstSolve[T Scalar](t *testing.T, rng *rand.Rand, s *Symbolic,
 
 // The reach-limited substitution equals the full Solve bit for bit on
 // every component, at K = 1 (the one-lane kernel), 3 (the generic lane
-// loop) and 8 (the constant-width kernel, Go and AVX2), real and complex,
+// loop) and 8 (the auto-resolved width, generic loop and AVX2), real and complex,
 // with lanes that fail to factor among those that do.
 func TestReachMatchesFullSolve(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {

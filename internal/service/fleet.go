@@ -114,11 +114,11 @@ type replica struct {
 	shards  *lruCache[[]int]
 }
 
-func newReplica(resultSize, shardSize int) *replica {
+func newReplica(resultSize int) *replica {
 	return &replica{
 		jobs:    make(map[string]YieldSpec),
 		results: newLRUCache[*YieldResult](resultSize),
-		shards:  newLRUCache[[]int](shardSize),
+		shards:  newLRUCache[[]int](shardCacheSize),
 	}
 }
 
@@ -169,10 +169,12 @@ func (r *replica) counts() (jobs, results, shards int) {
 	return jobs, r.results.Len(), r.shards.Len()
 }
 
-// Fleet liveness defaults; FleetConfig overrides them.
+// Fleet liveness: the heartbeat period FleetConfig.Heartbeat overrides, and
+// how many consecutive missed heartbeats make a worker declare its
+// coordinator dead and start an election.
 const (
 	defaultHeartbeat = 2 * time.Second
-	defaultDeadAfter = 3
+	deadAfter        = 3
 	// replicateTimeout bounds one best-effort replication push.
 	replicateTimeout = 5 * time.Second
 )
@@ -182,13 +184,6 @@ func (s *Server) heartbeatEvery() time.Duration {
 		return hb
 	}
 	return defaultHeartbeat
-}
-
-func (s *Server) deadAfter() int {
-	if n := s.cfg.Fleet.DeadAfter; n > 0 {
-		return n
-	}
-	return defaultDeadAfter
 }
 
 // fleetRPCTimeout bounds one heartbeat or election probe. The heartbeat
@@ -309,7 +304,7 @@ func (s *Server) serveCoordinator(client *Client) bool {
 		default:
 			misses++
 			s.sm.heartbeatMisses.Inc()
-			if met && misses >= s.deadAfter() {
+			if met && misses >= deadAfter {
 				s.log.Warnf("worker %s: coordinator missed %d heartbeats (%v), presumed dead", s.node, misses, err)
 				return true
 			}
@@ -340,8 +335,8 @@ func (s *Server) elect() (next string, promote bool) {
 	// noticing the death plus the winner's promote latency — including the
 	// RPC timeout floor, which bounds how long each of the loser's probes
 	// can hang before it concludes "no winner yet".
-	stagger := time.Duration(2*s.deadAfter()+2) * hb
-	if min := time.Duration(s.deadAfter()+2) * rpc; stagger < min {
+	stagger := time.Duration(2*deadAfter+2) * hb
+	if min := time.Duration(deadAfter+2) * rpc; stagger < min {
 		stagger = min
 	}
 	view := s.fleetSnapshot()

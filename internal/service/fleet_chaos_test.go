@@ -107,7 +107,6 @@ func fleetWorkerCfg(join, node string) service.Config {
 			Join:      join,
 			Node:      node,
 			Heartbeat: 50 * time.Millisecond,
-			DeadAfter: 3,
 			Lease:     700 * time.Millisecond,
 		},
 	}

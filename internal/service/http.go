@@ -373,24 +373,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// waitLimit caps the server-side block of ?wait requests.
+const waitLimit = 30 * time.Second
+
 // waitParam parses the `wait` query parameter: absent → (0, false), empty
-// or bare `wait`/`wait=true` → the server's wait limit, a duration string →
-// that duration capped at the limit.
+// or bare `wait`/`wait=true` → waitLimit, a duration string → that
+// duration capped at waitLimit.
 func (s *Server) waitParam(r *http.Request) (time.Duration, bool) {
 	if !r.URL.Query().Has("wait") {
 		return 0, false
 	}
-	limit := s.cfg.WaitLimit
 	v := r.URL.Query().Get("wait")
 	if v == "" || v == "true" || v == "1" {
-		return limit, true
+		return waitLimit, true
 	}
 	d, err := time.ParseDuration(v)
 	if err != nil || d <= 0 {
-		return limit, true
+		return waitLimit, true
 	}
-	if d > limit {
-		d = limit
+	if d > waitLimit {
+		d = waitLimit
 	}
 	return d, true
 }

@@ -85,8 +85,6 @@ type Config struct {
 	Counter *yieldsim.Counter
 	// EventInterval is the SSE progress-frame period (0 = 500ms).
 	EventInterval time.Duration
-	// WaitLimit caps the server-side block of ?wait requests (0 = 30s).
-	WaitLimit time.Duration
 	// Log, when non-nil, receives one line per job transition (and, at
 	// LogLevel debug, per-shard scheduler chatter). The raw *log.Logger is
 	// kept for compatibility; internally it is wrapped in a leveled
@@ -153,8 +151,6 @@ type FleetConfig struct {
 	// ShardSamples is the target shard size in samples, rounded up to
 	// whole yieldsim.ChunkSize chunks (0 = 8192).
 	ShardSamples int
-	// ShardCacheSize bounds the coordinator's warm-shard LRU (0 = 512).
-	ShardCacheSize int
 	// NoSelfWork keeps the coordinator from executing shards itself,
 	// making it dispatch-only (tests use it to force remote execution; a
 	// default coordinator is also a worker, so a 1-process coordinator
@@ -168,9 +164,6 @@ type FleetConfig struct {
 	// Heartbeat is the worker heartbeat period (0 = 2s). The coordinator
 	// counts a peer live for four periods past its last contact.
 	Heartbeat time.Duration
-	// DeadAfter is how many consecutive missed heartbeats make a worker
-	// declare its coordinator dead and start an election (0 = 3).
-	DeadAfter int
 }
 
 // Version identifies the build in /healthz; release builds stamp it via
@@ -533,9 +526,6 @@ func New(cfg Config) *Server {
 	if cfg.EventInterval <= 0 {
 		cfg.EventInterval = 500 * time.Millisecond
 	}
-	if cfg.WaitLimit <= 0 {
-		cfg.WaitLimit = 30 * time.Second
-	}
 	counter := cfg.Counter
 	if counter == nil {
 		counter = &yieldsim.Counter{}
@@ -558,7 +548,7 @@ func New(cfg Config) *Server {
 		traces:   obs.NewTraceRing(traceSize),
 		started:  time.Now(),
 		httpc:    &http.Client{Transport: cfg.Transport},
-		replica:  newReplica(cfg.CacheSize, cfg.Fleet.ShardCacheSize),
+		replica:  newReplica(cfg.CacheSize),
 		baseCtx:  ctx,
 		stop:     cancel,
 		queue:    make(chan *Job, cfg.QueueSize),

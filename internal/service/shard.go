@@ -172,6 +172,10 @@ type Coordinator struct {
 	wake    chan struct{}          // closed and replaced when pending gains work
 }
 
+// shardCacheSize bounds the coordinator's warm-shard LRU and a replica's
+// copy of it, in completed shards.
+const shardCacheSize = 256
+
 func newCoordinator(cfg FleetConfig, hooks Hooks, node string, counter *yieldsim.Counter, logger *obs.Logger, sm *serverMetrics) *Coordinator {
 	lease := cfg.Lease
 	if lease <= 0 {
@@ -194,7 +198,7 @@ func newCoordinator(cfg FleetConfig, hooks Hooks, node string, counter *yieldsim
 		lease:       lease,
 		peerWindow:  4 * hb,
 		shardChunks: chunks,
-		cache:       newLRUCache[[]int](cfg.ShardCacheSize),
+		cache:       newLRUCache[[]int](shardCacheSize),
 		hooks:       hooks,
 		byID:        make(map[string]*shardState),
 		peers:       make(map[string]peerInfo),

@@ -20,7 +20,7 @@ func TestAcceptanceSamplingUnbiasedOnCircuit(t *testing.T) {
 	p := circuits.NewFoldedCascode()
 	x := p.ReferenceDesign()
 	// Ground truth.
-	ref, _, err := Reference(p, x, 30000, 42, nil)
+	ref, _, err := ReferenceWorkers(p, x, 30000, 42, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestEstimatorAtLowYieldDesign(t *testing.T) {
 	// Shrink the stage-2 devices to hurt offset/swing yield.
 	x := p.ReferenceDesign()
 	x[8] *= 0.7 // W11
-	ref, _, err := Reference(p, x, 20000, 7, nil)
+	ref, _, err := ReferenceWorkers(p, x, 20000, 7, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

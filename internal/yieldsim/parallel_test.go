@@ -77,12 +77,4 @@ func TestReferenceWorkersDeterministic(t *testing.T) {
 			t.Errorf("workers=%d: estimate %v differs from sequential %v", workers, got, want)
 		}
 	}
-	// The convenience wrapper is the workers=0 case.
-	got, _, err := Reference(p, []float64{0.5}, 10000, 321, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("Reference() %v differs from ReferenceWorkers(...) %v", got, want)
-	}
 }

@@ -512,20 +512,15 @@ func MergePass(counts []int, n int) float64 {
 	return float64(pass) / float64(n)
 }
 
-// Reference computes a high-accuracy plain-MC yield estimate (the paper's
-// 50,000-sample analysis) using all available cores. It bypasses acceptance
-// sampling so the answer is an unbiased Monte-Carlo estimate. The returned
-// sims is the number of simulator calls (= n). The counter, when non-nil,
-// is incremented; experiment harnesses usually pass nil so reference
-// evaluations do not pollute method costs.
-func Reference(p problem.Problem, x []float64, n int, seed uint64, counter *Counter) (float64, int, error) {
-	return ReferenceWorkers(p, x, n, seed, counter, 0)
-}
-
-// ReferenceWorkers is Reference with an explicit worker count (0 =
-// GOMAXPROCS). The sample stream is split into fixed-size chunks, each with
-// a seed derived from its chunk index, so every worker count — including 1
-// — produces the identical estimate.
+// ReferenceWorkers computes a high-accuracy plain-MC yield estimate (the
+// paper's 50,000-sample analysis) on workers goroutines (0 = GOMAXPROCS).
+// It bypasses acceptance sampling so the answer is an unbiased Monte-Carlo
+// estimate. The returned sims is the number of simulator calls (= n). The
+// counter, when non-nil, is incremented; experiment harnesses usually pass
+// nil so reference evaluations do not pollute method costs. The sample
+// stream is split into fixed-size chunks, each with a seed derived from its
+// chunk index, so every worker count — including 1 — produces the
+// identical estimate.
 func ReferenceWorkers(p problem.Problem, x []float64, n int, seed uint64, counter *Counter, workers int) (float64, int, error) {
 	return ReferenceCtx(nil, p, x, n, seed, RefOptions{Workers: workers, Counter: counter})
 }

@@ -157,7 +157,7 @@ func TestStdShrinksWithSamples(t *testing.T) {
 func TestReferenceMatchesTrueYield(t *testing.T) {
 	p := &sphereProblem{radius: 2.0, dim: 2}
 	var ctr Counter
-	y, sims, err := Reference(p, []float64{0.5}, 50000, 1, &ctr)
+	y, sims, err := ReferenceWorkers(p, []float64{0.5}, 50000, 1, &ctr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,11 @@ func TestReferenceMatchesTrueYield(t *testing.T) {
 
 func TestReferenceDeterministic(t *testing.T) {
 	p := &sphereProblem{radius: 1.2, dim: 2}
-	a, _, err := Reference(p, []float64{0.5}, 10000, 77, nil)
+	a, _, err := ReferenceWorkers(p, []float64{0.5}, 10000, 77, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Reference(p, []float64{0.5}, 10000, 77, nil)
+	b, _, err := ReferenceWorkers(p, []float64{0.5}, 10000, 77, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestReferenceDeterministic(t *testing.T) {
 
 func TestReferenceRejectsBadN(t *testing.T) {
 	p := &sphereProblem{radius: 1, dim: 2}
-	if _, _, err := Reference(p, []float64{0.5}, 0, 1, nil); err == nil {
+	if _, _, err := ReferenceWorkers(p, []float64{0.5}, 0, 1, nil, 0); err == nil {
 		t.Error("n=0 should error")
 	}
 }
