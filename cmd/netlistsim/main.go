@@ -127,16 +127,17 @@ func main() {
 		fmt.Printf("  V(%s) = %.6g V\n", ckt.NodeName(i), op.V[i])
 	}
 	if len(op.MOS) > 0 {
-		names := make([]string, 0, len(op.MOS))
-		for n := range op.MOS {
-			names = append(names, n)
+		order := make([]int, len(op.MOS))
+		for i := range order {
+			order[i] = i
 		}
-		sort.Strings(names)
+		mosfets := eng.MOSFETs()
+		sort.Slice(order, func(a, b int) bool { return mosfets[order[a]].Name < mosfets[order[b]].Name })
 		fmt.Println("devices:")
-		for _, n := range names {
-			m := op.MOS[n]
+		for _, i := range order {
+			m := op.MOS[i]
 			fmt.Printf("  %-8s %-10s ID=%.4g A  gm=%.4g S  gds=%.4g S  vdsat=%.3f V\n",
-				n, m.Region, m.ID, m.Gm, m.Gds, m.VDsat)
+				mosfets[i].Name, m.Region, m.ID, m.Gm, m.Gds, m.VDsat)
 		}
 	}
 	if *trNode != "" {

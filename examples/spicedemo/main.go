@@ -51,8 +51,9 @@ func main() {
 		v, _ := op.VNode(ckt, n)
 		fmt.Printf("  V(%-3s) = %.4f V\n", n, v)
 	}
-	for name, m := range op.MOS {
-		fmt.Printf("  %-3s %-10s ID=%.4g A gm=%.4g S\n", name, m.Region, m.ID, m.Gm)
+	for i, d := range eng.MOSFETs() {
+		m := op.MOS[i]
+		fmt.Printf("  %-3s %-10s ID=%.4g A gm=%.4g S\n", d.Name, m.Region, m.ID, m.Gm)
 	}
 
 	freqs := spice.LogSpace(100, 3e9, 10)

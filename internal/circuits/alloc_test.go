@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/eda-go/moheco/internal/mos"
+	"github.com/eda-go/moheco/internal/obs"
 	"github.com/eda-go/moheco/internal/problem"
 	"github.com/eda-go/moheco/internal/randx"
 	"github.com/eda-go/moheco/internal/sample"
@@ -89,21 +90,21 @@ func TestEvaluateAllocsFixed(t *testing.T) {
 // allocates: per call it compiles the testbench (netlist, engine, symbolic
 // analysis, nominal operating point) and runs one sample through the DC
 // solve, the probed AC sweep and, for the transient scenario, the adaptive
-// step response. The byte ceilings sit well below what the transient
-// result cost when it was preallocated for 1024 points (85.6 KB for
-// folded-cascode-tran), and the allocation ceilings below one V row
-// allocated per accepted point (452 objects). The 8-sample batch runs its
-// transients as one lane group: its ceiling (576 objects measured) leaves
-// no room for lane-held state that allocates per step, which would add
-// about 70 objects per lane.
+// step response. Past compile, the count is the engine's per-width storage,
+// allocated once: results, probe records and transient rows are reused
+// from group to group, so an 8-sample batch costs only its wider lanes
+// and a batch of any larger size the same (see
+// TestSpiceBatchAllocsIndependentOfSize). The ceilings sit just above the
+// measured 400 objects and 59.7 KB, 533 objects and 243.1 KB, and 190
+// objects and 15.4 KB.
 var spiceEvaluateBudget = []struct {
 	p              interface{ ReferenceDesign() []float64 }
 	n              int // samples per call: 1 is Evaluate, more EvaluateBatch
 	allocs, kbytes float64
 }{
-	{NewFoldedCascodeTran(), 1, 410, 70},
-	{NewFoldedCascodeTran(), 8, 600, 275},
-	{NewCommonSourceSpice(), 1, 200, 20},
+	{NewFoldedCascodeTran(), 1, 405, 62},
+	{NewFoldedCascodeTran(), 8, 540, 250},
+	{NewCommonSourceSpice(), 1, 195, 17},
 }
 
 // TestSpiceEvaluateAllocs pins spiceEvaluateBudget.
@@ -145,5 +146,70 @@ func TestSpiceEvaluateAllocs(t *testing.T) {
 		if kbytes > b.kbytes {
 			t.Errorf("%s, %d samples: a call allocates %.1f KB, ceiling %v KB", p.Name(), b.n, kbytes, b.kbytes)
 		}
+	}
+}
+
+// TestSpiceBatchAllocsIndependentOfSize pins the steady state of the spice
+// sample path: past compile and the engine's per-width storage, a sample
+// allocates nothing, so an EvaluateBatch call of 64 samples allocates as
+// many objects as one of 256. Under -race the detector's runtime adds
+// allocations of its own, so the exact comparison runs only without it.
+func TestSpiceBatchAllocsIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: the counts are not the program's")
+	}
+	for _, p := range []interface {
+		problem.BatchEvaluator
+		ReferenceDesign() []float64
+	}{NewCommonSourceSpice(), NewFoldedCascodeSpice(), NewFoldedCascodeTran()} {
+		x := p.ReferenceDesign()
+		xis := sample.PMC{}.Draw(randx.New(8), 256, p.VarDim())
+		var counts []float64
+		for _, n := range []int{64, 256} {
+			counts = append(counts, testing.AllocsPerRun(10, func() {
+				_, errs := p.EvaluateBatch(x, xis[:n])
+				if err := errors.Join(errs...); err != nil {
+					t.Fatalf("%s: %v", p.Name(), err)
+				}
+			}))
+		}
+		t.Logf("%s: %v allocations per call at 64 and 256 samples", p.Name(), counts)
+		if counts[0] != counts[1] {
+			t.Errorf("%s: a call allocates %v objects at 64 samples, %v at 256", p.Name(), counts[0], counts[1])
+		}
+	}
+}
+
+// TestSpiceSampleEvaluatesEachTransistorOnce pins the device-model work of
+// a warm, probed commonsource-spice sample: its DC result evaluates each of
+// the three transistors once in full, and the AC sweep stamps those
+// evaluations instead of repeating them.
+func TestSpiceSampleEvaluatesEachTransistorOnce(t *testing.T) {
+	p := NewCommonSourceSpice()
+	ctx, err := p.compile(p.ReferenceDesign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.warm0 == nil {
+		t.Fatal("the nominal operating point did not converge: the sample is not warm")
+	}
+	full := obs.Default().Counter("spice_mos_full_evaluations_total")
+	dc := obs.Default().Counter("spice_mos_dc_evaluations_total")
+	iters := obs.Default().Counter("spice_newton_iterations_total")
+	xi := sample.PMC{}.Draw(randx.New(8), 1, p.VarDim())[0]
+	full0, dc0, iters0 := full.Value(), dc.Value(), iters.Value()
+	if _, errs := ctx.run([][]float64{xi}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	transistors := int64(len(ctx.eng.MOSFETs()))
+	if transistors != 3 {
+		t.Fatalf("the testbench has %d transistors, want 3", transistors)
+	}
+	if got := full.Value() - full0; got != transistors {
+		t.Errorf("a sample made %d full MOSFET evaluations, want %d (one per transistor)", got, transistors)
+	}
+	n := iters.Value() - iters0
+	if got := dc.Value() - dc0; n == 0 || got != n*transistors {
+		t.Errorf("a sample made %d DC MOSFET evaluations over %d Newton iterations, want one per transistor per iteration", got, n)
 	}
 }

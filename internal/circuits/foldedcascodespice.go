@@ -83,6 +83,25 @@ type fcSpiceContext struct {
 	p     *FoldedCascodeSpice
 	ckt   *netlist.Circuit
 	slots []fcSlotCard
+	// sat is the signal path M1, M3, M5, M7, M9, resolved at compile.
+	sat [5]fcSatDevice
+}
+
+// fcSatDevice is one signal-path transistor of the saturation-margin and
+// swing measures: its OPResult.MOS position and the two nodes its |vds|
+// spans.
+type fcSatDevice struct {
+	mos, d, s int
+}
+
+// fcSat names the signal-path devices of fcSpiceContext.sat, in order, with
+// the nodes of their drain-source voltage.
+var fcSat = [5]struct{ dev, d, s string }{
+	{"M1", "fold", "src"},
+	{"M3", "fold", "0"},
+	{"M5", "out", "fold"},
+	{"M7", "out", "x"},
+	{"M9", "x", "vdd"},
 }
 
 // compile builds the per-design evaluation context.
@@ -129,6 +148,18 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 	if err != nil {
 		return nil, err
 	}
+	for i, sd := range fcSat {
+		m, err := mosIndex(eng, sd.dev)
+		if err != nil {
+			return nil, err
+		}
+		d, dok := ckt.FindNode(sd.d)
+		s, sok := ckt.FindNode(sd.s)
+		if !dok || !sok {
+			return nil, fmt.Errorf("circuits: testbench lacks node %q or %q", sd.d, sd.s)
+		}
+		ctx.sat[i] = fcSatDevice{mos: m, d: d, s: s}
+	}
 	ctx.testbench = testbench{
 		name:      "folded-cascode-spice",
 		space:     inner.space,
@@ -138,6 +169,7 @@ func (p *FoldedCascodeSpice) compile(x []float64) (*fcSpiceContext, error) {
 		cards:     cards,
 		setSample: ctx.setCards,
 		measures:  ctx.acMeasures,
+		perfs:     len(inner.Specs()),
 	}
 
 	// Solve the nominal operating point once; every sample warm-starts from
@@ -160,9 +192,9 @@ func (ctx *fcSpiceContext) setCards(xi []float64) {
 	}
 }
 
-// acMeasures extracts the performance vector from one sample's solved
-// operating point and probed AC sweep h.
-func (ctx *fcSpiceContext) acMeasures(op *spice.OPResult, h []complex128, _ *spice.TranResult) ([]float64, error) {
+// acMeasures writes the performance vector of one sample's solved
+// operating point and probed AC sweep h into perf.
+func (ctx *fcSpiceContext) acMeasures(perf []float64, op *spice.OPResult, h []complex128, _ *spice.TranResult) error {
 	inner := ctx.p.inner
 	vdd := inner.tech.VDD
 	a0dB, gbw, pm := bodeMeasures(ctx.freqs, h, true)
@@ -178,28 +210,24 @@ func (ctx *fcSpiceContext) acMeasures(op *spice.OPResult, h []complex128, _ *spi
 	// Saturation margins from the measured operating points: |vds| - vdsat
 	// per signal-path device, with the drain/source frame folded by
 	// magnitude (the engine may have swapped the terminals).
-	vNode := func(name string) float64 {
-		v, _ := op.VNode(ctx.ckt, name)
-		return v
+	var vdsat [len(fcSat)]float64
+	satMargin := math.Inf(1) // minOf over the devices
+	for i, sd := range ctx.sat {
+		vdsat[i] = op.MOS[sd.mos].VDsat
+		if m := math.Abs(op.V[sd.d]-op.V[sd.s]) - vdsat[i]; m < satMargin {
+			satMargin = m
+		}
 	}
-	margin := func(dev, dn, sn string) float64 {
-		return math.Abs(vNode(dn)-vNode(sn)) - op.MOS[dev].VDsat
-	}
-	satMargin := minOf(
-		margin("M1", "fold", "src"),
-		margin("M3", "fold", "0"),
-		margin("M5", "out", "fold"),
-		margin("M7", "out", "x"),
-		margin("M9", "x", "vdd"),
-	)
 
 	// Output swing from the measured saturation voltages, as in the
-	// behavioural evaluator (differential peak-to-peak across both rails).
-	vmax := vdd - op.MOS["M9"].VDsat - op.MOS["M7"].VDsat - inner.msSwing
-	vmin := op.MOS["M3"].VDsat + op.MOS["M5"].VDsat + inner.msSwing
+	// behavioural evaluator (differential peak-to-peak across both rails):
+	// M9 and M7 below the upper rail, M3 and M5 above ground.
+	vmax := vdd - vdsat[4] - vdsat[3] - inner.msSwing
+	vmin := vdsat[1] + vdsat[2] + inner.msSwing
 	os := 2 * (vmax - vmin)
 
-	return []float64{a0dB, gbw, pm, os, power, satMargin}, nil
+	perf[0], perf[1], perf[2], perf[3], perf[4], perf[5] = a0dB, gbw, pm, os, power, satMargin
+	return nil
 }
 
 // Evaluate implements problem.Problem as a one-sample batch — bit-for-bit

@@ -89,10 +89,11 @@ func TestFoldedCascodeAgainstSpice(t *testing.T) {
 		t.Fatalf("dc did not converge: %v", err)
 	}
 	for _, name := range []string{"M1", "M3", "M5", "M7", "M9"} {
-		mop, ok := op.MOS[name]
+		i, ok := eng.MOSIndex(name)
 		if !ok {
 			t.Fatalf("missing device %s", name)
 		}
+		mop := op.MOS[i]
 		if mop.Region.String() != "saturation" {
 			t.Errorf("%s region = %v (ID=%.3g)", name, mop.Region, mop.ID)
 		}

@@ -92,6 +92,8 @@ type spiceContext struct {
 	vin                         *netlist.VSource
 	drvCard, loadCard, biasCard *mos.Params
 	drv, load, bias             *mos.Device
+	// m1 and m2 are the driver's and the load's OPResult.MOS positions.
+	m1, m2 int
 }
 
 // compile builds the per-design evaluation context. The netlist is
@@ -135,6 +137,12 @@ func (p *CommonSourceSpice) compile(x []float64) (*spiceContext, error) {
 	if err != nil {
 		return nil, err
 	}
+	if ctx.m1, err = mosIndex(eng, "M1"); err != nil {
+		return nil, err
+	}
+	if ctx.m2, err = mosIndex(eng, "M2"); err != nil {
+		return nil, err
+	}
 	ctx.testbench = testbench{
 		name:      "common-source-spice",
 		space:     p.inner.space,
@@ -145,6 +153,7 @@ func (p *CommonSourceSpice) compile(x []float64) (*spiceContext, error) {
 		vals:      []*float64{&ctx.vin.DC},
 		setSample: ctx.setServo,
 		measures:  ctx.acMeasures,
+		perfs:     len(p.specs),
 	}
 
 	// Solve the nominal operating point once; every sample warm-starts from
@@ -170,9 +179,9 @@ func (ctx *spiceContext) setServo(xi []float64) {
 	ctx.vin.DC = ctx.drv.VgsForID(id, 0)
 }
 
-// acMeasures extracts the performance vector from one sample's solved
-// operating point and probed AC sweep h.
-func (ctx *spiceContext) acMeasures(op *spice.OPResult, h []complex128, _ *spice.TranResult) ([]float64, error) {
+// acMeasures writes the performance vector of one sample's solved
+// operating point and probed AC sweep h into perf.
+func (ctx *spiceContext) acMeasures(perf []float64, op *spice.OPResult, h []complex128, _ *spice.TranResult) error {
 	p := ctx.p
 	vdd := p.tech.VDD
 	a0dB, gbw, _ := bodeMeasures(ctx.freqs, h, false)
@@ -184,18 +193,16 @@ func (ctx *spiceContext) acMeasures(op *spice.OPResult, h []complex128, _ *spice
 		power = vdd * math.Abs(op.BranchI[0])
 	}
 
-	// Saturation margin from the measured operating points.
-	vout, err := op.VNode(ctx.ckt, "out")
-	if err != nil {
-		return nil, err
-	}
-	m1 := op.MOS["M1"]
-	m2 := op.MOS["M2"]
+	// Saturation margin from the measured operating points; the probe is
+	// the "out" node.
+	vout := op.V[ctx.probe.Node]
+	m1, m2 := &op.MOS[ctx.m1], &op.MOS[ctx.m2]
 	margin := minOf(
 		vout-m1.VDsat-p.inner.msSat,
 		(vdd-vout)-m2.VDsat-p.inner.msSat,
 	)
-	return []float64{a0dB, gbw, power, margin}, nil
+	perf[0], perf[1], perf[2], perf[3] = a0dB, gbw, power, margin
+	return nil
 }
 
 // Evaluate implements problem.Problem as a one-sample batch — bit-for-bit

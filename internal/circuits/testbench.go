@@ -47,8 +47,21 @@ type testbench struct {
 	tran *spice.TranOptions
 	// measures reduces one sample's operating point, probed sweep h (on
 	// freqs[:len(h)]) and, with tran set, transient tr (nil without) to its
-	// performance vector; run calls it with that sample's state installed.
-	measures func(op *spice.OPResult, h []complex128, tr *spice.TranResult) ([]float64, error)
+	// performance vector, written into perf (perfs entries); run calls it
+	// with that sample's state installed. The engine owns op, h and tr.
+	measures func(perf []float64, op *spice.OPResult, h []complex128, tr *spice.TranResult) error
+	perfs    int
+
+	// run's lane buffers, sized on first use: the per-lane snapshots of
+	// cards and vals, the active mask, the transients' operating points and
+	// the LaneSetter restoring a snapshot. wave is the transient measures'
+	// output-waveform buffer.
+	laneCards []mos.Params
+	laneVals  []float64
+	active    []bool
+	tops      []*spice.OPResult
+	set       spice.LaneSetter
+	wave      []float64
 }
 
 // run evaluates xis in groups of K = min(engine lanes, len(xis)) samples —
@@ -62,23 +75,18 @@ type testbench struct {
 // malformed ξ, non-convergence — errors alone; the yield machinery counts
 // it as a failed chip, the path a crashing HSPICE run takes in the paper's
 // flow.
+//
+// The performance vectors are carved out of one backing array and every
+// engine result is reused storage, so a call allocates the same handful of
+// objects however many samples it holds.
 func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 	perfs := make([][]float64, len(xis))
 	errs := make([]error, len(xis))
+	backing := make([]float64, len(xis)*tb.perfs)
 	k := min(tb.eng.Lanes(), len(xis))
+	tb.sizeLanes(k)
 	nc, nv := len(tb.cards), len(tb.vals)
-	cards := make([]mos.Params, k*nc)
-	vals := make([]float64, k*nv)
-	active := make([]bool, k)
-	tops := make([]*spice.OPResult, k)
-	set := func(l int) {
-		for i, c := range tb.cards {
-			*c = cards[l*nc+i]
-		}
-		for i, v := range tb.vals {
-			*v = vals[l*nv+i]
-		}
-	}
+	cards, vals, active, tops, set := tb.laneCards, tb.laneVals, tb.active, tb.tops, tb.set
 	for g := 0; g < len(xis); g += k {
 		m := min(k, len(xis)-g)
 		for l := range active {
@@ -122,7 +130,11 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 			}
 			if err == nil {
 				set(l)
-				perfs[g+l], err = tb.measures(ops[l], hs[l], tr)
+				i := (g + l) * tb.perfs
+				perf := backing[i : i+tb.perfs : i+tb.perfs]
+				if err = tb.measures(perf, ops[l], hs[l], tr); err == nil {
+					perfs[g+l] = perf
+				}
 			}
 			if err != nil {
 				errs[g+l] = fmt.Errorf("%s: %w", tb.name, err)
@@ -130,6 +142,44 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 		}
 	}
 	return perfs, errs
+}
+
+// sizeLanes sizes run's lane buffers for k lanes.
+func (tb *testbench) sizeLanes(k int) {
+	if len(tb.active) == k {
+		return
+	}
+	tb.laneCards = make([]mos.Params, k*len(tb.cards))
+	tb.laneVals = make([]float64, k*len(tb.vals))
+	tb.active = make([]bool, k)
+	tb.tops = make([]*spice.OPResult, k)
+	tb.set = tb.setLane
+}
+
+// setLane is run's LaneSetter: it restores lane l's snapshot of the cards
+// and source values.
+func (tb *testbench) setLane(l int) {
+	nc, nv := len(tb.cards), len(tb.vals)
+	for i, c := range tb.cards {
+		*c = tb.laneCards[l*nc+i]
+	}
+	for i, v := range tb.vals {
+		*v = tb.laneVals[l*nv+i]
+	}
+}
+
+// outWave returns the probed output node's waveform of tr, in the
+// testbench's reused buffer.
+func (tb *testbench) outWave(tr *spice.TranResult) []float64 {
+	if cap(tb.wave) < len(tr.V) {
+		// Grow with the result's own storage, not point by point.
+		tb.wave = make([]float64, 0, cap(tr.V))
+	}
+	tb.wave = tb.wave[:0]
+	for _, v := range tr.V {
+		tb.wave = append(tb.wave, v[tb.probe.Node])
+	}
+	return tb.wave
 }
 
 // failAll is the batch result of a design whose testbench does not compile:
@@ -145,6 +195,16 @@ func failAll(n int, err error) ([][]float64, []error) {
 // first unpacks a one-sample batch — how every spice scenario's point-wise
 // Evaluate delegates to its EvaluateBatch.
 func first(perfs [][]float64, errs []error) ([]float64, error) { return perfs[0], errs[0] }
+
+// mosIndex resolves a testbench transistor to its OPResult.MOS position, once
+// per compile.
+func mosIndex(eng *spice.Engine, name string) (int, error) {
+	i, ok := eng.MOSIndex(name)
+	if !ok {
+		return 0, fmt.Errorf("circuits: testbench has no transistor %q", name)
+	}
+	return i, nil
+}
 
 // outputProbe is the AC probe of every spice testbench: the "out" node,
 // swept up to its unity crossing — all the DC-gain, GBW and phase-margin

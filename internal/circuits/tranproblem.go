@@ -72,20 +72,15 @@ func (c *TranConfig) tranOptions() *spice.TranOptions {
 	return &spice.TranOptions{TStop: c.tstop, Step: c.step, Adaptive: !c.fixed}
 }
 
-// stepResponse reduces one sample's step response tr, integrated from its
-// operating point, to [slew V/s, 1% settling s, overshoot] of the "out"
-// waveform. Failure shapes degrade smoothly instead of erroring: a
+// stepResponse reduces one sample's step response, the "out" waveform wave
+// on the time grid times, to [slew V/s, 1% settling s, overshoot]. Failure shapes degrade smoothly instead of erroring: a
 // waveform that never settles inside the window reports the window length
 // itself (violating any tighter bound), and a collapsed swing reports zero
 // slew — both the transient analogue of the zero-GBW convention the AC
 // problems use, so the yield oracle counts a broken chip rather than a
 // broken simulator.
-func (c *TranConfig) stepResponse(tr *spice.TranResult, ckt *netlist.Circuit, t0 float64) (slew, tSettle, overshoot float64, err error) {
-	wave, err := tr.VNode(ckt, "out")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	st, err := measure.NewStep(tr.Times, wave, t0)
+func (c *TranConfig) stepResponse(times, wave []float64, t0 float64) (slew, tSettle, overshoot float64, err error) {
+	st, err := measure.NewStep(times, wave, t0)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -189,13 +184,15 @@ func (p *CommonSourceTran) compile(x []float64) (*spiceContext, error) {
 		vin.Pulse.V2 = vin.DC + csTranAmp
 	}
 	ctx.tran = p.tranOptions()
-	ctx.measures = func(_ *spice.OPResult, h []complex128, tr *spice.TranResult) ([]float64, error) {
+	ctx.perfs = len(p.specs)
+	ctx.measures = func(perf []float64, _ *spice.OPResult, h []complex128, tr *spice.TranResult) error {
 		a0dB, gbw, _ := bodeMeasures(ctx.freqs, h, false)
-		slew, ts, os, err := p.stepResponse(tr, ctx.ckt, csTranDelay)
+		slew, ts, os, err := p.stepResponse(tr.Times, ctx.outWave(tr), csTranDelay)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []float64{a0dB, gbw, slew, ts, os}, nil
+		perf[0], perf[1], perf[2], perf[3], perf[4] = a0dB, gbw, slew, ts, os
+		return nil
 	}
 	return ctx, nil
 }
@@ -304,13 +301,15 @@ func (p *FoldedCascodeTran) compile(x []float64) (*fcSpiceContext, error) {
 	ctx.name = "folded-cascode-tran"
 	ctx.warm0 = nil
 	ctx.tran = p.tranOptions()
-	ctx.measures = func(_ *spice.OPResult, h []complex128, tr *spice.TranResult) ([]float64, error) {
+	ctx.perfs = len(p.specs)
+	ctx.measures = func(perf []float64, _ *spice.OPResult, h []complex128, tr *spice.TranResult) error {
 		a0dB, gbw, pm := bodeMeasures(ctx.freqs, h, true)
-		slew, ts, os, err := p.stepResponse(tr, ctx.ckt, fcTranDelay)
+		slew, ts, os, err := p.stepResponse(tr.Times, ctx.outWave(tr), fcTranDelay)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return []float64{a0dB, gbw, pm, slew, ts, os}, nil
+		perf[0], perf[1], perf[2], perf[3], perf[4], perf[5] = a0dB, gbw, pm, slew, ts, os
+		return nil
 	}
 	return ctx, nil
 }

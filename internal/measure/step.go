@@ -35,18 +35,19 @@ type Step struct {
 // NewStep wraps a waveform for measurement. t0 is the time of the input
 // step edge; Delay and SettlingTime are reported relative to it. The final
 // value is the last sample, so the window must extend past settling for
-// the measures to be meaningful.
-func NewStep(times, wave []float64, t0 float64) (*Step, error) {
+// the measures to be meaningful. The Step is a value, so a per-sample
+// measure keeps it in its own frame and allocates nothing.
+func NewStep(times, wave []float64, t0 float64) (Step, error) {
 	if len(times) != len(wave) || len(times) < 2 {
-		return nil, fmt.Errorf("measure: step needs matching times/wave with ≥ 2 points, got %d/%d",
+		return Step{}, fmt.Errorf("measure: step needs matching times/wave with ≥ 2 points, got %d/%d",
 			len(times), len(wave))
 	}
 	for i := 1; i < len(times); i++ {
 		if times[i] <= times[i-1] {
-			return nil, fmt.Errorf("measure: step times not strictly increasing at index %d", i)
+			return Step{}, fmt.Errorf("measure: step times not strictly increasing at index %d", i)
 		}
 	}
-	return &Step{
+	return Step{
 		times: times,
 		wave:  wave,
 		t0:    t0,

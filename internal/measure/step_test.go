@@ -140,8 +140,8 @@ func TestStepMeasuresShiftInvariant(t *testing.T) {
 		}
 		check := func(name string, f func(*Step) (float64, error), relTol float64) {
 			t.Helper()
-			a, errA := f(base)
-			b, errB := f(s)
+			a, errA := f(&base)
+			b, errB := f(&s)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("%s: error mismatch under shift: %v vs %v", name, errA, errB)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"github.com/eda-go/moheco/internal/linalg/sparse"
 	"github.com/eda-go/moheco/internal/measure"
@@ -69,10 +70,10 @@ func (e *Engine) AC(op *OPResult, freqs []float64) (*ACResult, error) {
 // per solved point; with p.StopAtUnity the returned slice is the prefix of
 // the sweep up to the first unity crossing (the whole range when the node
 // never crosses), so the measures run on (freqs[:len(h)], h). It is the
-// one-lane ACBatchProbe.
+// one-lane ACBatchProbe, and its record is a copy the caller owns.
 func (e *Engine) ACProbe(op *OPResult, freqs []float64, p Probe) ([]complex128, error) {
 	hs, errs := e.ACBatchProbe(oneOP(op), freqs, p, noLane)
-	return hs[0], errs[0]
+	return slices.Clone(hs[0]), errs[0]
 }
 
 // oneOP is the one-lane operating-point group of a point-wise sweep. A nil
@@ -92,26 +93,28 @@ func oneOP(op *OPResult) []*OPResult {
 // all lanes through one traversal. ops[l] == nil skips lane l (a sample
 // whose DC solve failed); a lane whose complex system is singular at some
 // frequency reports its AC error without disturbing the others. Each lane
-// is bit-identical to AC on its sample.
+// is bit-identical to AC on its sample. The all-node results are the
+// caller's.
 func (e *Engine) ACBatch(ops []*OPResult, freqs []float64, set LaneSetter) ([]*ACResult, []error) {
 	nodes := e.ckt.NumNodes()
-	flats, errs := e.sweep(ops, freqs, 0, nodes, false, set)
+	flats, errs := e.sweep(ops, freqs, 0, nodes, false, true, set)
 	res := make([]*ACResult, len(ops))
 	for l, flat := range flats {
 		if flat != nil {
 			res[l] = newACResult(freqs, flat, nodes)
 		}
 	}
-	return res, errs
+	return res, slices.Clone(errs)
 }
 
 // ACBatchProbe is the lockstep ACProbe: h[l] holds lane l's probed
 // phasors, bit-identical to ACProbe on that sample. With p.StopAtUnity a
 // lane retires at its own unity crossing and the group stops once every
-// lane has retired or failed.
+// lane has retired or failed. The records and both slices are the
+// engine's: they stay valid until the next probed sweep of this width.
 func (e *Engine) ACBatchProbe(ops []*OPResult, freqs []float64, p Probe, set LaneSetter) ([][]complex128, []error) {
 	e.checkProbe(p)
-	return e.sweep(ops, freqs, p.Node, p.Node+1, p.StopAtUnity, set)
+	return e.sweep(ops, freqs, p.Node, p.Node+1, p.StopAtUnity, false, set)
 }
 
 // checkProbe panics on a probe node outside the circuit: node ids come from
@@ -149,9 +152,10 @@ func (e *Engine) reachOf(lo, hi int) *sparse.Reach {
 }
 
 // record copies the phasors of nodes [lo, lo+len(dst)) from the solution
-// x (K lanes in SoA layout, lane l) into dst; ground stays zero.
+// x (K lanes in SoA layout, lane l) into dst; ground records zero.
 func record(dst, x []complex128, lo, k, l int) {
 	for j := range dst {
+		dst[j] = 0
 		if nd := lo + j; nd > 0 {
 			dst[j] = x[row(nd)*k+l]
 		}
@@ -160,16 +164,22 @@ func record(dst, x []complex128, lo, k, l int) {
 
 // acScratch is the AC scratch of one group width: the frequency-independent
 // G/C split (value arrays in the Jacobian's layout, with its write-off
-// slots), the drive, the assembled complex system and its solution.
+// slots), the drive, the assembled complex system and its solution, and
+// the probed sweeps' per-lane records.
 type acScratch struct {
 	gv, cv []float64
 	rhs    []complex128                    // SoA drive, (size+1)*k
 	xc     []complex128                    // SoA solution, size*k
 	y0     []complex128                    // pristine ω-independent assembly, complex(gv[i], 0)
 	pat    []int32                         // value-array indices whose C lane is not a +0 bit pattern
+	pg, pc []float64                       // gv and cv at pat, gathered once per sweep
 	Y      *sparse.BatchMatrix[complex128] // system lanes
 	yv     []complex128                    // Y's value array
 	mag    []float64                       // per lane: |h| at the last recorded point (stop sweeps)
+
+	recs [][]complex128 // per lane: probe record storage, grown to the longest sweep
+	out  [][]complex128 // the last sweep's per-lane records
+	errs []error        // the last sweep's per-lane errors
 }
 
 // acFor returns the group's AC scratch, allocated on its first sweep
@@ -180,14 +190,19 @@ func (bs *scratch) acFor(e *Engine) *acScratch {
 	}
 	n, k, slots := e.size, bs.k, len(bs.vals)
 	ac := &acScratch{
-		gv:  make([]float64, slots),
-		cv:  make([]float64, slots),
-		rhs: make([]complex128, (n+1)*k),
-		xc:  make([]complex128, n*k),
-		y0:  make([]complex128, slots),
-		pat: make([]int32, 0, slots),
-		mag: make([]float64, k),
-		Y:   sparse.NewBatchMatrix[complex128](e.sym, k),
+		gv:   make([]float64, slots),
+		cv:   make([]float64, slots),
+		rhs:  make([]complex128, (n+1)*k),
+		xc:   make([]complex128, n*k),
+		y0:   make([]complex128, slots),
+		pat:  make([]int32, 0, slots),
+		pg:   make([]float64, 0, slots),
+		pc:   make([]float64, 0, slots),
+		mag:  make([]float64, k),
+		Y:    sparse.NewBatchMatrix[complex128](e.sym, k),
+		recs: make([][]complex128, k),
+		out:  make([][]complex128, k),
+		errs: make([]error, k),
 	}
 	ac.yv = ac.Y.Values()
 	bs.ac = ac
@@ -200,7 +215,9 @@ func (bs *scratch) acFor(e *Engine) *acScratch {
 // the first point at which that node falls through unity gain, keeping the
 // recorded prefix. A lane stops sweeping when it fails (its record is nil
 // and its error set); the factorization counter counts only lanes still
-// sweeping, the one-lane equivalent of the work done.
+// sweeping, the one-lane equivalent of the work done. With own each record
+// is a fresh slice the caller keeps; without, it is the lane's reused
+// storage. The returned slices are the scratch's either way.
 //
 // The linearized MNA system is affine in frequency — Y(ω) = G + jω·C with a
 // frequency-independent right-hand side — so the devices are evaluated and
@@ -209,12 +226,13 @@ func (bs *scratch) acFor(e *Engine) *acScratch {
 // values from them and solves. The per-point assembly walks the nonzeros,
 // and every point's factorization reuses the symbolic analysis done in New;
 // DC and AC share one pattern because the plan enumerates their union.
-func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, set LaneSetter) ([][]complex128, []error) {
+func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop, own bool, set LaneSetter) ([][]complex128, []error) {
 	k := len(ops)
-	out := make([][]complex128, k)
-	errs := make([]error, k)
 	bs := e.scratchFor(k)
 	ac := bs.acFor(e)
+	out, errs := ac.out, ac.errs
+	clear(out)
+	clear(errs)
 	clear(ac.gv)
 	clear(ac.cv)
 	clear(ac.rhs)
@@ -236,8 +254,15 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 	n := e.size
 	w := hi - lo
 	for l := range st {
-		if st[l].live {
+		switch {
+		case !st[l].live:
+		case own:
 			out[l] = make([]complex128, len(freqs)*w)
+		default:
+			if cap(ac.recs[l]) < len(freqs)*w {
+				ac.recs[l] = make([]complex128, len(freqs)*w)
+			}
+			out[l] = ac.recs[l][:len(freqs)*w]
 		}
 	}
 	// Copy+patch assembly: Y(ω) = G + jωC differs from the ω-independent
@@ -247,17 +272,20 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 	// the pattern, so the per-frequency assembly collapses to one block copy
 	// plus a short patch loop. Entries holding a negative zero or non-finite
 	// C value go on the patch list, keeping the assembled bits identical to
-	// the full loop.
+	// the full loop. The patch entries' G and C operands are gathered once
+	// into two contiguous arrays, which every point then reads in order.
 	for i, g := range ac.gv {
 		ac.y0[i] = complex(g, 0)
 	}
-	pat := ac.pat[:0]
+	pat, pg, pc := ac.pat[:0], ac.pg[:0], ac.pc[:0]
 	for i, c := range ac.cv {
 		if math.Float64bits(c) != 0 {
 			pat = append(pat, int32(i))
+			pg = append(pg, ac.gv[i])
+			pc = append(pc, c)
 		}
 	}
-	ac.pat = pat
+	ac.pat, ac.pg, ac.pc = pat, pg, pc
 	yv := ac.yv
 	// The record needs only the solution components of nodes [lo, hi): a
 	// probe substitutes only the rows its one node depends on.
@@ -269,8 +297,8 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop bool, 
 		omega := 2 * math.Pi * f
 		if omega >= 0 && omega <= math.MaxFloat64 {
 			copy(yv, ac.y0)
-			for _, i := range pat {
-				yv[i] = complex(ac.gv[i], omega*ac.cv[i])
+			for j, i := range pat {
+				yv[i] = complex(pg[j], omega*pc[j])
 			}
 		} else {
 			// A negative or non-finite ω multiplies even +0 entries into

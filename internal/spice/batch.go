@@ -49,6 +49,12 @@ var errSingularJacobian = fmt.Errorf("%w: singular Jacobian", ErrNoConvergence)
 // scratch is the solve scratch of one group width, allocated once per width
 // and engine: one engine runs K-lane groups and one-lane solves
 // (point-wise samples and transients) side by side.
+//
+// It also holds the width's batch results, so a steady-state batch
+// allocates nothing: the DC operating points here, the probed AC records
+// in ac and the transient results in tran. A batch result is valid until
+// the next batch call of the same analysis at the same width — the
+// one-lane wrappers included, which is why they return copies.
 type scratch struct {
 	k    int
 	A    *sparse.BatchMatrix[float64] // Jacobian lanes
@@ -57,6 +63,10 @@ type scratch struct {
 	dx   []float64                    // SoA steps, size*k
 	xs   [][]float64                  // per-lane iterates of the DC procedure
 	st   []laneState
+
+	ops   []OPResult  // per-lane DC results
+	dcRes []*OPResult // the last DC batch's results: &ops[l] or nil
+	dcErr []error     // the last DC batch's errors
 
 	ac   *acScratch // allocated on the first sweep
 	tran *tranGroup // allocated on the first transient
@@ -80,14 +90,18 @@ func (e *Engine) scratchFor(k int) *scratch {
 	}
 	n := e.size
 	bs := &scratch{
-		k:  k,
-		F:  make([]float64, (n+1)*k),
-		dx: make([]float64, n*k),
-		xs: make([][]float64, k),
-		st: make([]laneState, k),
+		k:     k,
+		F:     make([]float64, (n+1)*k),
+		dx:    make([]float64, n*k),
+		xs:    make([][]float64, k),
+		st:    make([]laneState, k),
+		ops:   make([]OPResult, k),
+		dcRes: make([]*OPResult, k),
+		dcErr: make([]error, k),
 	}
 	for l := range bs.xs {
 		bs.xs[l] = make([]float64, n)
+		bs.ops[l] = e.newOPResult()
 	}
 	bs.A = sparse.NewBatchMatrix[float64](e.sym, k)
 	bs.vals = bs.A.Values()
@@ -192,9 +206,11 @@ func (e *Engine) newton(bs *scratch, xs [][]float64, ctx stampCtx, steps []laneS
 			leave(&st[l], e.opts.MaxIter, ErrNoConvergence) // out of iterations
 		}
 	}
-	// One factorization per iteration, converged or not.
+	// One factorization per iteration, converged or not, and one DC
+	// evaluation per transistor per iteration stamped.
 	mNewtonIters.Add(total)
 	mFactorizations.Add(total)
+	mMOSDCEvals.Add(total * int64(len(e.plan.mos)))
 }
 
 // DCOperatingPointBatch solves the DC operating points of up to len(active)
@@ -202,7 +218,8 @@ func (e *Engine) newton(bs *scratch, xs [][]float64, ctx stampCtx, steps []laneS
 // DCOperatingPoint on its sample. active[l]==false skips lane l (its result
 // and error stay nil) — the tail of a partial sample group. set installs
 // lane state and is required. The returned slices have one entry per lane;
-// a lane either carries a result or an error.
+// a lane either carries a result or an error. Slices and results are the
+// engine's: they stay valid until the next DC batch of this width.
 func (e *Engine) DCOperatingPointBatch(active []bool, set LaneSetter) ([]*OPResult, []error) {
 	return e.DCOperatingPointBatchFrom(nil, active, set)
 }
@@ -225,17 +242,21 @@ func (e *Engine) DCOperatingPointBatchFrom(prev *OPResult, active []bool, set La
 		}
 	}
 	e.solveDC(bs, warm, set)
-	res := make([]*OPResult, k)
-	errs := make([]error, k)
+	res, errs := bs.dcRes, bs.dcErr
+	done := 0
 	for l, s := range bs.st {
+		res[l], errs[l] = nil, nil
 		switch {
 		case s.done:
 			set(l)
-			res[l] = e.opResult(bs.xs[l], s.iters)
+			e.opResult(&bs.ops[l], bs.xs[l], s.iters)
+			res[l] = &bs.ops[l]
+			done++
 		case active[l]:
 			errs[l] = s.err
 		}
 	}
+	mMOSFullEvals.Add(int64(done * len(e.mosfets)))
 	return res, errs
 }
 

@@ -2,6 +2,7 @@ package spice
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/eda-go/moheco/internal/netlist"
@@ -204,10 +205,10 @@ func TestSolverCountersIndependentOfLanes(t *testing.T) {
 			for _, op := range ops {
 				stepped = stepped || (op != nil && op.Iterations > ladderMax)
 			}
-			eng.DCOperatingPointBatchFrom(prev, active, set)
 			for _, name := range []string{"tran-adaptive", "tran-be"} {
 				eng.TransientBatch(ops, b.tranOpts[name], set)
 			}
+			eng.DCOperatingPointBatchFrom(prev, active, set)
 		}
 		if !stepped {
 			t.Fatalf("K=%d: no lane converged through source stepping", k)
@@ -241,5 +242,95 @@ func TestSolverCountersIndependentOfLanes(t *testing.T) {
 	}
 	if n := mLockstepLanes.Count() - before; n != 0 {
 		t.Errorf("one-lane solves recorded %d lockstep-lane observations", n)
+	}
+}
+
+// bitsOf flattens the IEEE-754 bits of an operating point, every
+// transistor's evaluation included.
+func bitsOf(op *OPResult) []uint64 {
+	var b []uint64
+	for _, vs := range [][]float64{op.V, op.BranchI} {
+		for _, v := range vs {
+			b = append(b, math.Float64bits(v))
+		}
+	}
+	for _, m := range op.MOS {
+		for _, v := range []float64{m.ID, m.VTH, m.Vov, m.VDsat, m.Gm, m.Gds, m.Gmb, m.Cgs, m.Cgd, m.Cdb, m.Csb} {
+			b = append(b, math.Float64bits(v))
+		}
+		b = append(b, uint64(m.Region))
+	}
+	return append(b, uint64(op.Iterations))
+}
+
+// Batch results live in the engine's per-width storage, but the one-lane
+// APIs return results the caller owns: a DCOperatingPoint, ACProbe and
+// TransientOpts result keeps its bits across later batch and one-lane calls
+// on the same engine, at its own width and at a wider one, whose results
+// differ from it.
+func TestOneLaneResultsOutliveBatches(t *testing.T) {
+	ckt := solverTestbench()
+	rl := findR(t, ckt, "RL")
+	base := rl.R
+	defer func() { rl.R = base }()
+	const k = 4
+	set := func(l int) { rl.R = base * (1.2 + 0.1*float64(l)) }
+
+	eng, err := New(ckt, Options{Lanes: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := ckt.FindNode("l5")
+	p := Probe{Node: out}
+	freqs := LogSpace(1e3, 1e9, 4)
+	tro := TranOptions{TStop: 20e-9, Adaptive: true}
+	op, err := eng.DCOperatingPoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := eng.ACProbe(op, freqs, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := eng.TransientOpts(op, tro)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOP, wantH := bitsOf(op), slices.Clone(h)
+	wantTr := tr.clone()
+
+	for _, width := range []int{1, k} {
+		active := make([]bool, width)
+		for l := range active {
+			active[l] = true
+		}
+		ops, errs := eng.DCOperatingPointBatchFrom(op, active, set)
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		if slices.Equal(bitsOf(ops[0]), wantOP) {
+			t.Fatalf("width %d: the batch solved the one-lane sample again: the test shows nothing", width)
+		}
+		hs, _ := eng.ACBatchProbe(ops, freqs, p, set)
+		if samePhasors(hs[0], wantH) {
+			t.Fatalf("width %d: the batch swept the one-lane sample again: the test shows nothing", width)
+		}
+		eng.TransientBatch(ops, tro, set)
+		set(0)
+		op2, err := eng.DCOperatingPoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.ACProbe(op2, freqs, p)
+		eng.TransientOpts(op2, tro)
+	}
+	if !slices.Equal(bitsOf(op), wantOP) {
+		t.Error("a DCOperatingPoint result changed under later calls on its engine")
+	}
+	if !samePhasors(h, wantH) {
+		t.Error("an ACProbe record changed under later calls on its engine")
+	}
+	if !sameTran(tr, wantTr) {
+		t.Error("a TransientOpts result changed under later calls on its engine")
 	}
 }

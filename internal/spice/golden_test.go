@@ -327,31 +327,40 @@ func (r engineRun) run(t *testing.T, out goldenOutcomes) map[string]engineGolden
 					t.Fatalf("%s: inactive lane %d produced output", r.prefix(), l)
 				}
 			}
-			if g == 0 {
-				prev = gops[0]
+			if g == 0 && gops[0] != nil {
+				// A batch result lives until the next DC batch of the
+				// width: the warm seed is a copy.
+				prev = gops[0].clone()
 			}
 			if prev == nil {
 				t.Fatalf("%s: sample 0 must converge to seed the warm starts", r.prefix())
 			}
-			wops, werrs := eng.DCOperatingPointBatchFrom(prev, active, set)
-			for l := range active {
-				if active[l] {
-					put(opEntry(g+l, "dc-warm", wops[l], werrs[l]))
-				}
-			}
 			acs, acErrs := eng.ACBatch(gops, b.freqs, set)
-			hs, hErrs := eng.ACBatchProbe(gops, b.freqs, stop, set)
-			fs, fErrs := eng.ACBatchProbe(gops, b.freqs, full, set)
 			for l := range active {
 				if gops[l] == nil {
-					if acs[l] != nil || acErrs[l] != nil || hs[l] != nil || hErrs[l] != nil {
+					if acs[l] != nil || acErrs[l] != nil {
 						t.Fatalf("%s: nil lane %d produced AC output", r.prefix(), l)
 					}
 					continue
 				}
 				put(acEntry(g+l, "ac", acs[l], acErrs[l]))
-				put(phasorEntry(g+l, "probe-stop", hs[l], hErrs[l]))
-				put(phasorEntry(g+l, "probe-full", fs[l], fErrs[l]))
+			}
+			// A probed record lives until the next probed sweep of the
+			// width: each sweep's records are read before the next.
+			for _, p := range []struct {
+				name  string
+				probe Probe
+			}{{"probe-stop", stop}, {"probe-full", full}} {
+				hs, hErrs := eng.ACBatchProbe(gops, b.freqs, p.probe, set)
+				for l := range active {
+					if gops[l] == nil {
+						if hs[l] != nil || hErrs[l] != nil {
+							t.Fatalf("%s: nil lane %d produced a probed record", r.prefix(), l)
+						}
+						continue
+					}
+					put(phasorEntry(g+l, p.name, hs[l], hErrs[l]))
+				}
 			}
 			// The group's transients, every lane on its own step grid.
 			for _, name := range names {
@@ -364,6 +373,13 @@ func (r engineRun) run(t *testing.T, out goldenOutcomes) map[string]engineGolden
 						continue
 					}
 					put(tranEntry(g+l, name, trs[l], trErrs[l]))
+				}
+			}
+			// The warm batch last: it reuses the cold batch's storage.
+			wops, werrs := eng.DCOperatingPointBatchFrom(prev, active, set)
+			for l := range active {
+				if active[l] {
+					put(opEntry(g+l, "dc-warm", wops[l], werrs[l]))
 				}
 			}
 		}

@@ -22,9 +22,9 @@ func TestColdStartMirrorChain(t *testing.T) {
 	c.AddR("R2", "vdd", "d2", 10e3)
 	c.AddM("M3", "d3", "d1", "0", "0", p, 20e-6, 1e-6, 1)
 	c.AddR("R3", "vdd", "d3", 20e3)
-	_, op := solveDC(t, c)
+	e, op := solveDC(t, c)
 	// M2 mirrors 4x the reference through a 10k load.
-	i2 := op.MOS["M2"].ID
+	i2 := mosNamed(t, e, op, "M2").ID
 	if i2 < 60e-6 || i2 > 110e-6 {
 		t.Errorf("mirror output current = %v", i2)
 	}
@@ -63,13 +63,13 @@ func TestPMOSTriodeAndSwap(t *testing.T) {
 	// a small load.
 	c.AddM("M1", "out", "0", "vdd", "vdd", p, 50e-6, 0.5e-6, 1)
 	c.AddR("RL", "out", "0", 1e3)
-	_, op := solveDC(t, c)
+	e, op := solveDC(t, c)
 	v, _ := op.VNode(c, "out")
 	if v < 2.5 {
 		t.Errorf("switch output = %v, want near VDD", v)
 	}
-	if op.MOS["M1"].Region.String() != "triode" {
-		t.Errorf("region = %v, want triode", op.MOS["M1"].Region)
+	if r := mosNamed(t, e, op, "M1").Region; r.String() != "triode" {
+		t.Errorf("region = %v, want triode", r)
 	}
 }
 

@@ -8,6 +8,7 @@ package spice
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/eda-go/moheco/internal/linalg/sparse"
 	"github.com/eda-go/moheco/internal/mos"
@@ -20,9 +21,17 @@ import (
 // depend on the lane width; the lane histogram records live-lane occupancy
 // per Newton run of a group wider than one lane — low occupancy means the
 // lockstep width is wasted on retired lanes.
+//
+// The two MOSFET evaluation counters split device-model work by kind: a DC
+// evaluation (mos.Device.EvaluateDC, one per transistor per Newton
+// iteration of a live lane) and a full one (EvaluateTo, capacitances
+// included, one per transistor per converged operating point). Each is
+// added once per Newton run or DC batch, never once per device.
 var (
 	mNewtonIters    = obs.Default().Counter("spice_newton_iterations_total")
 	mFactorizations = obs.Default().Counter("spice_factorizations_total")
+	mMOSDCEvals     = obs.Default().Counter("spice_mos_dc_evaluations_total")
+	mMOSFullEvals   = obs.Default().Counter("spice_mos_full_evaluations_total")
 	mLockstepLanes  = obs.Default().Histogram("spice_lockstep_lanes", []float64{1, 2, 4, 8, 16, 32})
 )
 
@@ -106,6 +115,10 @@ type Engine struct {
 	// scrV is the node-voltage view consumed by the device models, shared
 	// by every assembly.
 	scrV []float64
+
+	// mosfets lists the transistors in netlist order, the order of
+	// OPResult.MOS and of the stamp plan's MOSFET stamps.
+	mosfets []*netlist.Mosfet
 }
 
 // branch is an extra MNA current unknown (V and E elements).
@@ -147,6 +160,10 @@ func New(ckt *netlist.Circuit, opts Options) (*Engine, error) {
 	}
 	e.sym = sym
 	e.plan = e.buildPlan(sym.Index)
+	e.mosfets = make([]*netlist.Mosfet, len(e.plan.mos))
+	for i := range e.plan.mos {
+		e.mosfets[i] = e.plan.mos[i].dev
+	}
 	e.scrV = make([]float64, ckt.NumNodes())
 	e.lanes = resolveLanes(e.opts.Lanes, e.size)
 	return e, nil
@@ -173,10 +190,36 @@ type OPResult struct {
 	V []float64
 	// BranchI holds the currents of V/E elements in branch order.
 	BranchI []float64
-	// MOS holds each transistor's operating point, keyed by instance name.
-	MOS map[string]mos.OP
+	// MOS holds each transistor's operating point in netlist order: MOS[i]
+	// belongs to Engine.MOSFETs()[i] (MOSIndex resolves a name once). It is
+	// the linearization the AC sweep stamps, so a sweep evaluates no device.
+	MOS []mos.OP
 	// Iterations counts total Newton iterations used.
 	Iterations int
+}
+
+// clone returns a caller-owned deep copy of r.
+func (r *OPResult) clone() *OPResult {
+	return &OPResult{
+		V:          slices.Clone(r.V),
+		BranchI:    slices.Clone(r.BranchI),
+		MOS:        slices.Clone(r.MOS),
+		Iterations: r.Iterations,
+	}
+}
+
+// MOSFETs returns the circuit's transistors in netlist order, the order of
+// OPResult.MOS. The slice is the engine's; callers must not modify it.
+func (e *Engine) MOSFETs() []*netlist.Mosfet { return e.mosfets }
+
+// MOSIndex returns the position of the named transistor in OPResult.MOS.
+func (e *Engine) MOSIndex(name string) (int, bool) {
+	for i, m := range e.mosfets {
+		if m.Name == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // VNode returns the voltage at the named node.
@@ -191,7 +234,7 @@ func (r *OPResult) VNode(c *netlist.Circuit, name string) (float64, error) {
 // DCOperatingPoint solves the nonlinear DC equations from a cold start: a
 // Newton solve stepped down a gmin ladder and, if that fails, retried with
 // source stepping (a nodeset adds a direct attempt first). It is the
-// one-lane DCOperatingPointBatch.
+// one-lane DCOperatingPointBatch, and its result is the caller's.
 func (e *Engine) DCOperatingPoint() (*OPResult, error) {
 	return e.DCOperatingPointFrom(nil)
 }
@@ -205,10 +248,14 @@ func (e *Engine) DCOperatingPoint() (*OPResult, error) {
 // cold-start procedure, so a sample reports non-convergence only when the
 // cold path fails too and failure injection is unchanged. A nil or
 // mismatched prev degenerates to DCOperatingPoint. It is the one-lane
-// DCOperatingPointBatchFrom.
+// DCOperatingPointBatchFrom, and unlike a batch result its result is the
+// caller's: a copy that later solves on the engine leave alone.
 func (e *Engine) DCOperatingPointFrom(prev *OPResult) (*OPResult, error) {
 	res, errs := e.DCOperatingPointBatchFrom(prev, oneLane, noLane)
-	return res[0], errs[0]
+	if res[0] == nil {
+		return nil, errs[0]
+	}
+	return res[0].clone(), nil
 }
 
 // seedDC writes the cold-start initial iterate: zeros, ground-referenced
@@ -235,29 +282,29 @@ func (e *Engine) seedDC(x []float64) {
 	}
 }
 
-// opResult packages a converged solution vector into an OPResult.
-func (e *Engine) opResult(x []float64, iters int) *OPResult {
-	res := &OPResult{
-		V:          make([]float64, e.ckt.NumNodes()),
-		BranchI:    make([]float64, len(e.branches)),
-		MOS:        map[string]mos.OP{},
-		Iterations: iters,
+// newOPResult allocates an operating point shaped for the engine's
+// circuit.
+func (e *Engine) newOPResult() OPResult {
+	return OPResult{
+		V:       make([]float64, e.ckt.NumNodes()),
+		BranchI: make([]float64, len(e.branches)),
+		MOS:     make([]mos.OP, len(e.mosfets)),
 	}
+}
+
+// opResult writes a converged solution vector into res, shaped by
+// newOPResult, and evaluates every transistor once, in full, at it: the
+// operating point the AC sweep linearizes.
+func (e *Engine) opResult(res *OPResult, x []float64, iters int) {
+	res.Iterations = iters
 	for i := 1; i < e.ckt.NumNodes(); i++ {
-		res.V[i] = x[row(i)+0]
+		res.V[i] = x[row(i)]
 	}
-	for i := range e.branches {
-		res.BranchI[i] = x[e.nNodes+i]
+	copy(res.BranchI, x[e.nNodes:])
+	for i, m := range e.mosfets {
+		vgs, vds, vbs, _ := mosBias(m, res.V)
+		m.Dev.EvaluateTo(&res.MOS[i], vgs, vds, vbs)
 	}
-	for _, d := range e.ckt.Devices {
-		if m, ok := d.(*netlist.Mosfet); ok {
-			var op mos.OP
-			vgs, vds, vbs, _ := mosBias(m, res.V)
-			m.Dev.EvaluateTo(&op, vgs, vds, vbs)
-			res.MOS[m.Name] = op
-		}
-	}
-	return res
 }
 
 // loadOP writes the operating point op into the solution vector x, the

@@ -40,6 +40,16 @@ func solveDC(t *testing.T, c *netlist.Circuit) (*Engine, *OPResult) {
 	return e, op
 }
 
+// mosNamed returns the operating point of the named transistor.
+func mosNamed(t *testing.T, e *Engine, op *OPResult, name string) mos.OP {
+	t.Helper()
+	i, ok := e.MOSIndex(name)
+	if !ok {
+		t.Fatalf("no transistor %q", name)
+	}
+	return op.MOS[i]
+}
+
 func TestDCVoltageDivider(t *testing.T) {
 	c := netlist.New("divider")
 	c.AddV("V1", "in", "0", 2.0, 0)
@@ -109,7 +119,7 @@ func TestDCNMOSDiode(t *testing.T) {
 	c.AddI("I1", "vdd", "d", 100e-6, 0)
 	p := nmosCard()
 	c.AddM("M1", "d", "d", "0", "0", p, 20e-6, 1e-6, 1)
-	_, op := solveDC(t, c)
+	e, op := solveDC(t, c)
 	v, _ := op.VNode(c, "d")
 	dev := &mos.Device{Params: p, W: 20e-6, L: 1e-6, M: 1}
 	// Verify current at the solved voltage matches the source.
@@ -120,7 +130,7 @@ func TestDCNMOSDiode(t *testing.T) {
 	if got.Region != mos.Saturation {
 		t.Errorf("diode region = %v", got.Region)
 	}
-	mop := op.MOS["M1"]
+	mop := mosNamed(t, e, op, "M1")
 	if math.Abs(mop.ID-100e-6)/100e-6 > 1e-3 {
 		t.Errorf("stored OP current = %v", mop.ID)
 	}
@@ -166,7 +176,7 @@ func TestCommonSourceACGain(t *testing.T) {
 	c.AddM("M1", "out", "in", "0", "0", p, w, l, 1)
 
 	e, op := solveDC(t, c)
-	mop := op.MOS["M1"]
+	mop := mosNamed(t, e, op, "M1")
 	if mop.Region != mos.Saturation {
 		t.Fatalf("M1 region = %v (vout=%v)", mop.Region, op.V[c.Node("out")])
 	}
@@ -240,12 +250,12 @@ func TestFiveTransistorOTA(t *testing.T) {
 
 	e, op := solveDC(t, c)
 	for _, name := range []string{"MT", "M1", "M2", "M3", "M4"} {
-		if op.MOS[name].Region != mos.Saturation {
-			t.Fatalf("%s region = %v", name, op.MOS[name].Region)
+		if r := mosNamed(t, e, op, name).Region; r != mos.Saturation {
+			t.Fatalf("%s region = %v", name, r)
 		}
 	}
 	// Tail splits evenly at balance.
-	i1, i2 := op.MOS["M1"].ID, op.MOS["M2"].ID
+	i1, i2 := mosNamed(t, e, op, "M1").ID, mosNamed(t, e, op, "M2").ID
 	if math.Abs(i1-i2)/i1 > 0.02 {
 		t.Errorf("pair imbalance: %v vs %v", i1, i2)
 	}
@@ -255,8 +265,8 @@ func TestFiveTransistorOTA(t *testing.T) {
 	}
 	h, _ := ac.VNode(c, "out")
 	dcGain := cmplx.Abs(h[0])
-	m2 := op.MOS["M2"]
-	m4 := op.MOS["M4"]
+	m2 := mosNamed(t, e, op, "M2")
+	m4 := mosNamed(t, e, op, "M4")
 	want := m2.Gm / (m2.Gds + m4.Gds)
 	if math.Abs(dcGain-want)/want > 0.15 {
 		t.Errorf("OTA gain = %v, analytic ≈ %v", dcGain, want)

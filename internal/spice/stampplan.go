@@ -380,7 +380,9 @@ func (p *stampPlan) stampDC(vals, F []float64, k, lane int, x, scrV []float64, c
 // gv, capacitances into cv (the ω factor is applied at assembly), and the AC
 // drive into rhs. All three carry a trailing write-off slot. As in stampDC,
 // k and lane scale every cached index for SoA lockstep storage; a one-lane
-// group passes (1, 0).
+// group passes (1, 0). MOSFETs stamp op.MOS, the full evaluation the DC
+// result made at op.V under the same lane state, so a sweep evaluates no
+// device.
 func (p *stampPlan) stampAC(gv, cv []float64, rhs []complex128, k, lane int, op *OPResult, gmin float64) {
 	for _, idx := range p.gmin {
 		gv[idx*k+lane] += gmin // keeps floating nodes solvable
@@ -436,11 +438,10 @@ func (p *stampPlan) stampAC(gv, cv []float64, rhs []complex128, k, lane int, op 
 	}
 	for i := range p.mos {
 		ms := &p.mos[i]
-		// Re-derive the linearization from the stored DC solution,
-		// including the drain/source orientation used there.
-		var mop mos.OP
-		vgs, vds, vbs, swapped := mosBias(ms.dev, op.V)
-		ms.dev.Dev.EvaluateTo(&mop, vgs, vds, vbs)
+		// The linearization is the operating point's own evaluation of the
+		// device; only the drain/source orientation is re-derived.
+		mop := &op.MOS[i]
+		_, _, _, swapped := mosBias(ms.dev, op.V)
 		di, si := tD, tS
 		if swapped {
 			di, si = tS, tD

@@ -3,7 +3,7 @@ package spice
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/eda-go/moheco/internal/netlist"
 )
@@ -139,10 +139,30 @@ func (e *Engine) Transient(op *OPResult, tStop, h float64) (*TranResult, error) 
 // follow their waveform (their corner times become breakpoints the adaptive
 // grid lands on exactly); others hold their DC value. Every Newton solve
 // runs through the engine's cached stamp plan and preallocated scratch. It
-// is the one-lane TransientBatch.
+// is the one-lane TransientBatch, and its result is a copy the caller owns.
 func (e *Engine) TransientOpts(op *OPResult, opts TranOptions) (*TranResult, error) {
 	res, errs := e.TransientBatch([]*OPResult{op}, opts, noLane)
-	return res[0], errs[0]
+	if res[0] == nil {
+		return nil, errs[0]
+	}
+	return res[0].clone(), nil
+}
+
+// clone returns a caller-owned deep copy of r, its V rows carved out of one
+// block.
+func (r *TranResult) clone() *TranResult {
+	c := &TranResult{Times: slices.Clone(r.Times), V: make([][]float64, len(r.V)), Rejected: r.Rejected}
+	n := 0
+	for _, v := range r.V {
+		n += len(v)
+	}
+	rows := make([]float64, n)
+	for k, v := range r.V {
+		c.V[k] = rows[:len(v):len(v)]
+		copy(c.V[k], v)
+		rows = rows[len(v):]
+	}
+	return c
 }
 
 // TransientBatch integrates the transients of up to len(ops) samples as
@@ -153,11 +173,15 @@ func (e *Engine) TransientOpts(op *OPResult, opts TranOptions) (*TranResult, err
 // its own time point, step size and history — in one lockstep Newton run,
 // then applies its own accept, reject and breakpoint decisions. A lane that
 // fails (a step that does not converge at MinStep, or MaxSteps exceeded)
-// reports its error alone and leaves the group; the others run on.
+// reports its error alone and leaves the group; the others run on. The
+// results and both slices are the engine's: they stay valid until the next
+// transient batch of this width.
 func (e *Engine) TransientBatch(ops []*OPResult, opts TranOptions, set LaneSetter) ([]*TranResult, []error) {
-	k := len(ops)
-	res := make([]*TranResult, k)
-	errs := make([]error, k)
+	bs := e.scratchFor(len(ops))
+	g := bs.tranGroup(e)
+	res, errs := g.res, g.errs
+	clear(res)
+	clear(errs)
 	o, err := opts.withDefaults()
 	if err != nil {
 		for l, op := range ops {
@@ -167,8 +191,6 @@ func (e *Engine) TransientBatch(ops []*OPResult, opts TranOptions, set LaneSette
 		}
 		return res, errs
 	}
-	bs := e.scratchFor(k)
-	g := bs.tranGroup(e)
 	g.o = o
 	for l, op := range ops {
 		tl := &g.lanes[l]
@@ -178,7 +200,7 @@ func (e *Engine) TransientBatch(ops []*OPResult, opts TranOptions, set LaneSette
 		}
 		set(l)
 		if errs[l] = g.start(tl, op); errs[l] == nil {
-			res[l] = tl.res
+			res[l] = &tl.res
 		}
 	}
 	ctx := stampCtx{gmin: e.opts.GminFinal, srcScale: 1, trap: o.Method == Trap}
@@ -217,13 +239,15 @@ func (e *Engine) TransientBatch(ops []*OPResult, opts TranOptions, set LaneSette
 // in the engine's scratch for its width and is rebuilt from the operating
 // points on every call, so repeated transients on one engine are
 // independent and bit-identical — the determinism contract the batch
-// evaluation pipeline relies on.
+// evaluation pipeline relies on. Only storage carries over between calls.
 type tranGroup struct {
 	e     *Engine
 	o     TranOptions
 	lanes []tranLane
-	xs    [][]float64 // the lanes' trial solutions, the Newton iterates
-	steps []laneStep  // the lanes' step contexts for the Newton run
+	xs    [][]float64   // the lanes' trial solutions, the Newton iterates
+	steps []laneStep    // the lanes' step contexts for the Newton run
+	res   []*TranResult // the last batch's results: &lanes[l].res or nil
+	errs  []error       // the last batch's errors
 }
 
 // tranLane is one lane's integration: its solution history, its result
@@ -233,8 +257,14 @@ type tranLane struct {
 	xTry   []float64 // trial solution of the step being attempted
 	vPrev  []float64 // node voltages (by node id) at the last accepted point
 	icPrev []float64 // per-capacitor currents at the last accepted point (trap)
-	res    *TranResult
-	rows   []float64 // unused tail of the current block of V rows
+	res    TranResult
+
+	// blocks holds the V rows of res, adaptivePoints rows per block, reused by
+	// every run on the lane; used counts the blocks the current run has
+	// started and rows is the unused tail of the last one.
+	blocks [][]float64
+	used   int
+	rows   []float64
 
 	// histN counts accepted points since the last breakpoint (or t=0); LTE
 	// control needs 3 of them besides the candidate, and breakpoints reset
@@ -266,6 +296,8 @@ func (bs *scratch) tranGroup(e *Engine) *tranGroup {
 		lanes: make([]tranLane, bs.k),
 		xs:    make([][]float64, bs.k),
 		steps: make([]laneStep, bs.k),
+		res:   make([]*TranResult, bs.k),
+		errs:  make([]error, bs.k),
 	}
 	for l := range g.lanes {
 		tl := &g.lanes[l]
@@ -279,13 +311,19 @@ func (bs *scratch) tranGroup(e *Engine) *tranGroup {
 	return g
 }
 
-// start sets a lane up at its operating point. The lane's state is
-// installed: the breakpoints come from its own sources.
+// start sets a lane up at its operating point, keeping only the lane's
+// storage. The lane's state is installed: the breakpoints come from its own
+// sources.
 func (g *tranGroup) start(tl *tranLane, op *OPResult) error {
 	e, o := g.e, g.o
-	*tl = tranLane{x: tl.x, xTry: tl.xTry, vPrev: tl.vPrev, icPrev: tl.icPrev, h: o.Step}
+	*tl = tranLane{
+		x: tl.x, xTry: tl.xTry, vPrev: tl.vPrev, icPrev: tl.icPrev, h: o.Step,
+		res:    TranResult{Times: tl.res.Times[:0], V: tl.res.V[:0]},
+		blocks: tl.blocks,
+		bps:    tl.bps[:0],
+	}
 	if o.Adaptive {
-		bps, err := e.breakpoints(o.TStop)
+		bps, err := e.breakpoints(tl.bps, o.TStop)
 		if err != nil {
 			return err
 		}
@@ -301,16 +339,14 @@ func (g *tranGroup) start(tl *tranLane, op *OPResult) error {
 	// Size the result for the fixed grid's exact point count. The adaptive
 	// grid's count is not known ahead — a yield sample's step response
 	// accepts 60–80 points — so it starts at adaptivePoints and lets
-	// append take over.
+	// append take over. Storage a previous run grew is kept.
 	points := int(o.TStop/o.Step+0.5) + 1
 	if o.Adaptive {
 		points = min(points, adaptivePoints)
-	} else {
-		tl.rows = make([]float64, points*e.ckt.NumNodes())
 	}
-	tl.res = &TranResult{
-		Times: make([]float64, 0, points),
-		V:     make([][]float64, 0, points),
+	if cap(tl.res.Times) < points {
+		tl.res.Times = make([]float64, 0, points)
+		tl.res.V = make([][]float64, 0, points)
 	}
 	g.record(tl, 0)
 	tl.running = true
@@ -318,20 +354,21 @@ func (g *tranGroup) start(tl *tranLane, op *OPResult) error {
 }
 
 // adaptivePoints is the initial result capacity of an adaptive run, in
-// accepted points; rowBlock is how many V rows an adaptive run allocates
-// at a time.
-const (
-	adaptivePoints = 128
-	rowBlock       = 32
-)
+// accepted points, and the number of V rows a lane allocates at a time:
+// either holds a yield sample's step response (60–80 points) whole.
+const adaptivePoints = 96
 
 // record appends the lane's accepted solution at time t to its result. The
-// rows of V are carved out of blocks (the fixed grid's one exact block, or
-// rowBlock rows at a time), so a run allocates per block, not per point.
+// rows of V are carved out of the lane's blocks, which later runs reuse, so
+// a lane allocates only when a run outgrows every run before it.
 func (g *tranGroup) record(tl *tranLane, t float64) {
 	nodes := g.e.ckt.NumNodes()
 	if len(tl.rows) < nodes {
-		tl.rows = make([]float64, rowBlock*nodes)
+		if tl.used == len(tl.blocks) {
+			tl.blocks = append(tl.blocks, make([]float64, adaptivePoints*nodes))
+		}
+		tl.rows = tl.blocks[tl.used]
+		tl.used++
 	}
 	vk := tl.rows[:nodes:nodes]
 	tl.rows = tl.rows[nodes:]
@@ -483,7 +520,7 @@ func (g *tranGroup) accept(tl *tranLane, t, h float64) {
 // accepted points and the candidate, so non-uniform step history is
 // handled exactly.
 func (g *tranGroup) lteRatio(tl *tranLane, t, h float64) float64 {
-	res, o := tl.res, g.o
+	res, o := &tl.res, g.o
 	n := len(res.Times)
 	t2, t1, t0 := res.Times[n-1], res.Times[n-2], res.Times[n-3]
 	v2, v1, v0 := res.V[n-1], res.V[n-2], res.V[n-3]
@@ -522,9 +559,10 @@ const maxBreakpoints = 1 << 20
 
 // breakpoints collects the source corner times inside (0, tStop) — the
 // pulse edges of every V and I element, including periodic repeats — plus
-// tStop itself, sorted ascending. The adaptive grid lands on each exactly.
-func (e *Engine) breakpoints(tStop float64) ([]float64, error) {
-	var bps []float64
+// tStop itself, sorted ascending, into bps[:0]. The adaptive grid lands on
+// each exactly.
+func (e *Engine) breakpoints(bps []float64, tStop float64) ([]float64, error) {
+	bps = bps[:0]
 	addPulse := func(p *netlist.Pulse) error {
 		period := p.Period
 		reps := 1
@@ -554,7 +592,7 @@ func (e *Engine) breakpoints(tStop float64) ([]float64, error) {
 			}
 		}
 	}
-	sort.Float64s(bps)
+	slices.Sort(bps)
 	// Dedupe corners that coincide (e.g. zero rise times) within a relative
 	// sliver, which would otherwise force degenerate steps — including
 	// against tStop itself, appended last: a corner landing a few ulps

@@ -83,7 +83,7 @@ func TestTransientCommonSourceStep(t *testing.T) {
 	c.AddM("M1", "out", "in", "0", "0", p, w, l, 1)
 
 	e, op := solveDC(t, c)
-	mop := op.MOS["M1"]
+	mop := mosNamed(t, e, op, "M1")
 	gain := mop.Gm * (rd / (1 + rd*mop.Gds))
 	res, err := e.Transient(op, 400e-9, 0.2e-9)
 	if err != nil {
