@@ -88,23 +88,23 @@ func TestEvaluateAllocsFixed(t *testing.T) {
 
 // spiceEvaluateBudget caps what a one-sample Evaluate of a spice scenario
 // allocates: per call it compiles the testbench (netlist, engine, symbolic
-// analysis, nominal operating point) and runs one sample through the DC
-// solve, the probed AC sweep and, for the transient scenario, the adaptive
-// step response. Past compile, the count is the engine's per-width storage,
-// allocated once: results, probe records and transient rows are reused
-// from group to group, so an 8-sample batch costs only its wider lanes
-// and a batch of any larger size the same (see
-// TestSpiceBatchAllocsIndependentOfSize). The ceilings sit just above the
-// measured 400 objects and 59.7 KB, 533 objects and 243.1 KB, and 190
-// objects and 15.4 KB.
+// analysis and, for a warm scenario, the nominal operating point) and runs
+// one sample through the DC solve, the probed AC sweep and, for the
+// transient scenario, the adaptive step response. Past compile, the count
+// is the engine's per-width storage, allocated once: results, probe
+// records and transient rows are reused from group to group, so an
+// 8-sample batch costs only its wider lanes and a batch of any larger size
+// the same (see TestSpiceBatchAllocsIndependentOfSize). The ceilings sit
+// just above the measured 394 objects and 58.7 KB, 509 objects and 239.5
+// KB, and 186 objects and 15.6 KB (396, 515 and 187 objects under -race).
 var spiceEvaluateBudget = []struct {
 	p              interface{ ReferenceDesign() []float64 }
 	n              int // samples per call: 1 is Evaluate, more EvaluateBatch
 	allocs, kbytes float64
 }{
-	{NewFoldedCascodeTran(), 1, 405, 62},
-	{NewFoldedCascodeTran(), 8, 540, 250},
-	{NewCommonSourceSpice(), 1, 195, 17},
+	{NewFoldedCascodeTran(), 1, 399, 61},
+	{NewFoldedCascodeTran(), 8, 520, 245},
+	{NewCommonSourceSpice(), 1, 190, 17},
 }
 
 // TestSpiceEvaluateAllocs pins spiceEvaluateBudget.
@@ -211,5 +211,44 @@ func TestSpiceSampleEvaluatesEachTransistorOnce(t *testing.T) {
 	n := iters.Value() - iters0
 	if got := dc.Value() - dc0; n == 0 || got != n*transistors {
 		t.Errorf("a sample made %d DC MOSFET evaluations over %d Newton iterations, want one per transistor per iteration", got, n)
+	}
+}
+
+// TestTranSampleWorkIsAllTheWork pins what a transient scenario's
+// one-sample EvaluateBatch solves: its samples solve cold, so compile
+// solves nothing, and the call does exactly that sample's Newton
+// iterations and full MOSFET evaluations.
+func TestTranSampleWorkIsAllTheWork(t *testing.T) {
+	full := obs.Default().Counter("spice_mos_full_evaluations_total")
+	iters := obs.Default().Counter("spice_newton_iterations_total")
+	work := func(f func()) [2]int64 {
+		full0, iters0 := full.Value(), iters.Value()
+		f()
+		return [2]int64{full.Value() - full0, iters.Value() - iters0}
+	}
+	for _, p := range []*TranProblem{NewCommonSourceTran(), NewFoldedCascodeTran()} {
+		x := p.ReferenceDesign()
+		xis := sample.PMC{}.Draw(randx.New(8), 1, p.VarDim())
+		var tb *testbench
+		var err error
+		if w := work(func() { tb, err = p.compile(x) }); err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		} else if w != [2]int64{} {
+			t.Errorf("%s: compile made %d full MOSFET evaluations and %d Newton iterations, want none", p.Name(), w[0], w[1])
+		}
+		one := work(func() {
+			if _, errs := tb.run(xis); errs[0] != nil {
+				t.Fatalf("%s: %v", p.Name(), errs[0])
+			}
+		})
+		call := work(func() {
+			if _, errs := p.EvaluateBatch(x, xis); errs[0] != nil {
+				t.Fatalf("%s: %v", p.Name(), errs[0])
+			}
+		})
+		if one[1] == 0 || call != one {
+			t.Errorf("%s: a one-sample call made %d full MOSFET evaluations and %d Newton iterations, its sample %d and %d",
+				p.Name(), call[0], call[1], one[0], one[1])
+		}
 	}
 }

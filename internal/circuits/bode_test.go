@@ -11,11 +11,11 @@ import (
 )
 
 // bodeOracle is bodeMeasures as it read a sweep before the lazy measures:
-// the whole Bode dataset, then DCGainDB, GainBandwidth and PhaseMargin.
+// the whole Bode dataset, then DCGainDB, UnityCrossing and PhaseMargin.
 func bodeOracle(freqs []float64, h []complex128) (a0dB, gbw, pm float64) {
 	bode := measure.NewBode(freqs[:len(h)], h)
 	a0dB = bode.DCGainDB()
-	gbw, err := bode.GainBandwidth()
+	gbw, err := bode.UnityCrossing()
 	if err != nil {
 		gbw = 0
 	}
@@ -53,7 +53,7 @@ func checkBode(t *testing.T, what string, freqs []float64, h []complex128) {
 	}
 }
 
-// The lazy bodeMeasures equal NewBode + GainBandwidth + PhaseMargin bit for
+// The lazy bodeMeasures equal NewBode + UnityCrossing + PhaseMargin bit for
 // bit: on random multi-pole responses, full range and cut at the probed
 // sweep's stop point; on sweeps that fall through unity at every index,
 // with phases that wrap; on sweeps that never cross, rise through unity or

@@ -1,52 +1,148 @@
 package circuits
 
 import (
+	"fmt"
+	"math"
+
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/netlist"
+	"github.com/eda-go/moheco/internal/spice"
 )
 
 // CommonSourceNetlist builds a transistor-level netlist of the quickstart
-// common-source stage for the given design, suitable for the MNA engine.
-// It is used to cross-check the behavioural evaluator against full circuit
-// simulation and by the spicedemo example.
+// common-source stage for the given design with the deck's models, for the
+// MNA engine: the cross-check of the behavioural evaluator against full
+// circuit simulation, netlistsim and the spicedemo example.
 func (p *CommonSource) CommonSourceNetlist(x []float64) (*netlist.Circuit, error) {
+	nch, pch := p.tech.Model(false), p.tech.Model(true)
+	return p.buildCommonSourceTB(x, [csNumDevices]*mos.Params{csDriver: nch, csLoad: pch, csBias: pch})
+}
+
+// nominalNetlist is CommonSourceNetlist in the registry's netlist form.
+func (p *CommonSource) nominalNetlist(x []float64) (*netlist.Circuit, map[string]float64, error) {
+	c, err := p.CommonSourceNetlist(x)
+	return c, nil, err
+}
+
+// buildCommonSourceTB constructs the common-source testbench at design x
+// with the given model cards, one per variation slot: the nominal netlist
+// passes the deck's models, a compiled testbench private perturbed cards
+// it rewrites in place between solves. The input source sits at the
+// nominal servo bias; a compiled testbench rewrites it per sample from its
+// perturbed cards.
+func (p *CommonSource) buildCommonSourceTB(x []float64, cards [csNumDevices]*mos.Params) (*netlist.Circuit, error) {
 	if len(x) != p.Dim() {
 		return nil, errDim("common-source netlist", len(x), p.Dim())
 	}
-	vdd := p.tech.VDD
-	ib := x[0]
-	w1, l1, w2 := x[1], x[2], x[3]
-	k := mirrorRatio
+	ib := clampMin(x[0], 1e-7)
+	g := p.csGeometry(x)
+	nch, pch := p.tech.Model(false), p.tech.Model(true)
+	nominal := csDevices(&g, [csNumDevices]*mos.Params{csDriver: nch, csLoad: pch, csBias: pch})
 
 	c := netlist.New("common-source stage")
-	nch := p.tech.Model(false)
-	pch := p.tech.Model(true)
 	c.Models[nch.Name] = nch
 	c.Models[pch.Name] = pch
-
-	c.AddV("VDD", "vdd", "0", vdd, 0)
+	c.AddV("VDD", "vdd", "0", p.tech.VDD, 0)
 	// Bias branch: current source into the PMOS diode.
-	c.AddI("IB", "bp", "0", ib/k, 0)
-	c.AddM("MB", "bp", "bp", "vdd", "vdd", pch, w2/k, p.loadLen, 1)
+	c.AddI("IB", "bp", "0", ib/mirrorRatio, 0)
+	c.AddM("MB", "bp", "bp", "vdd", "vdd", cards[csBias], g[csBias][0], g[csBias][1], 1)
 	// Load mirror.
-	c.AddM("M2", "out", "bp", "vdd", "vdd", pch, w2, p.loadLen, 1)
+	c.AddM("M2", "out", "bp", "vdd", "vdd", cards[csLoad], g[csLoad][0], g[csLoad][1], 1)
 	// Driver with its gate at the bias voltage that conducts the mirrored
 	// current (the behavioural model's input servo); AC input rides on it.
-	drv := &mos.Device{Params: nch, W: w1, L: l1, M: 1}
-	bias := &mos.Device{Params: pch, W: w2 / k, L: p.loadLen, M: 1}
-	load := &mos.Device{Params: pch, W: w2, L: p.loadLen, M: 1}
-	id := mirror(bias, load, ib/k, vdd/2)
-	vg := drv.VgsForID(id, 0)
-	c.AddV("VIN", "in", "0", vg, 1)
-	c.AddM("M1", "out", "in", "0", "0", nch, w1, l1, 1)
+	c.AddV("VIN", "in", "0", p.servo(&nominal, ib), 1)
+	c.AddM("M1", "out", "in", "0", "0", cards[csDriver], g[csDriver][0], g[csDriver][1], 1)
 	c.AddC("CL", "out", "0", p.CL)
 	return c, nil
 }
 
+// csBench is the compiled common-source testbench of one design. Each
+// sample rewrites the three perturbed model cards in place (the Mosfet
+// instances and devs point at them) and then the input-servo bias, which
+// tracks the perturbed mirror as the behavioural model's servo does.
+type csBench struct {
+	testbench
+	p    *CommonSource
+	ib   float64
+	devs [csNumDevices]mos.Device
+	// m1 and m2 are the driver's and the load's OPResult.MOS positions.
+	m1, m2 int
+}
+
+// spiceBench is the common-source scenarios' compile.
+func (p *CommonSource) spiceBench(x []float64, lanes int) (*testbench, error) {
+	b, err := p.newBench(x, lanes)
+	if err != nil {
+		return nil, err
+	}
+	return &b.testbench, nil
+}
+
+// newBench compiles the common-source testbench at design x on an engine
+// of the given lane count, with the AC measures.
+func (p *CommonSource) newBench(x []float64, lanes int) (*csBench, error) {
+	var cards [csNumDevices]*mos.Params
+	for i := range cards {
+		cards[i] = &mos.Params{Name: slotCardName(i)}
+	}
+	c, err := p.buildCommonSourceTB(x, cards)
+	if err != nil {
+		return nil, err
+	}
+	g := p.csGeometry(x)
+	slots := make([]slotCard, csNumDevices)
+	for i := range slots {
+		slots[i] = slotCard{card: cards[i], slot: i, w: g[i][0], l: g[i][1]}
+	}
+	b := &csBench{p: p, ib: clampMin(x[0], 1e-7), devs: csDevices(&g, cards)}
+	if err := b.assemble(p.space, c, nil, lanes, slots, spice.LogSpace(1e3, 5e9, 8)); err != nil {
+		return nil, err
+	}
+	if b.m1, err = mosIndex(b.eng, "M1"); err != nil {
+		return nil, err
+	}
+	if b.m2, err = mosIndex(b.eng, "M2"); err != nil {
+		return nil, err
+	}
+	b.vals = []*float64{&b.vin.DC}
+	b.follow = b.setServo
+	b.measures, b.perfs = b.acMeasures, len(p.specs)
+	return b, nil
+}
+
+// setServo writes the input-servo bias tracking the perturbed mirror.
+func (b *csBench) setServo() { b.vin.DC = b.p.servo(&b.devs, b.ib) }
+
+// acMeasures writes the performance vector of one sample's solved
+// operating point and probed AC sweep h into perf: [A0 dB, GBW Hz, power
+// W, satmargin V].
+func (b *csBench) acMeasures(perf []float64, op *spice.OPResult, h []complex128, _ *spice.TranResult) error {
+	vdd := b.p.tech.VDD
+	a0dB, gbw, _ := bodeMeasures(b.freqs, h, false)
+
+	// Power from the VDD branch current (the source supplies the mirror
+	// and the load branch).
+	power := 0.0
+	if len(op.BranchI) > 0 {
+		power = vdd * math.Abs(op.BranchI[0])
+	}
+
+	// Saturation margin from the measured operating points; the probe is
+	// the "out" node.
+	vout := op.V[b.probe.Node]
+	m1, m2 := &op.MOS[b.m1], &op.MOS[b.m2]
+	margin := minOf(
+		vout-m1.VDsat-b.p.msSat,
+		(vdd-vout)-m2.VDsat-b.p.msSat,
+	)
+	perf[0], perf[1], perf[2], perf[3] = a0dB, gbw, power, margin
+	return nil
+}
+
 // fcCards names the model cards stamped into the half-circuit testbench,
 // one per transistor instance. The nominal netlist passes the shared deck
-// models; the simulator-in-the-loop problem passes private per-sample
-// perturbed cards that it rewrites in place between solves.
+// models; a compiled testbench passes private per-sample perturbed cards
+// that it rewrites in place between solves.
 type fcCards struct {
 	in, nsink, ncas, pcas, psrc, biasN, biasP *mos.Params
 }
@@ -151,9 +247,127 @@ func (p *FoldedCascode) buildFoldedCascodeTB(x []float64, cards fcCards) (*netli
 // FoldedCascodeNetlist builds the half-circuit testbench with the nominal
 // deck models, for engine cross-checks and netlistsim. The behavioural
 // evaluator remains the reference for the paper's statistical loops;
-// FoldedCascodeSpice runs the same testbench per Monte-Carlo sample.
+// NewFoldedCascodeSpice runs the same testbench per Monte-Carlo sample.
 func (p *FoldedCascode) FoldedCascodeNetlist(x []float64) (*netlist.Circuit, map[string]float64, error) {
 	return p.buildFoldedCascodeTB(x, p.nominalFCCards())
+}
+
+// fcBench is the compiled folded-cascode testbench of one design; each
+// sample rewrites the seven perturbed model cards in place.
+type fcBench struct {
+	testbench
+	p *FoldedCascode
+	// sat is the signal path M1, M3, M5, M7, M9, resolved at compile.
+	sat [len(fcSat)]fcSatDevice
+}
+
+// fcSatDevice is one signal-path transistor of the saturation-margin and
+// swing measures: its OPResult.MOS position and the two nodes its |vds|
+// spans.
+type fcSatDevice struct {
+	mos, d, s int
+}
+
+// fcSat names the signal-path devices of fcBench.sat, in order, with the
+// nodes of their drain-source voltage.
+var fcSat = [5]struct{ dev, d, s string }{
+	{"M1", "fold", "src"},
+	{"M3", "fold", "0"},
+	{"M5", "out", "fold"},
+	{"M7", "out", "x"},
+	{"M9", "x", "vdd"},
+}
+
+// spiceBench is the folded-cascode scenarios' compile.
+func (p *FoldedCascode) spiceBench(x []float64, lanes int) (*testbench, error) {
+	b, err := p.newBench(x, lanes)
+	if err != nil {
+		return nil, err
+	}
+	return &b.testbench, nil
+}
+
+// newBench compiles the folded-cascode testbench at design x on an engine
+// of the given lane count, with the AC measures.
+func (p *FoldedCascode) newBench(x []float64, lanes int) (*fcBench, error) {
+	card := func(slot int) *mos.Params { return &mos.Params{Name: slotCardName(slot)} }
+	cards := fcCards{
+		in: card(fcInL), nsink: card(fcNSinkL), ncas: card(fcNCasL), pcas: card(fcPCasL),
+		psrc: card(fcPSrcL), biasN: card(fcBiasN), biasP: card(fcBiasP),
+	}
+	c, nodeset, err := p.buildFoldedCascodeTB(x, cards)
+	if err != nil {
+		return nil, err
+	}
+	w1, l1 := x[2], x[3]
+	w3, w5, w7, w9 := x[4], x[5], x[6], x[7]
+	lcs, lcas := x[8], x[9]
+	k := mirrorRatio
+	slots := []slotCard{
+		{card: cards.in, slot: fcInL, w: w1, l: l1},
+		{card: cards.nsink, slot: fcNSinkL, w: w3, l: lcs},
+		{card: cards.ncas, slot: fcNCasL, w: w5, l: lcas},
+		{card: cards.pcas, slot: fcPCasL, w: w7, l: lcas},
+		{card: cards.psrc, slot: fcPSrcL, w: w9, l: lcs},
+		{card: cards.biasN, slot: fcBiasN, w: w3 / k, l: lcs},
+		{card: cards.biasP, slot: fcBiasP, w: w9 / k, l: lcs},
+	}
+	b := &fcBench{p: p}
+	if err := b.assemble(p.space, c, nodeset, lanes, slots, spice.LogSpace(1e3, 1e9, 8)); err != nil {
+		return nil, err
+	}
+	for i, sd := range fcSat {
+		m, err := mosIndex(b.eng, sd.dev)
+		if err != nil {
+			return nil, err
+		}
+		d, dok := c.FindNode(sd.d)
+		s, sok := c.FindNode(sd.s)
+		if !dok || !sok {
+			return nil, fmt.Errorf("circuits: testbench lacks node %q or %q", sd.d, sd.s)
+		}
+		b.sat[i] = fcSatDevice{mos: m, d: d, s: s}
+	}
+	b.measures, b.perfs = b.acMeasures, len(p.specs)
+	return b, nil
+}
+
+// acMeasures writes the performance vector of one sample's solved
+// operating point and probed AC sweep h into perf: [A0 dB, GBW Hz, PM deg,
+// OS V, power W, satmargin V].
+func (b *fcBench) acMeasures(perf []float64, op *spice.OPResult, h []complex128, _ *spice.TranResult) error {
+	vdd := b.p.tech.VDD
+	a0dB, gbw, pm := bodeMeasures(b.freqs, h, true)
+
+	// Power from the VDD branch current (branch 0: VDD is the first V
+	// element of the testbench); the ideal tail/bias pull-ups route
+	// through it, the PMOS sources conduct from it.
+	power := 0.0
+	if len(op.BranchI) > 0 {
+		power = vdd * math.Abs(op.BranchI[0])
+	}
+
+	// Saturation margins from the measured operating points: |vds| - vdsat
+	// per signal-path device, with the drain/source frame folded by
+	// magnitude (the engine may have swapped the terminals).
+	var vdsat [len(fcSat)]float64
+	satMargin := math.Inf(1) // minOf over the devices
+	for i, sd := range b.sat {
+		vdsat[i] = op.MOS[sd.mos].VDsat
+		if m := math.Abs(op.V[sd.d]-op.V[sd.s]) - vdsat[i]; m < satMargin {
+			satMargin = m
+		}
+	}
+
+	// Output swing from the measured saturation voltages, as in the
+	// behavioural evaluator (differential peak-to-peak across both rails):
+	// M9 and M7 below the upper rail, M3 and M5 above ground.
+	vmax := vdd - vdsat[4] - vdsat[3] - b.p.msSwing
+	vmin := vdsat[1] + vdsat[2] + b.p.msSwing
+	os := 2 * (vmax - vmin)
+
+	perf[0], perf[1], perf[2], perf[3], perf[4], perf[5] = a0dB, gbw, pm, os, power, satMargin
+	return nil
 }
 
 func errDim(what string, got, want int) error {

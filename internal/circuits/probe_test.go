@@ -58,8 +58,8 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			got, err1 := measureOf(&ctx.testbench, op, h, nil)
-			want, err2 := measureOf(&ctx.testbench, op, col, nil)
+			got, err1 := measureOf(ctx, op, h, nil)
+			want, err2 := measureOf(ctx, op, col, nil)
 			return got, want, len(h) < len(col), firstErr(err1, err2)
 		}},
 		{"folded-cascode-spice", fc, 40, func(x, xi []float64) ([]float64, []float64, bool, error) {
@@ -67,7 +67,7 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			ctx.setCards(xi)
+			ctx.setSample(xi)
 			op, err := ctx.eng.DCOperatingPointFrom(ctx.warm0)
 			if err != nil {
 				return nil, nil, false, err
@@ -76,8 +76,8 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			got, err1 := measureOf(&ctx.testbench, op, h, nil)
-			want, err2 := measureOf(&ctx.testbench, op, col, nil)
+			got, err1 := measureOf(ctx, op, h, nil)
+			want, err2 := measureOf(ctx, op, col, nil)
 			return got, want, len(h) < len(col), firstErr(err1, err2)
 		}},
 		{"common-source-tran", cst, 8, func(x, xi []float64) ([]float64, []float64, bool, error) {
@@ -98,8 +98,8 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			got, err1 := measureOf(&ctx.testbench, op, h, tr)
-			want, err2 := measureOf(&ctx.testbench, op, col, tr)
+			got, err1 := measureOf(ctx, op, h, tr)
+			want, err2 := measureOf(ctx, op, col, tr)
 			return got, want, len(h) < len(col), firstErr(err1, err2)
 		}},
 		{"folded-cascode-tran", fct, 4, func(x, xi []float64) ([]float64, []float64, bool, error) {
@@ -107,7 +107,7 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			ctx.setCards(xi)
+			ctx.setSample(xi)
 			op, err := ctx.eng.DCOperatingPoint()
 			if err != nil {
 				return nil, nil, false, err
@@ -120,8 +120,8 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 			if err != nil {
 				return nil, nil, false, err
 			}
-			got, err1 := measureOf(&ctx.testbench, op, h, tr)
-			want, err2 := measureOf(&ctx.testbench, op, col, tr)
+			got, err1 := measureOf(ctx, op, h, tr)
+			want, err2 := measureOf(ctx, op, col, tr)
 			return got, want, len(h) < len(col), firstErr(err1, err2)
 		}},
 	}
@@ -196,7 +196,7 @@ func vdsatByName(t *testing.T, eng *spice.Engine, op *spice.OPResult, name strin
 // random designs and 1.5σ draws the saturation margins and the output swing
 // equal, bit for bit, the same formulas read by instance and node name.
 func TestMeasuresMatchByNameOracle(t *testing.T) {
-	cs, fc := NewCommonSourceSpice(), NewFoldedCascodeSpice()
+	cs, fc := NewCommonSource(), NewFoldedCascode()
 	rng := rand.New(rand.NewSource(23))
 	draw := func(p problem.Problem) (x, xi []float64) {
 		lo, hi := p.Bounds()
@@ -219,10 +219,11 @@ func TestMeasuresMatchByNameOracle(t *testing.T) {
 	compared := 0
 	for s := 0; s < 40; s++ {
 		x, xi := draw(cs)
-		ctx, err := cs.compile(x)
+		ctx, err := cs.newBench(x, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ctx.warmStart()
 		ctx.setSample(xi)
 		op, err := ctx.eng.DCOperatingPointFrom(ctx.warm0)
 		if err != nil {
@@ -236,7 +237,7 @@ func TestMeasuresMatchByNameOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vdd, ms := cs.tech.VDD, cs.inner.msSat
+		vdd, ms := cs.tech.VDD, cs.msSat
 		if ms := ctx.eng.MOSFETs(); ms[ctx.m1].Name != "M1" || ms[ctx.m2].Name != "M2" {
 			t.Fatalf("common-source resolved the driver and load to %s and %s", ms[ctx.m1].Name, ms[ctx.m2].Name)
 		}
@@ -249,11 +250,12 @@ func TestMeasuresMatchByNameOracle(t *testing.T) {
 	}
 	for s := 0; s < 40; s++ {
 		x, xi := draw(fc)
-		ctx, err := fc.compile(x)
+		ctx, err := fc.newBench(x, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx.setCards(xi)
+		ctx.warmStart()
+		ctx.setSample(xi)
 		op, err := ctx.eng.DCOperatingPointFrom(ctx.warm0)
 		if err != nil {
 			continue
@@ -282,7 +284,7 @@ func TestMeasuresMatchByNameOracle(t *testing.T) {
 				t.Fatalf("folded-cascode signal-path entry %d resolved to %v, want %v", i, got, want)
 			}
 		}
-		inner := fc.inner
+		inner := fc
 		vmax := inner.tech.VDD - vdsatByName(t, ctx.eng, op, "M9") - vdsatByName(t, ctx.eng, op, "M7") - inner.msSwing
 		vmin := vdsatByName(t, ctx.eng, op, "M3") + vdsatByName(t, ctx.eng, op, "M5") + inner.msSwing
 		same("folded-cascode OS", perf[3], 2*(vmax-vmin))

@@ -105,14 +105,11 @@ func (p *CommonSource) Evaluate(x, xi []float64) ([]float64, error) {
 	}
 	vdd := p.tech.VDD
 	ib := clampMin(x[0], 1e-7)
-	w1, l1, w2 := x[1], x[2], x[3]
 	k := mirrorRatio
 
 	// Cards and devices stay in this frame; xi's inter-die part is
 	// computed once.
-	geom := [csNumDevices][2]float64{
-		csDriver: {w1, l1}, csLoad: {w2, p.loadLen}, csBias: {w2 / k, p.loadLen},
-	}
+	geom := p.csGeometry(x)
 	var cards [csNumDevices]mos.Params
 	var devs [csNumDevices]mos.Device
 	inter := p.space.Inter(xi)
@@ -120,11 +117,11 @@ func (p *CommonSource) Evaluate(x, xi []float64) ([]float64, error) {
 		perturbCard(&cards[i], p.space, &inter, xi, i, g[0]*g[1]*1e12)
 		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
 	}
-	drv, load, bias := &devs[csDriver], &devs[csLoad], &devs[csBias]
+	drv, load := &devs[csDriver], &devs[csLoad]
 
 	// The load mirrors the bias diode; the input bias servo sets the driver
 	// gate so it conducts the load current with the output at VDD/2.
-	id := clampMin(mirror(bias, load, ib/k, vdd/2), 1e-8)
+	id := p.loadCurrent(&devs, ib)
 	gm := gmDegenerated(drv, drv.GmAt(id))
 	rout := par(drv.RoAt(id), load.RoAt(id))
 	a0 := gm * rout
@@ -144,6 +141,37 @@ func (p *CommonSource) Evaluate(x, xi []float64) ([]float64, error) {
 		vdd/2-vov2-p.msSat, // load
 	)
 	return []float64{a0dB, gbw, power, satMargin}, nil
+}
+
+// csGeometry returns the width and length of each transistor at design x,
+// by variation slot.
+func (p *CommonSource) csGeometry(x []float64) [csNumDevices][2]float64 {
+	w1, l1, w2 := x[1], x[2], x[3]
+	return [csNumDevices][2]float64{
+		csDriver: {w1, l1}, csLoad: {w2, p.loadLen}, csBias: {w2 / mirrorRatio, p.loadLen},
+	}
+}
+
+// csDevices returns the transistors of geometry g over cards, by variation
+// slot.
+func csDevices(g *[csNumDevices][2]float64, cards [csNumDevices]*mos.Params) [csNumDevices]mos.Device {
+	var devs [csNumDevices]mos.Device
+	for i := range devs {
+		devs[i] = mos.Device{Params: cards[i], W: g[i][0], L: g[i][1], M: 1}
+	}
+	return devs
+}
+
+// loadCurrent returns the current the load of devs mirrors from the bias
+// diode fed ib/mirrorRatio, with the output at VDD/2.
+func (p *CommonSource) loadCurrent(devs *[csNumDevices]mos.Device, ib float64) float64 {
+	return clampMin(mirror(&devs[csBias], &devs[csLoad], ib/mirrorRatio, p.tech.VDD/2), 1e-8)
+}
+
+// servo returns the input servo's bias: the gate voltage at which the
+// driver of devs conducts the load current.
+func (p *CommonSource) servo(devs *[csNumDevices]mos.Device, ib float64) float64 {
+	return devs[csDriver].VgsForID(p.loadCurrent(devs, ib), 0)
 }
 
 var _ problem.Problem = (*CommonSource)(nil)

@@ -35,8 +35,7 @@ func init() {
 		DefaultMaxSims:    500,
 		DefaultRefSamples: 50000,
 		Netlist: func(x []float64) (*netlist.Circuit, map[string]float64, error) {
-			c, err := NewCommonSource().CommonSourceNetlist(x)
-			return c, nil, err
+			return NewCommonSource().nominalNetlist(x)
 		},
 	})
 	scenario.Register(scenario.Scenario{
@@ -46,7 +45,7 @@ func init() {
 		DefaultMaxSims:    200,
 		DefaultRefSamples: 500,
 		Netlist: func(x []float64) (*netlist.Circuit, map[string]float64, error) {
-			return NewFoldedCascode().FoldedCascodeNetlist(x)
+			return NewFoldedCascodeSpice().Netlist(x)
 		},
 	})
 	scenario.Register(scenario.Scenario{
@@ -56,7 +55,7 @@ func init() {
 		DefaultMaxSims:    200,
 		DefaultRefSamples: 1000,
 		Netlist: func(x []float64) (*netlist.Circuit, map[string]float64, error) {
-			return NewCommonSourceTran().TranNetlist(x)
+			return NewCommonSourceTran().Netlist(x)
 		},
 	})
 	scenario.Register(scenario.Scenario{
@@ -66,7 +65,7 @@ func init() {
 		DefaultMaxSims:    200,
 		DefaultRefSamples: 300,
 		Netlist: func(x []float64) (*netlist.Circuit, map[string]float64, error) {
-			return NewFoldedCascodeTran().TranNetlist(x)
+			return NewFoldedCascodeTran().Netlist(x)
 		},
 	})
 	scenario.Register(scenario.Scenario{
@@ -76,8 +75,7 @@ func init() {
 		DefaultMaxSims:    300,
 		DefaultRefSamples: 2000,
 		Netlist: func(x []float64) (*netlist.Circuit, map[string]float64, error) {
-			c, err := NewCommonSource().CommonSourceNetlist(x)
-			return c, nil, err
+			return NewCommonSourceSpice().Netlist(x)
 		},
 	})
 }

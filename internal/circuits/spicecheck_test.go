@@ -2,9 +2,11 @@ package circuits
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/eda-go/moheco/internal/measure"
+	"github.com/eda-go/moheco/internal/netlist"
 	"github.com/eda-go/moheco/internal/spice"
 )
 
@@ -49,7 +51,7 @@ func TestCommonSourceAgainstSpice(t *testing.T) {
 	}
 	bode := measure.NewBode(ac.Freqs, h)
 	gainDB := bode.DCGainDB()
-	gbw, err := bode.GainBandwidth()
+	gbw, err := bode.UnityCrossing()
 	if err != nil {
 		t.Fatalf("gbw: %v", err)
 	}
@@ -116,11 +118,97 @@ func TestFoldedCascodeAgainstSpice(t *testing.T) {
 	if math.Abs(gainDB-perf[0]) > 10.5 {
 		t.Errorf("gain: behavioural %.1f dB vs spice %.1f dB", perf[0], gainDB)
 	}
-	gbw, err := bode.GainBandwidth()
+	gbw, err := bode.UnityCrossing()
 	if err != nil {
 		t.Fatalf("gbw: %v", err)
 	}
 	if r := gbw / perf[1]; r < 0.5 || r > 2 {
 		t.Errorf("GBW: behavioural %.3g vs spice %.3g", perf[1], gbw)
 	}
+}
+
+// Each testbench has one netlist builder: on every spice scenario, the
+// compiled testbench at ξ = nil is the nominal netlist — the same devices
+// in the same order, sources included, over the same node table, with the
+// perturbed cards equal to the deck's models but for their names — and it
+// solves to a bit-identical DC operating point.
+func TestCompiledTestbenchIsNominalNetlist(t *testing.T) {
+	for _, p := range []interface {
+		compile([]float64) (*testbench, error)
+		Netlist([]float64) (*netlist.Circuit, map[string]float64, error)
+		ReferenceDesign() []float64
+		Name() string
+	}{NewCommonSourceSpice(), NewFoldedCascodeSpice(), NewCommonSourceTran(), NewFoldedCascodeTran()} {
+		x := p.ReferenceDesign()
+		nom, nodeset, err := p.Netlist(x)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		tb, err := p.compile(x)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		tb.setSample(nil)
+		if got, want := tb.ckt.NumNodes(), nom.NumNodes(); got != want {
+			t.Fatalf("%s: compiled testbench has %d nodes, nominal netlist %d", p.Name(), got, want)
+		}
+		for i := 0; i < nom.NumNodes(); i++ {
+			if got, want := tb.ckt.NodeName(i), nom.NodeName(i); got != want {
+				t.Errorf("%s: node %d is %q compiled, %q nominal", p.Name(), i, got, want)
+			}
+		}
+		if got, want := len(tb.ckt.Devices), len(nom.Devices); got != want {
+			t.Fatalf("%s: compiled testbench has %d devices, nominal netlist %d", p.Name(), got, want)
+		}
+		for i, d := range nom.Devices {
+			if !sameDevice(tb.ckt.Devices[i], d) {
+				t.Errorf("%s: device %d is %+v compiled, %+v nominal", p.Name(), i, tb.ckt.Devices[i], d)
+			}
+		}
+
+		eng, err := spice.New(nom, spice.Options{Nodeset: nodeset})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name(), err)
+		}
+		want, err := eng.DCOperatingPoint()
+		if err != nil {
+			t.Fatalf("%s: nominal DC: %v", p.Name(), err)
+		}
+		got, err := tb.eng.DCOperatingPoint()
+		if err != nil {
+			t.Fatalf("%s: compiled DC: %v", p.Name(), err)
+		}
+		if got.Iterations != want.Iterations || !sameBits(got.V, want.V) || !sameBits(got.BranchI, want.BranchI) ||
+			!reflect.DeepEqual(got.MOS, want.MOS) {
+			t.Errorf("%s: compiled DC operating point %+v, nominal %+v", p.Name(), *got, *want)
+		}
+	}
+}
+
+// sameDevice compares two netlist devices by value; transistors compare
+// their model cards by value too, names aside.
+func sameDevice(a, b netlist.Device) bool {
+	ma, aok := a.(*netlist.Mosfet)
+	mb, bok := b.(*netlist.Mosfet)
+	if !aok || !bok {
+		return reflect.DeepEqual(a, b)
+	}
+	ca, cb := *ma, *mb
+	pa, pb := *ca.Dev.Params, *cb.Dev.Params
+	pa.Name, pb.Name = "", ""
+	ca.Dev.Params, cb.Dev.Params = nil, nil
+	return ca == cb && pa == pb
+}
+
+// sameBits reports whether a and b hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

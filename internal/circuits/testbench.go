@@ -15,14 +15,16 @@ import (
 // scenario shares: netlist, engine (symbolic factorization included) and
 // perturbed model cards are built once per design, and run pushes the
 // Monte-Carlo samples through them — point-wise and lockstep evaluation are
-// both this one loop. A scenario declares only what differs:
-// its testbench, its per-sample engine state and its measures.
+// both this one loop. A scenario's compile declares only what differs: its
+// circuit, its cards and its measures.
 type testbench struct {
 	name  string // error prefix
 	space *variation.Space
+	ckt   *netlist.Circuit
 	eng   *spice.Engine
 	freqs []float64
-	probe spice.Probe // the output node, swept up to its unity crossing
+	probe spice.Probe      // the output node, swept up to its unity crossing
+	vin   *netlist.VSource // the input source: AC drive and, armed, the step
 
 	// warm0 is the nominal operating point every sample's DC solve
 	// warm-starts from (cold-start fallback on non-convergence). It is
@@ -33,15 +35,16 @@ type testbench struct {
 	// fallback when the nominal point does not converge.
 	warm0 *spice.OPResult
 
-	// cards and vals are the complete per-sample engine state: the model
-	// cards the devices point at and the source values (servo bias, step
-	// levels) setSample rewrites. run snapshots them per lane, so the
+	// slots are the perturbed model cards the devices point at, and vals
+	// the source values that follow them (servo bias, step levels): the
+	// complete per-sample engine state. run snapshots them per lane, so the
 	// LaneSetter switches lanes with plain copies, no recompute.
-	cards []*mos.Params
+	slots []slotCard
 	vals  []*float64
+	// follow, when set, rewrites the source values after the cards of a
+	// sample are written.
+	follow func()
 
-	// setSample writes one sample's engine state (nil = nominal).
-	setSample func(xi []float64)
 	// tran, when set, is the transient every sample integrates after its
 	// AC sweep (the time-domain scenarios).
 	tran *spice.TranOptions
@@ -62,6 +65,57 @@ type testbench struct {
 	tops      []*spice.OPResult
 	set       spice.LaneSetter
 	wave      []float64
+}
+
+// slotCard ties one perturbed model card to its variation slot and
+// geometry (the area law needs W·L of the instance the card is stamped on).
+type slotCard struct {
+	card *mos.Params
+	slot int
+	w, l float64
+}
+
+// assemble compiles circuit c, whose perturbed cards are slots, into tb:
+// the engine (nodeset as its DC hint, lanes its lockstep lane count), the
+// output probe, swept over freqs, and the input source.
+func (tb *testbench) assemble(space *variation.Space, c *netlist.Circuit, nodeset map[string]float64, lanes int, slots []slotCard, freqs []float64) error {
+	probe, err := outputProbe(c)
+	if err != nil {
+		return err
+	}
+	vin, err := inputSource(c)
+	if err != nil {
+		return err
+	}
+	eng, err := spice.New(c, spice.Options{Nodeset: nodeset, Lanes: lanes})
+	if err != nil {
+		return err
+	}
+	tb.space, tb.ckt, tb.eng, tb.freqs, tb.probe, tb.vin, tb.slots = space, c, eng, freqs, probe, vin, slots
+	return nil
+}
+
+// setSample writes one sample's engine state (nil = nominal): the
+// perturbed cards, then the source values that follow them.
+func (tb *testbench) setSample(xi []float64) {
+	inter := tb.space.Inter(xi)
+	for i := range tb.slots {
+		sc := &tb.slots[i]
+		perturbCard(sc.card, tb.space, &inter, xi, sc.slot, sc.w*sc.l*1e12)
+	}
+	if tb.follow != nil {
+		tb.follow()
+	}
+}
+
+// warmStart solves the nominal operating point every sample warm-starts
+// from. A non-converging nominal leaves warm0 nil and the samples solve
+// cold.
+func (tb *testbench) warmStart() {
+	tb.setSample(nil)
+	if op, err := tb.eng.DCOperatingPoint(); err == nil {
+		tb.warm0 = op
+	}
 }
 
 // run evaluates xis in groups of K = min(engine lanes, len(xis)) samples —
@@ -85,7 +139,7 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 	backing := make([]float64, len(xis)*tb.perfs)
 	k := min(tb.eng.Lanes(), len(xis))
 	tb.sizeLanes(k)
-	nc, nv := len(tb.cards), len(tb.vals)
+	nc, nv := len(tb.slots), len(tb.vals)
 	cards, vals, active, tops, set := tb.laneCards, tb.laneVals, tb.active, tb.tops, tb.set
 	for g := 0; g < len(xis); g += k {
 		m := min(k, len(xis)-g)
@@ -98,8 +152,8 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 				continue
 			}
 			tb.setSample(xis[g+l])
-			for i, c := range tb.cards {
-				cards[l*nc+i] = *c
+			for i := range tb.slots {
+				cards[l*nc+i] = *tb.slots[i].card
 			}
 			for i, v := range tb.vals {
 				vals[l*nv+i] = *v
@@ -149,7 +203,7 @@ func (tb *testbench) sizeLanes(k int) {
 	if len(tb.active) == k {
 		return
 	}
-	tb.laneCards = make([]mos.Params, k*len(tb.cards))
+	tb.laneCards = make([]mos.Params, k*len(tb.slots))
 	tb.laneVals = make([]float64, k*len(tb.vals))
 	tb.active = make([]bool, k)
 	tb.tops = make([]*spice.OPResult, k)
@@ -159,9 +213,9 @@ func (tb *testbench) sizeLanes(k int) {
 // setLane is run's LaneSetter: it restores lane l's snapshot of the cards
 // and source values.
 func (tb *testbench) setLane(l int) {
-	nc, nv := len(tb.cards), len(tb.vals)
-	for i, c := range tb.cards {
-		*c = tb.laneCards[l*nc+i]
+	nc, nv := len(tb.slots), len(tb.vals)
+	for i := range tb.slots {
+		*tb.slots[i].card = tb.laneCards[l*nc+i]
 	}
 	for i, v := range tb.vals {
 		*v = tb.laneVals[l*nv+i]
@@ -180,6 +234,66 @@ func (tb *testbench) outWave(tr *spice.TranResult) []float64 {
 		tb.wave = append(tb.wave, v[tb.probe.Node])
 	}
 	return tb.wave
+}
+
+// stepTest is a transient scenario's step response: the step on the input
+// source (amplitude, delay and edge time, riding on the input's DC bias),
+// the window it is integrated over, and whether the performance vector
+// carries the phase margin between GBW and the step measures.
+type stepTest struct {
+	amp, delay, rise float64
+	pm               bool
+	window           *TranConfig
+}
+
+// arm attaches the step to vin, from its DC value — the one way a
+// testbench, nominal or compiled, gets its step.
+func (s *stepTest) arm(vin *netlist.VSource) {
+	vin.Pulse = &netlist.Pulse{V1: vin.DC, V2: vin.DC + s.amp, Delay: s.delay, Rise: s.rise, Width: 1}
+}
+
+// armStep makes tb a step-response testbench: the step armed on its input
+// with levels that follow each sample's input bias, the window integrated
+// after the AC sweep, and the measures [A0 dB, GBW Hz, (PM deg,) slew V/s,
+// ts1% s, overshoot].
+func (tb *testbench) armStep(s *stepTest) {
+	vin := tb.vin
+	s.arm(vin)
+	pulse := vin.Pulse
+	tb.vals = append(tb.vals, &pulse.V1, &pulse.V2)
+	bias := tb.follow
+	tb.follow = func() {
+		if bias != nil {
+			bias()
+		}
+		pulse.V1, pulse.V2 = vin.DC, vin.DC+s.amp
+	}
+	tb.tran = s.window.tranOptions()
+	tb.measures = func(perf []float64, _ *spice.OPResult, h []complex128, tr *spice.TranResult) error {
+		a0dB, gbw, pm := bodeMeasures(tb.freqs, h, s.pm)
+		slew, ts, os, err := s.window.stepResponse(tr.Times, tb.outWave(tr), s.delay)
+		if err != nil {
+			return err
+		}
+		perf[0], perf[1] = a0dB, gbw
+		rest := perf[2:]
+		if s.pm {
+			perf[2], rest = pm, perf[3:]
+		}
+		rest[0], rest[1], rest[2] = slew, ts, os
+		return nil
+	}
+}
+
+// inputSource returns the testbench's input source VIN, which carries the
+// AC drive and, on a transient scenario, the step.
+func inputSource(c *netlist.Circuit) (*netlist.VSource, error) {
+	for _, d := range c.Devices {
+		if v, ok := d.(*netlist.VSource); ok && v.Name == "VIN" {
+			return v, nil
+		}
+	}
+	return nil, fmt.Errorf("circuits: testbench %q has no input source VIN", c.Title)
 }
 
 // failAll is the batch result of a design whose testbench does not compile:

@@ -74,9 +74,8 @@ func unwrap(v complex128, prev float64, first bool) float64 {
 // logarithms — NewBode's magnitudes are 20·log10|h| (with |h| = 0 clamped
 // to a tiny positive value), which is ≥ 0 exactly when |h| ≥ 1 and < 0
 // exactly when |h| < 1, NaN failing both. A sweep that ends at the first
-// such point therefore holds every point DCGainDB, UnityCrossing,
-// GainBandwidth and PhaseMargin read; GainMargin and Bandwidth3dB may read
-// beyond it.
+// such point therefore holds every point DCGainDB, UnityCrossing and
+// PhaseMargin read; GainMargin and Bandwidth3dB may read beyond it.
 func FallsThroughUnity(prev, cur float64) bool {
 	return prev >= 1 && cur < 1
 }
@@ -165,9 +164,6 @@ func margin(ph, ref float64) float64 {
 	}
 	return pm
 }
-
-// GainBandwidth returns the unity-gain frequency (Hz).
-func (b *Bode) GainBandwidth() (float64, error) { return b.UnityCrossing() }
 
 // Bandwidth3dB returns the -3 dB frequency relative to the DC gain,
 // log-interpolated between sweep points.

@@ -158,20 +158,6 @@ func TestNewBodeZeroMagnitude(t *testing.T) {
 	}
 }
 
-func TestGainBandwidthAlias(t *testing.T) {
-	freqs, h := onePole(100, 1e5, 1, 1e9, 300)
-	b := NewBode(freqs, h)
-	gbw, err := b.GainBandwidth()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fu, _ := b.UnityCrossing()
-	if gbw != fu {
-		t.Error("GainBandwidth should alias UnityCrossing")
-	}
-	_ = cmplx.Abs // keep import if unused elsewhere
-}
-
 func TestBandwidth3dB(t *testing.T) {
 	freqs, h := onePole(1000, 1e4, 1, 1e9, 400)
 	b := NewBode(freqs, h)

@@ -56,9 +56,6 @@ func NewStep(times, wave []float64, t0 float64) (Step, error) {
 	}, nil
 }
 
-// Final returns the final value (the last sample).
-func (s *Step) Final() float64 { return s.v1 }
-
 // Swing returns the signed output excursion, final minus initial.
 func (s *Step) Swing() float64 { return s.v1 - s.v0 }
 

@@ -264,3 +264,25 @@ func TestFleetMergedScrapeDeathAndRejoin(t *testing.T) {
 	defer w2.Close()
 	waitMarker(7, "after w2 joined")
 }
+
+// TestJobStateCountedBeforeWaitReturns: by the time Wait returns, the
+// job's terminal state is in service_jobs_total, on every one of many
+// jobs — a client that waits for its job and then scrapes reads it.
+func TestJobStateCountedBeforeWaitReturns(t *testing.T) {
+	reg := obs.NewRegistry()
+	svc := service.New(service.Config{Jobs: 2, Metrics: reg})
+	t.Cleanup(svc.Close)
+	done := reg.Counter("service_jobs_total", "state", "done")
+	for i := 0; i < 300; i++ {
+		j, _, err := svc.SubmitYield(service.YieldRequest{Scenario: "svc-test", N: 64, Seed: service.Seed(uint64(1000 + i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := done.Value(); got != int64(i+1) {
+			t.Fatalf("job %d: service_jobs_total{state=\"done\"} = %d right after Wait, want %d", i, got, i+1)
+		}
+	}
+}

@@ -1040,14 +1040,17 @@ func (s *Server) finalize(j *Job, err error) {
 	started := j.started
 	j.mu.Unlock()
 	j.cancel() // release the context's resources in every path
-	close(j.done)
+
 	j.trace.End(j.queueSpan, nil) // no-op unless cancelled while still queued
 	j.trace.End(j.runSpan, nil)
 	j.trace.Event(string(state), nil)
 	if !started.IsZero() {
 		s.sm.runSeconds.Observe(time.Since(started).Seconds())
 	}
+	// Record the terminal state before waking the waiters: a client that
+	// waits for its job and then scrapes /metrics must count it.
 	s.sm.jobState(state)
+	close(j.done)
 	s.logf("job %s %s", j.ID, state)
 
 	s.mu.Lock()

@@ -213,17 +213,6 @@ func (e *Engine) newton(bs *scratch, xs [][]float64, ctx stampCtx, steps []laneS
 	mMOSDCEvals.Add(total * int64(len(e.plan.mos)))
 }
 
-// DCOperatingPointBatch solves the DC operating points of up to len(active)
-// samples in lockstep from a cold start, each lane bit-identical to
-// DCOperatingPoint on its sample. active[l]==false skips lane l (its result
-// and error stay nil) — the tail of a partial sample group. set installs
-// lane state and is required. The returned slices have one entry per lane;
-// a lane either carries a result or an error. Slices and results are the
-// engine's: they stay valid until the next DC batch of this width.
-func (e *Engine) DCOperatingPointBatch(active []bool, set LaneSetter) ([]*OPResult, []error) {
-	return e.DCOperatingPointBatchFrom(nil, active, set)
-}
-
 // DCOperatingPointBatchFrom is the lockstep DCOperatingPointFrom: every lane
 // warm-starts from prev (one shared, deterministic operating point —
 // typically the design's nominal op) with a single direct solve, and lanes

@@ -63,7 +63,7 @@ func TestBatchLanesMatchScalar(t *testing.T) {
 		t.Fatalf("want an engine with %d lanes, got %d", k, eng.Lanes())
 	}
 	active := []bool{true, true, true, true}
-	ops, errs := eng.DCOperatingPointBatch(active, set)
+	ops, errs := eng.DCOperatingPointBatchFrom(nil, active, set)
 	freqs := LogSpace(1e3, 1e8, 4)
 	acs, acErrs := eng.ACBatch(ops, freqs, set)
 
@@ -201,7 +201,7 @@ func TestSolverCountersIndependentOfLanes(t *testing.T) {
 				active[l] = g+l < b.samples
 			}
 			set := func(l int) { b.set(g + l) }
-			ops, _ := eng.DCOperatingPointBatch(active, set)
+			ops, _ := eng.DCOperatingPointBatchFrom(nil, active, set)
 			for _, op := range ops {
 				stepped = stepped || (op != nil && op.Iterations > ladderMax)
 			}

@@ -318,7 +318,7 @@ func (r engineRun) run(t *testing.T, out goldenOutcomes) map[string]engineGolden
 				active[l] = g+l < b.samples
 			}
 			set := func(l int) { b.set(g + l) }
-			gops, errs := eng.DCOperatingPointBatch(active, set)
+			gops, errs := eng.DCOperatingPointBatchFrom(nil, active, set)
 			for l := range active {
 				if active[l] {
 					put(opEntry(g+l, "dc", gops[l], errs[l]))

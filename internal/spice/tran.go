@@ -126,13 +126,6 @@ func (r *TranResult) VNode(c *netlist.Circuit, name string) ([]float64, error) {
 	return out, nil
 }
 
-// Transient integrates the circuit from the DC operating point op over
-// [0, tStop] with fixed step h and backward-Euler companion models — the
-// seed behaviour, kept as a mode of TransientOpts.
-func (e *Engine) Transient(op *OPResult, tStop, h float64) (*TranResult, error) {
-	return e.TransientOpts(op, TranOptions{TStop: tStop, Step: h, Method: BackwardEuler})
-}
-
 // TransientOpts integrates the circuit from the DC operating point op under
 // the given options: trapezoidal or backward-Euler companion models, fixed
 // or LTE-controlled adaptive timesteps. Sources with an attached Pulse

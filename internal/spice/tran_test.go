@@ -18,7 +18,7 @@ func TestTransientRCCharge(t *testing.T) {
 	c.AddC("C1", "out", "0", 1e-9) // τ = 1 µs
 	e, op := solveDC(t, c)
 	tau := 1e-6
-	res, err := e.Transient(op, 5*tau, tau/200)
+	res, err := e.TransientOpts(op, TranOptions{TStop: 5 * tau, Step: tau / 200, Method: BackwardEuler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestTransientRCDischarge(t *testing.T) {
 		t.Fatalf("DC start = %v", v0)
 	}
 	tau := 1e-6
-	res, err := e.Transient(op, 3*tau, tau/100)
+	res, err := e.TransientOpts(op, TranOptions{TStop: 3 * tau, Step: tau / 100, Method: BackwardEuler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTransientCommonSourceStep(t *testing.T) {
 	e, op := solveDC(t, c)
 	mop := mosNamed(t, e, op, "M1")
 	gain := mop.Gm * (rd / (1 + rd*mop.Gds))
-	res, err := e.Transient(op, 400e-9, 0.2e-9)
+	res, err := e.TransientOpts(op, TranOptions{TStop: 400e-9, Step: 0.2e-9, Method: BackwardEuler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +116,13 @@ func TestTransientValidation(t *testing.T) {
 	c.AddV("V1", "a", "0", 1, 0)
 	c.AddR("R1", "a", "0", 1e3)
 	e, op := solveDC(t, c)
-	if _, err := e.Transient(op, 0, 1e-9); err == nil {
+	if _, err := e.TransientOpts(op, TranOptions{TStop: 0, Step: 1e-9, Method: BackwardEuler}); err == nil {
 		t.Error("tStop=0 accepted")
 	}
-	if _, err := e.Transient(op, 1e-9, 0); err == nil {
+	if _, err := e.TransientOpts(op, TranOptions{TStop: 1e-9, Step: 0, Method: BackwardEuler}); err == nil {
 		t.Error("h=0 accepted")
 	}
-	if _, err := e.Transient(op, 1e-12, 1e-9); err == nil {
+	if _, err := e.TransientOpts(op, TranOptions{TStop: 1e-12, Step: 1e-9, Method: BackwardEuler}); err == nil {
 		t.Error("tStop < h accepted")
 	}
 }

@@ -47,9 +47,6 @@ func New(tech *pdk.Tech, devices []Slot) *Space {
 // Dim returns the total number of variation variables.
 func (s *Space) Dim() int { return len(s.Tech.Inter) + IntraPerDevice*len(s.Devices) }
 
-// NumDevices returns the number of transistor slots.
-func (s *Space) NumDevices() int { return len(s.Devices) }
-
 // Names returns a human-readable name per ξ coordinate, in layout order.
 func (s *Space) Names() []string {
 	names := make([]string, 0, s.Dim())

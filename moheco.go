@@ -25,6 +25,12 @@
 // The paper's two benchmark circuits are available through
 // NewFoldedCascodeProblem (example 1, 0.35µm) and NewTelescopicProblem
 // (example 2, 90nm). Custom circuits implement the Problem interface.
+//
+// The simulator-in-the-loop problems — NewCommonSourceSpiceProblem and the
+// registered *-spice and *-tran scenarios — are all one type,
+// circuits.SpiceProblem: each scores every Monte-Carlo sample by simulating
+// its testbench in the built-in MNA engine, and a scenario's only code is
+// its testbench definition.
 package moheco
 
 import (
@@ -122,9 +128,11 @@ func NewCommonSourceProblem() *circuits.CommonSource { return circuits.NewCommon
 
 // NewCommonSourceSpiceProblem returns the quickstart problem evaluated
 // through the built-in MNA circuit simulator instead of the behavioural
-// model: every Monte-Carlo sample builds a perturbed netlist and runs
-// DC + AC analyses, the fully general (and far slower) path that mirrors
-// the paper's HSPICE-in-the-loop flow.
-func NewCommonSourceSpiceProblem() *circuits.CommonSourceSpice {
+// model: every Monte-Carlo sample perturbs the model cards of a compiled
+// testbench netlist and runs DC + AC analyses, the fully general (and far
+// slower) path that mirrors the paper's HSPICE-in-the-loop flow. Every
+// simulator-in-the-loop scenario is a circuits.SpiceProblem; they differ
+// only in their testbench definitions.
+func NewCommonSourceSpiceProblem() *circuits.SpiceProblem {
 	return circuits.NewCommonSourceSpice()
 }
