@@ -29,33 +29,25 @@ func findMethod(t *exp.TableResult, label string) *exp.MethodResult {
 	return nil
 }
 
-// BenchmarkTable1 regenerates Table 1: deviation of the reported yield from
-// the reference estimate on example 1 for all five methods.
-func BenchmarkTable1(b *testing.B) {
+// BenchmarkTable1and2 regenerates the example-1 experiment behind Tables 1
+// and 2 and Fig. 6: deviation of the reported yield from the reference
+// estimate and total simulation counts for all five methods.
+func BenchmarkTable1and2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := exp.Table1and2(benchConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
 		res.RenderDeviation(io.Discard)
-		if m := findMethod(res, "MOHECO"); m != nil {
-			b.ReportMetric(100*m.Deviation.Average, "MOHECO-dev-%")
+		res.RenderSims(io.Discard)
+		exp.RenderFig6(res, io.Discard)
+		mo := findMethod(res, "MOHECO")
+		if mo != nil {
+			b.ReportMetric(100*mo.Deviation.Average, "MOHECO-dev-%")
 		}
 		if m := findMethod(res, "300 simulations (AS+LHS)"); m != nil {
 			b.ReportMetric(100*m.Deviation.Average, "300sim-dev-%")
 		}
-	}
-}
-
-// BenchmarkTable2 regenerates Table 2: total simulation counts on example 1.
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Table1and2(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.RenderSims(io.Discard)
-		mo := findMethod(res, "MOHECO")
 		fx := findMethod(res, "500 simulations (AS+LHS)")
 		if mo != nil && fx != nil && fx.Sims.Average > 0 {
 			b.ReportMetric(mo.Sims.Average, "MOHECO-sims")
@@ -65,8 +57,9 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3 regenerates Table 3: yield deviations on example 2.
-func BenchmarkTable3(b *testing.B) {
+// BenchmarkTable3and4 regenerates the example-2 experiment behind Tables 3
+// and 4: yield deviations and total simulation counts.
+func BenchmarkTable3and4(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Runs = 2 // example 2 runs are long (paper: "a few hours in real practice")
 	for i := 0; i < b.N; i++ {
@@ -75,23 +68,11 @@ func BenchmarkTable3(b *testing.B) {
 			b.Fatal(err)
 		}
 		res.RenderDeviation(io.Discard)
-		if m := findMethod(res, "MOHECO"); m != nil {
-			b.ReportMetric(100*m.Deviation.Average, "MOHECO-dev-%")
-		}
-	}
-}
-
-// BenchmarkTable4 regenerates Table 4: total simulation counts on example 2.
-func BenchmarkTable4(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Runs = 2
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Table3and4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
 		res.RenderSims(io.Discard)
 		mo := findMethod(res, "MOHECO")
+		if mo != nil {
+			b.ReportMetric(100*mo.Deviation.Average, "MOHECO-dev-%")
+		}
 		fx := findMethod(res, "500 simulations (AS+LHS)")
 		if mo != nil && fx != nil && fx.Sims.Average > 0 {
 			b.ReportMetric(100*mo.Sims.Average/fx.Sims.Average, "cost-ratio-%")
@@ -110,18 +91,6 @@ func BenchmarkFig3(b *testing.B) {
 		res.Render(io.Discard)
 		b.ReportMetric(100*res.HighSimShare, "high-yield-sim-share-%")
 		b.ReportMetric(100*res.Ratio, "vs-ASLHS-%")
-	}
-}
-
-// BenchmarkFig6 regenerates Fig. 6: the per-method average deviation and
-// simulation-count series of example 1.
-func BenchmarkFig6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Table1and2(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		exp.RenderFig6(res, io.Discard)
 	}
 }
 

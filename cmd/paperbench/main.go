@@ -1,18 +1,31 @@
 // Command paperbench regenerates the paper's experimental results: Tables
-// 1–4, Fig. 3, Fig. 6 and the §3.4 response-surface comparison.
+// 1–4, Fig. 3, Fig. 6, the §3.4 response-surface and worst-case
+// comparisons, and the design-choice ablation study.
 //
 // Usage:
 //
-//	paperbench [-full] [-quick] [-runs N] [-ref N] [-seed S] [-workers N]
-//	           [-only LIST] [-v]
+//	paperbench [-quick] [-runs N] [-ref N] [-seed S] [-workers N]
+//	           [-only LIST] [-csv DIR] [-v]
+//	           [-cpuprofile FILE] [-memprofile FILE]
+//	paperbench -racejson FILE [-racebudget N] [-racebackends LIST]
+//	           [-racescenarios LIST] [-racegens N] [-racemaxsims N]
+//	           [-runs N] [-seed S] [-workers N] [-csv DIR] [-v]
 //
 // By default it runs the full paper-scale configuration (10 runs per
 // method, 50,000-sample references). -quick switches to the reduced
 // configuration used by the benchmarks. -only selects a comma-separated
-// subset of {table12, table34, fig3, fig6, rsb}. -racejson runs the
-// equal-budget optimizer race instead (backends × scenarios × repeat
-// seeds under one simulation cap) and writes the BENCH_optimizers.json
-// artifact.
+// subset of {table12, table34, fig3, fig6, rsb, pswcd, ablation}; an
+// unknown name selects nothing. -csv also writes per-run CSV files
+// (table12.csv, table34.csv, fig3.csv) into DIR. -v prints one progress
+// line per run on stderr.
+//
+// -racejson runs the equal-budget optimizer race instead (backends ×
+// scenarios × repeat seeds under one simulation cap) and writes the
+// BENCH_optimizers.json artifact, plus race.csv under -csv. -racebudget
+// is the per-run simulation cap, -racebackends and -racescenarios pick
+// the grid (empty = every registered name), -racegens caps generations
+// per run and -racemaxsims sets the stage-2 per-candidate budget; -runs
+// is the repeat count (default 3) and -seed defaults to 1.
 package main
 
 import (
@@ -70,15 +83,12 @@ func main() {
 		// comparison is yield at budget (exp.RunRace). The JSON artifact is
 		// the BENCH_optimizers.json snapshot CI uploads next to the others.
 		rcfg := exp.RaceConfig{
+			Config:    exp.Config{Runs: *runs, MaxGens: *raceGen, Seed: *seed, Workers: *work},
 			SimBudget: *raceBgt,
-			Repeats:   *runs,
 			MaxSims:   *raceMS,
-			MaxGens:   *raceGen,
-			Seed:      *seed,
-			Workers:   *work,
 		}
-		if rcfg.Repeats <= 0 {
-			rcfg.Repeats = 3
+		if rcfg.Runs <= 0 {
+			rcfg.Runs = 3
 		}
 		if rcfg.Seed == 0 {
 			rcfg.Seed = 1

@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/eda-go/moheco/internal/circuits"
 	"github.com/eda-go/moheco/internal/constraint"
 	"github.com/eda-go/moheco/internal/problem"
 	"github.com/eda-go/moheco/internal/randx"
+	"github.com/eda-go/moheco/internal/sample"
 	"github.com/eda-go/moheco/internal/yieldsim"
 )
 
@@ -32,16 +34,31 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
+// TestDefaultOptionsMatchPaper pins DefaultOptions and the zero-field fill
+// of withDefaults to the paper's settings, every field spelled out:
+// FixedSims stays 0 in DefaultOptions and follows MaxSims when filled.
 func TestDefaultOptionsMatchPaper(t *testing.T) {
-	o := DefaultOptions(MethodMOHECO, 500)
-	if o.PopSize != 50 || o.F != 0.8 || o.CR != 0.8 {
-		t.Errorf("DE parameters differ from the paper: %+v", o)
+	want := Options{
+		Method: MethodFixedBudget, Backend: DefaultBackend,
+		PopSize: 50, F: 0.8, CR: 0.8,
+		N0: 15, SimAve: 35, Delta: 10, Threshold: 0.97,
+		MaxSims: 300, StallLocal: 5, NMIters: 10,
+		TargetYield: 1.0, StallStop: 20, MaxGenerations: 300,
+		Sampler: sample.LHS{}, AcceptanceSampling: true, Seed: 1,
 	}
-	if o.N0 != 15 || o.SimAve != 35 {
-		t.Errorf("OO parameters differ from the paper: n0=%d simAve=%d", o.N0, o.SimAve)
+	if got := DefaultOptions(MethodFixedBudget, 300); !reflect.DeepEqual(got, want) {
+		t.Errorf("DefaultOptions(FixedBudget, 300) =\n %+v\nwant\n %+v", got, want)
 	}
-	if o.Threshold != 0.97 || o.StallLocal != 5 || o.StallStop != 20 {
-		t.Errorf("thresholds differ from the paper: %+v", o)
+	lowered := DefaultOptions(MethodFixedBudget, 300)
+	lowered.MaxSims = 60
+	if got := lowered.withDefaults(); got.FixedSims != 60 {
+		t.Errorf("FixedSims = %d after lowering MaxSims to 60, want 60", got.FixedSims)
+	}
+	filled := want
+	filled.Method, filled.AcceptanceSampling, filled.Seed = MethodMOHECO, false, 0
+	filled.MaxSims, filled.FixedSims = 500, 500
+	if got := (Options{}).withDefaults(); !reflect.DeepEqual(got, filled) {
+		t.Errorf("Options{}.withDefaults() =\n %+v\nwant\n %+v", got, filled)
 	}
 }
 

@@ -5,11 +5,8 @@ import (
 	"io"
 
 	"github.com/eda-go/moheco/internal/core"
-	"github.com/eda-go/moheco/internal/engine"
-	"github.com/eda-go/moheco/internal/randx"
 	"github.com/eda-go/moheco/internal/sample"
 	"github.com/eda-go/moheco/internal/stats"
-	"github.com/eda-go/moheco/internal/yieldsim"
 )
 
 // AblationVariant is one configuration of the ablation study: MOHECO with
@@ -49,68 +46,32 @@ type AblationResult struct {
 	Runs    int
 }
 
-// RunAblation executes every variant on example 1 for cfg.Runs repetitions.
+// RunAblation executes every variant on example 1 for cfg.Runs
+// repetitions. Every variant runs from the same seeds: a paired comparison.
 func RunAblation(cfg Config) (*AblationResult, error) {
 	p := scenarioProblem("foldedcascode")
+	variants := AblationVariants()
+	rows := make([]row, len(variants))
+	for vi, v := range variants {
+		rows[vi] = row{
+			label:   v.Label,
+			problem: p,
+			edit:    v.Mutate,
+			seedKey: []uint64{0xab},
+			refKey:  []uint64{0xab5, uint64(vi)},
+		}
+	}
+	ms, err := runGrid("ablation", rows, cfg)
+	if err != nil {
+		return nil, err
+	}
 	out := &AblationResult{Problem: p.Name(), Runs: cfg.Runs}
-	inner := engine.Split(cfg.Workers, cfg.Runs)
-	progress := cfg.progressWriter()
-	for vi, v := range AblationVariants() {
-		// Repetitions are independent: run them on the evaluation engine's
-		// worker pool and aggregate in run order.
-		type runOut struct {
-			sims     float64
-			dev      float64
-			feasible bool
-		}
-		outs, err := engine.Map(cfg.Workers, cfg.Runs, func(run int) (runOut, error) {
-			opts := core.DefaultOptions(core.MethodMOHECO, 500)
-			opts.MaxGenerations = cfg.MaxGens
-			opts.Workers = inner
-			// Same seeds across variants: paired comparison.
-			opts.Seed = randx.DeriveSeed(cfg.Seed, 0xab, uint64(run))
-			v.Mutate(&opts)
-			res, err := core.Optimize(p, opts)
-			if err != nil {
-				return runOut{}, fmt.Errorf("ablation %q run %d: %w", v.Label, run, err)
-			}
-			ro := runOut{sims: float64(res.TotalSims)}
-			if res.Feasible {
-				ro.feasible = true
-				ref, _, err := yieldsim.ReferenceWorkers(p, res.BestX, cfg.RefSamples,
-					randx.DeriveSeed(cfg.Seed, 0xab5, uint64(vi), uint64(run)), nil, inner)
-				if err != nil {
-					return runOut{}, err
-				}
-				ro.dev = res.BestYield - ref
-				if ro.dev < 0 {
-					ro.dev = -ro.dev
-				}
-			}
-			if progress != nil {
-				fmt.Fprintf(progress, "ablation: %s run %d/%d: sims=%d\n",
-					v.Label, run+1, cfg.Runs, res.TotalSims)
-			}
-			return ro, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		devs := make([]float64, 0, cfg.Runs)
-		sims := make([]float64, 0, cfg.Runs)
-		feasible := 0
-		for _, ro := range outs {
-			sims = append(sims, ro.sims)
-			if ro.feasible {
-				feasible++
-				devs = append(devs, ro.dev)
-			}
-		}
+	for _, m := range ms {
 		out.Rows = append(out.Rows, AblationRow{
-			Label:     v.Label,
-			Deviation: stats.Summarize(devs),
-			Sims:      stats.Summarize(sims),
-			Feasible:  feasible,
+			Label:     m.Label,
+			Deviation: m.Deviation,
+			Sims:      m.Sims,
+			Feasible:  m.Feasible,
 		})
 	}
 	return out, nil

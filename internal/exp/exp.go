@@ -2,25 +2,23 @@
 // figure of the paper's evaluation (section 3): Tables 1–2 (example 1
 // accuracy and cost), Tables 3–4 (example 2), Fig. 3 (OCBA allocation inside
 // one population), Fig. 6 (per-method accuracy/cost series) and the §3.4
-// response-surface comparison. The same code backs `go test -bench` targets
-// (reduced configurations) and cmd/paperbench (paper-scale runs).
+// response-surface comparison. The tables, the ablation study and the
+// equal-budget optimizer race are row lists over one seeded run grid
+// (runGrid). The same code backs `go test -bench` targets (reduced
+// configurations) and cmd/paperbench (paper-scale runs).
 package exp
 
 import (
 	"fmt"
 	"io"
-	"math"
-	"sync"
 
 	_ "github.com/eda-go/moheco/internal/circuits" // register the built-in scenarios
 	"github.com/eda-go/moheco/internal/core"
-	"github.com/eda-go/moheco/internal/engine"
 	"github.com/eda-go/moheco/internal/problem"
 	"github.com/eda-go/moheco/internal/randx"
 	"github.com/eda-go/moheco/internal/rsb"
 	"github.com/eda-go/moheco/internal/scenario"
 	"github.com/eda-go/moheco/internal/stats"
-	"github.com/eda-go/moheco/internal/yieldsim"
 )
 
 // Config sets the scale of an experiment.
@@ -42,28 +40,6 @@ type Config struct {
 	// io.Writer works: the harness serializes writes from concurrent
 	// runs, though line order across runs follows completion order.
 	Progress io.Writer
-}
-
-// progressWriter returns cfg.Progress wrapped so concurrent repetitions
-// can write to it safely, or nil when no progress sink is set.
-func (c Config) progressWriter() io.Writer {
-	if c.Progress == nil {
-		return nil
-	}
-	return &syncWriter{w: c.Progress}
-}
-
-// syncWriter serializes Write calls so a plain writer (a bytes.Buffer, an
-// unwrapped file) is safe as a progress sink for concurrent runs.
-type syncWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (s *syncWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(p)
 }
 
 // Full returns the paper-scale configuration.
@@ -124,7 +100,8 @@ type RunStat struct {
 type MethodResult struct {
 	Label     string
 	Runs      []RunStat
-	Deviation stats.Summary // of |reported − reference|
+	Feasible  int           // runs that found a feasible design
+	Deviation stats.Summary // of |reported − reference|, feasible runs only
 	Sims      stats.Summary // of total simulation counts
 }
 
@@ -136,70 +113,26 @@ type TableResult struct {
 	Methods []MethodResult
 }
 
-// RunTable executes every method for cfg.Runs repetitions on the problem.
-// Repetitions are independent (each derives its seed from the run index),
-// so they run on the evaluation engine's worker pool; the per-run stats are
-// collected in run order and the summaries are identical for every worker
-// count.
+// RunTable executes every method for cfg.Runs repetitions on the problem
+// and scores each run's design against a cfg.RefSamples reference.
 func RunTable(name string, p problem.Problem, methods []MethodSpec, cfg Config) (*TableResult, error) {
-	out := &TableResult{Name: name, Problem: p.Name()}
-	// Split the pool between the repetition fan-out and each run's own
-	// engine, so nested parallelism stays near the core count.
-	inner := engine.Split(cfg.Workers, cfg.Runs)
-	progress := cfg.progressWriter()
+	rows := make([]row, len(methods))
 	for mi, spec := range methods {
-		mr := MethodResult{Label: spec.Label}
-		runStats, err := engine.Map(cfg.Workers, cfg.Runs, func(run int) (RunStat, error) {
-			seed := randx.DeriveSeed(cfg.Seed, uint64(mi), uint64(run))
-			opts := core.DefaultOptions(spec.Method, spec.MaxSims)
-			opts.FixedSims = spec.FixedSims
-			opts.MaxGenerations = cfg.MaxGens
-			opts.Seed = seed
-			opts.Workers = inner
-			res, err := core.Optimize(p, opts)
-			if err != nil {
-				return RunStat{}, fmt.Errorf("%s run %d: %w", spec.Label, run, err)
-			}
-			st := RunStat{
-				Seed:        seed,
-				Sims:        res.TotalSims,
-				Yield:       res.BestYield,
-				Generations: res.Generations,
-				Feasible:    res.Feasible,
-				StopReason:  res.StopReason,
-			}
-			if res.Feasible {
-				ref, _, err := yieldsim.ReferenceWorkers(p, res.BestX, cfg.RefSamples,
-					randx.DeriveSeed(cfg.Seed, 0x4ef, uint64(mi), uint64(run)), nil, inner)
-				if err != nil {
-					return RunStat{}, err
-				}
-				st.RefYield = ref
-				st.Deviation = math.Abs(res.BestYield - ref)
-			}
-			if progress != nil {
-				fmt.Fprintf(progress, "%s: %s run %d/%d: gens=%d sims=%d yield=%.4f ref=%.4f stop=%s\n",
-					name, spec.Label, run+1, cfg.Runs, st.Generations, st.Sims, st.Yield, st.RefYield, st.StopReason)
-			}
-			return st, nil
-		})
-		if err != nil {
-			return nil, err
+		rows[mi] = row{
+			label:   spec.Label,
+			problem: p,
+			edit: func(o *core.Options) {
+				o.Method, o.MaxSims, o.FixedSims = spec.Method, spec.MaxSims, spec.FixedSims
+			},
+			seedKey: []uint64{uint64(mi)},
+			refKey:  []uint64{0x4ef, uint64(mi)},
 		}
-		devs := make([]float64, 0, cfg.Runs)
-		sims := make([]float64, 0, cfg.Runs)
-		for _, st := range runStats {
-			if st.Feasible {
-				devs = append(devs, st.Deviation)
-			}
-			sims = append(sims, float64(st.Sims))
-			mr.Runs = append(mr.Runs, st)
-		}
-		mr.Deviation = stats.Summarize(devs)
-		mr.Sims = stats.Summarize(sims)
-		out.Methods = append(out.Methods, mr)
 	}
-	return out, nil
+	ms, err := runGrid(name, rows, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &TableResult{Name: name, Problem: p.Name(), Methods: ms}, nil
 }
 
 // RenderDeviation writes the Table 1/3 style rows (yield deviation from the
@@ -276,10 +209,7 @@ func RenderFig6(t *TableResult, w io.Writer) {
 // prediction error.
 func RunRSB(cfg Config) (*rsb.Result, error) {
 	p := scenarioProblem("foldedcascode")
-	opts := core.DefaultOptions(core.MethodMOHECO, 500)
-	opts.Seed = randx.DeriveSeed(cfg.Seed, 0x5b)
-	opts.MaxGenerations = cfg.MaxGens
-	opts.Workers = cfg.Workers
+	opts := cfg.mohecoOptions(randx.DeriveSeed(cfg.Seed, 0x5b), cfg.Workers)
 	opts.RecordPopulations = true
 	res, err := core.Optimize(p, opts)
 	if err != nil {
@@ -297,11 +227,4 @@ func RenderRSB(r *rsb.Result, w io.Writer) {
 			c.Gen, c.TrainPoints, c.TestPoints, 100*c.TrainRMS, 100*c.RMS)
 	}
 	fmt.Fprintf(w, "final prediction RMS error: %.2f%% (paper: 6.86%% after 50 iterations)\n", 100*r.FinalRMS)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -178,3 +178,39 @@ func TestTableCSVExport(t *testing.T) {
 		t.Errorf("row = %q", lines[1])
 	}
 }
+
+// TestRunGridProgress checks the run grid's progress feed: one line per
+// (row, run) cell, written safely from concurrent runs into a plain
+// buffer, with a reference only on rows that score one.
+func TestRunGridProgress(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := tinyConfig()
+	cfg.Runs, cfg.Workers, cfg.Progress = 2, 2, &buf
+	methods := []MethodSpec{
+		{Label: "150 simulations (AS+LHS)", Method: core.MethodFixedBudget, FixedSims: 150, MaxSims: 150},
+		{Label: "MOHECO", Method: core.MethodMOHECO, MaxSims: 150},
+	}
+	if _, err := RunTable("progress", circuits.NewCommonSource(), methods, cfg); err != nil {
+		t.Fatal(err)
+	}
+	race := quickRace()
+	race.Progress = &buf
+	if _, err := RunRace(race); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	var table, races int
+	for _, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "progress: ") && strings.Contains(l, " ref="):
+			table++
+		case strings.HasPrefix(l, "race: ") && !strings.Contains(l, " ref="):
+			races++
+		default:
+			t.Errorf("unexpected progress line %q", l)
+		}
+	}
+	if table != 4 || races != 4 {
+		t.Errorf("got %d table and %d race progress lines, want 4 and 4:\n%s", table, races, buf.String())
+	}
+}

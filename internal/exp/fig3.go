@@ -34,10 +34,7 @@ type Fig3Result struct {
 // yield-diverse population snapshot — the paper's "typical population".
 func RunFig3(cfg Config) (*Fig3Result, error) {
 	p := scenarioProblem("foldedcascode")
-	opts := core.DefaultOptions(core.MethodMOHECO, 500)
-	opts.Seed = randx.DeriveSeed(cfg.Seed, 0xf13)
-	opts.MaxGenerations = cfg.MaxGens
-	opts.Workers = cfg.Workers
+	opts := cfg.mohecoOptions(randx.DeriveSeed(cfg.Seed, 0xf13), cfg.Workers)
 	opts.RecordPopulations = true
 	res, err := core.Optimize(p, opts)
 	if err != nil {

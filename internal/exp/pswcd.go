@@ -69,11 +69,7 @@ func RunPSWCD(cfg Config) (*PSWCDResult, error) {
 	out.CornerYield = y
 
 	// MOHECO flow on the same problem.
-	opts := core.DefaultOptions(core.MethodMOHECO, 500)
-	opts.Seed = randx.DeriveSeed(cfg.Seed, 0xc2)
-	opts.MaxGenerations = cfg.MaxGens
-	opts.Workers = cfg.Workers
-	mres, err := core.Optimize(p, opts)
+	mres, err := core.Optimize(p, cfg.mohecoOptions(randx.DeriveSeed(cfg.Seed, 0xc2), cfg.Workers))
 	if err != nil {
 		return nil, err
 	}

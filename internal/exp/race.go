@@ -5,12 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"github.com/eda-go/moheco/internal/core"
-	"github.com/eda-go/moheco/internal/engine"
 	_ "github.com/eda-go/moheco/internal/lineasybo" // register the BO backend for races
-	"github.com/eda-go/moheco/internal/randx"
 	"github.com/eda-go/moheco/internal/scenario"
 	"github.com/eda-go/moheco/internal/stats"
 	"github.com/eda-go/moheco/internal/yieldsim"
@@ -22,38 +21,25 @@ import (
 // simulation budget through the run's shared yieldsim.Counter, and the
 // comparison is yield at budget — not iterations, not generations, which
 // different searchers define differently.
+//
+// Config.Runs is the number of independent runs per (backend, scenario)
+// cell (at least 1); repeat seeds are shared across backends, so run r of
+// scenario s starts from the same seed whatever the searcher. Config.MaxGens
+// caps generations/rounds per run (0 = the optimizer default). Races score
+// no reference, so Config.RefSamples is unused.
 type RaceConfig struct {
+	Config
 	// Backends are the core registry names to race; empty means every
 	// registered backend.
 	Backends []string
 	// Scenarios are the workloads to race on; empty means every registered
 	// scenario.
 	Scenarios []string
-	// Repeats is the number of independent runs per (backend, scenario)
-	// cell. Repeat seeds are shared across backends: run r of scenario s
-	// starts from the same seed whatever the searcher.
-	Repeats int
 	// SimBudget caps each run's simulator calls (Options.SimBudget).
 	SimBudget int64
 	// MaxSims is the stage-2 per-candidate budget; 0 means the scenario's
 	// default.
 	MaxSims int
-	// MaxGens caps generations/rounds per run (0 = the optimizer default).
-	MaxGens int
-	// Seed derives all per-run seeds.
-	Seed uint64
-	// Workers bounds engine parallelism across and inside runs.
-	Workers int
-	// Progress, when non-nil, receives one line per completed run.
-	Progress io.Writer
-}
-
-// progressWriter returns cfg.Progress wrapped for concurrent writes, or nil.
-func (c RaceConfig) progressWriter() io.Writer {
-	if c.Progress == nil {
-		return nil
-	}
-	return &syncWriter{w: c.Progress}
 }
 
 // RaceRun is one optimization run's outcome inside the race.
@@ -92,11 +78,9 @@ type RaceResult struct {
 	Runs      []RaceRun  `json:"runs"`
 }
 
-// RunRace executes the race grid. Runs are independent — each derives its
-// seed from (scenario, repeat) so a backend never sees a seed another
-// backend didn't — and fan out on the engine's worker pool; results are
-// collected in grid order, so the outcome is identical for every worker
-// count.
+// RunRace executes the race grid: one row per (backend, scenario) cell.
+// Each run derives its seed from its scenario and repeat only, so a
+// backend never sees a seed another backend didn't.
 func RunRace(cfg RaceConfig) (*RaceResult, error) {
 	backends := cfg.Backends
 	if len(backends) == 0 {
@@ -106,108 +90,75 @@ func RunRace(cfg RaceConfig) (*RaceResult, error) {
 	if len(scenarios) == 0 {
 		scenarios = scenario.Names()
 	}
-	if cfg.Repeats <= 0 {
-		cfg.Repeats = 1
+	if cfg.Runs <= 0 {
+		cfg.Runs = 1
 	}
 	if cfg.SimBudget <= 0 {
 		return nil, fmt.Errorf("exp: race needs a positive SimBudget, got %d", cfg.SimBudget)
 	}
-	type cell struct {
-		backend, scen string
-		run           int
-	}
-	var grid []cell
+	var rows []row
 	for _, b := range backends {
 		for _, s := range scenarios {
-			if _, err := scenario.Get(s); err != nil {
+			sc, err := scenario.Get(s)
+			if err != nil {
 				return nil, err
 			}
-			for r := 0; r < cfg.Repeats; r++ {
-				grid = append(grid, cell{backend: b, scen: s, run: r})
+			maxSims := cfg.MaxSims
+			if maxSims == 0 {
+				maxSims = sc.DefaultMaxSims
 			}
+			rows = append(rows, row{
+				label:   b + "/" + s,
+				problem: sc.New(),
+				edit: func(o *core.Options) {
+					o.MaxSims = maxSims
+					o.Backend = b
+					o.SimBudget = cfg.SimBudget
+					// The run's budget accounting flows through one
+					// counter — the same counter the backend's screen,
+					// estimation and top-up paths all charge.
+					o.Counter = &yieldsim.Counter{}
+				},
+				seedKey: []uint64{0xace, uint64(slices.Index(scenarios, s))},
+			})
 		}
 	}
-	inner := engine.Split(cfg.Workers, len(grid))
-	progress := cfg.progressWriter()
-	runs, err := engine.Map(cfg.Workers, len(grid), func(i int) (RaceRun, error) {
-		c := grid[i]
-		sc := scenario.MustGet(c.scen)
-		maxSims := cfg.MaxSims
-		if maxSims == 0 {
-			maxSims = sc.DefaultMaxSims
-		}
-		// Seeds are derived from the scenario and repeat only: every
-		// backend races the same seed on the same workload.
-		seed := randx.DeriveSeed(cfg.Seed, 0xace, uint64(scenarioIndex(scenarios, c.scen)), uint64(c.run))
-		opts := core.DefaultOptions(core.MethodMOHECO, maxSims)
-		opts.Backend = c.backend
-		opts.SimBudget = cfg.SimBudget
-		opts.Seed = seed
-		opts.Workers = inner
-		if cfg.MaxGens > 0 {
-			opts.MaxGenerations = cfg.MaxGens
-		}
-		// The race's budget accounting flows through one shared counter
-		// per run — the same counter the backend's screen, estimation and
-		// top-up paths all charge.
-		opts.Counter = &yieldsim.Counter{}
-		res, err := core.Optimize(sc.New(), opts)
-		if err != nil {
-			return RaceRun{}, fmt.Errorf("race %s/%s run %d: %w", c.backend, c.scen, c.run, err)
-		}
-		rr := RaceRun{
-			Backend:     c.backend,
-			Scenario:    c.scen,
-			Run:         c.run,
-			Seed:        seed,
-			Feasible:    res.Feasible,
-			Sims:        res.TotalSims,
-			Generations: res.Generations,
-			StopReason:  res.StopReason,
-		}
-		if res.Feasible {
-			rr.Yield = res.BestYield
-		}
-		if progress != nil {
-			fmt.Fprintf(progress, "race: %s/%s run %d/%d: yield=%.4f sims=%d stop=%s\n",
-				c.backend, c.scen, c.run+1, cfg.Repeats, rr.Yield, rr.Sims, rr.StopReason)
-		}
-		return rr, nil
-	})
+	ms, err := runGrid("race", rows, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	out := &RaceResult{SimBudget: cfg.SimBudget, Repeats: cfg.Repeats, Seed: cfg.Seed, Runs: runs}
-	for _, b := range backends {
-		for _, s := range scenarios {
-			rc := RaceCell{Backend: b, Scenario: s}
-			var yields, sims []float64
-			for _, r := range runs {
-				if r.Backend != b || r.Scenario != s {
-					continue
-				}
-				rc.Runs++
-				if r.Feasible {
-					rc.FeasibleRuns++
-				}
-				yields = append(yields, r.Yield)
-				sims = append(sims, float64(r.Sims))
-			}
-			rc.Yield = stats.Summarize(yields)
-			rc.Sims = stats.Summarize(sims)
-			out.Cells = append(out.Cells, rc)
+	out := &RaceResult{SimBudget: cfg.SimBudget, Repeats: cfg.Runs, Seed: cfg.Seed}
+	for i, m := range ms {
+		rc := RaceCell{
+			Backend:      backends[i/len(scenarios)],
+			Scenario:     scenarios[i%len(scenarios)],
+			FeasibleRuns: m.Feasible,
+			Runs:         len(m.Runs),
+			Sims:         m.Sims,
 		}
+		yields := make([]float64, len(m.Runs))
+		for run, st := range m.Runs {
+			rr := RaceRun{
+				Backend:     rc.Backend,
+				Scenario:    rc.Scenario,
+				Run:         run,
+				Seed:        st.Seed,
+				Feasible:    st.Feasible,
+				Sims:        st.Sims,
+				Generations: st.Generations,
+				StopReason:  st.StopReason,
+			}
+			// An infeasible run's yield at budget counts as 0.
+			if st.Feasible {
+				rr.Yield = st.Yield
+			}
+			yields[run] = rr.Yield
+			out.Runs = append(out.Runs, rr)
+		}
+		rc.Yield = stats.Summarize(yields)
+		out.Cells = append(out.Cells, rc)
 	}
 	return out, nil
-}
-
-func scenarioIndex(names []string, name string) int {
-	for i, n := range names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // Render writes the race grid as a text table: yield at budget per backend

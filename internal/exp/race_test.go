@@ -10,14 +10,11 @@ import (
 
 func quickRace() RaceConfig {
 	return RaceConfig{
+		Config:    Config{Runs: 2, MaxGens: 40, Seed: 9, Workers: 2},
 		Backends:  []string{"memetic", lineasybo.Name},
 		Scenarios: []string{"commonsource"},
-		Repeats:   2,
 		SimBudget: 1500,
 		MaxSims:   60,
-		MaxGens:   40,
-		Seed:      9,
-		Workers:   2,
 	}
 }
 

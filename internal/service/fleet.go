@@ -419,33 +419,47 @@ func (s *Server) promote() {
 		s.mu.Unlock()
 		return
 	}
-	c := newCoordinator(s.cfg.Fleet, s.cfg.Hooks, s.node, s.counter, s.log.With("coord"), s.sm)
-	c.onShardDone = s.replicateShardDone
-	s.coord = c
-	s.backend = c
+	warm := s.replica.takeShards()
+	s.startCoordinator(warm)
 	s.role = "coordinator"
 	s.mu.Unlock()
 	s.sm.promotions.Inc()
 
-	warm := s.replica.takeShards()
-	for key, pass := range warm {
-		c.cache.Put(key, pass)
-	}
 	jobs := s.replica.takeJobs()
 	s.logf("node %s promoted to coordinator: %d warm shard(s), resuming %d job(s)", s.node, len(warm), len(jobs))
-
-	if !s.cfg.Fleet.NoSelfWork {
-		s.wg.Add(1)
-		s.shardWG.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.shardWG.Done()
-			runShardWorker(s.baseCtx, c, s.node, s.cfg.Workers, nil, s.log.With("worker"), s.drainCh)
-		}()
-	}
 	for key, spec := range jobs {
 		s.resumeYield(key, spec)
 	}
+}
+
+// startCoordinator makes this node its fleet's coordinator: a fresh shard
+// scheduler, its warm-shard cache preloaded from warm, becomes the yield
+// backend. Unless NoSelfWork is set the coordinator is also a node of its
+// own fleet: an in-process runner pulls from the same scheduler the remote
+// workers lease from, so a 1-process coordinator completes jobs and an
+// N-process fleet counts the coordinator as one of its N. New calls it
+// before the server is shared; promote calls it holding s.mu.
+func (s *Server) startCoordinator(warm map[string][]int) {
+	c := newCoordinator(s.cfg.Fleet, s.cfg.Hooks, s.node, s.counter, s.log.With("coord"), s.sm)
+	c.onShardDone = s.replicateShardDone
+	for key, pass := range warm {
+		c.cache.Put(key, pass)
+	}
+	s.coord = c
+	s.backend = c
+	if s.cfg.Fleet.NoSelfWork {
+		return
+	}
+	s.wg.Add(1)
+	s.shardWG.Add(1)
+	go func() {
+		defer s.wg.Done()
+		defer s.shardWG.Done()
+		// nil counter: the coordinator already counts every shard's sims
+		// from its reported result; a local counter here would
+		// double-count self-work.
+		runShardWorker(s.baseCtx, c, s.node, s.cfg.Workers, nil, s.log.With("worker"), s.drainCh)
+	}()
 }
 
 // resumeYield resubmits a replicated job spec on this (just-promoted)

@@ -578,26 +578,7 @@ func New(cfg Config) *Server {
 	case cfg.Backend != nil:
 		s.backend = cfg.Backend
 	case cfg.Fleet.Coordinator:
-		s.coord = newCoordinator(cfg.Fleet, cfg.Hooks, s.node, counter, s.log.With("coord"), s.sm)
-		s.coord.onShardDone = s.replicateShardDone
-		s.backend = s.coord
-		if !cfg.Fleet.NoSelfWork {
-			// The coordinator is also a node of its own fleet: an
-			// in-process runner pulls from the same scheduler the remote
-			// workers lease from, so a 1-process coordinator completes
-			// jobs and an N-process fleet counts the coordinator as one
-			// of its N.
-			s.wg.Add(1)
-			s.shardWG.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer s.shardWG.Done()
-				// nil counter: the coordinator already counts every shard's
-				// sims from its reported result; a local counter here would
-				// double-count self-work.
-				runShardWorker(s.baseCtx, s.coord, s.node, cfg.Workers, nil, s.log.With("worker"), s.drainCh)
-			}()
-		}
+		s.startCoordinator(nil)
 	default:
 		s.backend = &LocalBackend{Workers: cfg.Workers, Counter: counter}
 	}
