@@ -35,6 +35,7 @@ import (
 	"time"
 
 	moheco "github.com/eda-go/moheco"
+	"github.com/eda-go/moheco/internal/core"
 	"github.com/eda-go/moheco/internal/scenario"
 	"github.com/eda-go/moheco/internal/service"
 	"github.com/eda-go/moheco/internal/yieldsim"
@@ -85,16 +86,9 @@ func main() {
 	if *refN < 0 {
 		*refN = sc.DefaultRefSamples
 	}
-	var m moheco.Method
-	switch *method {
-	case "moheco":
-		m = moheco.MethodMOHECO
-	case "oo":
-		m = moheco.MethodOOOnly
-	case "fixed":
-		m = moheco.MethodFixedBudget
-	default:
-		fatal(fmt.Errorf("unknown method %q", *method))
+	m, err := core.ParseMethod(*method)
+	if err != nil {
+		fatal(err)
 	}
 
 	ctx := context.Background()

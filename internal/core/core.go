@@ -77,6 +77,20 @@ func (m Method) String() string {
 	}
 }
 
+// ParseMethod maps a method's command-line and wire name to its Method:
+// "moheco", "oo" or "fixed".
+func ParseMethod(name string) (Method, error) {
+	switch name {
+	case "moheco":
+		return MethodMOHECO, nil
+	case "oo":
+		return MethodOOOnly, nil
+	case "fixed":
+		return MethodFixedBudget, nil
+	}
+	return 0, fmt.Errorf("unknown method %q (moheco | oo | fixed)", name)
+}
+
 // Options configures a run. The zero value is not usable; start from
 // DefaultOptions.
 type Options struct {

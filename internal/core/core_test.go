@@ -34,6 +34,21 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
+// TestParseMethod pins the one method-name table the CLI and the daemon
+// share.
+func TestParseMethod(t *testing.T) {
+	for name, want := range map[string]Method{"moheco": MethodMOHECO, "oo": MethodOOOnly, "fixed": MethodFixedBudget} {
+		if got, err := ParseMethod(name); err != nil || got != want {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "MOHECO", "ocba"} {
+		if _, err := ParseMethod(bad); err == nil {
+			t.Errorf("ParseMethod(%q) accepted", bad)
+		}
+	}
+}
+
 // TestDefaultOptionsMatchPaper pins DefaultOptions and the zero-field fill
 // of withDefaults to the paper's settings, every field spelled out:
 // FixedSims stays 0 in DefaultOptions and follows MaxSims when filled.

@@ -209,9 +209,6 @@ func (sc *SearchContext) Err() error {
 	return nil
 }
 
-// Ctx returns the run's context (nil when the caller set none).
-func (sc *SearchContext) Ctx() context.Context { return sc.Opts.Ctx }
-
 // UsedSims returns the simulator calls this run has spent so far.
 func (sc *SearchContext) UsedSims() int64 {
 	return sc.counter.Total() - sc.simBase

@@ -1,10 +1,10 @@
 // Package corners implements the classical non-statistical yield-design
-// alternatives the paper's §3.4 argues against: corner-based worst-case
-// design and a simplified performance-specific worst-case design (PSWCD).
-// Both replace Monte-Carlo yield estimation with deterministic worst-case
-// checks; the paper's claim — reproduced quantitatively by the experiment
-// harness — is that they either over-design (burn power/area to satisfy
-// corners that never co-occur statistically) or mis-predict the true yield.
+// alternative the paper's §3.4 argues against: corner-based worst-case
+// design, which replaces Monte-Carlo yield estimation with deterministic
+// worst-case checks. The paper's claim — reproduced quantitatively by the
+// experiment harness — is that it either over-designs (burns power/area to
+// satisfy corners that never co-occur statistically) or mis-predicts the
+// true yield.
 package corners
 
 import (
@@ -81,36 +81,4 @@ func WorstCase(p problem.Problem, x []float64, corners []Corner) (float64, error
 		}
 	}
 	return worst, nil
-}
-
-// AllPass reports whether x satisfies every spec at every corner.
-func AllPass(p problem.Problem, x []float64, corners []Corner) (bool, error) {
-	w, err := WorstCase(p, x, corners)
-	return w == 0, err
-}
-
-// PSWCD approximates performance-specific worst-case design: for each
-// specification separately, the worst case over the corner set is taken,
-// and the design must satisfy every spec at its own worst corner. This is
-// the paper's description of PSWCD's core flaw: the per-spec worst-case
-// points cannot co-occur, so their combination over-estimates the
-// requirement ("the separated worst-case points cannot be achieved
-// simultaneously, so their combination is over-estimated").
-func PSWCD(p problem.Problem, x []float64, corners []Corner) (float64, error) {
-	specs := p.Specs()
-	total := 0.0
-	for si, s := range specs {
-		worst := 0.0
-		for _, c := range corners {
-			perf, err := p.Evaluate(x, c.Xi)
-			if err != nil {
-				return 0, fmt.Errorf("corners: %s: %w", c.Name, err)
-			}
-			if v := s.Violation(perf[si]); v > worst {
-				worst = v
-			}
-		}
-		total += worst
-	}
-	return total, nil
 }

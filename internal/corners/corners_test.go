@@ -8,7 +8,6 @@ import (
 	"github.com/eda-go/moheco/internal/circuits"
 	"github.com/eda-go/moheco/internal/constraint"
 	"github.com/eda-go/moheco/internal/pdk"
-	"github.com/eda-go/moheco/internal/problem"
 )
 
 // lineProblem passes when x[0] − Σσᵢ·ξᵢ ≥ 0 over a 2-variable inter space.
@@ -82,60 +81,12 @@ func TestWorstCaseAndAllPass(t *testing.T) {
 	if math.Abs(w-0.25) > 1e-12 {
 		t.Errorf("worst violation = %v, want 0.25", w)
 	}
-	ok, err := AllPass(p, []float64{2.25}, cs)
-	if err != nil || !ok {
-		t.Errorf("x=2.25 should pass all corners: %v %v", ok, err)
-	}
-	ok, _ = AllPass(p, []float64{2.0}, cs)
-	if ok {
-		t.Error("x=2.0 should fail SS")
+	if w, err := WorstCase(p, []float64{2.25}, cs); err != nil || w != 0 {
+		t.Errorf("x=2.25 should pass all corners: %v %v", w, err)
 	}
 	if _, err := WorstCase(&lineProblem{fail: true}, []float64{1}, cs); err == nil {
 		t.Error("evaluation error should surface")
 	}
-}
-
-func TestPSWCDOverestimates(t *testing.T) {
-	// PSWCD takes each spec's own worst corner; with one spec it equals
-	// WorstCase, but with anti-correlated specs it over-estimates. Use a
-	// two-spec problem where spec A is worst at SS and spec B at FF.
-	p := &twoSpec{}
-	g := &Generator{Sigma: 1, InterDim: 1}
-	cs := g.Classic(p, func(int) bool { return true })
-	ws, err := WorstCase(p, []float64{0.5}, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	psw, err := PSWCD(p, []float64{0.5}, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if psw <= ws {
-		t.Errorf("PSWCD (%v) should exceed single worst corner (%v) for anti-correlated specs", psw, ws)
-	}
-}
-
-// twoSpec: spec a = x − ξ ≥ 0 (worst at +σ), spec b = x + ξ ≥ 0 (worst at −σ).
-type twoSpec struct{}
-
-func (t *twoSpec) Name() string { return "twospec" }
-func (t *twoSpec) Dim() int     { return 1 }
-func (t *twoSpec) Bounds() ([]float64, []float64) {
-	return []float64{0}, []float64{2}
-}
-func (t *twoSpec) Specs() []constraint.Spec {
-	return []constraint.Spec{
-		{Name: "a", Sense: constraint.AtLeast, Bound: 0},
-		{Name: "b", Sense: constraint.AtLeast, Bound: 0},
-	}
-}
-func (t *twoSpec) VarDim() int { return 1 }
-func (t *twoSpec) Evaluate(x, xi []float64) ([]float64, error) {
-	v := 0.0
-	if xi != nil {
-		v = xi[0]
-	}
-	return []float64{x[0] - v, x[0] + v}, nil
 }
 
 func TestOptimizeOnLineProblem(t *testing.T) {
@@ -146,7 +97,6 @@ func TestOptimizeOnLineProblem(t *testing.T) {
 	// the optimum is x = 2.25, the corner-feasibility boundary.
 	res, err := Optimize(p, cs, OptimizeOptions{
 		ObjectiveIndex: 0,
-		Minimize:       true,
 		PopSize:        20,
 		MaxGens:        80,
 		Seed:           3,
@@ -175,7 +125,7 @@ func TestGeneratorOnRealDeck(t *testing.T) {
 			t.Fatalf("%s: xi length %d", c.Name, len(c.Xi))
 		}
 		// Corners must be evaluable.
-		if _, err := p.Evaluate(problem.Clamp(p, p.ReferenceDesign()), c.Xi); err != nil {
+		if _, err := p.Evaluate(p.ReferenceDesign(), c.Xi); err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
 		// Intra-die coordinates stay zero.

@@ -11,16 +11,19 @@ import (
 // OptimizeOptions configures the corner-based sizing run.
 type OptimizeOptions struct {
 	// ObjectiveIndex selects the performance entry to minimize once all
-	// corners pass (e.g. power). Use -1 to maximize the worst-case margin
-	// instead.
+	// corners pass (e.g. power).
 	ObjectiveIndex int
-	// Minimize is true when the objective should be minimized.
-	Minimize bool
-	PopSize  int
-	F, CR    float64
-	MaxGens  int
-	Seed     uint64
+	PopSize        int
+	MaxGens        int
+	Seed           uint64
 }
+
+// deF and deCR are the differential-evolution weight and crossover rate of
+// the corner-based search.
+const (
+	deF  = 0.8
+	deCR = 0.8
+)
 
 // Result is the corner-based sizing outcome.
 type Result struct {
@@ -41,16 +44,10 @@ func Optimize(p problem.Problem, cs []Corner, opts OptimizeOptions) (*Result, er
 	if opts.PopSize == 0 {
 		opts.PopSize = 50
 	}
-	if opts.F == 0 {
-		opts.F = 0.8
-	}
-	if opts.CR == 0 {
-		opts.CR = 0.8
-	}
 	if opts.MaxGens == 0 {
 		opts.MaxGens = 150
 	}
-	cfg := de.Config{NP: opts.PopSize, F: opts.F, CR: opts.CR}
+	cfg := de.Config{NP: opts.PopSize, F: deF, CR: deCR}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -66,10 +63,7 @@ func Optimize(p problem.Problem, cs []Corner, opts OptimizeOptions) (*Result, er
 		if a.violation != b.violation {
 			return a.violation < b.violation
 		}
-		if opts.Minimize {
-			return a.objective < b.objective
-		}
-		return a.objective > b.objective
+		return a.objective < b.objective
 	}
 	eval := func(x []float64) (fitness, error) {
 		w, err := WorstCase(p, x, cs)
@@ -77,21 +71,15 @@ func Optimize(p problem.Problem, cs []Corner, opts OptimizeOptions) (*Result, er
 		if err != nil {
 			return fitness{violation: 1e9}, nil
 		}
-		obj := 0.0
-		if opts.ObjectiveIndex >= 0 {
-			perf, err := p.Evaluate(x, nil)
-			evals++
-			if err != nil {
-				return fitness{violation: 1e9}, nil
-			}
-			if opts.ObjectiveIndex >= len(perf) {
-				return fitness{}, fmt.Errorf("corners: objective index %d out of range", opts.ObjectiveIndex)
-			}
-			obj = perf[opts.ObjectiveIndex]
-		} else {
-			obj = -w
+		perf, err := p.Evaluate(x, nil)
+		evals++
+		if err != nil {
+			return fitness{violation: 1e9}, nil
 		}
-		return fitness{violation: w, objective: obj}, nil
+		if opts.ObjectiveIndex < 0 || opts.ObjectiveIndex >= len(perf) {
+			return fitness{}, fmt.Errorf("corners: objective index %d out of range", opts.ObjectiveIndex)
+		}
+		return fitness{violation: w, objective: perf[opts.ObjectiveIndex]}, nil
 	}
 
 	pop := make([][]float64, cfg.NP)

@@ -50,7 +50,6 @@ func RunPSWCD(cfg Config) (*PSWCDResult, error) {
 	// Corner-based flow: minimize power (spec index 4) under all corners.
 	cres, err := corners.Optimize(p, cs, corners.OptimizeOptions{
 		ObjectiveIndex: 4,
-		Minimize:       true,
 		MaxGens:        cfg.MaxGens,
 		Seed:           randx.DeriveSeed(cfg.Seed, 0xc0), //nolint
 	})

@@ -24,9 +24,6 @@ func (m *CMatrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *CMatrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
 
-// Add adds v to element (i, j).
-func (m *CMatrix) Add(i, j int, v complex128) { m.Data[i*m.Cols+j] += v }
-
 // Clone returns a deep copy.
 func (m *CMatrix) Clone() *CMatrix {
 	c := NewCMatrix(m.Rows, m.Cols)

@@ -10,9 +10,8 @@ var ErrSingular = errors.New("linalg: singular matrix")
 
 // LU holds an LU factorization with partial pivoting of a square matrix.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // Factor computes the LU factorization of a. The input is not modified.
@@ -21,7 +20,7 @@ func Factor(a *Matrix) (*LU, error) {
 		return nil, errors.New("linalg: LU of non-square matrix")
 	}
 	n := a.Rows
-	f := &LU{lu: a.Clone(), piv: make([]int, n), sign: 1}
+	f := &LU{lu: a.Clone(), piv: make([]int, n)}
 	lu := f.lu
 	for i := range f.piv {
 		f.piv[i] = i
@@ -44,7 +43,6 @@ func Factor(a *Matrix) (*LU, error) {
 				rowP[j], rowK[j] = rowK[j], rowP[j]
 			}
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -96,16 +94,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		x[i] = s / d
 	}
 	return x, nil
-}
-
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // SolveSystem factors a and solves a x = b in one call.

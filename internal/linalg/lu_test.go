@@ -52,21 +52,6 @@ func TestFactorDoesNotModifyInput(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, 2, 3},
-		{4, 5, 6},
-		{7, 8, 10},
-	})
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatalf("factor: %v", err)
-	}
-	if !almostEq(f.Det(), -3, 1e-12) {
-		t.Errorf("det = %v, want -3", f.Det())
-	}
-}
-
 func TestIdentitySolve(t *testing.T) {
 	n := 7
 	id := Identity(n)
@@ -116,27 +101,6 @@ func TestSolveRoundTripProperty(t *testing.T) {
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rng}
 	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: det(PA) = ±det(A) sign accounting — det of a permuted identity is ±1.
-func TestDetPermutationProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(6)
-		perm := r.Perm(n)
-		m := NewMatrix(n, n)
-		for i, p := range perm {
-			m.Set(i, p, 1)
-		}
-		fac, err := Factor(m)
-		if err != nil {
-			return false
-		}
-		return math.Abs(math.Abs(fac.Det())-1) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
 }
@@ -195,109 +159,6 @@ func TestMatrixOps(t *testing.T) {
 	}
 }
 
-func TestVectorHelpers(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, -5, 6}
-	if NormInf(b) != 6 {
-		t.Errorf("norminf = %v", NormInf(b))
-	}
-	d := Sub(a, b)
-	if d[0] != -3 || d[1] != 7 || d[2] != -3 {
-		t.Errorf("sub = %v", d)
-	}
-}
-
-func TestCholeskyKnown(t *testing.T) {
-	a := FromRows([][]float64{
-		{4, 2, 0},
-		{2, 5, 3},
-		{0, 3, 6},
-	})
-	l, err := Cholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// L·Lᵀ must recover a.
-	lt := l.Transpose()
-	prod := l.Mul(lt)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if !almostEq(prod.At(i, j), a.At(i, j), 1e-12) {
-				t.Errorf("(L·Lᵀ)[%d][%d] = %v, want %v", i, j, prod.At(i, j), a.At(i, j))
-			}
-		}
-	}
-	// Strict upper triangle is zero.
-	if l.At(0, 1) != 0 || l.At(0, 2) != 0 || l.At(1, 2) != 0 {
-		t.Error("L is not lower triangular")
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{
-		{1, 2},
-		{2, 1}, // eigenvalues 3 and -1
-	})
-	if _, err := Cholesky(a); err == nil {
-		t.Error("indefinite matrix accepted")
-	}
-	if _, err := Cholesky(FromRows([][]float64{{1, 2, 3}})); err == nil {
-		t.Error("non-square accepted")
-	}
-}
-
-// Property: Cholesky of I + v·vᵀ (always SPD) round-trips.
-func TestCholeskyProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(6)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = r.NormFloat64()
-		}
-		a := Identity(n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Add(i, j, v[i]*v[j])
-			}
-		}
-		l, err := Cholesky(a)
-		if err != nil {
-			return false
-		}
-		prod := l.Mul(l.Transpose())
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if !almostEq(prod.At(i, j), a.At(i, j), 1e-9) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLowerMulVec(t *testing.T) {
-	l := FromRows([][]float64{
-		{2, 0, 0},
-		{1, 3, 0},
-		{4, 5, 6},
-	})
-	x := []float64{1, 2, 3}
-	got := LowerMulVec(l, x)
-	want := l.MulVec(x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("LowerMulVec[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-// Shape error paths: mismatched right-hand sides and non-square inputs
-// must be rejected by every entry point, not crash.
 func TestSolveShapeErrors(t *testing.T) {
 	if _, err := SolveSystem(Identity(3), []float64{1, 2}); err == nil {
 		t.Error("short rhs accepted by SolveSystem")

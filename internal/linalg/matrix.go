@@ -1,9 +1,8 @@
 // Package linalg provides small dense linear-algebra primitives: row-major
-// dense matrices, LU factorization with partial pivoting (real and complex),
-// Cholesky and a few vector helpers. It is deliberately minimal. The MNA
-// circuit engine solves with the sparse LU of package linalg/sparse; the
-// dense LU here is the matrix-level oracle its tests check that solver
-// against.
+// dense matrices and LU factorization with partial pivoting (real and
+// complex). It is deliberately minimal. The MNA circuit engine solves with
+// the sparse LU of package linalg/sparse; the dense LU here is the
+// matrix-level oracle its tests check that solver against.
 package linalg
 
 import (

@@ -136,7 +136,7 @@ func TestSparseComplexMatchesDenseMNAProperty(t *testing.T) {
 			if r >= p.nodes || c >= p.nodes {
 				v = 1
 			}
-			dense.Add(r, c, v)
+			dense.Set(r, c, dense.At(r, c)+v)
 			vals[sym.Index(r, c)] += v
 		}
 		rhs := make([]complex128, p.n)

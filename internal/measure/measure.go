@@ -16,9 +16,6 @@ var ErrNoCrossing = errors.New("measure: no unity-gain crossing in sweep")
 // DB converts a magnitude ratio to decibels.
 func DB(x float64) float64 { return 20 * math.Log10(x) }
 
-// FromDB converts decibels to a magnitude ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/20) }
-
 // Bode holds magnitude (dB) and unwrapped phase (degrees) of a transfer
 // function across a frequency sweep.
 type Bode struct {
@@ -75,7 +72,7 @@ func unwrap(v complex128, prev float64, first bool) float64 {
 // to a tiny positive value), which is ≥ 0 exactly when |h| ≥ 1 and < 0
 // exactly when |h| < 1, NaN failing both. A sweep that ends at the first
 // such point therefore holds every point DCGainDB, UnityCrossing and
-// PhaseMargin read; GainMargin and Bandwidth3dB may read beyond it.
+// PhaseMargin read.
 func FallsThroughUnity(prev, cur float64) bool {
 	return prev >= 1 && cur < 1
 }
@@ -163,41 +160,6 @@ func margin(ph, ref float64) float64 {
 		pm += 360
 	}
 	return pm
-}
-
-// Bandwidth3dB returns the -3 dB frequency relative to the DC gain,
-// log-interpolated between sweep points.
-func (b *Bode) Bandwidth3dB() (float64, error) {
-	if len(b.MagDB) == 0 {
-		return 0, ErrNoCrossing
-	}
-	target := b.MagDB[0] - 3
-	for i := 1; i < len(b.MagDB); i++ {
-		if b.MagDB[i-1] >= target && b.MagDB[i] < target {
-			t := (b.MagDB[i-1] - target) / (b.MagDB[i-1] - b.MagDB[i])
-			return logInterp(b.Freqs[i-1], b.Freqs[i], t), nil
-		}
-	}
-	return 0, ErrNoCrossing
-}
-
-// GainMargin returns the gain margin in dB: the magnitude below 0 dB at the
-// frequency where the phase (referenced to its DC value) crosses -180°.
-// Systems whose phase never reaches -180° in the sweep return ErrNoCrossing.
-func (b *Bode) GainMargin() (float64, error) {
-	if len(b.Phase) == 0 {
-		return 0, ErrNoCrossing
-	}
-	ref := b.Phase[0]
-	for i := 1; i < len(b.Phase); i++ {
-		p0, p1 := b.Phase[i-1]-ref, b.Phase[i]-ref
-		if p0 > -180 && p1 <= -180 {
-			t := (p0 + 180) / (p0 - p1)
-			mag := b.MagDB[i-1] + t*(b.MagDB[i]-b.MagDB[i-1])
-			return -mag, nil
-		}
-	}
-	return 0, ErrNoCrossing
 }
 
 // The lazy measures below read a response straight from its phasors h on

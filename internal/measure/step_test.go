@@ -241,9 +241,9 @@ func TestStepSettlingOnCoarseGrid(t *testing.T) {
 }
 
 // The Bode measures must reproduce the closed-form figures of the analytic
-// single-pole transfer function H(f) = A0/(1 + j·f/fp): DC gain, -3 dB
-// corner at fp, unity crossing at fp·√(A0²−1) and the matching phase
-// margin — the frequency-domain property pin mirroring the Step one.
+// single-pole transfer function H(f) = A0/(1 + j·f/fp): DC gain, unity
+// crossing at fp·√(A0²−1) and the matching phase margin — the
+// frequency-domain property pin mirroring the Step one.
 func TestBodeSinglePoleAnalytic(t *testing.T) {
 	const (
 		a0 = 200.0
@@ -268,13 +268,6 @@ func TestBodeSinglePoleAnalytic(t *testing.T) {
 	wantFu := fp * math.Sqrt(a0*a0-1)
 	if math.Abs(fu-wantFu) > 0.005*wantFu {
 		t.Errorf("UGF %.6g, want %.6g", fu, wantFu)
-	}
-	f3, err := b.Bandwidth3dB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f3-fp) > 0.02*fp {
-		t.Errorf("-3dB %.6g, want %.6g", f3, fp)
 	}
 	pm, err := b.PhaseMargin()
 	if err != nil {

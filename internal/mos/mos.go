@@ -186,16 +186,6 @@ func (d *Device) Lambda() float64 {
 	return d.Params.Lambda0 / lUm
 }
 
-// AreaUm2 returns the drawn gate area in µm², the normalizer of
-// Pelgrom-style mismatch.
-func (d *Device) AreaUm2() float64 {
-	m := d.M
-	if m < 1 {
-		m = 1
-	}
-	return d.W * d.L * m * 1e12
-}
-
 // OP is a DC operating point with the small-signal quantities the circuit
 // layer needs.
 type OP struct {

@@ -221,9 +221,6 @@ func TestEffectiveGeometry(t *testing.T) {
 	if l := d.Leff(); math.Abs(l-(1e-6-60e-9)) > 1e-15 {
 		t.Errorf("Leff = %v", l)
 	}
-	if a := d.AreaUm2(); math.Abs(a-20) > 1e-9 {
-		t.Errorf("AreaUm2 = %v", a)
-	}
 	tiny := &Device{Params: testParams(), W: 1e-9, L: 1e-9, M: 1}
 	if tiny.Weff() <= 0 || tiny.Leff() <= 0 {
 		t.Error("effective geometry must stay positive")

@@ -17,6 +17,9 @@ const (
 	expansion   = 2.0
 	contraction = 0.5
 	shrink      = 0.5
+	// tol stops the search early when the simplex's objective spread
+	// falls below it.
+	tol = 1e-12
 )
 
 // Options bounds the search.
@@ -29,8 +32,6 @@ type Options struct {
 	Scale float64
 	// Lo, Hi clamp all evaluated points (required).
 	Lo, Hi []float64
-	// Tol stops early when the simplex's objective spread falls below it.
-	Tol float64
 }
 
 func (o Options) withDefaults() Options {
@@ -39,9 +40,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Scale == 0 {
 		o.Scale = 0.05
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-12
 	}
 	return o
 }
@@ -111,7 +109,7 @@ func Minimize(f func([]float64) float64, x0 []float64, opts Options) Result {
 
 	iters := 0
 	for ; iters < o.MaxIter; iters++ {
-		if math.Abs(simplex[n].f-simplex[0].f) < o.Tol {
+		if math.Abs(simplex[n].f-simplex[0].f) < tol {
 			break
 		}
 		// Centroid of all but the worst.

@@ -51,9 +51,6 @@ func ones(n int) []float64 {
 	return s
 }
 
-// NumParams returns the parameter count.
-func (n *Network) NumParams() int { return len(n.w) }
-
 // SetNormalization fixes the input normalization from bounds so training
 // and prediction see inputs in roughly [-1, 1].
 func (n *Network) SetNormalization(lo, hi []float64) {
@@ -109,31 +106,23 @@ func (n *Network) Predict(x []float64) float64 {
 
 // TrainOptions tunes Levenberg–Marquardt.
 type TrainOptions struct {
-	MaxIter     int     // LM iterations (default 120)
-	Lambda0     float64 // initial damping (default 1e-2)
-	LambdaMax   float64 // divergence guard (default 1e10)
-	TolReduce   float64 // stop when the SSE improvement ratio falls below (default 1e-9)
-	WeightDecay float64 // L2 regularization added to the normal equations (default 1e-3)
+	MaxIter int // LM iterations (default 120)
 }
 
 func (o TrainOptions) withDefaults() TrainOptions {
 	if o.MaxIter == 0 {
 		o.MaxIter = 120
 	}
-	if o.Lambda0 == 0 {
-		o.Lambda0 = 1e-2
-	}
-	if o.LambdaMax == 0 {
-		o.LambdaMax = 1e10
-	}
-	if o.TolReduce == 0 {
-		o.TolReduce = 1e-9
-	}
-	if o.WeightDecay == 0 {
-		o.WeightDecay = 1e-3
-	}
 	return o
 }
+
+// Levenberg–Marquardt constants.
+const (
+	lambda0     = 1e-2 // initial damping
+	lambdaMax   = 1e10 // divergence guard
+	tolReduce   = 1e-9 // stop when the SSE improvement ratio falls below
+	weightDecay = 1e-3 // L2 regularization added to the normal equations
+)
 
 // Train fits the network to (X, Y) with Levenberg–Marquardt and returns the
 // final root-mean-square training error.
@@ -156,7 +145,7 @@ func (n *Network) Train(X [][]float64, Y []float64, opts TrainOptions) (float64,
 		for _, v := range n.w {
 			s += v * v
 		}
-		return o.WeightDecay * s
+		return weightDecay * s
 	}
 	residuals := func() ([]float64, float64) {
 		r := make([]float64, nSamp)
@@ -168,7 +157,7 @@ func (n *Network) Train(X [][]float64, Y []float64, opts TrainOptions) (float64,
 		return r, sse
 	}
 
-	lambda := o.Lambda0
+	lambda := lambda0
 	_, sse := residuals()
 	J := linalg.NewMatrix(nSamp, nPar)
 	trainRMS := func() float64 {
@@ -192,14 +181,14 @@ func (n *Network) Train(X [][]float64, Y []float64, opts TrainOptions) (float64,
 		jtj := jt.Mul(J)
 		jtr := jt.MulVec(r)
 		for i := range jtr {
-			jtr[i] += o.WeightDecay * n.w[i]
+			jtr[i] += weightDecay * n.w[i]
 		}
 
 		improved := false
 		for !improved {
 			A := jtj.Clone()
 			for i := 0; i < nPar; i++ {
-				A.Add(i, i, lambda+o.WeightDecay)
+				A.Add(i, i, lambda+weightDecay)
 			}
 			rhs := make([]float64, nPar)
 			for i := range rhs {
@@ -208,7 +197,7 @@ func (n *Network) Train(X [][]float64, Y []float64, opts TrainOptions) (float64,
 			delta, err := linalg.SolveSystem(A, rhs)
 			if err != nil {
 				lambda *= 10
-				if lambda > o.LambdaMax {
+				if lambda > lambdaMax {
 					return trainRMS(), nil
 				}
 				continue
@@ -226,30 +215,17 @@ func (n *Network) Train(X [][]float64, Y []float64, opts TrainOptions) (float64,
 					lambda = 1e-12
 				}
 				improved = true
-				if improvement < o.TolReduce {
+				if improvement < tolReduce {
 					return trainRMS(), nil
 				}
 			} else {
 				copy(n.w, backup)
 				lambda *= 10
-				if lambda > o.LambdaMax {
+				if lambda > lambdaMax {
 					return trainRMS(), nil
 				}
 			}
 		}
 	}
 	return trainRMS(), nil
-}
-
-// RMS returns the root-mean-square prediction error over a dataset.
-func (n *Network) RMS(X [][]float64, Y []float64) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, x := range X {
-		d := n.Predict(x) - Y[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(X)))
 }

@@ -10,8 +10,8 @@ import (
 func TestShapeAndParams(t *testing.T) {
 	n := New(10, 20, 1)
 	// 20·10 weights + 20 biases + 20 output weights + 1 bias = 241.
-	if n.NumParams() != 241 {
-		t.Errorf("params = %d, want 241", n.NumParams())
+	if len(n.w) != 241 {
+		t.Errorf("params = %d, want 241", len(n.w))
 	}
 }
 
@@ -37,10 +37,10 @@ func TestPredictDimensionCheck(t *testing.T) {
 func TestGradientMatchesNumerical(t *testing.T) {
 	n := New(3, 5, 7)
 	x := []float64{0.3, -0.6, 0.9}
-	grad := make([]float64, n.NumParams())
+	grad := make([]float64, len(n.w))
 	base := n.forward(x, grad)
 	const h = 1e-6
-	for i := 0; i < n.NumParams(); i++ {
+	for i := 0; i < len(n.w); i++ {
 		old := n.w[i]
 		n.w[i] = old + h
 		up := n.forward(x, nil)
@@ -127,17 +127,5 @@ func TestNormalization(t *testing.T) {
 	}
 	if rms > 0.02 {
 		t.Errorf("scaled-input RMS = %v", rms)
-	}
-}
-
-func TestRMSHelper(t *testing.T) {
-	n := New(1, 2, 1)
-	if n.RMS(nil, nil) != 0 {
-		t.Error("empty RMS should be 0")
-	}
-	X := [][]float64{{0}, {1}}
-	Y := []float64{n.Predict(X[0]), n.Predict(X[1])}
-	if n.RMS(X, Y) != 0 {
-		t.Error("self-consistent RMS should be 0")
 	}
 }

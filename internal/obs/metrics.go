@@ -1,11 +1,11 @@
 // Package obs is the repo's dependency-free observability layer: atomic
 // metrics in a named registry (Prometheus text + expvar-style JSON export),
-// a leveled logger, and bounded per-job trace rings.
+// a leveled logger, and bounded per-job traces.
 //
 // Two properties are load-bearing everywhere this package is used:
 //
 //   - Nil safety. Every method on *Counter, *Gauge, *Histogram, *Logger,
-//     *Trace and *TraceRing is a no-op on a nil receiver, so call sites in
+//     and *Trace is a no-op on a nil receiver, so call sites in
 //     hot paths never need an "is observability on?" branch — a disabled
 //     component simply holds nil handles.
 //

@@ -41,7 +41,8 @@ type Trace struct {
 	dropped int
 }
 
-func newTrace(id, kind string) *Trace {
+// NewTrace starts an empty trace for job id of the given kind.
+func NewTrace(id, kind string) *Trace {
 	return &Trace{id: id, kind: kind, start: time.Now()}
 }
 
@@ -133,70 +134,6 @@ func (t *Trace) View() TraceView {
 	v := TraceView{ID: t.id, Kind: t.kind, Start: t.start, Dropped: t.dropped}
 	v.Spans = append([]Span(nil), t.spans...)
 	return v
-}
-
-// TraceRing retains the most recent traces in a bounded FIFO ring keyed by
-// id; creating a trace past capacity evicts the oldest. Memory is bounded
-// by capacity × defaultSpanLimit spans regardless of job churn.
-type TraceRing struct {
-	mu   sync.Mutex
-	cap  int
-	byID map[string]*Trace
-	fifo []string
-}
-
-// NewTraceRing returns a ring bounded to capacity traces (0 = 256).
-func NewTraceRing(capacity int) *TraceRing {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &TraceRing{cap: capacity, byID: make(map[string]*Trace)}
-}
-
-// New creates (or replaces) the trace for id, evicting the oldest trace
-// when the ring is full. Nil-safe: a nil ring returns a nil trace, and
-// every span operation on it is a no-op.
-func (r *TraceRing) New(id, kind string) *Trace {
-	if r == nil {
-		return nil
-	}
-	t := newTrace(id, kind)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.byID[id]; ok {
-		// Replace in place; position in the FIFO is kept.
-		r.byID[id] = t
-		return t
-	}
-	for len(r.fifo) >= r.cap {
-		old := r.fifo[0]
-		r.fifo = r.fifo[1:]
-		delete(r.byID, old)
-	}
-	r.fifo = append(r.fifo, id)
-	r.byID[id] = t
-	return t
-}
-
-// Get returns the trace for id, if still retained.
-func (r *TraceRing) Get(id string) (*Trace, bool) {
-	if r == nil {
-		return nil, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.byID[id]
-	return t, ok
-}
-
-// Len returns the number of retained traces.
-func (r *TraceRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.byID)
 }
 
 type traceCtxKey struct{}

@@ -2,14 +2,12 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 )
 
 func TestTraceSpans(t *testing.T) {
-	r := NewTraceRing(4)
-	tr := r.New("j1", "yield")
+	tr := NewTrace("j1", "yield")
 	tr.Event("queued", nil)
 	id := tr.Begin("shard", func(s *Span) {
 		s.Attrs = map[string]string{"chunks": "0-3"}
@@ -34,45 +32,11 @@ func TestTraceSpans(t *testing.T) {
 	if sh.Attrs["chunks"] != "0-3" {
 		t.Fatalf("shard attrs = %v", sh.Attrs)
 	}
-	if got, ok := r.Get("j1"); !ok || got != tr {
-		t.Fatal("Get(j1) lost the trace")
-	}
-}
-
-// TestTraceRingEviction proves retention stays bounded under sustained job
-// churn: after far more jobs than capacity, only the newest cap traces (and
-// their spans) remain reachable.
-func TestTraceRingEviction(t *testing.T) {
-	const capacity = 16
-	r := NewTraceRing(capacity)
-	const churn = 10_000
-	for i := 0; i < churn; i++ {
-		tr := r.New(fmt.Sprintf("j%06d", i), "yield")
-		// Give each trace real content so unbounded retention would be
-		// visibly unbounded memory.
-		sp := tr.Begin("run", nil)
-		tr.End(sp, func(s *Span) { s.Sims = int64(i) })
-	}
-	if got := r.Len(); got != capacity {
-		t.Fatalf("ring holds %d traces, want %d", got, capacity)
-	}
-	if _, ok := r.Get("j000000"); ok {
-		t.Fatal("oldest trace should have been evicted")
-	}
-	if _, ok := r.Get(fmt.Sprintf("j%06d", churn-1)); !ok {
-		t.Fatal("newest trace missing")
-	}
-	if _, ok := r.Get(fmt.Sprintf("j%06d", churn-capacity)); !ok {
-		t.Fatal("trace at capacity boundary missing")
-	}
-	if _, ok := r.Get(fmt.Sprintf("j%06d", churn-capacity-1)); ok {
-		t.Fatal("trace past capacity boundary should be gone")
-	}
 }
 
 // TestTraceSpanLimit proves a single trace cannot grow without bound.
 func TestTraceSpanLimit(t *testing.T) {
-	tr := NewTraceRing(1).New("j", "optimize")
+	tr := NewTrace("j", "optimize")
 	for i := 0; i < defaultSpanLimit+100; i++ {
 		tr.Event("gen", nil)
 	}
@@ -88,25 +52,25 @@ func TestTraceSpanLimit(t *testing.T) {
 	}
 }
 
+// TestTraceConcurrency: spans opened, closed and viewed from several
+// goroutines on one trace (a sharded job's per-shard spans) all land.
 func TestTraceConcurrency(t *testing.T) {
-	r := NewTraceRing(8)
+	tr := NewTrace("j", "yield")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr := r.New(fmt.Sprintf("w%d-%d", w, i), "yield")
 				id := tr.Begin("s", nil)
 				tr.End(id, nil)
 				_ = tr.View()
-				_ = r.Len()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if r.Len() != 8 {
-		t.Fatalf("ring len = %d", r.Len())
+	if n := len(tr.View().Spans); n != 800 {
+		t.Fatalf("spans = %d, want 800", n)
 	}
 }
 
@@ -118,18 +82,10 @@ func TestTraceContextAndNil(t *testing.T) {
 	if id != -1 || nilTrace.ID() != "" {
 		t.Fatal("nil trace must be inert")
 	}
-	var nilRing *TraceRing
-	if nilRing.New("a", "b") != nil || nilRing.Len() != 0 {
-		t.Fatal("nil ring must be inert")
-	}
-	if _, ok := nilRing.Get("a"); ok {
-		t.Fatal("nil ring Get must miss")
-	}
-
 	if TraceFrom(context.Background()) != nil {
 		t.Fatal("empty ctx should carry no trace")
 	}
-	tr := NewTraceRing(1).New("j", "yield")
+	tr := NewTrace("j", "yield")
 	ctx := ContextWithTrace(context.Background(), tr)
 	if TraceFrom(ctx) != tr {
 		t.Fatal("trace lost in ctx round trip")

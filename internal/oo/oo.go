@@ -32,12 +32,6 @@ type Manager struct {
 	Workers int
 }
 
-// NewManager returns a Manager with the paper's parameters and the given
-// stage-2 budget.
-func NewManager(maxSims int) *Manager {
-	return &Manager{N0: 15, SimAve: 35, Delta: 10, MaxSims: maxSims, Threshold: 0.97}
-}
-
 // Stage identifies which estimation stage produced a candidate's yield.
 type Stage int
 

@@ -39,15 +39,14 @@ func (b *bernoulli) Std() float64 {
 	return math.Sqrt(p * (1 - p))
 }
 
-func TestManagerDefaults(t *testing.T) {
-	m := NewManager(500)
-	if m.N0 != 15 || m.SimAve != 35 || m.MaxSims != 500 || m.Threshold != 0.97 {
-		t.Errorf("defaults wrong: %+v", m)
-	}
+// paperManager is the Manager core builds from the paper's parameters,
+// with stage-2 budget maxSims.
+func paperManager(maxSims int) *Manager {
+	return &Manager{N0: 15, SimAve: 35, Delta: 10, MaxSims: maxSims, Threshold: 0.97}
 }
 
 func TestEvaluatePromotesHighYield(t *testing.T) {
-	m := NewManager(400)
+	m := paperManager(400)
 	cands := []ocba.Candidate{
 		&bernoulli{p: 1.00, state: 1}, // should reach stage 2
 		&bernoulli{p: 0.60, state: 2},
@@ -74,7 +73,7 @@ func TestEvaluatePromotesHighYield(t *testing.T) {
 }
 
 func TestEvaluateBudget(t *testing.T) {
-	m := NewManager(500)
+	m := paperManager(500)
 	cands := []ocba.Candidate{
 		&bernoulli{p: 0.5, state: 4},
 		&bernoulli{p: 0.4, state: 5},
@@ -96,7 +95,7 @@ func TestEvaluateBudget(t *testing.T) {
 }
 
 func TestEvaluateEmpty(t *testing.T) {
-	m := NewManager(500)
+	m := paperManager(500)
 	stages, err := m.Evaluate(nil)
 	if err != nil || len(stages) != 0 {
 		t.Errorf("empty evaluate: %v, %v", stages, err)
@@ -106,7 +105,7 @@ func TestEvaluateEmpty(t *testing.T) {
 // The headline OO claim: correct ordinal selection with far fewer samples
 // than uniform full-budget estimation.
 func TestOrdinalSelectionEfficiency(t *testing.T) {
-	m := NewManager(500)
+	m := paperManager(500)
 	trueP := []float64{0.95, 0.85, 0.7, 0.55, 0.4, 0.3, 0.2, 0.1}
 	cands := make([]ocba.Candidate, len(trueP))
 	for i, p := range trueP {
@@ -153,7 +152,7 @@ func (r *recordingCand) AddSamples(n int) error {
 // past the stage-2 budget) must get a zero increment, never a negative one —
 // and must still be reported as Stage2.
 func TestEvaluateClampsOverBudgetPromotion(t *testing.T) {
-	m := NewManager(400)
+	m := paperManager(400)
 	over := &recordingCand{bernoulli: bernoulli{p: 1.0, state: 21}}
 	// Arrive above the stage-2 budget with a promotable (100%) estimate.
 	if err := over.bernoulli.AddSamples(450); err != nil {

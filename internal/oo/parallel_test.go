@@ -20,9 +20,9 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 	}
 	for _, workers := range []int{2, 8, 0} {
 		seqC, parC := mk(), mk()
-		seqM := NewManager(400)
+		seqM := paperManager(400)
 		seqM.Workers = 1
-		parM := NewManager(400)
+		parM := paperManager(400)
 		parM.Workers = workers
 		seqStages, err := seqM.Evaluate(seqC)
 		if err != nil {

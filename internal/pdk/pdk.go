@@ -230,18 +230,6 @@ func N90() *Tech {
 	return t
 }
 
-// ByName returns a registered technology deck.
-func ByName(name string) (*Tech, error) {
-	switch name {
-	case "c035", "C035", "0.35um":
-		return C035(), nil
-	case "n90", "N90", "90nm":
-		return N90(), nil
-	default:
-		return nil, fmt.Errorf("pdk: unknown technology %q", name)
-	}
-}
-
 func mustCount(t *Tech, want int) {
 	if len(t.Inter) != want {
 		panic(fmt.Sprintf("pdk: %s has %d inter-die variables, want %d", t.Name, len(t.Inter), want))

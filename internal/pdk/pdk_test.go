@@ -103,17 +103,6 @@ func TestScalingBetweenNodes(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"c035", "C035", "0.35um", "n90", "N90", "90nm"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
-		}
-	}
-	if _, err := ByName("7nm"); err == nil {
-		t.Error("expected error for unknown deck")
-	}
-}
-
 func TestInterNamesOrder(t *testing.T) {
 	tech := C035()
 	names := tech.InterNames()

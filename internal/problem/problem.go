@@ -131,23 +131,6 @@ func CheckDesign(p Problem, x []float64) error {
 	return nil
 }
 
-// Clamp returns x with every coordinate clipped into the problem's bounds.
-func Clamp(p Problem, x []float64) []float64 {
-	lo, hi := p.Bounds()
-	out := make([]float64, len(x))
-	for i, v := range x {
-		switch {
-		case v < lo[i]:
-			out[i] = lo[i]
-		case v > hi[i]:
-			out[i] = hi[i]
-		default:
-			out[i] = v
-		}
-	}
-	return out
-}
-
 // RandomDesign draws a uniform random design inside the bounds.
 func RandomDesign(p Problem, rng *randx.Stream) []float64 {
 	lo, hi := p.Bounds()

@@ -46,20 +46,6 @@ func TestCheckDesign(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	p := &toy{}
-	got := Clamp(p, []float64{-5, 5})
-	if got[0] != 0 || got[1] != 1 {
-		t.Errorf("clamp = %v", got)
-	}
-	// Interior points unchanged.
-	got = Clamp(p, []float64{1, 0.5})
-	if got[0] != 1 || got[1] != 0.5 {
-		t.Errorf("interior clamp = %v", got)
-	}
-}
-
-// Property: RandomDesign always lands inside the bounds.
 func TestRandomDesignProperty(t *testing.T) {
 	p := &toy{}
 	f := func(seed uint64) bool {

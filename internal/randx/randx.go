@@ -34,18 +34,11 @@ func New(seed uint64) *Stream {
 // every other method interleave with it freely.
 func (s *Stream) Int63s(dst []int64) { s.src.Int63s(dst) }
 
-// Seed returns the seed the stream was created with.
-func (s *Stream) Seed() uint64 { return s.seed }
-
 // Derive returns a new independent stream whose seed is a strong mix of the
 // parent seed and the given identifiers. Deriving the same ids twice yields
 // identical streams, which makes per-candidate evaluations reproducible.
 func (s *Stream) Derive(ids ...uint64) *Stream {
-	h := s.seed
-	for _, id := range ids {
-		h = mix(h ^ mix(id))
-	}
-	return New(h)
+	return New(DeriveSeed(s.seed, ids...))
 }
 
 // DeriveSeed mixes ids into a raw child seed without allocating a stream.

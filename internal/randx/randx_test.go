@@ -33,10 +33,11 @@ func TestDeriveIndependent(t *testing.T) {
 }
 
 func TestDeriveSeedMatchesDerive(t *testing.T) {
-	s := New(99)
-	want := s.Derive(3, 4).Seed()
-	if got := DeriveSeed(99, 3, 4); got != want {
-		t.Fatalf("DeriveSeed = %d, want %d", got, want)
+	a, b := New(99).Derive(3, 4), New(DeriveSeed(99, 3, 4))
+	for i := 0; i < 8; i++ {
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("word %d: Derive %d, New(DeriveSeed) %d", i, x, y)
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ func TestClientContextBoundsRetries(t *testing.T) {
 // from a dead endpoint (connection refused) to a live one — the flag shape
 // yieldest/mohecorun pass through from -server.
 func TestClientEndpointFailover(t *testing.T) {
-	_, liveClient, _ := newTestServer(t, service.Config{Jobs: 1})
+	_, liveClient := newTestServer(t, service.Config{Jobs: 1})
 	live := liveClient.Endpoints()
 	// A listener that was closed immediately: connections are refused.
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -129,7 +129,7 @@ func TestClientResubmitsWhenEndpointDies(t *testing.T) {
 		w.Write([]byte(`{"id":"j00000001","kind":"yield","scenario":"svc-test","state":"queued","created":"2026-01-01T00:00:00Z"}`))
 	}))
 	defer stub.Close()
-	_, liveClient, _ := newTestServer(t, service.Config{Jobs: 1})
+	_, liveClient := newTestServer(t, service.Config{Jobs: 1})
 
 	client := service.NewClient(stub.URL + "," + liveClient.Endpoints())
 	go func() {

@@ -21,17 +21,15 @@ import (
 
 	"github.com/eda-go/moheco/internal/chaos"
 	"github.com/eda-go/moheco/internal/service"
-	"github.com/eda-go/moheco/internal/yieldsim"
 )
 
 // fleetNode is one in-process fleet member: a service on a real TCP
-// listener (so peers can dial it by URL) plus its private sim counter.
+// listener (so peers can dial it by URL).
 type fleetNode struct {
-	svc     *service.Server
-	ts      *httptest.Server
-	url     string
-	counter *yieldsim.Counter
-	killed  sync.Once
+	svc    *service.Server
+	ts     *httptest.Server
+	url    string
+	killed sync.Once
 }
 
 // startFleetNode boots a service on a pre-created listener so the
@@ -42,9 +40,6 @@ func startFleetNode(t *testing.T, cfg service.Config, transport http.RoundTrippe
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Counter == nil {
-		cfg.Counter = &yieldsim.Counter{}
 	}
 	if cfg.EventInterval == 0 {
 		cfg.EventInterval = 20 * time.Millisecond
@@ -61,7 +56,7 @@ func startFleetNode(t *testing.T, cfg service.Config, transport http.RoundTrippe
 	ts.Listener.Close()
 	ts.Listener = ln
 	ts.Start()
-	n := &fleetNode{svc: svc, ts: ts, url: ts.URL, counter: cfg.Counter}
+	n := &fleetNode{svc: svc, ts: ts, url: ts.URL}
 	t.Cleanup(n.kill)
 	return n
 }
@@ -167,7 +162,7 @@ func TestChaosCoordinatorKillHandOff(t *testing.T) {
 	if role := wb.svc.Fleet().Role; role != "worker" {
 		t.Errorf("higher-ranked survivor's role = %q, want worker (no split brain)", role)
 	}
-	if a, b := wa.counter.Total(), wb.counter.Total(); a == 0 || b == 0 {
+	if a, b := wa.svc.Sims(), wb.svc.Sims(); a == 0 || b == 0 {
 		t.Errorf("hand-off did not re-form the fleet: a-worker %d sims, b-worker %d", a, b)
 	}
 }
@@ -208,7 +203,7 @@ func TestChaosReplicatedResultSurvivesCoordinatorDeath(t *testing.T) {
 	}
 	coord.kill()
 
-	before := wa.counter.Total()
+	before := wa.svc.Sims()
 	second, err := service.NewClient(wa.url).Yield(ctx, req)
 	if err != nil {
 		t.Fatalf("replica holder could not serve the result: %v", err)
@@ -216,7 +211,7 @@ func TestChaosReplicatedResultSurvivesCoordinatorDeath(t *testing.T) {
 	if second.Yield == nil || second.Yield.Yield != first.Yield.Yield {
 		t.Errorf("replicated result %v, original %v", second.Yield, first.Yield)
 	}
-	if got := wa.counter.Total(); got != before {
+	if got := wa.svc.Sims(); got != before {
 		t.Errorf("replica hit cost %d simulations, want 0", got-before)
 	}
 }
@@ -286,7 +281,7 @@ func TestChaosPartitionExactAccounting(t *testing.T) {
 	if st.Yield == nil || st.Yield.Yield != want {
 		t.Errorf("yield under partition %v, single-node %v", st.Yield, want)
 	}
-	if got := coord.counter.Total(); got != n {
+	if got := coord.svc.Sims(); got != n {
 		t.Errorf("coordinator counted %d fleet sims, want exactly %d (unreported work must not count)", got, n)
 	}
 	dropped := 0
@@ -298,7 +293,7 @@ func TestChaosPartitionExactAccounting(t *testing.T) {
 	if dropped == 0 {
 		t.Error("the sever rule never fired — the partition was not exercised")
 	}
-	if bad.counter.Total() == 0 {
+	if bad.svc.Sims() == 0 {
 		t.Error("partitioned worker did no work — the contention was not exercised")
 	}
 }
@@ -339,10 +334,10 @@ func TestChaosSlowPeerIdenticalMerge(t *testing.T) {
 	if st.Yield == nil || st.Yield.Yield != want {
 		t.Errorf("yield with slow peer %v, single-node %v", st.Yield, want)
 	}
-	if got := coord.counter.Total(); got < n {
+	if got := coord.svc.Sims(); got < n {
 		t.Errorf("coordinator counted %d fleet sims, want >= %d", got, n)
 	}
-	if slow.counter.Total() == 0 {
+	if slow.svc.Sims() == 0 {
 		t.Error("slow worker did no work — the delay path was not exercised")
 	}
 	delayed := 0
@@ -433,7 +428,7 @@ func TestDrainDeregisters(t *testing.T) {
 	if st.State != service.StateDone {
 		t.Fatalf("post-drain job state %s", st.State)
 	}
-	if got := wa.counter.Total(); got != 0 {
+	if got := wa.svc.Sims(); got != 0 {
 		t.Errorf("drained worker simulated %d samples after drain, want 0", got)
 	}
 }

@@ -27,24 +27,22 @@ func localYield(t *testing.T, scenarioName string, n int, seed uint64) float64 {
 }
 
 // newWorker starts a server that joins the coordinator at joinURL as a
-// fleet worker, returning its private sim counter.
-func newWorker(t *testing.T, joinURL, node string, workers int) (*service.Server, *yieldsim.Counter) {
+// fleet worker.
+func newWorker(t *testing.T, joinURL, node string, workers int) *service.Server {
 	t.Helper()
-	counter := &yieldsim.Counter{}
 	svc := service.New(service.Config{
 		Workers: workers,
-		Counter: counter,
 		Fleet:   service.FleetConfig{Join: joinURL, Node: node},
 	})
 	t.Cleanup(svc.Close)
-	return svc, counter
+	return svc
 }
 
 // TestCoordinatorSelfWorkBitIdentical: a one-process coordinator (its
 // in-process shard runner is the whole fleet) serves the bit-identical
 // estimate of the single-node path, and /healthz reports its fleet role.
 func TestCoordinatorSelfWorkBitIdentical(t *testing.T) {
-	_, client, counter := newTestServer(t, service.Config{
+	svc, client := newTestServer(t, service.Config{
 		Jobs:  2,
 		Fleet: service.FleetConfig{Coordinator: true, Node: "coord"},
 	})
@@ -62,7 +60,7 @@ func TestCoordinatorSelfWorkBitIdentical(t *testing.T) {
 	if st.Yield.Yield != want {
 		t.Errorf("coordinator yield %v, single-node %v", st.Yield.Yield, want)
 	}
-	if got := counter.Total(); got != n {
+	if got := svc.Sims(); got != n {
 		t.Errorf("coordinator spent %d sims, want %d", got, n)
 	}
 
@@ -87,7 +85,7 @@ func TestCoordinatorSelfWorkBitIdentical(t *testing.T) {
 // of the single-node run, both workers contribute, and the fleet-wide sim
 // count is exact.
 func TestFleetShardedBitIdentical(t *testing.T) {
-	_, client, coordCounter := newTestServer(t, service.Config{
+	coord, client := newTestServer(t, service.Config{
 		Jobs: 2,
 		Fleet: service.FleetConfig{
 			Coordinator:  true,
@@ -97,8 +95,8 @@ func TestFleetShardedBitIdentical(t *testing.T) {
 		},
 	})
 	coordURL := client.Endpoints()
-	_, counterA := newWorker(t, coordURL, "worker-a", 2)
-	_, counterB := newWorker(t, coordURL, "worker-b", 2)
+	workerA := newWorker(t, coordURL, "worker-a", 2)
+	workerB := newWorker(t, coordURL, "worker-b", 2)
 	ctx := context.Background()
 
 	// svc-slow's per-evaluation delay keeps each shard in flight long
@@ -115,12 +113,12 @@ func TestFleetShardedBitIdentical(t *testing.T) {
 	if st.Yield.Yield != want {
 		t.Errorf("sharded yield %v, single-node %v — fleet broke bit-identity", st.Yield.Yield, want)
 	}
-	if a, b := counterA.Total(), counterB.Total(); a == 0 || b == 0 {
+	if a, b := workerA.Sims(), workerB.Sims(); a == 0 || b == 0 {
 		t.Errorf("work not distributed: worker-a %d sims, worker-b %d", a, b)
 	} else if a+b != n {
 		t.Errorf("workers spent %d sims total, want %d", a+b, n)
 	}
-	if got := coordCounter.Total(); got != n {
+	if got := coord.Sims(); got != n {
 		t.Errorf("coordinator counted %d fleet sims, want %d", got, n)
 	}
 
@@ -139,7 +137,7 @@ func TestFleetShardedBitIdentical(t *testing.T) {
 // must still be bit-identical — a lost node delays the answer, never
 // changes it.
 func TestFleetWorkerDeathRedispatch(t *testing.T) {
-	_, client, _ := newTestServer(t, service.Config{
+	_, client := newTestServer(t, service.Config{
 		Jobs: 2,
 		Fleet: service.FleetConfig{
 			Coordinator:  true,
@@ -150,7 +148,7 @@ func TestFleetWorkerDeathRedispatch(t *testing.T) {
 		},
 	})
 	coordURL := client.Endpoints()
-	victim, _ := newWorker(t, coordURL, "victim", 2)
+	victim := newWorker(t, coordURL, "victim", 2)
 
 	const n, seed = 16384, 3
 	ctx := context.Background()
@@ -187,7 +185,7 @@ func TestFleetWorkerDeathRedispatch(t *testing.T) {
 // a larger estimate sharing a prefix of full chunks with an earlier one
 // only pays for the new shards.
 func TestWarmShardReuse(t *testing.T) {
-	_, client, counter := newTestServer(t, service.Config{
+	svc, client := newTestServer(t, service.Config{
 		Jobs:  2,
 		Fleet: service.FleetConfig{Coordinator: true, ShardSamples: 8192},
 	})
@@ -199,7 +197,7 @@ func TestWarmShardReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := counter.Total(); got != 16384 {
+	if got := svc.Sims(); got != 16384 {
 		t.Fatalf("first estimate cost %d sims, want 16384", got)
 	}
 
@@ -212,8 +210,8 @@ func TestWarmShardReuse(t *testing.T) {
 	if second.Cached {
 		t.Error("different-n request wrongly coalesced at job level")
 	}
-	if got := counter.Total(); got != 16384+8192 {
-		t.Errorf("second estimate cost %d new sims, want 8192 (warm shards reused)", counter.Total()-16384)
+	if got := svc.Sims(); got != 16384+8192 {
+		t.Errorf("second estimate cost %d new sims, want 8192 (warm shards reused)", svc.Sims()-16384)
 	}
 	for _, tc := range []struct {
 		st *service.Status

@@ -207,20 +207,15 @@ func (s *Server) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves GET /v1/jobs/{id}/trace: the job's full span record.
-// Traces live in a bounded ring, so an old job can answer 404 here while
-// its status (and trace summary) are still retained.
+// The trace lives on the job, so it is retained exactly as long as the
+// job's status.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, err := s.Get(id); err != nil {
+	j, err := s.Get(r.PathValue("id"))
+	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	t, ok := s.traces.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: no trace retained for job %s", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, t.View())
+	writeJSON(w, http.StatusOK, j.trace.View())
 }
 
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {

@@ -93,7 +93,7 @@ func TestPeerStatsStragglers(t *testing.T) {
 	c.peers["b-fast"] = peer(1000)
 	c.peers["c-mid"] = peer(900)
 	c.peers["a-slow"] = peer(100)
-	stats := c.peerStatsLocked(time.Minute)
+	stats := c.peerStatsLocked()
 	c.mu.Unlock()
 
 	if len(stats) != 3 {
@@ -118,9 +118,37 @@ func TestPeerStatsStragglers(t *testing.T) {
 	c.mu.Lock()
 	delete(c.peers, "b-fast")
 	delete(c.peers, "c-mid")
-	solo := c.peerStatsLocked(time.Minute)
+	solo := c.peerStatsLocked()
 	c.mu.Unlock()
 	if len(solo) != 1 || solo[0].Straggler {
 		t.Fatalf("solo peer stats = %+v, want one non-straggler", solo)
+	}
+}
+
+// TestPeerLivenessOneWindow: /healthz's peer count, the PeerStat table and
+// the electorate apply one liveness rule. A peer last seen five heartbeats
+// ago is absent from all three; one seen a heartbeat ago is in all three.
+func TestPeerLivenessOneWindow(t *testing.T) {
+	s := New(Config{
+		Metrics: obs.NewRegistry(),
+		Fleet:   FleetConfig{Coordinator: true, Node: "coord", NoSelfWork: true},
+	})
+	t.Cleanup(s.Close)
+	c := s.coord
+	now := time.Now()
+	c.mu.Lock()
+	c.peers["stale"] = peerInfo{url: "http://stale", seen: now.Add(-5 * defaultHeartbeat)}
+	c.peers["fresh"] = peerInfo{url: "http://fresh", seen: now.Add(-defaultHeartbeat)}
+	c.mu.Unlock()
+
+	fs := s.Fleet()
+	if fs.Peers != 1 {
+		t.Errorf("Peers = %d, want 1 (only the peer seen a heartbeat ago)", fs.Peers)
+	}
+	if len(fs.PeerStats) != 1 || fs.PeerStats[0].Node != "fresh" {
+		t.Errorf("PeerStats = %+v, want only fresh", fs.PeerStats)
+	}
+	if live := c.livePeers(); len(live) != 1 || live[0].Node != "fresh" {
+		t.Errorf("electorate = %+v, want only fresh", live)
 	}
 }

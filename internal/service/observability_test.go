@@ -152,35 +152,39 @@ func TestJobTraceEndpointAndSummary(t *testing.T) {
 	}
 }
 
-// TestTraceRingBoundedUnderChurn: with TraceSize 2, a third job must evict
-// the first job's span record — the 404 while the job itself is still
-// retained is the proof the ring, not the job cache, bounds trace memory.
-func TestTraceRingBoundedUnderChurn(t *testing.T) {
-	client, base := newObsServer(t, service.Config{Jobs: 1, TraceSize: 2, Metrics: obs.NewRegistry()})
+// TestJobTraceRetainedWithJob: a job's trace lives on the job, so it
+// answers exactly while the job's status does. With CacheSize 2, a third
+// completed job evicts the least recently used one, status and trace
+// together.
+func TestJobTraceRetainedWithJob(t *testing.T) {
+	client, base := newObsServer(t, service.Config{Jobs: 1, CacheSize: 2, Metrics: obs.NewRegistry()})
 	ctx := context.Background()
-
-	var ids []string
-	for seed := uint64(1); seed <= 3; seed++ {
+	yield := func(seed uint64) string {
 		st, err := client.Yield(ctx, service.YieldRequest{Scenario: "svc-test", N: 3000, Seed: service.Seed(seed)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, st.ID)
+		return st.ID
 	}
-
-	// The first job still answers its status...
-	if code, _ := get(t, base+"/v1/jobs/"+ids[0]); code != http.StatusOK {
-		t.Fatalf("evicted-trace job's status = %d, want 200", code)
-	}
-	// ...but its trace was evicted by the ring bound.
-	if code, _ := get(t, base+"/v1/jobs/"+ids[0]+"/trace"); code != http.StatusNotFound {
-		t.Errorf("oldest trace = %d, want 404 (evicted)", code)
-	}
-	for _, id := range ids[1:] {
-		if code, _ := get(t, base+"/v1/jobs/"+id+"/trace"); code != http.StatusOK {
-			t.Errorf("retained trace %s = %d, want 200", id, code)
+	answers := func(id string, want int) {
+		t.Helper()
+		if code, _ := get(t, base+"/v1/jobs/"+id); code != want {
+			t.Errorf("job %s status = %d, want %d", id, code, want)
+		}
+		if code, _ := get(t, base+"/v1/jobs/"+id+"/trace"); code != want {
+			t.Errorf("job %s trace = %d, want %d", id, code, want)
 		}
 	}
+
+	first, second := yield(1), yield(2)
+	// Looking the first job up before the second leaves the first least
+	// recently used.
+	answers(first, http.StatusOK)
+	answers(second, http.StatusOK)
+	third := yield(3)
+	answers(first, http.StatusNotFound)
+	answers(second, http.StatusOK)
+	answers(third, http.StatusOK)
 }
 
 // TestFleetStatusEndpoint: the standalone fleet-status route answers on a

@@ -16,7 +16,7 @@ import (
 // the pre-extension key shape would silently alias them onto whichever
 // backend ran first.
 func TestOptimizeBackendsNeverCoalesce(t *testing.T) {
-	svc, _, _ := newTestServer(t, service.Config{Jobs: 1})
+	svc, _ := newTestServer(t, service.Config{Jobs: 1})
 
 	base := service.OptimizeRequest{Scenario: "svc-test", MaxSims: 60, MaxGens: 3, Seed: service.Seed(5)}
 
@@ -73,7 +73,7 @@ func TestOptimizeBackendsNeverCoalesce(t *testing.T) {
 // must reproduce the in-process run bit for bit, and the result must carry
 // the backend name.
 func TestServedLinEasyBOMatchesLocal(t *testing.T) {
-	_, client, _ := newTestServer(t, service.Config{Jobs: 1})
+	_, client := newTestServer(t, service.Config{Jobs: 1})
 	ctx := context.Background()
 
 	req := service.OptimizeRequest{

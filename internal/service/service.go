@@ -79,10 +79,6 @@ type Config struct {
 	// CacheSize bounds the completed jobs retained for result reuse and
 	// status lookup (0 = 256), evicted least-recently-used.
 	CacheSize int
-	// Counter, when non-nil, receives every simulator invocation the
-	// server performs (tests inject one to assert cache hits cost zero
-	// simulations); nil means a private counter, visible via Sims.
-	Counter *yieldsim.Counter
 	// EventInterval is the SSE progress-frame period (0 = 500ms).
 	EventInterval time.Duration
 	// Log, when non-nil, receives one line per job transition (and, at
@@ -97,14 +93,6 @@ type Config struct {
 	// obs.Default()). Tests running several servers in one process inject
 	// private registries so counters don't bleed between them.
 	Metrics *obs.Registry
-	// TraceSize bounds the per-job trace ring (0 = CacheSize): traces
-	// outlive neither the ring nor sustained churn — memory stays bounded.
-	TraceSize int
-	// Backend, when non-nil, overrides the executor yield jobs run on
-	// (nil = chosen by Fleet: a Coordinator when Fleet.Coordinator is set,
-	// the in-process LocalBackend otherwise). Tests inject instrumented
-	// backends here.
-	Backend Backend
 	// Fleet configures multi-node operation; the zero value is a
 	// single-node server.
 	Fleet FleetConfig
@@ -124,9 +112,6 @@ type Config struct {
 type Hooks struct {
 	// ShardLeased fires after a shard lease is handed to a node.
 	ShardLeased func(node string, sh Shard)
-	// ShardCompleted fires after a completion report is processed; stale
-	// marks a duplicate or withdrawn shard's report.
-	ShardCompleted func(id string, stale bool)
 }
 
 // FleetConfig describes this server's place in a multi-node fleet.
@@ -465,7 +450,6 @@ type Server struct {
 	log     *obs.Logger
 	metrics *obs.Registry
 	sm      *serverMetrics
-	traces  *obs.TraceRing
 	started time.Time
 	node    string
 	httpc   *http.Client // outbound fleet traffic (Config.Transport seam)
@@ -526,26 +510,17 @@ func New(cfg Config) *Server {
 	if cfg.EventInterval <= 0 {
 		cfg.EventInterval = 500 * time.Millisecond
 	}
-	counter := cfg.Counter
-	if counter == nil {
-		counter = &yieldsim.Counter{}
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default()
 	}
-	traceSize := cfg.TraceSize
-	if traceSize <= 0 {
-		traceSize = cfg.CacheSize
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
-		counter:  counter,
+		counter:  &yieldsim.Counter{},
 		log:      obs.NewLogger(cfg.Log, cfg.LogLevel),
 		metrics:  reg,
 		sm:       newServerMetrics(reg),
-		traces:   obs.NewTraceRing(traceSize),
 		started:  time.Now(),
 		httpc:    &http.Client{Transport: cfg.Transport},
 		replica:  newReplica(cfg.CacheSize),
@@ -574,13 +549,10 @@ func New(cfg Config) *Server {
 	if s.node == "" {
 		s.node = fmt.Sprintf("%s-%d", s.role, os.Getpid())
 	}
-	switch {
-	case cfg.Backend != nil:
-		s.backend = cfg.Backend
-	case cfg.Fleet.Coordinator:
+	if cfg.Fleet.Coordinator {
 		s.startCoordinator(nil)
-	default:
-		s.backend = &LocalBackend{Workers: cfg.Workers, Counter: counter}
+	} else {
+		s.backend = &LocalBackend{Workers: cfg.Workers, Counter: s.counter}
 	}
 	if cfg.Fleet.Join != "" {
 		s.wg.Add(1)
@@ -811,16 +783,9 @@ func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
 	if req.Method == "" {
 		req.Method = "moheco"
 	}
-	var m core.Method
-	switch req.Method {
-	case "moheco":
-		m = core.MethodMOHECO
-	case "oo":
-		m = core.MethodOOOnly
-	case "fixed":
-		m = core.MethodFixedBudget
-	default:
-		return nil, false, fmt.Errorf("service: unknown method %q (moheco | oo | fixed)", req.Method)
+	m, err := core.ParseMethod(req.Method)
+	if err != nil {
+		return nil, false, fmt.Errorf("service: %w", err)
 	}
 	if req.Optimizer == "" {
 		req.Optimizer = core.DefaultBackend
@@ -951,7 +916,7 @@ func (s *Server) add(kind, scenarioName, key string, run func(context.Context, *
 		state:    StateQueued,
 		created:  time.Now(),
 	}
-	j.trace = s.traces.New(j.ID, kind)
+	j.trace = obs.NewTrace(j.ID, kind)
 	j.queueSpan = j.trace.Begin("queued", nil)
 	j.runSpan = -1
 	select {

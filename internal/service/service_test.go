@@ -19,15 +19,10 @@ import (
 )
 
 // newTestServer starts a service on an httptest listener and returns it
-// with a matching client. The counter is the one every served simulation
-// increments.
-func newTestServer(t *testing.T, cfg service.Config) (*service.Server, *service.Client, *yieldsim.Counter) {
+// with a matching client. The server's Sims counts every served
+// simulation.
+func newTestServer(t *testing.T, cfg service.Config) (*service.Server, *service.Client) {
 	t.Helper()
-	counter := cfg.Counter
-	if counter == nil {
-		counter = &yieldsim.Counter{}
-		cfg.Counter = counter
-	}
 	if cfg.EventInterval == 0 {
 		cfg.EventInterval = 20 * time.Millisecond
 	}
@@ -37,7 +32,7 @@ func newTestServer(t *testing.T, cfg service.Config) (*service.Server, *service.
 		ts.Close()
 		svc.Close()
 	})
-	return svc, service.NewClient(ts.URL), counter
+	return svc, service.NewClient(ts.URL)
 }
 
 // TestServedYieldBitIdentical is the end-to-end determinism contract: a
@@ -45,7 +40,7 @@ func newTestServer(t *testing.T, cfg service.Config) (*service.Server, *service.
 // same (scenario, x, n, seed, sampler) — for the plain-MC default and for
 // each alternative sample plan.
 func TestServedYieldBitIdentical(t *testing.T) {
-	_, client, _ := newTestServer(t, service.Config{Jobs: 2})
+	_, client := newTestServer(t, service.Config{Jobs: 2})
 	ctx := context.Background()
 
 	for _, tc := range []struct {
@@ -101,7 +96,7 @@ func TestServedYieldBitIdentical(t *testing.T) {
 // request is served without a single new simulator call, while a changed
 // request (different seed) runs fresh.
 func TestCacheHitZeroSims(t *testing.T) {
-	_, client, counter := newTestServer(t, service.Config{Jobs: 2})
+	svc, client := newTestServer(t, service.Config{Jobs: 2})
 	ctx := context.Background()
 	req := service.YieldRequest{Scenario: "svc-test", N: 3000, Seed: service.Seed(9)}
 
@@ -109,7 +104,7 @@ func TestCacheHitZeroSims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simsAfterFirst := counter.Total()
+	simsAfterFirst := svc.Sims()
 	if simsAfterFirst != 3000 {
 		t.Fatalf("first request cost %d sims, want 3000", simsAfterFirst)
 	}
@@ -124,7 +119,7 @@ func TestCacheHitZeroSims(t *testing.T) {
 	if second.ID != first.ID {
 		t.Errorf("second request got job %s, want cached %s", second.ID, first.ID)
 	}
-	if got := counter.Total(); got != simsAfterFirst {
+	if got := svc.Sims(); got != simsAfterFirst {
 		t.Errorf("cache hit cost %d extra sims", got-simsAfterFirst)
 	}
 	if second.Yield.Yield != first.Yield.Yield {
@@ -138,7 +133,7 @@ func TestCacheHitZeroSims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !third.Cached || counter.Total() != simsAfterFirst {
+	if !third.Cached || svc.Sims() != simsAfterFirst {
 		t.Error("explicitly-spelled default request missed the cache")
 	}
 
@@ -147,7 +142,7 @@ func TestCacheHitZeroSims(t *testing.T) {
 	if _, err := client.Yield(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if got := counter.Total(); got != simsAfterFirst+3000 {
+	if got := svc.Sims(); got != simsAfterFirst+3000 {
 		t.Errorf("changed-seed request cost %d sims, want 3000", got-simsAfterFirst)
 	}
 }
@@ -155,7 +150,7 @@ func TestCacheHitZeroSims(t *testing.T) {
 // TestInFlightDedupe asserts that two concurrent identical requests
 // coalesce onto one job and one simulation budget.
 func TestInFlightDedupe(t *testing.T) {
-	_, client, counter := newTestServer(t, service.Config{Jobs: 4})
+	svc, client := newTestServer(t, service.Config{Jobs: 4})
 	ctx := context.Background()
 	req := service.YieldRequest{Scenario: "svc-slow", N: 4096, Seed: service.Seed(11)}
 
@@ -183,7 +178,7 @@ func TestInFlightDedupe(t *testing.T) {
 			t.Error("concurrent identical requests disagree on the result")
 		}
 	}
-	if got := counter.Total(); got != 4096 {
+	if got := svc.Sims(); got != 4096 {
 		t.Errorf("4 coalesced requests cost %d sims, want 4096", got)
 	}
 }
@@ -191,7 +186,7 @@ func TestInFlightDedupe(t *testing.T) {
 // TestConcurrentJobs drives 8 distinct jobs across 2 scenarios at once and
 // checks every served result against the local estimator.
 func TestConcurrentJobs(t *testing.T) {
-	_, client, _ := newTestServer(t, service.Config{Jobs: 4, Workers: 2})
+	_, client := newTestServer(t, service.Config{Jobs: 4, Workers: 2})
 	ctx := context.Background()
 
 	type reqRes struct {
@@ -235,7 +230,7 @@ func TestConcurrentJobs(t *testing.T) {
 // TestCancelStopsSims submits a slow job, cancels it mid-run, and asserts
 // the simulation counter stops advancing once the in-flight chunks drain.
 func TestCancelStopsSims(t *testing.T) {
-	svc, client, counter := newTestServer(t, service.Config{Jobs: 1, Workers: 2})
+	svc, client := newTestServer(t, service.Config{Jobs: 1, Workers: 2})
 	ctx := context.Background()
 
 	// ~100µs per evaluation × 2048-sample chunks ⇒ each chunk takes long
@@ -247,7 +242,7 @@ func TestCancelStopsSims(t *testing.T) {
 	if cached {
 		t.Fatal("fresh request reported cached")
 	}
-	waitFor(t, 10*time.Second, func() bool { return counter.Total() > 0 }, "job never started simulating")
+	waitFor(t, 10*time.Second, func() bool { return svc.Sims() > 0 }, "job never started simulating")
 
 	if _, err := client.Cancel(ctx, j.ID); err != nil {
 		t.Fatal(err)
@@ -255,12 +250,12 @@ func TestCancelStopsSims(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return j.Status().State == service.StateCancelled },
 		"job did not reach cancelled state")
 
-	after := counter.Total()
+	after := svc.Sims()
 	if after >= 200000 {
 		t.Fatalf("cancellation saved nothing: %d sims of 200000 ran", after)
 	}
 	time.Sleep(200 * time.Millisecond)
-	if got := counter.Total(); got != after {
+	if got := svc.Sims(); got != after {
 		t.Errorf("counter still advancing after cancellation: %d → %d", after, got)
 	}
 
@@ -282,7 +277,7 @@ func TestCancelStopsSims(t *testing.T) {
 // outcome. The resubmission must instead get a fresh job whose result is
 // bit-identical to the local estimator.
 func TestCancelThenResubmitBitIdentity(t *testing.T) {
-	svc, _, counter := newTestServer(t, service.Config{Jobs: 2, Workers: 2})
+	svc, _ := newTestServer(t, service.Config{Jobs: 2, Workers: 2})
 	req := service.YieldRequest{Scenario: "svc-slow", N: 20000, Seed: service.Seed(21)}
 
 	j, cached, err := svc.SubmitYield(req)
@@ -292,7 +287,7 @@ func TestCancelThenResubmitBitIdentity(t *testing.T) {
 	if cached {
 		t.Fatal("fresh request reported cached")
 	}
-	waitFor(t, 10*time.Second, func() bool { return counter.Total() > 0 }, "job never started simulating")
+	waitFor(t, 10*time.Second, func() bool { return svc.Sims() > 0 }, "job never started simulating")
 
 	// Cancel and resubmit immediately: the first job is mid-chunk (each
 	// 2048-sample chunk spins ~200ms), so it has not finalized and still
@@ -339,7 +334,7 @@ func TestCancelThenResubmitBitIdentity(t *testing.T) {
 // TestSSEEvents checks the progress stream: an immediate status event,
 // at least one progress frame while running, and a final done event.
 func TestSSEEvents(t *testing.T) {
-	svc, client, _ := newTestServer(t, service.Config{Jobs: 1, EventInterval: 10 * time.Millisecond})
+	svc, client := newTestServer(t, service.Config{Jobs: 1, EventInterval: 10 * time.Millisecond})
 	_ = client
 
 	j, _, err := svc.SubmitYield(service.YieldRequest{Scenario: "svc-slow", N: 8192, Seed: service.Seed(5)})
@@ -389,7 +384,7 @@ func TestSSEEvents(t *testing.T) {
 // API and compares it bit for bit with the local core run at the same
 // parameters.
 func TestServedOptimizeMatchesLocal(t *testing.T) {
-	_, client, _ := newTestServer(t, service.Config{Jobs: 1})
+	_, client := newTestServer(t, service.Config{Jobs: 1})
 	ctx := context.Background()
 
 	req := service.OptimizeRequest{Scenario: "svc-test", Method: "moheco", MaxSims: 60, MaxGens: 3, Seed: service.Seed(5)}
@@ -436,7 +431,7 @@ func TestServedOptimizeMatchesLocal(t *testing.T) {
 // job running next to other jobs must report only its own simulations
 // (a shared counter would leak the neighbours' sims into TotalSims).
 func TestOptimizeSimCountUnderLoad(t *testing.T) {
-	svc, client, _ := newTestServer(t, service.Config{Jobs: 3})
+	svc, client := newTestServer(t, service.Config{Jobs: 3})
 	ctx := context.Background()
 
 	// Keep the server busy with slow yield traffic for the whole
@@ -469,7 +464,7 @@ func TestOptimizeSimCountUnderLoad(t *testing.T) {
 
 // TestScenariosAndHealth exercises the two metadata endpoints.
 func TestScenariosAndHealth(t *testing.T) {
-	_, client, _ := newTestServer(t, service.Config{})
+	_, client := newTestServer(t, service.Config{})
 	ctx := context.Background()
 
 	infos, err := client.Scenarios(ctx)
@@ -500,7 +495,7 @@ func TestScenariosAndHealth(t *testing.T) {
 
 // TestBadRequests maps API misuse to client-visible errors.
 func TestBadRequests(t *testing.T) {
-	_, client, _ := newTestServer(t, service.Config{})
+	_, client := newTestServer(t, service.Config{})
 	ctx := context.Background()
 
 	if _, err := client.Yield(ctx, service.YieldRequest{Scenario: "no-such-scenario"}); err == nil ||

@@ -1,8 +1,8 @@
 // Shard scheduling: the coordinator side of the distributed yield fleet.
 //
-// A yield job of n samples is the chunk-indexed sample stream
-// yieldsim.Chunks(n); the coordinator groups consecutive chunks into
-// shards, serves them to pull-based workers (remote nodes over
+// A yield job of n samples is a chunk-indexed sample stream of
+// yieldsim.NumChunks(n) chunks; the coordinator groups consecutive chunks
+// into shards, serves them to pull-based workers (remote nodes over
 // POST /v1/shards/lease, plus an in-process runner so the coordinator is
 // itself a node), and merges the per-chunk passing-sample counts in
 // chunk-index order. Counts are integers and every chunk's sample stream is
@@ -38,16 +38,6 @@ type Shard struct {
 	Spec  YieldSpec `json:"spec"`
 	First int       `json:"first"`
 	Last  int       `json:"last"`
-}
-
-// Samples returns the number of Monte-Carlo samples the shard covers.
-func (sh Shard) Samples() int {
-	lo := sh.First * yieldsim.ChunkSize
-	hi := sh.Last * yieldsim.ChunkSize
-	if hi > sh.Spec.N {
-		hi = sh.Spec.N
-	}
-	return hi - lo
 }
 
 // ShardLeaseRequest asks the coordinator for up to Max shards on behalf of
@@ -254,12 +244,19 @@ func (c *Coordinator) mergedSnapshot(local obs.Snapshot) obs.Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for node, p := range c.peers {
-		if node == c.node || p.metrics == nil || now.Sub(p.seen) > c.peerWindow {
-			continue
+		if c.livePeerLocked(node, p, now) && p.metrics != nil {
+			local.Merge(*p.metrics)
 		}
-		local.Merge(*p.metrics)
 	}
 	return local
+}
+
+// livePeerLocked is the one peer-liveness rule: a node other than the
+// coordinator itself, seen within peerWindow of now. The electorate, the
+// merged fleet scrape, /healthz's peer count and the PeerStat table all
+// read it.
+func (c *Coordinator) livePeerLocked(node string, p peerInfo, now time.Time) bool {
+	return node != c.node && now.Sub(p.seen) <= c.peerWindow
 }
 
 // livePeers returns the URL-bearing peers seen within the liveness window,
@@ -274,10 +271,9 @@ func (c *Coordinator) livePeersLocked() []FleetPeer {
 	now := time.Now()
 	peers := make([]FleetPeer, 0, len(c.peers))
 	for node, p := range c.peers {
-		if node == c.node || p.url == "" || now.Sub(p.seen) > c.peerWindow {
-			continue
+		if c.livePeerLocked(node, p, now) && p.url != "" {
+			peers = append(peers, FleetPeer{Node: node, URL: p.url})
 		}
-		peers = append(peers, FleetPeer{Node: node, URL: p.url})
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].Node < peers[j].Node })
 	return peers
@@ -491,9 +487,6 @@ func (c *Coordinator) CompleteShard(_ context.Context, id string, res ShardResul
 		c.mu.Unlock()
 		c.sm.shardsStale.Inc()
 		c.logger.Debugf("shard %s completion from %s is stale", id, res.Node)
-		if c.hooks.ShardCompleted != nil {
-			c.hooks.ShardCompleted(id, true)
-		}
 		return nil
 	}
 	if res.Error != "" || len(res.Pass) != st.Last-st.First {
@@ -530,9 +523,6 @@ func (c *Coordinator) CompleteShard(_ context.Context, id string, res ShardResul
 	c.logger.Debugf("shard %s completed by %s", id, res.Node)
 	if c.onShardDone != nil {
 		c.onShardDone(shardKey(st.Spec, st.First, st.Last), res.Pass)
-	}
-	if c.hooks.ShardCompleted != nil {
-		c.hooks.ShardCompleted(id, false)
 	}
 	return nil
 }
@@ -590,15 +580,15 @@ type PeerStat struct {
 	Straggler  bool    `json:"straggler,omitempty"`
 }
 
-// peerStatsLocked derives the PeerStat table from the peer map. Straggler
-// detection needs at least two rate-bearing peers: with one there is no
-// fleet to straggle behind.
-func (c *Coordinator) peerStatsLocked(window time.Duration) []PeerStat {
+// peerStatsLocked derives the PeerStat table from the live peers.
+// Straggler detection needs at least two rate-bearing peers: with one there
+// is no fleet to straggle behind.
+func (c *Coordinator) peerStatsLocked() []PeerStat {
 	now := time.Now()
 	var stats []PeerStat
 	var rates []float64
 	for node, p := range c.peers {
-		if node == c.node || now.Sub(p.seen) > window {
+		if !c.livePeerLocked(node, p, now) {
 			continue
 		}
 		r := p.rate()
@@ -627,9 +617,9 @@ func (c *Coordinator) peerStatsLocked(window time.Duration) []PeerStat {
 }
 
 // Fleet reports the server's fleet status. Peers counts, for a
-// coordinator, the distinct worker nodes (other than itself) seen leasing,
-// completing or heartbeating within three lease windows; for a worker, its
-// coordinator. Role and coordinator can change at runtime: a worker that
+// coordinator, its live peers: the distinct nodes (other than itself) seen
+// leasing, completing or heartbeating within the peer window, the same
+// rule the election uses; for a worker, its coordinator. Role and coordinator can change at runtime: a worker that
 // wins a hand-off election reports "coordinator" from then on — election
 // probes read exactly this field.
 func (s *Server) Fleet() FleetStatus {
@@ -644,17 +634,11 @@ func (s *Server) Fleet() FleetStatus {
 	}
 	if c != nil {
 		fs.CoordinatorNode = s.node
-		window := 3 * c.lease
-		now := time.Now()
 		c.mu.Lock()
-		for node, p := range c.peers {
-			if node != c.node && now.Sub(p.seen) <= window {
-				fs.Peers++
-			}
-		}
+		fs.PeerStats = c.peerStatsLocked()
+		fs.Peers = len(fs.PeerStats)
 		fs.PendingShards = len(c.pending)
 		fs.LeasedShards = len(c.byID) - len(c.pending)
-		fs.PeerStats = c.peerStatsLocked(window)
 		c.mu.Unlock()
 		fs.CachedShards = c.cache.Len()
 	}
@@ -664,6 +648,6 @@ func (s *Server) Fleet() FleetStatus {
 	return fs
 }
 
-// BackendName reports which executor yield jobs run on ("local",
-// "coordinator", or an injected backend's name).
+// BackendName reports which executor yield jobs run on ("local" or
+// "coordinator").
 func (s *Server) BackendName() string { return s.getBackend().Name() }

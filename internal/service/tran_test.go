@@ -23,7 +23,7 @@ type tranWindowed interface {
 // at the default window and at an overridden one — equals the in-process
 // estimator bit for bit.
 func TestServedTranYieldBitIdentical(t *testing.T) {
-	_, client, _ := newTestServer(t, service.Config{Jobs: 2})
+	_, client := newTestServer(t, service.Config{Jobs: 2})
 	ctx := context.Background()
 	const (
 		scen = "commonsource-tran"
@@ -85,7 +85,7 @@ func TestServedTranYieldBitIdentical(t *testing.T) {
 // resolved options always do — including a request that spells out the
 // defaults an earlier request omitted.
 func TestTranCacheKeyDistinguishesOptions(t *testing.T) {
-	svc, _, _ := newTestServer(t, service.Config{Jobs: 2})
+	svc, _ := newTestServer(t, service.Config{Jobs: 2})
 
 	submit := func(tran *service.TranSpec) (string, bool) {
 		t.Helper()
@@ -130,7 +130,7 @@ func TestTranCacheKeyDistinguishesOptions(t *testing.T) {
 // Tran options on a scenario without a transient window must be rejected
 // up front, and an unknown mode likewise.
 func TestTranOptionsValidation(t *testing.T) {
-	svc, _, _ := newTestServer(t, service.Config{Jobs: 1})
+	svc, _ := newTestServer(t, service.Config{Jobs: 1})
 	_, _, err := svc.SubmitYield(service.YieldRequest{
 		Scenario: "svc-test", Tran: &service.TranSpec{TStop: 1e-6},
 	})

@@ -245,7 +245,7 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop, own b
 		}
 		nLive++
 		set(l)
-		e.plan.stampAC(ac.gv, ac.cv, ac.rhs, k, l, ops[l], e.opts.GminFinal)
+		e.plan.stampAC(ac.gv, ac.cv, ac.rhs, k, l, ops[l], gminFinal)
 	}
 	if nLive == 0 {
 		return out, errs

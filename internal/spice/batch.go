@@ -172,8 +172,8 @@ func (e *Engine) newton(bs *scratch, xs [][]float64, ctx stampCtx, steps []laneS
 			clamped, diverged := false, false
 			for i := range x {
 				step := bs.dx[i*k+l]
-				if i < e.nNodes && math.Abs(step) > e.opts.MaxStep {
-					step = math.Copysign(e.opts.MaxStep, step)
+				if i < e.nNodes && math.Abs(step) > maxStep {
+					step = math.Copysign(maxStep, step)
 					clamped = true
 				}
 				x[i] += step
@@ -191,7 +191,7 @@ func (e *Engine) newton(bs *scratch, xs [][]float64, ctx stampCtx, steps []laneS
 			}
 			done := true
 			for i := 0; i < e.nNodes; i++ {
-				if math.Abs(bs.dx[i*k+l]) > e.opts.AbsTol+e.opts.RelTol*math.Abs(x[i]) {
+				if math.Abs(bs.dx[i*k+l]) > absTol+relTol*math.Abs(x[i]) {
 					done = false
 					break
 				}
@@ -256,7 +256,7 @@ func (e *Engine) DCOperatingPointBatchFrom(prev *OPResult, active []bool, set La
 // that fails a stage rejoins at the next one, except that failing source
 // stepping is final.
 func (e *Engine) solveDC(bs *scratch, warm bool, set LaneSetter) {
-	direct := stampCtx{gmin: e.opts.GminFinal, srcScale: 1, laneStep: dcStep}
+	direct := stampCtx{gmin: gminFinal, srcScale: 1, laneStep: dcStep}
 	if warm {
 		e.newton(bs, bs.xs, direct, nil, set)
 		if !bs.retire() {
@@ -293,15 +293,15 @@ func (e *Engine) solveDC(bs *scratch, warm bool, set LaneSetter) {
 // same levels together; a lane that fails a level sits out the rest with
 // its error set.
 func (e *Engine) ladder(bs *scratch, srcScale float64, set LaneSetter) {
-	gmin := e.opts.GminStart
+	gmin := gminStart
 	for {
 		e.newton(bs, bs.xs, stampCtx{gmin: gmin, srcScale: srcScale, laneStep: dcStep}, nil, set)
-		if gmin <= e.opts.GminFinal || !bs.running() {
+		if gmin <= gminFinal || !bs.running() {
 			return
 		}
 		gmin /= 100
-		if gmin < e.opts.GminFinal {
-			gmin = e.opts.GminFinal
+		if gmin < gminFinal {
+			gmin = gminFinal
 		}
 	}
 }

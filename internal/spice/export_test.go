@@ -22,7 +22,7 @@ func (e *Engine) DCJacobian(op *OPResult) (*sparse.BatchMatrix[float64], *linalg
 	x := make([]float64, e.size)
 	e.loadOP(x, op)
 	F := make([]float64, e.size+1)
-	ctx := stampCtx{gmin: e.opts.GminFinal, srcScale: 1, laneStep: dcStep}
+	ctx := stampCtx{gmin: gminFinal, srcScale: 1, laneStep: dcStep}
 	e.plan.stampDC(m.Values(), F, 1, 0, x, e.scrV, ctx)
 	d := linalg.NewMatrix(e.size, e.size)
 	densify(e, m.Values(), d.Set)
@@ -37,7 +37,7 @@ func (e *Engine) ACSystem(op *OPResult, f float64) (*sparse.BatchMatrix[complex1
 	yv := m.Values()
 	gv, cv := make([]float64, len(yv)), make([]float64, len(yv))
 	rhs := make([]complex128, e.size+1)
-	e.plan.stampAC(gv, cv, rhs, 1, 0, op, e.opts.GminFinal)
+	e.plan.stampAC(gv, cv, rhs, 1, 0, op, gminFinal)
 	omega := 2 * math.Pi * f
 	for i := range yv {
 		yv[i] = complex(gv[i], omega*cv[i])

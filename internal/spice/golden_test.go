@@ -421,7 +421,7 @@ func (r engineRun) run(t *testing.T, out goldenOutcomes) map[string]engineGolden
 func (r engineRun) classify(eng *Engine, got map[string]engineGolden, out goldenOutcomes) {
 	o := eng.opts
 	levels := 1
-	for g := o.GminStart; g > o.GminFinal; levels++ {
+	for g := gminStart; g > gminFinal; levels++ {
 		g /= 100
 	}
 	direct := 0

@@ -42,12 +42,7 @@ var ErrNoConvergence = errors.New("spice: DC analysis did not converge")
 
 // Options tunes the solver.
 type Options struct {
-	MaxIter   int     // Newton iterations per gmin step (default 150)
-	AbsTol    float64 // voltage convergence tolerance (default 1e-9 V)
-	RelTol    float64 // relative tolerance (default 1e-6)
-	GminStart float64 // initial gmin for stepping (default 1e-3 S)
-	GminFinal float64 // final gmin left in the matrix (default 1e-12 S)
-	MaxStep   float64 // Newton step damping limit per node (default 0.5 V)
+	MaxIter int // Newton iterations per gmin step (default 150)
 	// Lanes selects the lockstep lane count of the batch DC/AC paths: how
 	// many Monte-Carlo samples refactorize and solve per index traversal.
 	// The zero value resolves automatically — MOHECO_LANES override first,
@@ -64,23 +59,17 @@ func (o Options) withDefaults() Options {
 	if o.MaxIter == 0 {
 		o.MaxIter = 150
 	}
-	if o.AbsTol == 0 {
-		o.AbsTol = 1e-9
-	}
-	if o.RelTol == 0 {
-		o.RelTol = 1e-6
-	}
-	if o.GminStart == 0 {
-		o.GminStart = 1e-3
-	}
-	if o.GminFinal == 0 {
-		o.GminFinal = 1e-12
-	}
-	if o.MaxStep == 0 {
-		o.MaxStep = 0.5
-	}
 	return o
 }
+
+// Newton and gmin-stepping constants of the DC solver.
+const (
+	absTol    = 1e-9  // voltage convergence tolerance (V)
+	relTol    = 1e-6  // relative convergence tolerance
+	gminStart = 1e-3  // initial gmin of the stepping ladder (S)
+	gminFinal = 1e-12 // final gmin left in the matrix (S)
+	maxStep   = 0.5   // Newton step damping limit per node (V)
+)
 
 // Engine simulates one circuit. An Engine owns scratch buffers reused
 // across Newton iterations and across successive solves, so a single Engine

@@ -56,10 +56,6 @@ type TranOptions struct {
 	// tol = LTEAbs + LTERel·|v| (defaults 1e-3 and 1e-6 V).
 	LTERel float64
 	LTEAbs float64
-	// MinStep floors the adaptive step (default TStop·1e-12). When the
-	// controller is pinned at MinStep the step is accepted regardless of its
-	// LTE, so integration always progresses.
-	MinStep float64
 	// MaxStep caps the adaptive step (default TStop/50), bounding how far
 	// the controller coasts across slowly varying tails.
 	MaxStep float64
@@ -84,20 +80,25 @@ func (o TranOptions) withDefaults() (TranOptions, error) {
 	if o.LTEAbs == 0 {
 		o.LTEAbs = 1e-6
 	}
-	if o.MinStep == 0 {
-		o.MinStep = o.TStop * 1e-12
-	}
 	if o.MaxStep == 0 {
 		o.MaxStep = o.TStop / 50
 	}
-	if o.MaxStep < o.MinStep {
-		o.MaxStep = o.MinStep
+	if o.MaxStep < o.minStep() {
+		o.MaxStep = o.minStep()
 	}
 	if o.MaxSteps == 0 {
 		o.MaxSteps = 2_000_000
 	}
 	return o, nil
 }
+
+// minStepFrac is the adaptive step's floor as a fraction of TStop.
+const minStepFrac = 1e-12
+
+// minStep floors the adaptive step. When the controller is pinned at
+// minStep the step is accepted regardless of its LTE, so integration
+// always progresses.
+func (o TranOptions) minStep() float64 { return o.TStop * minStepFrac }
 
 // TranResult holds a transient analysis: node voltages over time. With the
 // adaptive integrator the time grid is non-uniform — denser around source
@@ -165,7 +166,7 @@ func (r *TranResult) clone() *TranResult {
 // lanes run in rounds: every unfinished lane attempts its own next step —
 // its own time point, step size and history — in one lockstep Newton run,
 // then applies its own accept, reject and breakpoint decisions. A lane that
-// fails (a step that does not converge at MinStep, or MaxSteps exceeded)
+// fails (a step that does not converge at minStep, or MaxSteps exceeded)
 // reports its error alone and leaves the group; the others run on. The
 // results and both slices are the engine's: they stay valid until the next
 // transient batch of this width.
@@ -196,7 +197,7 @@ func (e *Engine) TransientBatch(ops []*OPResult, opts TranOptions, set LaneSette
 			res[l] = &tl.res
 		}
 	}
-	ctx := stampCtx{gmin: e.opts.GminFinal, srcScale: 1, trap: o.Method == Trap}
+	ctx := stampCtx{gmin: gminFinal, srcScale: 1, trap: o.Method == Trap}
 	for {
 		live := false
 		for l := range g.lanes {
@@ -379,7 +380,7 @@ func (tl *tranLane) fail(err error) {
 
 // propose sets up the lane's next step (tNew, hStep, hitBp) and reports
 // whether it attempts one. The fixed grid takes round(TStop/Step) equal
-// steps. The adaptive controller clamps its step to [MinStep, MaxStep] and
+// steps. The adaptive controller clamps its step to [minStep, MaxStep] and
 // lands exactly on the next breakpoint; exceeding MaxSteps stops the lane.
 func (g *tranGroup) propose(tl *tranLane) bool {
 	o := g.o
@@ -396,8 +397,8 @@ func (g *tranGroup) propose(tl *tranLane) bool {
 	if tl.h > o.MaxStep {
 		tl.h = o.MaxStep
 	}
-	if tl.h < o.MinStep {
-		tl.h = o.MinStep
+	if tl.h < o.minStep() {
+		tl.h = o.minStep()
 	}
 	// Land exactly on the next breakpoint; settle then pins t to it, so no
 	// float drift accumulates across corners.
@@ -441,7 +442,7 @@ func (g *tranGroup) settle(tl *tranLane, err error) {
 	tNew, hStep := tl.tNew, tl.hStep
 	if err != nil {
 		tl.res.Rejected++
-		if hStep <= o.MinStep {
+		if hStep <= o.minStep() {
 			tl.fail(fmt.Errorf("spice: transient step at t=%g (h=%g): %w", tNew, hStep, err))
 			return
 		}
@@ -451,7 +452,7 @@ func (g *tranGroup) settle(tl *tranLane, err error) {
 	grow := 2.0
 	if tl.histN >= 3 {
 		r := g.lteRatio(tl, tNew, hStep)
-		if r > 1 && hStep > o.MinStep {
+		if r > 1 && hStep > o.minStep() {
 			tl.res.Rejected++
 			tl.h = hStep * math.Max(0.9*math.Pow(r, -inv), 0.1)
 			return
@@ -589,8 +590,8 @@ func (e *Engine) breakpoints(bps []float64, tStop float64) ([]float64, error) {
 	// Dedupe corners that coincide (e.g. zero rise times) within a relative
 	// sliver, which would otherwise force degenerate steps — including
 	// against tStop itself, appended last: a corner landing a few ulps
-	// before the window end must not leave a sub-MinStep final step.
-	eps := tStop * 1e-12
+	// before the window end must not leave a sub-minStep final step.
+	eps := tStop * minStepFrac
 	out := bps[:0]
 	last := math.Inf(-1)
 	for _, b := range bps {

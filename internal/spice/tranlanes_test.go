@@ -32,7 +32,7 @@ func sameTran(a, b *TranResult) bool {
 }
 
 // A transient lane that fails — by exceeding MaxSteps, or at a step that
-// does not converge even at MinStep — reports its error alone, and every
+// does not converge even at minStep — reports its error alone, and every
 // other lane of its group finishes with the bits of its one-lane run, at
 // group widths 1, 3 and 8.
 func TestTransientLaneFailsAlone(t *testing.T) {

@@ -4,10 +4,7 @@
 // best/worst/average/variance summaries the paper's tables report.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Welford accumulates mean and variance incrementally and numerically stably.
 type Welford struct {
@@ -24,9 +21,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean (0 when empty).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -37,17 +31,6 @@ func (w *Welford) Var() float64 {
 	}
 	return w.m2 / float64(w.n)
 }
-
-// SampleVar returns the unbiased sample variance.
-func (w *Welford) SampleVar() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
 // Summary holds the best/worst/average/variance rows reported by the paper's
 // tables. "Best" is the minimum for costs and deviations.
@@ -75,54 +58,6 @@ func Summarize(xs []float64) Summary {
 	s.Average = w.Mean()
 	s.Variance = w.Var()
 	return s
-}
-
-// Mean returns the arithmetic mean of xs (0 when empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Var()
-}
-
-// RMS returns the root-mean-square of xs.
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x * x
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Median returns the median of xs (0 when empty). xs is not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := make([]float64, len(xs))
-	copy(c, xs)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return 0.5 * (c[n/2-1] + c[n/2])
 }
 
 // BernoulliVar returns a smoothed variance estimate p̃(1−p̃) for a Bernoulli

@@ -4,15 +4,13 @@ import (
 	"math"
 	"testing"
 
-	"github.com/eda-go/moheco/internal/linalg"
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/pdk"
 	"github.com/eda-go/moheco/internal/randx"
 )
 
-// perturbPerDevice is Perturb as a per-device loop: every call maps the
-// inter-die draws (through the Cholesky factor, if any) and re-applies all
-// inter-die variables before the device's own terms. It is the oracle for
+// perturbPerDevice is Perturb as a per-device loop: every call re-applies
+// all inter-die variables before the device's own terms. It is the oracle for
 // the once-per-sample Inter/Device split.
 func perturbPerDevice(s *Space, xi []float64, dev int, areaUm2 float64) mos.Perturb {
 	p := mos.Nominal()
@@ -20,12 +18,8 @@ func perturbPerDevice(s *Space, xi []float64, dev int, areaUm2 float64) mos.Pert
 		return p
 	}
 	pmos := s.Devices[dev].PMOS
-	inter := xi[:len(s.Tech.Inter)]
-	if s.chol != nil {
-		inter = linalg.LowerMulVec(s.chol, inter)
-	}
 	for i, v := range s.Tech.Inter {
-		applyInter(&p, v, inter[i], pmos)
+		applyInter(&p, v, xi[i], pmos)
 	}
 	area := areaUm2
 	if area < 0.01 {
@@ -41,34 +35,20 @@ func perturbPerDevice(s *Space, xi []float64, dev int, areaUm2 float64) mos.Pert
 	return p
 }
 
-// correlatedN90 is a 19-device 90nm space (example 2's shape) with a dense
-// inter-die correlation: every pair correlated at 0.3.
-func correlatedN90(t *testing.T) *Space {
+// spaceN90 is a 19-device 90nm space (example 2's shape).
+func spaceN90() *Space {
 	slots := make([]Slot, 19)
 	for i := range slots {
 		slots[i] = Slot{Name: "M", PMOS: i%3 == 1}
 	}
-	s := New(pdk.N90(), slots)
-	n := len(s.Tech.Inter)
-	corr := linalg.Identity(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				corr.Set(i, j, 0.3)
-			}
-		}
-	}
-	if err := s.SetInterCorrelation(corr); err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return New(pdk.N90(), slots)
 }
 
 // TestPerturbMatchesPerDeviceOracle pins Perturb, and the Inter + Device
 // split evaluators call directly, to the per-device loop bit for bit: on
-// a plain space, a correlated one, and the nil (nominal) vector.
+// both technologies' spaces and the nil (nominal) vector.
 func TestPerturbMatchesPerDeviceOracle(t *testing.T) {
-	spaces := map[string]*Space{"plain": space15(), "correlated": correlatedN90(t)}
+	spaces := map[string]*Space{"c035": space15(), "n90": spaceN90()}
 	for name, s := range spaces {
 		rng := randx.New(17)
 		for trial := 0; trial < 20; trial++ {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/eda-go/moheco/internal/linalg"
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/pdk"
 )
@@ -32,11 +31,6 @@ type Slot struct {
 type Space struct {
 	Tech    *pdk.Tech
 	Devices []Slot
-
-	// chol, when non-nil, is the lower Cholesky factor of the inter-die
-	// correlation matrix; the raw standard-normal inter-die block of ξ is
-	// mapped through it before the effects are applied.
-	chol *linalg.Matrix
 }
 
 // New builds a Space. The device order fixes the ξ layout.
@@ -46,17 +40,6 @@ func New(tech *pdk.Tech, devices []Slot) *Space {
 
 // Dim returns the total number of variation variables.
 func (s *Space) Dim() int { return len(s.Tech.Inter) + IntraPerDevice*len(s.Devices) }
-
-// Names returns a human-readable name per ξ coordinate, in layout order.
-func (s *Space) Names() []string {
-	names := make([]string, 0, s.Dim())
-	names = append(names, s.Tech.InterNames()...)
-	for _, d := range s.Devices {
-		names = append(names,
-			d.Name+".TOX", d.Name+".VTH0", d.Name+".LD", d.Name+".WD")
-	}
-	return names
-}
 
 // CheckVector validates the length of a variation vector.
 func (s *Space) CheckVector(xi []float64) error {
@@ -73,10 +56,8 @@ func (s *Space) CheckVector(xi []float64) error {
 // with Device.
 type Inter [2]mos.Perturb
 
-// Inter computes the inter-die perturbation of xi for both polarities. When
-// a correlation structure is installed, the raw draws pass through its
-// Cholesky factor first (once, for the whole sample). A nil xi returns the
-// nominal (identity) pair.
+// Inter computes the inter-die perturbation of xi for both polarities. A
+// nil xi returns the nominal (identity) pair.
 func (s *Space) Inter(xi []float64) Inter {
 	in := Inter{mos.Nominal(), mos.Nominal()}
 	if xi == nil {
@@ -85,13 +66,9 @@ func (s *Space) Inter(xi []float64) Inter {
 	if len(xi) != s.Dim() {
 		panic(fmt.Sprintf("variation: vector has %d entries, space needs %d", len(xi), s.Dim()))
 	}
-	draws := xi[:len(s.Tech.Inter)]
-	if s.chol != nil {
-		draws = linalg.LowerMulVec(s.chol, draws)
-	}
 	for i, v := range s.Tech.Inter {
-		applyInter(&in[0], v, draws[i], false)
-		applyInter(&in[1], v, draws[i], true)
+		applyInter(&in[0], v, xi[i], false)
+		applyInter(&in[1], v, xi[i], true)
 	}
 	return in
 }
@@ -240,40 +217,4 @@ func applyInter(p *mos.Perturb, v pdk.InterVar, xi float64, pmos bool) {
 	default:
 		panic(fmt.Sprintf("variation: unknown target %d", v.Target))
 	}
-}
-
-// SetInterCorrelation installs a correlation matrix over the inter-die
-// variables: subsequent Perturb calls draw the effective inter-die shifts
-// as L·ξ where L·Lᵀ = corr. The matrix must be symmetric positive definite
-// with unit diagonal (a proper correlation matrix) and sized
-// len(Tech.Inter) × len(Tech.Inter). Passing nil removes the structure.
-//
-// The paper requires generality over "any distribution of the process
-// parameters"; foundry decks commonly correlate e.g. the N- and P-oxide
-// thickness corners.
-func (s *Space) SetInterCorrelation(corr *linalg.Matrix) error {
-	if corr == nil {
-		s.chol = nil
-		return nil
-	}
-	n := len(s.Tech.Inter)
-	if corr.Rows != n || corr.Cols != n {
-		return fmt.Errorf("variation: correlation is %dx%d, want %dx%d", corr.Rows, corr.Cols, n, n)
-	}
-	for i := 0; i < n; i++ {
-		if math.Abs(corr.At(i, i)-1) > 1e-9 {
-			return fmt.Errorf("variation: correlation diagonal [%d] = %g, want 1", i, corr.At(i, i))
-		}
-		for j := 0; j < i; j++ {
-			if math.Abs(corr.At(i, j)-corr.At(j, i)) > 1e-9 {
-				return fmt.Errorf("variation: correlation not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-	l, err := linalg.Cholesky(corr)
-	if err != nil {
-		return fmt.Errorf("variation: %w", err)
-	}
-	s.chol = l
-	return nil
 }

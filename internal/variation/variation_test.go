@@ -2,11 +2,9 @@ package variation
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
-	"github.com/eda-go/moheco/internal/linalg"
 	"github.com/eda-go/moheco/internal/pdk"
 	"github.com/eda-go/moheco/internal/randx"
 )
@@ -31,23 +29,6 @@ func TestPaperDimensions(t *testing.T) {
 	}
 	if d := New(pdk.N90(), slots).Dim(); d != 123 {
 		t.Errorf("example-2 dim = %d, want 123", d)
-	}
-}
-
-func TestNames(t *testing.T) {
-	s := space15()
-	names := s.Names()
-	if len(names) != s.Dim() {
-		t.Fatalf("names len = %d, want %d", len(names), s.Dim())
-	}
-	if names[0] != "TOXRn" {
-		t.Errorf("first name = %q", names[0])
-	}
-	if !strings.HasSuffix(names[20], ".TOX") {
-		t.Errorf("first intra name = %q", names[20])
-	}
-	if !strings.HasSuffix(names[len(names)-1], ".WD") {
-		t.Errorf("last name = %q", names[len(names)-1])
 	}
 }
 
@@ -179,54 +160,4 @@ func TestPerturbPanics(t *testing.T) {
 	}
 	assertPanic("bad length", func() { s.Perturb(make([]float64, 3), 0, 10) })
 	assertPanic("bad device", func() { s.Perturb(make([]float64, s.Dim()), 99, 10) })
-}
-
-func TestInterCorrelation(t *testing.T) {
-	s := space15()
-	n := len(s.Tech.Inter)
-	// Perfect correlation between variables 0 (TOXRn) and 15 (TOXRp):
-	// an NMOS and a PMOS device must then see proportional TOX shifts
-	// from a draw on variable 0 alone.
-	corr := linalg.Identity(n)
-	corr.Set(0, 15, 0.999)
-	corr.Set(15, 0, 0.999)
-	if err := s.SetInterCorrelation(corr); err != nil {
-		t.Fatal(err)
-	}
-	xi := make([]float64, s.Dim())
-	xi[0] = 2.0
-	pn := s.Perturb(xi, 0, 25) // NMOS slot
-	pp := s.Perturb(xi, 1, 25) // PMOS slot
-	if pn.TOXScale == 1 {
-		t.Error("NMOS TOX unaffected")
-	}
-	if pp.TOXScale == 1 {
-		t.Error("correlated PMOS TOX unaffected")
-	}
-	// Uncorrelated space: the PMOS deck must not see variable 0.
-	if err := s.SetInterCorrelation(nil); err != nil {
-		t.Fatal(err)
-	}
-	pp = s.Perturb(xi, 1, 25)
-	if pp.TOXScale != 1 {
-		t.Error("decorrelated PMOS TOX affected")
-	}
-}
-
-func TestInterCorrelationValidation(t *testing.T) {
-	s := space15()
-	n := len(s.Tech.Inter)
-	if err := s.SetInterCorrelation(linalg.Identity(n + 1)); err == nil {
-		t.Error("wrong size accepted")
-	}
-	bad := linalg.Identity(n)
-	bad.Set(0, 0, 2)
-	if err := s.SetInterCorrelation(bad); err == nil {
-		t.Error("non-unit diagonal accepted")
-	}
-	asym := linalg.Identity(n)
-	asym.Set(0, 1, 0.5)
-	if err := s.SetInterCorrelation(asym); err == nil {
-		t.Error("asymmetric matrix accepted")
-	}
 }

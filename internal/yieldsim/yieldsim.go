@@ -63,15 +63,6 @@ type Config struct {
 	Sampler sample.Sampler
 	// AcceptanceSampling enables the stratified border-focused shortcut.
 	AcceptanceSampling bool
-	// ASThinning simulates one of every ASThinning interior samples
-	// (default 3; 1 disables thinning).
-	ASThinning int
-	// ASRadiusFactor scales the interior/border split radius relative to
-	// the median sample norm √dim (default 1.0).
-	ASRadiusFactor float64
-	// ASMinStratum is the minimum number of simulated samples per stratum
-	// before thinning starts (default 8).
-	ASMinStratum int
 	// Workers bounds the goroutines used to run one batch's simulator
 	// calls in parallel (0 = GOMAXPROCS, 1 = sequential). Which samples
 	// are simulated, and into which stratum they fall, is decided
@@ -91,17 +82,20 @@ func (c Config) withDefaults() Config {
 	if c.Sampler == nil {
 		c.Sampler = sample.LHS{}
 	}
-	if c.ASThinning == 0 {
-		c.ASThinning = 3
-	}
-	if c.ASRadiusFactor == 0 {
-		c.ASRadiusFactor = 1.0
-	}
-	if c.ASMinStratum == 0 {
-		c.ASMinStratum = 8
-	}
 	return c
 }
+
+// Acceptance-sampling constants.
+const (
+	// asThinning: one of every asThinning interior samples is simulated.
+	asThinning = 3
+	// asRadiusFactor scales the interior/border split radius relative to
+	// the median sample norm √dim.
+	asRadiusFactor = 1.0
+	// asMinStratum is the minimum number of simulated samples per stratum
+	// before thinning starts.
+	asMinStratum = 8
+)
 
 // stratum tracks one radius stratum of the stratified estimator.
 type stratum struct {
@@ -146,7 +140,7 @@ func NewCandidate(p problem.Problem, x []float64, cfg Config, counter *Counter, 
 		counter: counter,
 		rng:     randx.New(seed),
 	}
-	c.r0 = c.cfg.ASRadiusFactor * math.Sqrt(float64(p.VarDim()))
+	c.r0 = asRadiusFactor * math.Sqrt(float64(p.VarDim()))
 	c.mSims = simsCounter(p.Name(), c.cfg.Sampler.Name())
 	return c
 }
@@ -232,10 +226,10 @@ func (c *Candidate) AddSamples(n int) error {
 		// The border stratum is always simulated; the interior stratum is
 		// thinned once it has a minimal simulated base.
 		sim := true
-		thin := interior && sh.simmed >= c.cfg.ASMinStratum
+		thin := interior && sh.simmed >= asMinStratum
 		if thin {
 			sh.skip++
-			if sh.skip%c.cfg.ASThinning != 0 {
+			if sh.skip%asThinning != 0 {
 				sim = false
 			}
 		}
@@ -377,16 +371,6 @@ func NumChunks(n int) int {
 		return 0
 	}
 	return (n + ChunkSize - 1) / ChunkSize
-}
-
-// Chunks returns the full fixed-chunk partition of an n-sample reference
-// estimate, in chunk-index order.
-func Chunks(n int) []ChunkRange {
-	out := make([]ChunkRange, NumChunks(n))
-	for i := range out {
-		out[i] = Chunk(n, i)
-	}
-	return out
 }
 
 // Chunk returns chunk ci of the n-sample partition.
