@@ -29,6 +29,20 @@ type goldenCase struct {
 	Scenario string `json:"scenario"`
 	Method   string `json:"method"`
 	Seed     uint64 `json:"seed"`
+	// StallStop and MaxGenerations, when set, replace goldenOptions'
+	// values: a case that pins the stall exit needs a reachable stall
+	// limit and room to reach it.
+	StallStop      int `json:"stall_stop,omitempty"`
+	MaxGenerations int `json:"max_generations,omitempty"`
+}
+
+// key names a case in the golden file and in the subtest list.
+func (c goldenCase) key() string {
+	k := c.Scenario + "/" + c.Method
+	if c.StallStop > 0 {
+		k += fmt.Sprintf("/stall%d", c.StallStop)
+	}
+	return k
 }
 
 // goldenResult is the bit-exact fingerprint of one run: float64s as IEEE-754
@@ -47,7 +61,7 @@ type goldenResult struct {
 	HistoryDigest uint64   `json:"history_digest"`
 }
 
-func goldenOptions(m Method, sc scenario.Scenario, seed uint64) Options {
+func goldenOptions(m Method, c goldenCase) Options {
 	o := DefaultOptions(m, 60)
 	o.PopSize = 12
 	o.MaxGenerations = 6
@@ -63,8 +77,14 @@ func goldenOptions(m Method, sc scenario.Scenario, seed uint64) Options {
 	// selection, OCBA rounds, stage-2 promotions, the incumbent top-up loop,
 	// stall bookkeeping and the NM trigger.
 	o.TargetYield = 1.1
-	o.Seed = seed
+	o.Seed = c.Seed
 	o.RecordPopulations = true
+	if c.StallStop > 0 {
+		o.StallStop = c.StallStop
+	}
+	if c.MaxGenerations > 0 {
+		o.MaxGenerations = c.MaxGenerations
+	}
 	return o
 }
 
@@ -80,6 +100,11 @@ func goldenCases() []goldenCase {
 			goldenCase{Scenario: name, Method: "fixed", Seed: 42},
 		)
 	}
+	// Every case above ends at the generation cap. This one ends "stalled"
+	// after Nelder–Mead refinements of a stalled incumbent were accepted
+	// (4 triggers, 2 accepted), so it pins the stall reset an accepted
+	// refinement makes.
+	cases = append(cases, goldenCase{Scenario: "foldedcascode", Method: "moheco", Seed: 42, StallStop: 4, MaxGenerations: 40})
 	return cases
 }
 
@@ -97,8 +122,7 @@ func methodByName(t *testing.T, name string) Method {
 }
 
 func runGolden(t *testing.T, c goldenCase) goldenResult {
-	sc := scenario.MustGet(c.Scenario)
-	res, err := Optimize(sc.New(), goldenOptions(methodByName(t, c.Method), sc, c.Seed))
+	res, err := Optimize(scenario.MustGet(c.Scenario).New(), goldenOptions(methodByName(t, c.Method), c))
 	if err != nil {
 		t.Fatalf("%s/%s: %v", c.Scenario, c.Method, err)
 	}
@@ -192,15 +216,15 @@ func TestMemeticGoldens(t *testing.T) {
 	}
 	byKey := make(map[string]goldenResult, len(want))
 	for _, g := range want {
-		byKey[g.Scenario+"/"+g.Method] = g
+		byKey[g.key()] = g
 	}
 	for _, c := range cases {
 		c := c
-		t.Run(c.Scenario+"/"+c.Method, func(t *testing.T) {
+		t.Run(c.key(), func(t *testing.T) {
 			t.Parallel()
-			w, ok := byKey[c.Scenario+"/"+c.Method]
+			w, ok := byKey[c.key()]
 			if !ok {
-				t.Fatalf("no golden for %s/%s — regenerate with -update", c.Scenario, c.Method)
+				t.Fatalf("no golden for %s — regenerate with -update", c.key())
 			}
 			got := runGolden(t, c)
 			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", w) {

@@ -29,6 +29,16 @@ const goldenPath = "testdata/lineasybo_goldens.json"
 type goldenCase struct {
 	Scenario string `json:"scenario"`
 	Seed     uint64 `json:"seed"`
+	// StallStop, when set, replaces goldenOpts' unreachable stall limit.
+	StallStop int `json:"stall_stop,omitempty"`
+}
+
+// key names a case in the golden file and in the subtest list.
+func (c goldenCase) key() string {
+	if c.StallStop > 0 {
+		return fmt.Sprintf("%s/stall%d", c.Scenario, c.StallStop)
+	}
+	return c.Scenario
 }
 
 // goldenResult is the bit-exact fingerprint of one run: float64s as IEEE-754
@@ -49,10 +59,15 @@ func goldenCases() []goldenCase {
 		{Scenario: "foldedcascode", Seed: 3},
 		{Scenario: "telescopic", Seed: 5},
 		{Scenario: "commonsource", Seed: 11},
+		// The cases above never stall. This one spends 63 rounds in the
+		// feasibility phase, where the stall count stays 0, reaches a
+		// feasible incumbent in round 64 and ends "stalled" after 10 line
+		// rounds without improvement.
+		{Scenario: "telescopic", Seed: 11, StallStop: 10},
 	}
 }
 
-func goldenOpts(seed uint64) core.Options {
+func goldenOpts(c goldenCase) core.Options {
 	o := core.DefaultOptions(core.MethodMOHECO, 60)
 	o.Backend = lineasybo.Name
 	o.PopSize = 12
@@ -65,14 +80,17 @@ func goldenOpts(seed uint64) core.Options {
 	// ends every run, so the history covers many GP fits.
 	o.TargetYield = 1.1
 	o.StallStop = 1 << 20
-	o.Seed = seed
+	if c.StallStop > 0 {
+		o.StallStop = c.StallStop
+	}
+	o.Seed = c.Seed
 	o.Workers = 1
 	o.RecordPopulations = true
 	return o
 }
 
 func runGolden(t *testing.T, c goldenCase) goldenResult {
-	res, err := core.Optimize(scenario.MustGet(c.Scenario).New(), goldenOpts(c.Seed))
+	res, err := core.Optimize(scenario.MustGet(c.Scenario).New(), goldenOpts(c))
 	if err != nil {
 		t.Fatalf("%s: %v", c.Scenario, err)
 	}
@@ -158,15 +176,15 @@ func TestLineBOGoldens(t *testing.T) {
 	}
 	byKey := make(map[string]goldenResult, len(want))
 	for _, g := range want {
-		byKey[g.Scenario] = g
+		byKey[g.key()] = g
 	}
 	for _, c := range goldenCases() {
 		c := c
-		t.Run(c.Scenario, func(t *testing.T) {
+		t.Run(c.key(), func(t *testing.T) {
 			t.Parallel()
-			w, ok := byKey[c.Scenario]
+			w, ok := byKey[c.key()]
 			if !ok {
-				t.Fatalf("no golden for %s — regenerate with -update", c.Scenario)
+				t.Fatalf("no golden for %s — regenerate with -update", c.key())
 			}
 			got := runGolden(t, c)
 			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", w) {
