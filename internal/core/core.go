@@ -20,10 +20,12 @@
 // acceptance sampling and LHS, exactly as the paper prescribes for its
 // comparisons.
 //
-// The estimation machinery is independent of the search strategy: a
-// SearchContext bundles the nominal screen, the two-stage/fixed-budget
-// estimator, the candidate factory and the stage-2 top-up, and pluggable
-// Optimizer backends (see RegisterOptimizer) drive the search on top of it.
+// The estimation machinery and the generation loop are independent of the
+// search strategy: a SearchContext bundles the nominal screen, the
+// two-stage/fixed-budget estimator, the candidate factory, the stage-2
+// top-up and the loop with its stop rules, and pluggable Optimizer
+// backends (see RegisterOptimizer) supply only the initial population and
+// the round that proposes and selects designs.
 // The paper's memetic DE+NM loop is the "memetic" backend and the default;
 // internal/lineasybo contributes a one-dimensional-subspace Bayesian
 // optimization backend for equal-budget comparisons.
@@ -129,7 +131,7 @@ type Options struct {
 	MaxGenerations int
 
 	// SimBudget, when positive, caps the run's total simulator calls
-	// (relative to the counter's value at start): backends stop with
+	// (relative to the counter's value at start): the run stops with
 	// StopReason "budget" at the first generation boundary at or past the
 	// cap. This is the equal-budget race knob — every backend spends the
 	// same simulation budget, whatever its per-generation appetite. The
@@ -290,5 +292,10 @@ func Optimize(p problem.Problem, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return backend.Run(newSearchContext(p, o, backend.Name()))
+	sc := newSearchContext(p, o, backend.Name())
+	s, err := backend.Start(sc)
+	if err != nil {
+		return nil, err
+	}
+	return sc.run(s)
 }

@@ -2,178 +2,94 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/eda-go/moheco/internal/constraint"
-	"github.com/eda-go/moheco/internal/de"
 	"github.com/eda-go/moheco/internal/nm"
-	"github.com/eda-go/moheco/internal/problem"
 	"github.com/eda-go/moheco/internal/yieldsim"
 )
 
 func init() { RegisterOptimizer(memetic{}) }
 
 // memetic is the paper's search backend: DE/best/1/bin with Deb selection
-// and occasional Nelder–Mead refinement of the incumbent (Fig. 4). Ported
-// onto the SearchContext seam unchanged — it is pinned bit-for-bit against
-// the pre-refactor monolithic loop by TestMemeticGoldens.
+// and occasional Nelder–Mead refinement of the incumbent (Fig. 4). It is
+// pinned bit for bit against the pre-seam monolithic loop by
+// TestMemeticGoldens.
 type memetic struct{}
 
 // Name implements Optimizer.
 func (memetic) Name() string { return "memetic" }
 
-// Run implements Optimizer.
-func (memetic) Run(sc *SearchContext) (*Result, error) {
+// Start implements Optimizer: step 0, a random population of PopSize.
+func (memetic) Start(sc *SearchContext) (Search, error) {
+	pop, err := sc.InitialPopulation(sc.Opts.PopSize)
+	if err != nil {
+		return nil, err
+	}
+	return &memeticSearch{pop: pop, best: BestIndex(pop, 0), nmStallNeed: sc.Opts.StallLocal}, nil
+}
+
+// memeticSearch is a memetic run's population and its Nelder–Mead trigger
+// state.
+type memeticSearch struct {
+	pop         []*Member
+	best        int
+	stallLocal  int // generations without improvement (NM trigger)
+	nmStallNeed int // escalating NM trigger threshold
+}
+
+// Incumbent implements Search.
+func (m *memeticSearch) Incumbent() *Member { return m.pop[m.best] }
+
+// Round implements Search: steps 1–10 of Fig. 4.
+func (m *memeticSearch) Round(sc *SearchContext) ([]*Member, bool, error) {
 	o := sc.Opts
-	cfg := de.Config{NP: o.PopSize, F: o.F, CR: o.CR}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	// Steps 1–8: DE mutation and crossover around the best member,
+	// evaluation, one-to-one selection under Deb's rules.
+	trials, err := sc.DEGeneration(m.pop, m.best)
+	if err != nil {
+		return nil, false, err
+	}
+	// Read after selection, as the pre-seam loop did: a trial that
+	// strictly beats the incumbent in the incumbent's own slot has already
+	// replaced it here, so that improvement does not reset the stall
+	// counts.
+	prevBestFit := m.pop[m.best].Fit
+	m.best = BestIndex(m.pop, m.best)
+	// Critical solutions deserve accurate estimates (paper §2.3): the
+	// incumbent best is the DE base vector and the reported result, so
+	// it is always held at stage-2 accuracy. This also corrects lucky
+	// stage-1 overestimates that would otherwise ratchet in as an
+	// unbeatable incumbent.
+	if m.best, err = sc.PromoteBest(m.pop, m.best); err != nil {
+		return nil, false, err
+	}
+	best := m.pop[m.best]
+	improved := constraint.Better(best.Fit, prevBestFit)
+	if improved || !best.Fit.Feasible {
+		m.stallLocal = 0
+	} else {
+		m.stallLocal++
 	}
 
-	// --- Initialization (step 0) ---
-	// Designs are drawn sequentially (the run RNG is shared state); their
-	// feasibility checks then run on the worker pool.
-	pop := make([]*Member, o.PopSize)
-	for i := range pop {
-		pop[i] = &Member{X: problem.RandomDesign(sc.Problem, sc.RNG)}
+	// Steps 9–10: memetic local refinement of the best member. After an
+	// unsuccessful refinement the trigger threshold escalates, so a
+	// flat optimum is not probed over and over at full cost.
+	if o.Method == MethodMOHECO && m.stallLocal >= m.nmStallNeed && best.Fit.Feasible {
+		sc.nmTriggered()
+		better, err := localSearch(sc, best)
+		if err != nil {
+			return nil, false, err
+		}
+		if better != nil && constraint.Better(better.Fit, best.Fit) {
+			m.pop[m.best] = better
+			improved = true
+			m.nmStallNeed = o.StallLocal
+		} else {
+			m.nmStallNeed += o.StallLocal
+		}
+		m.stallLocal = 0
 	}
-	if err := sc.Screen(pop); err != nil {
-		return nil, err
-	}
-	if err := sc.Estimate(pop); err != nil {
-		return nil, err
-	}
-	best := 0
-	for i := range pop {
-		if constraint.Better(pop[i].Fit, pop[best].Fit) {
-			best = i
-		}
-	}
-
-	stall := 0                  // generations without improvement (stop criterion)
-	stallLocal := 0             // generations without improvement (NM trigger)
-	nmStallNeed := o.StallLocal // escalating NM trigger threshold
-	reason := "max-generations"
-
-	popX := make([][]float64, o.PopSize)
-	gen := 0
-	for gen = 1; gen <= o.MaxGenerations; gen++ {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		genStart := time.Now()
-		// Steps 1–2: base vector selection, DE mutation and crossover.
-		for i, m := range pop {
-			popX[i] = m.X
-		}
-		trialsX := de.Generation(popX, best, sc.Lo, sc.Hi, cfg, sc.RNG)
-
-		// Steps 3–7: feasibility and method-specific yield estimation.
-		trials := make([]*Member, len(trialsX))
-		for i, x := range trialsX {
-			trials[i] = &Member{X: x}
-		}
-		if err := sc.Screen(trials); err != nil {
-			return nil, err
-		}
-		if err := sc.Estimate(trials); err != nil {
-			return nil, err
-		}
-
-		// Step 8: one-to-one selection under Deb's rules.
-		for i, tr := range trials {
-			if constraint.BetterOrEqual(tr.Fit, pop[i].Fit) {
-				pop[i] = tr
-			}
-		}
-		prevBestFit := pop[best].Fit
-		for i := range pop {
-			if constraint.Better(pop[i].Fit, pop[best].Fit) {
-				best = i
-			}
-		}
-		// Critical solutions deserve accurate estimates (paper §2.3): the
-		// incumbent best is the DE base vector and the reported result, so
-		// it is always held at stage-2 accuracy. This also corrects lucky
-		// stage-1 overestimates that would otherwise ratchet in as an
-		// unbeatable incumbent.
-		var perr error
-		if best, perr = sc.PromoteBest(pop, best); perr != nil {
-			return nil, perr
-		}
-		improved := constraint.Better(pop[best].Fit, prevBestFit)
-		switch {
-		case improved:
-			stall, stallLocal = 0, 0
-		case !pop[best].Fit.Feasible:
-			// The paper's stall criterion is "the yield does not increase
-			// for 20 subsequent generations" — it only starts once there is
-			// a yield to speak of. The constraint-satisfaction phase runs
-			// under the generation cap alone.
-			stall = 0
-			stallLocal = 0
-		default:
-			stall++
-			stallLocal++
-		}
-
-		// Steps 9–10: memetic local refinement of the best member. After an
-		// unsuccessful refinement the trigger threshold escalates, so a
-		// flat optimum is not probed over and over at full cost.
-		if o.Method == MethodMOHECO && stallLocal >= nmStallNeed && pop[best].Fit.Feasible {
-			sc.NMTriggered()
-			accepted := false
-			better, lerr := localSearch(sc, pop[best])
-			if lerr != nil {
-				return nil, lerr
-			}
-			if better != nil {
-				if constraint.Better(better.Fit, pop[best].Fit) {
-					pop[best] = better
-					stall = 0
-					accepted = true
-				}
-			}
-			if accepted {
-				nmStallNeed = o.StallLocal
-			} else {
-				nmStallNeed += o.StallLocal
-			}
-			stallLocal = 0
-		}
-
-		// Bookkeeping.
-		rec := GenRecord{
-			Gen:           gen,
-			BestYield:     pop[best].Fit.Yield,
-			BestFeasible:  pop[best].Fit.Feasible,
-			BestViolation: pop[best].Fit.Violation,
-			CumSims:       sc.UsedSims(),
-		}
-		sc.SnapshotTrials(&rec, trials)
-		mGenSeconds.Observe(time.Since(genStart).Seconds())
-		sc.Record(rec)
-
-		// Step 11: stopping criteria.
-		if pop[best].Fit.Feasible && pop[best].Fit.Yield >= o.TargetYield {
-			reason = "target-yield"
-			break
-		}
-		if stall >= o.StallStop {
-			reason = "stalled"
-			break
-		}
-		if sc.BudgetExhausted() {
-			reason = "budget"
-			break
-		}
-	}
-	if gen > o.MaxGenerations {
-		gen = o.MaxGenerations
-	}
-
-	// Final report: the best candidate's yield at full accuracy.
-	return sc.Finalize(pop[best], gen, reason)
+	return trials, improved, nil
 }
 
 // localSearch runs the Nelder–Mead refinement around the best member
@@ -206,7 +122,7 @@ func localSearch(sc *SearchContext, bestM *Member) (*Member, error) {
 			// and let the caller see the recorded error.
 			return 2
 		}
-		fit := sc.Nominal(x)
+		fit := sc.nominal(x)
 		rec := evalRec{x: append([]float64(nil), x...), fit: fit}
 		if !fit.Feasible {
 			evals = append(evals, rec)
@@ -214,7 +130,7 @@ func localSearch(sc *SearchContext, bestM *Member) (*Member, error) {
 		}
 		// NM evaluates one point at a time, so the probe's samples get the
 		// full worker pool.
-		cand := sc.NewCandidate(x)
+		cand := sc.newCandidate(x)
 		cand.SetWorkers(o.Workers)
 		if err := cand.AddSamples(probeSims); err != nil {
 			evalErr = fmt.Errorf("core: memetic probe at %v: %w", x, err)

@@ -11,17 +11,34 @@ import (
 // paper's memetic DE+NM loop.
 const DefaultBackend = "memetic"
 
-// Optimizer is a pluggable search backend. A backend owns the search
-// strategy only; everything budget-related — nominal screening, two-stage /
-// fixed-budget yield estimation, stage-2 top-ups, simulation accounting,
-// cancellation, per-generation records — comes from the SearchContext, so
-// every backend inherits the same determinism and accounting contract.
+// Optimizer is a pluggable search backend. A backend owns only its proposal
+// step: the initial population it starts from and the round that proposes,
+// evaluates and selects designs. The generation loop is core's (see
+// SearchContext.run): the cancellation check, the stall counter, the
+// per-generation record, the stop rules and the final report are the same
+// for every backend, and everything budget-related — nominal screening,
+// two-stage / fixed-budget yield estimation, stage-2 top-ups, simulation
+// accounting — comes from the SearchContext, so every backend inherits the
+// same determinism and accounting contract.
 type Optimizer interface {
 	// Name is the registry key (Options.Backend, `-optimizer NAME`).
 	Name() string
-	// Run drives the search to completion and returns the assembled
-	// result, normally via SearchContext.Finalize.
-	Run(sc *SearchContext) (*Result, error)
+	// Start draws and evaluates the backend's initial population and
+	// returns the run's search state.
+	Start(sc *SearchContext) (Search, error)
+}
+
+// Search is one run's backend state between generations.
+type Search interface {
+	// Incumbent is the member the run would report now.
+	Incumbent() *Member
+	// Round runs one generation: it proposes designs, evaluates them
+	// through sc and updates the backend's population or archive. It
+	// returns the members it evaluated, which the generation record
+	// snapshots, and whether the incumbent improved under the backend's
+	// own test; a round without improvement on a feasible incumbent
+	// counts toward the stall stop.
+	Round(sc *SearchContext) (evaluated []*Member, improved bool, err error)
 }
 
 var (

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"github.com/eda-go/moheco/internal/constraint"
+	"github.com/eda-go/moheco/internal/de"
 	"github.com/eda-go/moheco/internal/engine"
 	"github.com/eda-go/moheco/internal/ocba"
 	"github.com/eda-go/moheco/internal/oo"
@@ -21,11 +23,12 @@ type Member struct {
 	Cand *yieldsim.Candidate // nil while infeasible or unestimated
 }
 
-// SearchContext is the estimation half of an optimization run: the problem
-// and bounds, the run RNG, the candidate factory, the nominal screen, the
-// method-specific yield estimator, the stage-2 top-up and the shared
-// simulation counter. Backends consume it so that budget accounting,
-// determinism (fixed seed ⇒ bit-identical, Workers=1 vs N), cancellation
+// SearchContext is the shared half of an optimization run: the problem and
+// bounds, the run RNG, the candidate factory, the nominal screen, the
+// method-specific yield estimator, the stage-2 top-up, the shared
+// simulation counter and the generation loop that drives a backend's
+// rounds. Backends consume it so that budget accounting, determinism
+// (fixed seed ⇒ bit-identical, Workers=1 vs N), cancellation, stop rules
 // and per-generation records are inherited rather than re-implemented.
 type SearchContext struct {
 	// Problem is the workload under optimization.
@@ -88,43 +91,173 @@ func newSearchContext(p problem.Problem, o Options, backend string) *SearchConte
 	}
 }
 
-// NewCandidate builds the yield candidate for a design. Each candidate owns
+// run is the generation loop of Fig. 4 for every backend: it checks for
+// cancellation at each generation boundary, runs one round of s, keeps the
+// stall count, records the generation and applies the step-11 stop rules,
+// then reports the incumbent at full accuracy.
+func (sc *SearchContext) run(s Search) (*Result, error) {
+	o := sc.Opts
+	stall := 0 // generations without improvement
+	reason := "max-generations"
+	gen := 0
+	for gen = 1; gen <= o.MaxGenerations; gen++ {
+		if o.Ctx != nil {
+			if err := o.Ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		genStart := time.Now()
+		evaluated, improved, err := s.Round(sc)
+		if err != nil {
+			return nil, err
+		}
+		best := s.Incumbent()
+		switch {
+		case improved:
+			stall = 0
+		case !best.Fit.Feasible:
+			// The paper's stall criterion is "the yield does not increase
+			// for 20 subsequent generations" — it only starts once there is
+			// a yield to speak of. The constraint-satisfaction phase runs
+			// under the generation cap alone.
+			stall = 0
+		default:
+			stall++
+		}
+
+		rec := GenRecord{
+			Gen:           gen,
+			BestYield:     best.Fit.Yield,
+			BestFeasible:  best.Fit.Feasible,
+			BestViolation: best.Fit.Violation,
+			CumSims:       sc.usedSims(),
+		}
+		sc.snapshotTrials(&rec, evaluated)
+		mGenSeconds.Observe(time.Since(genStart).Seconds())
+		mGenerations.Inc()
+		sc.history = append(sc.history, rec)
+		if o.OnGeneration != nil {
+			o.OnGeneration(rec)
+		}
+
+		// Step 11: stopping criteria.
+		if best.Fit.Feasible && best.Fit.Yield >= o.TargetYield {
+			reason = "target-yield"
+			break
+		}
+		if stall >= o.StallStop {
+			reason = "stalled"
+			break
+		}
+		if o.SimBudget > 0 && sc.usedSims() >= o.SimBudget {
+			reason = "budget"
+			break
+		}
+	}
+	if gen > o.MaxGenerations {
+		gen = o.MaxGenerations
+	}
+	return sc.finalize(s.Incumbent(), gen, reason)
+}
+
+// InitialPopulation draws n random designs from the run RNG, screens them
+// and estimates the feasible ones. The population is a DE population (a
+// line-BO warm-up doubles as its feasibility-phase population), so its DE
+// configuration is validated before anything is drawn.
+func (sc *SearchContext) InitialPopulation(n int) ([]*Member, error) {
+	if err := sc.deConfig(n).Validate(); err != nil {
+		return nil, err
+	}
+	// Designs are drawn sequentially (the run RNG is shared state); their
+	// feasibility checks then run on the worker pool.
+	pop := make([]*Member, n)
+	for i := range pop {
+		pop[i] = &Member{X: problem.RandomDesign(sc.Problem, sc.RNG)}
+	}
+	return pop, sc.Evaluate(pop)
+}
+
+// DEGeneration runs one DE/best/1/bin generation over pop around its
+// member best (paper steps 1–8): mutation and crossover, evaluation of the
+// trials, then Deb's one-to-one selection, which replaces pop's members in
+// place. It returns the evaluated trials.
+func (sc *SearchContext) DEGeneration(pop []*Member, best int) ([]*Member, error) {
+	popX := make([][]float64, len(pop))
+	for i, m := range pop {
+		popX[i] = m.X
+	}
+	trialsX := de.Generation(popX, best, sc.Lo, sc.Hi, sc.deConfig(len(pop)), sc.RNG)
+	trials := make([]*Member, len(trialsX))
+	for i, x := range trialsX {
+		trials[i] = &Member{X: x}
+	}
+	if err := sc.Evaluate(trials); err != nil {
+		return nil, err
+	}
+	for i, tr := range trials {
+		if constraint.BetterOrEqual(tr.Fit, pop[i].Fit) {
+			pop[i] = tr
+		}
+	}
+	return trials, nil
+}
+
+// deConfig is the DE configuration of a population of n.
+func (sc *SearchContext) deConfig(n int) de.Config {
+	return de.Config{NP: n, F: sc.Opts.F, CR: sc.Opts.CR}
+}
+
+// BestIndex scans ms for the best member under Deb's rules, starting from
+// the incumbent at index best: a member replaces the current choice only
+// when it is strictly better, so ties keep it.
+func BestIndex(ms []*Member, best int) int {
+	for i := range ms {
+		if constraint.Better(ms[i].Fit, ms[best].Fit) {
+			best = i
+		}
+	}
+	return best
+}
+
+// Evaluate screens the members at the nominal point and estimates the
+// yield of the feasible ones (paper steps 3–7). The nominal checks run on
+// the worker pool: they are independent and the simulation counter is
+// atomic.
+func (sc *SearchContext) Evaluate(ms []*Member) error {
+	err := engine.ForEachNCtx(sc.Opts.Ctx, sc.Opts.Workers, len(ms), func(i int) error {
+		ms[i].Fit = sc.nominal(ms[i].X)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return sc.estimate(ms)
+}
+
+// newCandidate builds the yield candidate for a design. Each candidate owns
 // a private random stream derived from the run seed and a creation sequence
 // number, so estimates are independent of worker scheduling — but the
 // creation ORDER matters: backends must create candidates in a
 // deterministic sequence.
-func (sc *SearchContext) NewCandidate(x []float64) *yieldsim.Candidate {
+func (sc *SearchContext) newCandidate(x []float64) *yieldsim.Candidate {
 	sc.candSeq++
-	return sc.newCandidateAt(x, sc.candSeq)
-}
-
-func (sc *SearchContext) newCandidateAt(x []float64, seq uint64) *yieldsim.Candidate {
 	return yieldsim.NewCandidate(sc.Problem, x, sc.ycfg, sc.counter,
-		randx.DeriveSeed(sc.Opts.Seed, 0x5eed, seq))
+		randx.DeriveSeed(sc.Opts.Seed, 0x5eed, sc.candSeq))
 }
 
-// Nominal evaluates a design at the nominal process point and returns its
+// nominal evaluates a design at the nominal process point and returns its
 // constraint fitness; the check is accounted as one simulator call.
-func (sc *SearchContext) Nominal(x []float64) constraint.Fitness {
+func (sc *SearchContext) nominal(x []float64) constraint.Fitness {
 	fit, _, _ := problem.NominalFitness(sc.Problem, x)
 	sc.counter.Add(1)
 	return fit
 }
 
-// Screen computes every member's nominal fitness on the worker pool: the
-// checks are independent and the simulation counter is atomic.
-func (sc *SearchContext) Screen(ms []*Member) error {
-	return engine.ForEachNCtx(sc.Opts.Ctx, sc.Opts.Workers, len(ms), func(i int) error {
-		ms[i].Fit = sc.Nominal(ms[i].X)
-		return nil
-	})
-}
-
-// Estimate runs the configured method's yield estimation over the feasible
+// estimate runs the configured method's yield estimation over the feasible
 // members: fixed per-candidate budgets for MethodFixedBudget, the two-stage
 // OO flow (n0 warm-up, OCBA allocation rounds, threshold promotion to
 // stage 2) otherwise. Candidates are created here, in member order.
-func (sc *SearchContext) Estimate(ms []*Member) error {
+func (sc *SearchContext) estimate(ms []*Member) error {
 	o := sc.Opts
 	feas := make([]*Member, 0, len(ms))
 	for _, m := range ms {
@@ -136,7 +269,7 @@ func (sc *SearchContext) Estimate(ms []*Member) error {
 		return nil
 	}
 	for _, m := range feas {
-		m.Cand = sc.NewCandidate(m.X)
+		m.Cand = sc.newCandidate(m.X)
 	}
 	// Split the pool between the cross-candidate fan-out and each
 	// candidate's own sample batches. This helps the paths whose
@@ -182,69 +315,25 @@ func (sc *SearchContext) PromoteBest(pop []*Member, best int) (int, error) {
 	return promoteBest(pop, best, sc.Opts.MaxSims, sc.Opts.Workers)
 }
 
-// EnsureStage2 tops a feasible member up to the full per-candidate budget
-// (creating its candidate if the member has never been estimated) and
-// refreshes its fitness yield.
-func (sc *SearchContext) EnsureStage2(m *Member) error {
-	if !m.Fit.Feasible {
-		return nil
-	}
-	if m.Cand == nil {
-		m.Cand = sc.NewCandidate(m.X)
-	}
-	m.Cand.SetWorkers(sc.Opts.Workers)
-	if err := m.Cand.EnsureSamples(sc.Opts.MaxSims); err != nil {
-		return err
-	}
-	m.Fit.Yield = m.Cand.Yield()
-	return nil
-}
-
-// Err reports the run context's cancellation state; backends check it at
-// each generation boundary.
-func (sc *SearchContext) Err() error {
-	if sc.Opts.Ctx != nil {
-		return sc.Opts.Ctx.Err()
-	}
-	return nil
-}
-
-// UsedSims returns the simulator calls this run has spent so far.
-func (sc *SearchContext) UsedSims() int64 {
+// usedSims returns the simulator calls this run has spent so far.
+func (sc *SearchContext) usedSims() int64 {
 	return sc.counter.Total() - sc.simBase
 }
 
-// BudgetExhausted reports whether the run has reached Options.SimBudget.
-// With no budget set it is always false.
-func (sc *SearchContext) BudgetExhausted() bool {
-	return sc.Opts.SimBudget > 0 && sc.UsedSims() >= sc.Opts.SimBudget
-}
-
-// NMTriggered counts one local-refinement trigger (result bookkeeping plus
+// nmTriggered counts one local-refinement trigger (result bookkeeping plus
 // the /metrics counter).
-func (sc *SearchContext) NMTriggered() {
+func (sc *SearchContext) nmTriggered() {
 	sc.nmTriggers++
 	mNMTriggers.Inc()
 }
 
-// Record appends one generation record to the run history and delivers it
-// to the OnGeneration callback. Backends fill Gen/best/feasible fields; the
-// record's slices must already be private copies (see SnapshotTrials).
-func (sc *SearchContext) Record(rec GenRecord) {
-	mGenerations.Inc()
-	sc.history = append(sc.history, rec)
-	if sc.Opts.OnGeneration != nil {
-		sc.Opts.OnGeneration(rec)
-	}
-}
-
-// SnapshotTrials fills a record's feasible-trial snapshot fields from the
+// snapshotTrials fills a record's feasible-trial snapshot fields from the
 // given members: the feasible count always, and — when
 // Options.RecordPopulations is set — deep-copied designs with their yields
 // and sample/simulation counts. The record crosses the OnGeneration
 // boundary and lives on in History, so nothing in it may alias a live
 // population member.
-func (sc *SearchContext) SnapshotTrials(rec *GenRecord, trials []*Member) {
+func (sc *SearchContext) snapshotTrials(rec *GenRecord, trials []*Member) {
 	for _, tr := range trials {
 		if !tr.Fit.Feasible {
 			continue
@@ -259,9 +348,10 @@ func (sc *SearchContext) SnapshotTrials(rec *GenRecord, trials []*Member) {
 	}
 }
 
-// Finalize tops the winning member up to full reporting accuracy and
-// assembles the Result from the run's accumulated history.
-func (sc *SearchContext) Finalize(best *Member, gens int, reason string) (*Result, error) {
+// finalize tops the winning member up to the full per-candidate budget
+// (creating its candidate if it has never been estimated), refreshes its
+// yield and assembles the Result from the run's accumulated history.
+func (sc *SearchContext) finalize(best *Member, gens int, reason string) (*Result, error) {
 	res := &Result{
 		Problem:     sc.Problem.Name(),
 		Method:      sc.Opts.Method,
@@ -272,15 +362,20 @@ func (sc *SearchContext) Finalize(best *Member, gens int, reason string) (*Resul
 		StopReason:  reason,
 	}
 	if best.Fit.Feasible {
-		if err := sc.EnsureStage2(best); err != nil {
+		if best.Cand == nil {
+			best.Cand = sc.newCandidate(best.X)
+		}
+		best.Cand.SetWorkers(sc.Opts.Workers)
+		if err := best.Cand.EnsureSamples(sc.Opts.MaxSims); err != nil {
 			return nil, err
 		}
+		best.Fit.Yield = best.Cand.Yield()
 		res.BestSamples = best.Cand.Samples()
 	}
 	res.BestX = append([]float64(nil), best.X...)
 	res.BestYield = best.Fit.Yield
 	res.Feasible = best.Fit.Feasible
-	res.TotalSims = sc.UsedSims()
+	res.TotalSims = sc.usedSims()
 	return res, nil
 }
 
@@ -304,11 +399,7 @@ func promoteBest(pop []*Member, best, maxSims, workers int) (int, error) {
 			return best, err
 		}
 		b.Fit.Yield = b.Cand.Yield()
-		for i := range pop {
-			if constraint.Better(pop[i].Fit, pop[best].Fit) {
-				best = i
-			}
-		}
+		best = BestIndex(pop, best)
 	}
 }
 

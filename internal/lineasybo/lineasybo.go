@@ -14,16 +14,17 @@
 // Line BO needs a feasible anchor. Until the run has one, rounds execute a
 // DE/best/1/bin + Deb-selection descent over the warm-up population (the
 // same move the memetic backend uses to leave the infeasible region — see
-// the feasibility-phase comment in Run); every trial it pays for lands in
+// the feasibility-phase comment in Round); every trial it pays for lands in
 // the archive as surrogate training data, so the line search starts
 // informed the moment feasibility is reached.
 //
-// The backend proposes; the SearchContext disposes. Every proposed design
-// goes through the same nominal screen → two-stage (or fixed-budget) yield
-// estimation → incumbent stage-2 top-up path as the memetic backend, so
-// simulation accounting, the shared counter, cancellation and the
-// fixed-seed/worker-count determinism contract are inherited rather than
-// re-implemented. All search-side randomness (axis choices, DE mutation)
+// The backend proposes; core disposes. core's generation loop runs the
+// rounds, counts stalled ones and applies the stop rules, and every
+// proposed design goes through the same nominal screen → two-stage (or
+// fixed-budget) yield estimation → incumbent stage-2 top-up path as the
+// memetic backend, so simulation accounting, the shared counter,
+// cancellation and the fixed-seed/worker-count determinism contract are
+// inherited rather than re-implemented. All search-side randomness (axis choices, DE mutation)
 // comes from the run RNG, so a fixed seed pins the whole trajectory.
 package lineasybo
 
@@ -32,8 +33,6 @@ import (
 
 	"github.com/eda-go/moheco/internal/constraint"
 	"github.com/eda-go/moheco/internal/core"
-	"github.com/eda-go/moheco/internal/de"
-	"github.com/eda-go/moheco/internal/problem"
 )
 
 func init() { core.RegisterOptimizer(Backend{}) }
@@ -63,156 +62,80 @@ type Backend struct{}
 // Name implements core.Optimizer.
 func (Backend) Name() string { return Name }
 
-// Run implements core.Optimizer.
-func (Backend) Run(sc *core.SearchContext) (*core.Result, error) {
-	o := sc.Opts
-	dim := len(sc.Lo)
-
-	// --- Initialization: a small space-filling archive. The BO loop wants
-	// most of the budget for guided proposals, so the warm-up is sized to
-	// the dimensionality, not to the EA's population. The warm-up members
-	// double as the feasibility-phase DE population (below), so its DE
-	// config is validated up front.
-	nInit := 2*dim + 4
-	if nInit > o.PopSize {
-		nInit = o.PopSize
+// Start implements core.Optimizer: a small space-filling archive. The BO
+// loop wants most of the budget for guided proposals, so the warm-up is
+// sized to the dimensionality, not to the EA's population. The warm-up
+// members double as the feasibility-phase DE population (see Round).
+func (Backend) Start(sc *core.SearchContext) (core.Search, error) {
+	nInit := 2*len(sc.Lo) + 4
+	if nInit > sc.Opts.PopSize {
+		nInit = sc.Opts.PopSize
 	}
-	dcfg := de.Config{NP: nInit, F: o.F, CR: o.CR}
-	if err := dcfg.Validate(); err != nil {
+	pop, err := sc.InitialPopulation(nInit)
+	if err != nil {
 		return nil, err
 	}
-	archive := make([]*core.Member, nInit)
-	for i := range archive {
-		archive[i] = &core.Member{X: problem.RandomDesign(sc.Problem, sc.RNG)}
-	}
-	if err := sc.Screen(archive); err != nil {
-		return nil, err
-	}
-	if err := sc.Estimate(archive); err != nil {
-		return nil, err
-	}
-	pop := append([]*core.Member(nil), archive...)
-	best := 0
-	for i := range archive {
-		if constraint.Better(archive[i].Fit, archive[best].Fit) {
-			best = i
-		}
-	}
+	s := &search{archive: append([]*core.Member(nil), pop...), pop: pop}
 	// The incumbent is the reported result and the line anchor: hold it at
 	// stage-2 accuracy from the start, exactly like the memetic loop.
-	var perr error
-	if best, perr = sc.PromoteBest(archive, best); perr != nil {
-		return nil, perr
+	if s.best, err = sc.PromoteBest(s.archive, core.BestIndex(s.archive, 0)); err != nil {
+		return nil, err
 	}
+	return s, nil
+}
 
-	var line lineSearch
-	stall := 0
-	reason := "max-generations"
-	gen := 0
-	for gen = 1; gen <= o.MaxGenerations; gen++ {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		prevBestFit := archive[best].Fit
-		var proposals []*core.Member
-		if archive[best].Fit.Feasible {
-			// BO round: one random axis-aligned 1-D subspace through the
-			// incumbent, one guided proposal, one screen.
-			axis := sc.RNG.Intn(dim)
-			m := &core.Member{X: line.proposeOnLine(sc, archive, best, axis)}
-			proposals = []*core.Member{m}
-			if err := sc.Screen(proposals); err != nil {
-				return nil, err
-			}
-			if err := sc.Estimate(proposals); err != nil {
-				return nil, err
-			}
-			archive = append(archive, m)
-		} else {
-			// Feasibility phase: one guided proposal per round cannot reach
-			// the feasible region in any realistic round cap — the violation
-			// landscape needs coordinated multi-axis moves, and single-axis
-			// sweeps or isotropic steps are mis-scaled on axes spanning
-			// orders of magnitude. So until the archive holds a feasible
-			// member, each round runs one DE/best/1/bin generation with Deb
-			// one-to-one selection over the warm-up population — the same
-			// descent the memetic backend rides out of the infeasible region
-			// (difference vectors are scaled per axis by the population's
-			// own spread). Every trial lands in the archive as GP training
-			// data, so the line search starts informed.
-			pbest := 0
-			popX := make([][]float64, len(pop))
-			for i, m := range pop {
-				popX[i] = m.X
-				if constraint.Better(m.Fit, pop[pbest].Fit) {
-					pbest = i
-				}
-			}
-			trialsX := de.Generation(popX, pbest, sc.Lo, sc.Hi, dcfg, sc.RNG)
-			trials := make([]*core.Member, len(trialsX))
-			for i, x := range trialsX {
-				trials[i] = &core.Member{X: x}
-			}
-			if err := sc.Screen(trials); err != nil {
-				return nil, err
-			}
-			if err := sc.Estimate(trials); err != nil {
-				return nil, err
-			}
-			for i, tr := range trials {
-				if constraint.BetterOrEqual(tr.Fit, pop[i].Fit) {
-					pop[i] = tr
-				}
-			}
-			archive = append(archive, trials...)
-			proposals = trials
-		}
+// search is a line-BO run's state: the archive of every evaluated member
+// (the surrogate's training data and the incumbent's pool), the
+// feasibility-phase DE population and the line-search workspace.
+type search struct {
+	archive []*core.Member
+	pop     []*core.Member
+	best    int // index into archive
+	line    lineSearch
+}
 
-		for i := range archive {
-			if constraint.Better(archive[i].Fit, archive[best].Fit) {
-				best = i
-			}
-		}
-		if best, perr = sc.PromoteBest(archive, best); perr != nil {
-			return nil, perr
-		}
-		improved := constraint.Better(archive[best].Fit, prevBestFit)
-		switch {
-		case improved:
-			stall = 0
-		case !archive[best].Fit.Feasible:
-			stall = 0
-		default:
-			stall++
-		}
+// Incumbent implements core.Search.
+func (s *search) Incumbent() *core.Member { return s.archive[s.best] }
 
-		rec := core.GenRecord{
-			Gen:           gen,
-			BestYield:     archive[best].Fit.Yield,
-			BestFeasible:  archive[best].Fit.Feasible,
-			BestViolation: archive[best].Fit.Violation,
-			CumSims:       sc.UsedSims(),
+// Round implements core.Search: one line proposal once the archive holds a
+// feasible member, one DE generation before.
+func (s *search) Round(sc *core.SearchContext) ([]*core.Member, bool, error) {
+	prevBestFit := s.archive[s.best].Fit
+	var evaluated []*core.Member
+	if s.archive[s.best].Fit.Feasible {
+		// BO round: one random axis-aligned 1-D subspace through the
+		// incumbent, one guided proposal, one screen.
+		axis := sc.RNG.Intn(len(sc.Lo))
+		m := &core.Member{X: s.line.proposeOnLine(sc, s.archive, s.best, axis)}
+		evaluated = []*core.Member{m}
+		if err := sc.Evaluate(evaluated); err != nil {
+			return nil, false, err
 		}
-		sc.SnapshotTrials(&rec, proposals)
-		sc.Record(rec)
-
-		if archive[best].Fit.Feasible && archive[best].Fit.Yield >= o.TargetYield {
-			reason = "target-yield"
-			break
+		s.archive = append(s.archive, m)
+	} else {
+		// Feasibility phase: one guided proposal per round cannot reach
+		// the feasible region in any realistic round cap — the violation
+		// landscape needs coordinated multi-axis moves, and single-axis
+		// sweeps or isotropic steps are mis-scaled on axes spanning
+		// orders of magnitude. So until the archive holds a feasible
+		// member, each round runs one DE/best/1/bin generation with Deb
+		// one-to-one selection over the warm-up population — the same
+		// descent the memetic backend rides out of the infeasible region
+		// (difference vectors are scaled per axis by the population's
+		// own spread). Every trial lands in the archive as GP training
+		// data, so the line search starts informed.
+		trials, err := sc.DEGeneration(s.pop, core.BestIndex(s.pop, 0))
+		if err != nil {
+			return nil, false, err
 		}
-		if stall >= o.StallStop {
-			reason = "stalled"
-			break
-		}
-		if sc.BudgetExhausted() {
-			reason = "budget"
-			break
-		}
+		s.archive = append(s.archive, trials...)
+		evaluated = trials
 	}
-	if gen > o.MaxGenerations {
-		gen = o.MaxGenerations
+	var err error
+	if s.best, err = sc.PromoteBest(s.archive, core.BestIndex(s.archive, s.best)); err != nil {
+		return nil, false, err
 	}
-	return sc.Finalize(archive[best], gen, reason)
+	return evaluated, constraint.Better(s.archive[s.best].Fit, prevBestFit), nil
 }
 
 // lineSearch is the workspace of a run's line proposals: the surrogate and

@@ -48,50 +48,23 @@ func (spec YieldSpec) instantiate() (problem.Problem, sample.Sampler, error) {
 	return p, smp, nil
 }
 
-// Backend executes resolved yield specs for the job pool — the seam that
-// makes the scheduler transport-agnostic. The job lifecycle (queueing,
-// canonical-key dedupe, cancellation, the result cache) lives above this
-// interface and never knows whether the samples burn in-process or across
-// a fleet; a backend only promises that its return value is the exact
-// passing-sample count of the spec's deterministic sample stream, so every
-// backend produces the bit-identical estimate. Optimize jobs stay local:
-// the memetic loop is sequential across generations, so there is no chunk
-// structure to shard (its inner Monte-Carlo batches already parallelize
-// in-process).
-type Backend interface {
-	// Name identifies the backend ("local", "coordinator") in /healthz.
-	Name() string
-	// Yield evaluates spec and returns its passing-sample count out of
-	// spec.N. progress, when non-nil, receives serialized monotone
-	// cumulative (done, pass) counts as evaluation proceeds — a monitoring
-	// feed, never an input to the result.
-	Yield(ctx context.Context, spec YieldSpec, progress func(done, pass int64)) (int64, error)
-}
-
-// LocalBackend evaluates yield specs in-process on the shared worker pool —
-// the single-node path, and the exact code a fleet worker runs per shard
-// (yieldsim.ChunkPass over the spec's chunk range).
-type LocalBackend struct {
-	// Workers bounds the chunk-evaluation goroutines (0 = GOMAXPROCS);
-	// results never depend on it.
-	Workers int
-	// Counter, when non-nil, receives every simulator invocation.
-	Counter *yieldsim.Counter
-}
-
-// Name implements Backend.
-func (b *LocalBackend) Name() string { return "local" }
-
-// Yield implements Backend: the full chunk range, evaluated here.
-func (b *LocalBackend) Yield(ctx context.Context, spec YieldSpec, progress func(done, pass int64)) (int64, error) {
+// localYield evaluates spec in-process on the shared worker pool: the
+// full chunk range through yieldsim.ChunkPass, the same code a fleet worker
+// runs per shard. It returns the passing-sample count out of spec.N.
+// workers bounds the chunk-evaluation goroutines (0 = GOMAXPROCS) and never
+// changes the result; counter, when non-nil, receives every simulator
+// invocation; progress, when non-nil, receives serialized monotone
+// cumulative (done, pass) counts — a monitoring feed, never an input to
+// the result.
+func localYield(ctx context.Context, spec YieldSpec, workers int, counter *yieldsim.Counter, progress func(done, pass int64)) (int64, error) {
 	p, smp, err := spec.instantiate()
 	if err != nil {
 		return 0, err
 	}
 	counts, err := yieldsim.ChunkPass(ctx, p, spec.X, spec.N, spec.Seed, 0, yieldsim.NumChunks(spec.N), yieldsim.RefOptions{
-		Workers:  b.Workers,
+		Workers:  workers,
 		Sampler:  smp,
-		Counter:  b.Counter,
+		Counter:  counter,
 		Progress: progress,
 	})
 	if err != nil {

@@ -407,8 +407,8 @@ func (s *Server) probeRole(url string, timeout time.Duration) (string, bool) {
 	return role, role != ""
 }
 
-// promote turns this worker into the fleet's coordinator: swap the yield
-// backend to a fresh shard scheduler, preload its warm-shard cache from
+// promote turns this worker into the fleet's coordinator: start a fresh
+// shard scheduler that yield jobs run on, preload its warm-shard cache from
 // replicated shard counts, start the in-process shard runner, and resubmit
 // every replicated unfinished job — whose canonical keys make clients
 // failing over from the dead coordinator coalesce straight onto the
@@ -421,7 +421,6 @@ func (s *Server) promote() {
 	}
 	warm := s.replica.takeShards()
 	s.startCoordinator(warm)
-	s.role = "coordinator"
 	s.mu.Unlock()
 	s.sm.promotions.Inc()
 
@@ -432,10 +431,10 @@ func (s *Server) promote() {
 	}
 }
 
-// startCoordinator makes this node its fleet's coordinator: a fresh shard
-// scheduler, its warm-shard cache preloaded from warm, becomes the yield
-// backend. Unless NoSelfWork is set the coordinator is also a node of its
-// own fleet: an in-process runner pulls from the same scheduler the remote
+// startCoordinator makes this node its fleet's coordinator: yield jobs run
+// on a fresh shard scheduler, its warm-shard cache preloaded from warm.
+// Unless NoSelfWork is set the coordinator is also a node of its own
+// fleet: an in-process runner pulls from the same scheduler the remote
 // workers lease from, so a 1-process coordinator completes jobs and an
 // N-process fleet counts the coordinator as one of its N. New calls it
 // before the server is shared; promote calls it holding s.mu.
@@ -446,7 +445,6 @@ func (s *Server) startCoordinator(warm map[string][]int) {
 		c.cache.Put(key, pass)
 	}
 	s.coord = c
-	s.backend = c
 	if s.cfg.Fleet.NoSelfWork {
 		return
 	}

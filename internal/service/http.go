@@ -79,6 +79,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	backend := "local" // where yield jobs run
+	if s.getCoord() != nil {
+		backend = "coordinator"
+	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"version":   Version,
@@ -88,7 +92,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"jobs":      byState,
 		"job_lanes": s.cfg.Jobs,
 		"workers":   workers,
-		"backend":   s.BackendName(),
+		"backend":   backend,
 		"fleet":     s.Fleet(),
 		"scenarios": len(scenario.Names()),
 	})

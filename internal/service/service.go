@@ -468,9 +468,7 @@ type Server struct {
 	fleet   fleetView // a worker's last confirmed picture of its fleet
 
 	mu       sync.Mutex
-	backend  Backend      // current yield executor; promotion swaps it
-	coord    *Coordinator // non-nil while this server schedules fleet shards
-	role     string       // "single" | "coordinator" | "worker"
+	coord    *Coordinator // non-nil while this server schedules fleet shards (set at start or by promotion)
 	closed   bool
 	seq      int64
 	jobs     map[string]*Job // by ID, live + retained
@@ -478,18 +476,11 @@ type Server struct {
 	retained *list.List      // completed jobs, least recently used at front
 }
 
-// getBackend returns the current yield executor. It is a moving target: a
-// worker that wins a hand-off election swaps in a Coordinator at runtime.
-func (s *Server) getBackend() Backend {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.backend
-}
-
 // getCoord returns the shard scheduler when this node currently
-// coordinates the fleet, nil otherwise. Like the backend, it can appear at
-// runtime through promotion — HTTP handlers must consult it per request,
-// never capture it at startup.
+// coordinates the fleet, nil otherwise. It is a moving target: a worker
+// that wins a hand-off election becomes a coordinator at runtime, so yield
+// jobs and HTTP handlers must consult it per use, never capture it at
+// startup.
 func (s *Server) getCoord() *Coordinator {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -538,21 +529,12 @@ func New(cfg Config) *Server {
 	reg.GaugeFunc("service_queue_depth", func() float64 { return float64(len(s.queue)) })
 	reg.GaugeFunc("service_sims", func() float64 { return float64(s.counter.Total()) })
 	reg.GaugeFunc("service_uptime_seconds", func() float64 { return s.Uptime().Seconds() })
-	s.role = "single"
-	switch {
-	case cfg.Fleet.Coordinator:
-		s.role = "coordinator"
-	case cfg.Fleet.Join != "":
-		s.role = "worker"
-	}
 	s.node = cfg.Fleet.Node
 	if s.node == "" {
-		s.node = fmt.Sprintf("%s-%d", s.role, os.Getpid())
+		s.node = fmt.Sprintf("%s-%d", fleetRole(cfg.Fleet.Coordinator, cfg.Fleet.Join), os.Getpid())
 	}
 	if cfg.Fleet.Coordinator {
 		s.startCoordinator(nil)
-	} else {
-		s.backend = &LocalBackend{Workers: cfg.Workers, Counter: s.counter}
 	}
 	if cfg.Fleet.Join != "" {
 		s.wg.Add(1)
@@ -713,8 +695,13 @@ func (s *Server) SubmitYield(req YieldRequest) (*Job, bool, error) {
 // coordinator resumes from replicated specs. A result another node
 // replicated here is served as-is with zero simulation; otherwise the spec
 // is announced to the fleet's peers (so a coordinator crash mid-run loses
-// no accepted work), executed on the current backend, and the finished
-// result is replicated in turn.
+// no accepted work), executed, and the finished result is replicated in
+// turn. A coordinator runs the spec across its fleet, any other node runs
+// it in-process; both return the exact passing-sample count of the spec's
+// deterministic sample stream, so where it ran never shows in the
+// estimate. Optimize jobs stay local: the memetic loop is sequential across
+// generations, so there is no chunk structure to shard (its inner
+// Monte-Carlo batches already parallelize in-process).
 func (s *Server) yieldRun(key string, spec YieldSpec) func(context.Context, *Job) error {
 	return func(ctx context.Context, j *Job) error {
 		if res, ok := s.replica.result(key); ok {
@@ -727,11 +714,10 @@ func (s *Server) yieldRun(key string, spec YieldSpec) func(context.Context, *Job
 		}
 		s.replicateToPeers(ReplicateRequest{Jobs: []ReplicatedJob{{Key: key, Spec: spec}}})
 		start := time.Now()
-		// The trace rides the context across the Backend seam so the shard
-		// scheduler (or a future backend) can attribute per-shard spans to
-		// this job without a signature change.
+		// The trace rides the context so the shard scheduler can
+		// attribute per-shard spans to this job.
 		ctx = obs.ContextWithTrace(ctx, j.trace)
-		pass, err := s.getBackend().Yield(ctx, spec, func(done, pass int64) {
+		progress := func(done, pass int64) {
 			est := float64(pass) / float64(done)
 			j.setProgress(Progress{
 				Done:  done,
@@ -739,7 +725,14 @@ func (s *Server) yieldRun(key string, spec YieldSpec) func(context.Context, *Job
 				Yield: est,
 				Std:   math.Sqrt(est * (1 - est) / float64(done)),
 			})
-		})
+		}
+		var pass int64
+		var err error
+		if c := s.getCoord(); c != nil {
+			pass, err = c.Yield(ctx, spec, progress)
+		} else {
+			pass, err = localYield(ctx, spec, s.cfg.Workers, s.counter, progress)
+		}
 		if err != nil {
 			return err
 		}

@@ -135,8 +135,8 @@ func (p peerInfo) rate() float64 {
 	return float64(p.sims-p.prevSims) / dt
 }
 
-// Coordinator is the fleet scheduler and the Backend yield jobs run on
-// when the server is started in coordinator mode. It splits each yield
+// Coordinator is the fleet scheduler that yield jobs run on while the
+// server coordinates its fleet. It splits each yield
 // spec into shards, serves them to pulling nodes, re-dispatches expired
 // leases, merges per-chunk counts, and keeps completed shards warm in a
 // canonical-key LRU.
@@ -279,10 +279,8 @@ func (c *Coordinator) livePeersLocked() []FleetPeer {
 	return peers
 }
 
-// Name implements Backend.
-func (c *Coordinator) Name() string { return "coordinator" }
-
-// Yield implements Backend: plan the spec's shards, run each through the
+// Yield evaluates spec across the fleet and returns its passing-sample
+// count out of spec.N, the count localYield would return: plan the spec's shards, run each through the
 // warm-shard cache (a cached shard costs nothing; an in-flight identical
 // shard is joined, not duplicated; the rest are enqueued for pulling
 // nodes), and merge the per-chunk counts in chunk-index order.
@@ -623,11 +621,8 @@ func (c *Coordinator) peerStatsLocked() []PeerStat {
 // wins a hand-off election reports "coordinator" from then on — election
 // probes read exactly this field.
 func (s *Server) Fleet() FleetStatus {
-	s.mu.Lock()
-	role := s.role
-	c := s.coord
-	s.mu.Unlock()
-	fs := FleetStatus{Role: role, Node: s.node}
+	c := s.getCoord()
+	fs := FleetStatus{Role: fleetRole(c != nil, s.cfg.Fleet.Join), Node: s.node}
 	if c == nil && s.cfg.Fleet.Join != "" {
 		fs.Peers = 1
 		fs.CoordinatorNode = s.fleetSnapshot().coordNode
@@ -648,6 +643,14 @@ func (s *Server) Fleet() FleetStatus {
 	return fs
 }
 
-// BackendName reports which executor yield jobs run on ("local" or
-// "coordinator").
-func (s *Server) BackendName() string { return s.getBackend().Name() }
+// fleetRole names a node's role: "coordinator" while it schedules fleet
+// shards, "worker" while it has joined a fleet, "single" otherwise.
+func fleetRole(coordinates bool, join string) string {
+	switch {
+	case coordinates:
+		return "coordinator"
+	case join != "":
+		return "worker"
+	}
+	return "single"
+}

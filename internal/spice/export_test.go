@@ -50,9 +50,10 @@ func (e *Engine) ACSystem(op *OPResult, f float64) (*sparse.BatchMatrix[complex1
 // densify copies every entry of the engine's pattern from the value array
 // vals into a dense matrix through set.
 func densify[T sparse.Scalar](e *Engine, vals []T, set func(r, c int, v T)) {
-	e.forEachEntry(func(r, c int) {
+	e.buildPlan(nil, func(r, c int) int {
 		if r >= 0 && c >= 0 {
 			set(r, c, vals[e.sym.Index(r, c)])
 		}
+		return 0
 	})
 }

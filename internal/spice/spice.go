@@ -139,7 +139,15 @@ func New(ckt *netlist.Circuit, opts Options) (*Engine, error) {
 		}
 	}
 	e.size = e.nNodes + len(e.branches)
-	sym, err := e.analyzePattern()
+	// The one-time symbolic phase. The plan built against the pattern
+	// builder records the pattern; the second pass resolves the indices
+	// into the same storage.
+	b := sparse.NewBuilder(e.size)
+	plan := e.buildPlan(nil, func(r, c int) int {
+		b.Add(r, c)
+		return 0
+	})
+	sym, err := b.Analyze()
 	if err != nil {
 		var se *sparse.StructuralError
 		if errors.As(err, &se) {
@@ -148,7 +156,7 @@ func New(ckt *netlist.Circuit, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("spice: %w", err)
 	}
 	e.sym = sym
-	e.plan = e.buildPlan(sym.Index)
+	e.plan = e.buildPlan(plan, sym.Index)
 	e.mosfets = make([]*netlist.Mosfet, len(e.plan.mos))
 	for i := range e.plan.mos {
 		e.mosfets[i] = e.plan.mos[i].dev

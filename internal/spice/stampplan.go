@@ -1,7 +1,8 @@
 package spice
 
 import (
-	"github.com/eda-go/moheco/internal/linalg/sparse"
+	"slices"
+
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/netlist"
 )
@@ -87,76 +88,23 @@ type stampPlan struct {
 	mos  []mosStamp
 }
 
-// forEachEntry enumerates the union structural pattern of every analysis —
-// the DC Jacobian, the AC G and C parts and the transient companion models —
-// in original MNA coordinates. add must tolerate negative (ground) indices.
-func (e *Engine) forEachEntry(add func(r, c int)) {
-	for i := 0; i < e.nNodes; i++ {
-		add(i, i) // gmin keeps every node diagonal structurally present
-	}
-	branchIdx := 0
-	for _, d := range e.ckt.Devices {
-		switch t := d.(type) {
-		case *netlist.Resistor:
-			r1, r2 := row(t.N1), row(t.N2)
-			add(r1, r1)
-			add(r2, r2)
-			add(r1, r2)
-			add(r2, r1)
-		case *netlist.Capacitor:
-			r1, r2 := row(t.N1), row(t.N2)
-			add(r1, r1)
-			add(r2, r2)
-			add(r1, r2)
-			add(r2, r1)
-		case *netlist.VCCS:
-			add(row(t.NP), row(t.NCP))
-			add(row(t.NP), row(t.NCN))
-			add(row(t.NN), row(t.NCP))
-			add(row(t.NN), row(t.NCN))
-		case *netlist.VSource:
-			bi := e.nNodes + branchIdx
-			add(row(t.NP), bi)
-			add(row(t.NN), bi)
-			add(bi, row(t.NP))
-			add(bi, row(t.NN))
-			branchIdx++
-		case *netlist.VCVS:
-			bi := e.nNodes + branchIdx
-			add(row(t.NP), bi)
-			add(row(t.NN), bi)
-			add(bi, row(t.NP))
-			add(bi, row(t.NN))
-			add(bi, row(t.NCP))
-			add(bi, row(t.NCN))
-			branchIdx++
-		case *netlist.Mosfet:
-			// The full 4×4 terminal block: the DC Jacobian touches the
-			// drain/source rows (either orientation of the per-iteration
-			// source/drain swap), the AC linearization adds gm/gmb/gds and
-			// the four capacitances — together they reach every pairing.
-			n := [4]int{row(t.D), row(t.G), row(t.S), row(t.B)}
-			for _, r := range n {
-				for _, c := range n {
-					add(r, c)
-				}
-			}
-		}
-	}
-}
-
-// analyzePattern runs the one-time symbolic phase.
-func (e *Engine) analyzePattern() (*sparse.Symbolic, error) {
-	b := sparse.NewBuilder(e.size)
-	e.forEachEntry(b.Add)
-	return b.Analyze()
-}
-
 // buildPlan resolves every device stamp through index, which maps an
 // original (row, col) coordinate to a direct value-array position and
-// negative coordinates to the write-off slot.
-func (e *Engine) buildPlan(index func(r, c int) int) *stampPlan {
-	p := &stampPlan{size: e.size}
+// negative (ground) coordinates to the write-off slot. It is the one
+// enumeration of the structural pattern, the union of the DC Jacobian, the
+// AC G and C parts and the transient companion models in original MNA
+// coordinates: New reads the pattern through an index that records it, and
+// the sparse-vs-dense tests through one that copies values. The plan is
+// built into p's storage when p is non-nil.
+func (e *Engine) buildPlan(p *stampPlan, index func(r, c int) int) *stampPlan {
+	if p == nil {
+		p = &stampPlan{}
+	}
+	*p = stampPlan{
+		size: e.size, gmin: slices.Grow(p.gmin[:0], e.nNodes),
+		res: p.res[:0], caps: p.caps[:0], isrc: p.isrc[:0], vccs: p.vccs[:0],
+		vsrc: p.vsrc[:0], vcvs: p.vcvs[:0], mos: p.mos[:0],
+	}
 	// Ground residual rows write to the extra trailing row of F/rhs.
 	frow := func(node int) int {
 		if r := row(node); r >= 0 {
@@ -164,9 +112,9 @@ func (e *Engine) buildPlan(index func(r, c int) int) *stampPlan {
 		}
 		return e.size
 	}
-	p.gmin = make([]int, e.nNodes)
+	// gmin keeps every node diagonal structurally present.
 	for i := 0; i < e.nNodes; i++ {
-		p.gmin[i] = index(i, i)
+		p.gmin = append(p.gmin, index(i, i))
 	}
 	branchIdx := 0
 	for _, d := range e.ckt.Devices {
@@ -214,6 +162,10 @@ func (e *Engine) buildPlan(index func(r, c int) int) *stampPlan {
 			})
 			branchIdx++
 		case *netlist.Mosfet:
+			// The full 4×4 terminal block: the DC Jacobian touches the
+			// drain/source rows (either orientation of the per-iteration
+			// source/drain swap), the AC linearization adds gm/gmb/gds and
+			// the four capacitances — together they reach every pairing.
 			ms := mosStamp{dev: t}
 			nodes := [4]int{t.D, t.G, t.S, t.B}
 			for a := 0; a < 4; a++ {
