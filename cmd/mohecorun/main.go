@@ -9,8 +9,12 @@
 //	          [-tstop T] [-tstep T] [-tranmode adaptive|fixed]
 //	          [-timeout DUR] [-server URL[,URL...]]
 //
-// Problems come from the scenario registry (-h lists them); methods are
-// moheco, oo and fixed. -optimizer picks the search backend driving the
+// The flags form one service.OptimizeRequest, resolved by
+// service.ResolveOptimize for the local and the served path alike (an
+// omitted -maxsims, -maxgens or -optimizer takes the same default on
+// both), and the reference check is one service.YieldRequest on both
+// paths. Problems come from the scenario registry (-h lists them); methods
+// are moheco, oo and fixed. -optimizer picks the search backend driving the
 // estimation flow: memetic (the paper's DE+NM loop, default) or lineasybo
 // (one-dimensional-subspace Bayesian optimization); -h lists the registered
 // names. The -tstop/-tstep/-tranmode flags override the
@@ -35,7 +39,6 @@ import (
 	"time"
 
 	moheco "github.com/eda-go/moheco"
-	"github.com/eda-go/moheco/internal/core"
 	"github.com/eda-go/moheco/internal/scenario"
 	"github.com/eda-go/moheco/internal/service"
 	"github.com/eda-go/moheco/internal/yieldsim"
@@ -49,7 +52,7 @@ func main() {
 		maxSims  = flag.Int("maxsims", 0, "stage-2 / per-candidate sample budget (0 = problem default)")
 		fixed    = flag.Int("fixedsims", 0, "fixed-budget per-candidate samples (fixed method; default maxsims)")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		maxGens  = flag.Int("maxgens", 300, "generation cap")
+		maxGens  = flag.Int("maxgens", 0, "generation cap (0 = the paper's default)")
 		refN     = flag.Int("ref", -1, "reference MC samples for the final check (-1 = problem default, 0 to skip)")
 		workers  = flag.Int("workers", 0, "evaluation worker goroutines (0 = GOMAXPROCS, 1 = sequential; results are identical)")
 		trace    = flag.Bool("trace", false, "print per-generation progress")
@@ -66,29 +69,29 @@ func main() {
 	}
 	flag.Parse()
 
-	sc, err := scenario.Get(*probName)
+	// One request from the flags, resolved once: the local run starts from
+	// the returned base options, and -server submits the resolved request.
+	req, opts, err := service.ResolveOptimize(service.OptimizeRequest{
+		Scenario:  *probName,
+		Method:    *method,
+		Optimizer: *backend,
+		MaxSims:   *maxSims,
+		MaxGens:   *maxGens,
+		Seed:      seed,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	p := sc.New()
+	p := scenario.MustGet(req.Scenario).New() // ResolveOptimize checked the name
+	var tran *service.TranSpec
 	if *tStop != 0 || *tStep != 0 || *tranMode != "" {
 		if *server != "" {
 			fatal(fmt.Errorf("-tstop/-tstep/-tranmode are local-only; served optimizations run the scenario's built-in window"))
 		}
-		spec := &service.TranSpec{TStop: *tStop, Step: *tStep, Mode: *tranMode}
-		if _, err := service.ResolveTran(p, *probName, spec); err != nil {
+		tran = &service.TranSpec{TStop: *tStop, Step: *tStep, Mode: *tranMode}
+		if _, err := service.ResolveTran(p, *probName, tran); err != nil {
 			fatal(err)
 		}
-	}
-	if *maxSims <= 0 {
-		*maxSims = sc.DefaultMaxSims
-	}
-	if *refN < 0 {
-		*refN = sc.DefaultRefSamples
-	}
-	m, err := core.ParseMethod(*method)
-	if err != nil {
-		fatal(err)
 	}
 
 	ctx := context.Background()
@@ -97,42 +100,26 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-
-	opts := moheco.DefaultOptions(m, *maxSims)
-	opts.Backend = *backend
-	opts.Seed = *seed
-	opts.MaxGenerations = *maxGens
 	opts.Workers = *workers
 	opts.Ctx = ctx
 	if *fixed > 0 {
 		opts.FixedSims = *fixed
 	}
 
-	shownBackend := *backend
-	if shownBackend == "" {
-		shownBackend = "memetic"
-	}
 	fmt.Printf("problem : %s (%d design variables, %d process variables)\n",
 		p.Name(), p.Dim(), p.VarDim())
-	fmt.Printf("method  : %s (stage-2 budget %d, %s search)\n", m, *maxSims, shownBackend)
+	fmt.Printf("method  : %s (stage-2 budget %d, %s search)\n", opts.Method, req.MaxSims, req.Optimizer)
 	start := time.Now()
 	var res *moheco.Result
 	if *server != "" {
-		st, cerr := service.NewClient(*server).Optimize(ctx, service.OptimizeRequest{
-			Scenario:  *probName,
-			Method:    *method,
-			Optimizer: *backend,
-			MaxSims:   *maxSims,
-			MaxGens:   *maxGens,
-			Seed:      seed,
-		})
+		st, cerr := service.NewClient(*server).Optimize(ctx, req)
 		if cerr != nil {
 			fatalCtx(ctx, cerr)
 		}
 		o := st.Optimize
 		res = &moheco.Result{
 			Problem:     p.Name(),
-			Method:      m,
+			Method:      opts.Method,
 			Backend:     o.Optimizer,
 			BestX:       o.BestX,
 			BestYield:   o.BestYield,
@@ -178,32 +165,35 @@ func main() {
 			fmt.Printf("  %-10s %s %-12.5g got %.5g %s\n", s.Name, s.Sense, s.Bound, perf[i], s.Unit)
 		}
 	}
-	if *refN > 0 {
-		// The reference check honours -timeout and, under -server, runs
-		// on the daemon too (hitting its result cache), so "where the
-		// simulations burn" stays the flag's only effect.
+	if *refN != 0 {
+		// The reference check is one request for both paths: under -server
+		// it runs on the daemon too (hitting its result cache), so "where
+		// the simulations burn" stays the flag's only effect, and it
+		// honours -timeout either way. Locally it carries the -tstop/
+		// -tstep/-tranmode window the optimization ran on.
+		refReq := service.YieldRequest{Scenario: req.Scenario, X: res.BestX, N: *refN, Seed: service.Seed(*req.Seed + 777), Tran: tran}
 		var ref float64
+		var refSamples int
 		if *server != "" {
-			st, cerr := service.NewClient(*server).Yield(ctx, service.YieldRequest{
-				Scenario: *probName,
-				X:        res.BestX,
-				N:        *refN,
-				Seed:     service.Seed(*seed + 777),
-			})
+			st, cerr := service.NewClient(*server).Yield(ctx, refReq)
 			if cerr != nil {
 				fatalCtx(ctx, cerr)
 			}
-			ref = st.Yield.Yield
+			ref, refSamples = st.Yield.Yield, st.Yield.N
 		} else {
-			var rerr error
-			ref, _, rerr = yieldsim.ReferenceCtx(ctx, p, res.BestX, *refN, *seed+777,
-				yieldsim.RefOptions{Workers: *workers})
+			spec, rp, smp, rerr := service.ResolveYield(refReq)
+			if rerr != nil {
+				fatal(rerr)
+			}
+			ref, _, rerr = yieldsim.ReferenceCtx(ctx, rp, spec.X, spec.N, spec.Seed,
+				yieldsim.RefOptions{Workers: *workers, Sampler: smp})
 			if rerr != nil {
 				fatalCtx(ctx, rerr)
 			}
+			refSamples = spec.N
 		}
 		fmt.Printf("reference yield (%d MC samples): %.2f%% (deviation %.2f%%)\n",
-			*refN, 100*ref, 100*(res.BestYield-ref))
+			refSamples, 100*ref, 100*(res.BestYield-ref))
 	}
 }
 

@@ -8,9 +8,11 @@
 //	         [-sampler pmc|lhs|halton] [-tstop T] [-tstep T] [-tranmode adaptive|fixed]
 //	         [-timeout DUR] [-server URL[,URL...]] [-lanes K]
 //
-// Without -x, the problem's built-in reference design is analyzed; without
-// -n, the problem's default reference sample count is used. Problems come
-// from the scenario registry (-h lists them). The -tstop/-tstep/-tranmode
+// The flags form one service.YieldRequest, resolved by service.ResolveYield
+// for the local and the served path alike: without -x, the problem's
+// built-in reference design is analyzed; without -n, the problem's default
+// reference sample count is used. Problems come from the scenario registry
+// (-h lists them). The -tstop/-tstep/-tranmode
 // flags override the transient window of a time-domain problem; on a
 // problem without one they are a usage error — the command exits with code
 // 2 and lists the tran-capable scenarios. With -server, the estimate is served by a mohecod
@@ -85,57 +87,36 @@ func main() {
 		defer cancel()
 	}
 
-	sc, err := scenario.Get(*probName)
-	if err != nil {
-		fatal(err)
-	}
-	p := sc.New()
-	if *n <= 0 {
-		*n = sc.DefaultRefSamples
-	}
-	plan, err := sample.ByName(*sampler)
-	if err != nil {
-		fatal(err)
-	}
-
-	x, hasRef := scenario.ReferenceDesign(p)
+	// One request from the flags, resolved once through the service's
+	// resolution: the local run evaluates the returned problem (transient
+	// window applied) and sampler, and -server submits the same request,
+	// which the daemon resolves identically.
+	req := service.YieldRequest{Scenario: *probName, N: *n, Seed: seed, Sampler: *sampler}
 	if *xFlag != "" {
-		parts := strings.Split(*xFlag, ",")
-		if len(parts) != p.Dim() {
-			fatal(fmt.Errorf("design needs %d values, got %d", p.Dim(), len(parts)))
-		}
-		x = make([]float64, len(parts))
-		for i, s := range parts {
+		for _, s := range strings.Split(*xFlag, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
 				fatal(err)
 			}
-			x[i] = v
+			req.X = append(req.X, v)
 		}
-	} else if !hasRef {
-		fatal(fmt.Errorf("problem %q has no reference design; pass -x", p.Name()))
 	}
-
-	// Transient-window overrides: resolved and applied to the local problem
-	// instance through the service's single resolution implementation, and
-	// shipped with the request when the estimate is served (the daemon
-	// resolves identically).
-	var tranSpec *service.TranSpec
 	if *tStop != 0 || *tStep != 0 || *tranMode != "" {
-		tranSpec = &service.TranSpec{TStop: *tStop, Step: *tStep, Mode: *tranMode}
-		if _, err := service.ResolveTran(p, *probName, tranSpec); err != nil {
-			if errors.Is(err, service.ErrNoTranWindow) {
-				// A usage error, not a runtime failure: point at the
-				// scenarios the transient flags apply to and exit 2.
-				fmt.Fprintf(os.Stderr, "yieldest: %v\ntran-capable scenarios: %s\n",
-					err, strings.Join(scenario.TranCapableNames(), ", "))
-				os.Exit(2)
-			}
-			fatal(err)
-		}
+		req.Tran = &service.TranSpec{TStop: *tStop, Step: *tStep, Mode: *tranMode}
+	}
+	spec, p, plan, err := service.ResolveYield(req)
+	if errors.Is(err, service.ErrNoTranWindow) {
+		// A usage error, not a runtime failure: point at the scenarios the
+		// transient flags apply to and exit 2.
+		fmt.Fprintf(os.Stderr, "yieldest: %v\ntran-capable scenarios: %s\n",
+			err, strings.Join(scenario.TranCapableNames(), ", "))
+		os.Exit(2)
+	}
+	if err != nil {
+		fatal(err)
 	}
 
-	perf, err := p.Evaluate(x, nil)
+	perf, err := p.Evaluate(spec.X, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -159,14 +140,7 @@ func main() {
 	where := "local"
 	if *server != "" {
 		where = *server
-		st, cerr := service.NewClient(*server).Yield(ctx, service.YieldRequest{
-			Scenario: *probName,
-			X:        x,
-			N:        *n,
-			Seed:     seed,
-			Sampler:  plan.Name(),
-			Tran:     tranSpec,
-		})
+		st, cerr := service.NewClient(*server).Yield(ctx, req)
 		if cerr != nil {
 			fatalCtx(ctx, cerr)
 		}
@@ -175,7 +149,7 @@ func main() {
 			where += " (coalesced/cached)"
 		}
 	} else {
-		y, _, err = yieldsim.ReferenceCtx(ctx, p, x, *n, *seed, yieldsim.RefOptions{
+		y, _, err = yieldsim.ReferenceCtx(ctx, p, spec.X, spec.N, spec.Seed, yieldsim.RefOptions{
 			Workers: *workers,
 			Sampler: plan,
 		})
@@ -184,7 +158,7 @@ func main() {
 		}
 	}
 	fmt.Printf("yield: %.3f%% (%d MC samples, plan %s, %s, %s)\n",
-		100*y, *n, plan.Name(), where, time.Since(start).Round(time.Millisecond))
+		100*y, spec.N, spec.Sampler, where, time.Since(start).Round(time.Millisecond))
 }
 
 func fatal(err error) {

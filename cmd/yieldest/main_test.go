@@ -1,10 +1,15 @@
 package main
 
 import (
+	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/eda-go/moheco/internal/obs"
+	"github.com/eda-go/moheco/internal/service"
 )
 
 // buildCmd compiles the command under test into a temp dir and returns the
@@ -60,5 +65,43 @@ func TestTranFlagsOnTranScenarioAccepted(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "yield:") {
 		t.Errorf("no yield line in output:\n%s", out)
+	}
+}
+
+// whereAndTime matches the yield line's tail: the location ("local", or the
+// server URL with an optional cached marker) and the elapsed time.
+var whereAndTime = regexp.MustCompile(`(?m)^(yield: .*, plan [^,]+), .*\)$`)
+
+// A served estimate prints what the local one prints — nominal block and
+// yield line alike — once the location and the timing are stripped: both
+// paths resolve one request through the service's resolution.
+func TestServedMatchesLocal(t *testing.T) {
+	bin := buildCmd(t)
+	svc := service.New(service.Config{Metrics: obs.NewRegistry()})
+	ts := httptest.NewServer(svc.Handler())
+	defer svc.Close()
+	defer ts.Close()
+	run := func(args ...string) string {
+		t.Helper()
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		if !whereAndTime.Match(out) {
+			t.Fatalf("%v: no yield line in output:\n%s", args, out)
+		}
+		return whereAndTime.ReplaceAllString(string(out), "$1")
+	}
+	for _, args := range [][]string{
+		{"-problem", "foldedcascode", "-n", "3000", "-seed", "3"},
+		{"-problem", "telescopic", "-n", "1000", "-sampler", "halton", "-seed", "0"},
+		{"-problem", "commonsource", "-x", "9.2676e-05,0.00028227,2.1111e-06,0.00022167", "-n", "2500", "-sampler", "lhs"},
+		{"-problem", "commonsource-tran", "-n", "16", "-tranmode", "fixed", "-tstop", "3e-6"},
+	} {
+		local := run(args...)
+		served := run(append(args, "-server", ts.URL)...)
+		if local != served {
+			t.Errorf("%v: served output differs from local:\n--- local\n%s--- served\n%s", args, local, served)
+		}
 	}
 }

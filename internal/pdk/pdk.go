@@ -80,15 +80,6 @@ type Tech struct {
 	Mismatch Mismatch
 }
 
-// InterNames returns the inter-die variable names in layout order.
-func (t *Tech) InterNames() []string {
-	names := make([]string, len(t.Inter))
-	for i, v := range t.Inter {
-		names[i] = v.Name
-	}
-	return names
-}
-
 // Model returns the model card for the requested polarity.
 func (t *Tech) Model(pmos bool) *mos.Params {
 	if pmos {

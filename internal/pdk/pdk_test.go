@@ -102,16 +102,3 @@ func TestScalingBetweenNodes(t *testing.T) {
 		t.Error("90nm AVT should be smaller")
 	}
 }
-
-func TestInterNamesOrder(t *testing.T) {
-	tech := C035()
-	names := tech.InterNames()
-	if len(names) != len(tech.Inter) {
-		t.Fatalf("names len %d", len(names))
-	}
-	for i, v := range tech.Inter {
-		if names[i] != v.Name {
-			t.Errorf("names[%d] = %q, want %q", i, names[i], v.Name)
-		}
-	}
-}

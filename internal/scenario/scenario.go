@@ -9,7 +9,6 @@ package scenario
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -189,20 +188,15 @@ func Describe() []Info {
 	return out
 }
 
-// WriteUsage renders the registry as a `-problem` usage table — the block
-// each command appends to its -h output.
-func WriteUsage(w io.Writer) {
-	fmt.Fprintf(w, "registered problems (-problem):\n")
-	for _, s := range List() {
-		p := s.New()
-		fmt.Fprintf(w, "  %-20s %s (%d design vars, %d variation vars)\n",
-			s.Name, s.Summary, p.Dim(), p.VarDim())
-	}
-}
-
-// Usage returns WriteUsage's table as a string, for flag.Usage closures.
+// Usage renders the registry as a `-problem` usage table — the block each
+// command appends to its -h output.
 func Usage() string {
 	var b strings.Builder
-	WriteUsage(&b)
+	b.WriteString("registered problems (-problem):\n")
+	for _, s := range List() {
+		p := s.New()
+		fmt.Fprintf(&b, "  %-20s %s (%d design vars, %d variation vars)\n",
+			s.Name, s.Summary, p.Dim(), p.VarDim())
+	}
 	return b.String()
 }

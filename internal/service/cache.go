@@ -7,9 +7,9 @@ import (
 )
 
 // lruCache is a bounded canonical-key LRU with in-flight dedupe, the
-// mechanism behind the coordinator's warm-shard store. Completed entries
-// live on an LRU list and are evicted least-recently-used once the bound is
-// exceeded; an entry whose computation is still in flight is tracked in the
+// mechanism behind a node's warm-shard store and its replicated results.
+// Completed entries live on an LRU list and are evicted least-recently-used
+// once the bound is exceeded; an entry whose computation is still in flight is tracked in the
 // map but is never evicted and blocks duplicate computations — concurrent
 // Do calls for one key share a single fn run. The job-level result cache in
 // Server uses the same canonical-key idea but stays fused with the job
@@ -128,20 +128,6 @@ func (c *lruCache[V]) Put(key string, v V) {
 	e.elem = c.order.PushBack(e)
 	c.entries[key] = e
 	c.evictLocked()
-}
-
-// Items returns a snapshot of the completed entries — the replication
-// path's view of the cache (in-flight computations are a scheduler's
-// private business and are not replicated).
-func (c *lruCache[V]) Items() map[string]V {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]V, c.order.Len())
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry[V])
-		out[e.key] = e.val
-	}
-	return out
 }
 
 // Len returns the number of completed entries.

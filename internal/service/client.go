@@ -276,7 +276,7 @@ func (c *Client) submitAndAwaitOnce(ctx context.Context, b *attemptBudget, path 
 // the request context still bounds the whole call.
 func (c *Client) poll(ctx context.Context, b *attemptBudget, ep, id string) (*Status, error) {
 	var st Status
-	if err := c.doPinned(ctx, b, ep, http.MethodGet, "/v1/jobs/"+id+"?wait=10s", nil, &st); err != nil {
+	if _, err := c.retry(ctx, b, []string{ep}, 0, http.MethodGet, "/v1/jobs/"+id+"?wait=10s", nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
@@ -295,7 +295,7 @@ func (c *Client) abandon(ep string, st *Status, cached bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	var out Status
-	_ = c.doPinned(ctx, newAttemptBudget(), ep, http.MethodDelete, "/v1/jobs/"+st.ID, nil, &out)
+	_, _ = c.retry(ctx, newAttemptBudget(), []string{ep}, 0, http.MethodDelete, "/v1/jobs/"+st.ID, nil, &out)
 }
 
 // statusError is an HTTP error response; codes >= 500 are transient.
@@ -341,46 +341,37 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 // at the last endpoint that answered, and returns the one that did.
 func (c *Client) doFailover(ctx context.Context, b *attemptBudget, method, path string, body, out any) (string, error) {
 	eps := c.eps()
-	start := c.preferred() % len(eps)
+	i, err := c.retry(ctx, b, eps, c.preferred()%len(eps), method, path, body, out)
+	if err != nil {
+		return "", err
+	}
+	c.setPreferred(i)
+	return eps[i], nil
+}
+
+// retry is the client's one retry loop: it retries transient failures under
+// b, rotating through eps from index start one endpoint per attempt, and
+// returns the index of the endpoint that answered. A one-endpoint list pins
+// the request — job polls and cancels use that, since other endpoints would
+// not recognize the job's ID.
+func (c *Client) retry(ctx context.Context, b *attemptBudget, eps []string, start int, method, path string, body, out any) (int, error) {
 	var err error
 	for try := 0; try < clientRetryMax; try++ {
 		i := (start + try) % len(eps)
 		if err = c.once(ctx, eps[i], method, path, body, out); err == nil {
-			c.setPreferred(i)
-			return eps[i], nil
+			return i, nil
 		}
 		if !transient(err) || ctx.Err() != nil {
-			return "", err
+			return 0, err
 		}
 		if !b.spend() {
-			return "", budgetErr(err)
+			return 0, budgetErr(err)
 		}
 		if werr := c.backoff(ctx, try, err); werr != nil {
-			return "", werr
+			return 0, werr
 		}
 	}
-	return "", err
-}
-
-// doPinned retries transient failures against one endpoint only — used for
-// job polls, whose IDs other endpoints would not recognize.
-func (c *Client) doPinned(ctx context.Context, b *attemptBudget, ep, method, path string, body, out any) error {
-	var err error
-	for try := 0; try < clientRetryMax; try++ {
-		if err = c.once(ctx, ep, method, path, body, out); err == nil {
-			return nil
-		}
-		if !transient(err) || ctx.Err() != nil {
-			return err
-		}
-		if !b.spend() {
-			return budgetErr(err)
-		}
-		if werr := c.backoff(ctx, try, err); werr != nil {
-			return werr
-		}
-	}
-	return err
+	return 0, err
 }
 
 // budgetErr wraps the last real failure (when there was one) in errBudget.

@@ -19,8 +19,8 @@
 //   - Deterministic hand-off: a worker that misses enough heartbeats
 //     declares the coordinator dead and runs a rank-staggered election
 //     over the (sorted) peer table. The live peer with the lowest node ID
-//     promotes itself — it becomes a Coordinator, preloads its warm-shard
-//     cache from replicated shard counts, and resubmits every replicated
+//     promotes itself — it becomes a Coordinator, adopts the warm-shard
+//     store replication filled, and resubmits every replicated
 //     unfinished job spec to itself. Higher-ranked peers wait their
 //     stagger while probing for the winner and rejoin it; if the expected
 //     winner died too, the next rank's stagger expires and it promotes
@@ -87,8 +87,9 @@ type ReplicatedResult struct {
 }
 
 // ReplicatedShard is one completed shard's per-chunk pass counts under its
-// warm-shard cache key; a promoted coordinator preloads its cache from
-// these so a resumed job only re-simulates work that never finished.
+// warm-shard cache key. A peer stores it in its warm-shard store, which a
+// promoted coordinator serves from, so a resumed job only re-simulates work
+// that never finished.
 type ReplicatedShard struct {
 	Key  string `json:"key"`
 	Pass []int  `json:"pass"`
@@ -102,28 +103,27 @@ type ReplicateRequest struct {
 	Shards  []ReplicatedShard  `json:"shards,omitempty"`
 }
 
-// replica is a node's copy of the fleet state pushed to it: unfinished job
-// specs (resubmitted on promotion), finished results (served with zero
-// sims), and completed shard counts (preloaded into a promoted
-// coordinator's warm-shard cache). Results and shards are bounded LRUs;
-// the unfinished-job set is naturally bounded by the fleet's queue.
+// replica is a node's copy of the job state pushed to it: unfinished job
+// specs (resubmitted on promotion) and finished results (served with zero
+// sims). Results are a bounded LRU; the unfinished-job set is naturally
+// bounded by the fleet's queue. Replicated shard counts go to the node's
+// warm-shard store (Server.shards), not here.
 type replica struct {
 	mu      sync.Mutex
 	jobs    map[string]YieldSpec
 	results *lruCache[*YieldResult]
-	shards  *lruCache[[]int]
 }
 
 func newReplica(resultSize int) *replica {
 	return &replica{
 		jobs:    make(map[string]YieldSpec),
 		results: newLRUCache[*YieldResult](resultSize),
-		shards:  newLRUCache[[]int](shardCacheSize),
 	}
 }
 
-// apply folds one replication push in. A result closes out its job spec —
-// the pair (job gone, result present) is exactly "nothing to resume".
+// apply folds one replication push's jobs and results in. A result closes
+// out its job spec — the pair (job gone, result present) is exactly
+// "nothing to resume".
 func (r *replica) apply(req ReplicateRequest) {
 	r.mu.Lock()
 	for _, j := range req.Jobs {
@@ -137,9 +137,6 @@ func (r *replica) apply(req ReplicateRequest) {
 		if res.Result != nil {
 			r.results.Put(res.Key, res.Result)
 		}
-	}
-	for _, sh := range req.Shards {
-		r.shards.Put(sh.Key, sh.Pass)
 	}
 }
 
@@ -157,16 +154,11 @@ func (r *replica) takeJobs() map[string]YieldSpec {
 	return jobs
 }
 
-// takeShards snapshots the replicated shard counts for cache preload.
-func (r *replica) takeShards() map[string][]int {
-	return r.shards.Items()
-}
-
-func (r *replica) counts() (jobs, results, shards int) {
+func (r *replica) counts() (jobs, results int) {
 	r.mu.Lock()
 	jobs = len(r.jobs)
 	r.mu.Unlock()
-	return jobs, r.results.Len(), r.shards.Len()
+	return jobs, r.results.Len()
 }
 
 // Fleet liveness: the heartbeat period FleetConfig.Heartbeat overrides, and
@@ -408,8 +400,8 @@ func (s *Server) probeRole(url string, timeout time.Duration) (string, bool) {
 }
 
 // promote turns this worker into the fleet's coordinator: start a fresh
-// shard scheduler that yield jobs run on, preload its warm-shard cache from
-// replicated shard counts, start the in-process shard runner, and resubmit
+// shard scheduler that yield jobs run on, serving from the warm-shard store
+// replication filled, start the in-process shard runner, and resubmit
 // every replicated unfinished job — whose canonical keys make clients
 // failing over from the dead coordinator coalesce straight onto the
 // resumed work.
@@ -419,31 +411,27 @@ func (s *Server) promote() {
 		s.mu.Unlock()
 		return
 	}
-	warm := s.replica.takeShards()
-	s.startCoordinator(warm)
+	s.startCoordinator()
 	s.mu.Unlock()
 	s.sm.promotions.Inc()
 
 	jobs := s.replica.takeJobs()
-	s.logf("node %s promoted to coordinator: %d warm shard(s), resuming %d job(s)", s.node, len(warm), len(jobs))
+	s.logf("node %s promoted to coordinator: %d warm shard(s), resuming %d job(s)", s.node, s.shards.Len(), len(jobs))
 	for key, spec := range jobs {
 		s.resumeYield(key, spec)
 	}
 }
 
 // startCoordinator makes this node its fleet's coordinator: yield jobs run
-// on a fresh shard scheduler, its warm-shard cache preloaded from warm.
+// on a fresh shard scheduler that adopts the node's warm-shard store.
 // Unless NoSelfWork is set the coordinator is also a node of its own
 // fleet: an in-process runner pulls from the same scheduler the remote
 // workers lease from, so a 1-process coordinator completes jobs and an
 // N-process fleet counts the coordinator as one of its N. New calls it
 // before the server is shared; promote calls it holding s.mu.
-func (s *Server) startCoordinator(warm map[string][]int) {
-	c := newCoordinator(s.cfg.Fleet, s.cfg.Hooks, s.node, s.counter, s.log.With("coord"), s.sm)
+func (s *Server) startCoordinator() {
+	c := newCoordinator(s.cfg.Fleet, s.cfg.Hooks, s.node, s.counter, s.log.With("coord"), s.sm, s.shards)
 	c.onShardDone = s.replicateShardDone
-	for key, pass := range warm {
-		c.cache.Put(key, pass)
-	}
 	s.coord = c
 	if s.cfg.Fleet.NoSelfWork {
 		return

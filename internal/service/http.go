@@ -170,14 +170,18 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReplicate serves POST /v1/fleet/replicate: fold a coordinator's
-// replication push into this node's replica store. Any node accepts —
-// replication is what a worker holds precisely so it can coordinate later.
+// replication push into this node's replica and warm-shard store. Any node
+// accepts — replication is what a worker holds precisely so it can
+// coordinate later.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req ReplicateRequest
 	if !decodeJSON(w, r, &req) {
 		return
 	}
 	s.replica.apply(req)
+	for _, sh := range req.Shards {
+		s.shards.Put(sh.Key, sh.Pass)
+	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 

@@ -16,7 +16,7 @@ import (
 
 func testCoordinator(cfg FleetConfig) *Coordinator {
 	return newCoordinator(cfg, Hooks{}, "coord", &yieldsim.Counter{}, nil,
-		newServerMetrics(obs.NewRegistry()))
+		newServerMetrics(obs.NewRegistry()), newLRUCache[[]int](shardCacheSize))
 }
 
 func markerSnap(v int64) *obs.Snapshot {

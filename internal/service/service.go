@@ -7,15 +7,20 @@
 //
 // # Determinism contract
 //
-// A served job runs the exact same code path as the local CLI: yield jobs
-// call yieldsim.ReferenceCtx with the request's (scenario, x, n, seed,
-// sampler), optimize jobs call core.Optimize with core.DefaultOptions plus
-// the request's knobs. Worker counts never change results anywhere in the
-// library, so a served result is bit-identical to the in-process one at the
-// same request — which is also what makes result caching sound: the cache
-// key is the request's canonical form (resolved defaults, exact float bits
-// of x), and two requests with equal keys have equal results by
-// construction.
+// A served job and the local CLI run one resolved configuration. Every
+// request goes through ResolveYield or ResolveOptimize, the one place its
+// defaults are filled in and its fields validated, and the CLIs resolve
+// through the same functions. A yield job then evaluates its spec's chunk
+// range in-process through the one chunk-range executor (yieldsim.ChunkPass
+// over the spec's problem and sampler) or, on a coordinator, across the
+// fleet's shards, which run that same executor; the integer per-chunk pass
+// counts merge exactly, so the local CLI's yieldsim.ReferenceCtx gives the
+// same bits. An optimize job runs core.Optimize with the resolved base
+// options. Worker counts never change results anywhere in the library, so a
+// served result is bit-identical to the in-process one at the same request
+// — which is also what makes result caching sound: the cache key is the
+// request's canonical form (resolved defaults, exact float bits of x), and
+// two requests with equal keys have equal results by construction.
 //
 // # Job lifecycle
 //
@@ -41,28 +46,15 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/eda-go/moheco/internal/core"
 	_ "github.com/eda-go/moheco/internal/lineasybo" // register the BO optimizer backend
 	"github.com/eda-go/moheco/internal/obs"
-	"github.com/eda-go/moheco/internal/sample"
 	"github.com/eda-go/moheco/internal/scenario"
 	"github.com/eda-go/moheco/internal/yieldsim"
 )
-
-// backendRegistered reports whether name is a registered core optimizer
-// backend.
-func backendRegistered(name string) bool {
-	for _, b := range core.Backends() {
-		if b == name {
-			return true
-		}
-	}
-	return false
-}
 
 // Config tunes the server; the zero value is usable.
 type Config struct {
@@ -190,13 +182,13 @@ type Progress struct {
 	Std   float64 `json:"std,omitempty"`
 }
 
-// YieldRequest asks for a Monte-Carlo yield estimate. Omitted fields
-// resolve to the scenario's defaults: X to the reference design, N to the
-// scenario's reference sample count, Seed to 1, Sampler to "pmc" and Tran
-// to the scenario's built-in transient window — the exact configuration
-// `yieldest` runs locally. Seed is a pointer so that seed 0 — a perfectly
-// valid seed locally — stays expressible on the wire (`"seed": 0` ≠ an
-// omitted seed).
+// YieldRequest asks for a Monte-Carlo yield estimate. ResolveYield fills
+// omitted fields from the scenario's defaults: X to the reference design,
+// N (when ≤ 0) to the scenario's reference sample count, Seed to 1, Sampler
+// to "pmc" and Tran to the scenario's built-in transient window. `yieldest`
+// builds one from its flags and resolves it the same way, locally or
+// served. Seed is a pointer so that seed 0 — a perfectly valid seed
+// locally — stays expressible on the wire (`"seed": 0` ≠ an omitted seed).
 type YieldRequest struct {
 	Scenario string    `json:"scenario"`
 	X        []float64 `json:"x,omitempty"`
@@ -222,69 +214,6 @@ type TranSpec struct {
 	Mode  string  `json:"mode,omitempty"`
 }
 
-// ErrNoTranWindow reports a transient-window override aimed at a scenario
-// without a transient stage. CLIs match it (errors.Is) to turn the server
-// error into a usage error listing the tran-capable scenarios.
-var ErrNoTranWindow = errors.New("has no transient window")
-
-// tranProblem is the capability a time-domain problem exposes for window
-// configuration (implemented by the circuits package's transient
-// scenarios).
-type tranProblem interface {
-	TranWindow() (tstop, step float64, fixed bool)
-	SetTranWindow(tstop, step float64, fixed bool) error
-}
-
-// ResolveTran validates a transient-window override against the problem
-// and applies it (via SetTranWindow), returning the fully resolved spec —
-// nil for scenarios without a transient window, an error when spec targets
-// one of those or names an unknown mode. It is the single resolution
-// implementation behind the daemon's request handling and the CLIs'
-// -tstop/-tstep/-tranmode flags, so the accepted option surface cannot
-// drift between the served and local paths.
-func ResolveTran(p any, scenarioName string, spec *TranSpec) (*TranSpec, error) {
-	tp, ok := p.(tranProblem)
-	if !ok {
-		if spec != nil {
-			return nil, fmt.Errorf("service: scenario %q %w (tran options not applicable)", scenarioName, ErrNoTranWindow)
-		}
-		return nil, nil
-	}
-	tstop, step, fixed := tp.TranWindow()
-	if spec != nil {
-		// Zero means "keep the scenario default"; anything else must be a
-		// valid value — silently dropping a negative override would serve
-		// the default window for a mistyped request.
-		if spec.TStop < 0 || spec.Step < 0 {
-			return nil, fmt.Errorf("service: invalid tran override tstop=%g step=%g (omit or 0 keeps the scenario default)",
-				spec.TStop, spec.Step)
-		}
-		if spec.TStop > 0 {
-			tstop = spec.TStop
-		}
-		if spec.Step > 0 {
-			step = spec.Step
-		}
-		switch spec.Mode {
-		case "":
-		case "adaptive":
-			fixed = false
-		case "fixed":
-			fixed = true
-		default:
-			return nil, fmt.Errorf("service: unknown tran mode %q (adaptive | fixed)", spec.Mode)
-		}
-		if err := tp.SetTranWindow(tstop, step, fixed); err != nil {
-			return nil, err
-		}
-	}
-	mode := "adaptive"
-	if fixed {
-		mode = "fixed"
-	}
-	return &TranSpec{TStop: tstop, Step: step, Mode: mode}, nil
-}
-
 // Seed returns a *uint64 for a request's Seed field.
 func Seed(v uint64) *uint64 { return &v }
 
@@ -303,9 +232,11 @@ type YieldResult struct {
 }
 
 // OptimizeRequest asks for a full yield optimization with the paper's
-// default parameters. Omitted fields resolve to: Method "moheco",
-// Optimizer "memetic", MaxSims the scenario default, MaxGens 300, Seed 1
-// (a pointer for the same seed-0 reason as YieldRequest).
+// default parameters. ResolveOptimize fills omitted fields: Method
+// "moheco", Optimizer core.DefaultBackend, MaxSims the scenario default,
+// and MaxGens and Seed from core.DefaultOptions (Seed is a pointer for the
+// same seed-0 reason as YieldRequest). `mohecorun` builds one from its
+// flags and resolves it the same way, locally or served.
 type OptimizeRequest struct {
 	Scenario string `json:"scenario"`
 	Method   string `json:"method,omitempty"`
@@ -367,8 +298,8 @@ type Job struct {
 	run    func(ctx context.Context, j *Job) error
 	done   chan struct{}
 
-	// trace is the job's span record (nil when tracing is off — every use
-	// is nil-safe). queueSpan/runSpan bracket the two lifecycle phases.
+	// trace is the job's span record, set by add for every job.
+	// queueSpan/runSpan bracket the two lifecycle phases.
 	trace     *obs.Trace
 	queueSpan obs.SpanID
 	runSpan   obs.SpanID
@@ -454,6 +385,10 @@ type Server struct {
 	node    string
 	httpc   *http.Client // outbound fleet traffic (Config.Transport seam)
 	replica *replica     // fleet state replicated onto this node
+	// shards is the node's one warm-shard store: replication fills it on a
+	// worker, and the coordinator (started at New or by promotion) serves
+	// and fills it, so a promoted node adopts what was replicated as is.
+	shards *lruCache[[]int]
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -515,6 +450,7 @@ func New(cfg Config) *Server {
 		started:  time.Now(),
 		httpc:    &http.Client{Transport: cfg.Transport},
 		replica:  newReplica(cfg.CacheSize),
+		shards:   newLRUCache[[]int](shardCacheSize),
 		baseCtx:  ctx,
 		stop:     cancel,
 		queue:    make(chan *Job, cfg.QueueSize),
@@ -534,7 +470,7 @@ func New(cfg Config) *Server {
 		s.node = fmt.Sprintf("%s-%d", fleetRole(cfg.Fleet.Coordinator, cfg.Fleet.Join), os.Getpid())
 	}
 	if cfg.Fleet.Coordinator {
-		s.startCoordinator(nil)
+		s.startCoordinator()
 	}
 	if cfg.Fleet.Join != "" {
 		s.wg.Add(1)
@@ -638,56 +574,16 @@ func (s *Server) Jobs() []Status {
 	return out
 }
 
-// SubmitYield validates, canonicalizes and enqueues a yield-estimate job.
+// SubmitYield resolves, canonicalizes and enqueues a yield-estimate job.
 // The returned bool reports a coalesced/cached hit: the job already existed
 // (in flight or done) for the same canonical request.
 func (s *Server) SubmitYield(req YieldRequest) (*Job, bool, error) {
-	sc, err := scenario.Get(req.Scenario)
+	spec, _, _, err := ResolveYield(req)
 	if err != nil {
 		return nil, false, err
-	}
-	p := sc.New()
-	seed := uint64(1)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	req.Seed = &seed
-	if req.N <= 0 {
-		req.N = sc.DefaultRefSamples
-	}
-	if req.Sampler == "" {
-		req.Sampler = "pmc"
-	}
-	smp, err := sample.ByName(req.Sampler)
-	if err != nil {
-		return nil, false, err
-	}
-	req.Sampler = smp.Name()
-	x := req.X
-	if x == nil {
-		ref, ok := scenario.ReferenceDesign(p)
-		if !ok {
-			return nil, false, fmt.Errorf("service: scenario %q has no reference design; pass x", req.Scenario)
-		}
-		x = ref
-	} else if len(x) != p.Dim() {
-		return nil, false, fmt.Errorf("service: scenario %q needs %d design values, got %d", req.Scenario, p.Dim(), len(x))
-	}
-	req.X = append([]float64(nil), x...)
-	req.Tran, err = ResolveTran(p, req.Scenario, req.Tran)
-	if err != nil {
-		return nil, false, err
-	}
-	spec := YieldSpec{
-		Scenario: req.Scenario,
-		X:        req.X,
-		N:        req.N,
-		Seed:     seed,
-		Sampler:  req.Sampler,
-		Tran:     req.Tran,
 	}
 	key := yieldKey(spec)
-	return s.add("yield", req.Scenario, key, s.yieldRun(key, spec))
+	return s.add("yield", spec.Scenario, key, s.yieldRun(key, spec))
 }
 
 // yieldRun builds the run closure for a yield job from its canonical key
@@ -697,9 +593,9 @@ func (s *Server) SubmitYield(req YieldRequest) (*Job, bool, error) {
 // is announced to the fleet's peers (so a coordinator crash mid-run loses
 // no accepted work), executed, and the finished result is replicated in
 // turn. A coordinator runs the spec across its fleet, any other node runs
-// it in-process; both return the exact passing-sample count of the spec's
-// deterministic sample stream, so where it ran never shows in the
-// estimate. Optimize jobs stay local: the memetic loop is sequential across
+// it in-process through runChunks; both return the exact per-chunk
+// passing-sample counts of the spec's deterministic sample stream, which
+// yieldsim.MergePass folds, so where it ran never shows in the estimate. Optimize jobs stay local: the memetic loop is sequential across
 // generations, so there is no chunk structure to shard (its inner
 // Monte-Carlo batches already parallelize in-process).
 func (s *Server) yieldRun(key string, spec YieldSpec) func(context.Context, *Job) error {
@@ -726,17 +622,17 @@ func (s *Server) yieldRun(key string, spec YieldSpec) func(context.Context, *Job
 				Std:   math.Sqrt(est * (1 - est) / float64(done)),
 			})
 		}
-		var pass int64
+		var counts []int
 		var err error
 		if c := s.getCoord(); c != nil {
-			pass, err = c.Yield(ctx, spec, progress)
+			counts, err = c.Yield(ctx, spec, progress)
 		} else {
-			pass, err = localYield(ctx, spec, s.cfg.Workers, s.counter, progress)
+			counts, err = runChunks(ctx, spec, 0, yieldsim.NumChunks(spec.N), s.cfg.Workers, s.counter, progress)
 		}
 		if err != nil {
 			return err
 		}
-		y := float64(pass) / float64(spec.N)
+		y := yieldsim.MergePass(counts, spec.N)
 		res := &YieldResult{
 			Scenario:  spec.Scenario,
 			X:         spec.X,
@@ -756,41 +652,16 @@ func (s *Server) yieldRun(key string, spec YieldSpec) func(context.Context, *Job
 	}
 }
 
-// SubmitOptimize validates, canonicalizes and enqueues an optimization job.
+// SubmitOptimize resolves, canonicalizes and enqueues an optimization job.
 func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
-	sc, err := scenario.Get(req.Scenario)
+	req, base, err := ResolveOptimize(req)
 	if err != nil {
 		return nil, false, err
-	}
-	seed := uint64(1)
-	if req.Seed != nil {
-		seed = *req.Seed
-	}
-	req.Seed = &seed
-	if req.MaxSims <= 0 {
-		req.MaxSims = sc.DefaultMaxSims
-	}
-	if req.MaxGens <= 0 {
-		req.MaxGens = 300
-	}
-	if req.Method == "" {
-		req.Method = "moheco"
-	}
-	m, err := core.ParseMethod(req.Method)
-	if err != nil {
-		return nil, false, fmt.Errorf("service: %w", err)
-	}
-	if req.Optimizer == "" {
-		req.Optimizer = core.DefaultBackend
-	}
-	if !backendRegistered(req.Optimizer) {
-		return nil, false, fmt.Errorf("service: unknown optimizer %q (registered: %s)",
-			req.Optimizer, strings.Join(core.Backends(), ", "))
 	}
 	key := optimizeKey(req)
 	run := func(ctx context.Context, j *Job) error {
 		start := time.Now()
-		p := sc.New()
+		p := scenario.MustGet(req.Scenario).New() // ResolveOptimize checked the name
 		// The run owns a private counter: Result.TotalSims (and the
 		// streamed CumSims) must count only this optimization, exactly
 		// as the local CLI reports it — the shared server counter would
@@ -804,10 +675,7 @@ func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
 			s.counter.Add(t - folded)
 			folded = t
 		}
-		opts := core.DefaultOptions(m, req.MaxSims)
-		opts.Backend = req.Optimizer
-		opts.Seed = seed
-		opts.MaxGenerations = req.MaxGens
+		opts := base
 		opts.Workers = s.cfg.Workers
 		opts.Ctx = ctx
 		opts.Counter = jobCounter
@@ -841,7 +709,7 @@ func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
 			Scenario:    req.Scenario,
 			Method:      req.Method,
 			Optimizer:   res.Backend,
-			Seed:        seed,
+			Seed:        opts.Seed,
 			Feasible:    res.Feasible,
 			BestX:       res.BestX,
 			BestYield:   res.BestYield,

@@ -15,14 +15,15 @@
 // within the lease or it returns to the head of the queue for a surviving
 // node — a worker killed mid-job delays the merge, never changes it (a late
 // duplicate completion is ignored as stale; it would have carried the
-// identical counts). Completed shards enter a canonical-key LRU
-// (warm-shard cache), keyed so that full chunks are shared across
+// identical counts). Completed shards enter the node's canonical-key LRU
+// (the warm-shard store), keyed so that full chunks are shared across
 // estimates with different total sample counts.
 package service
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -138,8 +139,8 @@ func (p peerInfo) rate() float64 {
 // Coordinator is the fleet scheduler that yield jobs run on while the
 // server coordinates its fleet. It splits each yield
 // spec into shards, serves them to pulling nodes, re-dispatches expired
-// leases, merges per-chunk counts, and keeps completed shards warm in a
-// canonical-key LRU.
+// leases, merges per-chunk counts, and keeps completed shards warm in the
+// node's warm-shard store.
 type Coordinator struct {
 	node        string // the coordinator's own node name (excluded from peer counts)
 	counter     *yieldsim.Counter
@@ -148,7 +149,7 @@ type Coordinator struct {
 	lease       time.Duration
 	peerWindow  time.Duration // how long since last contact a peer counts as live
 	shardChunks int
-	cache       *lruCache[[]int]
+	cache       *lruCache[[]int] // the node's warm-shard store (Server.shards)
 	hooks       Hooks
 	// onShardDone, when non-nil, receives every successfully completed
 	// shard's (canonical key, pass counts) — the replication tap.
@@ -162,11 +163,10 @@ type Coordinator struct {
 	wake    chan struct{}          // closed and replaced when pending gains work
 }
 
-// shardCacheSize bounds the coordinator's warm-shard LRU and a replica's
-// copy of it, in completed shards.
+// shardCacheSize bounds a node's warm-shard store, in completed shards.
 const shardCacheSize = 256
 
-func newCoordinator(cfg FleetConfig, hooks Hooks, node string, counter *yieldsim.Counter, logger *obs.Logger, sm *serverMetrics) *Coordinator {
+func newCoordinator(cfg FleetConfig, hooks Hooks, node string, counter *yieldsim.Counter, logger *obs.Logger, sm *serverMetrics, cache *lruCache[[]int]) *Coordinator {
 	lease := cfg.Lease
 	if lease <= 0 {
 		lease = 15 * time.Second
@@ -188,7 +188,7 @@ func newCoordinator(cfg FleetConfig, hooks Hooks, node string, counter *yieldsim
 		lease:       lease,
 		peerWindow:  4 * hb,
 		shardChunks: chunks,
-		cache:       newLRUCache[[]int](shardCacheSize),
+		cache:       cache,
 		hooks:       hooks,
 		byID:        make(map[string]*shardState),
 		peers:       make(map[string]peerInfo),
@@ -279,21 +279,19 @@ func (c *Coordinator) livePeersLocked() []FleetPeer {
 	return peers
 }
 
-// Yield evaluates spec across the fleet and returns its passing-sample
-// count out of spec.N, the count localYield would return: plan the spec's shards, run each through the
-// warm-shard cache (a cached shard costs nothing; an in-flight identical
+// Yield evaluates spec across the fleet and returns its per-chunk
+// passing-sample counts in chunk-index order, the counts runChunks returns
+// over the whole range: plan the spec's shards, run each through the
+// warm-shard store (a cached shard costs nothing; an in-flight identical
 // shard is joined, not duplicated; the rest are enqueued for pulling
-// nodes), and merge the per-chunk counts in chunk-index order.
-func (c *Coordinator) Yield(ctx context.Context, spec YieldSpec, progress func(done, pass int64)) (int64, error) {
+// nodes), and concatenate the shards' counts.
+func (c *Coordinator) Yield(ctx context.Context, spec YieldSpec, progress func(done, pass int64)) ([]int, error) {
 	// Validate here, not just on the executing node: a spec that cannot
 	// instantiate would otherwise burn its failure budget on every node.
 	if _, _, err := spec.instantiate(); err != nil {
-		return 0, err
+		return nil, err
 	}
 	nchunks := yieldsim.NumChunks(spec.N)
-	if nchunks == 0 {
-		return 0, fmt.Errorf("yieldsim: reference sample count %d", spec.N)
-	}
 	type plan struct{ first, last int }
 	plans := make([]plan, 0, (nchunks+c.shardChunks-1)/c.shardChunks)
 	for first := 0; first < nchunks; first += c.shardChunks {
@@ -362,16 +360,10 @@ func (c *Coordinator) Yield(ctx context.Context, spec YieldSpec, progress func(d
 	// lowest-index shard's error is the job's error.
 	for _, err := range errs {
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
-	var pass int64
-	for _, shard := range counts {
-		for _, p := range shard {
-			pass += int64(p)
-		}
-	}
-	return pass, nil
+	return slices.Concat(counts...), nil
 }
 
 // runShard enqueues one shard and blocks until a node completes it or ctx
@@ -550,6 +542,9 @@ func (c *Coordinator) wakeLocked() {
 // many distinct peers are active, on a coordinator the shard scheduler's
 // queue and cache state plus per-peer throughput, and the node's
 // replicated-state counts (what a hand-off to this node could resume).
+// CachedShards and ReplShards both count the node's one warm-shard store:
+// CachedShards on a coordinator (shards it serves warm), ReplShards on any
+// other node (shards replicated to it, which a promotion would adopt).
 type FleetStatus struct {
 	Role            string     `json:"role"`
 	Node            string     `json:"node"`
@@ -635,11 +630,11 @@ func (s *Server) Fleet() FleetStatus {
 		fs.PendingShards = len(c.pending)
 		fs.LeasedShards = len(c.byID) - len(c.pending)
 		c.mu.Unlock()
-		fs.CachedShards = c.cache.Len()
+		fs.CachedShards = s.shards.Len()
+	} else {
+		fs.ReplShards = s.shards.Len()
 	}
-	if s.replica != nil {
-		fs.ReplJobs, fs.ReplResults, fs.ReplShards = s.replica.counts()
-	}
+	fs.ReplJobs, fs.ReplResults = s.replica.counts()
 	return fs
 }
 

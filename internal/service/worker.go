@@ -95,19 +95,10 @@ func runShardWorker(ctx context.Context, src shardSource, node string, workers i
 // coordinator owns the retry policy.
 func executeShard(ctx context.Context, sh Shard, node string, workers int, counter *yieldsim.Counter) ShardResult {
 	res := ShardResult{Node: node}
-	p, smp, err := sh.Spec.instantiate()
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
 	// Sims are tallied privately and reported in the result so the
 	// coordinator can count work from nodes it does not share memory with.
 	var sims yieldsim.Counter
-	counts, err := yieldsim.ChunkPass(ctx, p, sh.Spec.X, sh.Spec.N, sh.Spec.Seed, sh.First, sh.Last, yieldsim.RefOptions{
-		Workers: workers,
-		Sampler: smp,
-		Counter: &sims,
-	})
+	counts, err := runChunks(ctx, sh.Spec, sh.First, sh.Last, workers, &sims, nil)
 	res.Sims = sims.Total()
 	if counter != nil {
 		counter.Add(res.Sims)
