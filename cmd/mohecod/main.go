@@ -25,7 +25,7 @@
 // Endpoints (see internal/service):
 //
 //	POST   /v1/yield            submit a yield-estimate job (?wait blocks)
-//	POST   /v1/optimize         submit an optimization job
+//	POST   /v1/optimize         submit an optimization job (?wait blocks)
 //	GET    /v1/jobs             list retained jobs
 //	GET    /v1/jobs/{id}        job status + result (?wait=DUR long-polls)
 //	DELETE /v1/jobs/{id}        cancel a job
@@ -36,6 +36,12 @@
 //	GET    /healthz             liveness + counters
 //	GET    /metrics             Prometheus scrape (?fleet=1 merges peers on a coordinator)
 //	GET    /debug/vars          the same metrics as flat JSON
+//
+// The CLIs' client submits with ?wait=10s, so a short job costs one HTTP
+// exchange, and long-polls GET /v1/jobs/{id}?wait=10s only when that wait
+// expires. A submitter that disconnects while its ?wait submission blocks
+// cancels the job its request created, as a DELETE would; a job it was
+// only coalesced onto, or served from the cache, keeps running.
 //
 // -debug-addr additionally serves net/http/pprof (plus /metrics and
 // /debug/vars) on a separate listener, so CPU/heap profiles of a live

@@ -79,7 +79,7 @@ func TestLazyBodeMatchesNewBode(t *testing.T) {
 		}
 		checkBode(t, "multi-pole", freqs, h)
 		for i := 1; i < n; i++ {
-			if measure.FallsThroughUnity(cmplx.Abs(h[i-1]), cmplx.Abs(h[i])) {
+			if measure.FallsThroughUnity(h[i-1], h[i]) {
 				crossed++
 				checkBode(t, "multi-pole prefix", freqs, h[:i+1])
 				break

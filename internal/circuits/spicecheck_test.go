@@ -199,16 +199,3 @@ func sameDevice(a, b netlist.Device) bool {
 	ca.Dev.Params, cb.Dev.Params = nil, nil
 	return ca == cb && pa == pb
 }
-
-// sameBits reports whether a and b hold the same float64 bits.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}

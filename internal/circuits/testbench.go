@@ -18,7 +18,8 @@ import (
 // both this one loop. A scenario's compile declares only what differs: its
 // circuit, its cards and its measures.
 type testbench struct {
-	name  string // error prefix
+	name  string    // error prefix
+	x     []float64 // the design it is compiled at
 	space *variation.Space
 	ckt   *netlist.Circuit
 	eng   *spice.Engine
@@ -198,16 +199,19 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 	return perfs, errs
 }
 
-// sizeLanes sizes run's lane buffers for k lanes.
+// sizeLanes sizes run's lane buffers for k ≤ engine lanes. They are
+// allocated once at the engine's lane count, so a testbench reused across
+// batches of different widths never reallocates them.
 func (tb *testbench) sizeLanes(k int) {
-	if len(tb.active) == k {
-		return
+	if tb.active == nil {
+		m := tb.eng.Lanes()
+		tb.laneCards = make([]mos.Params, m*len(tb.slots))
+		tb.laneVals = make([]float64, m*len(tb.vals))
+		tb.active = make([]bool, m)
+		tb.tops = make([]*spice.OPResult, m)
+		tb.set = tb.setLane
 	}
-	tb.laneCards = make([]mos.Params, k*len(tb.slots))
-	tb.laneVals = make([]float64, k*len(tb.vals))
-	tb.active = make([]bool, k)
-	tb.tops = make([]*spice.OPResult, k)
-	tb.set = tb.setLane
+	tb.active, tb.tops = tb.active[:k], tb.tops[:k]
 }
 
 // setLane is run's LaneSetter: it restores lane l's snapshot of the cards

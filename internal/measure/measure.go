@@ -66,15 +66,43 @@ func unwrap(v complex128, prev float64, first bool) float64 {
 }
 
 // FallsThroughUnity reports whether a response falls through unity gain
-// between consecutive sweep points of magnitudes prev and cur: prev ≥ 1 and
-// cur < 1. It is UnityCrossing's MagDB ≥ 0 → < 0 rule without the
-// logarithms — NewBode's magnitudes are 20·log10|h| (with |h| = 0 clamped
-// to a tiny positive value), which is ≥ 0 exactly when |h| ≥ 1 and < 0
-// exactly when |h| < 1, NaN failing both. A sweep that ends at the first
-// such point therefore holds every point DCGainDB, UnityCrossing and
-// PhaseMargin read.
-func FallsThroughUnity(prev, cur float64) bool {
-	return prev >= 1 && cur < 1
+// between consecutive sweep points prev and cur: |prev| ≥ 1 and |cur| < 1,
+// each decided by UnitySide. It is UnityCrossing's MagDB ≥ 0 → < 0 rule
+// without the logarithms — NewBode's magnitudes are 20·log10|h| (with
+// |h| = 0 clamped to a tiny positive value), which is ≥ 0 exactly when
+// |h| ≥ 1 and < 0 exactly when |h| < 1, NaN failing both. A sweep that ends
+// at the first such point therefore holds every point DCGainDB,
+// UnityCrossing and PhaseMargin read. The probed AC sweep's stop rule and
+// UnityCrossingOf apply it point by point, classifying each point once.
+func FallsThroughUnity(prev, cur complex128) bool {
+	atLeast, _ := UnitySide(prev)
+	_, below := UnitySide(cur)
+	return atLeast && below
+}
+
+// unityBand is the half-width of the band around |h|² = 1 in which
+// UnitySide defers to cmplx.Abs. Outside it the rounding of re²+im² (a few
+// ulps, fused or not) and of Abs's hypot (an ulp) cannot carry a magnitude
+// across 1.
+const unityBand = 1e-9
+
+// UnitySide classifies |h| against 1 bit for bit as cmplx.Abs(h) compares:
+// atLeast is cmplx.Abs(h) >= 1 and below is cmplx.Abs(h) < 1, so a NaN
+// magnitude is neither. It decides from s = re²+im² outside unityBand of 1
+// and calls cmplx.Abs inside it. The non-finite sums need no case of their
+// own: s = +Inf (an overflowed square or an infinite part) has |h| ≥ 1,
+// and a NaN s fails both comparisons and reaches Abs, whose special cases
+// (an infinite part beats a NaN one) rule.
+func UnitySide(h complex128) (atLeast, below bool) {
+	re, im := real(h), imag(h)
+	switch s := re*re + im*im; {
+	case s < 1-unityBand:
+		return false, true
+	case s > 1+unityBand:
+		return true, false
+	}
+	m := cmplx.Abs(h)
+	return m >= 1, m < 1
 }
 
 // DCGainDB returns the gain at the lowest swept frequency.
@@ -179,20 +207,21 @@ func DCGainDBOf(h []complex128) float64 {
 	return gainDB(cmplx.Abs(h[0]))
 }
 
-// UnityCrossingOf is NewBode(freqs[:len(h)], h).UnityCrossing(), found by
-// FallsThroughUnity on the magnitudes, one per point.
+// UnityCrossingOf is NewBode(freqs[:len(h)], h).UnityCrossing(): the fall
+// through unity (FallsThroughUnity) is found by classifying each point once
+// (UnitySide), and only the bracketing pair's magnitudes are computed.
 func UnityCrossingOf(freqs []float64, h []complex128) (float64, error) {
 	if len(h) == 0 {
 		return 0, ErrNoCrossing
 	}
-	prev := cmplx.Abs(h[0])
+	prevAtLeast, _ := UnitySide(h[0])
 	for i := 1; i < len(h); i++ {
-		cur := cmplx.Abs(h[i])
-		if FallsThroughUnity(prev, cur) {
-			m0, m1 := gainDB(prev), gainDB(cur)
+		atLeast, below := UnitySide(h[i])
+		if prevAtLeast && below {
+			m0, m1 := gainDB(cmplx.Abs(h[i-1])), gainDB(cmplx.Abs(h[i]))
 			return logInterp(freqs[i-1], freqs[i], m0/(m0-m1)), nil
 		}
-		prev = cur
+		prevAtLeast = atLeast
 	}
 	return 0, ErrNoCrossing
 }

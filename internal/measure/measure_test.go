@@ -193,9 +193,52 @@ func TestFallsThroughUnityMatchesMagDB(t *testing.T) {
 	for i := 1; i < len(vals); i++ {
 		prev, cur := vals[i-1], vals[i]
 		want := magDB(prev) >= 0 && magDB(cur) < 0
-		if got := FallsThroughUnity(cmplx.Abs(prev), cmplx.Abs(cur)); got != want {
+		if got := FallsThroughUnity(prev, cur); got != want {
 			t.Fatalf("FallsThroughUnity(%v, %v) = %v, MagDB rule %v", prev, cur, got, want)
 		}
+	}
+}
+
+// UnitySide must decide |h| ≥ 1 and |h| < 1 exactly as cmplx.Abs does:
+// within a few ulps of 1 on the axes and at arbitrary angles (where it
+// defers to Abs), just outside its band (where it decides from re²+im²
+// alone), and on ±0, subnormals, huge values, ±Inf and NaN.
+func TestUnitySideMatchesAbs(t *testing.T) {
+	var vals []complex128
+	for _, r0 := range []float64{1, 1 - 2*unityBand, 1 + 2*unityBand, 1 - unityBand/2, 1 + unityBand/2} {
+		below, above := r0, r0
+		for k := 0; k <= 8; k++ {
+			for _, m := range []float64{below, above} {
+				vals = append(vals, complex(m, 0), complex(-m, 0), complex(0, m), complex(0, -m))
+			}
+			below, above = math.Nextafter(below, 0), math.Nextafter(above, 2)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for k := 0; k < 20000; k++ {
+		th := 2 * math.Pi * rng.Float64()
+		r := 1 + float64(k%17-8)*0x1p-52
+		if k%5 == 0 {
+			// Moduli spread over and beyond the band.
+			r = 1 + (rng.Float64()-0.5)*8*unityBand
+		}
+		vals = append(vals, complex(r*math.Cos(th), r*math.Sin(th)))
+	}
+	inf, nan, negZero, sub := math.Inf(1), math.NaN(), math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	for _, re := range []float64{0, negZero, sub, -sub, 0x1p-1022, 0.5, 1, -1, 1e154, 1e200, math.MaxFloat64, inf, -inf, nan} {
+		for _, im := range []float64{0, negZero, sub, 0.5, -1, 1e200, -math.MaxFloat64, inf, -inf, nan} {
+			vals = append(vals, complex(re, im))
+		}
+	}
+	for _, v := range vals {
+		a := cmplx.Abs(v)
+		atLeast, below := UnitySide(v)
+		if atLeast != (a >= 1) || below != (a < 1) {
+			t.Fatalf("UnitySide(%v) = (%v, %v), cmplx.Abs = %v (≥1 %v, <1 %v)", v, atLeast, below, a, a >= 1, a < 1)
+		}
+	}
+	if atLeast, below := UnitySide(complex(nan, 0)); atLeast || below {
+		t.Fatalf("UnitySide(NaN) = (%v, %v): NaN must fail both tests", atLeast, below)
 	}
 }
 
@@ -220,7 +263,7 @@ func TestUnityPrefixMeasuresMatchFullSweep(t *testing.T) {
 		}
 		m := len(h)
 		for i := 1; i < len(h); i++ {
-			if FallsThroughUnity(cmplx.Abs(h[i-1]), cmplx.Abs(h[i])) {
+			if FallsThroughUnity(h[i-1], h[i]) {
 				m = i + 1
 				break
 			}

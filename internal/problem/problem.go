@@ -35,9 +35,12 @@ type Problem interface {
 // BatchEvaluator is the optional fast-path capability of a Problem: evaluate
 // one design under a whole batch of variation vectors in a single call.
 // Implementations amortize per-design setup (netlist construction, simulator
-// state, solver warm starts) across the batch, which is where the
-// simulator-in-the-loop path recovers the cost the paper's flow pays per
-// HSPICE run.
+// state, solver warm starts) across the batch and may keep it across calls
+// for the same design (the spice problems keep a small store of compiled
+// testbenches), which is where the simulator-in-the-loop path recovers the
+// cost the paper's flow pays per HSPICE run. Setup kept across calls is
+// bound by the same rule as setup kept across samples: a call's results
+// must not depend on which calls came before it.
 //
 // The contract mirrors Evaluate sample by sample: the returned slices have
 // len(xis) entries, perfs[i] aligns to Specs(), and errs[i] non-nil marks

@@ -30,12 +30,14 @@ import (
 // client resubmits elsewhere, which is safe (and usually free) because the
 // canonical-key cache dedupes identical requests.
 //
-// Submission is asynchronous on the wire; Yield and Optimize hide that by
-// long-polling the job until completion. When the caller's context is
-// cancelled mid-wait (Ctrl-C, -timeout), the client best-effort DELETEs the
-// job so the server stops burning CPU on an abandoned request — unless the
-// result was served from cache or the job was coalesced with someone
-// else's identical in-flight request, in which case it is left alone.
+// Yield and Optimize submit with a server-side wait (?wait), so a job that
+// finishes within the long-poll window costs one HTTP exchange; a longer
+// job is then long-polled until completion. A caller that goes away
+// (Ctrl-C, -timeout) abandons its job either way: during the submission the
+// server sees the request end and cancels the job that request created;
+// during a poll the client best-effort DELETEs the job. A result served
+// from cache, or a job coalesced with someone else's identical in-flight
+// request, is left alone.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:8650", or a
 	// comma-separated list of roots to fail over between.
@@ -234,7 +236,7 @@ func (c *Client) submitAndAwait(ctx context.Context, path string, req any) (*Sta
 
 func (c *Client) submitAndAwaitOnce(ctx context.Context, b *attemptBudget, path string, req any) (*Status, error) {
 	var st Status
-	ep, err := c.doFailover(ctx, b, http.MethodPost, path, req, &st)
+	ep, err := c.doFailover(ctx, b, http.MethodPost, path+"?wait="+longPoll, req, &st)
 	if err != nil {
 		return nil, err
 	}
@@ -272,18 +274,23 @@ func (c *Client) submitAndAwaitOnce(ctx context.Context, b *attemptBudget, path 
 	return &st, nil
 }
 
-// poll long-polls the job for up to 10s server-side on its pinned endpoint;
-// the request context still bounds the whole call.
+// longPoll is the server-side wait of a submission and of each poll.
+const longPoll = "10s"
+
+// poll long-polls the job for up to longPoll server-side on its pinned
+// endpoint; the request context still bounds the whole call.
 func (c *Client) poll(ctx context.Context, b *attemptBudget, ep, id string) (*Status, error) {
 	var st Status
-	if _, err := c.retry(ctx, b, []string{ep}, 0, http.MethodGet, "/v1/jobs/"+id+"?wait=10s", nil, &st); err != nil {
+	if _, err := c.retry(ctx, b, []string{ep}, 0, http.MethodGet, "/v1/jobs/"+id+"?wait="+longPoll, nil, &st); err != nil {
 		return nil, err
 	}
 	return &st, nil
 }
 
-// abandon cancels a job this client created whose caller has gone away, so
-// the daemon stops simulating for nobody. Cached/coalesced jobs belong to
+// abandon cancels a job this client created whose caller went away while
+// the client polled it, so the daemon stops simulating for nobody (while
+// the submission itself waits, the server does this on seeing the request
+// end). Cached/coalesced jobs belong to
 // other requesters too and are left running. A job someone else coalesces
 // onto *after* we created it can still be cancelled by our abandon — those
 // waiters resubmit (see submitAndAwait), trading one redundant cancel for
@@ -436,7 +443,8 @@ func (c *Client) once(ctx context.Context, ep, method, path string, body, out an
 		return err
 	}
 	if resp.StatusCode >= 400 {
-		se := &statusError{code: resp.StatusCode, method: method, path: path}
+		route, _, _ := strings.Cut(path, "?")
+		se := &statusError{code: resp.StatusCode, method: method, path: route}
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
 			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
 				se.retryAfter = time.Duration(secs) * time.Second

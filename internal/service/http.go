@@ -42,7 +42,9 @@ import (
 //
 // Every response body is JSON except the SSE stream. Submissions respond
 // with the job's Status; the `cached` field marks a request coalesced onto
-// an existing job (in flight) or served from the result cache (done).
+// an existing job (in flight) or served from the result cache (done). A
+// submission that waits (?wait) and disconnects before the job it created
+// finishes cancels that job; a cached or coalesced one keeps running.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -260,7 +262,10 @@ func (s *Server) handleSubmitOptimize(w http.ResponseWriter, r *http.Request) {
 // request, 503 for a full queue, otherwise the job's status — after an
 // optional server-side wait for completion (`?wait` or `?wait=DURATION`,
 // capped at the configured limit; an expired wait still returns the current
-// status, it never cancels the shared job).
+// status, it never cancels the shared job). A submitter that disconnects
+// while it waits on a job its own request created cancels that job, as the
+// client's DELETE of an abandoned job would; a cached or coalesced job
+// belongs to other requesters too and is left running.
 func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, j *Job, cached bool, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrClosed):
@@ -275,8 +280,13 @@ func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, j *Job
 	}
 	if d, ok := s.waitParam(r); ok {
 		waitCtx, cancel := context.WithTimeout(r.Context(), d)
-		_ = j.Wait(waitCtx)
+		werr := j.Wait(waitCtx)
 		cancel()
+		if werr != nil && r.Context().Err() != nil && !cached {
+			s.logf("job %s cancelled: its waiting submitter went away", j.ID)
+			j.Cancel()
+			return
+		}
 	}
 	st := j.Status()
 	st.Cached = cached

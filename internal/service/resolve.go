@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"github.com/eda-go/moheco/internal/core"
 	"github.com/eda-go/moheco/internal/problem"
@@ -30,18 +31,23 @@ type YieldSpec struct {
 }
 
 // ResolveYield resolves a yield request into its spec, the scenario's
-// problem instance (with the resolved transient window applied) and the
-// sampler. Omitted fields take the scenario's defaults: seed 1, the
-// reference sample count, PMC, the reference design and the built-in
-// transient window. It rejects an unknown scenario or sampler, a design of
-// the wrong length and an invalid transient override. Resolving a resolved
-// spec returns it unchanged.
+// shared problem instance for the resolved transient window (see
+// sharedProblem) and the sampler. Omitted fields take the scenario's
+// defaults: seed 1, the reference sample count, PMC, the reference design
+// and the built-in transient window. It rejects an unknown scenario or
+// sampler, a design of the wrong length and an invalid transient override.
+// Resolving a resolved spec returns it unchanged. The problem is shared
+// with every other resolution of the same scenario and window, so callers
+// evaluate it and never configure it.
 func ResolveYield(req YieldRequest) (YieldSpec, problem.Problem, sample.Sampler, error) {
 	sc, err := scenario.Get(req.Scenario)
 	if err != nil {
 		return YieldSpec{}, nil, nil, err
 	}
-	p := sc.New()
+	p, err := sharedProblem(sc, nil)
+	if err != nil {
+		return YieldSpec{}, nil, nil, err
+	}
 	spec := YieldSpec{Scenario: req.Scenario, N: req.N, Seed: 1, Sampler: req.Sampler}
 	if req.Seed != nil {
 		spec.Seed = *req.Seed
@@ -68,18 +74,77 @@ func ResolveYield(req YieldRequest) (YieldSpec, problem.Problem, sample.Sampler,
 		return YieldSpec{}, nil, nil, fmt.Errorf("service: scenario %q needs %d design values, got %d", req.Scenario, p.Dim(), len(x))
 	}
 	spec.X = slices.Clone(x)
-	if spec.Tran, err = ResolveTran(p, req.Scenario, req.Tran); err != nil {
+	var changed bool
+	if spec.Tran, changed, err = tranWindow(p, req.Scenario, req.Tran); err != nil {
 		return YieldSpec{}, nil, nil, err
 	}
+	if changed {
+		if p, err = sharedProblem(sc, spec.Tran); err != nil {
+			return YieldSpec{}, nil, nil, err
+		}
+	}
 	return spec, p, smp, nil
+}
+
+// maxSharedProblems bounds the shared problem instances: one per scenario
+// at its built-in window, with room for a few transient overrides.
+const maxSharedProblems = 16
+
+// shared holds the problem instances resolution hands out, one per
+// (scenario, transient window), so the jobs, shards and chunks of one
+// process evaluate one instance and a spice scenario's store of compiled
+// testbenches serves them all. Problem evaluation is deterministic and safe
+// for concurrent use, so which instance evaluates a spec never shows in the
+// result.
+var shared = struct {
+	sync.Mutex
+	m map[sharedKey]problem.Problem
+}{m: map[sharedKey]problem.Problem{}}
+
+// sharedKey names a shared instance: the scenario and, for an instance
+// configured away from the scenario's built-in window, that window.
+type sharedKey struct {
+	scenario string
+	tran     TranSpec
+}
+
+// sharedProblem returns the shared instance of sc, configured to the
+// transient window tran (nil: the built-in window), building it on first
+// use. Past maxSharedProblems an arbitrary instance is dropped; a later
+// resolution builds it again.
+func sharedProblem(sc scenario.Scenario, tran *TranSpec) (problem.Problem, error) {
+	key := sharedKey{scenario: sc.Name}
+	if tran != nil {
+		key.tran = *tran
+	}
+	shared.Lock()
+	defer shared.Unlock()
+	if p, ok := shared.m[key]; ok {
+		return p, nil
+	}
+	p := sc.New()
+	if tran != nil {
+		// tranWindow only reports a change on a transient scenario.
+		if err := p.(tranProblem).SetTranWindow(tran.TStop, tran.Step, tran.Mode == "fixed"); err != nil {
+			return nil, err
+		}
+	}
+	if len(shared.m) >= maxSharedProblems {
+		for k := range shared.m {
+			delete(shared.m, k)
+			break
+		}
+	}
+	shared.m[key] = p
+	return p, nil
 }
 
 // instantiate materializes the spec's problem instance and sampler through
 // ResolveYield. A spec is outside input — it arrives from another node or
 // from replicated state — so an unresolved one is an error, never silently
-// defaulted. Each call builds a fresh instance: problem construction is
-// deterministic, so where — and how often — a spec is instantiated never
-// shows in the result.
+// defaulted. The instance is the shared one of the spec's scenario and
+// window: evaluation is deterministic, so where — and on which instance —
+// a spec is evaluated never shows in the result.
 func (spec YieldSpec) instantiate() (problem.Problem, sample.Sampler, error) {
 	if spec.N <= 0 || spec.X == nil || spec.Sampler == "" {
 		return nil, nil, fmt.Errorf("service: unresolved yield spec for scenario %q (n=%d, %d design values, sampler %q)",
@@ -174,25 +239,40 @@ type tranProblem interface {
 // ResolveTran validates a transient-window override against the problem
 // and applies it (via SetTranWindow), returning the fully resolved spec —
 // nil for scenarios without a transient window, an error when spec targets
-// one of those or names an unknown mode. ResolveYield resolves a yield
-// request's window through it, and mohecorun its local -tstop/-tstep/
-// -tranmode flags, so the accepted option surface cannot drift between the
-// served and local paths.
+// one of those or names an unknown mode. mohecorun resolves its local
+// -tstop/-tstep/-tranmode flags through it, and ResolveYield resolves a
+// yield request's window through the same tranWindow, so the accepted
+// option surface cannot drift between the served and local paths.
 func ResolveTran(p any, scenarioName string, spec *TranSpec) (*TranSpec, error) {
+	resolved, changed, err := tranWindow(p, scenarioName, spec)
+	if err != nil || !changed {
+		return resolved, err
+	}
+	if err := p.(tranProblem).SetTranWindow(resolved.TStop, resolved.Step, resolved.Mode == "fixed"); err != nil {
+		return nil, err
+	}
+	return resolved, nil
+}
+
+// tranWindow resolves a transient-window override against p's current
+// window without applying it: the resolved spec (nil for a scenario without
+// a window), and whether it differs from p's window.
+func tranWindow(p any, scenarioName string, spec *TranSpec) (*TranSpec, bool, error) {
 	tp, ok := p.(tranProblem)
 	if !ok {
 		if spec != nil {
-			return nil, fmt.Errorf("service: scenario %q %w (tran options not applicable)", scenarioName, ErrNoTranWindow)
+			return nil, false, fmt.Errorf("service: scenario %q %w (tran options not applicable)", scenarioName, ErrNoTranWindow)
 		}
-		return nil, nil
+		return nil, false, nil
 	}
-	tstop, step, fixed := tp.TranWindow()
+	tstop0, step0, fixed0 := tp.TranWindow()
+	tstop, step, fixed := tstop0, step0, fixed0
 	if spec != nil {
 		// Zero means "keep the scenario default"; anything else must be a
 		// valid value — silently dropping a negative override would serve
 		// the default window for a mistyped request.
 		if spec.TStop < 0 || spec.Step < 0 {
-			return nil, fmt.Errorf("service: invalid tran override tstop=%g step=%g (omit or 0 keeps the scenario default)",
+			return nil, false, fmt.Errorf("service: invalid tran override tstop=%g step=%g (omit or 0 keeps the scenario default)",
 				spec.TStop, spec.Step)
 		}
 		if spec.TStop > 0 {
@@ -208,15 +288,13 @@ func ResolveTran(p any, scenarioName string, spec *TranSpec) (*TranSpec, error) 
 		case "fixed":
 			fixed = true
 		default:
-			return nil, fmt.Errorf("service: unknown tran mode %q (adaptive | fixed)", spec.Mode)
-		}
-		if err := tp.SetTranWindow(tstop, step, fixed); err != nil {
-			return nil, err
+			return nil, false, fmt.Errorf("service: unknown tran mode %q (adaptive | fixed)", spec.Mode)
 		}
 	}
 	mode := "adaptive"
 	if fixed {
 		mode = "fixed"
 	}
-	return &TranSpec{TStop: tstop, Step: step, Mode: mode}, nil
+	changed := tstop != tstop0 || step != step0 || fixed != fixed0
+	return &TranSpec{TStop: tstop, Step: step, Mode: mode}, changed, nil
 }

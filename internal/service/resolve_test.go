@@ -172,3 +172,69 @@ func TestReplicatedUnresolvedSpecFails(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestServedYieldsShareTestbenches: the yields of one spice design resolve
+// to one shared problem, so N served yields — each its own job, seed and
+// chunks — compile at most one testbench per worker between them.
+func TestServedYieldsShareTestbenches(t *testing.T) {
+	const workers = 2
+	s := New(Config{Jobs: 1, Workers: workers, Metrics: obs.NewRegistry()})
+	defer s.Close()
+	compiles := obs.Default().Counter("circuits_testbench_compiles_total")
+	before := compiles.Value()
+	for seed := uint64(1); seed <= 6; seed++ {
+		j, _, err := s.SubmitYield(YieldRequest{Scenario: "commonsource-spice", N: 2 * yieldsim.ChunkSize, Seed: Seed(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Status(); st.State != StateDone {
+			t.Fatalf("seed %d: job %s", seed, st.State)
+		}
+	}
+	if got := compiles.Value() - before; got > workers {
+		t.Errorf("6 served yields of one design compiled %d testbenches, want at most %d (one per worker)", got, workers)
+	}
+}
+
+// TestResolveYieldSharesInstances: resolution hands out one instance per
+// (scenario, transient window). A request that spells out the built-in
+// window shares the default instance; an override gets its own, configured
+// to it, and leaves the default instance's window alone.
+func TestResolveYieldSharesInstances(t *testing.T) {
+	resolve := func(req YieldRequest) any {
+		t.Helper()
+		_, p, _, err := ResolveYield(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	const scen = "commonsource-tran"
+	base := resolve(YieldRequest{Scenario: scen})
+	if again := resolve(YieldRequest{Scenario: scen, N: 64, Seed: Seed(9)}); again != base {
+		t.Error("two requests of one scenario resolved to different instances")
+	}
+	tstop, step, _ := base.(tranProblem).TranWindow()
+	if spelled := resolve(YieldRequest{Scenario: scen, Tran: &TranSpec{TStop: tstop, Step: step, Mode: "adaptive"}}); spelled != base {
+		t.Error("spelling out the built-in window resolved to another instance")
+	}
+	short := resolve(YieldRequest{Scenario: scen, Tran: &TranSpec{TStop: tstop / 2}})
+	if short == base {
+		t.Fatal("an overridden window shares the default instance")
+	}
+	if got, _, _ := short.(tranProblem).TranWindow(); got != tstop/2 {
+		t.Errorf("override instance integrates to %g, want %g", got, tstop/2)
+	}
+	if got, _, _ := base.(tranProblem).TranWindow(); got != tstop {
+		t.Errorf("the default instance's window moved to %g", got)
+	}
+	if again := resolve(YieldRequest{Scenario: scen, Tran: &TranSpec{TStop: tstop / 2, Step: step}}); again != short {
+		t.Error("one override resolved to two instances")
+	}
+	if _, _, _, err := ResolveYield(YieldRequest{Scenario: scen, Tran: &TranSpec{TStop: step / 2}}); err == nil {
+		t.Error("a window shorter than its step was accepted")
+	}
+}

@@ -661,7 +661,10 @@ func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
 	key := optimizeKey(req)
 	run := func(ctx context.Context, j *Job) error {
 		start := time.Now()
-		p := scenario.MustGet(req.Scenario).New() // ResolveOptimize checked the name
+		p, err := sharedProblem(scenario.MustGet(req.Scenario), nil) // ResolveOptimize checked the name
+		if err != nil {
+			return err
+		}
 		// The run owns a private counter: Result.TotalSims (and the
 		// streamed CumSims) must count only this optimization, exactly
 		// as the local CLI reports it — the shared server counter would

@@ -3,7 +3,6 @@ package spice
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"slices"
 
 	"github.com/eda-go/moheco/internal/linalg/sparse"
@@ -175,7 +174,7 @@ type acScratch struct {
 	pg, pc []float64                       // gv and cv at pat, gathered once per sweep
 	Y      *sparse.BatchMatrix[complex128] // system lanes
 	yv     []complex128                    // Y's value array
-	mag    []float64                       // per lane: |h| at the last recorded point (stop sweeps)
+	ge1    []bool                          // per lane: |h| ≥ 1 at the last recorded point (stop sweeps)
 
 	recs [][]complex128 // per lane: probe record storage, grown to the longest sweep
 	out  [][]complex128 // the last sweep's per-lane records
@@ -198,7 +197,7 @@ func (bs *scratch) acFor(e *Engine) *acScratch {
 		pat:  make([]int32, 0, slots),
 		pg:   make([]float64, 0, slots),
 		pc:   make([]float64, 0, slots),
-		mag:  make([]float64, k),
+		ge1:  make([]bool, k),
 		Y:    sparse.NewBatchMatrix[complex128](e.sym, k),
 		recs: make([][]complex128, k),
 		out:  make([][]complex128, k),
@@ -327,13 +326,13 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop, own b
 			if !stop {
 				continue
 			}
-			mag := cmplx.Abs(h[fi])
-			if fi > 0 && measure.FallsThroughUnity(ac.mag[l], mag) {
+			ge1, below := measure.UnitySide(h[fi])
+			if fi > 0 && ac.ge1[l] && below {
 				out[l] = h[:fi+1]
 				st[l].live = false
 				nLive--
 			}
-			ac.mag[l] = mag
+			ac.ge1[l] = ge1
 		}
 		if nLive == 0 {
 			break

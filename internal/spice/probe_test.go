@@ -3,7 +3,6 @@ package spice
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"testing"
 
 	"github.com/eda-go/moheco/internal/measure"
@@ -139,7 +138,7 @@ func TestProbedSweepsMatchFullPrefix(t *testing.T) {
 			}
 			m := len(col)
 			for i := 1; stop && i < len(col); i++ {
-				if measure.FallsThroughUnity(cmplx.Abs(col[i-1]), cmplx.Abs(col[i])) {
+				if measure.FallsThroughUnity(col[i-1], col[i]) {
 					m = i + 1
 					break
 				}
