@@ -39,9 +39,10 @@
 //
 // The CLIs' client submits with ?wait=10s, so a short job costs one HTTP
 // exchange, and long-polls GET /v1/jobs/{id}?wait=10s only when that wait
-// expires. A submitter that disconnects while its ?wait submission blocks
-// cancels the job its request created, as a DELETE would; a job it was
-// only coalesced onto, or served from the cache, keeps running.
+// expires. A ?wait submission that creates a job names it in a 103 Early
+// Hints interim response (Location) before it waits, so the client can
+// DELETE the job if its caller gives up; a dropped connection alone
+// cancels nothing, and the client's retry coalesces onto the running job.
 //
 // -debug-addr additionally serves net/http/pprof (plus /metrics and
 // /debug/vars) on a separate listener, so CPU/heap profiles of a live

@@ -79,8 +79,9 @@ func TestSettingsDropIdleTestbenches(t *testing.T) {
 	}
 }
 
-// The store is bounded: many designs leave at most maxIdleBenches idle
-// testbenches, and a design evicted from it compiles again.
+// The store is bounded: a serial caller's many designs leave at most
+// minIdleBenches idle testbenches, and a design evicted from it compiles
+// again.
 func TestIdleStoreBounded(t *testing.T) {
 	p := NewCommonSourceSpice()
 	ref := p.ReferenceDesign()
@@ -91,16 +92,49 @@ func TestIdleStoreBounded(t *testing.T) {
 		return x
 	}
 	before := compiles()
-	for i := range maxIdleBenches + 2 {
+	for i := range minIdleBenches + 2 {
 		p.EvaluateBatch(design(i), xi)
 	}
-	if n := len(p.idle.bench); n != maxIdleBenches {
-		t.Errorf("%d idle testbenches, want the bound %d", n, maxIdleBenches)
+	if n := len(p.idle.bench); n != minIdleBenches {
+		t.Errorf("%d idle testbenches, want the bound %d", n, minIdleBenches)
 	}
-	p.EvaluateBatch(design(maxIdleBenches+1), xi) // the newest: a hit
+	p.EvaluateBatch(design(minIdleBenches+1), xi) // the newest: a hit
 	p.EvaluateBatch(design(0), xi)                // the oldest: evicted
-	if got, want := compiles()-before, int64(maxIdleBenches+3); got != want {
+	if got, want := compiles()-before, int64(minIdleBenches+3); got != want {
 		t.Errorf("%d compiles, want %d", got, want)
+	}
+}
+
+// More callers at once than minIdleBenches raise the bound to what they
+// held: after a round of minIdleBenches+4 concurrent batches of one design
+// (every worker of a wide machine on one served yield), the next such round
+// finds every testbench again and compiles none.
+func TestIdleStoreKeepsBusiestRound(t *testing.T) {
+	p := NewCommonSourceSpice()
+	x := p.ReferenceDesign()
+	const callers = minIdleBenches + 4
+	round := func() {
+		held := make([]*testbench, callers)
+		for i := range held {
+			if held[i] = p.idle.take(x); held[i] == nil {
+				var err error
+				if held[i], err = p.compile(x); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, tb := range held {
+			p.idle.put(tb)
+		}
+	}
+	round()
+	before := compiles()
+	round()
+	if got := compiles() - before; got != 0 {
+		t.Errorf("the second round of %d callers compiled %d testbenches, want 0", callers, got)
+	}
+	if n := len(p.idle.bench); n != callers {
+		t.Errorf("%d idle testbenches, want the %d the busiest round held", n, callers)
 	}
 }
 

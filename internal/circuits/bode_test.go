@@ -78,12 +78,15 @@ func TestLazyBodeMatchesNewBode(t *testing.T) {
 			}
 		}
 		checkBode(t, "multi-pole", freqs, h)
-		for i := 1; i < n; i++ {
-			if measure.FallsThroughUnity(h[i-1], h[i]) {
+		prevAtLeast := false
+		for i := range h {
+			falls, atLeast := measure.FallsThroughUnity(prevAtLeast, h[i])
+			if falls {
 				crossed++
 				checkBode(t, "multi-pole prefix", freqs, h[:i+1])
 				break
 			}
+			prevAtLeast = atLeast
 		}
 	}
 	if crossed == 0 {

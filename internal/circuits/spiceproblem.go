@@ -48,11 +48,12 @@ type SpiceProblem struct {
 	idle benchStore
 }
 
-// maxIdleBenches bounds a problem's store of idle testbenches: enough for
-// every worker of a few interleaved designs, small beside the process (an
-// idle testbench holds about 40 KB on common-source, 95 KB on the folded
-// cascode and 215 KB on its transient scenario, lane buffers included).
-const maxIdleBenches = 8
+// minIdleBenches is the store's bound while fewer testbenches than that
+// have been out at once: room for a serial caller to alternate among a few
+// designs without recompiling. An idle testbench holds about 40 KB on
+// common-source, 95 KB on the folded cascode and 215 KB on its transient
+// scenario, lane buffers included.
+const minIdleBenches = 8
 
 // mCompiles counts compiled testbenches: with the store, about one per
 // worker per design, not one per batch.
@@ -62,17 +63,27 @@ var mCompiles = obs.Default().Counter("circuits_testbench_compiles_total")
 // testbenches, each keyed by the bits of the design it was compiled at. A
 // testbench runs one batch at a time, so EvaluateBatch takes one out for
 // its run and puts it back after; concurrent batches of one design hold one
-// testbench each. Past the bound the least recently returned testbench is
-// dropped.
+// testbench each. The store keeps at most max(minIdleBenches, peak) idle
+// testbenches, peak being the most that callers have held out at once, so
+// every worker of the busiest round finds its testbench again, and the
+// store never keeps more than that round already held; past the bound the
+// least recently returned testbench is dropped.
 type benchStore struct {
 	mu    sync.Mutex
 	bench []*testbench // least recently returned first
+	// busy counts the testbenches out on a run (compiling included), and
+	// peak the most that have been out at once.
+	busy, peak int
 }
 
-// take removes and returns an idle testbench compiled at design x, or nil.
+// take removes and returns an idle testbench compiled at design x, or nil
+// for the caller to compile one. Either way the caller now holds a
+// testbench out, and ends that with put.
 func (s *benchStore) take(x []float64) *testbench {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.busy++
+	s.peak = max(s.peak, s.busy)
 	for i := len(s.bench) - 1; i >= 0; i-- {
 		if sameBits(s.bench[i].x, x) {
 			tb := s.bench[i]
@@ -83,12 +94,17 @@ func (s *benchStore) take(x []float64) *testbench {
 	return nil
 }
 
-// put returns tb to the store, dropping the oldest idle testbench when the
-// store is full.
+// put ends a take: it returns tb to the store, dropping the oldest idle
+// testbench when the store is full. A nil tb (the compile failed) only
+// ends the take.
 func (s *benchStore) put(tb *testbench) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.bench) == maxIdleBenches {
+	s.busy--
+	if tb == nil {
+		return
+	}
+	if len(s.bench) >= max(minIdleBenches, s.peak) {
 		s.bench = slices.Delete(s.bench, 0, 1)
 	}
 	s.bench = append(s.bench, tb)
@@ -229,10 +245,14 @@ func (p *SpiceProblem) EvaluateBatch(x []float64, xis [][]float64) ([][]float64,
 	if tb == nil {
 		var err error
 		if tb, err = p.compile(x); err != nil {
+			p.idle.put(nil)
 			return failAll(len(xis), err)
 		}
 	}
 	perfs, errs := tb.run(xis)
+	// An idle testbench keeps only its engine's steady-state scratch, not
+	// that of every short batch width it has run.
+	tb.eng.TrimScratch()
 	p.idle.put(tb)
 	return perfs, errs
 }

@@ -65,35 +65,36 @@ func unwrap(v complex128, prev float64, first bool) float64 {
 	return ph
 }
 
-// FallsThroughUnity reports whether a response falls through unity gain
-// between consecutive sweep points prev and cur: |prev| ≥ 1 and |cur| < 1,
-// each decided by UnitySide. It is UnityCrossing's MagDB ≥ 0 → < 0 rule
-// without the logarithms — NewBode's magnitudes are 20·log10|h| (with
+// FallsThroughUnity is the fall-through-unity rule, applied point by point
+// along a sweep: given whether the previous point had |h| ≥ 1 (false at the
+// first point), falls reports whether the response falls through unity at
+// cur (|prev| ≥ 1 and |cur| < 1), and atLeast whether |cur| ≥ 1, the bit
+// the next point is tested against. It is UnityCrossing's MagDB ≥ 0 → < 0
+// rule without the logarithms — NewBode's magnitudes are 20·log10|h| (with
 // |h| = 0 clamped to a tiny positive value), which is ≥ 0 exactly when
 // |h| ≥ 1 and < 0 exactly when |h| < 1, NaN failing both. A sweep that ends
-// at the first such point therefore holds every point DCGainDB,
+// at the first point where it falls therefore holds every point DCGainDB,
 // UnityCrossing and PhaseMargin read. The probed AC sweep's stop rule and
-// UnityCrossingOf apply it point by point, classifying each point once.
-func FallsThroughUnity(prev, cur complex128) bool {
-	atLeast, _ := UnitySide(prev)
-	_, below := UnitySide(cur)
-	return atLeast && below
+// UnityCrossingOf both apply it, classifying each point once (unitySide).
+func FallsThroughUnity(prevAtLeast bool, cur complex128) (falls, atLeast bool) {
+	atLeast, below := unitySide(cur)
+	return prevAtLeast && below, atLeast
 }
 
 // unityBand is the half-width of the band around |h|² = 1 in which
-// UnitySide defers to cmplx.Abs. Outside it the rounding of re²+im² (a few
+// unitySide defers to cmplx.Abs. Outside it the rounding of re²+im² (a few
 // ulps, fused or not) and of Abs's hypot (an ulp) cannot carry a magnitude
 // across 1.
 const unityBand = 1e-9
 
-// UnitySide classifies |h| against 1 bit for bit as cmplx.Abs(h) compares:
+// unitySide classifies |h| against 1 bit for bit as cmplx.Abs(h) compares:
 // atLeast is cmplx.Abs(h) >= 1 and below is cmplx.Abs(h) < 1, so a NaN
 // magnitude is neither. It decides from s = re²+im² outside unityBand of 1
 // and calls cmplx.Abs inside it. The non-finite sums need no case of their
 // own: s = +Inf (an overflowed square or an infinite part) has |h| ≥ 1,
 // and a NaN s fails both comparisons and reaches Abs, whose special cases
 // (an infinite part beats a NaN one) rule.
-func UnitySide(h complex128) (atLeast, below bool) {
+func unitySide(h complex128) (atLeast, below bool) {
 	re, im := real(h), imag(h)
 	switch s := re*re + im*im; {
 	case s < 1-unityBand:
@@ -208,16 +209,13 @@ func DCGainDBOf(h []complex128) float64 {
 }
 
 // UnityCrossingOf is NewBode(freqs[:len(h)], h).UnityCrossing(): the fall
-// through unity (FallsThroughUnity) is found by classifying each point once
-// (UnitySide), and only the bracketing pair's magnitudes are computed.
+// through unity is found point by point (FallsThroughUnity), and only the
+// bracketing pair's magnitudes are computed.
 func UnityCrossingOf(freqs []float64, h []complex128) (float64, error) {
-	if len(h) == 0 {
-		return 0, ErrNoCrossing
-	}
-	prevAtLeast, _ := UnitySide(h[0])
-	for i := 1; i < len(h); i++ {
-		atLeast, below := UnitySide(h[i])
-		if prevAtLeast && below {
+	prevAtLeast := false
+	for i := range h {
+		falls, atLeast := FallsThroughUnity(prevAtLeast, h[i])
+		if falls {
 			m0, m1 := gainDB(cmplx.Abs(h[i-1])), gainDB(cmplx.Abs(h[i]))
 			return logInterp(freqs[i-1], freqs[i], m0/(m0-m1)), nil
 		}

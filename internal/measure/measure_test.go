@@ -190,16 +190,18 @@ func TestFallsThroughUnityMatchesMagDB(t *testing.T) {
 				v, a, a >= 1, a < 1, db, db >= 0, db < 0)
 		}
 	}
-	for i := 1; i < len(vals); i++ {
-		prev, cur := vals[i-1], vals[i]
-		want := magDB(prev) >= 0 && magDB(cur) < 0
-		if got := FallsThroughUnity(prev, cur); got != want {
-			t.Fatalf("FallsThroughUnity(%v, %v) = %v, MagDB rule %v", prev, cur, got, want)
+	prevAtLeast := false
+	for i, cur := range vals {
+		want := i > 0 && magDB(vals[i-1]) >= 0 && magDB(cur) < 0
+		falls, atLeast := FallsThroughUnity(prevAtLeast, cur)
+		if falls != want || atLeast != (magDB(cur) >= 0) {
+			t.Fatalf("FallsThroughUnity(%v, %v) = (%v, %v), MagDB rule (%v, %v)", prevAtLeast, cur, falls, atLeast, want, magDB(cur) >= 0)
 		}
+		prevAtLeast = atLeast
 	}
 }
 
-// UnitySide must decide |h| ≥ 1 and |h| < 1 exactly as cmplx.Abs does:
+// unitySide must decide |h| ≥ 1 and |h| < 1 exactly as cmplx.Abs does:
 // within a few ulps of 1 on the axes and at arbitrary angles (where it
 // defers to Abs), just outside its band (where it decides from re²+im²
 // alone), and on ±0, subnormals, huge values, ±Inf and NaN.
@@ -232,13 +234,13 @@ func TestUnitySideMatchesAbs(t *testing.T) {
 	}
 	for _, v := range vals {
 		a := cmplx.Abs(v)
-		atLeast, below := UnitySide(v)
+		atLeast, below := unitySide(v)
 		if atLeast != (a >= 1) || below != (a < 1) {
-			t.Fatalf("UnitySide(%v) = (%v, %v), cmplx.Abs = %v (≥1 %v, <1 %v)", v, atLeast, below, a, a >= 1, a < 1)
+			t.Fatalf("unitySide(%v) = (%v, %v), cmplx.Abs = %v (≥1 %v, <1 %v)", v, atLeast, below, a, a >= 1, a < 1)
 		}
 	}
-	if atLeast, below := UnitySide(complex(nan, 0)); atLeast || below {
-		t.Fatalf("UnitySide(NaN) = (%v, %v): NaN must fail both tests", atLeast, below)
+	if atLeast, below := unitySide(complex(nan, 0)); atLeast || below {
+		t.Fatalf("unitySide(NaN) = (%v, %v): NaN must fail both tests", atLeast, below)
 	}
 }
 
@@ -262,11 +264,14 @@ func TestUnityPrefixMeasuresMatchFullSweep(t *testing.T) {
 			}
 		}
 		m := len(h)
-		for i := 1; i < len(h); i++ {
-			if FallsThroughUnity(h[i-1], h[i]) {
+		prevAtLeast := false
+		for i := range h {
+			falls, atLeast := FallsThroughUnity(prevAtLeast, h[i])
+			if falls {
 				m = i + 1
 				break
 			}
+			prevAtLeast = atLeast
 		}
 		if m < len(h) {
 			stopped++

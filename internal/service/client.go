@@ -7,8 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
+	"net/http/httptrace"
+	"net/textproto"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,9 +36,9 @@ import (
 // Yield and Optimize submit with a server-side wait (?wait), so a job that
 // finishes within the long-poll window costs one HTTP exchange; a longer
 // job is then long-polled until completion. A caller that goes away
-// (Ctrl-C, -timeout) abandons its job either way: during the submission the
-// server sees the request end and cancels the job that request created;
-// during a poll the client best-effort DELETEs the job. A result served
+// (Ctrl-C, -timeout) abandons its job: the client best-effort DELETEs the
+// job its submission created, whose ID the server announces in a 103
+// interim response before it waits (see createdJobs). A result served
 // from cache, or a job coalesced with someone else's identical in-flight
 // request, is left alone.
 type Client struct {
@@ -236,23 +239,38 @@ func (c *Client) submitAndAwait(ctx context.Context, path string, req any) (*Sta
 
 func (c *Client) submitAndAwaitOnce(ctx context.Context, b *attemptBudget, path string, req any) (*Status, error) {
 	var st Status
-	ep, err := c.doFailover(ctx, b, http.MethodPost, path+"?wait="+longPoll, req, &st)
+	created := &createdJobs{}
+	ep, err := c.doFailover(context.WithValue(ctx, createdKey{}, created), b, http.MethodPost, path+"?wait="+longPoll, req, &st)
 	if err != nil {
+		if ctx.Err() != nil {
+			// The caller left while a submission waited: cancel what our
+			// own submissions created.
+			for ep, id := range created.all() {
+				c.abandon(ep, id)
+			}
+		}
 		return nil, err
 	}
 	// Only the submission response carries the coalesced/cached marker;
 	// preserve it across polls — it both reaches the caller and decides
-	// whether an abandoned job may be cancelled.
+	// whether an abandoned job may be cancelled. A job coalesced with
+	// someone else's request is left running, but a retried submission that
+	// coalesced onto the job its own dropped attempt created still owns it.
 	cached := st.Cached
+	ours := !cached || created.id(ep) == st.ID
 	for !st.State.Terminal() {
 		if err := ctx.Err(); err != nil {
-			c.abandon(ep, &st, cached)
+			if ours {
+				c.abandon(ep, st.ID)
+			}
 			return nil, err
 		}
 		next, err := c.poll(ctx, b, ep, st.ID)
 		if err != nil {
 			if ctx.Err() != nil {
-				c.abandon(ep, &st, cached)
+				if ours {
+					c.abandon(ep, st.ID)
+				}
 				return nil, ctx.Err()
 			}
 			if errors.Is(err, errBudget) {
@@ -287,22 +305,63 @@ func (c *Client) poll(ctx context.Context, b *attemptBudget, ep, id string) (*St
 	return &st, nil
 }
 
-// abandon cancels a job this client created whose caller went away while
-// the client polled it, so the daemon stops simulating for nobody (while
-// the submission itself waits, the server does this on seeing the request
-// end). Cached/coalesced jobs belong to
-// other requesters too and are left running. A job someone else coalesces
-// onto *after* we created it can still be cancelled by our abandon — those
-// waiters resubmit (see submitAndAwait), trading one redundant cancel for
-// not leaking abandoned work.
-func (c *Client) abandon(ep string, st *Status, cached bool) {
-	if st.ID == "" || cached {
+// abandon cancels the job id on endpoint ep, which this client created and
+// whose caller went away, so the daemon stops simulating for nobody. A job
+// someone else coalesces onto *after* we created it can still be cancelled
+// by our abandon — those waiters resubmit (see submitAndAwait), trading
+// one redundant cancel for not leaking abandoned work.
+func (c *Client) abandon(ep, id string) {
+	if id == "" {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	var out Status
-	_, _ = c.retry(ctx, newAttemptBudget(), []string{ep}, 0, http.MethodDelete, "/v1/jobs/"+st.ID, nil, &out)
+	_, _ = c.retry(ctx, newAttemptBudget(), []string{ep}, 0, http.MethodDelete, "/v1/jobs/"+id, nil, &out)
+}
+
+// createdJobs records, per endpoint, the job a submission's own request
+// created there. A server that waits on a submission (?wait) first names
+// the job it created in a 103 interim response (its Location), so the
+// client knows the job's ID while the final response is still pending: a
+// caller who leaves mid-wait can cancel it, and a submission retried after
+// a dropped connection, which coalesces onto that same job, still owns it.
+// The server never cancels a job on a disconnect, which it cannot tell
+// from a drop the client retries.
+type createdJobs struct {
+	mu  sync.Mutex
+	ids map[string]string // endpoint → job ID
+}
+
+// createdKey carries a submission's createdJobs to once in its context.
+type createdKey struct{}
+
+// note records an interim response's Location from endpoint ep.
+func (cr *createdJobs) note(ep, location string) {
+	id, ok := strings.CutPrefix(location, "/v1/jobs/")
+	if !ok || id == "" {
+		return
+	}
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	if cr.ids == nil {
+		cr.ids = map[string]string{}
+	}
+	cr.ids[ep] = id
+}
+
+// id returns the job the submission created on ep, or "".
+func (cr *createdJobs) id(ep string) string {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	return cr.ids[ep]
+}
+
+// all returns a copy of every recorded job.
+func (cr *createdJobs) all() map[string]string {
+	cr.mu.Lock()
+	defer cr.mu.Unlock()
+	return maps.Clone(cr.ids)
 }
 
 // statusError is an HTTP error response; codes >= 500 are transient.
@@ -421,6 +480,16 @@ func (c *Client) once(ctx context.Context, ep, method, path string, body, out an
 			return err
 		}
 		rd = bytes.NewReader(data)
+	}
+	if cr, ok := ctx.Value(createdKey{}).(*createdJobs); ok {
+		ctx = httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+			Got1xxResponse: func(code int, h textproto.MIMEHeader) error {
+				if code == http.StatusEarlyHints {
+					cr.note(ep, h.Get("Location"))
+				}
+				return nil
+			},
+		})
 	}
 	req, err := http.NewRequestWithContext(ctx, method, ep+path, rd)
 	if err != nil {

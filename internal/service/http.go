@@ -43,8 +43,9 @@ import (
 // Every response body is JSON except the SSE stream. Submissions respond
 // with the job's Status; the `cached` field marks a request coalesced onto
 // an existing job (in flight) or served from the result cache (done). A
-// submission that waits (?wait) and disconnects before the job it created
-// finishes cancels that job; a cached or coalesced one keeps running.
+// submission that waits (?wait) on a job it created first answers 103 Early
+// Hints with the job's Location, so its client can cancel the job if it
+// gives up; a disconnect alone cancels nothing.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -262,10 +263,11 @@ func (s *Server) handleSubmitOptimize(w http.ResponseWriter, r *http.Request) {
 // request, 503 for a full queue, otherwise the job's status — after an
 // optional server-side wait for completion (`?wait` or `?wait=DURATION`,
 // capped at the configured limit; an expired wait still returns the current
-// status, it never cancels the shared job). A submitter that disconnects
-// while it waits on a job its own request created cancels that job, as the
-// client's DELETE of an abandoned job would; a cached or coalesced job
-// belongs to other requesters too and is left running.
+// status, it never cancels the shared job). Before waiting on a job the
+// request created, it names the job in a 103 interim response (Location),
+// so a client that gives up mid-wait can DELETE it. A disconnect alone
+// never cancels a job: it may be a drop the client retries, and the
+// retried submission coalesces onto the job still running.
 func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, j *Job, cached bool, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrClosed):
@@ -278,19 +280,17 @@ func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, j *Job
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	if d, ok := s.waitParam(r); ok {
-		waitCtx, cancel := context.WithTimeout(r.Context(), d)
-		werr := j.Wait(waitCtx)
-		cancel()
-		if werr != nil && r.Context().Err() != nil && !cached {
-			s.logf("job %s cancelled: its waiting submitter went away", j.ID)
-			j.Cancel()
-			return
+		if !cached {
+			w.WriteHeader(http.StatusEarlyHints)
 		}
+		waitCtx, cancel := context.WithTimeout(r.Context(), d)
+		_ = j.Wait(waitCtx)
+		cancel()
 	}
 	st := j.Status()
 	st.Cached = cached
-	w.Header().Set("Location", "/v1/jobs/"+j.ID)
 	code := http.StatusAccepted
 	if st.State.Terminal() {
 		code = http.StatusOK

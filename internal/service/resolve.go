@@ -30,24 +30,23 @@ type YieldSpec struct {
 	Tran     *TranSpec `json:"tran,omitempty"`
 }
 
-// ResolveYield resolves a yield request into its spec, the scenario's
-// shared problem instance for the resolved transient window (see
-// sharedProblem) and the sampler. Omitted fields take the scenario's
+// ResolveYield resolves a yield request into its spec, the problem
+// instance to evaluate it on and the sampler. At the scenario's built-in
+// transient window the instance is the scenario's shared one (see
+// sharedProblem); a window override gets a fresh instance configured to
+// it. Omitted fields take the scenario's
 // defaults: seed 1, the reference sample count, PMC, the reference design
 // and the built-in transient window. It rejects an unknown scenario or
 // sampler, a design of the wrong length and an invalid transient override.
-// Resolving a resolved spec returns it unchanged. The problem is shared
-// with every other resolution of the same scenario and window, so callers
-// evaluate it and never configure it.
+// Resolving a resolved spec returns it unchanged. The shared problem
+// serves every other resolution of its scenario too, so callers evaluate
+// the problem and never configure it.
 func ResolveYield(req YieldRequest) (YieldSpec, problem.Problem, sample.Sampler, error) {
 	sc, err := scenario.Get(req.Scenario)
 	if err != nil {
 		return YieldSpec{}, nil, nil, err
 	}
-	p, err := sharedProblem(sc, nil)
-	if err != nil {
-		return YieldSpec{}, nil, nil, err
-	}
+	p := sharedProblem(sc)
 	spec := YieldSpec{Scenario: req.Scenario, N: req.N, Seed: 1, Sampler: req.Sampler}
 	if req.Seed != nil {
 		spec.Seed = *req.Seed
@@ -79,64 +78,40 @@ func ResolveYield(req YieldRequest) (YieldSpec, problem.Problem, sample.Sampler,
 		return YieldSpec{}, nil, nil, err
 	}
 	if changed {
-		if p, err = sharedProblem(sc, spec.Tran); err != nil {
+		// A window override is the request's own: it configures a fresh
+		// instance, never the shared one.
+		// tranWindow only reports a change on a transient scenario.
+		p = sc.New()
+		if err := p.(tranProblem).SetTranWindow(spec.Tran.TStop, spec.Tran.Step, spec.Tran.Mode == "fixed"); err != nil {
 			return YieldSpec{}, nil, nil, err
 		}
 	}
 	return spec, p, smp, nil
 }
 
-// maxSharedProblems bounds the shared problem instances: one per scenario
-// at its built-in window, with room for a few transient overrides.
-const maxSharedProblems = 16
-
-// shared holds the problem instances resolution hands out, one per
-// (scenario, transient window), so the jobs, shards and chunks of one
-// process evaluate one instance and a spice scenario's store of compiled
-// testbenches serves them all. Problem evaluation is deterministic and safe
-// for concurrent use, so which instance evaluates a spec never shows in the
+// shared holds the problem instances resolution hands out at the
+// scenarios' built-in transient windows, one per registered scenario, so
+// the jobs, shards and chunks of one process evaluate one instance and a
+// spice scenario's store of compiled testbenches serves them all. The
+// registry bounds it. Problem evaluation is deterministic and safe for
+// concurrent use, so which instance evaluates a spec never shows in the
 // result.
 var shared = struct {
 	sync.Mutex
-	m map[sharedKey]problem.Problem
-}{m: map[sharedKey]problem.Problem{}}
+	m map[string]problem.Problem
+}{m: map[string]problem.Problem{}}
 
-// sharedKey names a shared instance: the scenario and, for an instance
-// configured away from the scenario's built-in window, that window.
-type sharedKey struct {
-	scenario string
-	tran     TranSpec
-}
-
-// sharedProblem returns the shared instance of sc, configured to the
-// transient window tran (nil: the built-in window), building it on first
-// use. Past maxSharedProblems an arbitrary instance is dropped; a later
-// resolution builds it again.
-func sharedProblem(sc scenario.Scenario, tran *TranSpec) (problem.Problem, error) {
-	key := sharedKey{scenario: sc.Name}
-	if tran != nil {
-		key.tran = *tran
-	}
+// sharedProblem returns the shared instance of sc, building it on first
+// use.
+func sharedProblem(sc scenario.Scenario) problem.Problem {
 	shared.Lock()
 	defer shared.Unlock()
-	if p, ok := shared.m[key]; ok {
-		return p, nil
+	p, ok := shared.m[sc.Name]
+	if !ok {
+		p = sc.New()
+		shared.m[sc.Name] = p
 	}
-	p := sc.New()
-	if tran != nil {
-		// tranWindow only reports a change on a transient scenario.
-		if err := p.(tranProblem).SetTranWindow(tran.TStop, tran.Step, tran.Mode == "fixed"); err != nil {
-			return nil, err
-		}
-	}
-	if len(shared.m) >= maxSharedProblems {
-		for k := range shared.m {
-			delete(shared.m, k)
-			break
-		}
-	}
-	shared.m[key] = p
-	return p, nil
+	return p
 }
 
 // instantiate materializes the spec's problem instance and sampler through

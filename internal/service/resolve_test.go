@@ -200,9 +200,9 @@ func TestServedYieldsShareTestbenches(t *testing.T) {
 }
 
 // TestResolveYieldSharesInstances: resolution hands out one instance per
-// (scenario, transient window). A request that spells out the built-in
-// window shares the default instance; an override gets its own, configured
-// to it, and leaves the default instance's window alone.
+// scenario at its built-in transient window. A request that spells out the
+// built-in window shares it; an override gets a fresh instance of its own,
+// configured to it, and leaves the shared instance's window alone.
 func TestResolveYieldSharesInstances(t *testing.T) {
 	resolve := func(req YieldRequest) any {
 		t.Helper()
@@ -231,8 +231,8 @@ func TestResolveYieldSharesInstances(t *testing.T) {
 	if got, _, _ := base.(tranProblem).TranWindow(); got != tstop {
 		t.Errorf("the default instance's window moved to %g", got)
 	}
-	if again := resolve(YieldRequest{Scenario: scen, Tran: &TranSpec{TStop: tstop / 2, Step: step}}); again != short {
-		t.Error("one override resolved to two instances")
+	if again := resolve(YieldRequest{Scenario: scen, Tran: &TranSpec{TStop: tstop / 2, Step: step}}); again == short {
+		t.Error("two override resolutions share one instance: an override must not configure an instance another request holds")
 	}
 	if _, _, _, err := ResolveYield(YieldRequest{Scenario: scen, Tran: &TranSpec{TStop: step / 2}}); err == nil {
 		t.Error("a window shorter than its step was accepted")

@@ -661,10 +661,7 @@ func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
 	key := optimizeKey(req)
 	run := func(ctx context.Context, j *Job) error {
 		start := time.Now()
-		p, err := sharedProblem(scenario.MustGet(req.Scenario), nil) // ResolveOptimize checked the name
-		if err != nil {
-			return err
-		}
+		p := sharedProblem(scenario.MustGet(req.Scenario)) // ResolveOptimize checked the name
 		// The run owns a private counter: Result.TotalSims (and the
 		// streamed CumSims) must count only this optimization, exactly
 		// as the local CLI reports it — the shared server counter would

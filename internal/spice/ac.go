@@ -326,8 +326,8 @@ func (e *Engine) sweep(ops []*OPResult, freqs []float64, lo, hi int, stop, own b
 			if !stop {
 				continue
 			}
-			ge1, below := measure.UnitySide(h[fi])
-			if fi > 0 && ac.ge1[l] && below {
+			falls, ge1 := measure.FallsThroughUnity(fi > 0 && ac.ge1[l], h[fi])
+			if falls {
 				out[l] = h[:fi+1]
 				st[l].live = false
 				nLive--

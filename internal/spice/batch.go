@@ -3,6 +3,7 @@ package spice
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/eda-go/moheco/internal/linalg/sparse"
 )
@@ -107,6 +108,18 @@ func (e *Engine) scratchFor(k int) *scratch {
 	bs.vals = bs.A.Values()
 	e.scratch = append(e.scratch, bs)
 	return bs
+}
+
+// TrimScratch frees the solve scratch of every group width other than the
+// engine's lane count and one lane — the storage short batches left
+// behind. Batch results of a freed width are gone; one-lane results are
+// copies and stay valid. An engine that lives across many callers' batches
+// calls it between batches, so that what it keeps is the storage of its
+// steady state, not of every width it has ever run.
+func (e *Engine) TrimScratch() {
+	e.scratch = slices.DeleteFunc(e.scratch, func(bs *scratch) bool {
+		return bs.k != e.lanes && bs.k != 1
+	})
 }
 
 // newton is the Newton loop. It iterates every active lane whose last run

@@ -334,3 +334,54 @@ func TestOneLaneResultsOutliveBatches(t *testing.T) {
 		t.Error("a TransientOpts result changed under later calls on its engine")
 	}
 }
+
+// TrimScratch keeps the scratch of the engine's lane count and of one lane
+// and frees every other width's; the engine solves on after it, bit for bit
+// as before, reallocating a freed width on demand.
+func TestTrimScratchKeepsLaneCountAndOneLane(t *testing.T) {
+	ckt := solverTestbench()
+	rl := findR(t, ckt, "RL")
+	base := rl.R
+	defer func() { rl.R = base }()
+	const k = 4
+	set := func(l int) { rl.R = base * (1.2 + 0.1*float64(l)) }
+	eng, err := New(ckt, Options{Lanes: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(width int) []uint64 {
+		active := make([]bool, width)
+		for l := range active {
+			active[l] = true
+		}
+		ops, errs := eng.DCOperatingPointBatchFrom(nil, active, set)
+		if errs[width-1] != nil {
+			t.Fatal(errs[width-1])
+		}
+		return bitsOf(ops[width-1])
+	}
+	widths := func() []int {
+		var ws []int
+		for _, bs := range eng.scratch {
+			ws = append(ws, bs.k)
+		}
+		slices.Sort(ws)
+		return ws
+	}
+	want := map[int][]uint64{}
+	for _, w := range []int{k, 1, 2, 3} {
+		want[w] = solve(w)
+	}
+	if got := widths(); !slices.Equal(got, []int{1, 2, 3, k}) {
+		t.Fatalf("scratch widths %v before the trim, want [1 2 3 %d]", got, k)
+	}
+	eng.TrimScratch()
+	if got := widths(); !slices.Equal(got, []int{1, k}) {
+		t.Fatalf("scratch widths %v after the trim, want [1 %d]", got, k)
+	}
+	for _, w := range []int{3, k, 1, 2} {
+		if got := solve(w); !slices.Equal(got, want[w]) {
+			t.Fatalf("width %d solves to other bits after the trim", w)
+		}
+	}
+}

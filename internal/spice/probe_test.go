@@ -137,11 +137,14 @@ func TestProbedSweepsMatchFullPrefix(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := len(col)
-			for i := 1; stop && i < len(col); i++ {
-				if measure.FallsThroughUnity(col[i-1], col[i]) {
+			prevAtLeast := false
+			for i := 0; stop && i < len(col); i++ {
+				falls, atLeast := measure.FallsThroughUnity(prevAtLeast, col[i])
+				if falls {
 					m = i + 1
 					break
 				}
+				prevAtLeast = atLeast
 			}
 			if !samePhasors(hs[l], col[:m]) || !samePhasors(sh, col[:m]) {
 				t.Fatalf("lane %d stop=%v: probe lengths %d (lockstep) / %d (scalar), want the %d-point prefix bit for bit",
