@@ -54,10 +54,34 @@ func clampMin(v, lo float64) float64 {
 // &cards[i] there, so neither leaves the stack: storing the pointer through
 // a helper struct instead moves the whole array to the heap.
 func perturbCard(dst *mos.Params, space *variation.Space, inter *variation.Inter, xi []float64, slot int, areaUm2 float64) {
-	d := space.Device(inter, xi, slot, areaUm2)
+	sc := newSlotMismatch(space, slot, areaUm2)
 	name := dst.Name
-	space.Tech.Model(space.Devices[slot].PMOS).ApplyTo(dst, &d)
+	*dst = *sc.model
 	dst.Name = name
+	sc.perturb(dst, inter, xi)
+}
+
+// slotMismatch is the design-only part of one slot's perturbed card: the
+// deck card of the slot's polarity and the slot's intra-die terms at its
+// gate area. A batch evaluator makes one per slot and design, copies the
+// deck card into the slot's card once, and then rewrites only the
+// perturbed fields per sample.
+type slotMismatch struct {
+	model *mos.Params
+	mm    variation.Mismatch
+}
+
+func newSlotMismatch(space *variation.Space, slot int, areaUm2 float64) slotMismatch {
+	return slotMismatch{model: space.Tech.Model(space.Devices[slot].PMOS), mm: space.Mismatch(slot, areaUm2)}
+}
+
+// perturb rewrites card as the slot's card under xi, whose inter-die part
+// is inter. Every field a perturbation leaves alone must already hold the
+// deck card's.
+func (s *slotMismatch) perturb(card *mos.Params, inter *variation.Inter, xi []float64) {
+	var d mos.Perturb
+	s.mm.Apply(&d, inter, xi)
+	s.model.ApplyFields(card, &d)
 }
 
 // slotCardName labels the private perturbed card of a variation slot in a

@@ -147,13 +147,34 @@ func (p *FoldedCascode) ReferenceDesign() []float64 {
 }
 
 // Evaluate implements problem.Problem. The returned vector is aligned with
-// Specs(): [A0 dB, GBW Hz, PM deg, OS V, power W, satmargin V].
+// Specs(): [A0 dB, GBW Hz, PM deg, OS V, power W, satmargin V]. It is
+// EvaluateBatch's path for one sample.
 func (p *FoldedCascode) Evaluate(x, xi []float64) ([]float64, error) {
+	var perf [1][]float64
+	var err [1]error
+	p.evaluate(x, [][]float64{xi}, perf[:], err[:])
+	return perf[0], err[0]
+}
+
+// EvaluateBatch implements problem.BatchEvaluator. The design-only work —
+// slot geometry, the Pelgrom factors of each slot's gate area and the
+// nominal bias set points — runs once per batch; each sample rewrites the
+// perturbed cards in place. Every sample gets Evaluate's bits.
+func (p *FoldedCascode) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
+	perfs, errs := make([][]float64, len(xis)), make([]error, len(xis))
+	p.evaluate(x, xis, perfs, errs)
+	return perfs, errs
+}
+
+// evaluate writes the performances of x under each xis[s] to perfs[s], or
+// the sample's error to errs[s].
+func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64, errs []error) {
 	if len(x) != p.Dim() {
-		return nil, fmt.Errorf("folded-cascode: design has %d variables, want %d", len(x), p.Dim())
-	}
-	if err := p.space.CheckVector(xi); err != nil {
-		return nil, err
+		err := fmt.Errorf("folded-cascode: design has %d variables, want %d", len(x), p.Dim())
+		for s := range errs {
+			errs[s] = err
+		}
+		return
 	}
 	vdd := p.tech.VDD
 
@@ -175,7 +196,8 @@ func (p *FoldedCascode) Evaluate(x, xi []float64) ([]float64, error) {
 	k := mirrorRatio
 
 	// Perturbed devices for all 15 slots, W and L per slot. Cards and
-	// devices stay in this frame; xi's inter-die part is computed once.
+	// devices stay in this frame; each card starts as its deck card and
+	// each sample rewrites its perturbed fields.
 	geom := [fcNumDevices][2]float64{
 		fcTail: {w0, lcs}, fcInL: {w1, l1}, fcInR: {w1, l1},
 		fcNSinkL: {w3, lcs}, fcNSinkR: {w3, lcs},
@@ -185,11 +207,12 @@ func (p *FoldedCascode) Evaluate(x, xi []float64) ([]float64, error) {
 		fcBiasP: {w9 / k, lcs}, fcBiasN: {w3 / k, lcs},
 		fcBiasNC: {w5 / k, lcas}, fcBiasPC: {w7 / k, lcas},
 	}
+	var slots [fcNumDevices]slotMismatch
 	var cards [fcNumDevices]mos.Params
 	var devs [fcNumDevices]mos.Device
-	inter := p.space.Inter(xi)
 	for i, g := range geom {
-		perturbCard(&cards[i], p.space, &inter, xi, i, g[0]*g[1]*1e12)
+		slots[i] = newSlotMismatch(p.space, i, g[0]*g[1]*1e12)
+		cards[i] = *slots[i].model
 		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
 	}
 	tail := &devs[fcTail]
@@ -205,139 +228,151 @@ func (p *FoldedCascode) Evaluate(x, xi []float64) ([]float64, error) {
 	// the shared deck cards.
 	nskNom := mos.Device{Params: p.tech.Model(false), W: w3, L: lcs, M: 1}
 	psrNom := mos.Device{Params: p.tech.Model(true), W: w9, L: lcs, M: 1}
-
-	// --- Bias chain and currents ---
-	// PMOS gate line: diode B1 at IC/k sets Vsg for sources and tail.
-	vsdSrcEst := psrL.VDsatForID(ic) + p.msBias
-	i9L := mirror(biasP, psrL, ic/k, vsdSrcEst)
-	i9R := mirror(biasP, psrR, ic/k, vsdSrcEst)
-	itAct := mirror(biasP, tail, ic/k, tail.VDsatForID(it)+p.msBias)
-	i9L = clampMin(i9L, 1e-7)
-	i9R = clampMin(i9R, 1e-7)
-	itAct = clampMin(itAct, 1e-7)
-
-	// NMOS sink gate line: diode B2 at IS/k.
-	vfoldEst := nskL.VDsatForID(is) + p.msBias
-	i3L := clampMin(mirror(biasN, nskL, is/k, vfoldEst), 1e-7)
-	i3R := clampMin(mirror(biasN, nskR, is/k, vfoldEst), 1e-7)
-
-	// CMFB: the sinks must absorb the input-pair and source currents.
-	// The loop shifts the common sink-gate line by dV; the per-side residual
-	// becomes a differential output offset.
-	i3NeedL := itAct/2 + i9L
-	i3NeedR := itAct/2 + i9R
-	gm3 := nskL.GmAt((i3L + i3R) / 2)
-	dVcmfb := 0.0
-	if gm3 > 0 {
-		dVcmfb = ((i3NeedL + i3NeedR) - (i3L + i3R)) / 2 / gm3
-	}
-	// Residual differential current after the common correction.
-	resL := i3NeedL - (i3L + gm3*dVcmfb)
-	resR := i3NeedR - (i3R + gm3*dVcmfb)
-
-	// Branch (cascode) currents per side.
-	icL := clampMin(i9L, 1e-7)
-	icR := clampMin(i9R, 1e-7)
-
-	// --- Small-signal per side, then averaged ---
-	type side struct {
-		gm1, rout float64
-		vsgIn     float64
-		vov1      float64
-	}
-	mkSide := func(in, nsk, ncs, pcs, psr *mos.Device, idIn, idSink, idCas float64) side {
-		gm1 := gmDegenerated(in, in.GmAt(idIn))
-		ro1 := in.RoAt(idIn)
-		ro3 := nsk.RoAt(idSink)
-		ro5 := ncs.RoAt(idCas)
-		ro7 := pcs.RoAt(idCas)
-		ro9 := psr.RoAt(idCas)
-		gm5 := ncs.GmAt(idCas)
-		gm7 := pcs.GmAt(idCas)
-		rDown := gm5 * ro5 * par(ro3, ro1)
-		rUp := gm7 * ro7 * ro9
-		return side{
-			gm1:   gm1,
-			rout:  par(rDown, rUp),
-			vsgIn: in.VgsForID(idIn, 0),
-			vov1:  in.VDsatForID(idIn),
-		}
-	}
-	idInL, idInR := itAct/2, itAct/2
-	sL := mkSide(inL, nskL, ncsL, pcsL, psrL, idInL, i3NeedL, icL)
-	sR := mkSide(inR, nskR, ncsR, pcsR, psrR, idInR, i3NeedR, icR)
-	gm1 := (sL.gm1 + sR.gm1) / 2
-	rout := (sL.rout + sR.rout) / 2
-	a0 := gm1 * rout
-	a0dB := 20 * math.Log10(clampMin(a0, 1e-12))
-
-	// The differential residual current becomes input-referred offset; the
-	// measurement testbench servos the input so the output DC stays centred
-	// (as in an HSPICE MC deck). Example 1 has no offset spec, so the
-	// residual only matters through the CMFB range margin below.
-	_ = resL
-	_ = resR
-
-	// --- Poles and capacitances ---
-	capsIn := satCaps(inL, idInL)
-	capsNsk := satCaps(nskL, i3NeedL)
-	capsNcs := satCaps(ncsL, icL)
-	capsPcs := satCaps(pcsL, icL)
-	capsPsr := satCaps(psrL, icL)
-	cFold := capsNcs.Cgs + capsNcs.Csb + capsIn.Cdb + capsIn.Cgd + capsNsk.Cdb + capsNsk.Cgd
-	cTop := capsPcs.Cgs + capsPcs.Csb + capsPsr.Cdb + capsPsr.Cgd
-	cOut := p.CL + capsNcs.Cdb + capsNcs.Cgd + capsPcs.Cdb + capsPcs.Cgd
-	gbw := gm1 / (2 * math.Pi * cOut)
-	gm5 := ncsL.GmAt(icL)
-	gm7 := pcsL.GmAt(icL)
-	p2 := gm5 / (2 * math.Pi * clampMin(cFold, 1e-18))
-	p3 := gm7 / (2 * math.Pi * clampMin(cTop, 1e-18))
-	pm := 90 - atanDeg(gbw/p2) - atanDeg(gbw/p3)
-
-	// --- Node voltages and saturation margins ---
-	// Cascode gate biases track the nominal set points plus the bias
-	// devices' own variations.
 	vdsat3Nom := nskNom.VDsatForID(is)
 	vdsat9Nom := psrNom.VDsatForID(ic)
-	vbnc := vdsat3Nom + p.msBias + biasNC.VgsForID(ic/k, 0)
-	vbpc := vdd - vdsat9Nom - p.msBias - biasPC.VgsForID(ic/k, 0)
 
-	margins := make([]float64, 0, 17)
-	checkSide := func(s side, in, nsk, ncs, pcs, psr *mos.Device, i3eff, icas float64) {
-		vfold := vbnc - ncs.VgsForID(icas, 0)
-		vx := vbpc + pcs.VgsForID(icas, 0)
-		vsPair := p.VcmIn + s.vsgIn
-		vout := vdd / 2
-		margins = append(margins,
-			vdd-vsPair-tail.VDsatForID(itAct),      // tail saturation
-			vsPair-vfold-s.vov1,                    // input device
-			vfold-nsk.VDsatForID(i3eff)-dVcmfb*0.5, // sink (CMFB eats margin)
-			vout-vfold-ncs.VDsatForID(icas),        // NMOS cascode
-			vx-vout-pcs.VDsatForID(icas),           // PMOS cascode
-			vdd-vx-psr.VDsatForID(icas),            // PMOS source
-			vfold-0.02,                             // fold node above ground
-			vdd-0.02-vx,                            // top node below supply
-		)
+	var inter variation.Inter
+	for s, xi := range xis {
+		if err := p.space.CheckVector(xi); err != nil {
+			errs[s] = err
+			continue
+		}
+		p.space.SetInter(&inter, xi)
+		for i := range slots {
+			slots[i].perturb(&cards[i], &inter, xi)
+		}
+
+		// --- Bias chain and currents ---
+		// PMOS gate line: diode B1 at IC/k sets Vsg for sources and tail.
+		vsdSrcEst := psrL.VDsatForID(ic) + p.msBias
+		i9L := mirror(biasP, psrL, ic/k, vsdSrcEst)
+		i9R := mirror(biasP, psrR, ic/k, vsdSrcEst)
+		itAct := mirror(biasP, tail, ic/k, tail.VDsatForID(it)+p.msBias)
+		i9L = clampMin(i9L, 1e-7)
+		i9R = clampMin(i9R, 1e-7)
+		itAct = clampMin(itAct, 1e-7)
+
+		// NMOS sink gate line: diode B2 at IS/k.
+		vfoldEst := nskL.VDsatForID(is) + p.msBias
+		i3L := clampMin(mirror(biasN, nskL, is/k, vfoldEst), 1e-7)
+		i3R := clampMin(mirror(biasN, nskR, is/k, vfoldEst), 1e-7)
+
+		// CMFB: the sinks must absorb the input-pair and source currents.
+		// The loop shifts the common sink-gate line by dV; the per-side residual
+		// becomes a differential output offset.
+		i3NeedL := itAct/2 + i9L
+		i3NeedR := itAct/2 + i9R
+		gm3 := nskL.GmAt((i3L + i3R) / 2)
+		dVcmfb := 0.0
+		if gm3 > 0 {
+			dVcmfb = ((i3NeedL + i3NeedR) - (i3L + i3R)) / 2 / gm3
+		}
+		// Residual differential current after the common correction.
+		resL := i3NeedL - (i3L + gm3*dVcmfb)
+		resR := i3NeedR - (i3R + gm3*dVcmfb)
+
+		// Branch (cascode) currents per side.
+		icL := clampMin(i9L, 1e-7)
+		icR := clampMin(i9R, 1e-7)
+
+		// --- Small-signal per side, then averaged ---
+		type side struct {
+			gm1, rout float64
+			vsgIn     float64
+			vov1      float64
+		}
+		mkSide := func(in, nsk, ncs, pcs, psr *mos.Device, idIn, idSink, idCas float64) side {
+			gm1 := gmDegenerated(in, in.GmAt(idIn))
+			ro1 := in.RoAt(idIn)
+			ro3 := nsk.RoAt(idSink)
+			ro5 := ncs.RoAt(idCas)
+			ro7 := pcs.RoAt(idCas)
+			ro9 := psr.RoAt(idCas)
+			gm5 := ncs.GmAt(idCas)
+			gm7 := pcs.GmAt(idCas)
+			rDown := gm5 * ro5 * par(ro3, ro1)
+			rUp := gm7 * ro7 * ro9
+			return side{
+				gm1:   gm1,
+				rout:  par(rDown, rUp),
+				vsgIn: in.VgsForID(idIn, 0),
+				vov1:  in.VDsatForID(idIn),
+			}
+		}
+		idInL, idInR := itAct/2, itAct/2
+		sL := mkSide(inL, nskL, ncsL, pcsL, psrL, idInL, i3NeedL, icL)
+		sR := mkSide(inR, nskR, ncsR, pcsR, psrR, idInR, i3NeedR, icR)
+		gm1 := (sL.gm1 + sR.gm1) / 2
+		rout := (sL.rout + sR.rout) / 2
+		a0 := gm1 * rout
+		a0dB := 20 * math.Log10(clampMin(a0, 1e-12))
+
+		// The differential residual current becomes input-referred offset; the
+		// measurement testbench servos the input so the output DC stays centred
+		// (as in an HSPICE MC deck). Example 1 has no offset spec, so the
+		// residual only matters through the CMFB range margin below.
+		_ = resL
+		_ = resR
+
+		// --- Poles and capacitances ---
+		capsIn := satCaps(inL, idInL)
+		capsNsk := satCaps(nskL, i3NeedL)
+		capsNcs := satCaps(ncsL, icL)
+		capsPcs := satCaps(pcsL, icL)
+		capsPsr := satCaps(psrL, icL)
+		cFold := capsNcs.Cgs + capsNcs.Csb + capsIn.Cdb + capsIn.Cgd + capsNsk.Cdb + capsNsk.Cgd
+		cTop := capsPcs.Cgs + capsPcs.Csb + capsPsr.Cdb + capsPsr.Cgd
+		cOut := p.CL + capsNcs.Cdb + capsNcs.Cgd + capsPcs.Cdb + capsPcs.Cgd
+		gbw := gm1 / (2 * math.Pi * cOut)
+		gm5 := ncsL.GmAt(icL)
+		gm7 := pcsL.GmAt(icL)
+		p2 := gm5 / (2 * math.Pi * clampMin(cFold, 1e-18))
+		p3 := gm7 / (2 * math.Pi * clampMin(cTop, 1e-18))
+		pm := 90 - atanDeg(gbw/p2) - atanDeg(gbw/p3)
+
+		// --- Node voltages and saturation margins ---
+		// Cascode gate biases track the nominal set points plus the bias
+		// devices' own variations.
+		vbnc := vdsat3Nom + p.msBias + biasNC.VgsForID(ic/k, 0)
+		vbpc := vdd - vdsat9Nom - p.msBias - biasPC.VgsForID(ic/k, 0)
+
+		margins := make([]float64, 0, 17)
+		checkSide := func(s side, in, nsk, ncs, pcs, psr *mos.Device, i3eff, icas float64) {
+			vfold := vbnc - ncs.VgsForID(icas, 0)
+			vx := vbpc + pcs.VgsForID(icas, 0)
+			vsPair := p.VcmIn + s.vsgIn
+			vout := vdd / 2
+			margins = append(margins,
+				vdd-vsPair-tail.VDsatForID(itAct),      // tail saturation
+				vsPair-vfold-s.vov1,                    // input device
+				vfold-nsk.VDsatForID(i3eff)-dVcmfb*0.5, // sink (CMFB eats margin)
+				vout-vfold-ncs.VDsatForID(icas),        // NMOS cascode
+				vx-vout-pcs.VDsatForID(icas),           // PMOS cascode
+				vdd-vx-psr.VDsatForID(icas),            // PMOS source
+				vfold-0.02,                             // fold node above ground
+				vdd-0.02-vx,                            // top node below supply
+			)
+		}
+		checkSide(sL, inL, nskL, ncsL, pcsL, psrL, i3NeedL, icL)
+		checkSide(sR, inR, nskR, ncsR, pcsR, psrR, i3NeedR, icR)
+		margins = append(margins, p.cmfbRange-math.Abs(dVcmfb))
+		satMargin := minOf(margins...)
+
+		// --- Swing ---
+		vdsat3w := math.Max(nskL.VDsatForID(i3NeedL), nskR.VDsatForID(i3NeedR))
+		vdsat5w := math.Max(ncsL.VDsatForID(icL), ncsR.VDsatForID(icR))
+		vdsat7w := math.Max(pcsL.VDsatForID(icL), pcsR.VDsatForID(icR))
+		vdsat9w := math.Max(psrL.VDsatForID(icL), psrR.VDsatForID(icR))
+		vmax := vdd - vdsat9w - vdsat7w - p.msSwing
+		vmin := vdsat3w + vdsat5w + p.msSwing
+		os := 2 * (vmax - vmin)
+
+		// --- Power ---
+		biasCurrent := (3*ic + is) / k
+		power := vdd * (itAct + i9L + i9R + biasCurrent)
+
+		perfs[s] = []float64{a0dB, gbw, pm, os, power, satMargin}
 	}
-	checkSide(sL, inL, nskL, ncsL, pcsL, psrL, i3NeedL, icL)
-	checkSide(sR, inR, nskR, ncsR, pcsR, psrR, i3NeedR, icR)
-	margins = append(margins, p.cmfbRange-math.Abs(dVcmfb))
-	satMargin := minOf(margins...)
-
-	// --- Swing ---
-	vdsat3w := math.Max(nskL.VDsatForID(i3NeedL), nskR.VDsatForID(i3NeedR))
-	vdsat5w := math.Max(ncsL.VDsatForID(icL), ncsR.VDsatForID(icR))
-	vdsat7w := math.Max(pcsL.VDsatForID(icL), pcsR.VDsatForID(icR))
-	vdsat9w := math.Max(psrL.VDsatForID(icL), psrR.VDsatForID(icR))
-	vmax := vdd - vdsat9w - vdsat7w - p.msSwing
-	vmin := vdsat3w + vdsat5w + p.msSwing
-	os := 2 * (vmax - vmin)
-
-	// --- Power ---
-	biasCurrent := (3*ic + is) / k
-	power := vdd * (itAct + i9L + i9R + biasCurrent)
-
-	return []float64{a0dB, gbw, pm, os, power, satMargin}, nil
 }
 
-var _ problem.Problem = (*FoldedCascode)(nil)
+var _ problem.BatchEvaluator = (*FoldedCascode)(nil)

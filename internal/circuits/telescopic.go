@@ -157,12 +157,33 @@ func (p *Telescopic) ReferenceDesign() []float64 {
 
 // Evaluate implements problem.Problem. Output aligned with Specs():
 // [A0 dB, GBW Hz, PM deg, OS V, power W, area µm², offset V, satmargin V].
+// It is EvaluateBatch's path for one sample.
 func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
+	var perf [1][]float64
+	var err [1]error
+	p.evaluate(x, [][]float64{xi}, perf[:], err[:])
+	return perf[0], err[0]
+}
+
+// EvaluateBatch implements problem.BatchEvaluator. The design-only work —
+// slot geometry, the Pelgrom factors of each slot's gate area, the nominal
+// bias set points and the area — runs once per batch; each sample rewrites
+// the perturbed cards in place. Every sample gets Evaluate's bits.
+func (p *Telescopic) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
+	perfs, errs := make([][]float64, len(xis)), make([]error, len(xis))
+	p.evaluate(x, xis, perfs, errs)
+	return perfs, errs
+}
+
+// evaluate writes the performances of x under each xis[s] to perfs[s], or
+// the sample's error to errs[s].
+func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, errs []error) {
 	if len(x) != p.Dim() {
-		return nil, fmt.Errorf("telescopic: design has %d variables, want %d", len(x), p.Dim())
-	}
-	if err := p.space.CheckVector(xi); err != nil {
-		return nil, err
+		err := fmt.Errorf("telescopic: design has %d variables, want %d", len(x), p.Dim())
+		for s := range errs {
+			errs[s] = err
+		}
+		return
 	}
 	vdd := p.tech.VDD
 
@@ -187,7 +208,8 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 	wCmfb := clampMin(w11/4, 1e-6)
 
 	// Perturbed devices for all 19 slots, W and L per slot. Cards and
-	// devices stay in this frame; xi's inter-die part is computed once.
+	// devices stay in this frame; each card starts as its deck card and
+	// each sample rewrites its perturbed fields.
 	geom := [tsNumDevices][2]float64{
 		tsTail: {w0, lout}, tsInL: {w1, l1}, tsInR: {w1, l1},
 		tsNCasL: {w3, l1s}, tsNCasR: {w3, l1s},
@@ -199,11 +221,12 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 		tsBiasN: {w11 / k, lout}, tsBiasPL: {w7 / k, l1s},
 		tsBiasPC: {w5 / k, l1s}, tsBiasNC: {w3 / k, l1s},
 	}
+	var slots [tsNumDevices]slotMismatch
 	var cards [tsNumDevices]mos.Params
 	var devs [tsNumDevices]mos.Device
-	inter := p.space.Inter(xi)
 	for i, g := range geom {
-		perturbCard(&cards[i], p.space, &inter, xi, i, g[0]*g[1]*1e12)
+		slots[i] = newSlotMismatch(p.space, i, g[0]*g[1]*1e12)
+		cards[i] = *slots[i].model
 		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
 	}
 	tail, inL := &devs[tsTail], &devs[tsInL]
@@ -222,104 +245,12 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 	pldNom := mos.Device{Params: pch, W: w7, L: l1s, M: 1}
 	drvNom := mos.Device{Params: pch, W: w9, L: lout, M: 1}
 
-	// --- Currents ---
-	// NMOS gate line from B1 at I2/k: sinks mirror I2, tail mirrors IT.
-	i11L := clampMin(mirror(biasN, snkL, i2/k, vdd/2), 1e-7)
-	i11R := clampMin(mirror(biasN, snkR, i2/k, vdd/2), 1e-7)
-	itAct := clampMin(mirror(biasN, tail, i2/k, tail.VDsatForID(it)+p.msBias), 1e-7)
-	// PMOS loads from B2 at IH/k.
-	vsdLoadEst := pldL.VDsatForID(ih) + p.msBias
-	i7L := clampMin(mirror(biasPL, pldL, ih/k, vsdLoadEst), 1e-7)
-	i7R := clampMin(mirror(biasPL, pldR, ih/k, vsdLoadEst), 1e-7)
-	// Stage-1 branch currents: the cascode branch conducts what the load
-	// sources; the CMFB loop absorbs the difference against the input pair.
-	ihL := clampMin((i7L+itAct/2)/2, 1e-7)
-	ihR := clampMin((i7R+itAct/2)/2, 1e-7)
-	cmfbNeed := math.Abs(i7L+i7R-itAct) / clampMin(pldL.GmAt(ih), 1e-9)
-
-	// --- Stage-1 small signal ---
-	gm1 := gmDegenerated(inL, inL.GmAt(ihL))
-	ro1 := inL.RoAt(ihL)
-	ro3 := ncsL.RoAt(ihL)
-	ro5 := pcsL.RoAt(ihL)
-	ro7 := pldL.RoAt(ihL)
-	gm3 := ncsL.GmAt(ihL)
-	gm5 := pcsL.GmAt(ihL)
-	r1 := par(gm3*ro3*ro1, gm5*ro5*ro7)
-	a1 := gm1 * r1
-
-	// --- Stage-2 small signal ---
-	i2L, i2R := i11L, i11R // CM loop equalizes driver and sink currents
-	gm9 := drvL.GmAt(i2L)
-	r2 := par(drvL.RoAt(i2L), snkL.RoAt(i2L))
-	a2 := gm9 * r2
-	a0 := a1 * a2
-	a0dB := 20 * math.Log10(clampMin(a0, 1e-12))
-
-	// --- Poles ---
-	capsIn := satCaps(inL, ihL)
-	capsNcs := satCaps(ncsL, ihL)
-	capsPcs := satCaps(pcsL, ihL)
-	capsDrv := satCaps(drvL, i2L)
-	capsSnk := satCaps(snkL, i2L)
-	c1 := capsDrv.Cgs + capsNcs.Cdb + capsNcs.Cgd + capsPcs.Cdb + capsPcs.Cgd
-	c2 := p.CL + capsDrv.Cdb + capsSnk.Cdb + capsSnk.Cgd
-	gbw := gm1 / (2 * math.Pi * cc)
-	den := c1*c2 + cc*(c1+c2)
-	p2 := gm9 * cc / (2 * math.Pi * clampMin(den, 1e-30))
-	cA := capsNcs.Cgs + capsNcs.Csb + capsIn.Cdb + capsIn.Cgd
-	p3 := gm3 / (2 * math.Pi * clampMin(cA, 1e-18))
-	pm := 90 - atanDeg(gbw/p2) - atanDeg(gbw/p3)
-
-	// --- Node voltages and saturation margins ---
 	vov0Nom := tailNom.VDsatForID(it)
 	vov1Nom := inNom.VDsatForID(ih)
 	vov7Nom := pldNom.VDsatForID(ih)
 	vtailNom := vov0Nom + p.msBias
-	// Input common mode fixes Vtail through the input Vgs.
-	vtail := vtailNom + (inNom.VgsForID(ih, 0) - inL.VgsForID(ihL, 0))
-	// NMOS cascode gate bias from B4.
-	vbnc := vtailNom + vov1Nom + p.msBias + biasNC.VgsForID(ih/k, 0)
-	vA := vbnc - ncsL.VgsForID(ihL, 0)
-	// PMOS cascode gate bias from B3.
-	vbpc := vdd - vov7Nom - p.msBias - biasPC.VgsForID(ih/k, 0)
-	vB := vbpc + pcsL.VgsForID(ihL, 0)
-	// Stage-1 output sits one PMOS Vgs below the rail (stage-2 bias).
-	vo1 := vdd - drvL.VgsForID(i2L, 0)
+	vgs1Nom := inNom.VgsForID(ih, 0)
 	vo1Nom := vdd - drvNom.VgsForID(i2, 0)
-
-	margins := make([]float64, 0, 15)
-	margins = append(margins,
-		vtail-tail.VDsatForID(itAct),     // tail
-		vA-vtail-inL.VDsatForID(ihL),     // input pair
-		vo1-vA-ncsL.VDsatForID(ihL),      // NMOS cascode
-		vB-vo1-pcsL.VDsatForID(ihL),      // PMOS cascode
-		vdd-vB-pldL.VDsatForID(ihL),      // PMOS load
-		vdd/2-drvL.VDsatForID(i2L),       // stage-2 driver (Vout=VDD/2)
-		vdd/2-snkL.VDsatForID(i2L),       // stage-2 sink
-		vA-0.02,                          // cascode node above ground
-		vdd-0.02-vB,                      // load node below supply
-		p.cmfbRange-cmfbNeed,             // CMFB range
-		p.cmfbRange-math.Abs(vo1-vo1Nom), // stage-2 bias point drift
-	)
-	// Right side margins (mirror devices differ through mismatch).
-	margins = append(margins,
-		vo1-vA-ncsR.VDsatForID(ihR),
-		vB-vo1-pcsR.VDsatForID(ihR),
-		vdd/2-drvR.VDsatForID(i2R),
-		vdd/2-snkR.VDsatForID(i2R),
-	)
-	satMargin := minOf(margins...)
-
-	// --- Swing (second stage limits) ---
-	vov9w := math.Max(drvL.VDsatForID(i2L), drvR.VDsatForID(i2R))
-	vov11w := math.Max(snkL.VDsatForID(i2L), snkR.VDsatForID(i2R))
-	os := 2 * (vdd - vov9w - vov11w - 2*p.msSwing)
-
-	// --- Power ---
-	icmfb := it / 4
-	biasCurrent := (i2 + 3*ih) / k
-	power := vdd * (itAct + i2L + i2R + icmfb + biasCurrent)
 
 	// --- Area (gate area of all devices + Miller caps, µm²) ---
 	um2 := func(w, l float64) float64 { return w * l * 1e12 }
@@ -329,12 +260,118 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 	ccAreaUm2 := 2 * cc / 30e-15 // two stacked MOM Miller caps at 30 fF/µm²
 	area := active*1.15 + ccAreaUm2
 
-	// --- Offset (systematic residue; see DESIGN.md) ---
-	dI11 := math.Abs(i11L - i11R)
-	dVth9 := math.Abs(drvL.Params.VTH0 - drvR.Params.VTH0)
-	offset := (dI11/clampMin(gm9, 1e-9) + dVth9) / clampMin(a1, 1)
+	var inter variation.Inter
+	for s, xi := range xis {
+		if err := p.space.CheckVector(xi); err != nil {
+			errs[s] = err
+			continue
+		}
+		p.space.SetInter(&inter, xi)
+		for i := range slots {
+			slots[i].perturb(&cards[i], &inter, xi)
+		}
 
-	return []float64{a0dB, gbw, pm, os, power, area, offset, satMargin}, nil
+		// --- Currents ---
+		// NMOS gate line from B1 at I2/k: sinks mirror I2, tail mirrors IT.
+		i11L := clampMin(mirror(biasN, snkL, i2/k, vdd/2), 1e-7)
+		i11R := clampMin(mirror(biasN, snkR, i2/k, vdd/2), 1e-7)
+		itAct := clampMin(mirror(biasN, tail, i2/k, tail.VDsatForID(it)+p.msBias), 1e-7)
+		// PMOS loads from B2 at IH/k.
+		vsdLoadEst := pldL.VDsatForID(ih) + p.msBias
+		i7L := clampMin(mirror(biasPL, pldL, ih/k, vsdLoadEst), 1e-7)
+		i7R := clampMin(mirror(biasPL, pldR, ih/k, vsdLoadEst), 1e-7)
+		// Stage-1 branch currents: the cascode branch conducts what the load
+		// sources; the CMFB loop absorbs the difference against the input pair.
+		ihL := clampMin((i7L+itAct/2)/2, 1e-7)
+		ihR := clampMin((i7R+itAct/2)/2, 1e-7)
+		cmfbNeed := math.Abs(i7L+i7R-itAct) / clampMin(pldL.GmAt(ih), 1e-9)
+
+		// --- Stage-1 small signal ---
+		gm1 := gmDegenerated(inL, inL.GmAt(ihL))
+		ro1 := inL.RoAt(ihL)
+		ro3 := ncsL.RoAt(ihL)
+		ro5 := pcsL.RoAt(ihL)
+		ro7 := pldL.RoAt(ihL)
+		gm3 := ncsL.GmAt(ihL)
+		gm5 := pcsL.GmAt(ihL)
+		r1 := par(gm3*ro3*ro1, gm5*ro5*ro7)
+		a1 := gm1 * r1
+
+		// --- Stage-2 small signal ---
+		i2L, i2R := i11L, i11R // CM loop equalizes driver and sink currents
+		gm9 := drvL.GmAt(i2L)
+		r2 := par(drvL.RoAt(i2L), snkL.RoAt(i2L))
+		a2 := gm9 * r2
+		a0 := a1 * a2
+		a0dB := 20 * math.Log10(clampMin(a0, 1e-12))
+
+		// --- Poles ---
+		capsIn := satCaps(inL, ihL)
+		capsNcs := satCaps(ncsL, ihL)
+		capsPcs := satCaps(pcsL, ihL)
+		capsDrv := satCaps(drvL, i2L)
+		capsSnk := satCaps(snkL, i2L)
+		c1 := capsDrv.Cgs + capsNcs.Cdb + capsNcs.Cgd + capsPcs.Cdb + capsPcs.Cgd
+		c2 := p.CL + capsDrv.Cdb + capsSnk.Cdb + capsSnk.Cgd
+		gbw := gm1 / (2 * math.Pi * cc)
+		den := c1*c2 + cc*(c1+c2)
+		p2 := gm9 * cc / (2 * math.Pi * clampMin(den, 1e-30))
+		cA := capsNcs.Cgs + capsNcs.Csb + capsIn.Cdb + capsIn.Cgd
+		p3 := gm3 / (2 * math.Pi * clampMin(cA, 1e-18))
+		pm := 90 - atanDeg(gbw/p2) - atanDeg(gbw/p3)
+
+		// --- Node voltages and saturation margins ---
+		// Input common mode fixes Vtail through the input Vgs.
+		vtail := vtailNom + (vgs1Nom - inL.VgsForID(ihL, 0))
+		// NMOS cascode gate bias from B4.
+		vbnc := vtailNom + vov1Nom + p.msBias + biasNC.VgsForID(ih/k, 0)
+		vA := vbnc - ncsL.VgsForID(ihL, 0)
+		// PMOS cascode gate bias from B3.
+		vbpc := vdd - vov7Nom - p.msBias - biasPC.VgsForID(ih/k, 0)
+		vB := vbpc + pcsL.VgsForID(ihL, 0)
+		// Stage-1 output sits one PMOS Vgs below the rail (stage-2 bias).
+		vo1 := vdd - drvL.VgsForID(i2L, 0)
+
+		margins := make([]float64, 0, 15)
+		margins = append(margins,
+			vtail-tail.VDsatForID(itAct),     // tail
+			vA-vtail-inL.VDsatForID(ihL),     // input pair
+			vo1-vA-ncsL.VDsatForID(ihL),      // NMOS cascode
+			vB-vo1-pcsL.VDsatForID(ihL),      // PMOS cascode
+			vdd-vB-pldL.VDsatForID(ihL),      // PMOS load
+			vdd/2-drvL.VDsatForID(i2L),       // stage-2 driver (Vout=VDD/2)
+			vdd/2-snkL.VDsatForID(i2L),       // stage-2 sink
+			vA-0.02,                          // cascode node above ground
+			vdd-0.02-vB,                      // load node below supply
+			p.cmfbRange-cmfbNeed,             // CMFB range
+			p.cmfbRange-math.Abs(vo1-vo1Nom), // stage-2 bias point drift
+		)
+		// Right side margins (mirror devices differ through mismatch).
+		margins = append(margins,
+			vo1-vA-ncsR.VDsatForID(ihR),
+			vB-vo1-pcsR.VDsatForID(ihR),
+			vdd/2-drvR.VDsatForID(i2R),
+			vdd/2-snkR.VDsatForID(i2R),
+		)
+		satMargin := minOf(margins...)
+
+		// --- Swing (second stage limits) ---
+		vov9w := math.Max(drvL.VDsatForID(i2L), drvR.VDsatForID(i2R))
+		vov11w := math.Max(snkL.VDsatForID(i2L), snkR.VDsatForID(i2R))
+		os := 2 * (vdd - vov9w - vov11w - 2*p.msSwing)
+
+		// --- Power ---
+		icmfb := it / 4
+		biasCurrent := (i2 + 3*ih) / k
+		power := vdd * (itAct + i2L + i2R + icmfb + biasCurrent)
+
+		// --- Offset (systematic residue; see DESIGN.md) ---
+		dI11 := math.Abs(i11L - i11R)
+		dVth9 := math.Abs(drvL.Params.VTH0 - drvR.Params.VTH0)
+		offset := (dI11/clampMin(gm9, 1e-9) + dVth9) / clampMin(a1, 1)
+
+		perfs[s] = []float64{a0dB, gbw, pm, os, power, area, offset, satMargin}
+	}
 }
 
-var _ problem.Problem = (*Telescopic)(nil)
+var _ problem.BatchEvaluator = (*Telescopic)(nil)

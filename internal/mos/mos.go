@@ -116,20 +116,28 @@ func Nominal() Perturb {
 
 // ApplyTo writes p with the perturbation d folded in to dst. Evaluators
 // keep their perturbed cards in preallocated storage and rewrite them in
-// place per sample, so nothing is copied by value or allocated. dst may be
-// p itself.
+// place per sample, so nothing is allocated. dst may be p itself.
 func (p *Params) ApplyTo(dst *Params, d *Perturb) {
-	tox := p.TOX
 	*dst = *p
-	dst.VTH0 += d.DVth
-	dst.U0 *= d.U0Scale
-	dst.TOX *= d.TOXScale
-	dst.LD += d.DLD
-	dst.WD += d.DWD
-	dst.CJ *= d.CJScale
-	dst.CJSW *= d.CJSWScale
-	dst.RDiff *= d.RDiffScale
-	dst.Gamma *= d.GammaScale
+	p.ApplyFields(dst, d)
+}
+
+// ApplyFields writes the fields of dst that d perturbs, from p's and d's,
+// and leaves the rest: it is ApplyTo for a dst whose other fields already
+// hold p's, as a card copied from p once per design does, so a per-sample
+// rewrite moves only the perturbed fields. dst may be p itself.
+func (p *Params) ApplyFields(dst *Params, d *Perturb) {
+	tox := p.TOX
+	dst.VTH0 = p.VTH0 + d.DVth
+	dst.U0 = p.U0 * d.U0Scale
+	dst.TOX = p.TOX * d.TOXScale
+	dst.LD = p.LD + d.DLD
+	dst.WD = p.WD + d.DWD
+	dst.CJ = p.CJ * d.CJScale
+	dst.CJSW = p.CJSW * d.CJSWScale
+	dst.RDiff = p.RDiff * d.RDiffScale
+	dst.Gamma = p.Gamma * d.GammaScale
+	dst.CGSO, dst.CGDO, dst.Lambda0 = p.CGSO, p.CGDO, p.Lambda0
 	if d.CGOScale != 0 {
 		dst.CGSO *= d.CGOScale
 		dst.CGDO *= d.CGOScale

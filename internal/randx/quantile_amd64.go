@@ -18,8 +18,9 @@ import "github.com/eda-go/moheco/internal/cpufeat"
 //     r = 5, where erf⁻¹ switches to its far-tail polynomials — stop the
 //     kernel at their group of four, which the scalar code then converts.
 
-// useAVX2 selects the assembly kernel. It is fixed at start-up from CPUID
-// and switched only by in-package tests, to run both paths.
+// useAVX2 selects the assembly kernels, this one and Int63s' (rng_amd64.go).
+// It is fixed at start-up from CPUID and switched only by in-package tests,
+// to run both paths.
 var useAVX2 = cpufeat.AVX2
 
 // normQuantiles4 converts p[0:n] in place, four values at a time, and stops

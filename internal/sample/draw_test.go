@@ -62,6 +62,24 @@ func withQuantilePaths(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
+// withLHSPaths runs f, under each path of withQuantilePaths, once per LHS
+// kernel path this machine has: the scalar phases, and the AVX2 kernels
+// where the CPU supports them.
+func withLHSPaths(t *testing.T, f func(t *testing.T)) {
+	withQuantilePaths(t, func(t *testing.T) {
+		saved := useAVX2
+		defer func() { useAVX2 = saved }()
+		paths := []bool{false}
+		if saved {
+			paths = append(paths, true)
+		}
+		for _, on := range paths {
+			useAVX2 = on
+			t.Run(fmt.Sprintf("avx2=%v", on), f)
+		}
+	})
+}
+
 // samePlans fails unless got and want hold the same points bit for bit.
 func samePlans(t *testing.T, what string, got, want [][]float64) {
 	t.Helper()
@@ -94,7 +112,7 @@ func TestLHSMatchesPermOracle(t *testing.T) {
 	for n := 1; n <= 9; n++ {
 		cases = append(cases, tc{n, 5, uint64(20 + n)})
 	}
-	withQuantilePaths(t, func(t *testing.T) {
+	withLHSPaths(t, func(t *testing.T) {
 		for _, c := range cases {
 			ra, rb := randx.New(c.seed), randx.New(c.seed)
 			got := LHS{}.Draw(ra, c.n, c.dim)
@@ -212,33 +230,103 @@ func (s *scriptedSource) Seed(int64) { panic("scriptedSource: Seed") }
 // reject (Int31 = 2³¹−1 is above its bound) and makes a jitter Float64
 // round to 1 and redraw; either way the coordinate reads one value past its
 // block, from the stream.
+//
+// At n = 15 the kernels take entries 0–11 in groups of four and leave 12–14
+// as the tail. Entries 8–11 (Intn(9) … Intn(12)) and 12–14 can all reject,
+// so the scripted cases put a rejection, and an f == 1, at every lane of a
+// group and at every tail entry, in the first and in a later coordinate.
+// Two more cases drive the jitter's clamps, which read no extra value.
 func TestLHSBlockReaderPastBlock(t *testing.T) {
-	const n, dim = 6, 3
-	const hit = 1<<63 - 1
-	cases := []struct {
+	type tc struct {
 		name  string
+		n     int
 		set   map[int]int64
 		extra int // values the draw reads past its blocks
-	}{
-		{"none", nil, 0},
+	}
+	const hit = 1<<63 - 1
+	const n6 = 6
+	cases := []tc{
+		{"none", n6, nil, 0},
 		// Coordinate 1 starts at 2n; its step i = 2 is Intn(3).
-		{"shuffle rejection", map[int]int64{2*n + 2: hit}, 1},
+		{"shuffle rejection", n6, map[int]int64{2*n6 + 2: hit}, 1},
 		// Coordinate 1's first jitter value, the block's (n+1)-th.
-		{"jitter f == 1", map[int]int64{2*n + n: hit}, 1},
+		{"jitter f == 1", n6, map[int]int64{2*n6 + n6: hit}, 1},
 		// The last value of coordinate 0's block: the retry is the first
 		// read past the block, and the later coordinates shift by one.
-		{"jitter f == 1 at block end", map[int]int64{2*n - 1: hit}, 1},
-		{"both, last coordinate", map[int]int64{4*n + 4: hit, 4*n + n + 1: hit, 4*n + n + 2: hit}, 3},
+		{"jitter f == 1 at block end", n6, map[int]int64{2*n6 - 1: hit}, 1},
+		{"both, last coordinate", n6, map[int]int64{4*n6 + 4: hit, 4*n6 + n6 + 1: hit, 4*n6 + n6 + 2: hit}, 3},
 	}
-	withQuantilePaths(t, func(t *testing.T) {
+	const n = 15
+	for _, coord := range []int{0, 1} {
+		base := 2 * n * coord
+		for i := 8; i < n; i++ {
+			cases = append(cases,
+				tc{fmt.Sprintf("coordinate %d: shuffle rejection at entry %d", coord, i), n, map[int]int64{base + i: hit}, 1},
+				// After a rejection at entry 4 every later read is one value
+				// late, so the f == 1 lands on stratum i−1's read.
+				tc{fmt.Sprintf("coordinate %d: shuffle rejection, then f == 1 at entry %d", coord, i), n,
+					map[int]int64{base + 4: hit, base + n + i: hit}, 2})
+		}
+		for i := 0; i < n; i++ {
+			cases = append(cases, tc{fmt.Sprintf("coordinate %d: f == 1 at stratum %d", coord, i), n, map[int]int64{base + n + i: hit}, 1})
+		}
+		cases = append(cases, tc{fmt.Sprintf("coordinate %d: f == 1 twice in a row", coord), n,
+			map[int]int64{base + n + 5: hit, base + n + 6: hit}, 2})
+	}
+	// Both clamps: f = 0 puts stratum 0 at u = 0, raised to 0.5/n, and
+	// f = 1 − 2⁻⁵³ (the value 2⁶³ − 2¹⁰) puts stratum n−1 at u = 1, lowered
+	// to 1 − 0.5/n, wherever the permutation sends those strata; at n = 16
+	// every row is in a kernel group.
+	const n16 = 16
+	low, high := map[int]int64{}, map[int]int64{}
+	for c := 0; c < 3; c++ {
+		for i := 0; i < n16; i++ {
+			low[2*n16*c+n16+i] = 0
+			high[2*n16*c+n16+i] = 1<<63 - 1<<10
+		}
+	}
+	cases = append(cases, tc{"every f = 0", n16, low, 0}, tc{"every f = 1 − 2⁻⁵³", n16, high, 0})
+	const dim = 3
+	withLHSPaths(t, func(t *testing.T) {
 		for _, c := range cases {
 			sa := &scriptedSource{base: randx.New(11), set: c.set}
 			sb := &scriptedSource{base: randx.New(11), set: c.set}
+			got := lhsDraw(sa, c.n, dim, new(Buffer))
+			want := lhsPermDraw(rand.New(sb), c.n, dim)
+			samePlans(t, c.name, got, want)
+			if sa.pos != sb.pos || sa.pos != 2*c.n*dim+c.extra {
+				t.Errorf("%s: read %d values, oracle %d, want %d", c.name, sa.pos, sb.pos, 2*c.n*dim+c.extra)
+			}
+		}
+	})
+}
+
+// FuzzLHSDraw checks lhsDraw on both kernel paths against the rand.Perm
+// oracle, bit for bit and value for value, over the seed and the plan's
+// shape, with one stream value optionally replaced by 2⁶³−1 (a shuffle
+// rejection or an f == 1, wherever it lands).
+func FuzzLHSDraw(f *testing.F) {
+	f.Add(uint64(1), uint16(15), uint8(3), uint16(0))
+	f.Add(uint64(7), uint16(465), uint8(2), uint16(473))
+	f.Add(uint64(9), uint16(166), uint8(4), uint16(166+17))
+	f.Add(uint64(3), uint16(4), uint8(1), uint16(6))
+	f.Fuzz(func(t *testing.T, seed uint64, n16 uint16, dim8 uint8, hitAt uint16) {
+		n, dim := int(n16%1024), int(dim8%9)
+		var set map[int]int64
+		if hitAt > 0 {
+			set = map[int]int64{int(hitAt) - 1: 1<<63 - 1}
+		}
+		saved := useAVX2
+		defer func() { useAVX2 = saved }()
+		for _, on := range []bool{false, saved} {
+			useAVX2 = on
+			sa := &scriptedSource{base: randx.New(seed), set: set}
+			sb := &scriptedSource{base: randx.New(seed), set: set}
 			got := lhsDraw(sa, n, dim, new(Buffer))
 			want := lhsPermDraw(rand.New(sb), n, dim)
-			samePlans(t, c.name, got, want)
-			if sa.pos != sb.pos || sa.pos != 2*n*dim+c.extra {
-				t.Errorf("%s: read %d values, oracle %d, want %d", c.name, sa.pos, sb.pos, 2*n*dim+c.extra)
+			samePlans(t, fmt.Sprintf("avx2=%v seed=%d n=%d dim=%d hit=%d", on, seed, n, dim, hitAt), got, want)
+			if sa.pos != sb.pos {
+				t.Fatalf("avx2=%v seed=%d n=%d dim=%d hit=%d: read %d values, oracle %d", on, seed, n, dim, hitAt, sa.pos, sb.pos)
 			}
 		}
 	})
@@ -299,12 +387,14 @@ func TestPMCFillStreamsDraw(t *testing.T) {
 // planSink keeps the benchmarked draws live.
 var planSink [][]float64
 
-// BenchmarkLHSDraw times one plan at the perfbench ladder's shape (15 rows
-// of the folded cascode's 80 variation dimensions) and at a telescopic
-// stage-2 shape (64 × 123), per coordinate: a fresh Draw, and a draw into
-// a warm Buffer, the way AddSamples draws.
+// BenchmarkLHSDraw times one plan per coordinate, a fresh Draw and a draw
+// into a warm Buffer (the way AddSamples draws), at the perfbench ladder's
+// shape (15 rows of the folded cascode's 80 variation dimensions), a
+// telescopic stage-2 shape (64 × 123), and the shapes that draw most of an
+// optimize run's samples: stage-2 top-ups of 465 rows on either circuit
+// and draws of 166.
 func BenchmarkLHSDraw(b *testing.B) {
-	for _, sz := range []struct{ n, dim int }{{15, 80}, {64, 123}} {
+	for _, sz := range []struct{ n, dim int }{{15, 80}, {64, 123}, {465, 123}, {465, 80}, {166, 80}} {
 		b.Run(fmt.Sprintf("%dx%d", sz.n, sz.dim), func(b *testing.B) {
 			rng := randx.New(1)
 			for i := 0; i < b.N; i++ {
@@ -319,6 +409,55 @@ func BenchmarkLHSDraw(b *testing.B) {
 				planSink = DrawInto(LHS{}, rng, sz.n, sz.dim, &buf)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sz.n*sz.dim), "ns/coord")
+		})
+	}
+}
+
+// BenchmarkLHSPhases times each phase of one 465-stratum LHS coordinate,
+// per coordinate value: the stream block (on randx's own path switch; its
+// BenchmarkInt63s compares the two), then on the scalar and the AVX2 path
+// the permutation (index pass and swap loop) and the jitter with the
+// quantile pass over its column. The scatter into the rows is the rest of
+// BenchmarkLHSDraw/465x123/into.
+func BenchmarkLHSPhases(b *testing.B) {
+	const n = 465
+	run := func(name string, avx2 bool, phase func(src *randx.Stream, steps permSteps, blk []int64, perm, idx []int32, col []float64)) {
+		b.Run(name, func(b *testing.B) {
+			if avx2 && !useAVX2 {
+				b.Skip("no AVX2")
+			}
+			saved := useAVX2
+			defer func() { useAVX2 = saved }()
+			useAVX2 = avx2
+			var buf Buffer
+			steps := buf.permSteps(n)
+			blk, perm, idx, col := buf.lhsScratch(n)
+			src := randx.New(1)
+			src.Int63s(blk)
+			steps.permute(perm, idx, values{blk, src})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				phase(src, steps, blk, perm, idx, col)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/coord")
+		})
+	}
+	run("block", useAVX2, func(src *randx.Stream, _ permSteps, blk []int64, _, _ []int32, _ []float64) {
+		src.Int63s(blk)
+	})
+	for _, path := range []struct {
+		name string
+		on   bool
+	}{{"go", false}, {"avx2", true}} {
+		run("permute/"+path.name, path.on, func(src *randx.Stream, steps permSteps, blk []int64, perm, idx []int32, _ []float64) {
+			steps.permute(perm, idx, values{blk, src})
+		})
+		run("jitter+quantile/"+path.name, path.on, func(src *randx.Stream, _ permSteps, blk []int64, perm, _ []int32, col []float64) {
+			jitter(col[:n], perm, values{blk, src}, n)
+			for i := n; i < len(col); i++ {
+				col[i] = 0.5
+			}
+			quantiles(col)
 		})
 	}
 }

@@ -2,8 +2,8 @@ package sample
 
 import "math/bits"
 
-// permStep is one entry of the LHS permutation buffer together with the
-// precomputed reduction of the draw rand.Perm makes there, rng.Intn(i+1).
+// permStep is the precomputed reduction of the draw rand.Perm makes at entry
+// i of its permutation, rng.Intn(i+1).
 // math/rand's Int31n divides twice per call, once for its rejection bound
 // and once for the remainder; both depend only on i, so Draw computes them
 // once per plan and reuses them for every coordinate:
@@ -17,7 +17,6 @@ import "math/bits"
 // v is drawn as Int63()>>32, exactly as Int31 does, so the stream and the
 // permutation are rand.Perm's bit for bit.
 type permStep struct {
-	perm  int32
 	bound int32
 	mul   uint64
 }
@@ -43,36 +42,56 @@ func (st permStep) reduce(v int32, m uint32) (int32, bool) {
 	return int32(hi), true
 }
 
-// permSteps is the permutation buffer of one plan; entry i holds the
-// reduction of Intn(i+1), which depends on i alone, so a buffer made for
-// one n serves every smaller n as its prefix.
+// permSteps holds the reductions of one plan; entry i holds that of
+// Intn(i+1), which depends on i alone, so a table made for one n serves
+// every smaller n as its prefix.
 type permSteps []permStep
 
-// permSteps returns b's permutation buffer for n ≤ 2³¹−1 entries, growing
-// it by the entries it lacks.
+// permSteps returns b's reduction table for n ≤ 2³¹−1 entries, growing it
+// by the entries it lacks.
 func (b *Buffer) permSteps(n int) permSteps {
-	if len(b.perm) < n {
+	if len(b.steps) < n {
 		grown := make(permSteps, n)
-		copy(grown, b.perm)
-		for i := len(b.perm); i < n; i++ {
+		copy(grown, b.steps)
+		for i := len(b.steps); i < n; i++ {
 			grown[i] = newPermStep(uint32(i + 1))
 		}
-		b.perm = grown
+		b.steps = grown
 	}
-	return b.perm[:n]
+	return b.steps[:n]
 }
 
-// shuffle refills the buffer with rand.Perm's swap sequence, reading vals
-// from value 0, and returns the number of values it read.
-func (s permSteps) shuffle(vals values) (pos int) {
-	for i := range s {
+// shuffle refills perm with rand.Perm's swap sequence from entry `from` on,
+// reading vals from value pos, and returns the position after the last
+// value it read. Entries below from must already hold the sequence's first
+// from swaps, read from values 0 … from−1.
+func (s permSteps) shuffle(perm []int32, vals values, from, pos int) int {
+	for i := from; i < len(s); i++ {
 		k, ok := int32(0), false
 		for !ok {
 			k, ok = s[i].reduce(int32(vals.at(pos)>>32), uint32(i+1))
 			pos++
 		}
-		s[i].perm = s[k].perm
-		s[k].perm = int32(i)
+		perm[i] = perm[k]
+		perm[k] = int32(i)
 	}
 	return pos
+}
+
+// permute refills perm with rand.Perm's swap sequence for the values of
+// vals, from value 0, and returns the number of values it read. With AVX2
+// the index pass maps the block to the Intn(i+1) draws four at a time, and
+// a swap loop applies them; from the first group holding a rejection (or
+// for the n mod 4 tail) the scalar shuffle takes over, at the entry and
+// the value where the pass stopped, which are the same until a rejection.
+func (s permSteps) permute(perm, idx []int32, vals values) int {
+	done := 0
+	if useAVX2 && len(s) >= 4 {
+		done = permIndex4(&idx[0], &vals.blk[0], len(s))
+		for i, k := range idx[:done] {
+			perm[i] = perm[k]
+			perm[k] = int32(i)
+		}
+	}
+	return s.shuffle(perm, vals, done, done)
 }

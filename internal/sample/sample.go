@@ -69,10 +69,13 @@ func NewPlan(n, dim int) [][]float64 {
 // per plan. The zero value is ready to use; a Buffer serves one draw at a
 // time.
 type Buffer struct {
-	rows [][]float64
-	flat []float64
-	perm permSteps // LHS permutation buffer; grows, entry i never changes
-	blk  []int64   // LHS per-coordinate block of stream values
+	rows  [][]float64
+	flat  []float64
+	steps permSteps // LHS Intn(i+1) reductions; grows, entry i never changes
+	blk   []int64   // LHS per-coordinate block of stream values
+	perm  []int32   // LHS permutation of one coordinate
+	idx   []int32   // LHS Intn(i+1) draws of one coordinate
+	col   []float64 // LHS column of one coordinate in stratum order, padded to a multiple of 4
 }
 
 // plan returns an n×dim plan over b's storage and its backing array, row
@@ -146,6 +149,20 @@ type int63Source interface {
 // coordinate reads its 2n values as one block, and the rare extra value
 // comes from the stream after the block, which is where the value-by-value
 // plan would have found it too.
+//
+// A coordinate goes through four phases: the block read, the permutation,
+// the jitter into a contiguous column, and the quantile pass over that
+// column while it is in L1; the column is then scattered into the rows.
+// The column holds the coordinate's values in stratum order, so it is
+// sorted: the quantile's tail lanes (p < 0.075 or p > 0.925) gather in a
+// few groups at its ends instead of reaching most groups of four, and the
+// kernel runs its tail branch only there. The quantile is taken value by
+// value, so the order changes no bit.
+//
+// On amd64 with AVX2 every phase but the scatter runs four values per step
+// (lhs_amd64.go, and randx's kernels for the block and the quantile); the
+// scalar loops are the portable path and take every group of four the
+// kernels leave.
 func lhsDraw(src int63Source, n, dim int, buf *Buffer) [][]float64 {
 	if n < 0 || dim < 0 || n > math.MaxInt32 {
 		panic(fmt.Sprintf("sample: invalid plan %dx%d", n, dim))
@@ -156,39 +173,71 @@ func lhsDraw(src int63Source, n, dim int, buf *Buffer) [][]float64 {
 	}
 	// One permutation buffer serves every coordinate: it is refilled with
 	// rand.Perm's exact swap sequence, so the stream and the points are
-	// those of a fresh rng.Perm(n) per coordinate. The stratified u values
-	// go into the plan first; one quantile pass over the backing array then
-	// maps them all.
-	perm := buf.permSteps(n)
-	if cap(buf.blk) < 2*n {
-		buf.blk = make([]int64, 2*n)
-	}
-	blk := buf.blk[:2*n]
+	// those of a fresh rng.Perm(n) per coordinate.
+	steps := buf.permSteps(n)
+	blk, perm, idx, col := buf.lhsScratch(n)
 	for j := 0; j < dim; j++ {
 		src.Int63s(blk)
 		vals := values{blk, src}
-		pos := perm.shuffle(vals)
-		for i := 0; i < n; i++ {
-			// rand.Float64: a value that rounds to 1 is redrawn.
-			f := float64(vals.at(pos)) / (1 << 63)
-			pos++
-			for f == 1 {
-				f = float64(vals.at(pos)) / (1 << 63)
-				pos++
-			}
-			// Stratum perm[i] of [0,1), jittered.
-			u := (float64(perm[i].perm) + f) / float64(n)
-			if u <= 0 {
-				u = 0.5 / float64(n)
-			}
-			if u >= 1 {
-				u = 1 - 0.5/float64(n)
-			}
-			flat[i*dim+j] = u
+		pos := steps.permute(perm, idx, vals)
+		jitter(col[:n], perm, vals, pos)
+		// The pad past n holds a p inside (0, 1), so the quantile kernel
+		// runs every group of the column; the scatter never reads it.
+		for i := n; i < len(col); i++ {
+			col[i] = 0.5
+		}
+		quantiles(col)
+		for i, s := range perm {
+			flat[i*dim+j] = col[s] // row i lies in stratum perm[i]
 		}
 	}
-	quantiles(flat)
 	return out
+}
+
+// lhsScratch returns buf's per-coordinate LHS storage for n strata: the
+// block of 2n stream values, the permutation and the index pass's draws,
+// and the column, padded up to a multiple of four.
+func (b *Buffer) lhsScratch(n int) (blk []int64, perm, idx []int32, col []float64) {
+	if cap(b.blk) < 2*n {
+		b.blk = make([]int64, 2*n)
+		b.perm = make([]int32, n)
+		b.idx = make([]int32, n)
+		b.col = make([]float64, (n+3)&^3)
+	}
+	return b.blk[:2*n], b.perm[:n], b.idx[:n], b.col[:(n+3)&^3]
+}
+
+// jitter writes row i's value, stratum perm[i] of [0,1) jittered by one
+// rand.Float64, to u[perm[i]], reading vals from value pos. The AVX2
+// kernel takes the groups of four it can decide from the block; from the
+// first group holding an f that rounds to 1 (or for the tail) the scalar
+// loop takes over.
+func jitter(u []float64, perm []int32, vals values, pos int) {
+	n := float64(len(u))
+	lo := 0.5 / n
+	hi := 1 - lo
+	i := 0
+	if useAVX2 && pos < len(vals.blk) {
+		i = jitter4(&u[0], &perm[0], &vals.blk[pos], min(len(u), len(vals.blk)-pos), n, lo, hi)
+		pos += i
+	}
+	for ; i < len(u); i++ {
+		// rand.Float64: a value that rounds to 1 is redrawn.
+		f := float64(vals.at(pos)) / (1 << 63)
+		pos++
+		for f == 1 {
+			f = float64(vals.at(pos)) / (1 << 63)
+			pos++
+		}
+		v := (float64(perm[i]) + f) / n
+		if v <= 0 {
+			v = lo
+		}
+		if v >= 1 {
+			v = hi
+		}
+		u[perm[i]] = v
+	}
 }
 
 // values is one coordinate's view of the stream: its block, then the

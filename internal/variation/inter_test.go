@@ -11,7 +11,7 @@ import (
 
 // perturbPerDevice is Perturb as a per-device loop: every call re-applies
 // all inter-die variables before the device's own terms. It is the oracle for
-// the once-per-sample Inter/Device split.
+// the once-per-sample Inter and once-per-design Mismatch split.
 func perturbPerDevice(s *Space, xi []float64, dev int, areaUm2 float64) mos.Perturb {
 	p := mos.Nominal()
 	if xi == nil {
@@ -44,7 +44,7 @@ func spaceN90() *Space {
 	return New(pdk.N90(), slots)
 }
 
-// TestPerturbMatchesPerDeviceOracle pins Perturb, and the Inter + Device
+// TestPerturbMatchesPerDeviceOracle pins Perturb, and the Inter + Mismatch
 // split evaluators call directly, to the per-device loop bit for bit: on
 // both technologies' spaces and the nil (nominal) vector.
 func TestPerturbMatchesPerDeviceOracle(t *testing.T) {
@@ -66,8 +66,10 @@ func TestPerturbMatchesPerDeviceOracle(t *testing.T) {
 				if got := s.Perturb(xi, dev, area); got != want {
 					t.Fatalf("%s trial %d dev %d: Perturb %+v, oracle %+v", name, trial, dev, got, want)
 				}
-				if got := s.Device(&inter, xi, dev, area); got != want {
-					t.Fatalf("%s trial %d dev %d: Inter+Device %+v, oracle %+v", name, trial, dev, got, want)
+				m := s.Mismatch(dev, area)
+				var got mos.Perturb
+				if m.Apply(&got, &inter, xi); got != want {
+					t.Fatalf("%s trial %d dev %d: Inter+Mismatch %+v, oracle %+v", name, trial, dev, got, want)
 				}
 			}
 		}
@@ -78,11 +80,10 @@ func TestPerturbMatchesPerDeviceOracle(t *testing.T) {
 // split path.
 func TestInterDeviceIndexChecked(t *testing.T) {
 	s := space15()
-	inter := s.Inter(nil)
 	defer func() {
 		if recover() == nil {
-			t.Error("Device accepted an out-of-range index")
+			t.Error("Mismatch accepted an out-of-range index")
 		}
 	}()
-	s.Device(&inter, nil, len(s.Devices), 10)
+	s.Mismatch(len(s.Devices), 10)
 }

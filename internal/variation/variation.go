@@ -53,15 +53,23 @@ func (s *Space) CheckVector(xi []float64) error {
 // the shift every NMOS (index 0) and every PMOS (index 1) device of the
 // circuit shares. It depends only on the polarity, so a circuit evaluator
 // computes it once per sample and adds each device's own intra-die terms
-// with Device.
+// with its Mismatch.
 type Inter [2]mos.Perturb
 
 // Inter computes the inter-die perturbation of xi for both polarities. A
 // nil xi returns the nominal (identity) pair.
 func (s *Space) Inter(xi []float64) Inter {
-	in := Inter{mos.Nominal(), mos.Nominal()}
+	var in Inter
+	s.SetInter(&in, xi)
+	return in
+}
+
+// SetInter writes Inter(xi) to in, so a batch evaluator rewrites one Inter
+// per sample in place.
+func (s *Space) SetInter(in *Inter, xi []float64) {
+	in[0], in[1] = mos.Nominal(), mos.Nominal()
 	if xi == nil {
-		return in
+		return
 	}
 	if len(xi) != s.Dim() {
 		panic(fmt.Sprintf("variation: vector has %d entries, space needs %d", len(xi), s.Dim()))
@@ -70,52 +78,73 @@ func (s *Space) Inter(xi []float64) Inter {
 		applyInter(&in[0], v, xi[i], false)
 		applyInter(&in[1], v, xi[i], true)
 	}
-	return in
 }
 
-// Device returns the full perturbation of device dev (index into Devices)
-// with gate area areaUm2 (drawn W·L·M in µm²): its polarity's entry of
-// inter, computed from the same xi, plus the device's own intra-die
-// (Pelgrom) terms. A nil xi returns the inter-die entry unchanged.
-func (s *Space) Device(inter *Inter, xi []float64, dev int, areaUm2 float64) mos.Perturb {
+// Mismatch is the design-only part of one device's intra-die (Pelgrom)
+// terms: its polarity, the index of its first intra-die variable, and the
+// factors that scale those variables at its gate area. A batch evaluator
+// makes it once per design and applies it to every sample.
+type Mismatch struct {
+	pol              int
+	base             int
+	tox, vth, ld, wd float64
+}
+
+// Mismatch returns the intra-die terms of device dev (index into Devices)
+// with gate area areaUm2 (drawn W·L·M in µm², clamped below at 0.01):
+// mm.ATOX·inv, mm.AVT·inv, (mm.ALD·inv)·1e-6 and (mm.AWD·inv)·1e-6 for
+// inv = 1/√area. Apply multiplies each by its variable, so the terms are
+// mm.ATOX·inv·ξ and so on, evaluated left to right.
+func (s *Space) Mismatch(dev int, areaUm2 float64) Mismatch {
 	if dev < 0 || dev >= len(s.Devices) {
 		panic(fmt.Sprintf("variation: device index %d out of range", dev))
 	}
-	pol := 0
+	m := Mismatch{base: len(s.Tech.Inter) + IntraPerDevice*dev}
 	if s.Devices[dev].PMOS {
-		pol = 1
+		m.pol = 1
 	}
-	p := inter[pol]
-	if xi == nil {
-		return p
-	}
-
-	// Intra-die: Pelgrom scaling by the device's own area.
 	area := areaUm2
 	if area < 0.01 {
 		area = 0.01
 	}
 	inv := 1 / math.Sqrt(area)
 	mm := s.Tech.Mismatch
-	base := len(s.Tech.Inter) + IntraPerDevice*dev
-	p.TOXScale *= 1 + mm.ATOX*inv*xi[base+0]
-	p.DVth += mm.AVT * inv * xi[base+1]
-	p.DLD += mm.ALD * inv * 1e-6 * xi[base+2]
-	p.DWD += mm.AWD * inv * 1e-6 * xi[base+3]
-	return p
+	m.tox = mm.ATOX * inv
+	m.vth = mm.AVT * inv
+	m.ld = mm.ALD * inv * 1e-6
+	m.wd = mm.AWD * inv * 1e-6
+	return m
+}
+
+// Apply writes the device's full perturbation under xi to dst: its
+// polarity's entry of inter, computed from the same xi, plus its own
+// intra-die terms. A nil xi writes the inter-die entry unchanged.
+func (m *Mismatch) Apply(dst *mos.Perturb, inter *Inter, xi []float64) {
+	*dst = inter[m.pol]
+	if xi == nil {
+		return
+	}
+	dst.TOXScale *= 1 + m.tox*xi[m.base+0]
+	dst.DVth += m.vth * xi[m.base+1]
+	dst.DLD += m.ld * xi[m.base+2]
+	dst.DWD += m.wd * xi[m.base+3]
 }
 
 // Perturb computes the model perturbation of device dev with gate area
-// areaUm2 under variation vector xi: Inter followed by Device. Evaluators
-// that perturb several devices under one xi call those two directly so the
-// inter-die part is computed once. A nil xi returns the nominal (identity)
+// areaUm2 under variation vector xi: Inter, then the device's Mismatch
+// applied. Evaluators that perturb several devices under one xi call those
+// directly, so the inter-die part is computed once per sample and the
+// mismatch once per design. A nil xi returns the nominal (identity)
 // perturbation.
 func (s *Space) Perturb(xi []float64, dev int, areaUm2 float64) mos.Perturb {
 	if xi == nil {
 		return mos.Nominal()
 	}
 	inter := s.Inter(xi)
-	return s.Device(&inter, xi, dev, areaUm2)
+	m := s.Mismatch(dev, areaUm2)
+	var p mos.Perturb
+	m.Apply(&p, &inter, xi)
+	return p
 }
 
 // applyInter folds one inter-die variable draw into the perturbation.

@@ -14,8 +14,8 @@ import (
 )
 
 // wholeChunkPass is ChunkPass with every chunk's whole plan drawn up front
-// and evaluated as one batch — the form point-wise PMC chunks had before
-// they were streamed. It is the oracle for the streamed path.
+// and evaluated as one batch — the form PMC chunks had before they were
+// streamed. It is the oracle for the streamed path.
 func wholeChunkPass(ctx context.Context, p problem.Problem, x []float64, n int, seed uint64, first, last int, o RefOptions) ([]int, error) {
 	sampler := o.Sampler
 	if sampler == nil {
@@ -107,24 +107,39 @@ func samePassRun(t *testing.T, what string, got, want passRun) {
 	}
 }
 
-// TestChunkPassStreamMatchesWholeChunk pins the streamed point-wise PMC
-// path to the whole-chunk draw: per-chunk counts, Counter total and final
-// Progress totals, for full chunks, a short last chunk, a plan shorter
-// than one stream block, and a sub-range of the chunk space.
+// batchSphere is sphereProblem with a native batch path, so ChunkPass hands
+// it each streamed block as one EvaluateBatch call.
+type batchSphere struct{ *sphereProblem }
+
+func (b batchSphere) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
+	perfs, errs := make([][]float64, len(xis)), make([]error, len(xis))
+	for i, xi := range xis {
+		perfs[i], errs[i] = b.Evaluate(x, xi)
+	}
+	return perfs, errs
+}
+
+// TestChunkPassStreamMatchesWholeChunk pins the streamed PMC path, for a
+// point-wise and a batch problem, to the whole-chunk draw: per-chunk
+// counts, Counter total and final Progress totals, for full chunks, a
+// short last chunk, a plan shorter than one stream block, and a sub-range
+// of the chunk space.
 func TestChunkPassStreamMatchesWholeChunk(t *testing.T) {
-	p := &sphereProblem{radius: 2.6, dim: 7}
-	for _, tc := range []struct{ n, first, last int }{
-		{3 * ChunkSize, 0, 3},
-		{2*ChunkSize + streamRows + 1, 0, 3},
-		{streamRows - 5, 0, 1},
-		{4*ChunkSize + 100, 1, 5},
-	} {
-		for _, workers := range []int{1, 2} {
-			got := runPass(ChunkPass, nil, p, tc.n, tc.first, tc.last, workers)
-			want := runPass(wholeChunkPass, nil, p, tc.n, tc.first, tc.last, workers)
-			samePassRun(t, "streamed", got, want)
-			if want.err != nil || want.pass == 0 || want.pass == want.done {
-				t.Fatalf("n=%d: degenerate oracle run %+v", tc.n, want)
+	sphere := &sphereProblem{radius: 2.6, dim: 7}
+	for _, p := range []problem.Problem{sphere, batchSphere{sphere}} {
+		for _, tc := range []struct{ n, first, last int }{
+			{3 * ChunkSize, 0, 3},
+			{2*ChunkSize + streamRows + 1, 0, 3},
+			{streamRows - 5, 0, 1},
+			{4*ChunkSize + 100, 1, 5},
+		} {
+			for _, workers := range []int{1, 2} {
+				got := runPass(ChunkPass, nil, p, tc.n, tc.first, tc.last, workers)
+				want := runPass(wholeChunkPass, nil, p, tc.n, tc.first, tc.last, workers)
+				samePassRun(t, "streamed", got, want)
+				if want.err != nil || want.pass == 0 || want.pass == want.done {
+					t.Fatalf("n=%d: degenerate oracle run %+v", tc.n, want)
+				}
 			}
 		}
 	}
@@ -149,18 +164,21 @@ func TestChunkPassStreamCancelled(t *testing.T) {
 }
 
 // TestChunkPassStreamsPointwisePMC checks the streamed path is the one
-// taken: a ChunkSize × 123 PMC plan is 2 MB, while streaming it allocates
-// one small block buffer plus the per-sample results.
+// taken, for a point-wise and a batch problem: a ChunkSize × 123 PMC plan
+// is 2 MB, while streaming it allocates one small block buffer plus the
+// per-sample results.
 func TestChunkPassStreamsPointwisePMC(t *testing.T) {
-	p := &sphereProblem{radius: 11, dim: 123}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := ChunkPass(nil, p, []float64{0.5}, ChunkSize, 1, 0, 1, RefOptions{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	plan := uint64(ChunkSize * p.dim * 8)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= plan/4 {
-		t.Errorf("ChunkPass allocated %d B for a point-wise PMC chunk; the whole plan is %d B", got, plan)
+	sphere := &sphereProblem{radius: 11, dim: 123}
+	for _, p := range []problem.Problem{sphere, batchSphere{sphere}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ChunkPass(nil, p, []float64{0.5}, ChunkSize, 1, 0, 1, RefOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		plan := uint64(ChunkSize * sphere.dim * 8)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= plan/4 {
+			t.Errorf("ChunkPass allocated %d B for a %T PMC chunk; the whole plan is %d B", got, p, plan)
+		}
 	}
 }

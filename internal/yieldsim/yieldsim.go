@@ -436,25 +436,24 @@ func ChunkPass(ctx context.Context, p problem.Problem, x []float64, n int, seed 
 	})
 }
 
-// streamRows is the row-block size chunkPass streams a point-wise PMC
-// chunk through.
+// streamRows is the row-block size chunkPass streams a PMC chunk through. It
+// is a multiple of every automatic lockstep lane count (8, 4 or 2), so a
+// batch evaluator's lane groups are those of the whole chunk.
 const streamRows = 64
 
 // chunkPass draws one chunk's n-sample plan from rng and returns how many
-// of its samples pass. A BatchEvaluator problem gets the whole plan as one
-// batch evaluation, so it keeps its compiled per-design state (and Newton
-// warm starts) alive across the chunk; so do stratified plans (LHS,
-// Halton), whose rows depend on the whole chunk. A point-wise problem
-// under PMC evaluates every sample on its own anyway, so its plan streams
-// through one streamRows-row buffer, drawn and evaluated block by block:
-// PMC draws rows in order, so the samples are the whole plan's. Streaming
-// keeps a ChunkSize×VarDim plan per worker off the heap, which would
-// otherwise set the GC's heap target for everything else in the process.
-// Per-sample errors are failed chips.
+// of its samples pass. PMC draws rows in order, so its plan streams through
+// one streamRows-row buffer, drawn and evaluated block by block as one
+// batch each: the samples are the whole plan's, and a BatchEvaluator keeps
+// its per-design state across the blocks (the spice problems in their
+// testbench store). Streaming keeps a ChunkSize×VarDim plan per worker off
+// the heap, which would otherwise set the GC's heap target for everything
+// else in the process. Stratified plans (LHS, Halton), whose rows depend on
+// the whole chunk, are drawn and evaluated whole. Per-sample errors are
+// failed chips.
 func chunkPass(p problem.Problem, x []float64, sampler sample.Sampler, rng *randx.Stream, n int) (int, error) {
-	_, batch := p.(problem.BatchEvaluator)
 	pmc, isPMC := sampler.(sample.PMC)
-	if batch || !isPMC {
+	if !isPMC {
 		ok, _, err := problem.PassFailBatch(p, x, sampler.Draw(rng, n, p.VarDim()))
 		return countPass(ok), err
 	}
