@@ -61,11 +61,12 @@ func (b *Buffer) permSteps(n int) permSteps {
 	return b.steps[:n]
 }
 
-// shuffle refills perm with rand.Perm's swap sequence from entry `from` on,
-// reading vals from value pos, and returns the position after the last
+// shuffle refills perm with rand.Perm's swap sequence from entry from on,
+// reading vals from value from, and returns the position after the last
 // value it read. Entries below from must already hold the sequence's first
-// from swaps, read from values 0 … from−1.
-func (s permSteps) shuffle(perm []int32, vals values, from, pos int) int {
+// from swaps, read from values 0 … from−1 (no rejection among them).
+func (s permSteps) shuffle(perm []int32, vals values, from int) int {
+	pos := from
 	for i := from; i < len(s); i++ {
 		k, ok := int32(0), false
 		for !ok {
@@ -83,7 +84,7 @@ func (s permSteps) shuffle(perm []int32, vals values, from, pos int) int {
 // the index pass maps the block to the Intn(i+1) draws four at a time, and
 // a swap loop applies them; from the first group holding a rejection (or
 // for the n mod 4 tail) the scalar shuffle takes over, at the entry and
-// the value where the pass stopped, which are the same until a rejection.
+// the value where the pass stopped.
 func (s permSteps) permute(perm, idx []int32, vals values) int {
 	done := 0
 	if useAVX2 && len(s) >= 4 {
@@ -93,5 +94,5 @@ func (s permSteps) permute(perm, idx []int32, vals values) int {
 			perm[k] = int32(i)
 		}
 	}
-	return s.shuffle(perm, vals, done, done)
+	return s.shuffle(perm, vals, done)
 }
