@@ -131,7 +131,7 @@ type Options struct {
 	MaxGenerations int
 
 	// SimBudget, when positive, caps the run's total simulator calls
-	// (relative to the counter's value at start): the run stops with
+	// (on the run's own ledger): the run stops with
 	// StopReason "budget" at the first generation boundary at or past the
 	// cap. This is the equal-budget race knob — every backend spends the
 	// same simulation budget, whatever its per-generation appetite. The
@@ -175,11 +175,12 @@ type Options struct {
 	// record's slices past the call.
 	OnGeneration func(GenRecord)
 
-	// Counter, when non-nil, replaces the run's private simulation
-	// counter, letting a host (the yield service, experiment harnesses)
-	// account simulator calls across runs. Totals are identical either
-	// way; Result.TotalSims still reports only this run's simulations
-	// when the counter started at zero.
+	// Counter, when non-nil, is the parent of the run's own simulation
+	// ledger: every simulation the run charges also reaches it at once,
+	// letting a host (the yield service, experiment harnesses) account
+	// simulator calls across runs, concurrent ones included. It never
+	// changes the run: Result.TotalSims, GenRecord.CumSims and SimBudget
+	// count only this run's simulations, whatever the counter held.
 	Counter *yieldsim.Counter
 
 	// RecordPopulations stores per-generation feasible-candidate snapshots
@@ -279,6 +280,7 @@ type Result struct {
 	BestSamples int     // MC samples behind the reported yield
 	Feasible    bool
 	TotalSims   int64
+	SimSplit    yieldsim.Split // TotalSims by purpose; sums to TotalSims
 	Generations int
 	StopReason  string
 	History     []GenRecord

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/eda-go/moheco/internal/constraint"
+	"github.com/eda-go/moheco/internal/yieldsim"
 )
 
 // scriptedRound is one round of a scriptedSearch: the incumbent's fitness
@@ -32,7 +33,7 @@ func (s *scriptedSearch) Incumbent() *Member { return s.inc }
 func (s *scriptedSearch) Round(sc *SearchContext) ([]*Member, bool, error) {
 	r := s.rounds[min(s.ran, len(s.rounds)-1)]
 	s.ran++
-	sc.counter.Add(r.sims)
+	sc.counter.Add(yieldsim.Stage1, r.sims)
 	s.inc.Fit = r.fit
 	if s.onRound != nil {
 		s.onRound(s.ran)
@@ -165,8 +166,8 @@ func TestRunCancelAtGenerationBoundary(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("cancelled run returned (%v, %v), want (nil, context.Canceled)", res, err)
 	}
-	if s.ran != 3 || records != 3 || sc.usedSims() != 3 {
-		t.Fatalf("after a cancel in round 3: %d rounds, %d records, %d sims; want 3 each (no final top-up)", s.ran, records, sc.usedSims())
+	if s.ran != 3 || records != 3 || sc.counter.Total() != 3 {
+		t.Fatalf("after a cancel in round 3: %d rounds, %d records, %d sims; want 3 each (no final top-up)", s.ran, records, sc.counter.Total())
 	}
 }
 

@@ -122,7 +122,7 @@ func localSearch(sc *SearchContext, bestM *Member) (*Member, error) {
 			// and let the caller see the recorded error.
 			return 2
 		}
-		fit := sc.nominal(x)
+		fit := sc.nominal(x, yieldsim.NMProbe)
 		rec := evalRec{x: append([]float64(nil), x...), fit: fit}
 		if !fit.Feasible {
 			evals = append(evals, rec)
@@ -130,7 +130,7 @@ func localSearch(sc *SearchContext, bestM *Member) (*Member, error) {
 		}
 		// NM evaluates one point at a time, so the probe's samples get the
 		// full worker pool.
-		cand := sc.newCandidate(x)
+		cand := sc.newCandidate(x, yieldsim.NMProbe)
 		cand.SetWorkers(o.Workers)
 		if err := cand.AddSamples(probeSims); err != nil {
 			evalErr = fmt.Errorf("core: memetic probe at %v: %w", x, err)

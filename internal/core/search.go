@@ -8,7 +8,6 @@ import (
 	"github.com/eda-go/moheco/internal/de"
 	"github.com/eda-go/moheco/internal/engine"
 	"github.com/eda-go/moheco/internal/ocba"
-	"github.com/eda-go/moheco/internal/oo"
 	"github.com/eda-go/moheco/internal/problem"
 	"github.com/eda-go/moheco/internal/randx"
 	"github.com/eda-go/moheco/internal/yieldsim"
@@ -25,8 +24,8 @@ type Member struct {
 
 // SearchContext is the shared half of an optimization run: the problem and
 // bounds, the run RNG, the candidate factory, the nominal screen, the
-// method-specific yield estimator, the stage-2 top-up, the shared
-// simulation counter and the generation loop that drives a backend's
+// method-specific yield estimator, the stage-2 top-up, the run's
+// simulation ledger and the generation loop that drives a backend's
 // rounds. Backends consume it so that budget accounting, determinism
 // (fixed seed ⇒ bit-identical, Workers=1 vs N), cancellation, stop rules
 // and per-generation records are inherited rather than re-implemented.
@@ -42,10 +41,8 @@ type SearchContext struct {
 	// streams), so a fixed seed pins the whole run.
 	RNG *randx.Stream
 
-	counter    *yieldsim.Counter
-	simBase    int64
+	counter    *yieldsim.Counter // the run's own ledger; its parent is Opts.Counter
 	ycfg       yieldsim.Config
-	manager    *oo.Manager
 	candSeq    uint64
 	backend    string
 	history    []GenRecord
@@ -54,10 +51,6 @@ type SearchContext struct {
 
 func newSearchContext(p problem.Problem, o Options, backend string) *SearchContext {
 	lo, hi := p.Bounds()
-	counter := o.Counter
-	if counter == nil {
-		counter = &yieldsim.Counter{}
-	}
 	// Candidates are created with sequential batches; each evaluation
 	// path retunes them via SetWorkers — the population estimate splits
 	// the pool between its cross-candidate fan-out and the candidates'
@@ -71,21 +64,12 @@ func newSearchContext(p problem.Problem, o Options, backend string) *SearchConte
 		Lo:      lo,
 		Hi:      hi,
 		RNG:     randx.New(o.Seed),
-		counter: counter,
-		// A host-shared counter may start non-zero; per-run accounting
-		// (GenRecord.CumSims, Result.TotalSims, SimBudget) is relative
-		// to this base.
-		simBase: counter.Total(),
+		counter: yieldsim.NewCounter(o.Counter),
 		ycfg: yieldsim.Config{
 			Sampler:            o.Sampler,
 			AcceptanceSampling: o.AcceptanceSampling,
 			Workers:            1,
 			Ctx:                o.Ctx,
-		},
-		manager: &oo.Manager{
-			N0: o.N0, SimAve: o.SimAve, Delta: o.Delta,
-			MaxSims: o.MaxSims, Threshold: o.Threshold,
-			Workers: o.Workers,
 		},
 		backend: backend,
 	}
@@ -130,7 +114,7 @@ func (sc *SearchContext) run(s Search) (*Result, error) {
 			BestYield:     best.Fit.Yield,
 			BestFeasible:  best.Fit.Feasible,
 			BestViolation: best.Fit.Violation,
-			CumSims:       sc.usedSims(),
+			CumSims:       sc.counter.Total(),
 		}
 		sc.snapshotTrials(&rec, evaluated)
 		mGenSeconds.Observe(time.Since(genStart).Seconds())
@@ -149,7 +133,7 @@ func (sc *SearchContext) run(s Search) (*Result, error) {
 			reason = "stalled"
 			break
 		}
-		if o.SimBudget > 0 && sc.usedSims() >= o.SimBudget {
+		if o.SimBudget > 0 && sc.counter.Total() >= o.SimBudget {
 			reason = "budget"
 			break
 		}
@@ -225,7 +209,7 @@ func BestIndex(ms []*Member, best int) int {
 // atomic.
 func (sc *SearchContext) Evaluate(ms []*Member) error {
 	err := engine.ForEachNCtx(sc.Opts.Ctx, sc.Opts.Workers, len(ms), func(i int) error {
-		ms[i].Fit = sc.nominal(ms[i].X)
+		ms[i].Fit = sc.nominal(ms[i].X, yieldsim.Screen)
 		return nil
 	})
 	if err != nil {
@@ -234,29 +218,40 @@ func (sc *SearchContext) Evaluate(ms []*Member) error {
 	return sc.estimate(ms)
 }
 
-// newCandidate builds the yield candidate for a design. Each candidate owns
-// a private random stream derived from the run seed and a creation sequence
-// number, so estimates are independent of worker scheduling — but the
-// creation ORDER matters: backends must create candidates in a
-// deterministic sequence.
-func (sc *SearchContext) newCandidate(x []float64) *yieldsim.Candidate {
+// newCandidate builds the yield candidate for a design, charging its
+// samples to purpose until it is retagged. Each candidate owns a private
+// random stream derived from the run seed and a creation sequence number,
+// so estimates are independent of worker scheduling — but the creation
+// ORDER matters: backends must create candidates in a deterministic
+// sequence.
+func (sc *SearchContext) newCandidate(x []float64, purpose yieldsim.Purpose) *yieldsim.Candidate {
 	sc.candSeq++
-	return yieldsim.NewCandidate(sc.Problem, x, sc.ycfg, sc.counter,
+	c := yieldsim.NewCandidate(sc.Problem, x, sc.ycfg, sc.counter,
 		randx.DeriveSeed(sc.Opts.Seed, 0x5eed, sc.candSeq))
+	c.SetPurpose(purpose)
+	return c
 }
 
 // nominal evaluates a design at the nominal process point and returns its
-// constraint fitness; the check is accounted as one simulator call.
-func (sc *SearchContext) nominal(x []float64) constraint.Fitness {
+// constraint fitness; the check is charged as one simulator call to
+// purpose.
+func (sc *SearchContext) nominal(x []float64, purpose yieldsim.Purpose) constraint.Fitness {
 	fit, _, _ := problem.NominalFitness(sc.Problem, x)
-	sc.counter.Add(1)
+	sc.counter.Add(purpose, 1)
 	return fit
 }
 
 // estimate runs the configured method's yield estimation over the feasible
-// members: fixed per-candidate budgets for MethodFixedBudget, the two-stage
-// OO flow (n0 warm-up, OCBA allocation rounds, threshold promotion to
-// stage 2) otherwise. Candidates are created here, in member order.
+// members: fixed per-candidate budgets for MethodFixedBudget, otherwise the
+// paper's two-stage ordinal-optimization flow (§2.3). Stage 1 treats the
+// feasible candidates as an ordinal optimization problem: after an n0
+// warm-up, the OCBA rule distributes T = SimAve·len samples so promising
+// candidates are ranked reliably while clearly poor ones get only enough
+// to keep the selection operator honest. Stage 2 promotes every candidate
+// whose stage-1 estimate clears Threshold to the full per-candidate budget
+// MaxSims, so the yield it reports carries reference-flow accuracy.
+// Candidates are created here, in member order, and each stage charges
+// its own purpose.
 func (sc *SearchContext) estimate(ms []*Member) error {
 	o := sc.Opts
 	feas := make([]*Member, 0, len(ms))
@@ -268,8 +263,12 @@ func (sc *SearchContext) estimate(ms []*Member) error {
 	if len(feas) == 0 {
 		return nil
 	}
+	purpose := yieldsim.Stage1
+	if o.Method == MethodFixedBudget {
+		purpose = yieldsim.Fixed
+	}
 	for _, m := range feas {
-		m.Cand = sc.newCandidate(m.X)
+		m.Cand = sc.newCandidate(m.X, purpose)
 	}
 	// Split the pool between the cross-candidate fan-out and each
 	// candidate's own sample batches. This helps the paths whose
@@ -299,7 +298,23 @@ func (sc *SearchContext) estimate(ms []*Member) error {
 		for i, m := range feas {
 			group[i] = m.Cand
 		}
-		if _, err := sc.manager.Evaluate(group); err != nil {
+		seq := &ocba.Sequencer{N0: o.N0, Delta: o.Delta, Workers: o.Workers}
+		if _, err := seq.Run(group, o.SimAve*len(feas)); err != nil {
+			return err
+		}
+		// Stage 2: the promotion set is decided sequentially, then the
+		// independent top-ups run on the worker pool. A promoted candidate
+		// may already hold more than MaxSims samples (stage 1 can
+		// concentrate SimAve·len on one candidate), so its increment is
+		// clamped to zero: it is already stage-2 accurate.
+		adds := make([]int, len(feas))
+		for i, m := range feas {
+			m.Cand.SetPurpose(yieldsim.Stage2)
+			if m.Cand.Yield() > o.Threshold {
+				adds[i] = max(o.MaxSims-m.Cand.Samples(), 0)
+			}
+		}
+		if err := ocba.RunIncrements(o.Workers, group, adds); err != nil {
 			return err
 		}
 	}
@@ -313,11 +328,6 @@ func (sc *SearchContext) estimate(ms []*Member) error {
 // promoteBest.
 func (sc *SearchContext) PromoteBest(pop []*Member, best int) (int, error) {
 	return promoteBest(pop, best, sc.Opts.MaxSims, sc.Opts.Workers)
-}
-
-// usedSims returns the simulator calls this run has spent so far.
-func (sc *SearchContext) usedSims() int64 {
-	return sc.counter.Total() - sc.simBase
 }
 
 // nmTriggered counts one local-refinement trigger (result bookkeeping plus
@@ -363,8 +373,9 @@ func (sc *SearchContext) finalize(best *Member, gens int, reason string) (*Resul
 	}
 	if best.Fit.Feasible {
 		if best.Cand == nil {
-			best.Cand = sc.newCandidate(best.X)
+			best.Cand = sc.newCandidate(best.X, yieldsim.TopUp)
 		}
+		best.Cand.SetPurpose(yieldsim.TopUp)
 		best.Cand.SetWorkers(sc.Opts.Workers)
 		if err := best.Cand.EnsureSamples(sc.Opts.MaxSims); err != nil {
 			return nil, err
@@ -375,7 +386,8 @@ func (sc *SearchContext) finalize(best *Member, gens int, reason string) (*Resul
 	res.BestX = append([]float64(nil), best.X...)
 	res.BestYield = best.Fit.Yield
 	res.Feasible = best.Fit.Feasible
-	res.TotalSims = sc.usedSims()
+	res.SimSplit = sc.counter.Split()
+	res.TotalSims = res.SimSplit.Total()
 	return res, nil
 }
 
@@ -394,6 +406,7 @@ func promoteBest(pop []*Member, best, maxSims, workers int) (int, error) {
 		if !b.Fit.Feasible || b.Cand == nil || b.Cand.Samples() >= maxSims {
 			return best, nil
 		}
+		b.Cand.SetPurpose(yieldsim.TopUp)
 		b.Cand.SetWorkers(workers)
 		if err := b.Cand.EnsureSamples(maxSims); err != nil {
 			return best, err

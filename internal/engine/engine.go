@@ -1,6 +1,6 @@
 // Package engine is the shared parallel evaluation executor behind every
 // simulation-heavy path of the library: per-candidate Monte-Carlo batches
-// (yieldsim), OCBA allocation rounds (ocba, oo), nominal-fitness screening
+// (yieldsim), OCBA allocation rounds (ocba), nominal-fitness screening
 // and population sampling (core), reference estimates and experiment
 // repetition loops (exp).
 //
@@ -25,8 +25,10 @@
 //     pure fan-out over precomputed work.
 //   - Each item writes only to its own slot of a result slice; reductions
 //     happen sequentially after the pool drains. The only shared mutable
-//     state on the hot path is the thread-safe atomic yieldsim.Counter,
-//     whose final total is order-independent.
+//     state on the hot path is the simulation ledger: a yieldsim.Counter
+//     chain (a run's own ledger and the host counters above it), where
+//     each charge is one atomic add per link, so every final count is
+//     order-independent.
 //   - Errors are deterministic too: ForEachN and Map record every item's
 //     error and return the one with the lowest index, not whichever
 //     goroutine lost the race. A parallel run therefore reports the same

@@ -12,13 +12,13 @@ import (
 	_ "github.com/eda-go/moheco/internal/lineasybo" // register the BO backend for races
 	"github.com/eda-go/moheco/internal/scenario"
 	"github.com/eda-go/moheco/internal/stats"
-	"github.com/eda-go/moheco/internal/yieldsim"
 )
 
 // RaceConfig sets up an equal-budget optimizer race in the protocol of
 // Rashid et al. (PAPERS.md): every registered backend runs the same
 // scenarios from the same repeat seeds, each run capped at the same
-// simulation budget through the run's shared yieldsim.Counter, and the
+// simulation budget through the run's own simulation ledger (the one its
+// screen, estimation, top-up and probe paths all charge), and the
 // comparison is yield at budget — not iterations, not generations, which
 // different searchers define differently.
 //
@@ -114,10 +114,6 @@ func RunRace(cfg RaceConfig) (*RaceResult, error) {
 					o.MaxSims = maxSims
 					o.Backend = b
 					o.SimBudget = cfg.SimBudget
-					// The run's budget accounting flows through one
-					// counter — the same counter the backend's screen,
-					// estimation and top-up paths all charge.
-					o.Counter = &yieldsim.Counter{}
 				},
 				seedKey: []uint64{0xace, uint64(slices.Index(scenarios, s))},
 			})

@@ -94,14 +94,6 @@ func (m *BatchMatrix[T]) Lanes() int { return m.k }
 // are the per-lane write-off slots.
 func (m *BatchMatrix[T]) Values() []T { return m.vals }
 
-// Zero clears all lanes' values, keeping the allocations.
-func (m *BatchMatrix[T]) Zero() {
-	for i := range m.vals {
-		m.vals[i] = 0
-	}
-	m.ok = false
-}
-
 // Factorize runs the numeric elimination of all K lanes in lockstep, in
 // place over the precomputed elimination schedule (Symbolic.upd), and
 // returns the per-lane outcome: errs[l] is

@@ -171,8 +171,8 @@ func TestLockstepFullyDense(t *testing.T) {
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	if sym.Stamped() != n*n {
-		t.Fatalf("duplicate entries not collapsed: stamped %d, want %d", sym.Stamped(), n*n)
+	if sym.stamped != n*n {
+		t.Fatalf("duplicate entries not collapsed: stamped %d, want %d", sym.stamped, n*n)
 	}
 	bm, ms := fillLanes(rng, sym, 8)
 	checkLockstepEquivalence(t, sym, bm, ms, rng)
@@ -305,8 +305,8 @@ func FuzzBuilderAnalyzeLockstep(f *testing.F) {
 			}
 			return
 		}
-		if sym.NNZ() < sym.Stamped() {
-			t.Fatalf("fill pattern smaller than stamped pattern: %d < %d", sym.NNZ(), sym.Stamped())
+		if sym.NNZ() < sym.stamped {
+			t.Fatalf("fill pattern smaller than stamped pattern: %d < %d", sym.NNZ(), sym.stamped)
 		}
 		for _, simd := range kernelPaths() {
 			withKernel(simd, func() {

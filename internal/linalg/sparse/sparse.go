@@ -110,7 +110,7 @@ type Symbolic struct {
 	// vals[upd[p]] -= vals[t]·vals[u] — no dense work row, no column lookup.
 	upd []int
 
-	stamped int // entries in the original pattern (pre-fill), for stats
+	stamped int // entries in the original pattern (pre-fill)
 
 	all *Reach // the reach of every component: the full substitution
 }
@@ -370,9 +370,6 @@ func (s *Symbolic) N() int { return s.n }
 
 // NNZ returns the number of stored entries in L+U (stamped plus fill-in).
 func (s *Symbolic) NNZ() int { return len(s.cols) }
-
-// Stamped returns the number of entries in the analyzed (pre-fill) pattern.
-func (s *Symbolic) Stamped() int { return s.stamped }
 
 // Trash returns the index of the write-off slot at the end of every value
 // array over this pattern: stamps addressed at a ground row or column land

@@ -230,7 +230,7 @@ func (s *Sequencer) Run(cands []Candidate, totalBudget int) (int, error) {
 // are fixed before any sample is drawn and candidates own private sample
 // streams, the outcome is identical for every worker count, and errors
 // surface in candidate order. It is the shared execution primitive of the
-// sequencer's allocation rounds and oo's stage-2 promotions.
+// sequencer's allocation rounds and core's stage-2 promotions.
 func RunIncrements(workers int, cands []Candidate, adds []int) error {
 	return engine.ForEachN(workers, len(cands), func(i int) error {
 		if adds[i] <= 0 {

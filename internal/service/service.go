@@ -662,30 +662,20 @@ func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
 	run := func(ctx context.Context, j *Job) error {
 		start := time.Now()
 		p := sharedProblem(scenario.MustGet(req.Scenario)) // ResolveOptimize checked the name
-		// The run owns a private counter: Result.TotalSims (and the
-		// streamed CumSims) must count only this optimization, exactly
-		// as the local CLI reports it — the shared server counter would
-		// leak concurrent jobs' simulations into the cached result. The
-		// private total is folded into the server counter per generation
-		// so /healthz stays live.
-		jobCounter := &yieldsim.Counter{}
-		var folded int64
-		fold := func() {
-			t := jobCounter.Total()
-			s.counter.Add(t - folded)
-			folded = t
-		}
+		// The server counter is the parent of the run's own ledger: every
+		// simulation reaches /healthz as it happens, while Result.TotalSims
+		// (and the streamed CumSims) count only this optimization, exactly
+		// as the local CLI reports it.
 		opts := base
 		opts.Workers = s.cfg.Workers
 		opts.Ctx = ctx
-		opts.Counter = jobCounter
+		opts.Counter = s.counter
 		// Generation spans are timed here, between callbacks: GenRecord
 		// carries no wall-clock fields by design (Results must stay
 		// bit-identical across runs), so the service supplies the clock.
 		genStart := start
 		var prevSims int64
 		opts.OnGeneration = func(r core.GenRecord) {
-			fold()
 			j.trace.Event("generation", func(sp *obs.Span) {
 				sp.DurationMS = sinceMS(genStart)
 				sp.Sims = r.CumSims - prevSims
@@ -700,7 +690,6 @@ func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
 			})
 		}
 		res, err := core.Optimize(p, opts)
-		fold()
 		if err != nil {
 			return err
 		}

@@ -466,7 +466,7 @@ func (c *Coordinator) CompleteShard(_ context.Context, id string, res ShardResul
 	// Work was burned whether or not the shard is still live; the fleet
 	// counter reflects it either way.
 	if res.Sims > 0 && c.counter != nil {
-		c.counter.Add(res.Sims)
+		c.counter.Add(yieldsim.Reference, res.Sims)
 	}
 	c.mu.Lock()
 	if res.Node != "" {

@@ -95,14 +95,11 @@ func runShardWorker(ctx context.Context, src shardSource, node string, workers i
 // coordinator owns the retry policy.
 func executeShard(ctx context.Context, sh Shard, node string, workers int, counter *yieldsim.Counter) ShardResult {
 	res := ShardResult{Node: node}
-	// Sims are tallied privately and reported in the result so the
-	// coordinator can count work from nodes it does not share memory with.
-	var sims yieldsim.Counter
-	counts, err := runChunks(ctx, sh.Spec, sh.First, sh.Last, workers, &sims, nil)
-	res.Sims = sims.Total()
-	if counter != nil {
-		counter.Add(res.Sims)
-	}
+	// The progress feed's cumulative count is the shard's simulations,
+	// reported in the result so the coordinator can count work from nodes
+	// it does not share memory with; counter is charged as chunks finish.
+	counts, err := runChunks(ctx, sh.Spec, sh.First, sh.Last, workers, counter,
+		func(done, _ int64) { res.Sims = done })
 	if err != nil {
 		res.Error = err.Error()
 		return res

@@ -6,19 +6,23 @@ import (
 )
 
 // TestCounterConcurrentStress hammers the shared simulation counter from
-// many goroutines; run under -race it also proves the counter is the only
-// shared mutable state a worker needs.
+// many goroutines, each charging its own ledger under one purpose; run under
+// -race it also proves the counter is the only shared mutable state a
+// worker needs. Every charge reaches the shared parent at once: the parent
+// ends at the sum of its children, purpose by purpose.
 func TestCounterConcurrentStress(t *testing.T) {
 	var ctr Counter
 	const goroutines = 32
 	const perG = 2000
+	kids := make([]*Counter, goroutines)
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for g := range kids {
+		kids[g] = NewCounter(&ctr)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				ctr.Add(1)
+				kids[g].Add(Purpose(g%int(NumPurposes)), 1)
 				_ = ctr.Total() // concurrent reads are legal too
 			}
 		}()
@@ -26,6 +30,18 @@ func TestCounterConcurrentStress(t *testing.T) {
 	wg.Wait()
 	if got := ctr.Total(); got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
+	}
+	var sum Split
+	for _, k := range kids {
+		if got := k.Total(); got != perG {
+			t.Errorf("child ledger = %d, want %d", got, perG)
+		}
+		for p, n := range k.Split() {
+			sum[p] += n
+		}
+	}
+	if got := ctr.Split(); got != sum {
+		t.Errorf("parent split %v, want the children's sum %v", got, sum)
 	}
 }
 

@@ -33,7 +33,7 @@ func wholeChunkPass(ctx context.Context, p problem.Problem, x []float64, n int, 
 			return 0, err
 		}
 		if o.Counter != nil {
-			o.Counter.Add(int64(cr.Hi - cr.Lo))
+			o.Counter.Add(Reference, int64(cr.Hi-cr.Lo))
 		}
 		pass := countPass(ok)
 		if o.Progress != nil {

@@ -1,7 +1,7 @@
 // Package yieldsim estimates circuit yield by Monte-Carlo sampling. It
 // provides the incremental per-candidate sampling state the OCBA allocator
 // drives (give this candidate Δ more samples, read back mean and variance),
-// the acceptance-sampling (AS) shortcut, simulation counting, and the
+// the acceptance-sampling (AS) shortcut, the simulation ledger, and the
 // high-accuracy reference estimator the paper uses to score every method
 // (50,000-sample MC).
 //
@@ -45,17 +45,77 @@ func simsCounter(scenario, sampler string) *obs.Counter {
 		"scenario", scenario, "sampler", sampler)
 }
 
-// Counter counts simulator invocations across an experiment. It is safe for
-// concurrent use.
-type Counter struct {
-	n atomic.Int64
+// Purpose names what a charged simulation was for.
+type Purpose int
+
+// The purposes a simulation is charged to.
+const (
+	// Screen is the nominal feasibility check of a proposed design.
+	Screen Purpose = iota
+	// Stage1 is the two-stage flow's ordinal stage: the n0 warm-up and
+	// the OCBA allocation rounds.
+	Stage1
+	// Stage2 is the threshold promotion to the full per-candidate budget.
+	Stage2
+	// Fixed is the fixed-budget baseline's per-candidate estimate.
+	Fixed
+	// TopUp holds the incumbent at full accuracy: PromoteBest and the
+	// final report.
+	TopUp
+	// NMProbe is the memetic Nelder–Mead refinement, its nominal checks
+	// included.
+	NMProbe
+	// Reference is the plain-MC reference estimator (ChunkPass), local or
+	// on a fleet shard.
+	Reference
+	// NumPurposes is the size of the purpose set.
+	NumPurposes
+)
+
+// Split is a ledger's simulation count by purpose.
+type Split [NumPurposes]int64
+
+// Total returns the sum over every purpose.
+func (s Split) Total() int64 {
+	t := int64(0)
+	for _, n := range s {
+		t += n
+	}
+	return t
 }
 
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.n.Add(n) }
+// Counter is a simulation ledger: it counts simulator invocations by
+// purpose. A counter may have a parent, and every charge also reaches the
+// parent (and its parent) immediately, so a run charges its own ledger
+// while a host's counter sums every run it hosts. The zero value is a
+// counter with no parent. It is safe for concurrent use.
+type Counter struct {
+	parent *Counter
+	n      [NumPurposes]atomic.Int64
+}
 
-// Total returns the count.
-func (c *Counter) Total() int64 { return c.n.Load() }
+// NewCounter returns an empty ledger whose charges also reach parent
+// (nil = none).
+func NewCounter(parent *Counter) *Counter { return &Counter{parent: parent} }
+
+// Add charges n simulations to purpose p, here and up the parent chain.
+func (c *Counter) Add(p Purpose, n int64) {
+	for ; c != nil; c = c.parent {
+		c.n[p].Add(n)
+	}
+}
+
+// Split returns the count by purpose.
+func (c *Counter) Split() Split {
+	var s Split
+	for p := range s {
+		s[p] = c.n[p].Load()
+	}
+	return s
+}
+
+// Total returns the count over every purpose.
+func (c *Counter) Total() int64 { return c.Split().Total() }
 
 // Config describes how yield estimates are produced.
 type Config struct {
@@ -121,6 +181,7 @@ type Candidate struct {
 	prob    problem.Problem
 	cfg     Config
 	counter *Counter
+	purpose Purpose // what the next batches are charged to
 	rng     *randx.Stream
 	mSims   *obs.Counter // per-(scenario, sampler) simulated-samples metric
 
@@ -131,13 +192,15 @@ type Candidate struct {
 
 // NewCandidate creates sampling state for design x. The seed fixes the
 // candidate's private sample stream, making estimates reproducible
-// regardless of evaluation order.
+// regardless of evaluation order. Its simulations are charged to counter
+// (nil = uncounted) under Stage1 until SetPurpose says otherwise.
 func NewCandidate(p problem.Problem, x []float64, cfg Config, counter *Counter, seed uint64) *Candidate {
 	c := &Candidate{
 		X:       append([]float64(nil), x...),
 		prob:    p,
 		cfg:     cfg.withDefaults(),
 		counter: counter,
+		purpose: Stage1,
 		rng:     randx.New(seed),
 	}
 	c.r0 = asRadiusFactor * math.Sqrt(float64(p.VarDim()))
@@ -256,7 +319,7 @@ func (c *Candidate) AddSamples(n int) error {
 			return err
 		}
 		if c.counter != nil {
-			c.counter.Add(int64(hi - lo))
+			c.counter.Add(c.purpose, int64(hi-lo))
 		}
 		c.mSims.Add(int64(hi - lo))
 		copy(pass[lo:hi], ok)
@@ -298,6 +361,11 @@ func (c *Candidate) AddSamples(n int) error {
 // per-candidate batches sequential, then restores the full pool for
 // single-candidate top-ups.
 func (c *Candidate) SetWorkers(w int) { c.cfg.Workers = w }
+
+// SetPurpose sets the purpose that subsequent batches are charged to. The
+// estimation flow retags a candidate as it moves it from stage to stage;
+// the purpose never changes an estimate.
+func (c *Candidate) SetPurpose(p Purpose) { c.purpose = p }
 
 // EnsureSamples tops the candidate up to at least n accounted samples.
 func (c *Candidate) EnsureSamples(n int) error {
@@ -421,7 +489,7 @@ func ChunkPass(ctx context.Context, p problem.Problem, x []float64, n int, seed 
 			return 0, err
 		}
 		if o.Counter != nil {
-			o.Counter.Add(int64(cr.Hi - cr.Lo))
+			o.Counter.Add(Reference, int64(cr.Hi-cr.Lo))
 		}
 		mSims.Add(int64(cr.Hi - cr.Lo))
 		mChunkSeconds.Observe(time.Since(t0).Seconds())
@@ -499,10 +567,10 @@ func MergePass(counts []int, n int) float64 {
 // paper's 50,000-sample analysis) on workers goroutines (0 = GOMAXPROCS).
 // It bypasses acceptance sampling so the answer is an unbiased Monte-Carlo
 // estimate. The returned sims is the number of simulator calls (= n). The
-// counter, when non-nil, is incremented; experiment harnesses usually pass
-// nil so reference evaluations do not pollute method costs. The sample
-// stream is split into fixed-size chunks, each with a seed derived from its
-// chunk index, so every worker count — including 1 — produces the
+// counter, when non-nil, is charged under Reference; experiment harnesses
+// usually pass nil so reference evaluations do not pollute method costs. The
+// sample stream is split into fixed-size chunks, each with a seed derived
+// from its chunk index, so every worker count — including 1 — produces the
 // identical estimate.
 func ReferenceWorkers(p problem.Problem, x []float64, n int, seed uint64, counter *Counter, workers int) (float64, int, error) {
 	return ReferenceCtx(nil, p, x, n, seed, RefOptions{Workers: workers, Counter: counter})
@@ -520,10 +588,10 @@ type RefOptions struct {
 	// and deterministic for a given (seed, n), it just scopes the variance
 	// reduction to ChunkSize-sample blocks.
 	Sampler sample.Sampler
-	// Counter, when non-nil, is incremented chunk by chunk as chunks
-	// complete, so a cancelled run's accounting reflects the work actually
-	// spent (a completed run still totals exactly n; a structurally failed
-	// chunk counts nothing).
+	// Counter, when non-nil, is charged under Reference chunk by chunk as
+	// chunks complete, so a cancelled run's accounting reflects the work
+	// actually spent (a completed run still totals exactly n; a
+	// structurally failed chunk counts nothing).
 	Counter *Counter
 	// Progress, when non-nil, is called after each completed chunk with
 	// the cumulative simulated and passing sample counts. Calls are
