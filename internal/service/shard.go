@@ -465,7 +465,7 @@ func (c *Coordinator) LeaseShards(ctx context.Context, node string, max int) ([]
 func (c *Coordinator) CompleteShard(_ context.Context, id string, res ShardResult) error {
 	// Work was burned whether or not the shard is still live; the fleet
 	// counter reflects it either way.
-	if res.Sims > 0 && c.counter != nil {
+	if res.Sims > 0 {
 		c.counter.Add(yieldsim.Reference, res.Sims)
 	}
 	c.mu.Lock()

@@ -98,7 +98,8 @@ type Counter struct {
 // (nil = none).
 func NewCounter(parent *Counter) *Counter { return &Counter{parent: parent} }
 
-// Add charges n simulations to purpose p, here and up the parent chain.
+// Add charges n simulations to purpose p, here and up the parent chain. On
+// a nil counter it does nothing.
 func (c *Counter) Add(p Purpose, n int64) {
 	for ; c != nil; c = c.parent {
 		c.n[p].Add(n)
@@ -318,9 +319,7 @@ func (c *Candidate) AddSamples(n int) error {
 		if err != nil {
 			return err
 		}
-		if c.counter != nil {
-			c.counter.Add(c.purpose, int64(hi-lo))
-		}
+		c.counter.Add(c.purpose, int64(hi-lo))
 		c.mSims.Add(int64(hi - lo))
 		copy(pass[lo:hi], ok)
 		chunkDone[ci] = true
@@ -488,9 +487,7 @@ func ChunkPass(ctx context.Context, p problem.Problem, x []float64, n int, seed 
 			// samples are not counted as simulations.
 			return 0, err
 		}
-		if o.Counter != nil {
-			o.Counter.Add(Reference, int64(cr.Hi-cr.Lo))
-		}
+		o.Counter.Add(Reference, int64(cr.Hi-cr.Lo))
 		mSims.Add(int64(cr.Hi - cr.Lo))
 		mChunkSeconds.Observe(time.Since(t0).Seconds())
 		if o.Progress != nil {
