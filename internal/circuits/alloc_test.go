@@ -2,32 +2,125 @@ package circuits
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/obs"
+	"github.com/eda-go/moheco/internal/pdk"
 	"github.com/eda-go/moheco/internal/problem"
 	"github.com/eda-go/moheco/internal/randx"
 	"github.com/eda-go/moheco/internal/sample"
 	"github.com/eda-go/moheco/internal/variation"
 )
 
+// perturbation is one device's deviation from its deck card in the
+// declarative form the per-device oracle folds the variables into.
+type perturbation struct {
+	dvth, u0, tox, ld, wd, cj, cjsw, rdiff, gamma, cgo, lambda float64
+}
+
+// field returns the field of d an inter-die variable with target t moves
+// on a device of the given polarity, and whether it shifts the field (or
+// scales it); nil if the variable leaves the device alone.
+func (d *perturbation) field(t pdk.Target, pmos bool) (f *float64, shift bool) {
+	switch t {
+	case pdk.VthN, pdk.VthP:
+		f, shift = &d.dvth, true
+	case pdk.LDBoth, pdk.LDN, pdk.LDP:
+		f, shift = &d.ld, true
+	case pdk.WDBoth, pdk.WDN, pdk.WDP:
+		f, shift = &d.wd, true
+	case pdk.U0N, pdk.U0P:
+		f = &d.u0
+	case pdk.ToxN, pdk.ToxP:
+		f = &d.tox
+	case pdk.CJN, pdk.CJP:
+		f = &d.cj
+	case pdk.CJSWN, pdk.CJSWP:
+		f = &d.cjsw
+	case pdk.RDN, pdk.RDP:
+		f = &d.rdiff
+	case pdk.GammaN, pdk.GammaP:
+		f = &d.gamma
+	case pdk.OverlapN, pdk.OverlapP:
+		f = &d.cgo
+	case pdk.LambdaN, pdk.LambdaP:
+		f = &d.lambda
+	default:
+		panic(fmt.Sprintf("unknown target %d", t))
+	}
+	switch t {
+	case pdk.LDBoth, pdk.WDBoth:
+	case pdk.VthP, pdk.U0P, pdk.ToxP, pdk.LDP, pdk.WDP, pdk.CJP, pdk.CJSWP, pdk.RDP, pdk.GammaP, pdk.OverlapP, pdk.LambdaP:
+		if !pmos {
+			return nil, false
+		}
+	default:
+		if pmos {
+			return nil, false
+		}
+	}
+	return f, shift
+}
+
 // perturbedDevice is the per-device builder the behavioural evaluators
-// used before their cards moved into stack arrays: the full per-device
-// Perturb (inter-die part included) applied to a heap copy of the deck
-// card. It is the oracle for perturbCard.
+// used before the variation space was compiled: every inter-die variable
+// folded in through its target's field, then the device's own
+// Pelgrom terms, applied to a heap copy of the deck card. It is the oracle
+// for the cards Space.WriteCards writes.
 func perturbedDevice(space *variation.Space, xi []float64, slot int, nominal *mos.Params, w, l, m float64) *mos.Device {
-	d := space.Perturb(xi, slot, w*l*m*1e12)
-	var card mos.Params
-	nominal.ApplyTo(&card, &d)
+	d := perturbation{u0: 1, tox: 1, cj: 1, cjsw: 1, rdiff: 1, gamma: 1, cgo: 1, lambda: 1}
+	if xi != nil {
+		for i, v := range space.Tech.Inter {
+			if f, shift := d.field(v.Target, space.Devices[slot].PMOS); f != nil && shift {
+				*f += v.Sigma * xi[i]
+			} else if f != nil {
+				*f *= 1 + v.Sigma*xi[i]
+			}
+		}
+		area := w * l * m * 1e12
+		if area < 0.01 {
+			area = 0.01
+		}
+		inv := 1 / math.Sqrt(area)
+		mm := space.Tech.Mismatch
+		base := len(space.Tech.Inter) + variation.IntraPerDevice*slot
+		d.tox *= 1 + mm.ATOX*inv*xi[base+0]
+		d.dvth += mm.AVT * inv * xi[base+1]
+		d.ld += mm.ALD * inv * 1e-6 * xi[base+2]
+		d.wd += mm.AWD * inv * 1e-6 * xi[base+3]
+	}
+	card := *nominal
+	card.VTH0 = nominal.VTH0 + d.dvth
+	card.U0 = nominal.U0 * d.u0
+	card.TOX = nominal.TOX * d.tox
+	card.LD = nominal.LD + d.ld
+	card.WD = nominal.WD + d.wd
+	card.CJ = nominal.CJ * d.cj
+	card.CJSW = nominal.CJSW * d.cjsw
+	card.RDiff = nominal.RDiff * d.rdiff
+	card.Gamma = nominal.Gamma * d.gamma
+	if d.cgo != 0 {
+		card.CGSO *= d.cgo
+		card.CGDO *= d.cgo
+	}
+	if d.lambda != 0 {
+		card.Lambda0 *= d.lambda
+	}
+	if card.TOX < 0.2*nominal.TOX {
+		card.TOX = 0.2 * nominal.TOX
+	}
 	return &mos.Device{Params: &card, W: w, L: l, M: m}
 }
 
-// TestPerturbCardMatchesDeviceOracle pins perturbCard, with the inter-die
-// part computed once per sample, to the per-device builder bit for bit on
-// every slot of the three behavioural problems, and checks it keeps the
-// destination card's name.
+// TestPerturbCardMatchesDeviceOracle pins the cards the evaluators write —
+// Space.WriteCards over every slot at once, the inter-die part computed
+// once per sample — to the per-device builder bit for bit on every slot of
+// the three behavioural problems, and checks it keeps each destination
+// card's name.
 func TestPerturbCardMatchesDeviceOracle(t *testing.T) {
 	type spaced interface {
 		problem.Problem
@@ -36,17 +129,28 @@ func TestPerturbCardMatchesDeviceOracle(t *testing.T) {
 	for _, p := range []spaced{NewCommonSource(), NewFoldedCascode(), NewTelescopic()} {
 		space := p.Space()
 		rng := randx.New(5)
+		n := len(space.Devices)
+		cards := make([]mos.Params, n)
+		mms := make([]variation.Mismatch, n)
+		geom := make([][2]float64, n)
+		for slot := range cards {
+			cards[slot] = *space.Model(slot)
+			cards[slot].Name = "keep"
+		}
+		var inter variation.Inter
 		for trial := 0; trial < 10; trial++ {
 			var xi []float64
 			if trial > 0 {
 				xi = sample.PMC{}.Draw(rng, 1, p.VarDim())[0]
 			}
-			inter := space.Inter(xi)
-			for slot, s := range space.Devices {
+			for slot := range geom {
 				w, l := 1e-6+rng.Float64()*100e-6, 0.1e-6+rng.Float64()*2e-6
-				want := perturbedDevice(space, xi, slot, space.Tech.Model(s.PMOS), w, l, 1)
-				card := mos.Params{Name: "keep"}
-				perturbCard(&card, space, &inter, xi, slot, w*l*1e12)
+				geom[slot] = [2]float64{w, l}
+				mms[slot] = space.Mismatch(slot, w*l*1e12)
+			}
+			space.WriteCards(cards, mms, &inter, xi)
+			for slot, card := range cards {
+				want := perturbedDevice(space, xi, slot, space.Model(slot), geom[slot][0], geom[slot][1], 1)
 				if card.Name != "keep" {
 					t.Fatalf("%s slot %d: card name %q overwritten", p.Name(), slot, card.Name)
 				}
@@ -82,6 +186,31 @@ func TestEvaluateAllocsFixed(t *testing.T) {
 		})
 		if got != evaluateAllocs {
 			t.Errorf("%s: Evaluate allocates %v objects per sample, want %d", p.Name(), got, evaluateAllocs)
+		}
+	}
+}
+
+// TestEvaluateBatchAllocsFixed is TestEvaluateAllocsFixed for the batch
+// path: an EvaluateBatch call allocates its result slices and the one
+// array its performance vectors share, so it allocates as often at 1, 32
+// and 100 samples.
+func TestEvaluateBatchAllocsFixed(t *testing.T) {
+	for _, p := range []interface {
+		problem.BatchEvaluator
+		ReferenceDesign() []float64
+	}{NewFoldedCascode(), NewTelescopic()} {
+		x := p.ReferenceDesign()
+		xis := sample.PMC{}.Draw(randx.New(8), 100, p.VarDim())
+		var counts []float64
+		for _, n := range []int{1, 32, 100} {
+			counts = append(counts, testing.AllocsPerRun(20, func() {
+				if _, errs := p.EvaluateBatch(x, xis[:n]); errors.Join(errs...) != nil {
+					t.Fatal(errors.Join(errs...))
+				}
+			}))
+		}
+		if counts[0] != counts[1] || counts[0] != counts[2] {
+			t.Errorf("%s: EvaluateBatch allocates %v objects at 1, 32 and 100 samples", p.Name(), counts)
 		}
 	}
 }

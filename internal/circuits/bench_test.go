@@ -42,6 +42,36 @@ func BenchmarkEvaluateTelescopic(b *testing.B) {
 	benchEvaluate(b, p, p.ReferenceDesign())
 }
 
+// benchEvaluateBatch times one 32-sample EvaluateBatch per iteration and
+// reports ns/sample: the per-sample cost an optimize run's Monte-Carlo
+// batches pay, where the single-Evaluate benchmarks above also time the
+// per-call design setup.
+func benchEvaluateBatch(b *testing.B, p interface {
+	EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error)
+	VarDim() int
+}, x []float64) {
+	const samples = 32
+	xis := sample.PMC{}.Draw(randx.New(1), samples, p.VarDim())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, errs := p.EvaluateBatch(x, xis); errs[0] != nil {
+			b.Fatal(errs[0])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*samples), "ns/sample")
+}
+
+func BenchmarkEvaluateBatchFoldedCascode(b *testing.B) {
+	p := circuits.NewFoldedCascode()
+	benchEvaluateBatch(b, p, p.ReferenceDesign())
+}
+
+func BenchmarkEvaluateBatchTelescopic(b *testing.B) {
+	p := circuits.NewTelescopic()
+	benchEvaluateBatch(b, p, p.ReferenceDesign())
+}
+
 func BenchmarkEvaluateNominalFoldedCascode(b *testing.B) {
 	p := circuits.NewFoldedCascode()
 	x := p.ReferenceDesign()

@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"github.com/eda-go/moheco/internal/mos"
-	"github.com/eda-go/moheco/internal/variation"
 )
 
 // mirrorRatio is the bias-branch scaling: bias diodes are 1/mirrorRatio the
@@ -43,45 +42,16 @@ func clampMin(v, lo float64) float64 {
 	return v
 }
 
-// perturbCard rewrites dst in place as the perturbed model card of
-// variation slot under xi: the deck card of the slot's polarity with the
-// sample's inter-die part (inter, from space.Inter(xi), computed once per
-// sample) and the slot's own intra-die terms for gate area areaUm2 folded
-// in. dst keeps its Name, so callers label their cards once. A nil xi
-// writes the nominal card.
-//
-// Evaluators keep the card and device arrays in their own frame and store
-// &cards[i] there, so neither leaves the stack: storing the pointer through
-// a helper struct instead moves the whole array to the heap.
-func perturbCard(dst *mos.Params, space *variation.Space, inter *variation.Inter, xi []float64, slot int, areaUm2 float64) {
-	sc := newSlotMismatch(space, slot, areaUm2)
-	name := dst.Name
-	*dst = *sc.model
-	dst.Name = name
-	sc.perturb(dst, inter, xi)
-}
-
-// slotMismatch is the design-only part of one slot's perturbed card: the
-// deck card of the slot's polarity and the slot's intra-die terms at its
-// gate area. A batch evaluator makes one per slot and design, copies the
-// deck card into the slot's card once, and then rewrites only the
-// perturbed fields per sample.
-type slotMismatch struct {
-	model *mos.Params
-	mm    variation.Mismatch
-}
-
-func newSlotMismatch(space *variation.Space, slot int, areaUm2 float64) slotMismatch {
-	return slotMismatch{model: space.Tech.Model(space.Devices[slot].PMOS), mm: space.Mismatch(slot, areaUm2)}
-}
-
-// perturb rewrites card as the slot's card under xi, whose inter-die part
-// is inter. Every field a perturbation leaves alone must already hold the
-// deck card's.
-func (s *slotMismatch) perturb(card *mos.Params, inter *variation.Inter, xi []float64) {
-	var d mos.Perturb
-	s.mm.Apply(&d, inter, xi)
-	s.model.ApplyFields(card, &d)
+// allNominal reports whether every vector of a batch is the nominal nil:
+// such a batch leaves the deck cards as copied (the nil vector writes each
+// perturbed field with the deck's own bits) and needs no Pelgrom factors.
+func allNominal(xis [][]float64) bool {
+	for _, xi := range xis {
+		if xi != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // slotCardName labels the private perturbed card of a variation slot in a
@@ -89,12 +59,12 @@ func (s *slotMismatch) perturb(card *mos.Params, inter *variation.Inter, xi []fl
 // set it once when they are built.
 func slotCardName(slot int) string { return fmt.Sprintf("m%d", slot) }
 
-// satCaps returns the device capacitances at a representative saturation
-// operating point carrying current id.
-func satCaps(d *mos.Device, id float64) mos.OP {
+// satCaps writes to op the device's operating point, capacitances
+// included, at a representative saturation point carrying current id.
+func satCaps(op *mos.OP, d *mos.Device, id float64) {
 	vgs := d.VgsForID(id, 0)
 	vds := d.VovForID(id) + 0.2
-	return d.Evaluate(vgs, vds, 0)
+	d.EvaluateTo(op, vgs, vds, 0)
 }
 
 // mirror models one leg of a current mirror: the diode device carries
@@ -102,7 +72,8 @@ func satCaps(d *mos.Device, id float64) mos.OP {
 // It returns the output current.
 func mirror(diode, out *mos.Device, iBias, vds float64) float64 {
 	vgs := diode.VgsForID(iBias, 0)
-	op := out.Evaluate(vgs, vds, 0)
+	var op mos.OP
+	out.EvaluateDC(&op, vgs, vds, 0)
 	return op.ID
 }
 

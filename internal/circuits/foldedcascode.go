@@ -159,7 +159,8 @@ func (p *FoldedCascode) Evaluate(x, xi []float64) ([]float64, error) {
 // EvaluateBatch implements problem.BatchEvaluator. The design-only work —
 // slot geometry, the Pelgrom factors of each slot's gate area and the
 // nominal bias set points — runs once per batch; each sample rewrites the
-// perturbed cards in place. Every sample gets Evaluate's bits.
+// perturbed cards in place, and the performance vectors share one backing
+// array. Every sample gets Evaluate's bits.
 func (p *FoldedCascode) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
 	perfs, errs := make([][]float64, len(xis)), make([]error, len(xis))
 	p.evaluate(x, xis, perfs, errs)
@@ -197,7 +198,8 @@ func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64
 
 	// Perturbed devices for all 15 slots, W and L per slot. Cards and
 	// devices stay in this frame; each card starts as its deck card and
-	// each sample rewrites its perturbed fields.
+	// each sample rewrites its perturbed fields, unless every sample is
+	// nominal.
 	geom := [fcNumDevices][2]float64{
 		fcTail: {w0, lcs}, fcInL: {w1, l1}, fcInR: {w1, l1},
 		fcNSinkL: {w3, lcs}, fcNSinkR: {w3, lcs},
@@ -207,12 +209,15 @@ func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64
 		fcBiasP: {w9 / k, lcs}, fcBiasN: {w3 / k, lcs},
 		fcBiasNC: {w5 / k, lcas}, fcBiasPC: {w7 / k, lcas},
 	}
-	var slots [fcNumDevices]slotMismatch
+	var mms [fcNumDevices]variation.Mismatch
 	var cards [fcNumDevices]mos.Params
 	var devs [fcNumDevices]mos.Device
+	nominal := allNominal(xis)
 	for i, g := range geom {
-		slots[i] = newSlotMismatch(p.space, i, g[0]*g[1]*1e12)
-		cards[i] = *slots[i].model
+		if !nominal {
+			mms[i] = p.space.Mismatch(i, g[0]*g[1]*1e12)
+		}
+		cards[i] = *p.space.Model(i)
 		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
 	}
 	tail := &devs[fcTail]
@@ -231,15 +236,16 @@ func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64
 	vdsat3Nom := nskNom.VDsatForID(is)
 	vdsat9Nom := psrNom.VDsatForID(ic)
 
+	n := len(p.specs)
+	backing := make([]float64, len(xis)*n)
 	var inter variation.Inter
 	for s, xi := range xis {
 		if err := p.space.CheckVector(xi); err != nil {
 			errs[s] = err
 			continue
 		}
-		p.space.SetInter(&inter, xi)
-		for i := range slots {
-			slots[i].perturb(&cards[i], &inter, xi)
+		if !nominal {
+			p.space.WriteCards(cards[:], mms[:], &inter, xi)
 		}
 
 		// --- Bias chain and currents ---
@@ -315,11 +321,12 @@ func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64
 		_ = resR
 
 		// --- Poles and capacitances ---
-		capsIn := satCaps(inL, idInL)
-		capsNsk := satCaps(nskL, i3NeedL)
-		capsNcs := satCaps(ncsL, icL)
-		capsPcs := satCaps(pcsL, icL)
-		capsPsr := satCaps(psrL, icL)
+		var capsIn, capsNsk, capsNcs, capsPcs, capsPsr mos.OP
+		satCaps(&capsIn, inL, idInL)
+		satCaps(&capsNsk, nskL, i3NeedL)
+		satCaps(&capsNcs, ncsL, icL)
+		satCaps(&capsPcs, pcsL, icL)
+		satCaps(&capsPsr, psrL, icL)
 		cFold := capsNcs.Cgs + capsNcs.Csb + capsIn.Cdb + capsIn.Cgd + capsNsk.Cdb + capsNsk.Cgd
 		cTop := capsPcs.Cgs + capsPcs.Csb + capsPsr.Cdb + capsPsr.Cgd
 		cOut := p.CL + capsNcs.Cdb + capsNcs.Cgd + capsPcs.Cdb + capsPcs.Cgd
@@ -371,7 +378,7 @@ func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64
 		biasCurrent := (3*ic + is) / k
 		power := vdd * (itAct + i9L + i9R + biasCurrent)
 
-		perfs[s] = []float64{a0dB, gbw, pm, os, power, satMargin}
+		perfs[s] = append(backing[s*n:s*n:(s+1)*n], a0dB, gbw, pm, os, power, satMargin)
 	}
 }
 

@@ -107,15 +107,22 @@ func (p *CommonSource) Evaluate(x, xi []float64) ([]float64, error) {
 	ib := clampMin(x[0], 1e-7)
 	k := mirrorRatio
 
-	// Cards and devices stay in this frame; xi's inter-die part is
-	// computed once.
+	// Cards and devices stay in this frame; each card starts as its deck
+	// card, which the nominal xi leaves as it is.
 	geom := p.csGeometry(x)
 	var cards [csNumDevices]mos.Params
 	var devs [csNumDevices]mos.Device
-	inter := p.space.Inter(xi)
 	for i, g := range geom {
-		perturbCard(&cards[i], p.space, &inter, xi, i, g[0]*g[1]*1e12)
+		cards[i] = *p.space.Model(i)
 		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
+	}
+	if xi != nil {
+		var mms [csNumDevices]variation.Mismatch
+		for i, g := range geom {
+			mms[i] = p.space.Mismatch(i, g[0]*g[1]*1e12)
+		}
+		var inter variation.Inter
+		p.space.WriteCards(cards[:], mms[:], &inter, xi)
 	}
 	drv, load := &devs[csDriver], &devs[csLoad]
 
@@ -127,8 +134,9 @@ func (p *CommonSource) Evaluate(x, xi []float64) ([]float64, error) {
 	a0 := gm * rout
 	a0dB := 20 * math.Log10(clampMin(a0, 1e-12))
 
-	capsDrv := satCaps(drv, id)
-	capsLoad := satCaps(load, id)
+	var capsDrv, capsLoad mos.OP
+	satCaps(&capsDrv, drv, id)
+	satCaps(&capsLoad, load, id)
 	cOut := p.CL + capsDrv.Cdb + capsDrv.Cgd + capsLoad.Cdb + capsLoad.Cgd
 	gbw := gm / (2 * math.Pi * cOut)
 

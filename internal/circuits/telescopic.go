@@ -168,7 +168,8 @@ func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 // EvaluateBatch implements problem.BatchEvaluator. The design-only work —
 // slot geometry, the Pelgrom factors of each slot's gate area, the nominal
 // bias set points and the area — runs once per batch; each sample rewrites
-// the perturbed cards in place. Every sample gets Evaluate's bits.
+// the perturbed cards in place, and the performance vectors share one
+// backing array. Every sample gets Evaluate's bits.
 func (p *Telescopic) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
 	perfs, errs := make([][]float64, len(xis)), make([]error, len(xis))
 	p.evaluate(x, xis, perfs, errs)
@@ -209,7 +210,8 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 
 	// Perturbed devices for all 19 slots, W and L per slot. Cards and
 	// devices stay in this frame; each card starts as its deck card and
-	// each sample rewrites its perturbed fields.
+	// each sample rewrites its perturbed fields, unless every sample is
+	// nominal.
 	geom := [tsNumDevices][2]float64{
 		tsTail: {w0, lout}, tsInL: {w1, l1}, tsInR: {w1, l1},
 		tsNCasL: {w3, l1s}, tsNCasR: {w3, l1s},
@@ -221,12 +223,15 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 		tsBiasN: {w11 / k, lout}, tsBiasPL: {w7 / k, l1s},
 		tsBiasPC: {w5 / k, l1s}, tsBiasNC: {w3 / k, l1s},
 	}
-	var slots [tsNumDevices]slotMismatch
+	var mms [tsNumDevices]variation.Mismatch
 	var cards [tsNumDevices]mos.Params
 	var devs [tsNumDevices]mos.Device
+	nominal := allNominal(xis)
 	for i, g := range geom {
-		slots[i] = newSlotMismatch(p.space, i, g[0]*g[1]*1e12)
-		cards[i] = *slots[i].model
+		if !nominal {
+			mms[i] = p.space.Mismatch(i, g[0]*g[1]*1e12)
+		}
+		cards[i] = *p.space.Model(i)
 		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
 	}
 	tail, inL := &devs[tsTail], &devs[tsInL]
@@ -260,15 +265,16 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 	ccAreaUm2 := 2 * cc / 30e-15 // two stacked MOM Miller caps at 30 fF/µm²
 	area := active*1.15 + ccAreaUm2
 
+	n := len(p.specs)
+	backing := make([]float64, len(xis)*n)
 	var inter variation.Inter
 	for s, xi := range xis {
 		if err := p.space.CheckVector(xi); err != nil {
 			errs[s] = err
 			continue
 		}
-		p.space.SetInter(&inter, xi)
-		for i := range slots {
-			slots[i].perturb(&cards[i], &inter, xi)
+		if !nominal {
+			p.space.WriteCards(cards[:], mms[:], &inter, xi)
 		}
 
 		// --- Currents ---
@@ -306,11 +312,12 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 		a0dB := 20 * math.Log10(clampMin(a0, 1e-12))
 
 		// --- Poles ---
-		capsIn := satCaps(inL, ihL)
-		capsNcs := satCaps(ncsL, ihL)
-		capsPcs := satCaps(pcsL, ihL)
-		capsDrv := satCaps(drvL, i2L)
-		capsSnk := satCaps(snkL, i2L)
+		var capsIn, capsNcs, capsPcs, capsDrv, capsSnk mos.OP
+		satCaps(&capsIn, inL, ihL)
+		satCaps(&capsNcs, ncsL, ihL)
+		satCaps(&capsPcs, pcsL, ihL)
+		satCaps(&capsDrv, drvL, i2L)
+		satCaps(&capsSnk, snkL, i2L)
 		c1 := capsDrv.Cgs + capsNcs.Cdb + capsNcs.Cgd + capsPcs.Cdb + capsPcs.Cgd
 		c2 := p.CL + capsDrv.Cdb + capsSnk.Cdb + capsSnk.Cgd
 		gbw := gm1 / (2 * math.Pi * cc)
@@ -370,7 +377,7 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 		dVth9 := math.Abs(drvL.Params.VTH0 - drvR.Params.VTH0)
 		offset := (dI11/clampMin(gm9, 1e-9) + dVth9) / clampMin(a1, 1)
 
-		perfs[s] = []float64{a0dB, gbw, pm, os, power, area, offset, satMargin}
+		perfs[s] = append(backing[s*n:s*n:(s+1)*n], a0dB, gbw, pm, os, power, area, offset, satMargin)
 	}
 }
 

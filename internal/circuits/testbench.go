@@ -42,6 +42,10 @@ type testbench struct {
 	// LaneSetter switches lanes with plain copies, no recompute.
 	slots []slotCard
 	vals  []*float64
+	// mms are the slots' Pelgrom terms at their gate areas, made once per
+	// compiled design, and inter the sample's inter-die state.
+	mms   []variation.Mismatch
+	inter variation.Inter
 	// follow, when set, rewrites the source values after the cards of a
 	// sample are written.
 	follow func()
@@ -77,9 +81,17 @@ type slotCard struct {
 }
 
 // assemble compiles circuit c, whose perturbed cards are slots, into tb:
+// each card starts as its slot's deck card under its own name, and then
 // the engine (nodeset as its DC hint, lanes its lockstep lane count), the
 // output probe, swept over freqs, and the input source.
 func (tb *testbench) assemble(space *variation.Space, c *netlist.Circuit, nodeset map[string]float64, lanes int, slots []slotCard, freqs []float64) error {
+	tb.mms = make([]variation.Mismatch, len(slots))
+	for i, sc := range slots {
+		tb.mms[i] = space.Mismatch(sc.slot, sc.w*sc.l*1e12)
+		name := sc.card.Name
+		*sc.card = *space.Model(sc.slot)
+		sc.card.Name = name
+	}
 	probe, err := outputProbe(c)
 	if err != nil {
 		return err
@@ -99,10 +111,9 @@ func (tb *testbench) assemble(space *variation.Space, c *netlist.Circuit, nodese
 // setSample writes one sample's engine state (nil = nominal): the
 // perturbed cards, then the source values that follow them.
 func (tb *testbench) setSample(xi []float64) {
-	inter := tb.space.Inter(xi)
+	tb.space.SetInter(&tb.inter, xi)
 	for i := range tb.slots {
-		sc := &tb.slots[i]
-		perturbCard(sc.card, tb.space, &inter, xi, sc.slot, sc.w*sc.l*1e12)
+		tb.mms[i].Write(tb.slots[i].card, &tb.inter, xi)
 	}
 	if tb.follow != nil {
 		tb.follow()

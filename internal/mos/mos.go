@@ -89,67 +89,6 @@ func (p *Params) Cox() float64 { return EpsOx / p.TOX }
 // KP returns the transconductance parameter U0·Cox (A/V²).
 func (p *Params) KP() float64 { return p.U0 * p.Cox() }
 
-// Perturb captures one device instance's deviation from the nominal model
-// card. It is produced by internal/variation from a process-variation vector
-// and consumed by Params.ApplyTo.
-type Perturb struct {
-	DVth        float64 // additive threshold shift (V, in magnitude frame)
-	U0Scale     float64 // multiplicative mobility factor (1 = nominal)
-	TOXScale    float64 // multiplicative oxide-thickness factor (1 = nominal)
-	DLD         float64 // additive lateral-diffusion shift (m)
-	DWD         float64 // additive width-reduction shift (m)
-	CJScale     float64 // junction area cap factor
-	CJSWScale   float64 // junction sidewall cap factor
-	RDiffScale  float64 // diffusion resistance factor
-	GammaScale  float64 // body-effect factor
-	CGOScale    float64 // gate overlap cap factor
-	LambdaScale float64 // channel-length-modulation factor
-}
-
-// Nominal is the identity perturbation.
-func Nominal() Perturb {
-	return Perturb{
-		U0Scale: 1, TOXScale: 1, CJScale: 1, CJSWScale: 1,
-		RDiffScale: 1, GammaScale: 1, CGOScale: 1, LambdaScale: 1,
-	}
-}
-
-// ApplyTo writes p with the perturbation d folded in to dst. Evaluators
-// keep their perturbed cards in preallocated storage and rewrite them in
-// place per sample, so nothing is allocated. dst may be p itself.
-func (p *Params) ApplyTo(dst *Params, d *Perturb) {
-	*dst = *p
-	p.ApplyFields(dst, d)
-}
-
-// ApplyFields writes the fields of dst that d perturbs, from p's and d's,
-// and leaves the rest: it is ApplyTo for a dst whose other fields already
-// hold p's, as a card copied from p once per design does, so a per-sample
-// rewrite moves only the perturbed fields. dst may be p itself.
-func (p *Params) ApplyFields(dst *Params, d *Perturb) {
-	tox := p.TOX
-	dst.VTH0 = p.VTH0 + d.DVth
-	dst.U0 = p.U0 * d.U0Scale
-	dst.TOX = p.TOX * d.TOXScale
-	dst.LD = p.LD + d.DLD
-	dst.WD = p.WD + d.DWD
-	dst.CJ = p.CJ * d.CJScale
-	dst.CJSW = p.CJSW * d.CJSWScale
-	dst.RDiff = p.RDiff * d.RDiffScale
-	dst.Gamma = p.Gamma * d.GammaScale
-	dst.CGSO, dst.CGDO, dst.Lambda0 = p.CGSO, p.CGDO, p.Lambda0
-	if d.CGOScale != 0 {
-		dst.CGSO *= d.CGOScale
-		dst.CGDO *= d.CGOScale
-	}
-	if d.LambdaScale != 0 {
-		dst.Lambda0 *= d.LambdaScale
-	}
-	if dst.TOX < 0.2*tox {
-		dst.TOX = 0.2 * tox // guard against absurd tails
-	}
-}
-
 // Device is one transistor instance: a model card plus geometry.
 type Device struct {
 	Params *Params

@@ -12,7 +12,8 @@ import "github.com/eda-go/moheco/internal/cpufeat"
 //     VMULPD/VADDPD/VSUBPD/VDIVPD/VSQRTPD round exactly like the scalar
 //     operations, element by element;
 //   - both branches of erf⁻¹ run on every lane and a per-lane blend picks
-//     one, with the branch test of the scalar code (|x| ≤ 0.85);
+//     one, with the branch test of the scalar code (|x| ≤ 0.85); a group
+//     with no central lane skips the central branch;
 //   - lanes the kernel cannot decide — NaN, |2p−1| not below 1 (p ≤ 0,
 //     p ≥ 1, or p so small that 2p−1 rounds to −1) and tail lanes past
 //     r = 5, where erf⁻¹ switches to its far-tail polynomials — stop the

@@ -130,9 +130,13 @@ loop:
 	JNE       done
 
 	// Central branch, |x| ≤ 0.85: r = 0.180625 − 0.25·x·x,
-	// answer (x·z1)/z2.
+	// answer (x·z1)/z2. A group with no central lane skips it: the blend
+	// below then takes every lane from the tail branch.
 	VBROADCASTSD nq<>+32(SB), Y0
 	VCMPPD       $2, Y0, Y2, Y5
+	VMOVMSKPD    Y5, BX
+	TESTQ        BX, BX
+	JEQ          tail
 	VBROADCASTSD nq<>+48(SB), Y6
 	VMULPD       Y2, Y6, Y6
 	VMULPD       Y2, Y6, Y6
@@ -149,6 +153,7 @@ loop:
 	// bit masks (f1 in [0.5, 1), k = exponent − 1022, a double exactly
 	// through the 2⁵² OR-and-subtract), then
 	// if !(√2/2 < f1) { k -= 1; f1 *= 2 }.
+tail:
 	VSUBPD       Y2, Y14, Y6
 	VBROADCASTSD nq<>+344(SB), Y0
 	VANDPD       Y0, Y6, Y7

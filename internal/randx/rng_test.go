@@ -1,6 +1,7 @@
 package randx
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -19,6 +20,37 @@ func TestSourceMatchesMathRand(t *testing.T) {
 				}
 			} else if a, b := got.Uint64(), want.Uint64(); a != b {
 				t.Fatalf("seed %d: Uint64 #%d = %d, math/rand %d", seed, i, a, b)
+			}
+		}
+	}
+}
+
+// TestSeedJumpAheadMatchesMathRand pins the jump-ahead Seed, which reads
+// each state of the seeding generator through its own multiplier, to
+// math/rand's sequential seeding: over the first 700 values (past one turn
+// of the register) for random seeds, 0, negative seeds, and multiples of
+// 2³¹−1 and their neighbours.
+func TestSeedJumpAheadMatchesMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, 89482311, math.MinInt64, math.MaxInt64}
+	for _, k := range []int64{1, 2, 3, 1 << 20, -1, -7} {
+		m := k * int32max
+		seeds = append(seeds, m-1, m, m+1)
+	}
+	pick := rand.New(rand.NewSource(11))
+	n := 20000
+	if testing.Short() {
+		n = 1000
+	}
+	for i := 0; i < n; i++ {
+		seeds = append(seeds, int64(pick.Uint64()))
+	}
+	var got source
+	for _, seed := range seeds {
+		got.Seed(seed)
+		want := rand.NewSource(seed).(rand.Source64)
+		for i := 0; i < 700; i++ {
+			if a, b := got.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("seed %d: value %d = %d, math/rand %d", seed, i, a, b)
 			}
 		}
 	}
@@ -147,4 +179,13 @@ func BenchmarkInt63s(b *testing.B) {
 		int63sSink = blk[0]
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(blk)), "ns/value")
 	})
+}
+
+// BenchmarkSeed times seeding the 607-word register, the cost of every
+// New (one stream per candidate in an optimize run).
+func BenchmarkSeed(b *testing.B) {
+	var s source
+	for i := 0; i < b.N; i++ {
+		s.Seed(int64(i))
+	}
 }

@@ -197,7 +197,7 @@ type fleetView struct {
 	coordNode string
 	coordURL  string
 	peers     []FleetPeer
-	client    *Client // the client pinned to the live coordinator
+	client    *Client // the client pinned to the coordinator being served
 }
 
 func (s *Server) setFleetView(v fleetView) {
@@ -253,6 +253,12 @@ func (s *Server) runWorkerFleet() {
 // instead of electing itself leader of a fleet it never saw.
 func (s *Server) serveCoordinator(client *Client) bool {
 	hb := s.heartbeatEvery()
+	// The lease loop makes this node a peer before its first heartbeat is
+	// answered, so pin the client now: a drain in between must still
+	// deregister from the coordinator it leased from.
+	s.fleetMu.Lock()
+	s.fleet.client = client
+	s.fleetMu.Unlock()
 	cctx, cancel := context.WithCancel(s.baseCtx)
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -160,7 +160,12 @@ type Coordinator struct {
 	pending []*shardState          // FIFO; re-dispatched shards go to the front
 	byID    map[string]*shardState // pending + leased
 	peers   map[string]peerInfo    // node → last-seen + advertised URL
-	wake    chan struct{}          // closed and replaced when pending gains work
+	// departed holds the nodes whose last heartbeat announced they were
+	// leaving: a lease or completion they sent before it does not bring
+	// them back, and they lease nothing, until a heartbeat without
+	// Leaving.
+	departed map[string]bool
+	wake     chan struct{} // closed and replaced when pending gains work
 }
 
 // shardCacheSize bounds a node's warm-shard store, in completed shards.
@@ -192,13 +197,17 @@ func newCoordinator(cfg FleetConfig, hooks Hooks, node string, counter *yieldsim
 		hooks:       hooks,
 		byID:        make(map[string]*shardState),
 		peers:       make(map[string]peerInfo),
+		departed:    make(map[string]bool),
 		wake:        make(chan struct{}),
 	}
 }
 
 // touchPeerLocked refreshes a node's last-seen time, preserving any URL a
-// heartbeat announced.
+// heartbeat announced. A departed node stays out of the table.
 func (c *Coordinator) touchPeerLocked(node string) {
+	if c.departed[node] {
+		return
+	}
 	p := c.peers[node]
 	p.seen = time.Now()
 	c.peers[node] = p
@@ -214,8 +223,10 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	switch {
 	case req.Leaving:
 		delete(c.peers, req.Node)
+		c.departed[req.Node] = true
 		c.logger.Infof("peer %s left the fleet", req.Node)
 	case req.Node != "":
+		delete(c.departed, req.Node)
 		p := c.peers[req.Node]
 		p.seen = time.Now()
 		if req.URL != "" {
@@ -415,7 +426,8 @@ func (c *Coordinator) withdraw(st *shardState) {
 
 // LeaseShards implements shardSource: hand out up to max pending shards,
 // re-dispatching expired leases first, long-polling up to leasePollWait
-// when the queue is empty.
+// when the queue is empty. A departed node is handed nothing: a lease it
+// sent before its leaving heartbeat waits out the poll empty-handed.
 func (c *Coordinator) LeaseShards(ctx context.Context, node string, max int) ([]Shard, time.Duration, error) {
 	if max <= 0 {
 		max = 1
@@ -427,7 +439,7 @@ func (c *Coordinator) LeaseShards(ctx context.Context, node string, max int) ([]
 		c.touchPeerLocked(node)
 		c.redispatchExpiredLocked()
 		out := make([]Shard, 0, max)
-		for len(out) < max && len(c.pending) > 0 {
+		for len(out) < max && len(c.pending) > 0 && !c.departed[node] {
 			st := c.pending[0]
 			c.pending = c.pending[1:]
 			if st.attempts == 0 && !st.enqueued.IsZero() {

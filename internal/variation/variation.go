@@ -1,5 +1,5 @@
 // Package variation maps process-variation vectors onto per-device model
-// perturbations. A Space fixes the layout the whole optimizer relies on:
+// cards. A Space fixes the layout the whole optimizer relies on:
 //
 //	ξ = [ inter-die variables (len = len(tech.Inter)) |
 //	      device 0: TOX, VTH0, LD, WD | device 1: ... ]
@@ -12,6 +12,7 @@ package variation
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/pdk"
@@ -27,15 +28,29 @@ type Slot struct {
 	PMOS bool
 }
 
-// Space is the variation space of one circuit in one technology.
+// Space is the variation space of one circuit in one technology, with its
+// inter-die variables compiled into one program per polarity.
 type Space struct {
 	Tech    *pdk.Tech
 	Devices []Slot
+	// prog holds the NMOS and PMOS programs. They are compiled by the
+	// first SetInter of a vector, so building a problem costs no more than
+	// building its deck, and a Space that only sees the nominal vector
+	// never compiles them.
+	compiled sync.Once
+	prog     [2]program
 }
 
 // New builds a Space. The device order fixes the ξ layout.
 func New(tech *pdk.Tech, devices []Slot) *Space {
 	return &Space{Tech: tech, Devices: devices}
+}
+
+// compile builds both polarities' programs.
+func (s *Space) compile() {
+	for pol := range s.prog {
+		s.prog[pol] = newProgram(s.Tech, pol == 1)
+	}
 }
 
 // Dim returns the total number of variation variables.
@@ -49,41 +64,191 @@ func (s *Space) CheckVector(xi []float64) error {
 	return nil
 }
 
-// Inter is the inter-die part of one variation vector's perturbation:
-// the shift every NMOS (index 0) and every PMOS (index 1) device of the
-// circuit shares. It depends only on the polarity, so a circuit evaluator
-// computes it once per sample and adds each device's own intra-die terms
-// with its Mismatch.
-type Inter [2]mos.Perturb
+// Model returns the deck card of device dev's polarity.
+func (s *Space) Model(dev int) *mos.Params { return s.Tech.Model(s.Devices[dev].PMOS) }
 
-// Inter computes the inter-die perturbation of xi for both polarities. A
-// nil xi returns the nominal (identity) pair.
-func (s *Space) Inter(xi []float64) Inter {
-	var in Inter
-	s.SetInter(&in, xi)
-	return in
+// The fields of one polarity's inter-die state. The shifts come first and
+// start at 0, the scales start at 1.
+const (
+	fVth = iota
+	fLD
+	fWD
+	fTOX // the first scale
+	fU0
+	fCJ
+	fCJSW
+	fRDiff
+	fGamma
+	fCGO
+	fLambda
+	numFields
+)
+
+// polarity says which devices an inter-die variable moves.
+type polarity uint8
+
+const (
+	nOnly polarity = 1 << iota
+	pOnly
+	both = nOnly | pOnly
+)
+
+// targets maps each perturbation target to the field it moves and the
+// polarities it moves it for.
+var targets = [...]struct {
+	field int
+	pol   polarity
+}{
+	pdk.VthN: {fVth, nOnly}, pdk.VthP: {fVth, pOnly},
+	pdk.U0N: {fU0, nOnly}, pdk.U0P: {fU0, pOnly},
+	pdk.ToxN: {fTOX, nOnly}, pdk.ToxP: {fTOX, pOnly},
+	pdk.LDBoth: {fLD, both}, pdk.WDBoth: {fWD, both},
+	pdk.LDN: {fLD, nOnly}, pdk.LDP: {fLD, pOnly},
+	pdk.WDN: {fWD, nOnly}, pdk.WDP: {fWD, pOnly},
+	pdk.CJN: {fCJ, nOnly}, pdk.CJP: {fCJ, pOnly},
+	pdk.CJSWN: {fCJSW, nOnly}, pdk.CJSWP: {fCJSW, pOnly},
+	pdk.RDN: {fRDiff, nOnly}, pdk.RDP: {fRDiff, pOnly},
+	pdk.GammaN: {fGamma, nOnly}, pdk.GammaP: {fGamma, pOnly},
+	pdk.OverlapN: {fCGO, nOnly}, pdk.OverlapP: {fCGO, pOnly},
+	pdk.LambdaN: {fLambda, nOnly}, pdk.LambdaP: {fLambda, pOnly},
 }
 
-// SetInter writes Inter(xi) to in, so a batch evaluator rewrites one Inter
-// per sample in place.
+// term is one inter-die variable's move of a field: ξ index and σ.
+type term struct {
+	i     int
+	sigma float64
+}
+
+// program is one polarity's straight-line inter-die map: field f is moved
+// by terms[start[f]:start[f+1]], in Tech.Inter order, so each field sees
+// its variables' operations in the order of the variable list.
+type program struct {
+	deck  *mos.Params
+	terms []term
+	start [numFields + 1]int
+}
+
+// newProgram builds the program of one polarity of tech: it counts each
+// field's terms, then places them, so a program costs one allocation.
+func newProgram(tech *pdk.Tech, pmos bool) program {
+	pol := nOnly
+	if pmos {
+		pol = pOnly
+	}
+	field := func(v pdk.InterVar) (int, bool) {
+		if v.Target < 0 || int(v.Target) >= len(targets) {
+			panic(fmt.Sprintf("variation: unknown target %d", v.Target))
+		}
+		t := targets[v.Target]
+		return t.field, t.pol&pol != 0
+	}
+	p := program{deck: tech.Model(pmos)}
+	for _, v := range tech.Inter {
+		if f, ok := field(v); ok {
+			p.start[f+1]++
+		}
+	}
+	for f := range numFields {
+		p.start[f+1] += p.start[f]
+	}
+	p.terms = make([]term, p.start[numFields])
+	next := p.start
+	for i, v := range tech.Inter {
+		if f, ok := field(v); ok {
+			p.terms[next[f]] = term{i, v.Sigma}
+			next[f]++
+		}
+	}
+	return p
+}
+
+// Inter is one variation vector's inter-die state for both polarities,
+// NMOS at index 0 and PMOS at 1: the threshold, oxide-scale, LD and WD
+// shifts each device combines with its own intra-die terms, and the card
+// fields only inter-die variables move, already applied to the deck card.
+// A circuit evaluator computes it once per sample with SetInter and writes
+// every device's card from it with Mismatch.Write.
+type Inter [2]polInter
+
+type polInter struct {
+	deck                                            *mos.Params
+	dvth, toxScale, dld, dwd                        float64
+	u0, cj, cjsw, rdiff, gamma, cgso, cgdo, lambda0 float64
+}
+
+// SetInter writes the inter-die state of xi to in. A nil xi writes the
+// deck cards' own fields.
 func (s *Space) SetInter(in *Inter, xi []float64) {
-	in[0], in[1] = mos.Nominal(), mos.Nominal()
 	if xi == nil {
+		for pol := range in {
+			in[pol] = nominal(s.Tech.Model(pol == 1))
+		}
 		return
 	}
 	if len(xi) != s.Dim() {
 		panic(fmt.Sprintf("variation: vector has %d entries, space needs %d", len(xi), s.Dim()))
 	}
-	for i, v := range s.Tech.Inter {
-		applyInter(&in[0], v, xi[i], false)
-		applyInter(&in[1], v, xi[i], true)
+	s.compiled.Do(s.compile)
+	for pol := range in {
+		s.prog[pol].run(&in[pol], xi)
+	}
+}
+
+// nominal is the inter-die state of the nil vector: no shift, and the
+// deck card's own fields.
+func nominal(deck *mos.Params) polInter {
+	return polInter{
+		deck: deck, toxScale: 1,
+		u0: deck.U0, cj: deck.CJ, cjsw: deck.CJSW, rdiff: deck.RDiff, gamma: deck.Gamma,
+		cgso: deck.CGSO, cgdo: deck.CGDO, lambda0: deck.Lambda0,
+	}
+}
+
+// run writes the polarity's inter-die state under xi to dst: each shift is
+// 0 + σ·ξ + …, each scale 1·(1 + σ·ξ)·…, over the field's terms in order,
+// and the deck card's fields times their scales, the overlap and
+// channel-length-modulation scales only when nonzero.
+func (p *program) run(dst *polInter, xi []float64) {
+	var v [numFields]float64
+	for f := range v {
+		ts := p.terms[p.start[f]:p.start[f+1]]
+		if f < fTOX {
+			acc := 0.0
+			for _, t := range ts {
+				acc += t.sigma * xi[t.i]
+			}
+			v[f] = acc
+			continue
+		}
+		acc := 1.0
+		for _, t := range ts {
+			acc *= 1 + t.sigma*xi[t.i]
+		}
+		v[f] = acc
+	}
+	deck := p.deck
+	dst.deck = deck
+	dst.dvth, dst.toxScale, dst.dld, dst.dwd = v[fVth], v[fTOX], v[fLD], v[fWD]
+	dst.u0 = deck.U0 * v[fU0]
+	dst.cj = deck.CJ * v[fCJ]
+	dst.cjsw = deck.CJSW * v[fCJSW]
+	dst.rdiff = deck.RDiff * v[fRDiff]
+	dst.gamma = deck.Gamma * v[fGamma]
+	dst.cgso, dst.cgdo, dst.lambda0 = deck.CGSO, deck.CGDO, deck.Lambda0
+	if v[fCGO] != 0 {
+		dst.cgso *= v[fCGO]
+		dst.cgdo *= v[fCGO]
+	}
+	if v[fLambda] != 0 {
+		dst.lambda0 *= v[fLambda]
 	}
 }
 
 // Mismatch is the design-only part of one device's intra-die (Pelgrom)
 // terms: its polarity, the index of its first intra-die variable, and the
 // factors that scale those variables at its gate area. A batch evaluator
-// makes it once per design and applies it to every sample.
+// makes it once per design and writes the device's card with it for every
+// sample.
 type Mismatch struct {
 	pol              int
 	base             int
@@ -93,7 +258,7 @@ type Mismatch struct {
 // Mismatch returns the intra-die terms of device dev (index into Devices)
 // with gate area areaUm2 (drawn W·L·M in µm², clamped below at 0.01):
 // mm.ATOX·inv, mm.AVT·inv, (mm.ALD·inv)·1e-6 and (mm.AWD·inv)·1e-6 for
-// inv = 1/√area. Apply multiplies each by its variable, so the terms are
+// inv = 1/√area. Write multiplies each by its variable, so the terms are
 // mm.ATOX·inv·ξ and so on, evaluated left to right.
 func (s *Space) Mismatch(dev int, areaUm2 float64) Mismatch {
 	if dev < 0 || dev >= len(s.Devices) {
@@ -116,134 +281,42 @@ func (s *Space) Mismatch(dev int, areaUm2 float64) Mismatch {
 	return m
 }
 
-// Apply writes the device's full perturbation under xi to dst: its
-// polarity's entry of inter, computed from the same xi, plus its own
-// intra-die terms. A nil xi writes the inter-die entry unchanged.
-func (m *Mismatch) Apply(dst *mos.Perturb, inter *Inter, xi []float64) {
-	*dst = inter[m.pol]
+// Write writes the perturbed fields of the device's card under xi, whose
+// inter-die state in holds: the fields only inter-die variables move, from
+// in, and
+//
+//	VTH0 = deck + (ΔVth + vth·ξ)
+//	TOX  = deck · (TOXScale · (1 + tox·ξ)), at least 0.2·deck
+//	LD   = deck + (ΔLD + ld·ξ),  WD = deck + (ΔWD + wd·ξ)
+//
+// A nil xi writes the deck card's own fields. Every other field of card,
+// its Name included, is left as it is: it must already hold the deck
+// card's.
+func (m *Mismatch) Write(card *mos.Params, in *Inter, xi []float64) {
+	p := &in[m.pol]
+	deck := p.deck
+	card.U0, card.CJ, card.CJSW, card.RDiff, card.Gamma = p.u0, p.cj, p.cjsw, p.rdiff, p.gamma
+	card.CGSO, card.CGDO, card.Lambda0 = p.cgso, p.cgdo, p.lambda0
 	if xi == nil {
+		card.VTH0, card.TOX, card.LD, card.WD = deck.VTH0, deck.TOX, deck.LD, deck.WD
 		return
 	}
-	dst.TOXScale *= 1 + m.tox*xi[m.base+0]
-	dst.DVth += m.vth * xi[m.base+1]
-	dst.DLD += m.ld * xi[m.base+2]
-	dst.DWD += m.wd * xi[m.base+3]
-}
-
-// Perturb computes the model perturbation of device dev with gate area
-// areaUm2 under variation vector xi: Inter, then the device's Mismatch
-// applied. Evaluators that perturb several devices under one xi call those
-// directly, so the inter-die part is computed once per sample and the
-// mismatch once per design. A nil xi returns the nominal (identity)
-// perturbation.
-func (s *Space) Perturb(xi []float64, dev int, areaUm2 float64) mos.Perturb {
-	if xi == nil {
-		return mos.Nominal()
+	x := xi[m.base : m.base+IntraPerDevice]
+	card.VTH0 = deck.VTH0 + (p.dvth + m.vth*x[1])
+	tox := deck.TOX * (p.toxScale * (1 + m.tox*x[0]))
+	if tox < 0.2*deck.TOX {
+		tox = 0.2 * deck.TOX // guard against absurd tails
 	}
-	inter := s.Inter(xi)
-	m := s.Mismatch(dev, areaUm2)
-	var p mos.Perturb
-	m.Apply(&p, &inter, xi)
-	return p
+	card.TOX = tox
+	card.LD = deck.LD + (p.dld + m.ld*x[2])
+	card.WD = deck.WD + (p.dwd + m.wd*x[3])
 }
 
-// applyInter folds one inter-die variable draw into the perturbation.
-func applyInter(p *mos.Perturb, v pdk.InterVar, xi float64, pmos bool) {
-	d := v.Sigma * xi
-	switch v.Target {
-	case pdk.VthN:
-		if !pmos {
-			p.DVth += d
-		}
-	case pdk.VthP:
-		if pmos {
-			p.DVth += d
-		}
-	case pdk.U0N:
-		if !pmos {
-			p.U0Scale *= 1 + d
-		}
-	case pdk.U0P:
-		if pmos {
-			p.U0Scale *= 1 + d
-		}
-	case pdk.ToxN:
-		if !pmos {
-			p.TOXScale *= 1 + d
-		}
-	case pdk.ToxP:
-		if pmos {
-			p.TOXScale *= 1 + d
-		}
-	case pdk.LDBoth:
-		p.DLD += d
-	case pdk.WDBoth:
-		p.DWD += d
-	case pdk.LDN:
-		if !pmos {
-			p.DLD += d
-		}
-	case pdk.LDP:
-		if pmos {
-			p.DLD += d
-		}
-	case pdk.WDN:
-		if !pmos {
-			p.DWD += d
-		}
-	case pdk.WDP:
-		if pmos {
-			p.DWD += d
-		}
-	case pdk.CJN:
-		if !pmos {
-			p.CJScale *= 1 + d
-		}
-	case pdk.CJP:
-		if pmos {
-			p.CJScale *= 1 + d
-		}
-	case pdk.CJSWN:
-		if !pmos {
-			p.CJSWScale *= 1 + d
-		}
-	case pdk.CJSWP:
-		if pmos {
-			p.CJSWScale *= 1 + d
-		}
-	case pdk.RDN:
-		if !pmos {
-			p.RDiffScale *= 1 + d
-		}
-	case pdk.RDP:
-		if pmos {
-			p.RDiffScale *= 1 + d
-		}
-	case pdk.GammaN:
-		if !pmos {
-			p.GammaScale *= 1 + d
-		}
-	case pdk.GammaP:
-		if pmos {
-			p.GammaScale *= 1 + d
-		}
-	case pdk.OverlapN:
-		if !pmos {
-			p.CGOScale *= 1 + d
-		}
-	case pdk.OverlapP:
-		if pmos {
-			p.CGOScale *= 1 + d
-		}
-	case pdk.LambdaN:
-		if !pmos {
-			p.LambdaScale *= 1 + d
-		}
-	case pdk.LambdaP:
-		if pmos {
-			p.LambdaScale *= 1 + d
-		}
-	default:
-		panic(fmt.Sprintf("variation: unknown target %d", v.Target))
+// WriteCards writes the cards of one sample xi: the inter-die state into
+// in, once, then cards[i] with mms[i].
+func (s *Space) WriteCards(cards []mos.Params, mms []Mismatch, in *Inter, xi []float64) {
+	s.SetInter(in, xi)
+	for i := range mms {
+		mms[i].Write(&cards[i], in, xi)
 	}
 }

@@ -17,6 +17,11 @@ func space15() *Space {
 	return New(pdk.C035(), slots)
 }
 
+// dVth is the threshold shift of device dev's card under xi.
+func dVth(s *Space, xi []float64, dev int, areaUm2 float64) float64 {
+	return card(s, xi, dev, areaUm2).VTH0 - s.Model(dev).VTH0
+}
+
 func TestPaperDimensions(t *testing.T) {
 	// Example 1: 15 transistors × 4 + 20 inter-die = 80.
 	if d := space15().Dim(); d != 80 {
@@ -34,14 +39,12 @@ func TestPaperDimensions(t *testing.T) {
 
 func TestNominalIsIdentity(t *testing.T) {
 	s := space15()
-	p := s.Perturb(nil, 0, 10)
-	if p.DVth != 0 || p.U0Scale != 1 || p.TOXScale != 1 || p.DLD != 0 {
-		t.Errorf("nil vector should be identity: %+v", p)
+	if c := card(s, nil, 0, 10); c != *s.Model(0) {
+		t.Errorf("nil vector should leave the deck card: %+v", c)
 	}
 	zero := make([]float64, s.Dim())
-	p = s.Perturb(zero, 3, 10)
-	if p.DVth != 0 || p.U0Scale != 1 || p.TOXScale != 1 || p.CJScale != 1 {
-		t.Errorf("zero vector should be identity: %+v", p)
+	if c := card(s, zero, 3, 10); c != *s.Model(3) {
+		t.Errorf("zero vector should leave the deck card: %+v", c)
 	}
 }
 
@@ -63,12 +66,10 @@ func TestPolaritySelectivity(t *testing.T) {
 	xi := make([]float64, s.Dim())
 	// VTH0Rn is index 1 in the c035 list; device 0 is NMOS, device 1 PMOS.
 	xi[1] = 3.0
-	pn := s.Perturb(xi, 0, 10)
-	pp := s.Perturb(xi, 1, 10)
-	if pn.DVth == 0 {
+	if dVth(s, xi, 0, 10) == 0 {
 		t.Error("NMOS should see VTH0Rn")
 	}
-	if pp.DVth != 0 {
+	if dVth(s, xi, 1, 10) != 0 {
 		t.Error("PMOS should not see VTH0Rn")
 	}
 }
@@ -77,10 +78,10 @@ func TestInterDieShared(t *testing.T) {
 	s := space15()
 	xi := make([]float64, s.Dim())
 	xi[1] = 2.0 // VTH0Rn
-	a := s.Perturb(xi, 0, 25)
-	b := s.Perturb(xi, 2, 25) // both NMOS, same area
-	if a.DVth != b.DVth {
-		t.Errorf("inter-die shift should be shared: %v vs %v", a.DVth, b.DVth)
+	a := dVth(s, xi, 0, 25)
+	b := dVth(s, xi, 2, 25) // both NMOS, same area
+	if a != b {
+		t.Errorf("inter-die shift should be shared: %v vs %v", a, b)
 	}
 }
 
@@ -89,12 +90,10 @@ func TestIntraDiePerDevice(t *testing.T) {
 	xi := make([]float64, s.Dim())
 	base := len(s.Tech.Inter) // device 0 intra block
 	xi[base+1] = 2.0          // device 0 VTH0 mismatch
-	a := s.Perturb(xi, 0, 25)
-	b := s.Perturb(xi, 2, 25)
-	if a.DVth == 0 {
+	if dVth(s, xi, 0, 25) == 0 {
 		t.Error("device 0 should see its own mismatch")
 	}
-	if b.DVth != 0 {
+	if dVth(s, xi, 2, 25) != 0 {
 		t.Error("device 2 should not see device 0's mismatch")
 	}
 }
@@ -105,8 +104,8 @@ func TestAreaScaling(t *testing.T) {
 	xi := make([]float64, s.Dim())
 	base := len(s.Tech.Inter)
 	xi[base+1] = 1.0
-	small := s.Perturb(xi, 0, 1).DVth
-	large := s.Perturb(xi, 0, 100).DVth
+	small := dVth(s, xi, 0, 1)
+	large := dVth(s, xi, 0, 100)
 	if math.Abs(small/large-10) > 1e-9 {
 		t.Errorf("area scaling ratio = %v, want 10", small/large)
 	}
@@ -119,17 +118,18 @@ func TestInterLinearity(t *testing.T) {
 		v := float64(raw) / 32
 		xi := make([]float64, s.Dim())
 		xi[1] = v
-		p := s.Perturb(xi, 0, 10)
+		d := dVth(s, xi, 0, 10)
 		xi[1] = 2 * v
-		p2 := s.Perturb(xi, 0, 10)
-		return math.Abs(p2.DVth-2*p.DVth) < 1e-12
+		d2 := dVth(s, xi, 0, 10)
+		return math.Abs(d2-2*d) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: scales stay positive for 6σ draws (model robustness).
+// Property: scaled card fields stay positive for 6σ draws (model
+// robustness).
 func TestScalesStayPositive(t *testing.T) {
 	s := space15()
 	rng := randx.New(4)
@@ -139,10 +139,10 @@ func TestScalesStayPositive(t *testing.T) {
 			xi[i] = 6 * (rng.Float64()*2 - 1)
 		}
 		for dev := 0; dev < len(s.Devices); dev++ {
-			p := s.Perturb(xi, dev, 5)
-			if p.U0Scale <= 0 || p.TOXScale <= 0 || p.CJScale <= 0 ||
-				p.CJSWScale <= 0 || p.RDiffScale <= 0 || p.GammaScale <= 0 {
-				t.Fatalf("non-positive scale at trial %d: %+v", trial, p)
+			c := card(s, xi, dev, 5)
+			if c.U0 <= 0 || c.TOX <= 0 || c.CJ <= 0 ||
+				c.CJSW <= 0 || c.RDiff <= 0 || c.Gamma <= 0 {
+				t.Fatalf("non-positive scaled field at trial %d: %+v", trial, c)
 			}
 		}
 	}
@@ -158,6 +158,6 @@ func TestPerturbPanics(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanic("bad length", func() { s.Perturb(make([]float64, 3), 0, 10) })
-	assertPanic("bad device", func() { s.Perturb(make([]float64, s.Dim()), 99, 10) })
+	assertPanic("bad length", func() { card(s, make([]float64, 3), 0, 10) })
+	assertPanic("bad device", func() { card(s, make([]float64, s.Dim()), 99, 10) })
 }
