@@ -343,33 +343,39 @@ func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64
 		vbnc := vdsat3Nom + p.msBias + biasNC.VgsForID(ic/k, 0)
 		vbpc := vdd - vdsat9Nom - p.msBias - biasPC.VgsForID(ic/k, 0)
 
+		// Each side's device overdrives set both its saturation margins and
+		// the swing; the tail's is shared by the two sides.
+		type vdsats struct{ nsk, ncs, pcs, psr float64 }
+		vdsTail := tail.VDsatForID(itAct)
 		margins := make([]float64, 0, 17)
-		checkSide := func(s side, in, nsk, ncs, pcs, psr *mos.Device, i3eff, icas float64) {
+		checkSide := func(s side, nsk, ncs, pcs, psr *mos.Device, i3eff, icas float64) vdsats {
+			v := vdsats{nsk.VDsatForID(i3eff), ncs.VDsatForID(icas), pcs.VDsatForID(icas), psr.VDsatForID(icas)}
 			vfold := vbnc - ncs.VgsForID(icas, 0)
 			vx := vbpc + pcs.VgsForID(icas, 0)
 			vsPair := p.VcmIn + s.vsgIn
 			vout := vdd / 2
 			margins = append(margins,
-				vdd-vsPair-tail.VDsatForID(itAct),      // tail saturation
-				vsPair-vfold-s.vov1,                    // input device
-				vfold-nsk.VDsatForID(i3eff)-dVcmfb*0.5, // sink (CMFB eats margin)
-				vout-vfold-ncs.VDsatForID(icas),        // NMOS cascode
-				vx-vout-pcs.VDsatForID(icas),           // PMOS cascode
-				vdd-vx-psr.VDsatForID(icas),            // PMOS source
-				vfold-0.02,                             // fold node above ground
-				vdd-0.02-vx,                            // top node below supply
+				vdd-vsPair-vdsTail,     // tail saturation
+				vsPair-vfold-s.vov1,    // input device
+				vfold-v.nsk-dVcmfb*0.5, // sink (CMFB eats margin)
+				vout-vfold-v.ncs,       // NMOS cascode
+				vx-vout-v.pcs,          // PMOS cascode
+				vdd-vx-v.psr,           // PMOS source
+				vfold-0.02,             // fold node above ground
+				vdd-0.02-vx,            // top node below supply
 			)
+			return v
 		}
-		checkSide(sL, inL, nskL, ncsL, pcsL, psrL, i3NeedL, icL)
-		checkSide(sR, inR, nskR, ncsR, pcsR, psrR, i3NeedR, icR)
+		vL := checkSide(sL, nskL, ncsL, pcsL, psrL, i3NeedL, icL)
+		vR := checkSide(sR, nskR, ncsR, pcsR, psrR, i3NeedR, icR)
 		margins = append(margins, p.cmfbRange-math.Abs(dVcmfb))
 		satMargin := minOf(margins...)
 
 		// --- Swing ---
-		vdsat3w := math.Max(nskL.VDsatForID(i3NeedL), nskR.VDsatForID(i3NeedR))
-		vdsat5w := math.Max(ncsL.VDsatForID(icL), ncsR.VDsatForID(icR))
-		vdsat7w := math.Max(pcsL.VDsatForID(icL), pcsR.VDsatForID(icR))
-		vdsat9w := math.Max(psrL.VDsatForID(icL), psrR.VDsatForID(icR))
+		vdsat3w := math.Max(vL.nsk, vR.nsk)
+		vdsat5w := math.Max(vL.ncs, vR.ncs)
+		vdsat7w := math.Max(vL.pcs, vR.pcs)
+		vdsat9w := math.Max(vL.psr, vR.psr)
 		vmax := vdd - vdsat9w - vdsat7w - p.msSwing
 		vmin := vdsat3w + vdsat5w + p.msSwing
 		os := 2 * (vmax - vmin)

@@ -339,6 +339,9 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 		// Stage-1 output sits one PMOS Vgs below the rail (stage-2 bias).
 		vo1 := vdd - drvL.VgsForID(i2L, 0)
 
+		// The stage-2 overdrives set both saturation margins and the swing.
+		vdsDrvL, vdsDrvR := drvL.VDsatForID(i2L), drvR.VDsatForID(i2R)
+		vdsSnkL, vdsSnkR := snkL.VDsatForID(i2L), snkR.VDsatForID(i2R)
 		margins := make([]float64, 0, 15)
 		margins = append(margins,
 			vtail-tail.VDsatForID(itAct),     // tail
@@ -346,8 +349,8 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 			vo1-vA-ncsL.VDsatForID(ihL),      // NMOS cascode
 			vB-vo1-pcsL.VDsatForID(ihL),      // PMOS cascode
 			vdd-vB-pldL.VDsatForID(ihL),      // PMOS load
-			vdd/2-drvL.VDsatForID(i2L),       // stage-2 driver (Vout=VDD/2)
-			vdd/2-snkL.VDsatForID(i2L),       // stage-2 sink
+			vdd/2-vdsDrvL,                    // stage-2 driver (Vout=VDD/2)
+			vdd/2-vdsSnkL,                    // stage-2 sink
 			vA-0.02,                          // cascode node above ground
 			vdd-0.02-vB,                      // load node below supply
 			p.cmfbRange-cmfbNeed,             // CMFB range
@@ -357,14 +360,14 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 		margins = append(margins,
 			vo1-vA-ncsR.VDsatForID(ihR),
 			vB-vo1-pcsR.VDsatForID(ihR),
-			vdd/2-drvR.VDsatForID(i2R),
-			vdd/2-snkR.VDsatForID(i2R),
+			vdd/2-vdsDrvR,
+			vdd/2-vdsSnkR,
 		)
 		satMargin := minOf(margins...)
 
 		// --- Swing (second stage limits) ---
-		vov9w := math.Max(drvL.VDsatForID(i2L), drvR.VDsatForID(i2R))
-		vov11w := math.Max(snkL.VDsatForID(i2L), snkR.VDsatForID(i2R))
+		vov9w := math.Max(vdsDrvL, vdsDrvR)
+		vov11w := math.Max(vdsSnkL, vdsSnkR)
 		os := 2 * (vdd - vov9w - vov11w - 2*p.msSwing)
 
 		// --- Power ---

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"maps"
-	"math/rand"
 	"net/http"
 	"net/http/httptrace"
 	"net/textproto"
@@ -48,6 +47,7 @@ type Client struct {
 	// HTTPClient overrides http.DefaultClient when non-nil.
 	HTTPClient *http.Client
 
+	clk       clock // nil = wallClock
 	mu        sync.Mutex
 	endpoints []string
 	pref      int // index of the last endpoint that answered
@@ -55,9 +55,8 @@ type Client struct {
 
 // Client-side retry policy for transient failures.
 const (
-	clientRetryBase = 200 * time.Millisecond
-	clientRetryCap  = 3 * time.Second
-	clientRetryMax  = 5 // attempts per request before surfacing the error
+	clientRetryCap = 3 * time.Second
+	clientRetryMax = 5 // attempts per request before surfacing the error
 	// clientAttemptBudget caps the *retries after transient failures* one
 	// logical call spends across all its layers combined — endpoint
 	// failover, job polls, resubmits after a lost endpoint. Successful
@@ -90,6 +89,15 @@ func (b *attemptBudget) spend() bool {
 // comma-separated failover list.
 func NewClient(base string) *Client {
 	return &Client{BaseURL: base}
+}
+
+// clock returns the client's clock: a fleet client shares its server's,
+// any other client reads the wall.
+func (c *Client) clock() clock {
+	if c.clk == nil {
+		return wallClock{}
+	}
+	return c.clk
 }
 
 // eps returns the parsed endpoint list (lazily, so a Client constructed as
@@ -419,55 +427,34 @@ func (c *Client) doFailover(ctx context.Context, b *attemptBudget, method, path 
 // b, rotating through eps from index start one endpoint per attempt, and
 // returns the index of the endpoint that answered. A one-endpoint list pins
 // the request — job polls and cancels use that, since other endpoints would
-// not recognize the job's ID.
+// not recognize the job's ID. Every transient failure spends from b, and
+// the last attempt's failure surfaces at once, with no backoff after it.
 func (c *Client) retry(ctx context.Context, b *attemptBudget, eps []string, start int, method, path string, body, out any) (int, error) {
-	var err error
-	for try := 0; try < clientRetryMax; try++ {
+	for try := 0; ; try++ {
 		i := (start + try) % len(eps)
-		if err = c.once(ctx, eps[i], method, path, body, out); err == nil {
+		err := c.once(ctx, eps[i], method, path, body, out)
+		if err == nil {
 			return i, nil
 		}
 		if !transient(err) || ctx.Err() != nil {
 			return 0, err
 		}
 		if !b.spend() {
-			return 0, budgetErr(err)
+			return 0, fmt.Errorf("%w (last failure: %v)", errBudget, err)
 		}
-		if werr := c.backoff(ctx, try, err); werr != nil {
-			return 0, werr
+		if try == clientRetryMax-1 {
+			return 0, err
 		}
-	}
-	return 0, err
-}
-
-// budgetErr wraps the last real failure (when there was one) in errBudget.
-func budgetErr(last error) error {
-	if last != nil {
-		return fmt.Errorf("%w (last failure: %v)", errBudget, last)
-	}
-	return errBudget
-}
-
-// backoff sleeps the try-th capped exponential backoff with jitter, bailing
-// out when ctx ends. A Retry-After the server attached to cause extends
-// the wait: the server knows when retrying becomes worthwhile.
-func (c *Client) backoff(ctx context.Context, try int, cause error) error {
-	d := clientRetryBase << uint(try)
-	if d > clientRetryCap {
-		d = clientRetryCap
-	}
-	// Full jitter on the upper half de-synchronizes a fleet of clients
-	// hammering a restarting daemon.
-	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	var se *statusError
-	if errors.As(cause, &se) && se.retryAfter > d {
-		d = se.retryAfter
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-time.After(d):
-		return nil
+		// A Retry-After the server attached extends the wait: the server
+		// knows when retrying becomes worthwhile.
+		var floor time.Duration
+		var se *statusError
+		if errors.As(err, &se) {
+			floor = se.retryAfter
+		}
+		if !backoff(ctx, c.clock(), try, clientRetryCap, floor) {
+			return 0, ctx.Err()
+		}
 	}
 }
 

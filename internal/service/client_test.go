@@ -28,7 +28,9 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	health, err := service.NewClient(ts.URL).Health(context.Background())
+	client := service.NewClient(ts.URL)
+	service.UseFakeClock(client)
+	health, err := client.Health(context.Background())
 	if err != nil {
 		t.Fatalf("client gave up on a recovering daemon: %v", err)
 	}
@@ -117,8 +119,8 @@ func TestClientEndpointFailover(t *testing.T) {
 // the retry converge on the same deterministic result.
 func TestClientResubmitsWhenEndpointDies(t *testing.T) {
 	// Endpoint 1 accepts the submit, then vanishes before the job is done:
-	// a stub that answers the POST with a fake queued job and then starts
-	// refusing connections.
+	// a stub that answers the POST with a fake queued job and from then on
+	// fails every request.
 	var died atomic.Bool
 	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if died.Load() {
@@ -127,16 +129,13 @@ func TestClientResubmitsWhenEndpointDies(t *testing.T) {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(`{"id":"j00000001","kind":"yield","scenario":"svc-test","state":"queued","created":"2026-01-01T00:00:00Z"}`))
+		died.Store(true) // the first request is the submission
 	}))
 	defer stub.Close()
 	_, liveClient := newTestServer(t, service.Config{Jobs: 1})
 
 	client := service.NewClient(stub.URL + "," + liveClient.Endpoints())
-	go func() {
-		// Kill the stub endpoint shortly after the submit lands there.
-		time.Sleep(100 * time.Millisecond)
-		died.Store(true)
-	}()
+	service.UseFakeClock(client)
 	st, err := client.Yield(context.Background(), service.YieldRequest{
 		Scenario: "svc-test", N: 3000, Seed: service.Seed(2),
 	})
@@ -153,11 +152,12 @@ func TestClientResubmitsWhenEndpointDies(t *testing.T) {
 // queue); the client's next attempt must wait at least that long even when
 // its own computed backoff for the try is shorter.
 func TestClientHonorsRetryAfter(t *testing.T) {
+	var clk *service.FakeClock
 	var mu sync.Mutex
 	var hits []time.Time
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
-		hits = append(hits, time.Now())
+		hits = append(hits, clk.Now())
 		n := len(hits)
 		mu.Unlock()
 		if n == 1 {
@@ -170,7 +170,9 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	if _, err := service.NewClient(ts.URL).Health(context.Background()); err != nil {
+	client := service.NewClient(ts.URL)
+	clk = service.UseFakeClock(client)
+	if _, err := client.Health(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -178,8 +180,8 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	if len(hits) != 2 {
 		t.Fatalf("server saw %d attempts, want 2", len(hits))
 	}
-	// The computed try-0 backoff is at most clientRetryBase (200ms); a gap
-	// of ~1s proves the advertised wait won.
+	// The computed try-0 backoff is at most retryBase (200ms); a gap of ~1s
+	// of virtual time proves the advertised wait won.
 	if gap := hits[1].Sub(hits[0]); gap < 900*time.Millisecond {
 		t.Errorf("retry came after %v, want >= ~1s (Retry-After ignored)", gap)
 	}
@@ -199,8 +201,10 @@ func TestClientFailureBudgetBoundsAttempts(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	start := time.Now()
-	_, err := service.NewClient(ts.URL).Yield(ctx, service.YieldRequest{
+	client := service.NewClient(ts.URL)
+	clk := service.UseFakeClock(client)
+	start := clk.Now()
+	_, err := client.Yield(ctx, service.YieldRequest{
 		Scenario: "svc-test", N: 1000, Seed: service.Seed(1),
 	})
 	if err == nil {
@@ -215,7 +219,7 @@ func TestClientFailureBudgetBoundsAttempts(t *testing.T) {
 	if got := calls.Load(); got > maxAttempts {
 		t.Errorf("server saw %d attempts, want <= %d", got, maxAttempts)
 	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
+	if elapsed := clk.Now().Sub(start); elapsed > 30*time.Second {
 		t.Errorf("giving up took %v", elapsed)
 	}
 }

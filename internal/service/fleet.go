@@ -214,9 +214,10 @@ func (s *Server) fleetSnapshot() fleetView {
 
 // newFleetClient builds a client for fleet-internal traffic (heartbeats,
 // leases, replication, election probes) on the server's shared outbound
-// HTTP client — which is where Config.Transport (the chaos seam) applies.
+// HTTP client — which is where Config.Transport (the chaos seam) applies —
+// and on the server's clock.
 func (s *Server) newFleetClient(base string) *Client {
-	return &Client{BaseURL: base, HTTPClient: s.httpc}
+	return &Client{BaseURL: base, HTTPClient: s.httpc, clk: s.clk}
 }
 
 // runWorkerFleet is a worker node's fleet life: serve the coordinator
@@ -266,7 +267,7 @@ func (s *Server) serveCoordinator(client *Client) bool {
 	go func() {
 		defer wg.Done()
 		defer s.shardWG.Done()
-		runShardWorker(cctx, client, s.node, s.cfg.Workers, s.counter, s.log.With("worker"), s.drainCh)
+		s.runShardWorker(cctx, client, s.counter)
 	}()
 	defer func() {
 		cancel()
@@ -307,12 +308,8 @@ func (s *Server) serveCoordinator(client *Client) bool {
 				return true
 			}
 		}
-		select {
-		case <-s.baseCtx.Done():
+		if !sleep(s.baseCtx, s.clk, hb, s.drainCh) {
 			return false
-		case <-s.drainCh:
-			return false
-		case <-time.After(hb):
 		}
 	}
 }
@@ -355,7 +352,7 @@ func (s *Server) elect() (next string, promote bool) {
 	s.sm.elections.Inc()
 	s.logf("worker %s: electing among %d candidate(s), own rank %d", s.node, len(cands), rank)
 
-	start := time.Now()
+	start := s.clk.Now()
 	for s.baseCtx.Err() == nil && !s.draining() {
 		for _, p := range cands {
 			if p.Node == s.node {
@@ -373,20 +370,17 @@ func (s *Server) elect() (next string, promote bool) {
 				return view.coordURL, false
 			}
 		}
-		if rank >= 0 && time.Since(start) >= time.Duration(rank)*stagger {
+		waited := s.clk.Now().Sub(start)
+		if rank >= 0 && waited >= time.Duration(rank)*stagger {
 			return "", true
 		}
-		if rank < 0 && time.Since(start) >= stagger {
+		if rank < 0 && waited >= stagger {
 			// Not electable (no advertised URL / not in the table): give
 			// up on this electorate and retry the configured join list.
 			return "", false
 		}
-		select {
-		case <-s.baseCtx.Done():
+		if !sleep(s.baseCtx, s.clk, hb, s.drainCh) {
 			return "", false
-		case <-s.drainCh:
-			return "", false
-		case <-time.After(hb):
 		}
 	}
 	return "", false
@@ -436,7 +430,7 @@ func (s *Server) promote() {
 // N-process fleet counts the coordinator as one of its N. New calls it
 // before the server is shared; promote calls it holding s.mu.
 func (s *Server) startCoordinator() {
-	c := newCoordinator(s.cfg.Fleet, s.cfg.Hooks, s.node, s.counter, s.log.With("coord"), s.sm, s.shards)
+	c := newCoordinator(s.cfg.Fleet, s.cfg.Hooks, s.node, s.clk, s.counter, s.log.With("coord"), s.sm, s.shards)
 	c.onShardDone = s.replicateShardDone
 	s.coord = c
 	if s.cfg.Fleet.NoSelfWork {
@@ -450,7 +444,7 @@ func (s *Server) startCoordinator() {
 		// nil counter: the coordinator already counts every shard's sims
 		// from its reported result; a local counter here would
 		// double-count self-work.
-		runShardWorker(s.baseCtx, c, s.node, s.cfg.Workers, nil, s.log.With("worker"), s.drainCh)
+		s.runShardWorker(s.baseCtx, c, nil)
 	}()
 }
 

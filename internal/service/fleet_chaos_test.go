@@ -41,9 +41,6 @@ func startFleetNode(t *testing.T, cfg service.Config, transport http.RoundTrippe
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.EventInterval == 0 {
-		cfg.EventInterval = 20 * time.Millisecond
-	}
 	if testing.Verbose() {
 		cfg.Log = log.New(os.Stderr, "["+cfg.Fleet.Node+"] ", log.Lmicroseconds)
 	}

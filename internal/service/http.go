@@ -243,32 +243,33 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitYield(w http.ResponseWriter, r *http.Request) {
 	var req YieldRequest
-	if !decodeJSON(w, r, &req) {
+	wait, ok := waitParam(w, r)
+	if !ok || !decodeJSON(w, r, &req) {
 		return
 	}
 	j, cached, err := s.SubmitYield(req)
-	s.respondSubmitted(w, r, j, cached, err)
+	s.respondSubmitted(w, r, wait, j, cached, err)
 }
 
 func (s *Server) handleSubmitOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
-	if !decodeJSON(w, r, &req) {
+	wait, ok := waitParam(w, r)
+	if !ok || !decodeJSON(w, r, &req) {
 		return
 	}
 	j, cached, err := s.SubmitOptimize(req)
-	s.respondSubmitted(w, r, j, cached, err)
+	s.respondSubmitted(w, r, wait, j, cached, err)
 }
 
 // respondSubmitted maps a submission outcome to HTTP: 400 for a rejected
-// request, 503 for a full queue, otherwise the job's status — after an
-// optional server-side wait for completion (`?wait` or `?wait=DURATION`,
-// capped at the configured limit; an expired wait still returns the current
-// status, it never cancels the shared job). Before waiting on a job the
-// request created, it names the job in a 103 interim response (Location),
-// so a client that gives up mid-wait can DELETE it. A disconnect alone
+// request, 503 for a full queue, otherwise the job's status — after waiting
+// up to wait for its completion (see waitParam; an expired wait still
+// returns the current status, it never cancels the shared job). Before
+// waiting on a job the request created, it names the job in a 103 interim
+// response (Location), so a client that gives up mid-wait can DELETE it. A disconnect alone
 // never cancels a job: it may be a drop the client retries, and the
 // retried submission coalesces onto the job still running.
-func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, j *Job, cached bool, err error) {
+func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, wait time.Duration, j *Job, cached bool, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrClosed):
 		// Retry-After turns the rejection into advice: the queue drains at
@@ -281,11 +282,11 @@ func (s *Server) respondSubmitted(w http.ResponseWriter, r *http.Request, j *Job
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.ID)
-	if d, ok := s.waitParam(r); ok {
+	if wait > 0 {
 		if !cached {
 			w.WriteHeader(http.StatusEarlyHints)
 		}
-		waitCtx, cancel := context.WithTimeout(r.Context(), d)
+		waitCtx, cancel := context.WithTimeout(r.Context(), wait)
 		_ = j.Wait(waitCtx)
 		cancel()
 	}
@@ -303,13 +304,17 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	wait, ok := waitParam(w, r)
+	if !ok {
+		return
+	}
 	j, err := s.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	if d, ok := s.waitParam(r); ok {
-		waitCtx, cancel := context.WithTimeout(r.Context(), d)
+	if wait > 0 {
+		waitCtx, cancel := context.WithTimeout(r.Context(), wait)
 		_ = j.Wait(waitCtx)
 		cancel()
 	}
@@ -332,11 +337,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Status())
 }
 
+// eventInterval is the period of an SSE stream's progress frames.
+const eventInterval = 500 * time.Millisecond
+
 // handleEvents streams job progress as server-sent events: a `status`
-// event immediately, `progress` events at the configured interval while
-// the job runs, and a final `done` event with the completed status. A
-// dropped subscriber only ends its own stream — jobs are shared, so
-// watching (or unwatching) never cancels one; DELETE does.
+// event immediately, `progress` events every eventInterval while the job
+// runs, and a final `done` event with the completed status. A dropped
+// subscriber only ends its own stream — jobs are shared, so watching (or
+// unwatching) never cancels one; DELETE does.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, err := s.Get(r.PathValue("id"))
 	if err != nil {
@@ -369,8 +377,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !send("status", j.Status()) {
 		return
 	}
-	ticker := time.NewTicker(s.cfg.EventInterval)
-	defer ticker.Stop()
+	tick, stop := s.clk.NewTicker(eventInterval)
+	defer stop()
 	for {
 		select {
 		case <-r.Context().Done():
@@ -378,7 +386,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-j.Done():
 			send("done", j.Status())
 			return
-		case <-ticker.C:
+		case <-tick:
 			if !send("progress", j.Status()) {
 				return
 			}
@@ -389,25 +397,29 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // waitLimit caps the server-side block of ?wait requests.
 const waitLimit = 30 * time.Second
 
-// waitParam parses the `wait` query parameter: absent → (0, false), empty
-// or bare `wait`/`wait=true` → waitLimit, a duration string → that
-// duration capped at waitLimit.
-func (s *Server) waitParam(r *http.Request) (time.Duration, bool) {
-	if !r.URL.Query().Has("wait") {
-		return 0, false
+// waitParam parses the `wait` query parameter into how long the request
+// waits for its job: absent, `false` or a duration ≤ 0 → no wait; empty or
+// bare `wait`, `true` or `1` → waitLimit; a positive duration → that
+// duration capped at waitLimit. Any other value answers 400 and reports
+// false.
+func waitParam(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
+	q := r.URL.Query()
+	if !q.Has("wait") {
+		return 0, true
 	}
-	v := r.URL.Query().Get("wait")
-	if v == "" || v == "true" || v == "1" {
+	switch v := q.Get("wait"); v {
+	case "", "true", "1":
 		return waitLimit, true
+	case "false":
+		return 0, true
+	default:
+		d, err := time.ParseDuration(v)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad wait %q: want true, false or a duration", v))
+			return 0, false
+		}
+		return min(max(d, 0), waitLimit), true
 	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d <= 0 {
-		return waitLimit, true
-	}
-	if d > waitLimit {
-		d = waitLimit
-	}
-	return d, true
 }
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {

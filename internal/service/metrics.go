@@ -13,7 +13,6 @@ package service
 
 import (
 	"sort"
-	"time"
 
 	"github.com/eda-go/moheco/internal/obs"
 )
@@ -141,10 +140,4 @@ func summarizeTrace(v obs.TraceView) *TraceSummary {
 	}
 	sort.Strings(sum.Nodes)
 	return sum
-}
-
-// sinceMS returns elapsed wall time in milliseconds — the unit traces and
-// results report.
-func sinceMS(t0 time.Time) float64 {
-	return float64(time.Since(t0)) / float64(time.Millisecond)
 }

@@ -15,7 +15,7 @@ import (
 )
 
 func testCoordinator(cfg FleetConfig) *Coordinator {
-	return newCoordinator(cfg, Hooks{}, "coord", &yieldsim.Counter{}, nil,
+	return newCoordinator(cfg, Hooks{}, "coord", wallClock{}, &yieldsim.Counter{}, nil,
 		newServerMetrics(obs.NewRegistry()), newLRUCache[[]int](shardCacheSize))
 }
 
@@ -28,8 +28,10 @@ func markerSnap(v int64) *obs.Snapshot {
 // window lapses (death), and rejoins with fresh numbers on the next
 // heartbeat (rejoin). The local snapshot always contributes.
 func TestMergedSnapshotPeerWindow(t *testing.T) {
-	// Heartbeat 25ms → peerWindow 100ms: short enough to wait out in-test.
+	// Heartbeat 25ms → peerWindow 100ms, waited out in virtual time.
 	c := testCoordinator(FleetConfig{Heartbeat: 25 * time.Millisecond})
+	clk := newFakeClock()
+	c.clk = clk
 
 	c.Heartbeat(HeartbeatRequest{Node: "w1", Sims: 100, Metrics: markerSnap(5)})
 	c.Heartbeat(HeartbeatRequest{Node: "w2", Sims: 50, Metrics: markerSnap(7)})
@@ -38,7 +40,7 @@ func TestMergedSnapshotPeerWindow(t *testing.T) {
 	}
 
 	// Death: neither peer heartbeats past the window; only local remains.
-	time.Sleep(150 * time.Millisecond)
+	clk.Advance(150 * time.Millisecond)
 	if got := c.mergedSnapshot(*markerSnap(1)).Counters["marker_total"]; got != 1 {
 		t.Fatalf("merged marker after peer window lapsed = %d, want 1 (local only)", got)
 	}

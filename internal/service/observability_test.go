@@ -24,9 +24,6 @@ import (
 // but additionally returns the base URL for raw endpoint GETs.
 func newObsServer(t *testing.T, cfg service.Config) (*service.Client, string) {
 	t.Helper()
-	if cfg.EventInterval == 0 {
-		cfg.EventInterval = 20 * time.Millisecond
-	}
 	svc := service.New(cfg)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() {

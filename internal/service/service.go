@@ -71,8 +71,6 @@ type Config struct {
 	// CacheSize bounds the completed jobs retained for result reuse and
 	// status lookup (0 = 256), evicted least-recently-used.
 	CacheSize int
-	// EventInterval is the SSE progress-frame period (0 = 500ms).
-	EventInterval time.Duration
 	// Log, when non-nil, receives one line per job transition (and, at
 	// LogLevel debug, per-shard scheduler chatter). The raw *log.Logger is
 	// kept for compatibility; internally it is wrapped in a leveled
@@ -381,6 +379,7 @@ type Server struct {
 	log     *obs.Logger
 	metrics *obs.Registry
 	sm      *serverMetrics
+	clk     clock // wallClock; shared with the coordinator and fleet clients
 	started time.Time
 	node    string
 	httpc   *http.Client // outbound fleet traffic (Config.Transport seam)
@@ -433,21 +432,20 @@ func New(cfg Config) *Server {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 256
 	}
-	if cfg.EventInterval <= 0 {
-		cfg.EventInterval = 500 * time.Millisecond
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.Default()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	clk := wallClock{}
 	s := &Server{
 		cfg:      cfg,
 		counter:  &yieldsim.Counter{},
 		log:      obs.NewLogger(cfg.Log, cfg.LogLevel),
 		metrics:  reg,
 		sm:       newServerMetrics(reg),
-		started:  time.Now(),
+		clk:      clk,
+		started:  clk.Now(),
 		httpc:    &http.Client{Transport: cfg.Transport},
 		replica:  newReplica(cfg.CacheSize),
 		shards:   newLRUCache[[]int](shardCacheSize),
@@ -518,7 +516,7 @@ func (s *Server) Close() {
 func (s *Server) Sims() int64 { return s.counter.Total() }
 
 // Uptime returns the time since New.
-func (s *Server) Uptime() time.Duration { return time.Since(s.started) }
+func (s *Server) Uptime() time.Duration { return s.clk.Now().Sub(s.started) }
 
 // Get returns the job with the given ID, refreshing its retention slot.
 func (s *Server) Get(id string) (*Job, error) {
@@ -609,7 +607,7 @@ func (s *Server) yieldRun(key string, spec YieldSpec) func(context.Context, *Job
 			return nil
 		}
 		s.replicateToPeers(ReplicateRequest{Jobs: []ReplicatedJob{{Key: key, Spec: spec}}})
-		start := time.Now()
+		start := s.clk.Now()
 		// The trace rides the context so the shard scheduler can
 		// attribute per-shard spans to this job.
 		ctx = obs.ContextWithTrace(ctx, j.trace)
@@ -642,7 +640,7 @@ func (s *Server) yieldRun(key string, spec YieldSpec) func(context.Context, *Job
 			Tran:      spec.Tran,
 			Yield:     y,
 			Std:       math.Sqrt(y * (1 - y) / float64(spec.N)),
-			ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
+			ElapsedMS: sinceMS(s.clk, start),
 		}
 		j.mu.Lock()
 		j.yield = res
@@ -660,7 +658,7 @@ func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
 	}
 	key := optimizeKey(req)
 	run := func(ctx context.Context, j *Job) error {
-		start := time.Now()
+		start := s.clk.Now()
 		p := sharedProblem(scenario.MustGet(req.Scenario)) // ResolveOptimize checked the name
 		// The server counter is the parent of the run's own ledger: every
 		// simulation reaches /healthz as it happens, while Result.TotalSims
@@ -677,11 +675,11 @@ func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
 		var prevSims int64
 		opts.OnGeneration = func(r core.GenRecord) {
 			j.trace.Event("generation", func(sp *obs.Span) {
-				sp.DurationMS = sinceMS(genStart)
+				sp.DurationMS = sinceMS(s.clk, genStart)
 				sp.Sims = r.CumSims - prevSims
 				sp.Node = s.node
 			})
-			genStart = time.Now()
+			genStart = s.clk.Now()
 			prevSims = r.CumSims
 			j.setProgress(Progress{
 				Done:  int64(r.Gen),
@@ -706,7 +704,7 @@ func (s *Server) SubmitOptimize(req OptimizeRequest) (*Job, bool, error) {
 			TotalSims:   res.TotalSims,
 			Generations: res.Generations,
 			StopReason:  res.StopReason,
-			ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
+			ElapsedMS:   sinceMS(s.clk, start),
 		}
 		j.mu.Unlock()
 		return nil
@@ -764,7 +762,7 @@ func (s *Server) add(kind, scenarioName, key string, run func(context.Context, *
 		run:      run,
 		done:     make(chan struct{}),
 		state:    StateQueued,
-		created:  time.Now(),
+		created:  s.clk.Now(),
 	}
 	j.trace = obs.NewTrace(j.ID, kind)
 	j.queueSpan = j.trace.Begin("queued", nil)
@@ -797,7 +795,7 @@ func (s *Server) runner() {
 			}
 			j.mu.Lock()
 			j.state = StateRunning
-			j.started = time.Now()
+			j.started = s.clk.Now()
 			queued := j.started.Sub(j.created)
 			j.mu.Unlock()
 			j.trace.End(j.queueSpan, nil)
@@ -820,7 +818,7 @@ func (s *Server) finalize(j *Job, err error) {
 		return
 	}
 	j.finalized = true
-	j.finished = time.Now()
+	j.finished = s.clk.Now()
 	switch {
 	case err == nil:
 		j.state = StateDone
@@ -841,7 +839,7 @@ func (s *Server) finalize(j *Job, err error) {
 	j.trace.End(j.runSpan, nil)
 	j.trace.Event(string(state), nil)
 	if !started.IsZero() {
-		s.sm.runSeconds.Observe(time.Since(started).Seconds())
+		s.sm.runSeconds.Observe(s.clk.Now().Sub(started).Seconds())
 	}
 	// Record the terminal state before waking the waiters: a client that
 	// waits for its job and then scrapes /metrics must count it.

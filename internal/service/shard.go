@@ -143,6 +143,7 @@ func (p peerInfo) rate() float64 {
 // node's warm-shard store.
 type Coordinator struct {
 	node        string // the coordinator's own node name (excluded from peer counts)
+	clk         clock
 	counter     *yieldsim.Counter
 	logger      *obs.Logger
 	sm          *serverMetrics
@@ -171,7 +172,7 @@ type Coordinator struct {
 // shardCacheSize bounds a node's warm-shard store, in completed shards.
 const shardCacheSize = 256
 
-func newCoordinator(cfg FleetConfig, hooks Hooks, node string, counter *yieldsim.Counter, logger *obs.Logger, sm *serverMetrics, cache *lruCache[[]int]) *Coordinator {
+func newCoordinator(cfg FleetConfig, hooks Hooks, node string, clk clock, counter *yieldsim.Counter, logger *obs.Logger, sm *serverMetrics, cache *lruCache[[]int]) *Coordinator {
 	lease := cfg.Lease
 	if lease <= 0 {
 		lease = 15 * time.Second
@@ -187,6 +188,7 @@ func newCoordinator(cfg FleetConfig, hooks Hooks, node string, counter *yieldsim
 	chunks := (samples + yieldsim.ChunkSize - 1) / yieldsim.ChunkSize
 	return &Coordinator{
 		node:        node,
+		clk:         clk,
 		counter:     counter,
 		logger:      logger,
 		sm:          sm,
@@ -209,7 +211,7 @@ func (c *Coordinator) touchPeerLocked(node string) {
 		return
 	}
 	p := c.peers[node]
-	p.seen = time.Now()
+	p.seen = c.clk.Now()
 	c.peers[node] = p
 }
 
@@ -228,7 +230,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 	case req.Node != "":
 		delete(c.departed, req.Node)
 		p := c.peers[req.Node]
-		p.seen = time.Now()
+		p.seen = c.clk.Now()
 		if req.URL != "" {
 			p.url = req.URL
 		}
@@ -237,7 +239,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 		}
 		if req.Sims != p.sims || p.simsAt.IsZero() {
 			p.prevSims, p.prevSimsAt = p.sims, p.simsAt
-			p.sims, p.simsAt = req.Sims, time.Now()
+			p.sims, p.simsAt = req.Sims, p.seen
 		}
 		c.peers[req.Node] = p
 	}
@@ -251,7 +253,7 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 // histogram buckets sum across nodes; gauge funcs never enter snapshots, so
 // scrape-time node-local gauges are not double-counted.
 func (c *Coordinator) mergedSnapshot(local obs.Snapshot) obs.Snapshot {
-	now := time.Now()
+	now := c.clk.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for node, p := range c.peers {
@@ -279,7 +281,7 @@ func (c *Coordinator) livePeers() []FleetPeer {
 }
 
 func (c *Coordinator) livePeersLocked() []FleetPeer {
-	now := time.Now()
+	now := c.clk.Now()
 	peers := make([]FleetPeer, 0, len(c.peers))
 	for node, p := range c.peers {
 		if c.livePeerLocked(node, p, now) && p.url != "" {
@@ -386,7 +388,7 @@ func (c *Coordinator) runShard(ctx context.Context, spec YieldSpec, first, last 
 	c.seq++
 	st := &shardState{
 		Shard:    Shard{ID: fmt.Sprintf("s%08d", c.seq), Spec: spec, First: first, Last: last},
-		enqueued: time.Now(),
+		enqueued: c.clk.Now(),
 		done:     make(chan struct{}),
 	}
 	c.pending = append(c.pending, st)
@@ -432,21 +434,22 @@ func (c *Coordinator) LeaseShards(ctx context.Context, node string, max int) ([]
 	if max <= 0 {
 		max = 1
 	}
-	timeout := time.NewTimer(leasePollWait)
-	defer timeout.Stop()
+	timeout, stop := c.clk.NewTimer(leasePollWait)
+	defer stop()
 	for {
 		c.mu.Lock()
 		c.touchPeerLocked(node)
 		c.redispatchExpiredLocked()
+		now := c.clk.Now()
 		out := make([]Shard, 0, max)
 		for len(out) < max && len(c.pending) > 0 && !c.departed[node] {
 			st := c.pending[0]
 			c.pending = c.pending[1:]
 			if st.attempts == 0 && !st.enqueued.IsZero() {
-				c.sm.leaseWaitSeconds.Observe(time.Since(st.enqueued).Seconds())
+				c.sm.leaseWaitSeconds.Observe(now.Sub(st.enqueued).Seconds())
 			}
 			st.leasedTo = node
-			st.deadline = time.Now().Add(c.lease)
+			st.deadline = now.Add(c.lease)
 			st.attempts++
 			c.sm.shardsLeased.Inc()
 			out = append(out, st.Shard)
@@ -465,7 +468,7 @@ func (c *Coordinator) LeaseShards(ctx context.Context, node string, max int) ([]
 		select {
 		case <-ctx.Done():
 			return nil, c.lease, ctx.Err()
-		case <-timeout.C:
+		case <-timeout:
 			return nil, c.lease, nil
 		case <-wake:
 		}
@@ -531,7 +534,7 @@ func (c *Coordinator) CompleteShard(_ context.Context, id string, res ShardResul
 
 // redispatchExpiredLocked returns expired leases to the head of the queue.
 func (c *Coordinator) redispatchExpiredLocked() {
-	now := time.Now()
+	now := c.clk.Now()
 	for _, st := range c.byID {
 		if st.leasedTo != "" && now.After(st.deadline) {
 			c.logger.Warnf("shard %s lease on %s expired, re-dispatching", st.ID, st.leasedTo)
@@ -589,7 +592,7 @@ type PeerStat struct {
 // Straggler detection needs at least two rate-bearing peers: with one there
 // is no fleet to straggle behind.
 func (c *Coordinator) peerStatsLocked() []PeerStat {
-	now := time.Now()
+	now := c.clk.Now()
 	var stats []PeerStat
 	var rates []float64
 	for node, p := range c.peers {
@@ -602,7 +605,7 @@ func (c *Coordinator) peerStatsLocked() []PeerStat {
 			URL:        p.url,
 			Sims:       p.sims,
 			SimsPerSec: r,
-			LastSeenMS: sinceMS(p.seen),
+			LastSeenMS: sinceMS(c.clk, p.seen),
 		})
 		if r > 0 {
 			rates = append(rates, r)

@@ -11,48 +11,38 @@ package service
 
 import (
 	"context"
-	"math/rand"
 	"time"
 
-	"github.com/eda-go/moheco/internal/obs"
 	"github.com/eda-go/moheco/internal/yieldsim"
 )
 
-// Lease-loop backoff when the coordinator is unreachable: capped
-// exponential with full jitter on the upper half, so a fleet of workers
-// orphaned by one coordinator crash does not stampede its successor in
-// lockstep.
-const (
-	leaseBackoffBase = 200 * time.Millisecond
-	leaseBackoffCap  = 5 * time.Second
-)
+// leaseBackoffCap caps the lease loop's backoff (see backoff) while the
+// coordinator is unreachable.
+const leaseBackoffCap = 5 * time.Second
 
 // runShardWorker pulls shards from src and executes them until ctx ends or
-// drain closes. Drain stops only the *leasing*: the shard in flight still
-// executes and reports on ctx, which is the graceful half of a SIGTERM —
-// work this node already holds a lease on is finished and counted, not
-// abandoned to a lease expiry. counter, when non-nil, receives the node's
-// own simulator invocations (a remote worker's /healthz feed); the
-// coordinator's fleet-wide count is fed separately from the reported
+// the server drains. Drain stops only the *leasing*: the shard in flight
+// still executes and reports on ctx, which is the graceful half of a
+// SIGTERM — work this node already holds a lease on is finished and
+// counted, not abandoned to a lease expiry. counter, when non-nil, receives
+// the node's own simulator invocations (a remote worker's /healthz feed);
+// the coordinator's fleet-wide count is fed separately from the reported
 // ShardResult.Sims, so the in-process self-runner passes nil to avoid
 // double counting.
-func runShardWorker(ctx context.Context, src shardSource, node string, workers int, counter *yieldsim.Counter, logger *obs.Logger, drain <-chan struct{}) {
-	leaseCtx := ctx
-	if drain != nil {
-		var cancel context.CancelFunc
-		leaseCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		go func() {
-			select {
-			case <-drain:
-				cancel()
-			case <-leaseCtx.Done():
-			}
-		}()
-	}
-	backoff := time.Duration(0)
+func (s *Server) runShardWorker(ctx context.Context, src shardSource, counter *yieldsim.Counter) {
+	logger := s.log.With("worker")
+	leaseCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	go func() {
+		select {
+		case <-s.drainCh:
+			cancel()
+		case <-leaseCtx.Done():
+		}
+	}()
+	failures := 0
 	for leaseCtx.Err() == nil {
-		shards, _, err := src.LeaseShards(leaseCtx, node, 1)
+		shards, _, err := src.LeaseShards(leaseCtx, s.node, 1)
 		if err != nil {
 			if leaseCtx.Err() != nil {
 				return
@@ -60,23 +50,16 @@ func runShardWorker(ctx context.Context, src shardSource, node string, workers i
 			// Lease failures are transport trouble (coordinator restarting,
 			// network blip): back off and keep pulling — the lease protocol
 			// makes a vanished worker harmless, so a flaky one is too.
-			if backoff == 0 {
-				backoff = leaseBackoffBase
-			} else if backoff *= 2; backoff > leaseBackoffCap {
-				backoff = leaseBackoffCap
-			}
-			sleep := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-			logger.Debugf("worker %s: lease failed (%v), retrying in %s", node, err, sleep)
-			select {
-			case <-leaseCtx.Done():
+			logger.Debugf("worker %s: lease failed (%v), backing off (failure %d)", s.node, err, failures+1)
+			if !backoff(leaseCtx, s.clk, failures, leaseBackoffCap, 0) {
 				return
-			case <-time.After(sleep):
 			}
+			failures++
 			continue
 		}
-		backoff = 0
+		failures = 0
 		for _, sh := range shards {
-			res := executeShard(ctx, sh, node, workers, counter)
+			res := executeShard(ctx, sh, s.node, s.cfg.Workers, counter)
 			if ctx.Err() != nil && res.Error != "" {
 				// Shutdown mid-shard: report nothing and let the lease
 				// expire — a cancellation error must not burn the shard's
@@ -84,7 +67,7 @@ func runShardWorker(ctx context.Context, src shardSource, node string, workers i
 				return
 			}
 			if err := src.CompleteShard(ctx, sh.ID, res); err != nil {
-				logger.Warnf("worker %s: completing shard %s failed: %v", node, sh.ID, err)
+				logger.Warnf("worker %s: completing shard %s failed: %v", s.node, sh.ID, err)
 			}
 		}
 	}
