@@ -122,12 +122,8 @@ func perturbedDevice(space *variation.Space, xi []float64, slot int, nominal *mo
 // the three behavioural problems, and checks it keeps each destination
 // card's name.
 func TestPerturbCardMatchesDeviceOracle(t *testing.T) {
-	type spaced interface {
-		problem.Problem
-		Space() *variation.Space
-	}
-	for _, p := range []spaced{NewCommonSource(), NewFoldedCascode(), NewTelescopic()} {
-		space := p.Space()
+	for _, p := range []*frame{&NewCommonSource().frame, &NewFoldedCascode().frame, &NewTelescopic().frame} {
+		space := p.space
 		rng := randx.New(5)
 		n := len(space.Devices)
 		cards := make([]mos.Params, n)
@@ -191,14 +187,14 @@ func TestEvaluateAllocsFixed(t *testing.T) {
 }
 
 // TestEvaluateBatchAllocsFixed is TestEvaluateAllocsFixed for the batch
-// path: an EvaluateBatch call allocates its result slices and the one
-// array its performance vectors share, so it allocates as often at 1, 32
-// and 100 samples.
+// path on all three behavioural problems: an EvaluateBatch call allocates
+// its two result slices and the one array its performance vectors share,
+// 3 objects at 1, 32 and 100 samples.
 func TestEvaluateBatchAllocsFixed(t *testing.T) {
 	for _, p := range []interface {
 		problem.BatchEvaluator
 		ReferenceDesign() []float64
-	}{NewFoldedCascode(), NewTelescopic()} {
+	}{NewFoldedCascode(), NewTelescopic(), NewCommonSource()} {
 		x := p.ReferenceDesign()
 		xis := sample.PMC{}.Draw(randx.New(8), 100, p.VarDim())
 		var counts []float64
@@ -209,8 +205,8 @@ func TestEvaluateBatchAllocsFixed(t *testing.T) {
 				}
 			}))
 		}
-		if counts[0] != counts[1] || counts[0] != counts[2] {
-			t.Errorf("%s: EvaluateBatch allocates %v objects at 1, 32 and 100 samples", p.Name(), counts)
+		if counts[0] != 3 || counts[1] != 3 || counts[2] != 3 {
+			t.Errorf("%s: EvaluateBatch allocates %v objects at 1, 32 and 100 samples, want 3", p.Name(), counts)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // nominal nil ξ, wide ξ (the TOX guard and the clamps) and a malformed ξ,
 // over the reference design and random designs inside the bounds.
 func TestBehaviouralBatchMatchesPointwise(t *testing.T) {
-	for _, p := range []problem.BatchEvaluator{NewFoldedCascode(), NewTelescopic()} {
+	for _, p := range []problem.BatchEvaluator{NewFoldedCascode(), NewTelescopic(), NewCommonSource()} {
 		rng := randx.New(12)
 		designs := [][]float64{p.(interface{ ReferenceDesign() []float64 }).ReferenceDesign()}
 		for len(designs) < 6 {

@@ -12,9 +12,106 @@ package circuits
 import (
 	"fmt"
 	"math"
+	"slices"
 
+	"github.com/eda-go/moheco/internal/constraint"
 	"github.com/eda-go/moheco/internal/mos"
+	"github.com/eda-go/moheco/internal/pdk"
+	"github.com/eda-go/moheco/internal/variation"
 )
+
+// frame is what every problem of this package declares alike: its name
+// and error prefix, its circuit's deck and variation space, its specs,
+// design bounds and reference design, and the problem.Problem accessors
+// over them. A spice scenario's frame is its circuit's, renamed.
+type frame struct {
+	name, tag string // problem name and error prefix
+	tech      *pdk.Tech
+	space     *variation.Space
+	specs     []constraint.Spec
+	lo, hi    []float64
+	ref       []float64 // the reference design
+}
+
+// Name implements problem.Problem.
+func (f *frame) Name() string { return f.name }
+
+// Dim implements problem.Problem.
+func (f *frame) Dim() int { return len(f.lo) }
+
+// Bounds implements problem.Problem.
+func (f *frame) Bounds() (lo, hi []float64) { return f.lo, f.hi }
+
+// Specs implements problem.Problem.
+func (f *frame) Specs() []constraint.Spec { return f.specs }
+
+// VarDim implements problem.Problem.
+func (f *frame) VarDim() int { return f.space.Dim() }
+
+// ReferenceDesign returns a copy of the problem's reference sizing.
+func (f *frame) ReferenceDesign() []float64 { return slices.Clone(f.ref) }
+
+// checkDesign reports a design of the wrong length.
+func (f *frame) checkDesign(x []float64) error {
+	if len(x) != f.Dim() {
+		return fmt.Errorf("%s: design has %d variables, want %d", f.tag, len(x), f.Dim())
+	}
+	return nil
+}
+
+// failDesign fails every sample of errs when design x has the wrong
+// length, and reports whether it did.
+func (f *frame) failDesign(x []float64, errs []error) bool {
+	err := f.checkDesign(x)
+	if err == nil {
+		return false
+	}
+	for s := range errs {
+		errs[s] = err
+	}
+	return true
+}
+
+// renamed returns f as the frame of a spice scenario of its circuit: the
+// scenario's name, error prefix and specs.
+func (f frame) renamed(name, tag string, specs []constraint.Spec) frame {
+	f.name, f.tag, f.specs = name, tag, specs
+	return f
+}
+
+// deckCards returns the deck card of every variation slot, by slot: the
+// cards a nominal netlist stamps.
+func (f *frame) deckCards() []*mos.Params {
+	cards := make([]*mos.Params, len(f.space.Devices))
+	for i := range cards {
+		cards[i] = f.space.Model(i)
+	}
+	return cards
+}
+
+// deckDevice returns the transistor of variation slot slot on its deck
+// card, at the slot's W and L in geom.
+func (f *frame) deckDevice(geom [][2]float64, slot int) *mos.Device {
+	return &mos.Device{Params: f.space.Model(slot), W: geom[slot][0], L: geom[slot][1], M: 1}
+}
+
+// startBank starts a bank of perturbed cards at slot geometry geom (W and
+// L by variation slot): cards[i] becomes the deck card of slot slots[i],
+// or of slot i with slots nil, and, with mms not nil, mms[i] that slot's
+// Pelgrom terms at its gate area. It keeps no pointer into cards or mms, so
+// a behavioural evaluator's bank stays in the evaluator's frame.
+func startBank(space *variation.Space, geom [][2]float64, slots []int, cards []mos.Params, mms []variation.Mismatch) {
+	for i := range cards {
+		slot := i
+		if slots != nil {
+			slot = slots[i]
+		}
+		cards[i] = *space.Model(slot)
+		if mms != nil {
+			mms[i] = space.Mismatch(slot, geom[slot][0]*geom[slot][1]*1e12)
+		}
+	}
+}
 
 // mirrorRatio is the bias-branch scaling: bias diodes are 1/mirrorRatio the
 // width of their mirror targets and carry 1/mirrorRatio the current.
@@ -42,16 +139,17 @@ func clampMin(v, lo float64) float64 {
 	return v
 }
 
-// allNominal reports whether every vector of a batch is the nominal nil:
-// such a batch leaves the deck cards as copied (the nil vector writes each
-// perturbed field with the deck's own bits) and needs no Pelgrom factors.
-func allNominal(xis [][]float64) bool {
+// perturbed returns mms for a batch with a perturbed sample, and nil for a
+// batch whose every vector is the nominal nil: such a batch leaves the
+// deck cards as copied (the nil vector writes each perturbed field with
+// the deck's own bits) and needs no Pelgrom terms.
+func perturbed(mms []variation.Mismatch, xis [][]float64) []variation.Mismatch {
 	for _, xi := range xis {
 		if xi != nil {
-			return false
+			return mms
 		}
 	}
-	return true
+	return nil
 }
 
 // slotCardName labels the private perturbed card of a variation slot in a

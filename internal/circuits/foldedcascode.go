@@ -1,7 +1,6 @@
 package circuits
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/eda-go/moheco/internal/constraint"
@@ -29,11 +28,7 @@ import (
 // output swing ≥ 4.6 V (differential pp), power ≤ 1.07 mW, and all
 // transistors saturated (satmargin ≥ 0).
 type FoldedCascode struct {
-	tech  *pdk.Tech
-	space *variation.Space
-	specs []constraint.Spec
-	lo    []float64
-	hi    []float64
+	frame
 
 	// CL is the single-ended load capacitance (F).
 	CL float64
@@ -87,68 +82,79 @@ func NewFoldedCascode() *FoldedCascode {
 		{Name: "B3", PMOS: false}, // ncas gate bias
 		{Name: "B4", PMOS: true},  // pcas gate bias
 	}
-	p := &FoldedCascode{
-		tech:      tech,
-		space:     variation.New(tech, slots),
+	// The reference design meets all specs at the nominal process point
+	// with a Monte-Carlo yield near 100% (50k-sample reference estimate ≈
+	// 99.96%); it was produced by a MOHECO run on this problem.
+	return &FoldedCascode{
+		frame: frame{
+			name:  "folded-cascode-0.35um",
+			tag:   "folded-cascode",
+			tech:  tech,
+			space: variation.New(tech, slots),
+			specs: []constraint.Spec{
+				{Name: "A0", Sense: constraint.AtLeast, Bound: 70, Unit: "dB", Scale: 70},
+				{Name: "GBW", Sense: constraint.AtLeast, Bound: 40e6, Unit: "Hz"},
+				{Name: "PM", Sense: constraint.AtLeast, Bound: 60, Unit: "deg"},
+				{Name: "OS", Sense: constraint.AtLeast, Bound: 4.6, Unit: "V"},
+				{Name: "power", Sense: constraint.AtMost, Bound: 1.07e-3, Unit: "W"},
+				{Name: "satmargin", Sense: constraint.AtLeast, Bound: 0, Scale: 0.3, Unit: "V"},
+			},
+			lo: []float64{20e-6, 20e-6, 10e-6, 0.35e-6, 5e-6, 5e-6, 10e-6, 10e-6, 0.5e-6, 0.35e-6},
+			hi: []float64{600e-6, 600e-6, 1500e-6, 2e-6, 800e-6, 800e-6, 1200e-6, 1200e-6, 3e-6, 2e-6},
+			ref: []float64{
+				160e-6,   // IT
+				41.8e-6,  // IC
+				266.6e-6, // W1
+				0.35e-6,  // L1
+				334.8e-6, // W3
+				54.4e-6,  // W5
+				18.2e-6,  // W7
+				44.6e-6,  // W9
+				3.0e-6,   // Lcs
+				0.375e-6, // Lcas
+			},
+		},
 		CL:        6e-12,
 		VcmIn:     tech.VDD / 2,
 		msSwing:   0.05,
 		msBias:    0.10,
 		cmfbRange: 0.25,
-		specs: []constraint.Spec{
-			{Name: "A0", Sense: constraint.AtLeast, Bound: 70, Unit: "dB", Scale: 70},
-			{Name: "GBW", Sense: constraint.AtLeast, Bound: 40e6, Unit: "Hz"},
-			{Name: "PM", Sense: constraint.AtLeast, Bound: 60, Unit: "deg"},
-			{Name: "OS", Sense: constraint.AtLeast, Bound: 4.6, Unit: "V"},
-			{Name: "power", Sense: constraint.AtMost, Bound: 1.07e-3, Unit: "W"},
-			{Name: "satmargin", Sense: constraint.AtLeast, Bound: 0, Scale: 0.3, Unit: "V"},
-		},
-		lo: []float64{20e-6, 20e-6, 10e-6, 0.35e-6, 5e-6, 5e-6, 10e-6, 10e-6, 0.5e-6, 0.35e-6},
-		hi: []float64{600e-6, 600e-6, 1500e-6, 2e-6, 800e-6, 800e-6, 1200e-6, 1200e-6, 3e-6, 2e-6},
-	}
-	return p
-}
-
-// Name implements problem.Problem.
-func (p *FoldedCascode) Name() string { return "folded-cascode-0.35um" }
-
-// Dim implements problem.Problem.
-func (p *FoldedCascode) Dim() int { return 10 }
-
-// Bounds implements problem.Problem.
-func (p *FoldedCascode) Bounds() (lo, hi []float64) { return p.lo, p.hi }
-
-// Specs implements problem.Problem.
-func (p *FoldedCascode) Specs() []constraint.Spec { return p.specs }
-
-// VarDim implements problem.Problem.
-func (p *FoldedCascode) VarDim() int { return p.space.Dim() }
-
-// Space exposes the variation space (used by the experiment harness).
-func (p *FoldedCascode) Space() *variation.Space { return p.space }
-
-// ReferenceDesign returns a sizing that meets all specs at the nominal
-// process point with a Monte-Carlo yield near 100% (50k-sample reference
-// estimate ≈ 99.96%), used by tests and as a documentation example. It was
-// produced by a MOHECO run on this problem.
-func (p *FoldedCascode) ReferenceDesign() []float64 {
-	return []float64{
-		160e-6,   // IT
-		41.8e-6,  // IC
-		266.6e-6, // W1
-		0.35e-6,  // L1
-		334.8e-6, // W3
-		54.4e-6,  // W5
-		18.2e-6,  // W7
-		44.6e-6,  // W9
-		3.0e-6,   // Lcs
-		0.375e-6, // Lcas
 	}
 }
 
-// Evaluate implements problem.Problem. The returned vector is aligned with
-// Specs(): [A0 dB, GBW Hz, PM deg, OS V, power W, satmargin V]. It is
-// EvaluateBatch's path for one sample.
+// fcGeometry returns the width and length of each transistor at design x,
+// by variation slot: the one statement of the circuit's sizing, which the
+// behavioural evaluator and the spice testbench both read.
+func fcGeometry(x []float64) [fcNumDevices][2]float64 {
+	it := clampMin(x[0], 1e-6)
+	ic := clampMin(x[1], 1e-6)
+	w1, l1 := x[2], x[3]
+	w3, w5, w7, w9 := x[4], x[5], x[6], x[7]
+	lcs, lcas := x[8], x[9]
+	// Tail mirrors the PMOS source bias line; ratio sets its width.
+	ratio := it / ic
+	if ratio < 0.1 {
+		ratio = 0.1
+	}
+	if ratio > 50 {
+		ratio = 50
+	}
+	w0 := w9 * ratio
+	k := mirrorRatio
+	return [fcNumDevices][2]float64{
+		fcTail: {w0, lcs}, fcInL: {w1, l1}, fcInR: {w1, l1},
+		fcNSinkL: {w3, lcs}, fcNSinkR: {w3, lcs},
+		fcNCasL: {w5, lcas}, fcNCasR: {w5, lcas},
+		fcPCasL: {w7, lcas}, fcPCasR: {w7, lcas},
+		fcPSrcL: {w9, lcs}, fcPSrcR: {w9, lcs},
+		fcBiasP: {w9 / k, lcs}, fcBiasN: {w3 / k, lcs},
+		fcBiasNC: {w5 / k, lcas}, fcBiasPC: {w7 / k, lcas},
+	}
+}
+
+// Evaluate implements problem.Problem as a one-sample EvaluateBatch. The
+// returned vector is aligned with Specs(): [A0 dB, GBW Hz, PM deg, OS V,
+// power W, satmargin V].
 func (p *FoldedCascode) Evaluate(x, xi []float64) ([]float64, error) {
 	var perf [1][]float64
 	var err [1]error
@@ -170,11 +176,7 @@ func (p *FoldedCascode) EvaluateBatch(x []float64, xis [][]float64) ([][]float64
 // evaluate writes the performances of x under each xis[s] to perfs[s], or
 // the sample's error to errs[s].
 func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64, errs []error) {
-	if len(x) != p.Dim() {
-		err := fmt.Errorf("folded-cascode: design has %d variables, want %d", len(x), p.Dim())
-		for s := range errs {
-			errs[s] = err
-		}
+	if p.failDesign(x, errs) {
 		return
 	}
 	vdd := p.tech.VDD
@@ -182,42 +184,18 @@ func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64
 	it := clampMin(x[0], 1e-6)
 	ic := clampMin(x[1], 1e-6)
 	is := it/2 + ic // NMOS sink nominal current
-	w1, l1 := x[2], x[3]
-	w3, w5, w7, w9 := x[4], x[5], x[6], x[7]
-	lcs, lcas := x[8], x[9]
-	// Tail mirrors the PMOS source bias line; ratio sets its width.
-	ratio := it / ic
-	if ratio < 0.1 {
-		ratio = 0.1
-	}
-	if ratio > 50 {
-		ratio = 50
-	}
-	w0 := w9 * ratio
 	k := mirrorRatio
 
-	// Perturbed devices for all 15 slots, W and L per slot. Cards and
-	// devices stay in this frame; each card starts as its deck card and
-	// each sample rewrites its perturbed fields, unless every sample is
-	// nominal.
-	geom := [fcNumDevices][2]float64{
-		fcTail: {w0, lcs}, fcInL: {w1, l1}, fcInR: {w1, l1},
-		fcNSinkL: {w3, lcs}, fcNSinkR: {w3, lcs},
-		fcNCasL: {w5, lcas}, fcNCasR: {w5, lcas},
-		fcPCasL: {w7, lcas}, fcPCasR: {w7, lcas},
-		fcPSrcL: {w9, lcs}, fcPSrcR: {w9, lcs},
-		fcBiasP: {w9 / k, lcs}, fcBiasN: {w3 / k, lcs},
-		fcBiasNC: {w5 / k, lcas}, fcBiasPC: {w7 / k, lcas},
-	}
-	var mms [fcNumDevices]variation.Mismatch
+	// Perturbed devices for all 15 slots. Cards and devices stay in this
+	// frame; each card starts as its deck card and each sample rewrites its
+	// perturbed fields, unless every sample is nominal.
+	geom := fcGeometry(x)
 	var cards [fcNumDevices]mos.Params
+	var pelgrom [fcNumDevices]variation.Mismatch
 	var devs [fcNumDevices]mos.Device
-	nominal := allNominal(xis)
+	mms := perturbed(pelgrom[:], xis)
+	startBank(p.space, geom[:], nil, cards[:], mms)
 	for i, g := range geom {
-		if !nominal {
-			mms[i] = p.space.Mismatch(i, g[0]*g[1]*1e12)
-		}
-		cards[i] = *p.space.Model(i)
 		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
 	}
 	tail := &devs[fcTail]
@@ -231,8 +209,7 @@ func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64
 
 	// Nominal devices for the bias-chain set points (xi-independent), on
 	// the shared deck cards.
-	nskNom := mos.Device{Params: p.tech.Model(false), W: w3, L: lcs, M: 1}
-	psrNom := mos.Device{Params: p.tech.Model(true), W: w9, L: lcs, M: 1}
+	nskNom, psrNom := p.deckDevice(geom[:], fcNSinkL), p.deckDevice(geom[:], fcPSrcL)
 	vdsat3Nom := nskNom.VDsatForID(is)
 	vdsat9Nom := psrNom.VDsatForID(ic)
 
@@ -244,8 +221,8 @@ func (p *FoldedCascode) evaluate(x []float64, xis [][]float64, perfs [][]float64
 			errs[s] = err
 			continue
 		}
-		if !nominal {
-			p.space.WriteCards(cards[:], mms[:], &inter, xi)
+		if mms != nil {
+			p.space.WriteCards(cards[:], mms, &inter, xi)
 		}
 
 		// --- Bias chain and currents ---

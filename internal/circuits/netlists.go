@@ -14,8 +14,7 @@ import (
 // MNA engine: the cross-check of the behavioural evaluator against full
 // circuit simulation, netlistsim and the spicedemo example.
 func (p *CommonSource) CommonSourceNetlist(x []float64) (*netlist.Circuit, error) {
-	nch, pch := p.tech.Model(false), p.tech.Model(true)
-	return p.buildCommonSourceTB(x, [csNumDevices]*mos.Params{csDriver: nch, csLoad: pch, csBias: pch})
+	return p.buildCommonSourceTB(x, p.deckCards())
 }
 
 // nominalNetlist is CommonSourceNetlist in the registry's netlist form.
@@ -25,19 +24,19 @@ func (p *CommonSource) nominalNetlist(x []float64) (*netlist.Circuit, map[string
 }
 
 // buildCommonSourceTB constructs the common-source testbench at design x
-// with the given model cards, one per variation slot: the nominal netlist
-// passes the deck's models, a compiled testbench private perturbed cards
-// it rewrites in place between solves. The input source sits at the
-// nominal servo bias; a compiled testbench rewrites it per sample from its
-// perturbed cards.
-func (p *CommonSource) buildCommonSourceTB(x []float64, cards [csNumDevices]*mos.Params) (*netlist.Circuit, error) {
-	if len(x) != p.Dim() {
-		return nil, errDim("common-source netlist", len(x), p.Dim())
+// with the given model cards, by variation slot: the nominal netlist
+// passes the deck's models, a compiled testbench its bank of perturbed
+// cards, which it rewrites in place between solves. The input source sits
+// at the nominal servo bias; a compiled testbench rewrites it per sample
+// from its perturbed cards.
+func (p *CommonSource) buildCommonSourceTB(x []float64, cards []*mos.Params) (*netlist.Circuit, error) {
+	if err := p.checkDesign(x); err != nil {
+		return nil, err
 	}
 	ib := clampMin(x[0], 1e-7)
 	g := p.csGeometry(x)
 	nch, pch := p.tech.Model(false), p.tech.Model(true)
-	nominal := csDevices(&g, [csNumDevices]*mos.Params{csDriver: nch, csLoad: pch, csBias: pch})
+	nominal := csDevices(&g, p.deckCards())
 
 	c := netlist.New("common-source stage")
 	c.Models[nch.Name] = nch
@@ -81,21 +80,15 @@ func (p *CommonSource) spiceBench(x []float64, lanes int) (*testbench, error) {
 // newBench compiles the common-source testbench at design x on an engine
 // of the given lane count, with the AC measures.
 func (p *CommonSource) newBench(x []float64, lanes int) (*csBench, error) {
-	var cards [csNumDevices]*mos.Params
-	for i := range cards {
-		cards[i] = &mos.Params{Name: slotCardName(i)}
-	}
+	g := p.csGeometry(x)
+	b := &csBench{p: p, ib: clampMin(x[0], 1e-7)}
+	cards := b.bank(p.space, g[:], []int{csDriver, csLoad, csBias})
 	c, err := p.buildCommonSourceTB(x, cards)
 	if err != nil {
 		return nil, err
 	}
-	g := p.csGeometry(x)
-	slots := make([]slotCard, csNumDevices)
-	for i := range slots {
-		slots[i] = slotCard{card: cards[i], slot: i, w: g[i][0], l: g[i][1]}
-	}
-	b := &csBench{p: p, ib: clampMin(x[0], 1e-7), devs: csDevices(&g, cards)}
-	if err := b.assemble(p.space, c, nil, lanes, slots, spice.LogSpace(1e3, 5e9, 8)); err != nil {
+	b.devs = csDevices(&g, cards)
+	if err := b.assemble(c, nil, lanes, spice.LogSpace(1e3, 5e9, 8)); err != nil {
 		return nil, err
 	}
 	if b.m1, err = mosIndex(b.eng, "M1"); err != nil {
@@ -139,42 +132,34 @@ func (b *csBench) acMeasures(perf []float64, op *spice.OPResult, h []complex128,
 	return nil
 }
 
-// fcCards names the model cards stamped into the half-circuit testbench,
-// one per transistor instance. The nominal netlist passes the shared deck
-// models; a compiled testbench passes private per-sample perturbed cards
-// that it rewrites in place between solves.
-type fcCards struct {
-	in, nsink, ncas, pcas, psrc, biasN, biasP *mos.Params
-}
-
-// nominalFCCards returns the unperturbed deck models for every slot.
-func (p *FoldedCascode) nominalFCCards() fcCards {
-	nch := p.tech.Model(false)
-	pch := p.tech.Model(true)
-	return fcCards{in: pch, nsink: nch, ncas: nch, pcas: pch, psrc: pch, biasN: nch, biasP: pch}
-}
+// fcStamped are the variation slots of the half-circuit testbench's
+// transistors: one signal path (M1, M3, M5, M7, M9) and its two bias
+// diodes (MBN, MBP).
+var fcStamped = []int{fcInL, fcNSinkL, fcNCasL, fcPCasL, fcPSrcL, fcBiasN, fcBiasP}
 
 // buildFoldedCascodeTB constructs the half-circuit transistor-level
 // testbench of the folded-cascode amplifier (one signal path with ideal
-// bias rails) at design x with the given model cards, plus a nodeset of
-// expected node voltages helping Newton through the CMFB loop. Bias rail
-// voltages track the nominal devices (ideal references, xi-independent) as
-// an HSPICE MC deck's bias sources would.
-func (p *FoldedCascode) buildFoldedCascodeTB(x []float64, cards fcCards) (*netlist.Circuit, map[string]float64, error) {
-	if len(x) != p.Dim() {
-		return nil, nil, errDim("folded-cascode netlist", len(x), p.Dim())
+// bias rails) at design x with the given model cards, by variation slot
+// (only fcStamped's are read), plus a nodeset of expected node voltages
+// helping Newton through the CMFB loop. Bias rail voltages track the
+// nominal devices (ideal references, xi-independent) as an HSPICE MC
+// deck's bias sources would.
+func (p *FoldedCascode) buildFoldedCascodeTB(x []float64, cards []*mos.Params) (*netlist.Circuit, map[string]float64, error) {
+	if err := p.checkDesign(x); err != nil {
+		return nil, nil, err
 	}
 	vdd := p.tech.VDD
 	it, ic := x[0], x[1]
-	w1, l1 := x[2], x[3]
-	w3, w5, w7, w9 := x[4], x[5], x[6], x[7]
-	lcs, lcas := x[8], x[9]
 	is := it/2 + ic
-
+	g := fcGeometry(x)
+	nominal := func(slot int) *mos.Device { return p.deckDevice(g[:], slot) }
+	c := netlist.New("folded-cascode half circuit")
+	// stamp adds the transistor of a slot on its card from cards.
+	stamp := func(name, d, gate, s, b string, slot int) {
+		c.AddM(name, d, gate, s, b, cards[slot], g[slot][0], g[slot][1], 1)
+	}
 	nch := p.tech.Model(false)
 	pch := p.tech.Model(true)
-
-	c := netlist.New("folded-cascode half circuit")
 	c.Models[nch.Name] = nch
 	c.Models[pch.Name] = pch
 	c.AddV("VDD", "vdd", "0", vdd, 0)
@@ -186,7 +171,7 @@ func (p *FoldedCascode) buildFoldedCascodeTB(x []float64, cards fcCards) (*netli
 	c.AddC("CTAIL", "src", "0", 1.0)
 	// Input device M1: gate at input common mode with AC drive.
 	c.AddV("VIN", "in", "0", p.VcmIn, 1)
-	c.AddM("M1", "fold", "in", "src", "vdd", cards.in, w1, l1, 1)
+	stamp("M1", "fold", "in", "src", "vdd", fcInL)
 
 	// NMOS sink at the folding node, biased by a diode reference with a
 	// DC-only common-mode feedback correction: the output is sensed through
@@ -194,48 +179,43 @@ func (p *FoldedCascode) buildFoldedCascodeTB(x []float64, cards fcCards) (*netli
 	// without loading the AC response (the role the CMFB amp plays in the
 	// fully differential circuit).
 	c.AddI("IBN", "vdd", "bn", is/mirrorRatio, 0)
-	c.AddM("MBN", "bn", "bn", "0", "0", cards.biasN, w3/mirrorRatio, lcs, 1)
+	stamp("MBN", "bn", "bn", "0", "0", fcBiasN)
 	c.AddR("RCM", "out", "vsense", 1e9)
 	c.AddC("CCM", "vsense", "0", 1.0)
 	c.AddV("VREF", "vref", "0", vdd/2, 0)
 	c.AddE("ECM", "ncm", "bn", "vsense", "vref", 2)
-	c.AddM("M3", "fold", "ncm", "0", "0", cards.nsink, w3, lcs, 1)
+	stamp("M3", "fold", "ncm", "0", "0", fcNSinkL)
 
 	// NMOS cascode with a fixed gate bias computed as in the evaluator.
-	ncasDev := &mos.Device{Params: nch, W: w5, L: lcas, M: 1}
-	nsinkNom := &mos.Device{Params: nch, W: w3, L: lcs, M: 1}
-	vbnc := nsinkNom.VDsatForID(is) + p.msBias + ncasDev.VgsForID(ic, 0)
+	nsinkNom := nominal(fcNSinkL)
+	vbnc := nsinkNom.VDsatForID(is) + p.msBias + nominal(fcNCasL).VgsForID(ic, 0)
 	c.AddV("VBNC", "bnc", "0", vbnc, 0)
-	c.AddM("M5", "out", "bnc", "fold", "0", cards.ncas, w5, lcas, 1)
+	stamp("M5", "out", "bnc", "fold", "0", fcNCasL)
 
 	// PMOS source and cascode on top.
 	c.AddI("IBP", "bp", "0", ic/mirrorRatio, 0)
-	c.AddM("MBP", "bp", "bp", "vdd", "vdd", cards.biasP, w9/mirrorRatio, lcs, 1)
-	c.AddM("M9", "x", "bp", "vdd", "vdd", cards.psrc, w9, lcs, 1)
-	psrcNom := &mos.Device{Params: pch, W: w9, L: lcs, M: 1}
-	pcasDev := &mos.Device{Params: pch, W: w7, L: lcas, M: 1}
-	vbpc := vdd - psrcNom.VDsatForID(ic) - p.msBias - pcasDev.VgsForID(ic, 0)
+	stamp("MBP", "bp", "bp", "vdd", "vdd", fcBiasP)
+	stamp("M9", "x", "bp", "vdd", "vdd", fcPSrcL)
+	psrcNom := nominal(fcPSrcL)
+	vbpc := vdd - psrcNom.VDsatForID(ic) - p.msBias - nominal(fcPCasL).VgsForID(ic, 0)
 	c.AddV("VBPC", "bpc", "0", vbpc, 0)
-	c.AddM("M7", "out", "bpc", "x", "vdd", cards.pcas, w7, lcas, 1)
+	stamp("M7", "out", "bpc", "x", "vdd", fcPCasL)
 
 	c.AddC("CL", "out", "0", p.CL)
 
 	// Expected operating region from the behavioural model, used as a
 	// .nodeset to help Newton through the CMFB loop.
-	inDev := &mos.Device{Params: pch, W: w1, L: l1, M: 1}
-	biasNDev := &mos.Device{Params: nch, W: w3 / mirrorRatio, L: lcs, M: 1}
-	biasPDev := &mos.Device{Params: pch, W: w9 / mirrorRatio, L: lcs, M: 1}
 	vfold := nsinkNom.VDsatForID(is) + p.msBias
 	vx := vdd - psrcNom.VDsatForID(ic) - p.msBias
-	vbn := biasNDev.VgsForID(is/mirrorRatio, 0)
+	vbn := nominal(fcBiasN).VgsForID(is/mirrorRatio, 0)
 	nodeset := map[string]float64{
-		"src":    p.VcmIn + inDev.VgsForID(it/2, 0),
+		"src":    p.VcmIn + nominal(fcInL).VgsForID(it/2, 0),
 		"fold":   vfold,
 		"out":    vdd / 2,
 		"x":      vx,
 		"bn":     vbn,
 		"ncm":    vbn,
-		"bp":     vdd - biasPDev.VgsForID(ic/mirrorRatio, 0),
+		"bp":     vdd - nominal(fcBiasP).VgsForID(ic/mirrorRatio, 0),
 		"vsense": vdd / 2,
 		"vref":   vdd / 2,
 		"bnc":    vbnc,
@@ -249,7 +229,7 @@ func (p *FoldedCascode) buildFoldedCascodeTB(x []float64, cards fcCards) (*netli
 // evaluator remains the reference for the paper's statistical loops;
 // NewFoldedCascodeSpice runs the same testbench per Monte-Carlo sample.
 func (p *FoldedCascode) FoldedCascodeNetlist(x []float64) (*netlist.Circuit, map[string]float64, error) {
-	return p.buildFoldedCascodeTB(x, p.nominalFCCards())
+	return p.buildFoldedCascodeTB(x, p.deckCards())
 }
 
 // fcBench is the compiled folded-cascode testbench of one design; each
@@ -290,30 +270,13 @@ func (p *FoldedCascode) spiceBench(x []float64, lanes int) (*testbench, error) {
 // newBench compiles the folded-cascode testbench at design x on an engine
 // of the given lane count, with the AC measures.
 func (p *FoldedCascode) newBench(x []float64, lanes int) (*fcBench, error) {
-	card := func(slot int) *mos.Params { return &mos.Params{Name: slotCardName(slot)} }
-	cards := fcCards{
-		in: card(fcInL), nsink: card(fcNSinkL), ncas: card(fcNCasL), pcas: card(fcPCasL),
-		psrc: card(fcPSrcL), biasN: card(fcBiasN), biasP: card(fcBiasP),
-	}
-	c, nodeset, err := p.buildFoldedCascodeTB(x, cards)
+	g := fcGeometry(x)
+	b := &fcBench{p: p}
+	c, nodeset, err := p.buildFoldedCascodeTB(x, b.bank(p.space, g[:], fcStamped))
 	if err != nil {
 		return nil, err
 	}
-	w1, l1 := x[2], x[3]
-	w3, w5, w7, w9 := x[4], x[5], x[6], x[7]
-	lcs, lcas := x[8], x[9]
-	k := mirrorRatio
-	slots := []slotCard{
-		{card: cards.in, slot: fcInL, w: w1, l: l1},
-		{card: cards.nsink, slot: fcNSinkL, w: w3, l: lcs},
-		{card: cards.ncas, slot: fcNCasL, w: w5, l: lcas},
-		{card: cards.pcas, slot: fcPCasL, w: w7, l: lcas},
-		{card: cards.psrc, slot: fcPSrcL, w: w9, l: lcs},
-		{card: cards.biasN, slot: fcBiasN, w: w3 / k, l: lcs},
-		{card: cards.biasP, slot: fcBiasP, w: w9 / k, l: lcs},
-	}
-	b := &fcBench{p: p}
-	if err := b.assemble(p.space, c, nodeset, lanes, slots, spice.LogSpace(1e3, 1e9, 8)); err != nil {
+	if err := b.assemble(c, nodeset, lanes, spice.LogSpace(1e3, 1e9, 8)); err != nil {
 		return nil, err
 	}
 	for i, sd := range fcSat {
@@ -368,17 +331,4 @@ func (b *fcBench) acMeasures(perf []float64, op *spice.OPResult, h []complex128,
 
 	perf[0], perf[1], perf[2], perf[3], perf[4], perf[5] = a0dB, gbw, pm, os, power, satMargin
 	return nil
-}
-
-func errDim(what string, got, want int) error {
-	return &dimError{what: what, got: got, want: want}
-}
-
-type dimError struct {
-	what      string
-	got, want int
-}
-
-func (e *dimError) Error() string {
-	return e.what + ": wrong design dimension"
 }

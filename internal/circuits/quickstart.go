@@ -1,7 +1,6 @@
 package circuits
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/eda-go/moheco/internal/constraint"
@@ -27,11 +26,7 @@ import (
 // Specifications: A0 ≥ 34 dB, GBW ≥ 20 MHz (CL = 1 pF), power ≤ 0.5 mW,
 // and both transistors saturated.
 type CommonSource struct {
-	tech  *pdk.Tech
-	space *variation.Space
-	specs []constraint.Spec
-	lo    []float64
-	hi    []float64
+	frame
 
 	CL      float64
 	msSat   float64
@@ -54,101 +49,109 @@ func NewCommonSource() *CommonSource {
 		{Name: "M2", PMOS: true},  // load
 		{Name: "B1", PMOS: true},  // bias diode
 	}
+	// The reference design meets all specs at nominal.
 	return &CommonSource{
-		tech:    tech,
-		space:   variation.New(tech, slots),
+		frame: frame{
+			name:  "common-source-0.35um",
+			tag:   "common-source",
+			tech:  tech,
+			space: variation.New(tech, slots),
+			specs: []constraint.Spec{
+				{Name: "A0", Sense: constraint.AtLeast, Bound: 34, Unit: "dB", Scale: 34},
+				{Name: "GBW", Sense: constraint.AtLeast, Bound: 20e6, Unit: "Hz"},
+				{Name: "power", Sense: constraint.AtMost, Bound: 0.5e-3, Unit: "W"},
+				{Name: "satmargin", Sense: constraint.AtLeast, Bound: 0, Scale: 0.3, Unit: "V"},
+			},
+			lo:  []float64{5e-6, 2e-6, 0.35e-6, 5e-6},
+			hi:  []float64{150e-6, 300e-6, 3e-6, 500e-6},
+			ref: []float64{40e-6, 30e-6, 1.0e-6, 60e-6},
+		},
 		CL:      1e-12,
 		msSat:   0.05,
 		loadLen: 1e-6,
-		specs: []constraint.Spec{
-			{Name: "A0", Sense: constraint.AtLeast, Bound: 34, Unit: "dB", Scale: 34},
-			{Name: "GBW", Sense: constraint.AtLeast, Bound: 20e6, Unit: "Hz"},
-			{Name: "power", Sense: constraint.AtMost, Bound: 0.5e-3, Unit: "W"},
-			{Name: "satmargin", Sense: constraint.AtLeast, Bound: 0, Scale: 0.3, Unit: "V"},
-		},
-		lo: []float64{5e-6, 2e-6, 0.35e-6, 5e-6},
-		hi: []float64{150e-6, 300e-6, 3e-6, 500e-6},
 	}
 }
 
-// Name implements problem.Problem.
-func (p *CommonSource) Name() string { return "common-source-0.35um" }
-
-// Dim implements problem.Problem.
-func (p *CommonSource) Dim() int { return 4 }
-
-// Bounds implements problem.Problem.
-func (p *CommonSource) Bounds() (lo, hi []float64) { return p.lo, p.hi }
-
-// Specs implements problem.Problem.
-func (p *CommonSource) Specs() []constraint.Spec { return p.specs }
-
-// VarDim implements problem.Problem.
-func (p *CommonSource) VarDim() int { return p.space.Dim() }
-
-// Space exposes the variation space.
-func (p *CommonSource) Space() *variation.Space { return p.space }
-
-// ReferenceDesign returns a sizing that meets all specs at nominal.
-func (p *CommonSource) ReferenceDesign() []float64 {
-	return []float64{40e-6, 30e-6, 1.0e-6, 60e-6}
-}
-
-// Evaluate implements problem.Problem. Output aligned with Specs():
-// [A0 dB, GBW Hz, power W, satmargin V].
+// Evaluate implements problem.Problem as a one-sample EvaluateBatch.
+// Output aligned with Specs(): [A0 dB, GBW Hz, power W, satmargin V].
 func (p *CommonSource) Evaluate(x, xi []float64) ([]float64, error) {
-	if len(x) != p.Dim() {
-		return nil, fmt.Errorf("common-source: design has %d variables, want %d", len(x), p.Dim())
-	}
-	if err := p.space.CheckVector(xi); err != nil {
-		return nil, err
+	var perf [1][]float64
+	var err [1]error
+	p.evaluate(x, [][]float64{xi}, perf[:], err[:])
+	return perf[0], err[0]
+}
+
+// EvaluateBatch implements problem.BatchEvaluator. The slot geometry and
+// the Pelgrom factors of each slot's gate area are made once per batch;
+// each sample rewrites the perturbed cards in place, and the performance
+// vectors share one backing array. Every sample gets Evaluate's bits.
+func (p *CommonSource) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, []error) {
+	perfs, errs := make([][]float64, len(xis)), make([]error, len(xis))
+	p.evaluate(x, xis, perfs, errs)
+	return perfs, errs
+}
+
+// evaluate writes the performances of x under each xis[s] to perfs[s], or
+// the sample's error to errs[s].
+func (p *CommonSource) evaluate(x []float64, xis [][]float64, perfs [][]float64, errs []error) {
+	if p.failDesign(x, errs) {
+		return
 	}
 	vdd := p.tech.VDD
 	ib := clampMin(x[0], 1e-7)
 	k := mirrorRatio
 
 	// Cards and devices stay in this frame; each card starts as its deck
-	// card, which the nominal xi leaves as it is.
+	// card and each sample rewrites its perturbed fields, unless every
+	// sample is nominal.
 	geom := p.csGeometry(x)
 	var cards [csNumDevices]mos.Params
+	var pelgrom [csNumDevices]variation.Mismatch
 	var devs [csNumDevices]mos.Device
+	mms := perturbed(pelgrom[:], xis)
+	startBank(p.space, geom[:], nil, cards[:], mms)
 	for i, g := range geom {
-		cards[i] = *p.space.Model(i)
 		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
-	}
-	if xi != nil {
-		var mms [csNumDevices]variation.Mismatch
-		for i, g := range geom {
-			mms[i] = p.space.Mismatch(i, g[0]*g[1]*1e12)
-		}
-		var inter variation.Inter
-		p.space.WriteCards(cards[:], mms[:], &inter, xi)
 	}
 	drv, load := &devs[csDriver], &devs[csLoad]
 
-	// The load mirrors the bias diode; the input bias servo sets the driver
-	// gate so it conducts the load current with the output at VDD/2.
-	id := p.loadCurrent(&devs, ib)
-	gm := gmDegenerated(drv, drv.GmAt(id))
-	rout := par(drv.RoAt(id), load.RoAt(id))
-	a0 := gm * rout
-	a0dB := 20 * math.Log10(clampMin(a0, 1e-12))
+	n := len(p.specs)
+	backing := make([]float64, len(xis)*n)
+	var inter variation.Inter
+	for s, xi := range xis {
+		if err := p.space.CheckVector(xi); err != nil {
+			errs[s] = err
+			continue
+		}
+		if mms != nil {
+			p.space.WriteCards(cards[:], mms, &inter, xi)
+		}
 
-	var capsDrv, capsLoad mos.OP
-	satCaps(&capsDrv, drv, id)
-	satCaps(&capsLoad, load, id)
-	cOut := p.CL + capsDrv.Cdb + capsDrv.Cgd + capsLoad.Cdb + capsLoad.Cgd
-	gbw := gm / (2 * math.Pi * cOut)
+		// The load mirrors the bias diode; the input bias servo sets the
+		// driver gate so it conducts the load current with the output at
+		// VDD/2.
+		id := p.loadCurrent(&devs, ib)
+		gm := gmDegenerated(drv, drv.GmAt(id))
+		rout := par(drv.RoAt(id), load.RoAt(id))
+		a0 := gm * rout
+		a0dB := 20 * math.Log10(clampMin(a0, 1e-12))
 
-	power := vdd * (id + ib/k)
+		var capsDrv, capsLoad mos.OP
+		satCaps(&capsDrv, drv, id)
+		satCaps(&capsLoad, load, id)
+		cOut := p.CL + capsDrv.Cdb + capsDrv.Cgd + capsLoad.Cdb + capsLoad.Cgd
+		gbw := gm / (2 * math.Pi * cOut)
 
-	vov1 := drv.VDsatForID(id)
-	vov2 := load.VDsatForID(id)
-	satMargin := minOf(
-		vdd/2-vov1-p.msSat, // driver at Vout = VDD/2
-		vdd/2-vov2-p.msSat, // load
-	)
-	return []float64{a0dB, gbw, power, satMargin}, nil
+		power := vdd * (id + ib/k)
+
+		vov1 := drv.VDsatForID(id)
+		vov2 := load.VDsatForID(id)
+		satMargin := minOf(
+			vdd/2-vov1-p.msSat, // driver at Vout = VDD/2
+			vdd/2-vov2-p.msSat, // load
+		)
+		perfs[s] = append(backing[s*n:s*n:(s+1)*n], a0dB, gbw, power, satMargin)
+	}
 }
 
 // csGeometry returns the width and length of each transistor at design x,
@@ -162,7 +165,7 @@ func (p *CommonSource) csGeometry(x []float64) [csNumDevices][2]float64 {
 
 // csDevices returns the transistors of geometry g over cards, by variation
 // slot.
-func csDevices(g *[csNumDevices][2]float64, cards [csNumDevices]*mos.Params) [csNumDevices]mos.Device {
+func csDevices(g *[csNumDevices][2]float64, cards []*mos.Params) [csNumDevices]mos.Device {
 	var devs [csNumDevices]mos.Device
 	for i := range devs {
 		devs[i] = mos.Device{Params: cards[i], W: g[i][0], L: g[i][1], M: 1}
@@ -182,4 +185,4 @@ func (p *CommonSource) servo(devs *[csNumDevices]mos.Device, ib float64) float64
 	return devs[csDriver].VgsForID(p.loadCurrent(devs, ib), 0)
 }
 
-var _ problem.Problem = (*CommonSource)(nil)
+var _ problem.BatchEvaluator = (*CommonSource)(nil)

@@ -41,6 +41,9 @@ import (
 // transient scenario, SetTranWindow configure it and must not race with
 // it.
 type SpiceProblem struct {
+	// frame is the scenario's name, error prefix and specs over its
+	// circuit's deck, space, bounds and reference design.
+	frame
 	def testbenchDef
 	// lanes pins the engine's lockstep lane count (0 = auto).
 	lanes int
@@ -131,22 +134,8 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// behavioural is what a spice scenario takes from the behavioural problem
-// of its circuit: bounds, variation space and reference design (its
-// compile reads the space itself).
-type behavioural interface {
-	Dim() int
-	Bounds() (lo, hi []float64)
-	VarDim() int
-	ReferenceDesign() []float64
-}
-
-// testbenchDef is one spice scenario: the whole of what it declares.
+// testbenchDef is what one spice scenario declares beyond its frame.
 type testbenchDef struct {
-	name  string // the problem name
-	tag   string // the error prefix of its testbench
-	specs []constraint.Spec
-	base  behavioural
 	// warm makes every sample's DC solve warm-start from the design's
 	// nominal operating point, solved once at compile; without it samples
 	// solve cold and compile solves nothing (the transient scenarios'
@@ -174,24 +163,6 @@ func (p *SpiceProblem) SetLanes(k int) *SpiceProblem {
 	return p
 }
 
-// Name implements problem.Problem.
-func (p *SpiceProblem) Name() string { return p.def.name }
-
-// Dim implements problem.Problem.
-func (p *SpiceProblem) Dim() int { return p.def.base.Dim() }
-
-// Bounds implements problem.Problem.
-func (p *SpiceProblem) Bounds() (lo, hi []float64) { return p.def.base.Bounds() }
-
-// Specs implements problem.Problem.
-func (p *SpiceProblem) Specs() []constraint.Spec { return p.def.specs }
-
-// VarDim implements problem.Problem.
-func (p *SpiceProblem) VarDim() int { return p.def.base.VarDim() }
-
-// ReferenceDesign returns the behavioural problem's reference sizing.
-func (p *SpiceProblem) ReferenceDesign() []float64 { return p.def.base.ReferenceDesign() }
-
 // Netlist builds the nominal testbench at design x: the deck's models and,
 // on a transient scenario, the step armed on the input source — the
 // waveform the scenario's samples measure.
@@ -211,17 +182,17 @@ func (p *SpiceProblem) Netlist(x []float64) (*netlist.Circuit, map[string]float6
 // compile builds the testbench of design x. A warm scenario solves the
 // nominal operating point once here, and every sample warm-starts from it.
 func (p *SpiceProblem) compile(x []float64) (*testbench, error) {
-	if len(x) != p.Dim() {
-		return nil, fmt.Errorf("%s: design has %d variables, want %d", p.def.tag, len(x), p.Dim())
+	if err := p.checkDesign(x); err != nil {
+		return nil, err
 	}
 	tb, err := p.def.compile(x, p.lanes)
 	if err != nil {
 		return nil, err
 	}
 	mCompiles.Inc()
-	tb.name = p.def.tag
+	tb.name = p.tag
 	tb.x = slices.Clone(x)
-	tb.perfs = len(p.def.specs)
+	tb.perfs = len(p.specs)
 	if p.def.step != nil {
 		tb.armStep(p.def.step)
 	}
@@ -290,10 +261,10 @@ type TranProblem struct {
 	TranConfig
 }
 
-// newTranProblem builds the transient scenario of def integrating window
-// win; def.step measures it.
-func newTranProblem(def testbenchDef, win TranConfig) *TranProblem {
-	p := &TranProblem{SpiceProblem: SpiceProblem{def: def}, TranConfig: win}
+// newTranProblem builds the transient scenario of frame f and testbench
+// def integrating window win; def.step measures it.
+func newTranProblem(f frame, def testbenchDef, win TranConfig) *TranProblem {
+	p := &TranProblem{SpiceProblem: SpiceProblem{frame: f, def: def}, TranConfig: win}
 	p.def.step.window = &p.TranConfig
 	return p
 }
@@ -323,15 +294,10 @@ func (p *TranProblem) SetTranWindow(tstop, step float64, fixed bool) error {
 // [A0 dB, GBW Hz, power W, satmargin V].
 func NewCommonSourceSpice() *SpiceProblem {
 	cs := NewCommonSource()
-	return &SpiceProblem{def: testbenchDef{
-		name:    "common-source-0.35um-spice",
-		tag:     "common-source-spice",
-		specs:   cs.specs,
-		base:    cs,
-		warm:    true,
-		compile: cs.spiceBench,
-		netlist: cs.nominalNetlist,
-	}}
+	return &SpiceProblem{
+		frame: cs.renamed("common-source-0.35um-spice", "common-source-spice", cs.specs),
+		def:   testbenchDef{warm: true, compile: cs.spiceBench, netlist: cs.nominalNetlist},
+	}
 }
 
 // NewFoldedCascodeSpice builds the folded-cascode half-circuit testbench
@@ -345,15 +311,10 @@ func NewCommonSourceSpice() *SpiceProblem {
 // a substitute reference for the paper's tables).
 func NewFoldedCascodeSpice() *SpiceProblem {
 	fc := NewFoldedCascode()
-	return &SpiceProblem{def: testbenchDef{
-		name:    "folded-cascode-0.35um-spice",
-		tag:     "folded-cascode-spice",
-		specs:   fc.specs,
-		base:    fc,
-		warm:    true,
-		compile: fc.spiceBench,
-		netlist: fc.FoldedCascodeNetlist,
-	}}
+	return &SpiceProblem{
+		frame: fc.renamed("folded-cascode-0.35um-spice", "folded-cascode-spice", fc.specs),
+		def:   testbenchDef{warm: true, compile: fc.spiceBench, netlist: fc.FoldedCascodeNetlist},
+	}
 }
 
 // NewCommonSourceTran builds the quickstart stage's step response: a 2 mV
@@ -367,17 +328,13 @@ func NewFoldedCascodeSpice() *SpiceProblem {
 // tranproblem_test.go).
 func NewCommonSourceTran() *TranProblem {
 	cs := NewCommonSource()
-	return newTranProblem(testbenchDef{
-		name: "common-source-0.35um-tran",
-		tag:  "common-source-tran",
-		specs: []constraint.Spec{
-			{Name: "A0", Sense: constraint.AtLeast, Bound: 40.5, Unit: "dB", Scale: 40.5},
-			{Name: "GBW", Sense: constraint.AtLeast, Bound: 85e6, Unit: "Hz"},
-			{Name: "slew", Sense: constraint.AtLeast, Bound: 4.9e5, Unit: "V/s"},
-			{Name: "ts1%", Sense: constraint.AtMost, Bound: 8.6e-7, Unit: "s"},
-			{Name: "overshoot", Sense: constraint.AtMost, Bound: 0.05, Scale: 0.05},
-		},
-		base:    cs,
+	return newTranProblem(cs.renamed("common-source-0.35um-tran", "common-source-tran", []constraint.Spec{
+		{Name: "A0", Sense: constraint.AtLeast, Bound: 40.5, Unit: "dB", Scale: 40.5},
+		{Name: "GBW", Sense: constraint.AtLeast, Bound: 85e6, Unit: "Hz"},
+		{Name: "slew", Sense: constraint.AtLeast, Bound: 4.9e5, Unit: "V/s"},
+		{Name: "ts1%", Sense: constraint.AtMost, Bound: 8.6e-7, Unit: "s"},
+		{Name: "overshoot", Sense: constraint.AtMost, Bound: 0.05, Scale: 0.05},
+	}), testbenchDef{
 		compile: cs.spiceBench,
 		netlist: cs.nominalNetlist,
 		step:    &stepTest{amp: 2e-3, delay: 50e-9, rise: 1e-9},
@@ -397,18 +354,14 @@ func NewCommonSourceTran() *TranProblem {
 // reference yield is ≈98% (pinned in tranproblem_test.go).
 func NewFoldedCascodeTran() *TranProblem {
 	fc := NewFoldedCascode()
-	return newTranProblem(testbenchDef{
-		name: "folded-cascode-0.35um-tran",
-		tag:  "folded-cascode-tran",
-		specs: []constraint.Spec{
-			{Name: "A0", Sense: constraint.AtLeast, Bound: 85, Unit: "dB", Scale: 85},
-			{Name: "GBW", Sense: constraint.AtLeast, Bound: 85e6, Unit: "Hz"},
-			{Name: "PM", Sense: constraint.AtLeast, Bound: 85, Unit: "deg"},
-			{Name: "slew", Sense: constraint.AtLeast, Bound: 4.5e4, Unit: "V/s"},
-			{Name: "ts1%", Sense: constraint.AtMost, Bound: 30e-6, Unit: "s"},
-			{Name: "overshoot", Sense: constraint.AtMost, Bound: 0.05, Scale: 0.05},
-		},
-		base:    fc,
+	return newTranProblem(fc.renamed("folded-cascode-0.35um-tran", "folded-cascode-tran", []constraint.Spec{
+		{Name: "A0", Sense: constraint.AtLeast, Bound: 85, Unit: "dB", Scale: 85},
+		{Name: "GBW", Sense: constraint.AtLeast, Bound: 85e6, Unit: "Hz"},
+		{Name: "PM", Sense: constraint.AtLeast, Bound: 85, Unit: "deg"},
+		{Name: "slew", Sense: constraint.AtLeast, Bound: 4.5e4, Unit: "V/s"},
+		{Name: "ts1%", Sense: constraint.AtMost, Bound: 30e-6, Unit: "s"},
+		{Name: "overshoot", Sense: constraint.AtMost, Bound: 0.05, Scale: 0.05},
+	}), testbenchDef{
 		compile: fc.spiceBench,
 		netlist: fc.FoldedCascodeNetlist,
 		step:    &stepTest{amp: 1e-4, delay: 2e-6, rise: 10e-9, pm: true},

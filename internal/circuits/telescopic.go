@@ -1,7 +1,6 @@
 package circuits
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/eda-go/moheco/internal/constraint"
@@ -33,11 +32,7 @@ import (
 // after the testbench input servo: stage-2 mismatch referred to the input
 // through the first-stage gain (see DESIGN.md).
 type Telescopic struct {
-	tech  *pdk.Tech
-	space *variation.Space
-	specs []constraint.Spec
-	lo    []float64
-	hi    []float64
+	frame
 
 	CL        float64 // single-ended load capacitance (F)
 	msSwing   float64 // swing headroom per rail (V)
@@ -93,71 +88,86 @@ func NewTelescopic() *Telescopic {
 		{Name: "B3", PMOS: true},   // pcas gate bias
 		{Name: "B4", PMOS: false},  // ncas gate bias
 	}
-	p := &Telescopic{
-		tech:      tech,
-		space:     variation.New(tech, slots),
+	// The reference design meets all specs at nominal with a Monte-Carlo
+	// yield near 89% — a good (but not optimal) design under the paper's
+	// "extremely severe" example-2 constraints, where residual failures
+	// spread over A0, PM, offset, swing and saturation margins.
+	return &Telescopic{
+		frame: frame{
+			name:  "telescopic-two-stage-90nm",
+			tag:   "telescopic",
+			tech:  tech,
+			space: variation.New(tech, slots),
+			specs: []constraint.Spec{
+				{Name: "A0", Sense: constraint.AtLeast, Bound: 60, Unit: "dB", Scale: 60},
+				{Name: "GBW", Sense: constraint.AtLeast, Bound: 300e6, Unit: "Hz"},
+				{Name: "PM", Sense: constraint.AtLeast, Bound: 60, Unit: "deg"},
+				{Name: "OS", Sense: constraint.AtLeast, Bound: 1.8, Unit: "V"},
+				{Name: "power", Sense: constraint.AtMost, Bound: 10e-3, Unit: "W"},
+				{Name: "area", Sense: constraint.AtMost, Bound: 180, Unit: "um2"},
+				{Name: "offset", Sense: constraint.AtMost, Bound: 0.05e-3, Unit: "V"},
+				{Name: "satmargin", Sense: constraint.AtLeast, Bound: 0, Scale: 0.2, Unit: "V"},
+			},
+			lo: []float64{50e-6, 100e-6, 2e-6, 0.10e-6, 2e-6, 4e-6, 4e-6, 10e-6, 5e-6, 0.10e-6, 0.2e-12, 0.10e-6},
+			hi: []float64{1.5e-3, 4e-3, 100e-6, 0.5e-6, 100e-6, 200e-6, 200e-6, 1000e-6, 500e-6, 0.5e-6, 3e-12, 0.6e-6},
+			ref: []float64{
+				170e-6,   // IT
+				420e-6,   // I2
+				3.1e-6,   // W1
+				0.25e-6,  // L1
+				10e-6,    // W3
+				38e-6,    // W5
+				30e-6,    // W7
+				132e-6,   // W9
+				51e-6,    // W11
+				0.15e-6,  // Lout
+				0.40e-12, // Cc
+				0.36e-6,  // L1s
+			},
+		},
 		CL:        1e-12,
 		msSwing:   0.015,
 		msBias:    0.10,
 		cmfbRange: 0.15,
-		specs: []constraint.Spec{
-			{Name: "A0", Sense: constraint.AtLeast, Bound: 60, Unit: "dB", Scale: 60},
-			{Name: "GBW", Sense: constraint.AtLeast, Bound: 300e6, Unit: "Hz"},
-			{Name: "PM", Sense: constraint.AtLeast, Bound: 60, Unit: "deg"},
-			{Name: "OS", Sense: constraint.AtLeast, Bound: 1.8, Unit: "V"},
-			{Name: "power", Sense: constraint.AtMost, Bound: 10e-3, Unit: "W"},
-			{Name: "area", Sense: constraint.AtMost, Bound: 180, Unit: "um2"},
-			{Name: "offset", Sense: constraint.AtMost, Bound: 0.05e-3, Unit: "V"},
-			{Name: "satmargin", Sense: constraint.AtLeast, Bound: 0, Scale: 0.2, Unit: "V"},
-		},
-		lo: []float64{50e-6, 100e-6, 2e-6, 0.10e-6, 2e-6, 4e-6, 4e-6, 10e-6, 5e-6, 0.10e-6, 0.2e-12, 0.10e-6},
-		hi: []float64{1.5e-3, 4e-3, 100e-6, 0.5e-6, 100e-6, 200e-6, 200e-6, 1000e-6, 500e-6, 0.5e-6, 3e-12, 0.6e-6},
-	}
-	return p
-}
-
-// Name implements problem.Problem.
-func (p *Telescopic) Name() string { return "telescopic-two-stage-90nm" }
-
-// Dim implements problem.Problem.
-func (p *Telescopic) Dim() int { return 12 }
-
-// Bounds implements problem.Problem.
-func (p *Telescopic) Bounds() (lo, hi []float64) { return p.lo, p.hi }
-
-// Specs implements problem.Problem.
-func (p *Telescopic) Specs() []constraint.Spec { return p.specs }
-
-// VarDim implements problem.Problem.
-func (p *Telescopic) VarDim() int { return p.space.Dim() }
-
-// Space exposes the variation space.
-func (p *Telescopic) Space() *variation.Space { return p.space }
-
-// ReferenceDesign returns a sizing that meets all specs at nominal with a
-// Monte-Carlo yield near 89% — a good (but not optimal) design under the
-// paper's "extremely severe" example-2 constraints, where residual failures
-// spread over A0, PM, offset, swing and saturation margins.
-func (p *Telescopic) ReferenceDesign() []float64 {
-	return []float64{
-		170e-6,   // IT
-		420e-6,   // I2
-		3.1e-6,   // W1
-		0.25e-6,  // L1
-		10e-6,    // W3
-		38e-6,    // W5
-		30e-6,    // W7
-		132e-6,   // W9
-		51e-6,    // W11
-		0.15e-6,  // Lout
-		0.40e-12, // Cc
-		0.36e-6,  // L1s
 	}
 }
 
-// Evaluate implements problem.Problem. Output aligned with Specs():
-// [A0 dB, GBW Hz, PM deg, OS V, power W, area µm², offset V, satmargin V].
-// It is EvaluateBatch's path for one sample.
+// tsGeometry returns the width and length of each transistor at design x,
+// by variation slot.
+func tsGeometry(x []float64) [tsNumDevices][2]float64 {
+	it := clampMin(x[0], 1e-6)
+	i2 := clampMin(x[1], 1e-6)
+	w1, l1 := x[2], x[3]
+	w3, w5, w7 := x[4], x[5], x[6]
+	w9, w11 := x[7], x[8]
+	lout := x[9]
+	l1s := x[11]
+	k := mirrorRatio
+	ratio := it / i2
+	if ratio < 0.02 {
+		ratio = 0.02
+	}
+	if ratio > 50 {
+		ratio = 50
+	}
+	w0 := w11 * ratio // tail shares the B1 gate line with the sinks
+	wCmfb := clampMin(w11/4, 1e-6)
+	return [tsNumDevices][2]float64{
+		tsTail: {w0, lout}, tsInL: {w1, l1}, tsInR: {w1, l1},
+		tsNCasL: {w3, l1s}, tsNCasR: {w3, l1s},
+		tsPCasL: {w5, l1s}, tsPCasR: {w5, l1s},
+		tsPLoadL: {w7, l1s}, tsPLoadR: {w7, l1s},
+		tsDrvL: {w9, lout}, tsDrvR: {w9, lout},
+		tsSnkL: {w11, lout}, tsSnkR: {w11, lout},
+		tsCmfbL: {wCmfb, lout}, tsCmfbR: {wCmfb, lout},
+		tsBiasN: {w11 / k, lout}, tsBiasPL: {w7 / k, l1s},
+		tsBiasPC: {w5 / k, l1s}, tsBiasNC: {w3 / k, l1s},
+	}
+}
+
+// Evaluate implements problem.Problem as a one-sample EvaluateBatch.
+// Output aligned with Specs(): [A0 dB, GBW Hz, PM deg, OS V, power W,
+// area µm², offset V, satmargin V].
 func (p *Telescopic) Evaluate(x, xi []float64) ([]float64, error) {
 	var perf [1][]float64
 	var err [1]error
@@ -179,11 +189,7 @@ func (p *Telescopic) EvaluateBatch(x []float64, xis [][]float64) ([][]float64, [
 // evaluate writes the performances of x under each xis[s] to perfs[s], or
 // the sample's error to errs[s].
 func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, errs []error) {
-	if len(x) != p.Dim() {
-		err := fmt.Errorf("telescopic: design has %d variables, want %d", len(x), p.Dim())
-		for s := range errs {
-			errs[s] = err
-		}
+	if p.failDesign(x, errs) {
 		return
 	}
 	vdd := p.tech.VDD
@@ -191,47 +197,19 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 	it := clampMin(x[0], 1e-6)
 	i2 := clampMin(x[1], 1e-6)
 	ih := it / 2 // stage-1 half current
-	w1, l1 := x[2], x[3]
-	w3, w5, w7 := x[4], x[5], x[6]
-	w9, w11 := x[7], x[8]
-	lout := x[9]
 	cc := clampMin(x[10], 1e-14)
-	l1s := x[11]
 	k := mirrorRatio
-	ratio := it / i2
-	if ratio < 0.02 {
-		ratio = 0.02
-	}
-	if ratio > 50 {
-		ratio = 50
-	}
-	w0 := w11 * ratio // tail shares the B1 gate line with the sinks
-	wCmfb := clampMin(w11/4, 1e-6)
 
-	// Perturbed devices for all 19 slots, W and L per slot. Cards and
-	// devices stay in this frame; each card starts as its deck card and
-	// each sample rewrites its perturbed fields, unless every sample is
-	// nominal.
-	geom := [tsNumDevices][2]float64{
-		tsTail: {w0, lout}, tsInL: {w1, l1}, tsInR: {w1, l1},
-		tsNCasL: {w3, l1s}, tsNCasR: {w3, l1s},
-		tsPCasL: {w5, l1s}, tsPCasR: {w5, l1s},
-		tsPLoadL: {w7, l1s}, tsPLoadR: {w7, l1s},
-		tsDrvL: {w9, lout}, tsDrvR: {w9, lout},
-		tsSnkL: {w11, lout}, tsSnkR: {w11, lout},
-		tsCmfbL: {wCmfb, lout}, tsCmfbR: {wCmfb, lout},
-		tsBiasN: {w11 / k, lout}, tsBiasPL: {w7 / k, l1s},
-		tsBiasPC: {w5 / k, l1s}, tsBiasNC: {w3 / k, l1s},
-	}
-	var mms [tsNumDevices]variation.Mismatch
+	// Perturbed devices for all 19 slots. Cards and devices stay in this
+	// frame; each card starts as its deck card and each sample rewrites its
+	// perturbed fields, unless every sample is nominal.
+	geom := tsGeometry(x)
 	var cards [tsNumDevices]mos.Params
+	var pelgrom [tsNumDevices]variation.Mismatch
 	var devs [tsNumDevices]mos.Device
-	nominal := allNominal(xis)
+	mms := perturbed(pelgrom[:], xis)
+	startBank(p.space, geom[:], nil, cards[:], mms)
 	for i, g := range geom {
-		if !nominal {
-			mms[i] = p.space.Mismatch(i, g[0]*g[1]*1e12)
-		}
-		cards[i] = *p.space.Model(i)
 		devs[i] = mos.Device{Params: &cards[i], W: g[0], L: g[1], M: 1}
 	}
 	tail, inL := &devs[tsTail], &devs[tsInL]
@@ -244,11 +222,8 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 	biasPC, biasNC := &devs[tsBiasPC], &devs[tsBiasNC]
 
 	// Nominal devices for the bias set points, on the shared deck cards.
-	nch, pch := p.tech.Model(false), p.tech.Model(true)
-	tailNom := mos.Device{Params: nch, W: w0, L: lout, M: 1}
-	inNom := mos.Device{Params: nch, W: w1, L: l1, M: 1}
-	pldNom := mos.Device{Params: pch, W: w7, L: l1s, M: 1}
-	drvNom := mos.Device{Params: pch, W: w9, L: lout, M: 1}
+	tailNom, inNom := p.deckDevice(geom[:], tsTail), p.deckDevice(geom[:], tsInL)
+	pldNom, drvNom := p.deckDevice(geom[:], tsPLoadL), p.deckDevice(geom[:], tsDrvL)
 
 	vov0Nom := tailNom.VDsatForID(it)
 	vov1Nom := inNom.VDsatForID(ih)
@@ -258,10 +233,10 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 	vo1Nom := vdd - drvNom.VgsForID(i2, 0)
 
 	// --- Area (gate area of all devices + Miller caps, µm²) ---
-	um2 := func(w, l float64) float64 { return w * l * 1e12 }
-	active := um2(w0, lout) + 2*um2(w1, l1) + 2*um2(w3, l1s) + 2*um2(w5, l1s) +
-		2*um2(w7, l1s) + 2*um2(w9, lout) + 2*um2(w11, lout) + 2*um2(wCmfb, lout) +
-		um2(w11/k, lout) + um2(w7/k, l1s) + um2(w5/k, l1s) + um2(w3/k, l1s)
+	um2 := func(slot int) float64 { return geom[slot][0] * geom[slot][1] * 1e12 }
+	active := um2(tsTail) + 2*um2(tsInL) + 2*um2(tsNCasL) + 2*um2(tsPCasL) +
+		2*um2(tsPLoadL) + 2*um2(tsDrvL) + 2*um2(tsSnkL) + 2*um2(tsCmfbL) +
+		um2(tsBiasN) + um2(tsBiasPL) + um2(tsBiasPC) + um2(tsBiasNC)
 	ccAreaUm2 := 2 * cc / 30e-15 // two stacked MOM Miller caps at 30 fF/µm²
 	area := active*1.15 + ccAreaUm2
 
@@ -273,8 +248,8 @@ func (p *Telescopic) evaluate(x []float64, xis [][]float64, perfs [][]float64, e
 			errs[s] = err
 			continue
 		}
-		if !nominal {
-			p.space.WriteCards(cards[:], mms[:], &inter, xi)
+		if mms != nil {
+			p.space.WriteCards(cards[:], mms, &inter, xi)
 		}
 
 		// --- Currents ---

@@ -36,14 +36,15 @@ type testbench struct {
 	// fallback when the nominal point does not converge.
 	warm0 *spice.OPResult
 
-	// slots are the perturbed model cards the devices point at, and vals
-	// the source values that follow them (servo bias, step levels): the
-	// complete per-sample engine state. run snapshots them per lane, so the
+	// cards is the bank of perturbed model cards the stamped devices point
+	// at, one per variation slot the testbench stamps, and vals the source
+	// values that follow them (servo bias, step levels): the complete
+	// per-sample engine state. run snapshots them per lane, so the
 	// LaneSetter switches lanes with plain copies, no recompute.
-	slots []slotCard
+	cards []mos.Params
 	vals  []*float64
-	// mms are the slots' Pelgrom terms at their gate areas, made once per
-	// compiled design, and inter the sample's inter-die state.
+	// mms are the cards' Pelgrom terms at their slots' gate areas, made
+	// once per compiled design, and inter the sample's inter-die state.
 	mms   []variation.Mismatch
 	inter variation.Inter
 	// follow, when set, rewrites the source values after the cards of a
@@ -72,26 +73,28 @@ type testbench struct {
 	wave      []float64
 }
 
-// slotCard ties one perturbed model card to its variation slot and
-// geometry (the area law needs W·L of the instance the card is stamped on).
-type slotCard struct {
-	card *mos.Params
-	slot int
-	w, l float64
+// bank starts tb's card bank on the variation slots it stamps, at slot
+// geometry geom (W and L by slot): each card its slot's deck card under
+// the slot's own card name, with the slot's Pelgrom terms. It returns the
+// bank's cards by slot, nil on the slots tb does not stamp, for the
+// netlist builder.
+func (tb *testbench) bank(space *variation.Space, geom [][2]float64, slots []int) []*mos.Params {
+	tb.space = space
+	tb.cards = make([]mos.Params, len(slots))
+	tb.mms = make([]variation.Mismatch, len(slots))
+	startBank(space, geom, slots, tb.cards, tb.mms)
+	bySlot := make([]*mos.Params, len(geom))
+	for i, slot := range slots {
+		tb.cards[i].Name = slotCardName(slot)
+		bySlot[slot] = &tb.cards[i]
+	}
+	return bySlot
 }
 
-// assemble compiles circuit c, whose perturbed cards are slots, into tb:
-// each card starts as its slot's deck card under its own name, and then
-// the engine (nodeset as its DC hint, lanes its lockstep lane count), the
-// output probe, swept over freqs, and the input source.
-func (tb *testbench) assemble(space *variation.Space, c *netlist.Circuit, nodeset map[string]float64, lanes int, slots []slotCard, freqs []float64) error {
-	tb.mms = make([]variation.Mismatch, len(slots))
-	for i, sc := range slots {
-		tb.mms[i] = space.Mismatch(sc.slot, sc.w*sc.l*1e12)
-		name := sc.card.Name
-		*sc.card = *space.Model(sc.slot)
-		sc.card.Name = name
-	}
+// assemble compiles circuit c, whose perturbed cards are tb's bank, into
+// tb: the engine (nodeset as its DC hint, lanes its lockstep lane count),
+// the output probe, swept over freqs, and the input source.
+func (tb *testbench) assemble(c *netlist.Circuit, nodeset map[string]float64, lanes int, freqs []float64) error {
 	probe, err := outputProbe(c)
 	if err != nil {
 		return err
@@ -104,17 +107,14 @@ func (tb *testbench) assemble(space *variation.Space, c *netlist.Circuit, nodese
 	if err != nil {
 		return err
 	}
-	tb.space, tb.ckt, tb.eng, tb.freqs, tb.probe, tb.vin, tb.slots = space, c, eng, freqs, probe, vin, slots
+	tb.ckt, tb.eng, tb.freqs, tb.probe, tb.vin = c, eng, freqs, probe, vin
 	return nil
 }
 
 // setSample writes one sample's engine state (nil = nominal): the
 // perturbed cards, then the source values that follow them.
 func (tb *testbench) setSample(xi []float64) {
-	tb.space.SetInter(&tb.inter, xi)
-	for i := range tb.slots {
-		tb.mms[i].Write(tb.slots[i].card, &tb.inter, xi)
-	}
+	tb.space.WriteCards(tb.cards, tb.mms, &tb.inter, xi)
 	if tb.follow != nil {
 		tb.follow()
 	}
@@ -151,7 +151,7 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 	backing := make([]float64, len(xis)*tb.perfs)
 	k := min(tb.eng.Lanes(), len(xis))
 	tb.sizeLanes(k)
-	nc, nv := len(tb.slots), len(tb.vals)
+	nc, nv := len(tb.cards), len(tb.vals)
 	cards, vals, active, tops, set := tb.laneCards, tb.laneVals, tb.active, tb.tops, tb.set
 	for g := 0; g < len(xis); g += k {
 		m := min(k, len(xis)-g)
@@ -164,9 +164,7 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 				continue
 			}
 			tb.setSample(xis[g+l])
-			for i := range tb.slots {
-				cards[l*nc+i] = *tb.slots[i].card
-			}
+			copy(cards[l*nc:(l+1)*nc], tb.cards)
 			for i, v := range tb.vals {
 				vals[l*nv+i] = *v
 			}
@@ -216,7 +214,7 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 func (tb *testbench) sizeLanes(k int) {
 	if tb.active == nil {
 		m := tb.eng.Lanes()
-		tb.laneCards = make([]mos.Params, m*len(tb.slots))
+		tb.laneCards = make([]mos.Params, m*len(tb.cards))
 		tb.laneVals = make([]float64, m*len(tb.vals))
 		tb.active = make([]bool, m)
 		tb.tops = make([]*spice.OPResult, m)
@@ -228,10 +226,8 @@ func (tb *testbench) sizeLanes(k int) {
 // setLane is run's LaneSetter: it restores lane l's snapshot of the cards
 // and source values.
 func (tb *testbench) setLane(l int) {
-	nc, nv := len(tb.slots), len(tb.vals)
-	for i := range tb.slots {
-		*tb.slots[i].card = tb.laneCards[l*nc+i]
-	}
+	nc, nv := len(tb.cards), len(tb.vals)
+	copy(tb.cards, tb.laneCards[l*nc:(l+1)*nc])
 	for i, v := range tb.vals {
 		*v = tb.laneVals[l*nv+i]
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"github.com/eda-go/moheco/internal/constraint"
@@ -282,22 +281,23 @@ func (sc *SearchContext) estimate(ms []*Member) error {
 	for _, m := range feas {
 		m.Cand.SetWorkers(inner)
 	}
+	group := make([]ocba.Candidate, len(feas))
+	for i, m := range feas {
+		group[i] = m.Cand
+	}
 	switch o.Method {
 	case MethodFixedBudget:
 		// Candidates sample independent streams: evaluate in parallel.
-		if err := sampleAll(o.Ctx, feas, o.Workers, o.FixedSims); err != nil {
+		adds := make([]int, len(feas))
+		for i := range adds {
+			adds[i] = o.FixedSims
+		}
+		if err := ocba.RunIncrements(o.Workers, group, adds); err != nil {
 			return err
 		}
 	default:
-		// The initial n0 samples per candidate are independent; the
-		// OCBA rounds that follow parallelize within each round.
-		if err := sampleAll(o.Ctx, feas, o.Workers, o.N0); err != nil {
-			return err
-		}
-		group := make([]ocba.Candidate, len(feas))
-		for i, m := range feas {
-			group[i] = m.Cand
-		}
+		// The sequencer opens with the independent n0 warm-up of every
+		// candidate; its OCBA rounds parallelize within each round.
 		seq := &ocba.Sequencer{N0: o.N0, Delta: o.Delta, Workers: o.Workers}
 		if _, err := seq.Run(group, o.SimAve*len(feas)); err != nil {
 			return err
@@ -414,14 +414,4 @@ func promoteBest(pop []*Member, best, maxSims, workers int) (int, error) {
 		b.Fit.Yield = b.Cand.Yield()
 		best = BestIndex(pop, best)
 	}
-}
-
-// sampleAll tops every member's candidate up to n samples on the engine's
-// worker pool. Per-candidate sample streams are private, so the result is
-// independent of scheduling, and the engine reports errors in candidate
-// order rather than goroutine-completion order.
-func sampleAll(ctx context.Context, ms []*Member, workers, n int) error {
-	return engine.ForEachNCtx(ctx, workers, len(ms), func(i int) error {
-		return ms[i].Cand.EnsureSamples(n)
-	})
 }

@@ -175,12 +175,10 @@ func (c *Circuit) parseLine(line string) error {
 		if err != nil {
 			return err
 		}
-		np, nn := c.Node(fields[1]), c.Node(fields[2])
-		ncp, ncn := c.Node(fields[3]), c.Node(fields[4])
 		if strings.HasPrefix(lower, "e") {
-			c.Add(&VCVS{Name: head, NP: np, NN: nn, NCP: ncp, NCN: ncn, Gain: v})
+			c.AddE(head, fields[1], fields[2], fields[3], fields[4], v)
 		} else {
-			c.Add(&VCCS{Name: head, NP: np, NN: nn, NCP: ncp, NCN: ncn, Gm: v})
+			c.AddG(head, fields[1], fields[2], fields[3], fields[4], v)
 		}
 		return nil
 	case strings.HasPrefix(lower, "m"):

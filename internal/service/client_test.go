@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -191,35 +192,75 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 // stays down, the layered retries (per-request attempts × resubmits) must
 // not multiply — one logical call spends one failure budget across all
 // layers and gives up in bounded time with a bounded number of attempts.
+// In the "down" case every request fails, so the submission's own
+// attempts end the call. In the "polls fail" case every submission is
+// accepted, so the failures land on the job polls and the resubmits after
+// each lost endpoint: per-layer limits alone would allow (1 + endpoints)
+// resubmits of clientRetryMax polls each, and the shared budget must end
+// the call first, after exactly its retries plus the failure that found
+// it empty.
 func TestClientFailureBudgetBoundsAttempts(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
+	const budget = 12 // clientAttemptBudget
+	for _, c := range []struct {
+		name        string
+		acceptPosts bool
+	}{
+		{"down", false},
+		{"polls fail", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var calls, submits, polls atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				if r.Method == http.MethodPost {
+					n := submits.Add(1)
+					if c.acceptPosts {
+						w.Header().Set("Content-Type", "application/json")
+						fmt.Fprintf(w, `{"id":"job-%d","state":"running"}`, n)
+						return
+					}
+				} else {
+					polls.Add(1)
+				}
+				http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
+			}))
+			defer ts.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	client := service.NewClient(ts.URL)
-	clk := service.UseFakeClock(client)
-	start := clk.Now()
-	_, err := client.Yield(ctx, service.YieldRequest{
-		Scenario: "svc-test", N: 1000, Seed: service.Seed(1),
-	})
-	if err == nil {
-		t.Fatal("Yield succeeded against an always-503 server")
-	}
-	if ctx.Err() != nil {
-		t.Fatal("client only stopped because the context expired — the budget did not bind")
-	}
-	// 1 free attempt per request layer plus the shared budget of
-	// failure-driven retries bounds the damage.
-	const maxAttempts = 4 + 12 // resubmit layers + clientAttemptBudget
-	if got := calls.Load(); got > maxAttempts {
-		t.Errorf("server saw %d attempts, want <= %d", got, maxAttempts)
-	}
-	if elapsed := clk.Now().Sub(start); elapsed > 30*time.Second {
-		t.Errorf("giving up took %v", elapsed)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			client := service.NewClient(ts.URL)
+			clk := service.UseFakeClock(client)
+			start := clk.Now()
+			_, err := client.Yield(ctx, service.YieldRequest{
+				Scenario: "svc-test", N: 1000, Seed: service.Seed(1),
+			})
+			if err == nil {
+				t.Fatal("Yield succeeded against a server failing every request it must answer")
+			}
+			if ctx.Err() != nil {
+				t.Fatal("client only stopped because the context expired — the budget did not bind")
+			}
+			// 1 free attempt per request layer plus the shared budget of
+			// failure-driven retries bounds the damage.
+			const maxAttempts = 4 + budget // resubmit layers + clientAttemptBudget
+			if got := calls.Load(); got > maxAttempts {
+				t.Errorf("server saw %d attempts, want <= %d", got, maxAttempts)
+			}
+			if elapsed := clk.Now().Sub(start); elapsed > 30*time.Second {
+				t.Errorf("giving up took %v", elapsed)
+			}
+			if !c.acceptPosts {
+				return
+			}
+			if !strings.Contains(err.Error(), "attempt budget exhausted") {
+				t.Errorf("the call ended with %v, not on its attempt budget", err)
+			}
+			if got := polls.Load(); got != budget+1 {
+				t.Errorf("server saw %d polls, want %d (the budget's retries and the failure that emptied it)", got, budget+1)
+			}
+			if got := submits.Load(); got != 3 {
+				t.Errorf("server saw %d submissions, want 3 (the first and two resubmits after lost polls)", got)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"time"
@@ -423,13 +424,19 @@ func waitParam(w http.ResponseWriter, r *http.Request) (time.Duration, bool) {
 }
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeBody(http.MaxBytesReader(w, r.Body, 1<<20), v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request body: %w", err))
 		return false
 	}
 	return true
+}
+
+// decodeBody decodes one JSON request body from rd into v, rejecting
+// fields v does not declare.
+func decodeBody(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	_ "github.com/eda-go/moheco/internal/circuits" // register the built-in scenarios
+	"github.com/eda-go/moheco/internal/netlist"
 	"github.com/eda-go/moheco/internal/problem"
 	"github.com/eda-go/moheco/internal/scenario"
 )
@@ -13,6 +14,17 @@ import (
 // when the underlying problem implements BatchEvaluator.
 func hideBatch(p problem.Problem) problem.Problem {
 	return struct{ problem.Problem }{p}
+}
+
+// runsMNA reports whether p scores each sample through the MNA engine:
+// the spice scenarios, which expose their testbench netlist. Every
+// registered scenario is a batch evaluator, so the batch path does not
+// tell them from the behavioural ones.
+func runsMNA(p problem.Problem) bool {
+	_, ok := p.(interface {
+		Netlist(x []float64) (*netlist.Circuit, map[string]float64, error)
+	})
+	return ok
 }
 
 // estimate runs one incremental estimate and returns (yield, sims, samples).
@@ -48,7 +60,7 @@ func TestBatchVsPointwiseEquivalencePerScenario(t *testing.T) {
 				t.Fatalf("scenario %s has no reference design", sc.Name)
 			}
 			n := 300
-			if _, batched := p.(problem.BatchEvaluator); batched {
+			if runsMNA(p) {
 				// Simulator-in-the-loop scenarios pay an MNA solve per
 				// sample; a smaller plan still spans many chunks.
 				n = 128
@@ -96,7 +108,7 @@ func TestReferenceBatchVsPointwisePerScenario(t *testing.T) {
 			p := sc.New()
 			x, _ := scenario.ReferenceDesign(p)
 			n := 5000
-			if _, batched := p.(problem.BatchEvaluator); batched {
+			if runsMNA(p) {
 				n = 600
 			}
 			type run struct {
