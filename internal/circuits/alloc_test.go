@@ -211,32 +211,40 @@ func TestEvaluateBatchAllocsFixed(t *testing.T) {
 	}
 }
 
-// spiceEvaluateBudget caps what a one-sample Evaluate of a spice scenario
-// allocates: per call it compiles the testbench (netlist, engine, symbolic
-// analysis and, for a warm scenario, the nominal operating point) and runs
-// one sample through the DC solve, the probed AC sweep and, for the
-// transient scenario, the adaptive step response. Past compile, the count
-// is the engine's per-width storage, allocated once: results, probe
-// records and transient rows are reused from group to group, so an
-// 8-sample batch costs only its wider lanes and a batch of any larger size
-// the same (see TestSpiceBatchAllocsIndependentOfSize). The ceilings sit
-// just above the measured 394 objects and 58.7 KB, 509 objects and 239.5
-// KB, and 186 objects and 15.6 KB (396, 515 and 187 objects under -race).
+// spiceCost is a ceiling on what one call allocates: objects and KB.
+type spiceCost struct{ allocs, kbytes float64 }
+
+// spiceEvaluateBudget caps what a spice scenario's Evaluate (n = 1) or
+// EvaluateBatch call allocates, on its two paths. compile is a call that
+// finds no idle testbench: it compiles one (netlist, engine, symbolic
+// analysis and, for a warm scenario, the nominal operating point), then
+// runs the samples through the DC solve, the bracketed AC sweep and, for
+// the transient scenario, the adaptive step response, allocating the
+// engine's per-width storage on the way. warm is a call on the testbench
+// an earlier call left in the store: the engine's storage is reused, so it
+// allocates only the call's two result slices and the array its
+// performance vectors share (3 objects, 24+16+8·perfs bytes a sample),
+// however many points a sample solves; one allocation per solved point
+// would add about ten objects a sample. The compile ceilings sit just
+// above the measured 394 objects and 66.0 KB, 509 objects and 233.7 KB,
+// and 191 objects and 20.1 KB (399, 516 and 192 objects under -race).
 var spiceEvaluateBudget = []struct {
-	p              interface{ ReferenceDesign() []float64 }
-	n              int // samples per call: 1 is Evaluate, more EvaluateBatch
-	allocs, kbytes float64
+	p             *SpiceProblem
+	n             int // samples per call: 1 is Evaluate, more EvaluateBatch
+	compile, warm spiceCost
 }{
-	{NewFoldedCascodeTran(), 1, 399, 61},
-	{NewFoldedCascodeTran(), 8, 520, 245},
-	{NewCommonSourceSpice(), 1, 190, 17},
+	{&NewFoldedCascodeTran().SpiceProblem, 1, spiceCost{400, 69}, spiceCost{3, 0.12}},
+	{&NewFoldedCascodeTran().SpiceProblem, 8, spiceCost{520, 240}, spiceCost{3, 0.8}},
+	{NewCommonSourceSpice(), 1, spiceCost{196, 22}, spiceCost{3, 0.12}},
 }
 
-// TestSpiceEvaluateAllocs pins spiceEvaluateBudget.
+// TestSpiceEvaluateAllocs pins spiceEvaluateBudget: the compile path by
+// emptying the testbench store before every call, the warm path on the
+// testbench the previous call left there.
 func TestSpiceEvaluateAllocs(t *testing.T) {
 	for _, b := range spiceEvaluateBudget {
-		p := b.p.(problem.Problem)
-		x := b.p.ReferenceDesign()
+		p := b.p
+		x := p.ReferenceDesign()
 		xis := sample.PMC{}.Draw(randx.New(8), b.n, p.VarDim())
 		eval := func() {
 			_, errs, err := problem.EvaluateBatch(p, x, xis)
@@ -254,22 +262,31 @@ func TestSpiceEvaluateAllocs(t *testing.T) {
 				}
 			}
 		}
-		eval()
-		allocs := testing.AllocsPerRun(20, eval)
-		const runs = 20
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			eval()
-		}
-		runtime.ReadMemStats(&after)
-		kbytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-		t.Logf("%s, %d samples: %v allocations, %.1f KB per call", p.Name(), b.n, allocs, kbytes)
-		if allocs > b.allocs {
-			t.Errorf("%s, %d samples: a call allocates %v objects, ceiling %v", p.Name(), b.n, allocs, b.allocs)
-		}
-		if kbytes > b.kbytes {
-			t.Errorf("%s, %d samples: a call allocates %.1f KB, ceiling %v KB", p.Name(), b.n, kbytes, b.kbytes)
+		for _, path := range []struct {
+			name    string
+			ceiling spiceCost
+			call    func()
+		}{
+			{"compile", b.compile, func() { p.idle.drop(); eval() }},
+			{"warm", b.warm, eval},
+		} {
+			path.call()
+			allocs := testing.AllocsPerRun(20, path.call)
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				path.call()
+			}
+			runtime.ReadMemStats(&after)
+			kbytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+			t.Logf("%s, %d samples, %s: %v allocations, %.2f KB per call", p.Name(), b.n, path.name, allocs, kbytes)
+			if allocs > path.ceiling.allocs {
+				t.Errorf("%s, %d samples, %s: a call allocates %v objects, ceiling %v", p.Name(), b.n, path.name, allocs, path.ceiling.allocs)
+			}
+			if kbytes > path.ceiling.kbytes {
+				t.Errorf("%s, %d samples, %s: a call allocates %.2f KB, ceiling %v KB", p.Name(), b.n, path.name, kbytes, path.ceiling.kbytes)
+			}
 		}
 	}
 }

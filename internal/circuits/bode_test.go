@@ -45,7 +45,7 @@ func checkBode(t *testing.T, what string, freqs []float64, h []complex128) {
 		if !withPM {
 			wantPM = 0
 		}
-		g0, gg, gp := bodeMeasures(freqs, h, withPM)
+		g0, gg, gp := bodeMeasures(freqs, measure.Points{H: h}, withPM)
 		if !sameMeasure(g0, a0) || !sameMeasure(gg, gbw) || !sameMeasure(gp, wantPM) {
 			t.Fatalf("%s (withPM %v, %d points): lazy (%v, %v, %v), NewBode (%v, %v, %v)\nh=%v",
 				what, withPM, len(h), g0, gg, gp, a0, gbw, wantPM, h)

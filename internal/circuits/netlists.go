@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/eda-go/moheco/internal/measure"
 	"github.com/eda-go/moheco/internal/mos"
 	"github.com/eda-go/moheco/internal/netlist"
 	"github.com/eda-go/moheco/internal/spice"
@@ -107,11 +108,11 @@ func (p *CommonSource) newBench(x []float64, lanes int) (*csBench, error) {
 func (b *csBench) setServo() { b.vin.DC = b.p.servo(&b.devs, b.ib) }
 
 // acMeasures writes the performance vector of one sample's solved
-// operating point and probed AC sweep h into perf: [A0 dB, GBW Hz, power
+// operating point and probed AC record r into perf: [A0 dB, GBW Hz, power
 // W, satmargin V].
-func (b *csBench) acMeasures(perf []float64, op *spice.OPResult, h []complex128, _ *spice.TranResult) error {
+func (b *csBench) acMeasures(perf []float64, op *spice.OPResult, r measure.Points, _ *spice.TranResult) error {
 	vdd := b.p.tech.VDD
-	a0dB, gbw, _ := bodeMeasures(b.freqs, h, false)
+	a0dB, gbw, _ := bodeMeasures(b.freqs, r, false)
 
 	// Power from the VDD branch current (the source supplies the mirror
 	// and the load branch).
@@ -296,11 +297,11 @@ func (p *FoldedCascode) newBench(x []float64, lanes int) (*fcBench, error) {
 }
 
 // acMeasures writes the performance vector of one sample's solved
-// operating point and probed AC sweep h into perf: [A0 dB, GBW Hz, PM deg,
+// operating point and probed AC record r into perf: [A0 dB, GBW Hz, PM deg,
 // OS V, power W, satmargin V].
-func (b *fcBench) acMeasures(perf []float64, op *spice.OPResult, h []complex128, _ *spice.TranResult) error {
+func (b *fcBench) acMeasures(perf []float64, op *spice.OPResult, r measure.Points, _ *spice.TranResult) error {
 	vdd := b.p.tech.VDD
-	a0dB, gbw, pm := bodeMeasures(b.freqs, h, true)
+	a0dB, gbw, pm := bodeMeasures(b.freqs, r, true)
 
 	// Power from the VDD branch current (branch 0: VDD is the first V
 	// element of the testbench); the ideal tail/bias pull-ups route

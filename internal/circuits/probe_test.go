@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/eda-go/moheco/internal/measure"
 	"github.com/eda-go/moheco/internal/problem"
 	"github.com/eda-go/moheco/internal/spice"
 )
@@ -164,10 +165,11 @@ func TestProbedMeasuresMatchFullSweep(t *testing.T) {
 	}
 }
 
-// measureOf runs the testbench's measures into a fresh performance vector.
+// measureOf runs the testbench's measures on a dense sweep h (on
+// freqs[:len(h)]) into a fresh performance vector.
 func measureOf(tb *testbench, op *spice.OPResult, h []complex128, tr *spice.TranResult) ([]float64, error) {
 	perf := make([]float64, tb.perfs)
-	return perf, tb.measures(perf, op, h, tr)
+	return perf, tb.measures(perf, op, measure.Points{H: h}, tr)
 }
 
 func firstErr(errs ...error) error {

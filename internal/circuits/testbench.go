@@ -54,11 +54,11 @@ type testbench struct {
 	// tran, when set, is the transient every sample integrates after its
 	// AC sweep (the time-domain scenarios).
 	tran *spice.TranOptions
-	// measures reduces one sample's operating point, probed sweep h (on
-	// freqs[:len(h)]) and, with tran set, transient tr (nil without) to its
+	// measures reduces one sample's operating point, bracketed probe record
+	// r (on freqs) and, with tran set, transient tr (nil without) to its
 	// performance vector, written into perf (perfs entries); run calls it
-	// with that sample's state installed. The engine owns op, h and tr.
-	measures func(perf []float64, op *spice.OPResult, h []complex128, tr *spice.TranResult) error
+	// with that sample's state installed. The engine owns op, r and tr.
+	measures func(perf []float64, op *spice.OPResult, r measure.Points, tr *spice.TranResult) error
 	perfs    int
 
 	// run's lane buffers, sized on first use: the per-lane snapshots of
@@ -151,27 +151,11 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 	backing := make([]float64, len(xis)*tb.perfs)
 	k := min(tb.eng.Lanes(), len(xis))
 	tb.sizeLanes(k)
-	nc, nv := len(tb.cards), len(tb.vals)
-	cards, vals, active, tops, set := tb.laneCards, tb.laneVals, tb.active, tb.tops, tb.set
+	active, tops, set := tb.active, tb.tops, tb.set
 	for g := 0; g < len(xis); g += k {
 		m := min(k, len(xis)-g)
-		for l := range active {
-			active[l] = false
-			if l >= m {
-				continue
-			}
-			if errs[g+l] = tb.space.CheckVector(xis[g+l]); errs[g+l] != nil {
-				continue
-			}
-			tb.setSample(xis[g+l])
-			copy(cards[l*nc:(l+1)*nc], tb.cards)
-			for i, v := range tb.vals {
-				vals[l*nv+i] = *v
-			}
-			active[l] = true
-		}
-		ops, dcErrs := tb.eng.DCOperatingPointBatchFrom(tb.warm0, active, set)
-		hs, acErrs := tb.eng.ACBatchProbe(ops, tb.freqs, tb.probe, set)
+		ops, dcErrs := tb.solveDC(xis[g:g+m], errs[g:g+m])
+		rs, acErrs := tb.eng.ACBatchBracket(ops, tb.freqs, tb.probe.Node, set)
 		var trs []*spice.TranResult
 		var trErrs []error
 		if tb.tran != nil {
@@ -196,7 +180,7 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 				set(l)
 				i := (g + l) * tb.perfs
 				perf := backing[i : i+tb.perfs : i+tb.perfs]
-				if err = tb.measures(perf, ops[l], hs[l], tr); err == nil {
+				if err = tb.measures(perf, ops[l], rs[l], tr); err == nil {
 					perfs[g+l] = perf
 				}
 			}
@@ -206,6 +190,32 @@ func (tb *testbench) run(xis [][]float64) ([][]float64, []error) {
 		}
 	}
 	return perfs, errs
+}
+
+// solveDC installs one lane group's samples xis (at most the width
+// sizeLanes set) and solves their operating points in lockstep: a lane
+// whose ξ is malformed gets its error in errs and stays inactive (nil
+// operating point), the lanes past len(xis) too. The results are the
+// engine's, as DCOperatingPointBatchFrom returns them.
+func (tb *testbench) solveDC(xis [][]float64, errs []error) ([]*spice.OPResult, []error) {
+	nc, nv := len(tb.cards), len(tb.vals)
+	cards, vals, active := tb.laneCards, tb.laneVals, tb.active
+	for l := range active {
+		active[l] = false
+		if l >= len(xis) {
+			continue
+		}
+		if errs[l] = tb.space.CheckVector(xis[l]); errs[l] != nil {
+			continue
+		}
+		tb.setSample(xis[l])
+		copy(cards[l*nc:(l+1)*nc], tb.cards)
+		for i, v := range tb.vals {
+			vals[l*nv+i] = *v
+		}
+		active[l] = true
+	}
+	return tb.eng.DCOperatingPointBatchFrom(tb.warm0, active, tb.set)
 }
 
 // sizeLanes sizes run's lane buffers for k ≤ engine lanes. They are
@@ -280,8 +290,8 @@ func (tb *testbench) armStep(s *stepTest) {
 		pulse.V1, pulse.V2 = vin.DC, vin.DC+s.amp
 	}
 	tb.tran = s.window.tranOptions()
-	tb.measures = func(perf []float64, _ *spice.OPResult, h []complex128, tr *spice.TranResult) error {
-		a0dB, gbw, pm := bodeMeasures(tb.freqs, h, s.pm)
+	tb.measures = func(perf []float64, _ *spice.OPResult, r measure.Points, tr *spice.TranResult) error {
+		a0dB, gbw, pm := bodeMeasures(tb.freqs, r, s.pm)
 		slew, ts, os, err := s.window.stepResponse(tr.Times, tb.outWave(tr), s.delay)
 		if err != nil {
 			return err
@@ -333,7 +343,9 @@ func mosIndex(eng *spice.Engine, name string) (int, error) {
 
 // outputProbe is the AC probe of every spice testbench: the "out" node,
 // swept up to its unity crossing — all the DC-gain, GBW and phase-margin
-// measures read.
+// measures read. run takes its bracketed sweep (ACBatchBracket); the
+// dense stop-at-unity prefix is the reference the bracketed records are
+// checked against.
 func outputProbe(c *netlist.Circuit) (spice.Probe, error) {
 	out, ok := c.FindNode("out")
 	if !ok {
@@ -342,21 +354,22 @@ func outputProbe(c *netlist.Circuit) (spice.Probe, error) {
 	return spice.Probe{Node: out, StopAtUnity: true}, nil
 }
 
-// bodeMeasures reads a probed output sweep h (on freqs[:len(h)]): DC gain
-// in dB, the unity-gain frequency and, with withPM, the phase margin there
-// (zero without). A sweep that never crosses unity reports zero GBW and PM,
-// and an unmeasurable margin zero PM, so the specs register the failure
-// smoothly instead of erroring. The measures are the lazy ones: bit for bit
-// NewBode's, with logarithms taken only at the points they read and phases
-// unwrapped only for a scenario with a phase-margin spec.
-func bodeMeasures(freqs []float64, h []complex128, withPM bool) (a0dB, gbw, pm float64) {
-	a0dB = measure.DCGainDBOf(h)
-	gbw, err := measure.UnityCrossingOf(freqs, h)
+// bodeMeasures reads a probed output record r on freqs (the bracketed
+// sweep's, or a dense prefix): DC gain in dB, the unity-gain frequency and,
+// with withPM, the phase margin there (zero without). A sweep that never
+// crosses unity reports zero GBW and PM, and an unmeasurable margin zero
+// PM, so the specs register the failure smoothly instead of erroring. The
+// measures are the lazy ones: bit for bit NewBode's on the dense prefix,
+// with logarithms taken only at the points they read and phases unwrapped
+// only for a scenario with a phase-margin spec.
+func bodeMeasures(freqs []float64, r measure.Points, withPM bool) (a0dB, gbw, pm float64) {
+	a0dB = measure.DCGainDBOf(r.H)
+	gbw, err := measure.UnityCrossingOf(freqs, r)
 	if err != nil {
 		gbw = 0
 	}
 	if withPM && gbw > 0 {
-		pm = measure.PhaseMarginOf(freqs, h, gbw)
+		pm = measure.PhaseMarginOf(freqs, r, gbw)
 	}
 	return a0dB, gbw, pm
 }

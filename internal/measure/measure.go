@@ -191,14 +191,36 @@ func margin(ph, ref float64) float64 {
 	return pm
 }
 
-// The lazy measures below read a response straight from its phasors h on
-// freqs[:len(h)]: each returns bit for bit what the same-named measure of
-// NewBode(freqs[:len(h)], h) returns, but takes the logarithms only where
-// that measure reads them — the magnitude in dB at h[0] and at the two
-// points of the first unity-gain fall — and the phases only up to the last
-// point the phase margin interpolates at. The per-sample measures of a
-// yield loop read three magnitudes and (for a phase-margin spec) a few
-// phases out of a whole sweep.
+// Points is a response read at some points of a frequency grid: H[k] is
+// the phasor at grid point At[k], At strictly ascending from 0. A nil At
+// reads H densely, H[k] at point k. The probed AC sweep's bracketed record
+// is one: point 0, the coarse points up to the first fall through unity and
+// the points it solved inside that fall's bracket.
+type Points struct {
+	At []int
+	H  []complex128
+}
+
+// point returns the grid point of H[k].
+func (r Points) point(k int) int {
+	if r.At == nil {
+		return k
+	}
+	return r.At[k]
+}
+
+// The lazy measures below read a response straight from its phasors: each
+// returns bit for bit what the same-named measure of NewBode returns on the
+// dense prefix freqs[:n] ending at the record's last point, but takes the
+// logarithms only where that measure reads them — the magnitude in dB at
+// point 0 and at the two points of the first unity-gain fall — and the
+// phases only up to the last point the phase margin interpolates at. On a
+// sparse record that holds when the record has every point those measures
+// read and its phases unwrap onto the dense branches: the fall's two points
+// adjacent, the two points the phase margin interpolates between, and no
+// step between recorded points that hides a fall or a turn of the phase
+// (Vouches). The per-sample measures of a yield loop read three magnitudes
+// and (for a phase-margin spec) a few phases out of a whole sweep.
 
 // DCGainDBOf is NewBode(freqs, h).DCGainDB().
 func DCGainDBOf(h []complex128) float64 {
@@ -208,38 +230,64 @@ func DCGainDBOf(h []complex128) float64 {
 	return gainDB(cmplx.Abs(h[0]))
 }
 
-// UnityCrossingOf is NewBode(freqs[:len(h)], h).UnityCrossing(): the fall
-// through unity is found point by point (FallsThroughUnity), and only the
+// UnityCrossingOf is NewBode's UnityCrossing() on r: the fall through unity
+// is found record point by record point (FallsThroughUnity), and only the
 // bracketing pair's magnitudes are computed.
-func UnityCrossingOf(freqs []float64, h []complex128) (float64, error) {
+func UnityCrossingOf(freqs []float64, r Points) (float64, error) {
 	prevAtLeast := false
-	for i := range h {
-		falls, atLeast := FallsThroughUnity(prevAtLeast, h[i])
+	for k, h := range r.H {
+		falls, atLeast := FallsThroughUnity(prevAtLeast, h)
 		if falls {
-			m0, m1 := gainDB(cmplx.Abs(h[i-1])), gainDB(cmplx.Abs(h[i]))
-			return logInterp(freqs[i-1], freqs[i], m0/(m0-m1)), nil
+			m0, m1 := gainDB(cmplx.Abs(r.H[k-1])), gainDB(cmplx.Abs(h))
+			return logInterp(freqs[r.point(k-1)], freqs[r.point(k)], m0/(m0-m1)), nil
 		}
 		prevAtLeast = atLeast
 	}
 	return 0, ErrNoCrossing
 }
 
-// PhaseMarginOf is NewBode(freqs[:len(h)], h).PhaseMargin() given its unity
-// crossing fu (UnityCrossingOf's result; h non-empty): the phases are
-// unwrapped only up to the last point PhaseAt(fu) reads.
-func PhaseMarginOf(freqs []float64, h []complex128, fu float64) float64 {
-	i, t := segment(freqs[:len(h)], fu)
+// PhaseMarginOf is NewBode's PhaseMargin() on r given its unity crossing fu
+// (UnityCrossingOf's result; r non-empty): the crossing is located on the
+// dense prefix the record ends, and the phases are unwrapped only up to the
+// last point PhaseAt(fu) reads.
+func PhaseMarginOf(freqs []float64, r Points, fu float64) float64 {
+	last := r.point(len(r.H) - 1)
+	i, t := segment(freqs[:last+1], fu)
 	var ref, before, at float64
-	for j := 0; j <= min(i, len(h)-1); j++ {
+	for k := 0; k < len(r.H) && r.point(k) <= i; k++ {
 		before = at
-		at = unwrap(h[j], at, j == 0)
-		if j == 0 {
+		at = unwrap(r.H[k], at, k == 0)
+		if k == 0 {
 			ref = at
 		}
 	}
 	ph := at
-	if i > 0 && i < len(h) {
+	if i > 0 && i <= last {
 		ph = before + t*(at-before)
 	}
 	return margin(ph, ref)
+}
+
+// Vouches reports whether two points of a sweep read with the points
+// between them skipped, prev and then cur, may stand for the dense points
+// between: the magnitude does not rise (|cur| ≤ |prev|, compared as
+// re²+im²) and the phase turns by at most 90° (Re(cur·conj(prev)) ≥ 0). A
+// smooth response then neither dips through unity between them nor turns
+// its phase far enough for unwrap to pick another branch than the dense
+// steps do. A NaN part, or one whose square overflows, fails it.
+func Vouches(prev, cur complex128) bool {
+	pr, pi, cr, ci := real(prev), imag(prev), real(cur), imag(cur)
+	sp := pr*pr + pi*pi
+	return cr*cr+ci*ci <= sp && sp <= math.MaxFloat64 && cr*pr+ci*pi >= 0
+}
+
+// NearUnity reports whether |h| lies within unityBand of 1 (in |h|²): a
+// superset of the magnitudes at the point before a fall through unity for
+// which the interpolated crossing can round to or below that point, so that
+// PhaseAt reads the phase of the point before it. That needs the weight
+// m0/(m0−m1) below about 1e-14, and with m1 ≥ −6000 dB (gainDB's floor)
+// |h|²−1 below about 1e-11.
+func NearUnity(h complex128) bool {
+	re, im := real(h), imag(h)
+	return math.Abs(re*re+im*im-1) <= unityBand
 }

@@ -1,6 +1,7 @@
 package measure
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -293,5 +294,146 @@ func TestUnityPrefixMeasuresMatchFullSweep(t *testing.T) {
 	}
 	if stopped == 0 || stopped == 2000 {
 		t.Fatalf("%d of 2000 responses stopped early: the trials miss a case", stopped)
+	}
+}
+
+// bodeBits is the DC gain, unity crossing (or its error) and phase margin
+// of r as one comparable string.
+func bodeBits(freqs []float64, r Points) string {
+	a0 := DCGainDBOf(r.H)
+	fu, err := UnityCrossingOf(freqs, r)
+	if err != nil {
+		return fmt.Sprintf("%x %v", math.Float64bits(a0), err)
+	}
+	pm := PhaseMarginOf(freqs, r, fu)
+	return fmt.Sprintf("%x %x %x", math.Float64bits(a0), math.Float64bits(fu), math.Float64bits(pm))
+}
+
+// The measures read a sparse record as the dense prefix it ends: on random
+// multi-pole responses, a record of every 8th point up to the crossing and
+// the three points before and at it reads the dense prefix's bits, and so
+// does the record naming every point of that prefix.
+func TestPointsMeasuresMatchDensePrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sparse := 0
+	for trial := 0; trial < 2000; trial++ {
+		a := math.Pow(10, rng.Float64()*5-1)
+		if rng.Intn(2) == 0 {
+			a = -a
+		}
+		freqs, h := twoPole(a, math.Pow(10, 2+4*rng.Float64()), math.Pow(10, 5+4*rng.Float64()), 1e3, 1e9, 49)
+		m := len(h)
+		prevAtLeast := false
+		for i := range h {
+			falls, atLeast := FallsThroughUnity(prevAtLeast, h[i])
+			if falls {
+				m = i + 1
+				break
+			}
+			prevAtLeast = atLeast
+		}
+		want := bodeBits(freqs, Points{H: h[:m]})
+		all := Points{H: h[:m]}
+		for i := range all.H {
+			all.At = append(all.At, i)
+		}
+		if got := bodeBits(freqs, all); got != want {
+			t.Fatalf("trial %d: the full index record reads %s, the dense prefix %s", trial, got, want)
+		}
+		if m == len(h) {
+			continue
+		}
+		var r Points
+		for i := 0; i < m; i++ {
+			if i%8 == 0 || i >= m-3 {
+				r.At, r.H = append(r.At, i), append(r.H, h[i])
+			}
+		}
+		if got := bodeBits(freqs, r); got != want {
+			t.Fatalf("trial %d: the record %v reads %s, the %d-point dense prefix %s", trial, r.At, got, m, want)
+		}
+		sparse++
+	}
+	if sparse == 0 {
+		t.Fatal("no response crossed: the sparse records are never read")
+	}
+}
+
+// Vouches accepts a step whose magnitude does not rise and whose phase
+// turns by at most 90°, and nothing non-finite.
+func TestVouches(t *testing.T) {
+	up := math.Nextafter(2, 3)
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		prev, cur complex128
+		want      bool
+	}{
+		{2, 2, true},
+		{2, 1, true},
+		{2, complex(up, 0), false},
+		{complex(0, -2), complex(0, -1), true},
+		{1, cmplx.Rect(0.5, -89*math.Pi/180), true},
+		{1, cmplx.Rect(0.5, -91*math.Pi/180), false},
+		{1, complex(0, -0.5), true}, // exactly 90°
+		{-1, 0.5, false},
+		{1, 0, true},
+		{0, 0, true},
+		{complex(nan, 0), 0.5, false},
+		{1, complex(0.5, nan), false},
+		{complex(inf, 0), 1, false},
+		{1e200, 1e199, false}, // the squares overflow
+	} {
+		if got := Vouches(c.prev, c.cur); got != c.want {
+			t.Errorf("Vouches(%v, %v) = %v, want %v", c.prev, c.cur, got, c.want)
+		}
+	}
+}
+
+// NearUnity covers every magnitude at the point before a fall for which
+// the interpolated crossing rounds to or below that point: on every pair
+// of a LogSpace grid, with the first magnitude from exactly 1 out to far
+// beyond the band and the second from just below 1 down to 0.
+func TestNearUnityCoversCrossingAtPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	freqs := []float64{1e3}
+	for f := 1e3; f < 5e9; {
+		f *= math.Pow(10, 1.0/8)
+		freqs = append(freqs, f)
+	}
+	atPoint := 0
+	for trial := 0; trial < 200000; trial++ {
+		i := 1 + rng.Intn(len(freqs)-1)
+		m0 := 1 + math.Pow(10, -16+10*rng.Float64())
+		if trial%4 == 0 {
+			m0 = 1
+		}
+		m1 := math.Pow(10, -300*rng.Float64())
+		if trial%5 == 0 {
+			m1 = 0
+		}
+		th0, th1 := 2*math.Pi*rng.Float64(), 2*math.Pi*rng.Float64()
+		h0, h1 := cmplx.Rect(m0, th0), cmplx.Rect(m1, th1)
+		if falls, _ := FallsThroughUnity(true, h1); !falls || cmplx.Abs(h0) < 1 {
+			continue
+		}
+		fu, err := UnityCrossingOf(freqs[i-1:i+1], Points{H: []complex128{h0, h1}})
+		if err != nil {
+			t.Fatalf("%v → %v: %v", h0, h1, err)
+		}
+		if fu <= freqs[i-1] {
+			atPoint++
+			if !NearUnity(h0) {
+				t.Fatalf("|h| = %v before the fall: the crossing %v rounds to the point %v, but NearUnity is false", cmplx.Abs(h0), fu, freqs[i-1])
+			}
+		}
+	}
+	if atPoint == 0 {
+		t.Fatal("no crossing rounded to its point: the trials miss the case")
+	}
+	for _, h := range []complex128{1, complex(0, -1), complex(1+2*unityBand, 0), 0.5, complex(math.NaN(), 0), complex(math.Inf(1), 0)} {
+		want := h == 1 || h == complex(0, -1)
+		if got := NearUnity(h); got != want {
+			t.Errorf("NearUnity(%v) = %v, want %v", h, got, want)
+		}
 	}
 }

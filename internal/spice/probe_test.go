@@ -166,7 +166,10 @@ func TestProbedSweepsMatchFullPrefix(t *testing.T) {
 // The point-wise and lockstep sweeps move spice_factorizations_total by the
 // same scalar-equivalent amount — one per attempted point per sweeping lane
 // — on a group with early-stopping lanes, a never-crossing lane, a lane
-// failing in AC and a nil lane, for the probed and the all-node sweeps.
+// failing in AC and a nil lane, for the probed, bracketed and all-node
+// sweeps; the bracketed sweep counts fewer than the dense prefix. The
+// group-points counter moves by one per K-lane factorization: as much as
+// the factorizations on one lane, less on the lockstep group.
 func TestACFactorizationCountsMatch(t *testing.T) {
 	b := newProbeBench(2)
 	k := len(probeLanes)
@@ -216,6 +219,31 @@ func TestACFactorizationCountsMatch(t *testing.T) {
 	}
 	if lockProbe >= lockFull {
 		t.Errorf("probed sweep counted %d factorizations, the full sweep %d: no lane stopped early", lockProbe, lockFull)
+	}
+
+	groups := func(run func()) int64 {
+		before := mACGroupPoints.Value()
+		run()
+		return mACGroupPoints.Value() - before
+	}
+	var lockBracket, lockGroups int64
+	lockGroups = groups(func() { lockBracket = count(func() { eng.ACBatchBracket(ops, freqs, b.out, set) }) })
+	var pointBracket, pointGroups int64
+	for l, op := range ops {
+		if op != nil {
+			set(l)
+			pointGroups += groups(func() {
+				pointBracket += count(func() { scalar.ACBatchBracket([]*OPResult{op}, freqs, b.out, noLane) })
+			})
+		}
+	}
+	if lockBracket != pointBracket || lockBracket >= lockProbe {
+		t.Errorf("bracketed sweep: lockstep counted %d factorizations, point-wise %d, want equal and under the dense prefix's %d",
+			lockBracket, pointBracket, lockProbe)
+	}
+	if pointGroups != pointBracket || lockGroups == 0 || lockGroups >= lockBracket {
+		t.Errorf("bracketed sweep: %d group points point-wise (%d factorizations), %d lockstep (%d factorizations)",
+			pointGroups, pointBracket, lockGroups, lockBracket)
 	}
 }
 

@@ -20,7 +20,10 @@ import (
 // iteration that advances l live lanes counts l), so the totals do not
 // depend on the lane width; the lane histogram records live-lane occupancy
 // per Newton run of a group wider than one lane — low occupancy means the
-// lockstep width is wasted on retired lanes.
+// lockstep width is wasted on retired lanes. The AC group-points counter is
+// the exception: one per K-lane factorization of an AC sweep, whatever the
+// number of lanes still sweeping, so AC lane occupancy is the AC share of
+// spice_factorizations_total over it.
 //
 // The two MOSFET evaluation counters split device-model work by kind: a DC
 // evaluation (mos.Device.EvaluateDC, one per transistor per Newton
@@ -30,6 +33,7 @@ import (
 var (
 	mNewtonIters    = obs.Default().Counter("spice_newton_iterations_total")
 	mFactorizations = obs.Default().Counter("spice_factorizations_total")
+	mACGroupPoints  = obs.Default().Counter("spice_ac_group_points_total")
 	mMOSDCEvals     = obs.Default().Counter("spice_mos_dc_evaluations_total")
 	mMOSFullEvals   = obs.Default().Counter("spice_mos_full_evaluations_total")
 	mLockstepLanes  = obs.Default().Histogram("spice_lockstep_lanes", []float64{1, 2, 4, 8, 16, 32})
